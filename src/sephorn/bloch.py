@@ -33,10 +33,12 @@ def _gen_stack(dim: int) -> np.ndarray:
 
 
 def validate_state(rho: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Check Hermiticity and unit trace, returning the matrix as complex."""
+    """Check finiteness, Hermiticity and unit trace, returning the matrix as complex."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise NotAState(f"expected a square matrix, got shape {rho.shape}")
+    if not np.isfinite(rho).all():
+        raise NotAState("matrix has non-finite entries")
     herm_dev = np.abs(rho - rho.conj().T).max() if rho.size else 0.0
     if herm_dev > tol:
         raise NotAState(f"Hermiticity deviation {herm_dev:.3e} exceeds {tol:.1e}")

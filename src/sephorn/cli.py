@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes are a stable contract: 0 = separable, 1 = entangled,
-2 = inconclusive, 64 = unreadable input or bad usage, 70 = numeric failure.
+2 = inconclusive, 64 = unreadable input or bad usage, 70 = numeric failure
+(any unexpected exception included).
 The environment variable ``SEP_HORN_TOL`` sets the default ``--tol``.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 import concurrent.futures
 import json
 import sys
+import traceback
 from dataclasses import replace
 from pathlib import Path
 
@@ -69,11 +71,6 @@ def _verdict_report(path: str, verdict: Verdict, decomposition_file: str | None,
                      + (f" ({c.detail})" if c.detail else ""))
     if decomposition_file:
         lines.append(f"  decomposition written to {decomposition_file}")
-    if verdict.horn_report is not None:
-        hr = verdict.horn_report
-        lines.append(f"  inequality diagnostic: feasible={hr.feasible} "
-                     f"worst_margin={hr.worst_margin:.6g} "
-                     f"violated={len(hr.violated)}")
     return "\n".join(lines)
 
 
@@ -251,6 +248,12 @@ def main(argv=None) -> None:
         sys.exit(EXIT_BAD_INPUT)
     except SepHornError as exc:
         click.echo(f"numeric failure: {exc}", err=True)
+        sys.exit(EXIT_NUMERIC)
+    except Exception as exc:
+        # a failure outside the library's own error types must not exit with
+        # a code that reads as a verdict
+        traceback.print_exc()
+        click.echo(f"unexpected failure: {type(exc).__name__}: {exc}", err=True)
         sys.exit(EXIT_NUMERIC)
     sys.exit(int(code) if isinstance(code, int) else 0)
 

@@ -17,36 +17,21 @@ ENV_TOL = "SEP_HORN_TOL"
 @dataclass(frozen=True)
 class Tolerances:
     # matrix-level validation
-    herm: float = 1e-10          # Hermiticity deviation allowed in eigh
     state: float = 1e-9          # trace-one / Hermiticity for density matrices
     psd: float = 1e-9            # minimum-eigenvalue threshold for physicality
     rank: float = 1e-9           # eigenvalue cutoff for local-rank detection
-
-    # orthogonal completion
-    orthonormal: float = 1e-10   # prescribed-row orthonormality check
-    gram_dep: float = 1e-8       # near-dependence rejection in Gram-Schmidt
 
     # normal-form filtering
     normal_tol: float = 1e-10    # marginal Bloch-norm convergence target
     normal_max_iter: int = 500
 
-    # inequality battery
-    horn_slack: float = 1e-9     # relative slack on multiplicative inequalities
+    # norm-bound criteria
     kyfan_slack: float = 1e-9    # slack on the norm-bound criteria
 
-    # decomposition construction / verification
+    # decomposition verification
     residual: float = 1e-8       # reconstruction residual for decompositions
     prob_sum: float = 1e-10      # probability normalization
     component_psd: float = 1e-8  # physicality of decomposition components
-    fixed_point_tol: float = 1e-12
-    fixed_point_rel: float = 1e-10
-    fixed_point_max_iter: int = 10_000
-    factor_check: float = 1e-8   # factor-pair assembly constraint residual
-
-    # pure-state simplex search
-    simplex_target: float = 1e-9   # worst allowed negative eigenvalue
-    simplex_restarts: int = 200
-    simplex_max_iter: int = 2000
 
     def with_positivity(self, tol: float) -> "Tolerances":
         """Return a copy with the positivity-related thresholds set to ``tol``."""

@@ -11,7 +11,7 @@ necessary criterion) and ``INCONCLUSIVE``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .bipartite import (
     project_to_support,
     support_isometries,
 )
-from .bloch import is_physical, to_bloch, validate_state
+from .bloch import is_physical, radii, validate_state
 from .config import DEFAULT, Tolerances
 from .decompose import (
     DecompositionOutcome,
@@ -38,7 +38,6 @@ from .decompose import (
     werner_decompose,
 )
 from .errors import DimensionMismatch, NotNormalForm, NotPSD, SepHornError
-from .horn import HornReport, check_product_inequalities
 from .linalg import svd
 from .su import generator_basis
 
@@ -83,11 +82,6 @@ class Verdict:
     status: Status
     decomposition: SeparableDecomposition | None = None
     criteria: tuple[CriterionResult, ...] = ()
-    horn_report: HornReport | None = field(default=None, repr=False)
-
-    def with_criteria(self, results) -> "Verdict":
-        return Verdict(status=self.status, decomposition=self.decomposition,
-                       criteria=tuple(results), horn_report=self.horn_report)
 
 
 # ---------------------------------------------------------------------------
@@ -266,18 +260,23 @@ def _match_isotropic(d: BipartiteDecomposed, tol: float = 1e-9) -> float | None:
 # pipeline
 # ---------------------------------------------------------------------------
 
-def _horn_diagnostic(d: BipartiteDecomposed) -> HornReport:
+def _horn_envelope(d: BipartiteDecomposed, slack: float) -> CriterionResult:
     """Inequality battery against the most permissive physical envelope.
 
-    Every factor singular value is bounded by the pure-state radius, so the
-    battery with uniform alpha = R_+(N), beta = R_+(M) is a valid necessary
-    family; it is attached to inconclusive verdicts as a diagnostic.
+    Every factor singular value is bounded by the pure-state radius
+    R_+(N) = sqrt(2(N-1)/N), so the multiplicative inequalities with uniform
+    alpha = R_+(N), beta = R_+(M) are necessary for separability.  With
+    uniform factors the r = 1, K = {1} inequality tau_1 <= R_+(N) R_+(M)
+    implies every other one, so the battery is this one comparison.  The
+    margin log(tau_1 / (R_+(N) R_+(M))) is positive on a violation.
     """
-    taus = np.linalg.svd(d.corr, compute_uv=False) if d.corr.size else np.zeros(0)
-    length = len(taus)
-    alpha = np.full(length, np.sqrt(2.0 * (d.dim_a - 1.0) / d.dim_a))
-    beta = np.full(length, np.sqrt(2.0 * (d.dim_b - 1.0) / d.dim_b))
-    return check_product_inequalities(taus, alpha, beta)
+    envelope = radii(d.dim_a).outer * radii(d.dim_b).outer
+    tau1 = float(np.linalg.norm(d.corr, 2)) if d.corr.size else 0.0
+    with np.errstate(divide="ignore"):
+        margin = float(np.log(tau1 / envelope))
+    return CriterionResult("horn-envelope", margin <= np.log1p(slack), margin,
+                           f"largest singular value {tau1:.6g} against the "
+                           f"pure-state envelope {envelope:.6g}")
 
 
 def _trivial_factor_decomposition(d: BipartiteDecomposed) -> SeparableDecomposition:
@@ -308,7 +307,7 @@ def analyze(rho: np.ndarray, dim_a: int, dim_b: int, *,
     exact decision for two qubits; otherwise partial transposition, the
     necessary norm bound, the constructive sufficient bound, and closed-form
     family decompositions.  Separable verdicts are re-verified before being
-    returned; inconclusive verdicts carry the inequality diagnostic.
+    returned; inconclusive verdicts carry the inequality envelope check.
     """
     rho = validate_state(rho, tol=cfg.state)
     low = float(np.linalg.eigvalsh(rho)[0])
@@ -343,10 +342,8 @@ def _analyze_decomposed(d: BipartiteDecomposed, *, cfg: Tolerances,
             verdict = _verified(dec, d, log, cfg, "embedded")
             if verdict is not None:
                 return verdict
-            return Verdict(status=Status.INCONCLUSIVE, criteria=tuple(log),
-                           horn_report=sub.horn_report)
-        return Verdict(status=sub.status, criteria=tuple(log),
-                       horn_report=sub.horn_report)
+            return Verdict(status=Status.INCONCLUSIVE, criteria=tuple(log))
+        return Verdict(status=sub.status, criteria=tuple(log))
 
     if (d.dim_a, d.dim_b) == (2, 2):
         return two_qubit_decide(d, cfg=cfg)
@@ -365,8 +362,8 @@ def _analyze_decomposed(d: BipartiteDecomposed, *, cfg: Tolerances,
         # criteria were inconclusive, so the verdict stays honest.
         log.append(CriterionResult("normal-form", False, marg,
                                    f"not converged in {nf.iterations} sweeps"))
-        return Verdict(status=Status.INCONCLUSIVE, criteria=tuple(log),
-                       horn_report=_horn_diagnostic(d))
+        log.append(_horn_envelope(d, cfg.kyfan_slack))
+        return Verdict(status=Status.INCONCLUSIVE, criteria=tuple(log))
 
     tilde = nf.state
     nk = kyfan_necessary_check(tilde, slack=cfg.kyfan_slack)
@@ -406,5 +403,5 @@ def _analyze_decomposed(d: BipartiteDecomposed, *, cfg: Tolerances,
         if verdict is not None:
             return verdict
 
-    return Verdict(status=Status.INCONCLUSIVE, criteria=tuple(log),
-                   horn_report=_horn_diagnostic(tilde))
+    log.append(_horn_envelope(tilde, cfg.kyfan_slack))
+    return Verdict(status=Status.INCONCLUSIVE, criteria=tuple(log))

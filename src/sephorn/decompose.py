@@ -3,8 +3,8 @@
 Builds explicit convex decompositions ``rho = sum_i p_i rho_i^A x rho_i^B``
 in Bloch form: the factor-pair scaffolding for a general correlation matrix,
 the fixed-point construction that succeeds whenever the Ky Fan norm fits the
-inscribed-ball budget, the pure-state simplex search, and the closed-form
-Werner / isotropic decompositions.
+inscribed-ball budget, the pure-state simplex built from a Weyl-Heisenberg
+SIC, and the closed-form Werner / isotropic decompositions.
 """
 
 from __future__ import annotations
@@ -14,10 +14,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.optimize import minimize
+from scipy.optimize import least_squares, minimize
 
-from . import kernels
 from .bloch import from_bloch, to_bloch, transpose_flip
 from .errors import (
     BoundExceeded,
@@ -29,7 +27,6 @@ from .errors import (
 )
 from .linalg import complete_orthonormal, svd
 from .states import werner_coefficient
-from .su import generator_basis
 
 
 @dataclass(frozen=True)
@@ -253,112 +250,100 @@ def kyfan_bound_decomposition(frame: FactorizationFrame, dim_a: int, dim_b: int,
 
 
 # ---------------------------------------------------------------------------
-# pure-state simplex search
+# pure-state simplex from a Weyl-Heisenberg SIC
 # ---------------------------------------------------------------------------
 
-def _reference_simplex(dim: int) -> np.ndarray:
-    """Regular simplex of N^2 pure-norm Bloch columns (positivity not implied)."""
-    vertex_count = dim * dim
-    q = complete_orthonormal([np.full(vertex_count, 1.0 / dim)], vertex_count)
-    return np.sqrt(2.0 * dim / (dim + 1.0)) * q[:-1, :]
+SIC_ATTEMPTS = 20
+SIC_RESIDUAL = 1e-12
 
 
-def _antisym_from_params(theta: np.ndarray, k: int) -> np.ndarray:
-    a = np.zeros((k, k))
-    iu = np.triu_indices(k, 1)
-    a[iu] = theta
-    return a - a.T
+def _displacements(dim: int) -> np.ndarray:
+    """The N^2 Weyl-Heisenberg operators X^a Z^b, stacked at index a N + b."""
+    shift = np.roll(np.eye(dim), 1, axis=0)
+    clock = np.diag(np.exp(2j * np.pi * np.arange(dim) / dim))
+    return np.array([np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b)
+                     for a in range(dim) for b in range(dim)])
 
 
-def _worst_negative_eig(vertices: np.ndarray, gens: np.ndarray, dim: int) -> float:
-    rhos = (np.eye(dim)[None, :, :] / dim
-            + 0.5 * np.einsum("mv,mij->vij", vertices, gens))
-    return float(np.linalg.eigvalsh(rhos)[:, 0].min())
+def _frame_potential(v: np.ndarray, disp: np.ndarray):
+    """sum_k |<psi|D_k|psi>|^4 / <psi|psi>^4 and its gradient in (Re psi, Im psi).
+
+    The minimum 2N/(N+1) is reached exactly by SIC fiducials.
+    """
+    dim = disp.shape[1]
+    psi = v[:dim] + 1j * v[dim:]
+    norm = float(np.vdot(psi, psi).real)
+    d_psi = disp @ psi
+    dag_psi = np.einsum("kji,j->ki", disp.conj(), psi)
+    overlaps = d_psi @ psi.conj()
+    mod2 = np.abs(overlaps) ** 2
+    total = float(mod2 @ mod2)
+    # Wirtinger derivative d/d(conj psi); the real gradient is twice it
+    grad = 2.0 * mod2 @ (overlaps.conj()[:, None] * d_psi + overlaps[:, None] * dag_psi)
+    grad = grad / norm ** 4 - 4.0 * total * psi / norm ** 5
+    return total / norm ** 4, 2.0 * np.concatenate([grad.real, grad.imag])
+
+
+def _overlap_residuals(v: np.ndarray, disp: np.ndarray) -> np.ndarray:
+    """|<psi|D_k|psi>|^2 - 1/(N+1) for k != 0, then <psi|psi> - 1."""
+    dim = disp.shape[1]
+    psi = v[:dim] + 1j * v[dim:]
+    overlaps = (disp[1:] @ psi) @ psi.conj()
+    return np.append(np.abs(overlaps) ** 2 - 1.0 / (dim + 1.0),
+                     np.vdot(psi, psi).real - 1.0)
 
 
 @lru_cache(maxsize=None)
-def _pure_simplex_cached(dim: int, seed: int, restarts: int, max_iter: int,
-                         target: float):
-    k = dim * dim - 1
-    gens = np.ascontiguousarray(generator_basis(dim).matrices)
-    reference = _reference_simplex(dim)
-    iu = np.triu_indices(k, 1)
-    n_params = len(iu[0])
+def _sic_simplex(dim: int, seed: int) -> np.ndarray:
+    disp = _displacements(dim)
     rng = np.random.default_rng(seed)
-
-    def objective(theta):
-        a = _antisym_from_params(theta, k)
-        rot = sla.expm(a)
-        vertices = np.ascontiguousarray(rot @ reference)
-        f, d_vertices = kernels.neg_eig_mass(vertices, gens)
-        d_rot = d_vertices @ reference.T
-        d_a = sla.expm_frechet(a.T, d_rot, compute_expm=False)
-        return f, d_a[iu] - d_a.T[iu]
-
-    best_val = np.inf
-    best_vertices = reference
-    for attempt in range(restarts):
-        theta0 = np.zeros(n_params) if attempt == 0 else rng.normal(scale=0.7, size=n_params)
-        res = minimize(objective, theta0, jac=True, method="L-BFGS-B",
-                       options={"maxiter": max_iter, "ftol": 1e-18, "gtol": 1e-14})
-        vertices = sla.expm(_antisym_from_params(res.x, k)) @ reference
-        vertices = _polish(vertices, reference, gens, dim)
-        worst = _worst_negative_eig(vertices, gens, dim)
-        if -worst < best_val:
-            best_val = -worst
-            best_vertices = vertices
-        if best_val <= target:
+    best = np.inf
+    for _ in range(SIC_ATTEMPTS):
+        start = minimize(_frame_potential, rng.normal(size=2 * dim), args=(disp,),
+                         jac=True, method="L-BFGS-B",
+                         options={"maxiter": 2000, "ftol": 1e-15, "gtol": 1e-12})
+        polished = least_squares(_overlap_residuals, start.x / np.linalg.norm(start.x),
+                                 args=(disp,), method="lm",
+                                 xtol=1e-15, ftol=1e-15, gtol=1e-15)
+        best = min(best, float(np.abs(polished.fun).max()))
+        if best <= SIC_RESIDUAL:
             break
-    if best_val > target:
+    else:
         raise SearchFailed(
-            f"simplex search for dim {dim} stalled at residual {best_val:.3e}",
-            residual=best_val,
+            f"no SIC fiducial for dim {dim} in {SIC_ATTEMPTS} attempts; "
+            f"best overlap residual {best:.3e}",
+            residual=best,
         )
-    out = np.ascontiguousarray(best_vertices.T)
+    psi = polished.x[:dim] + 1j * polished.x[dim:]
+    kets = disp @ (psi / np.linalg.norm(psi))
+    out = np.array([to_bloch(np.outer(ket, ket.conj())) for ket in kets])
     out.setflags(write=False)
     return out
 
 
-def _polish(vertices, reference, gens, dim):
-    """Snap near-pure columns to exact pure states, refit the rotation."""
-    rhos = (np.eye(dim)[None, :, :] / dim
-            + 0.5 * np.einsum("mv,mij->vij", vertices, gens))
-    _, u = np.linalg.eigh(rhos)
-    top = u[:, :, -1]
-    projected = np.einsum("vi,vj,mji->mv", top, top.conj(), gens).real
-    fit = projected @ reference.T
-    uu, _, vvt = np.linalg.svd(fit)
-    rot = uu @ vvt
-    if np.linalg.det(rot) < 0:
-        return vertices
-    candidate = rot @ reference
-    old = _worst_negative_eig(vertices, gens, dim)
-    new = _worst_negative_eig(candidate, gens, dim)
-    return candidate if new >= old else vertices
-
-
-def pure_state_simplex(dim: int, seed: int = 0, *, restarts: int = 200,
-                       max_iter: int = 2000, target: float = 1e-9) -> np.ndarray:
+def pure_state_simplex(dim: int, seed: int = 0) -> np.ndarray:
     """N^2 pure-state Bloch vectors forming a regular simplex.
 
-    Rows of the returned (N^2, N^2-1) array have squared norm 2(N-1)/N and
-    pairwise cosine -1/(N^2-1); every row reconstructs a PSD matrix within
-    ``target``.  For N = 2 the reference tetrahedron is already physical;
-    for N >= 3 a rotation of the reference simplex is found by minimizing
-    the total squared negative-eigenvalue mass over the rotation group,
-    multi-started from seeded random points.  Raises SearchFailed (with the
-    reached residual) when the budget is exhausted.
+    Rows of the returned read-only (N^2, N^2-1) array have squared norm
+    2(N-1)/N and pairwise cosine -1/(N^2-1).  That is the condition
+    |<psi_i|psi_j>|^2 = 1/(N+1) on the pure states, so the rows are a
+    SIC-POVM.  It is built as the Weyl-Heisenberg orbit D_k|psi> of one
+    fiducial psi in C^N: the frame potential sum_k |<psi|D_k|psi>|^4 is
+    minimized from a point drawn with ``seed``, and the minimizer is
+    polished by least squares on the overlap equations.  Each of
+    ``SIC_ATTEMPTS`` draws is accepted when every overlap equation holds
+    within ``SIC_RESIDUAL``; SearchFailed carries the best residual when
+    none does.
     """
-    return _pure_simplex_cached(dim, int(seed), int(restarts), int(max_iter),
-                                float(target))
+    return _sic_simplex(dim, int(seed))
 
 
 # ---------------------------------------------------------------------------
 # Werner / isotropic families
 # ---------------------------------------------------------------------------
 
-def werner_decompose(dim: int, phi: float, seed: int = 0,
-                     **search_options) -> SeparableDecomposition | DecompositionOutcome:
+def werner_decompose(dim: int, phi: float,
+                     seed: int = 0) -> SeparableDecomposition | DecompositionOutcome:
     """Closed-form decomposition of the Werner family.
 
     phi >= 1/N: uniform mixture of scaled pure-simplex product states
@@ -366,15 +351,15 @@ def werner_decompose(dim: int, phi: float, seed: int = 0,
     toward the maximally mixed state, saturating at phi = 1).
     0 <= phi < 1/N: paired simplexes r_i = -N alpha q_i (inscribed ball),
     s_i = N beta q_i (pure), with alpha beta = |c| and beta held at the
-    pure bound.  phi < 0 is entangled.  Search options are forwarded to
-    :func:`pure_state_simplex`.
+    pure bound.  phi < 0 is entangled.  ``seed`` picks the
+    :func:`pure_state_simplex` fiducial.
     """
     if not -1.0 - 1e-12 <= phi <= 1.0 + 1e-12:
         raise OutOfPositivityRange(f"Werner parameter phi={phi} outside [-1, 1]")
     if phi < 0.0:
         return ENTANGLED
     c = werner_coefficient(dim, phi)
-    vertices = pure_state_simplex(dim, seed, **search_options)  # (N^2, K)
+    vertices = pure_state_simplex(dim, seed)  # (N^2, K)
     count = dim * dim
     probs = np.full(count, 1.0 / count)
     if c >= 0.0:
@@ -398,23 +383,26 @@ def isotropic_threshold(dim: int) -> float:
     return 1.0 / (dim + 1.0)
 
 
-def isotropic_decompose(dim: int, p: float, seed: int = 0,
-                        **search_options) -> SeparableDecomposition | DecompositionOutcome:
+def isotropic_decompose(dim: int, p: float,
+                        seed: int = 0) -> SeparableDecomposition | DecompositionOutcome:
     """Decompose the isotropic family via its Werner partner.
 
     Maps p to the Werner parameter phi = (p (N^2-1) + 1)/N, decomposes the
     Werner state and transpose-flips every B-side vector.  p > 1/(N+1) is
-    entangled; p outside the PSD range raises OutOfPositivityRange.
+    entangled; p outside the PSD range raises OutOfPositivityRange.  Both
+    comparisons allow 1e-12 of round-off, so a parameter recovered from a
+    state at the threshold still decomposes.
     """
     low = -1.0 / (dim * dim - 1.0)
     if not low - 1e-12 <= p <= 1.0 + 1e-12:
         raise OutOfPositivityRange(
             f"isotropic parameter p={p} outside [{low:.6f}, 1]"
         )
-    if p > isotropic_threshold(dim):
+    if p > isotropic_threshold(dim) + 1e-12:
         return ENTANGLED
+    p = min(p, isotropic_threshold(dim))
     phi = (p * (dim * dim - 1.0) + 1.0) / dim
-    partner = werner_decompose(dim, phi, seed, **search_options)
+    partner = werner_decompose(dim, phi, seed)
     if isinstance(partner, DecompositionOutcome):
         return partner
     flipped = np.array([transpose_flip(s) for s in partner.s_vectors])

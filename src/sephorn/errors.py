@@ -88,7 +88,7 @@ class FixedPointDiverged(SepHornError):
 
 
 class SearchFailed(SepHornError):
-    """Numerical simplex search did not reach the target residual."""
+    """No SIC fiducial solved the overlap equations within the residual bound."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(message)

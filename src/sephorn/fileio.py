@@ -20,6 +20,7 @@ Decomposition file (``sep-horn-decomposition/1``)::
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -60,6 +61,8 @@ def state_from_text(text: str):
             if (not isinstance(pair, list) or len(pair) != 2
                     or not all(isinstance(x, (int, float)) for x in pair)):
                 raise FileFormatError(f"entry ({i},{j}) must be a [re, im] pair")
+            if not all(math.isfinite(x) for x in pair):
+                raise FileFormatError(f"entry ({i},{j}) is not finite: {pair!r}")
             rho[i, j] = complex(pair[0], pair[1])
     return rho, (dims[0], dims[1])
 

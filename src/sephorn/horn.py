@@ -22,7 +22,6 @@ from itertools import combinations
 
 import numpy as np
 
-from . import kernels
 from .errors import BadCardinality, LengthMismatch, NotSorted, TripleCapExceeded
 
 MAX_N = 16
@@ -179,10 +178,11 @@ def check_product_inequalities(tau, alpha, beta, *, slack: float = 1e-9) -> Horn
                           product_equality=eq)
 
     ii, jj, kk, offs, triples = flat_index_arrays(length)
-    log_a = _log_with_inf(alpha)
-    log_b = _log_with_inf(beta)
-    log_t = _log_with_inf(tau)
-    rhs, lhs = kernels.triple_sums(log_a, log_b, log_t, ii, jj, kk, offs)
+    # per-triple log sums; a -inf (zero value) propagates through its sum
+    starts = offs[:-1]
+    rhs = (np.add.reduceat(_log_with_inf(alpha)[ii], starts)
+           + np.add.reduceat(_log_with_inf(beta)[jj], starts))
+    lhs = np.add.reduceat(_log_with_inf(tau)[kk], starts)
 
     log_slack = np.log1p(slack)
     with np.errstate(invalid="ignore"):

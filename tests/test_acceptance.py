@@ -2,7 +2,7 @@
 
 Each test prints a single ``ACCEPTANCE <k> PASS`` line with its measured
 numbers (run pytest with ``-s`` to see them live).  Budgets are asserted
-as stated; the heavy sampling suites run through the compiled kernels.
+as stated.
 """
 
 import itertools
@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from sephorn import kernels
+from helpers import batch_min_margin
 from sephorn.bipartite import (
     BipartiteDecomposed,
     compose_state,
@@ -33,7 +33,7 @@ from sephorn.decompose import (
     kyfan_bound_decomposition,
     werner_decompose,
 )
-from sephorn.horn import all_triples, check_product_inequalities, flat_index_arrays, triple_set
+from sephorn.horn import all_triples, check_product_inequalities, triple_set
 from sephorn.linalg import random_orthogonal
 from sephorn.states import bell, isotropic, p_zero, random_density, werner
 
@@ -116,13 +116,12 @@ def test_4_triple_set_oracle():
     # forward soundness: eigenvalue triples never violate emitted inequalities
     worst = np.inf
     for n in (2, 3, 4):
-        ii, jj, kk, offs, _ = flat_index_arrays(n)
         ea_mat = random_hermitian_batch(samples, n, rng)
         eb_mat = random_hermitian_batch(samples, n, rng)
         ea = descending_eigs(ea_mat)
         eb = descending_eigs(eb_mat)
         ec = descending_eigs(ea_mat + eb_mat)
-        margins = kernels.batch_min_margin(ea, eb, ec, ii, jj, kk, offs)
+        margins = batch_min_margin(ea, eb, ec)
         worst = min(worst, float(margins.min()))
     sound = worst >= -1e-9
 

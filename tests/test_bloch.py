@@ -8,6 +8,7 @@ from sephorn.bloch import (
     radii,
     to_bloch,
     transpose_flip,
+    validate_state,
 )
 from sephorn.errors import DimensionMismatch, NotAState
 from sephorn.linalg import random_orthogonal, random_unitary
@@ -52,6 +53,13 @@ def test_to_bloch_rejects_non_states():
         to_bloch(np.eye(2))  # trace 2
     with pytest.raises(NotAState):
         to_bloch(np.array([[0.5, 0.5], [0.0, 0.5]]))  # not Hermitian
+
+
+def test_validate_state_rejects_non_finite():
+    rho = np.eye(6, dtype=complex) / 6.0
+    rho[0, 1] = rho[1, 0] = np.nan
+    with pytest.raises(NotAState, match="non-finite"):
+        validate_state(rho)
 
 
 def test_from_bloch_returns_unphysical_matrices():

@@ -55,6 +55,26 @@ class TestAnalyze:
         code, _, err = run_cli(["analyze", str(bad)], capsys)
         assert code == 70
 
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
+    def test_non_finite_state_exits_64(self, tmp_path, capsys, dims):
+        rho = np.eye(dims[0] * dims[1], dtype=complex) / (dims[0] * dims[1])
+        rho[0, 1] = rho[1, 0] = np.nan
+        bad = tmp_path / "nan.state.json"
+        bad.write_text(fileio.state_to_text(rho, dims))
+        code, _, err = run_cli(["analyze", str(bad)], capsys)
+        assert code == 64
+        assert "not finite" in err
+
+    def test_unexpected_exception_exits_70(self, tmp_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr("sephorn.cli.analyze", broken)
+        path = write_state(tmp_path / "bell.state.json", bell(), (2, 2))
+        code, _, err = run_cli(["analyze", path], capsys)
+        assert code == 70
+        assert "LinAlgError" in err
+
     def test_structured_report(self, tmp_path, capsys):
         path = write_state(tmp_path / "bell.state.json", bell(), (2, 2))
         code, out, _ = run_cli(["analyze", path, "--report", "structured"], capsys)

@@ -14,6 +14,7 @@ from sephorn.criteria import (
 )
 from sephorn.decompose import SeparableDecomposition, werner_decompose
 from sephorn.errors import DimensionMismatch, NotNormalForm
+from sephorn.horn import check_product_inequalities
 from sephorn.linalg import random_unitary
 from sephorn.states import bell, isotropic, p_zero, random_density, werner
 
@@ -193,9 +194,26 @@ class TestAnalyze:
         u = np.kron(random_unitary(3, rng), random_unitary(3, rng))
         rho = u @ base @ u.conj().T
         verdict = analyze(rho, 3, 3)
-        if verdict.status is Status.INCONCLUSIVE:
-            assert verdict.horn_report is not None
-            assert verdict.horn_report.feasible
+        assert verdict.status is Status.INCONCLUSIVE
+        envelope = verdict.criteria[-1]
+        assert envelope.name == "horn-envelope"
+        # the closed form agrees with the full battery against the uniform
+        # pure-state envelope alpha = beta = R_+(3)
+        taus = np.linalg.svd(decompose_state(rho, 3, 3).corr, compute_uv=False)
+        radius = np.full(len(taus), np.sqrt(4.0 / 3.0))
+        battery = check_product_inequalities(taus, radius, radius)
+        assert envelope.passed and battery.feasible
+        assert abs(envelope.margin - np.log(taus[0] / (4.0 / 3.0))) < 1e-9
+        assert abs(envelope.margin + battery.worst_margin) < 1e-9
+
+    def test_threshold_isotropic_is_separable(self):
+        # p = 1/(N+1) is recovered from the state a few ulps above the
+        # threshold; it must still decompose
+        for dim in (2, 3, 4, 5):
+            p = 1.0 / (dim + 1.0)
+            verdict = analyze(compose_state(isotropic(dim, p)), dim, dim)
+            assert verdict.status is Status.SEPARABLE, (dim, verdict.criteria)
+            assert verify_decomposition(verdict.decomposition, isotropic(dim, p)).valid
 
     def test_separable_corpus_stays_ppt_after_transpose(self):
         # partial transposition preserves separability on the corpus

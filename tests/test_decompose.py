@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from sephorn.bipartite import BipartiteDecomposed
-from sephorn.bloch import is_physical, radii
+from sephorn import decompose
+from sephorn.bloch import from_bloch, is_physical
 from sephorn.criteria import verify_decomposition
 from sephorn.decompose import (
     ENTANGLED,
@@ -22,6 +23,7 @@ from sephorn.errors import (
     BoundExceeded,
     FactorConstraintViolated,
     OutOfPositivityRange,
+    SearchFailed,
 )
 from sephorn.horn import product_singulars_feasible
 from sephorn.linalg import random_orthogonal
@@ -218,6 +220,30 @@ class TestPureSimplex:
         for v in vecs:
             assert is_physical(v, tol=1e-8)
 
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7])
+    def test_rows_are_a_sic(self, dim):
+        rhos = np.array([from_bloch(v) for v in pure_state_simplex(dim)])
+        overlaps = np.einsum("iab,jba->ij", rhos, rhos).real
+        off = overlaps[~np.eye(dim * dim, dtype=bool)]
+        np.testing.assert_allclose(off, 1.0 / (dim + 1.0), atol=1e-12)
+        for rho in rhos:
+            want = np.zeros(dim)
+            want[-1] = 1.0
+            np.testing.assert_allclose(np.linalg.eigvalsh(rho), want, atol=1e-12)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7])
+    def test_werner_endpoints_verify(self, dim):
+        for phi in (0.0, 1.0):
+            report = verify_decomposition(werner_decompose(dim, phi), werner(dim, phi))
+            assert report.valid and report.max_residual <= 1e-10, (phi, report)
+
+    def test_exhausted_attempts_raise(self, monkeypatch):
+        monkeypatch.setattr(decompose, "SIC_ATTEMPTS", 2)
+        monkeypatch.setattr(decompose, "SIC_RESIDUAL", -1.0)
+        with pytest.raises(SearchFailed) as exc:
+            pure_state_simplex(3, seed=987654)
+        assert 0.0 <= exc.value.residual < 1e-12
+
 
 class TestWernerDecompose:
     def test_qubit_saturated(self):
@@ -293,6 +319,14 @@ class TestIsotropicDecompose:
 
     def test_entangled_above_threshold(self):
         assert isotropic_decompose(3, 0.26) is ENTANGLED
+
+    def test_round_off_above_threshold_decomposes(self):
+        # within the 1e-12 slack the threshold state is decomposed, even
+        # where the Werner partner's phi would leave its own slack
+        threshold = 1.0 / 6.0
+        dec = isotropic_decompose(5, threshold + 5e-13)
+        report = verify_decomposition(dec, isotropic(5, threshold))
+        assert report.valid and report.max_residual < 1e-10
 
     def test_lower_positivity_edge(self):
         dec = isotropic_decompose(3, -1.0 / 8.0)

@@ -36,6 +36,15 @@ class TestStateFiles:
         with pytest.raises(FileFormatError):
             fileio.state_from_text(text)
 
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, dims, bad):
+        # JSON readers accept NaN and Infinity literals
+        rho = random_density(dims[0] * dims[1], 2, seed=3)
+        rho[0, 1] = rho[1, 0] = complex(bad, 0.0)
+        with pytest.raises(FileFormatError, match="not finite"):
+            fileio.state_from_text(fileio.state_to_text(rho, dims))
+
 
 class TestDecompositionFiles:
     def test_round_trip_bit_identical(self):

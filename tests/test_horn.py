@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import batch_min_margin
 from sephorn.errors import BadCardinality, LengthMismatch, NotSorted, TripleCapExceeded
 from sephorn.horn import (
     all_triples,
@@ -117,14 +118,8 @@ def test_multiplicative_product_oracle():
         sa = np.linalg.svd(a, compute_uv=False)
         sb = np.linalg.svd(b, compute_uv=False)
         sc = np.linalg.svd(a @ b, compute_uv=False)
-        from sephorn.horn import flat_index_arrays
-        from sephorn import kernels
-        ii, jj, kk, offs, _ = flat_index_arrays(n)
         with np.errstate(divide="ignore"):
-            margins = kernels.batch_min_margin(
-                np.ascontiguousarray(np.log(sa)),
-                np.ascontiguousarray(np.log(sb)),
-                np.ascontiguousarray(np.log(sc)), ii, jj, kk, offs)
+            margins = batch_min_margin(np.log(sa), np.log(sb), np.log(sc))
         assert float(margins.min()) >= -1e-9
 
 
@@ -170,6 +165,30 @@ class TestProductInequalities:
         report = check_product_inequalities([1.0, 1.0], [1.0, 1.0], [1.0, 0.0])
         assert not report.feasible
         assert report.worst_margin == -np.inf
+
+    def test_zeros_match_loop_reference(self):
+        # log 0 = -inf must propagate through every per-triple sum; compare
+        # the vectorized battery with a plain loop over the triples
+        rng = np.random.default_rng(1)
+        tau, alpha, beta = (np.sort(rng.uniform(0.2, 1.5, size=4))[::-1] for _ in range(3))
+        alpha[1:] = 0.0
+        tau[-1] = 0.0
+        with np.errstate(divide="ignore"):
+            la, lb, lt = np.log(alpha), np.log(beta), np.log(tau)
+        want_margins, want_violated = [], []
+        for ts in all_triples(4):
+            for I, J, K in ts:
+                rhs = sum(la[i - 1] for i in I) + sum(lb[j - 1] for j in J)
+                lhs = sum(lt[k - 1] for k in K)
+                margin = np.inf if lhs == -np.inf else (-np.inf if rhs == -np.inf else rhs - lhs)
+                want_margins.append(margin)
+                if margin < -np.log1p(1e-9):
+                    want_violated.append((I, J, K))
+        report = check_product_inequalities(tau, alpha, beta)
+        assert -np.inf in want_margins and np.inf in want_margins
+        assert report.worst_margin == min(want_margins)
+        assert set(report.violated) == set(want_violated)
+        assert report.feasible == (not want_violated)
 
     def test_feasible_iff_no_violations(self):
         rng = np.random.default_rng(0)
