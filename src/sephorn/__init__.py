@@ -64,7 +64,6 @@ from .horn import (
 )
 from .linalg import (
     Svd,
-    complete_orthonormal,
     eigh_descending,
     random_orthogonal,
     random_unitary,
@@ -96,7 +95,6 @@ __all__ = [
     "assemble_factor_pair",
     "bell",
     "check_product_inequalities",
-    "complete_orthonormal",
     "compose_state",
     "decompose_state",
     "eigh_descending",

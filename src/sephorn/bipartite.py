@@ -147,15 +147,17 @@ def _inv_sqrt_psd(mat: np.ndarray) -> np.ndarray:
     return (v * (1.0 / np.sqrt(w))) @ v.conj().T
 
 
-def _marginal_bloch_norms(rho, dim_a, dim_b):
-    # |a| = sqrt(2) * ||rho_A - eye/N||_F; computed from the traceless part
-    # directly, which stays accurate near zero where the purity formula
-    # 2 Tr[rho_A^2] - 2/N loses all significant digits
-    ra = partial_trace(rho, dim_a, dim_b, 0) - np.eye(dim_a) / dim_a
-    rb = partial_trace(rho, dim_a, dim_b, 1) - np.eye(dim_b) / dim_b
-    na = np.sqrt(2.0) * float(np.linalg.norm(ra))
-    nb = np.sqrt(2.0) * float(np.linalg.norm(rb))
-    return na, nb
+def _filter_side(r4: np.ndarray, filt: np.ndarray, side: int) -> np.ndarray:
+    """(F x I) rho (F x I)^dag for side 0, (I x F) rho (I x F)^dag for side 1.
+
+    Works on the (N, M, N, M) tensor of a Hermitian rho and uses
+    F rho F^dag = F (F rho)^dag, so each side costs two small matrix
+    products on reshapes of the tensor and no Kronecker product.
+    """
+    n, m = r4.shape[:2]
+    rows = (n, -1) if side == 0 else (n, m, -1)
+    half = (filt @ r4.reshape(rows)).reshape(n * m, n * m)
+    return (filt @ half.conj().T.reshape(rows)).reshape(r4.shape)
 
 
 def normal_form(d: BipartiteDecomposed, max_iter: int = 500,
@@ -164,26 +166,33 @@ def normal_form(d: BipartiteDecomposed, max_iter: int = 500,
 
     Alternately conjugates by (N rho_A)^{-1/2} on side A and
     (M rho_B)^{-1/2} on side B, renormalizing the trace, until both marginal
-    Bloch norms fall below ``tol`` or the iteration budget runs out.  States
-    whose normal form is reached only in the limit come back with
+    Bloch norms fall below ``tol`` or ``max_iter`` sweeps have run.  The
+    iterate is kept as the (N, M, N, M) tensor and each sweep takes three
+    partial traces: rho_A and rho_B of the iterate, which serve both the
+    convergence test and the A-side filter, and rho_B after that filter.
+    States whose normal form is reached only in the limit come back with
     ``converged=False`` and the last filtered iterate.
     """
     n, m = d.dim_a, d.dim_b
-    rho = compose_state(d)
-    wa = np.linalg.eigvalsh(partial_trace(rho, n, m, 0))
-    wb = np.linalg.eigvalsh(partial_trace(rho, n, m, 1))
-    if wa[0] <= rank_tol or wb[0] <= rank_tol:
+    r4 = compose_state(d).reshape(n, m, n, m)
+    ra = partial_trace(r4, n, m, 0)
+    rb = partial_trace(r4, n, m, 1)
+    if np.linalg.eigvalsh(ra)[0] <= rank_tol or np.linalg.eigvalsh(rb)[0] <= rank_tol:
         raise NotFullRank(
             f"marginal ranks below ({n},{m}); project to support first"
         )
     fa = np.eye(n, dtype=complex)
     fb = np.eye(m, dtype=complex)
-    eye_m = np.eye(m, dtype=complex)
-    eye_n = np.eye(n, dtype=complex)
+    mixed_a = np.eye(n) / n
+    mixed_b = np.eye(m) / m
     iterations = 0
     converged = False
     for it in range(max_iter + 1):
-        na, nb = _marginal_bloch_norms(rho, n, m)
+        # |a| = sqrt(2) * ||rho_A - eye/N||_F; computed from the traceless
+        # part directly, which stays accurate near zero where the purity
+        # formula 2 Tr[rho_A^2] - 2/N loses all significant digits
+        na = np.sqrt(2.0) * float(np.linalg.norm(ra - mixed_a))
+        nb = np.sqrt(2.0) * float(np.linalg.norm(rb - mixed_b))
         if na < tol and nb < tol:
             converged = True
             iterations = it
@@ -191,16 +200,22 @@ def normal_form(d: BipartiteDecomposed, max_iter: int = 500,
         if it == max_iter:
             iterations = max_iter
             break
-        filt = _inv_sqrt_psd(n * partial_trace(rho, n, m, 0))
-        big = np.kron(filt, eye_m)
-        rho = big @ rho @ big.conj().T
-        rho /= np.real(np.trace(rho))
+        filt = _inv_sqrt_psd(n * ra)
+        r4 = _filter_side(r4, filt, 0)
+        rb = partial_trace(r4, n, m, 1)
+        total = np.real(np.trace(rb))
+        r4 /= total
+        rb /= total
         fa = filt @ fa
-        filt = _inv_sqrt_psd(m * partial_trace(rho, n, m, 1))
-        big = np.kron(eye_n, filt)
-        rho = big @ rho @ big.conj().T
-        rho /= np.real(np.trace(rho))
+        filt = _inv_sqrt_psd(m * rb)
+        r4 = _filter_side(r4, filt, 1)
+        ra = partial_trace(r4, n, m, 0)
+        rb = partial_trace(r4, n, m, 1)
+        total = np.real(np.trace(ra))
+        r4 /= total
+        ra /= total
+        rb /= total
         fb = filt @ fb
-    state = decompose_state(rho, n, m, tol=1e-6)
+    state = decompose_state(r4.reshape(n * m, n * m), n, m, tol=1e-6)
     return NormalFormResult(state=state, filter_a=fa, filter_b=fb,
                             converged=converged, iterations=iterations)

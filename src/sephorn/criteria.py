@@ -184,41 +184,44 @@ def verify_decomposition(dec: SeparableDecomposition, d: BipartiteDecomposed,
 def two_qubit_decide(d: BipartiteDecomposed, *, cfg: Tolerances = DEFAULT) -> Verdict:
     """Exact separability decision for 2 x 2 states with full local ranks.
 
-    Filters to normal form and applies the boundary test: the state is
-    separable exactly when the singular values of the filtered correlation
-    matrix sum to at most 1, in which case the constructive decomposition is
-    built in the filtered frame and pulled back through the inverse filters.
-    Agrees with the partial-transposition verdict on every input.
+    For 2 x 2 states positivity under partial transposition is necessary and
+    sufficient, so one 4 x 4 eigensolve decides every NPT state: it comes
+    back ENTANGLED carrying the failed ``ppt`` criterion, without filtering.
+    A PPT state is filtered to normal form and given the boundary test: it
+    is separable exactly when the singular values of the filtered
+    correlation matrix sum to at most 1, in which case the constructive
+    decomposition is built in the filtered frame, pulled back through the
+    inverse filters and verified.
     """
     if (d.dim_a, d.dim_b) != (2, 2):
         raise DimensionMismatch(f"two_qubit_decide needs 2 x 2, got {d.dim_a} x {d.dim_b}")
-    log: list[CriterionResult] = []
+    ppt = ppt_check(d, tol=cfg.psd)
+    log = [CriterionResult("ppt", ppt.passed, max(0.0, -ppt.min_eigenvalue),
+                           f"min eigenvalue {ppt.min_eigenvalue:.3e}")]
+    if not ppt.passed:
+        return Verdict(status=Status.ENTANGLED, criteria=tuple(log))
     nf = normal_form(d, max_iter=cfg.normal_max_iter, tol=cfg.normal_tol,
                      rank_tol=cfg.rank)
     marg = float(max(np.linalg.norm(nf.state.a), np.linalg.norm(nf.state.b)))
-    if marg < 1e-8:
-        total = kyfan_norm(nf.state.corr)
-        margin = total - 1.0
-        log.append(CriterionResult("two-qubit-boundary", margin <= cfg.kyfan_slack,
-                                   margin, f"singular-value sum {total:.12f}"))
-        if margin <= cfg.kyfan_slack:
-            frame = factorization_frame(nf.state.corr)
-            dec = kyfan_bound_decomposition(frame, 2, 2, slack=cfg.kyfan_slack)
-            dec = pull_back_filters(dec, nf.filter_a, nf.filter_b, 2, 2)
-            verdict = _verified(dec, d, log, cfg, "two-qubit")
-            if verdict is not None:
-                return verdict
-            return Verdict(status=Status.INCONCLUSIVE, criteria=tuple(log))
+    if marg >= 1e-8:
+        # Filtering stalled on a PPT state: its normal form is approached
+        # only in the limit, so no decomposition is built and the verdict
+        # stays inconclusive.
+        log.append(CriterionResult("normal-form", False, marg,
+                                   f"not converged in {nf.iterations} sweeps"))
+        return Verdict(status=Status.INCONCLUSIVE, criteria=tuple(log))
+    total = kyfan_norm(nf.state.corr)
+    margin = total - 1.0
+    log.append(CriterionResult("two-qubit-boundary", margin <= cfg.kyfan_slack,
+                               margin, f"singular-value sum {total:.12f}"))
+    if margin > cfg.kyfan_slack:
         return Verdict(status=Status.ENTANGLED, criteria=tuple(log))
-    # Filtering stalled: the normal form is approached only in the limit,
-    # which happens exactly for states whose filtered limit is pure and
-    # entangled; the partial-transposition test then certifies the verdict.
-    ppt = ppt_check(d, tol=cfg.psd)
-    log.append(CriterionResult("ppt", ppt.passed, max(0.0, -ppt.min_eigenvalue),
-                               f"min eigenvalue {ppt.min_eigenvalue:.3e} after "
-                               f"{nf.iterations} filter sweeps without convergence"))
-    if not ppt.passed:
-        return Verdict(status=Status.ENTANGLED, criteria=tuple(log))
+    frame = factorization_frame(nf.state.corr)
+    dec = kyfan_bound_decomposition(frame, 2, 2, slack=cfg.kyfan_slack)
+    dec = pull_back_filters(dec, nf.filter_a, nf.filter_b, 2, 2)
+    verdict = _verified(dec, d, log, cfg, "two-qubit")
+    if verdict is not None:
+        return verdict
     return Verdict(status=Status.INCONCLUSIVE, criteria=tuple(log))
 
 

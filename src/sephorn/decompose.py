@@ -25,7 +25,7 @@ from .errors import (
     OutOfPositivityRange,
     SearchFailed,
 )
-from .linalg import complete_orthonormal, svd
+from .linalg import svd
 from .states import werner_coefficient
 
 
@@ -167,13 +167,33 @@ class SimplexFrame:
     probs: np.ndarray
 
 
+def _reflector_rotation(p: np.ndarray) -> np.ndarray:
+    """Rotation with determinant +1 whose last row is sqrt(p).
+
+    The Householder reflector H = I - 2 v v^T / v^T v with v = e_K - sqrt(p)
+    maps e_K to sqrt(p); it is symmetric, so its last row is sqrt(p) too.
+    Negating row 0 turns the reflection into a rotation.  v_K is formed as
+    (1 - p_K) / (1 + sqrt(p_K)), which avoids the cancellation in
+    1 - sqrt(p_K) when p is close to e_K, and v = 0 gives the identity.
+    """
+    v = -np.sqrt(p)
+    v[-1] = p[:-1].sum() / (1.0 + np.sqrt(p[-1]))
+    norm2 = float(v @ v)
+    q = np.eye(len(p))
+    if norm2 == 0.0:
+        return q
+    q -= (2.0 / norm2) * np.outer(v, v)
+    q[0] = -q[0]
+    return q
+
+
 def _probability_rotation(kappa: np.ndarray, *, tol: float = 1e-12,
                           rel_tol: float = 1e-10, max_iter: int = 10_000):
     """Self-consistent rotation: last row sqrt(p), p_j = sum_i kappa_i Q_ij^2 / K.
 
     Damped fixed-point iteration from the uniform distribution; the rotation
-    is rebuilt from sqrt(p) each sweep, so the emitted probabilities are
-    exactly the squared last row.
+    is rebuilt by a Householder reflector from sqrt(p) each sweep, so the
+    emitted probabilities are the squared last row.
     """
     count = len(kappa) + 1
     total = float(kappa.sum())
@@ -181,7 +201,7 @@ def _probability_rotation(kappa: np.ndarray, *, tol: float = 1e-12,
     prev_delta = np.inf
     damping = False
     for _ in range(max_iter):
-        q = complete_orthonormal([np.sqrt(p)], count)
+        q = _reflector_rotation(p)
         p_new = (kappa @ (q[:-1, :] ** 2)) / total
         delta = float(np.abs(p_new - p).max())
         rel = float((np.abs(p_new - p) / np.maximum(p, 1e-9)).max())

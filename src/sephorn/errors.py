@@ -20,10 +20,6 @@ class NoConvergence(SepHornError):
     """An iterative linear-algebra kernel exhausted its budget."""
 
 
-class NotOrthonormal(SepHornError):
-    """Prescribed rows are not mutually orthonormal."""
-
-
 class DimensionMismatch(SepHornError):
     """Array shapes are inconsistent with the declared dimensions."""
 

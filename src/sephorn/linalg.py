@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, NotHermitian, NotOrthonormal
+from .errors import DimensionMismatch, NoConvergence, NotHermitian
 
 
 @dataclass(frozen=True)
@@ -58,66 +58,6 @@ def svd(m: np.ndarray) -> Svd:
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
     return Svd(left=u, singulars=s, right=vh.T)
-
-
-def complete_orthonormal(
-    prescribed,
-    dim: int,
-    *,
-    orth_tol: float = 1e-10,
-    dep_tol: float = 1e-8,
-) -> np.ndarray:
-    """Extend prescribed orthonormal rows to a full rotation matrix.
-
-    The returned ``dim x dim`` matrix is orthogonal with determinant +1 and
-    carries the prescribed rows, untouched, as its last rows.  The free rows
-    are produced by deterministic Gram-Schmidt over the standard basis,
-    skipping candidates whose residual norm falls below ``dep_tol``.
-    """
-    rows = [np.asarray(v, dtype=float) for v in prescribed]
-    k = len(rows)
-    if k > dim:
-        raise DimensionMismatch(f"{k} prescribed rows exceed dimension {dim}")
-    for v in rows:
-        if v.shape != (dim,):
-            raise DimensionMismatch(f"prescribed row has shape {v.shape}, want ({dim},)")
-    for a in range(k):
-        for b in range(a, k):
-            got = rows[a] @ rows[b]
-            want = 1.0 if a == b else 0.0
-            if abs(got - want) > orth_tol:
-                raise NotOrthonormal(
-                    f"rows {a},{b}: inner product {got:.3e} deviates from {want}"
-                )
-
-    free: list[np.ndarray] = []
-    need = dim - k
-    for idx in range(dim):
-        if len(free) == need:
-            break
-        v = np.zeros(dim)
-        v[idx] = 1.0
-        for u in rows:
-            v -= (u @ v) * u
-        for u in free:
-            v -= (u @ v) * u
-        norm = np.linalg.norm(v)
-        if norm < dep_tol:
-            continue
-        v /= norm
-        # second orthogonalization pass tightens loss of orthogonality
-        for u in rows:
-            v -= (u @ v) * u
-        for u in free:
-            v -= (u @ v) * u
-        free.append(v / np.linalg.norm(v))
-    if len(free) < need:  # pragma: no cover - cannot happen for orthonormal input
-        raise NotOrthonormal("standard basis exhausted before completion")
-
-    q = np.vstack(free + rows) if (free or rows) else np.zeros((0, 0))
-    if need > 0 and np.linalg.det(q) < 0:
-        q[0] = -q[0]
-    return q
 
 
 def _as_generator(seed) -> np.random.Generator:

@@ -181,6 +181,22 @@ class TestNormalForm:
         filtered /= np.trace(filtered).real
         np.testing.assert_allclose(filtered, compose_state(result.state), atol=1e-10)
 
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+    def test_filters_reproduce_random_states(self, dims):
+        rng = np.random.default_rng(13)
+        tol = 1e-10
+        for _ in range(20):
+            d = random_bipartite(*dims, rng)
+            result = normal_form(d, tol=tol)
+            assert result.converged
+            big = np.kron(result.filter_a, result.filter_b)
+            filtered = big @ compose_state(d) @ big.conj().T
+            filtered /= np.trace(filtered).real
+            np.testing.assert_allclose(filtered, compose_state(result.state),
+                                       rtol=0, atol=1e-10)
+            assert np.linalg.norm(result.state.a) <= tol
+            assert np.linalg.norm(result.state.b) <= tol
+
     def test_p_zero_limit_behavior(self):
         result = normal_form(p_zero(0.5), max_iter=500)
         assert not result.converged

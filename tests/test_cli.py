@@ -30,7 +30,7 @@ class TestAnalyze:
         code, out, _ = run_cli(["analyze", path], capsys)
         assert code == 1
         assert "ENTANGLED" in out
-        assert "margin=2" in out
+        assert "ppt: margin=0.5" in out
 
     def test_separable_writes_decomposition(self, tmp_path, capsys):
         path = write_state(tmp_path / "werner.state.json", werner(2, 1.0), (2, 2))

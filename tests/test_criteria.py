@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sephorn import criteria
 from sephorn.bipartite import compose_state, decompose_state, partial_transpose
 from sephorn.criteria import (
     Status,
@@ -112,6 +113,25 @@ class TestTwoQubit:
         d = decompose_state(random_density(6, 6, rng), 2, 3)
         with pytest.raises(DimensionMismatch):
             two_qubit_decide(d)
+
+    @pytest.mark.parametrize("state", [p_zero(0.5), bell()], ids=["p_zero", "bell"])
+    def test_npt_decided_without_filtering(self, state, monkeypatch):
+        def no_filtering(*args, **kwargs):
+            raise AssertionError("NPT state was filtered")
+
+        monkeypatch.setattr(criteria, "normal_form", no_filtering)
+        verdict = two_qubit_decide(state)
+        assert verdict.status is Status.ENTANGLED
+        assert [c.name for c in verdict.criteria] == ["ppt"]
+        assert not verdict.criteria[0].passed
+        assert verdict.criteria[0].margin > 0.0
+
+    def test_separable_logs_ppt_then_boundary(self):
+        verdict = two_qubit_decide(werner(2, 0.5))
+        assert verdict.status is Status.SEPARABLE
+        names = [c.name for c in verdict.criteria]
+        assert names[:2] == ["ppt", "two-qubit-boundary"]
+        assert verdict.criteria[0].passed and verdict.criteria[1].passed
 
 
 class TestVerify:

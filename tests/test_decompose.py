@@ -116,6 +116,39 @@ class TestSimplexFrame:
         np.testing.assert_allclose(sf.probs, want, atol=1e-9)
 
 
+class TestReflectorRotation:
+    @staticmethod
+    def distributions(count):
+        rng = np.random.default_rng(count)
+        yield np.full(count, 1.0 / count)
+        yield np.eye(count)[-1]
+        for _ in range(5):
+            yield rng.dirichlet(np.ones(count))
+
+    @pytest.mark.parametrize("count", range(2, 10))
+    def test_rotation_with_last_row_sqrt_p(self, count):
+        for p in self.distributions(count):
+            q = decompose._reflector_rotation(p)
+            np.testing.assert_allclose(q @ q.T, np.eye(count), rtol=0, atol=1e-12)
+            assert np.linalg.det(q) == pytest.approx(1.0, abs=1e-12)
+            np.testing.assert_allclose(q[-1], np.sqrt(p), rtol=0, atol=1e-15)
+
+    def test_point_mass_gives_identity(self):
+        assert (decompose._reflector_rotation(np.eye(4)[-1]) == np.eye(4)).all()
+
+    @pytest.mark.parametrize("count", range(2, 10))
+    def test_simplex_frame_probs_are_squared_last_row(self, count):
+        rng = np.random.default_rng(100 + count)
+        rank = count - 1
+        corr = rng.normal(size=(8, rank)) @ rng.normal(size=(rank, 8))
+        corr *= 0.8 / (3.0 * np.linalg.svd(corr, compute_uv=False).sum())
+        frame = factorization_frame(corr)
+        assert frame.rank == rank
+        sf = simplex_frame(frame, 3, 3)
+        assert sf.q.shape == (count, count)
+        np.testing.assert_allclose(sf.probs, sf.q[-1] ** 2, rtol=0, atol=1e-15)
+
+
 class TestKyfanBoundDecomposition:
     def test_zero_correlation(self):
         frame = factorization_frame(np.zeros((3, 3)))

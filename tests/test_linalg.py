@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from sephorn.errors import DimensionMismatch, NotHermitian, NotOrthonormal
+from sephorn.errors import DimensionMismatch, NotHermitian
 from sephorn.linalg import (
-    complete_orthonormal,
     eigh_descending,
     random_orthogonal,
     random_unitary,
@@ -84,50 +83,6 @@ class TestSvd:
             assert err <= 1e-12 * (1.0 + np.linalg.norm(m))
             assert (np.diff(fac.singulars) <= 1e-14).all()
             assert (fac.singulars >= 0).all()
-
-
-class TestCompleteOrthonormal:
-    def test_single_row_dim2(self):
-        q = complete_orthonormal([np.array([1.0, 0.0])], 2)
-        np.testing.assert_allclose(q[-1], [1.0, 0.0])
-        np.testing.assert_allclose(q @ q.T, np.eye(2), atol=1e-12)
-        assert np.linalg.det(q) > 0
-
-    def test_uniform_row_dim4(self):
-        row = np.full(4, 0.5)
-        q = complete_orthonormal([row], 4)
-        assert (q[-1] == row).all()  # prescribed row preserved bit-for-bit
-        np.testing.assert_allclose(q @ q.T, np.eye(4), atol=1e-10)
-        np.testing.assert_allclose(np.linalg.det(q), 1.0, atol=1e-10)
-
-    def test_empty_prescription(self):
-        q = complete_orthonormal([], 3)
-        np.testing.assert_allclose(q @ q.T, np.eye(3), atol=1e-12)
-        np.testing.assert_allclose(np.linalg.det(q), 1.0, atol=1e-12)
-
-    def test_random_prescriptions(self):
-        rng = np.random.default_rng(5)
-        for trial in range(30):
-            dim = int(rng.integers(2, 9))
-            k = int(rng.integers(1, dim + 1))
-            rows = random_orthogonal(dim, rng)[:k]
-            q = complete_orthonormal(list(rows), dim)
-            np.testing.assert_allclose(q @ q.T, np.eye(dim), atol=1e-10)
-            assert (q[-k:] == rows).all()
-            if k < dim:
-                np.testing.assert_allclose(np.linalg.det(q), 1.0, atol=1e-9)
-
-    def test_rejects_non_orthonormal(self):
-        with pytest.raises(NotOrthonormal):
-            complete_orthonormal([np.array([1.0, 1.0])], 2)
-        with pytest.raises(NotOrthonormal):
-            complete_orthonormal([np.array([1.0, 0.0]), np.array([0.9, 0.1])], 2)
-
-    def test_rejects_bad_shapes(self):
-        with pytest.raises(DimensionMismatch):
-            complete_orthonormal([np.array([1.0, 0.0, 0.0])], 2)
-        with pytest.raises(DimensionMismatch):
-            complete_orthonormal([np.eye(3)[i] for i in range(3)], 2)
 
 
 class TestRandomFactors:
