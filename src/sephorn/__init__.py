@@ -52,6 +52,7 @@ from .decompose import (
     pure_state_simplex,
     simplex_frame,
     werner_decompose,
+    wootters_decomposition,
 )
 from .horn import (
     HornReport,
@@ -133,4 +134,5 @@ __all__ = [
     "verify_decomposition",
     "werner",
     "werner_decompose",
+    "wootters_decomposition",
 ]

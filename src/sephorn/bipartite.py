@@ -59,30 +59,22 @@ def decompose_state(rho: np.ndarray, dim_a: int, dim_b: int,
         )
     a = to_bloch(partial_trace(rho, dim_a, dim_b, 0), tol=np.inf)
     b = to_bloch(partial_trace(rho, dim_a, dim_b, 1), tol=np.inf)
-    gens_a = _gen_stack(dim_a)
-    gens_b = _gen_stack(dim_b)
+    # corr[u, v] = sum r4[i, m, j, n] g_u[j, i] h_v[n, m], one stack at a time
     r4 = rho.reshape(dim_a, dim_b, dim_a, dim_b)
-    corr = np.real(np.einsum("imjn,uji,vnm->uv", r4, gens_a, gens_b, optimize=True))
+    half = np.tensordot(r4, _gen_stack(dim_a), axes=([2, 0], [1, 2]))
+    corr = np.real(np.tensordot(half, _gen_stack(dim_b), axes=([0, 1], [2, 1])))
     return BipartiteDecomposed(dim_a=dim_a, dim_b=dim_b, a=a, b=b, corr=corr)
 
 
 def compose_state(d: BipartiteDecomposed) -> np.ndarray:
-    """Reconstruct the density matrix from Bloch data (inverse of decompose)."""
+    """Reconstruct the density matrix from Bloch data (inverse of decompose):
+    rho = rho_A x rho_B + (1/4) sum_uv (corr - a b^T)[u, v] g_u x h_v."""
     n, m = d.dim_a, d.dim_b
-    gens_a = _gen_stack(n)
-    gens_b = _gen_stack(m)
-    rho4 = np.einsum("ij,kl->ikjl",
-                     np.eye(n, dtype=complex), np.eye(m, dtype=complex)) / (n * m)
-    if len(d.a):
-        rho4 += np.einsum("ij,kl->ikjl", np.tensordot(d.a, gens_a, axes=1),
-                          np.eye(m, dtype=complex)) / (2.0 * m)
-    if len(d.b):
-        rho4 += np.einsum("ij,kl->ikjl", np.eye(n, dtype=complex),
-                          np.tensordot(d.b, gens_b, axes=1)) / (2.0 * n)
+    rho4 = np.multiply.outer(from_bloch(d.a, n), from_bloch(d.b, m))
     if d.corr.size:
-        rho4 += 0.25 * np.einsum("uv,uij,vkl->ikjl", d.corr, gens_a, gens_b,
-                                 optimize=True)
-    return rho4.reshape(n * m, n * m)
+        joint = np.tensordot(d.corr - np.outer(d.a, d.b), _gen_stack(m), axes=1)
+        rho4 += 0.25 * np.tensordot(_gen_stack(n), joint, axes=(0, 0))
+    return rho4.transpose(0, 2, 1, 3).reshape(n * m, n * m)
 
 
 def partial_transpose(d: BipartiteDecomposed) -> BipartiteDecomposed:

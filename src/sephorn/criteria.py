@@ -6,6 +6,9 @@ the exact two-qubit decision and the closed-form family decompositions into
 a single pipeline with three honest outcomes: ``SEPARABLE`` (always carrying
 a verified decomposition), ``ENTANGLED`` (always carrying a violated
 necessary criterion) and ``INCONCLUSIVE``.
+Two-qubit states are decided by partial transposition and Wootters'
+closed-form product decomposition, without filtering; larger states are
+filtered to normal form before the norm bounds and family decompositions.
 """
 
 from __future__ import annotations
@@ -36,9 +39,10 @@ from .decompose import (
     kyfan_bound_decomposition,
     pull_back_filters,
     werner_decompose,
+    wootters_decomposition,
+    wootters_frame,
 )
 from .errors import DimensionMismatch, NotNormalForm, NotPSD, SepHornError
-from .linalg import svd
 from .su import generator_basis
 
 
@@ -182,16 +186,14 @@ def verify_decomposition(dec: SeparableDecomposition, d: BipartiteDecomposed,
 # ---------------------------------------------------------------------------
 
 def two_qubit_decide(d: BipartiteDecomposed, *, cfg: Tolerances = DEFAULT) -> Verdict:
-    """Exact separability decision for 2 x 2 states with full local ranks.
+    """Exact separability decision for 2 x 2 states, without filtering.
 
-    For 2 x 2 states positivity under partial transposition is necessary and
-    sufficient, so one 4 x 4 eigensolve decides every NPT state: it comes
-    back ENTANGLED carrying the failed ``ppt`` criterion, without filtering.
-    A PPT state is filtered to normal form and given the boundary test: it
-    is separable exactly when the singular values of the filtered
-    correlation matrix sum to at most 1, in which case the constructive
-    decomposition is built in the filtered frame, pulled back through the
-    inverse filters and verified.
+    PPT is necessary and sufficient here (Horodecki, quant-ph/9605038): an
+    NPT state is ENTANGLED with the failed ``ppt`` criterion.  A PPT state
+    logs ``concurrence`` (margin lam_1 - lam_2 - lam_3 - lam_4, passing up
+    to ``cfg.kyfan_slack``) and then ``decomposition[wootters]``, Wootters'
+    four pure product components, verified; if either fails the verdict is
+    INCONCLUSIVE.
     """
     if (d.dim_a, d.dim_b) != (2, 2):
         raise DimensionMismatch(f"two_qubit_decide needs 2 x 2, got {d.dim_a} x {d.dim_b}")
@@ -200,28 +202,14 @@ def two_qubit_decide(d: BipartiteDecomposed, *, cfg: Tolerances = DEFAULT) -> Ve
                            f"min eigenvalue {ppt.min_eigenvalue:.3e}")]
     if not ppt.passed:
         return Verdict(status=Status.ENTANGLED, criteria=tuple(log))
-    nf = normal_form(d, max_iter=cfg.normal_max_iter, tol=cfg.normal_tol,
-                     rank_tol=cfg.rank)
-    marg = float(max(np.linalg.norm(nf.state.a), np.linalg.norm(nf.state.b)))
-    if marg >= 1e-8:
-        # Filtering stalled on a PPT state: its normal form is approached
-        # only in the limit, so no decomposition is built and the verdict
-        # stays inconclusive.
-        log.append(CriterionResult("normal-form", False, marg,
-                                   f"not converged in {nf.iterations} sweeps"))
-        return Verdict(status=Status.INCONCLUSIVE, criteria=tuple(log))
-    total = kyfan_norm(nf.state.corr)
-    margin = total - 1.0
-    log.append(CriterionResult("two-qubit-boundary", margin <= cfg.kyfan_slack,
-                               margin, f"singular-value sum {total:.12f}"))
-    if margin > cfg.kyfan_slack:
-        return Verdict(status=Status.ENTANGLED, criteria=tuple(log))
-    frame = factorization_frame(nf.state.corr)
-    dec = kyfan_bound_decomposition(frame, 2, 2, slack=cfg.kyfan_slack)
-    dec = pull_back_filters(dec, nf.filter_a, nf.filter_b, 2, 2)
-    verdict = _verified(dec, d, log, cfg, "two-qubit")
-    if verdict is not None:
-        return verdict
+    frame = wootters_frame(d)
+    margin = frame.concurrence_margin
+    log.append(CriterionResult("concurrence", margin <= cfg.kyfan_slack, margin,
+                               "Wootters values " + ", ".join(f"{v:.6g}" for v in frame.lam)))
+    if margin <= cfg.kyfan_slack:
+        verdict = _verified(wootters_decomposition(d, frame), d, log, cfg, "wootters")
+        if verdict is not None:
+            return verdict
     return Verdict(status=Status.INCONCLUSIVE, criteria=tuple(log))
 
 

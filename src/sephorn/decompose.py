@@ -4,7 +4,8 @@ Builds explicit convex decompositions ``rho = sum_i p_i rho_i^A x rho_i^B``
 in Bloch form: the factor-pair scaffolding for a general correlation matrix,
 the fixed-point construction that succeeds whenever the Ky Fan norm fits the
 inscribed-ball budget, the pure-state simplex built from a Weyl-Heisenberg
-SIC, and the closed-form Werner / isotropic decompositions.
+SIC, the closed-form Werner / isotropic decompositions and Wootters'
+four-component product decomposition of two-qubit states.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import least_squares, minimize
 
+from .bipartite import BipartiteDecomposed, compose_state
 from .bloch import from_bloch, to_bloch, transpose_flip
 from .errors import (
     BoundExceeded,
@@ -27,6 +29,7 @@ from .errors import (
 )
 from .linalg import svd
 from .states import werner_coefficient
+from .su import generator_basis
 
 
 @dataclass(frozen=True)
@@ -429,6 +432,86 @@ def isotropic_decompose(dim: int, p: float,
     return SeparableDecomposition(probs=partner.probs,
                                   r_vectors=partner.r_vectors,
                                   s_vectors=flipped)
+
+
+# ---------------------------------------------------------------------------
+# two-qubit product decomposition (Wootters)
+# ---------------------------------------------------------------------------
+
+_SIGMA_YY = np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0]))
+_HADAMARD = 0.5 * np.kron([[1.0, 1.0], [1.0, -1.0]], [[1.0, 1.0], [1.0, -1.0]])
+
+
+@dataclass(frozen=True)
+class WoottersFrame:
+    """rho = x x^dag and x^T (sigma_y x sigma_y) x = diag(lam), zero-padded to 4."""
+
+    x: np.ndarray     # (4, 4) complex
+    lam: np.ndarray   # (4,), descending
+
+    @property
+    def concurrence_margin(self) -> float:
+        """lam_1 - lam_2 - lam_3 - lam_4: the concurrence when positive."""
+        return float(self.lam[0] - self.lam[1:].sum())
+
+
+def wootters_frame(d: BipartiteDecomposed) -> WoottersFrame:
+    """Wootters' frame of a 2 x 2 state.
+
+    rho = V V^dag over the subnormalised eigenvectors of its positive
+    eigenvalues, and tau = V^T (sigma_y x sigma_y) V is complex symmetric.
+    The real symmetric embedding [[Re tau, Im tau], [Im tau, -Re tau]] has
+    eigenpairs (lam, [Re u; Im u]) and (-lam, [-Im u; Re u]), so its top
+    eigenvectors give the Takagi factorisation tau = U diag(lam) U^T, exact
+    also for degenerate lam > 0.  The null block holds pairs u, i u; QR
+    orthonormalises it as complex vectors and only flips signs elsewhere.
+    """
+    if (d.dim_a, d.dim_b) != (2, 2):
+        raise DimensionMismatch(f"Wootters' frame needs 2 x 2, got {d.dim_a} x {d.dim_b}")
+    w, vecs = np.linalg.eigh(compose_state(d))
+    v = vecs[:, w > 0.0] * np.sqrt(w[w > 0.0])
+    rank = v.shape[1]
+    tau = v.T @ _SIGMA_YY @ v
+    lam, emb = np.linalg.eigh(np.block([[tau.real, tau.imag], [tau.imag, -tau.real]]))
+    top = emb[:, ::-1][:, :rank]
+    x = np.zeros((4, 4), dtype=complex)
+    x[:, :rank] = v @ np.linalg.qr(top[:rank] + 1j * top[rank:])[0].conj()
+    padded = np.zeros(4)
+    padded[:rank] = np.maximum(lam[::-1][:rank], 0.0)
+    return WoottersFrame(x=x, lam=padded)
+
+
+def wootters_decomposition(d: BipartiteDecomposed,
+                           frame: WoottersFrame | None = None) -> SeparableDecomposition:
+    """At most four pure product states for a 2 x 2 state of zero concurrence.
+
+    Wootters (quant-ph/9709029): once sum_j lam_j e^{i theta_j} = 0, every
+    z_i = sum_j H_ji e^{i theta_j / 2} x_j (H the real +-1/2 Hadamard
+    matrix) has z_i^T (sigma_y x sigma_y) z_i = 0, so it is a product
+    vector, and z z^dag = rho.  The quadrilateral closes along the diagonal
+    max(lam_1 - lam_2, lam_3 - lam_4) as two triangles; half-angle formulas
+    on the semi-perimeter excesses and the angle sum keep their angles exact
+    for flat triangles and a zero diagonal.  Weights are |z_i|^2, and the
+    local kets are the top singular vectors of z_i as a 2 x 2 matrix.
+    ``frame`` defaults to :func:`wootters_frame` of ``d``.
+    """
+    frame = wootters_frame(d) if frame is None else frame
+    lam = frame.lam
+    diag = max(lam[0] - lam[1], lam[2] - lam[3])
+    a, b = lam[0::2], lam[1::2]
+    ex_a, ex_b, ex_d = np.maximum(0.0, [b + diag - a, a + diag - b, a + b - diag]) / 2.0
+    semi = ex_a + ex_b + ex_d
+    at_a = 2.0 * np.arctan2(np.sqrt(ex_a * ex_d), np.sqrt(semi * ex_b))
+    at_b = np.pi - at_a - 2.0 * np.arctan2(np.sqrt(ex_a * ex_b), np.sqrt(semi * ex_d))
+    theta = np.array([at_a[0], -at_b[0], np.pi + at_a[1], np.pi - at_b[1]])
+    z = (frame.x * np.exp(0.5j * theta)) @ _HADAMARD
+    probs = np.sum(np.abs(z) ** 2, axis=0)
+    u, _, vh = np.linalg.svd(z.T.reshape(4, 2, 2))
+    kets = np.stack([u[:, :, 0], vh[:, 0, :]])
+    bloch = np.einsum("ski,mij,skj->skm", kets.conj(), generator_basis(2).matrices,
+                      kets).real
+    return SeparableDecomposition(probs=probs / probs.sum(),
+                                  r_vectors=bloch[0], s_vectors=bloch[1])
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from sephorn.bipartite import (
     project_to_support,
     support_isometries,
 )
-from sephorn.bloch import to_bloch
+from sephorn.bloch import _gen_stack, to_bloch
 from sephorn.errors import DimensionMismatch, NotFullRank
 from sephorn.states import bell, p_zero, random_density, werner
 
@@ -56,6 +56,28 @@ class TestDecompose:
             rho = compose_state(d)
             np.testing.assert_allclose(
                 compose_state(decompose_state(rho, *dims)), rho, atol=1e-12)
+
+
+class TestContractions:
+    """The generator contractions against explicit einsum references."""
+
+    @pytest.mark.parametrize("dims", [(1, 2), (2, 1), (2, 2), (2, 3), (3, 3), (7, 7)])
+    def test_match_einsum_reference(self, dims):
+        n, m = dims
+        rng = np.random.default_rng(n * 10 + m)
+        rho = random_density(n * m, n * m, rng)
+        gens_a, gens_b = _gen_stack(n), _gen_stack(m)
+        d = decompose_state(rho, n, m)
+        corr = np.einsum("imjn,uji,vnm->uv", rho.reshape(n, m, n, m), gens_a, gens_b).real
+        np.testing.assert_allclose(d.corr, corr, rtol=0, atol=1e-13)
+        eye_a, eye_b = np.eye(n), np.eye(m)
+        ref = (np.einsum("ij,kl->ikjl", eye_a, eye_b) / (n * m)
+               + np.einsum("uij,u,kl->ikjl", gens_a, d.a, eye_b) / (2.0 * m)
+               + np.einsum("ij,vkl,v->ikjl", eye_a, gens_b, d.b) / (2.0 * n)
+               + 0.25 * np.einsum("uv,uij,vkl->ikjl", d.corr, gens_a, gens_b))
+        np.testing.assert_allclose(compose_state(d), ref.reshape(n * m, n * m),
+                                   rtol=0, atol=1e-13)
+        np.testing.assert_allclose(compose_state(d), rho, rtol=0, atol=1e-13)
 
 
 class TestPartialTranspose:

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sephorn import criteria
 from sephorn.bipartite import compose_state, decompose_state, partial_transpose
+from sephorn.config import DEFAULT
 from sephorn.criteria import (
     Status,
     analyze,
@@ -14,7 +17,7 @@ from sephorn.criteria import (
     verify_decomposition,
 )
 from sephorn.decompose import SeparableDecomposition, werner_decompose
-from sephorn.errors import DimensionMismatch, NotNormalForm
+from sephorn.errors import DimensionMismatch, NotNormalForm, SepHornError
 from sephorn.horn import check_product_inequalities
 from sephorn.linalg import random_unitary
 from sephorn.states import bell, isotropic, p_zero, random_density, werner
@@ -126,12 +129,91 @@ class TestTwoQubit:
         assert not verdict.criteria[0].passed
         assert verdict.criteria[0].margin > 0.0
 
-    def test_separable_logs_ppt_then_boundary(self):
+    def test_separable_logs_ppt_concurrence_decomposition(self):
         verdict = two_qubit_decide(werner(2, 0.5))
         assert verdict.status is Status.SEPARABLE
         names = [c.name for c in verdict.criteria]
-        assert names[:2] == ["ppt", "two-qubit-boundary"]
-        assert verdict.criteria[0].passed and verdict.criteria[1].passed
+        assert names == ["ppt", "concurrence", "decomposition[wootters]"]
+        assert all(c.passed for c in verdict.criteria)
+
+    def test_ppt_decided_without_filtering(self, monkeypatch):
+        def no_filtering(*args, **kwargs):
+            raise AssertionError("PPT 2 x 2 state was filtered")
+
+        monkeypatch.setattr(criteria, "normal_form", no_filtering)
+        verdict = two_qubit_decide(werner(2, 0.5))
+        assert verdict.status is Status.SEPARABLE
+        assert verify_decomposition(verdict.decomposition, werner(2, 0.5)).valid
+
+    @pytest.mark.parametrize("eps", [1e-4, 3e-5, 1e-5, 3e-6, 1e-8])
+    def test_near_pure_product_is_separable(self, eps):
+        # (1 - eps)|00><00| + eps I/4 is full rank and PPT; filtering it to
+        # normal form stalls at the sweep budget
+        rho = (1.0 - eps) * np.diag([1.0, 0.0, 0.0, 0.0]) + eps * np.eye(4) / 4.0
+        verdict = analyze(rho, 2, 2)
+        assert verdict.status is Status.SEPARABLE, verdict.criteria
+        report = verify_decomposition(verdict.decomposition, decompose_state(rho, 2, 2))
+        assert report.valid and report.max_residual <= 1e-12
+
+    def test_entangled_inside_ppt_tolerance_is_inconclusive(self):
+        # p_zero(1e-5) has concurrence 1e-5, but its partial transpose has
+        # lowest eigenvalue about -2.5e-11, inside the positivity tolerance
+        verdict = analyze(compose_state(p_zero(1e-5)), 2, 2)
+        assert verdict.status is Status.INCONCLUSIVE
+        assert [c.name for c in verdict.criteria] == ["ppt", "concurrence"]
+        assert verdict.criteria[0].passed and not verdict.criteria[1].passed
+        assert abs(verdict.criteria[1].margin - 1e-5) < 1e-9
+
+    def test_rank_three_ppt_with_full_local_rank_is_separable(self):
+        rho = np.diag([0.4, 0.3, 0.3, 0.0])
+        verdict = analyze(rho, 2, 2)
+        assert verdict.status is Status.SEPARABLE, verdict.criteria
+        assert verify_decomposition(verdict.decomposition, decompose_state(rho, 2, 2)).valid
+
+
+@st.composite
+def two_qubit_states(draw):
+    """Ginibre states of rank 1-4, products of local states of rank 1-2,
+    Werner and isotropic states, optionally under random local filters,
+    mixed with I/4 at weights down to 1e-10."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["ginibre", "product", "werner", "isotropic"]))
+    if kind == "ginibre":
+        rho = random_density(4, draw(st.integers(1, 4)), rng)
+    elif kind == "product":
+        rho = np.kron(random_density(2, draw(st.integers(1, 2)), rng),
+                      random_density(2, draw(st.integers(1, 2)), rng))
+    elif kind == "werner":
+        rho = compose_state(werner(2, draw(st.floats(-1.0, 1.0))))
+    else:
+        rho = compose_state(isotropic(2, draw(st.floats(-1.0 / 3.0, 1.0))))
+    if draw(st.booleans()):
+        f = np.kron(*(rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))))
+        rho = f @ rho @ f.conj().T
+    weight = draw(st.sampled_from([0.0, 1.0]) | st.floats(-10.0, 0.0).map(lambda e: 10.0 ** e))
+    rho = 0.5 * (rho + rho.conj().T) / np.trace(rho).real
+    return (1.0 - weight) * rho + weight * np.eye(4) / 4.0
+
+
+class TestTwoQubitGate:
+    @settings(max_examples=150, deadline=None)
+    @given(two_qubit_states())
+    def test_verdict_is_the_ppt_decision(self, rho):
+        try:
+            verdict = analyze(rho, 2, 2)
+        except SepHornError:
+            return
+        low = ppt_check(decompose_state(rho, 2, 2)).min_eigenvalue
+        if abs(low) <= DEFAULT.psd:
+            # inside the positivity tolerance an entangled state passes PPT
+            # with a concurrence that can exceed the slack (p_zero(p) has
+            # concurrence p and lowest eigenvalue about -p^2/4), so only
+            # ENTANGLED is ruled out there
+            assert verdict.status is not Status.ENTANGLED, verdict.criteria
+            return
+        # the PPT decision, so no input, full-rank or not, is INCONCLUSIVE
+        want = Status.SEPARABLE if low > 0.0 else Status.ENTANGLED
+        assert verdict.status is want, verdict.criteria
 
 
 class TestVerify:

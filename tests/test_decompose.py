@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sephorn.bipartite import BipartiteDecomposed
+from sephorn.bipartite import BipartiteDecomposed, decompose_state, partial_transpose_matrix
 from sephorn import decompose
 from sephorn.bloch import from_bloch, is_physical
 from sephorn.criteria import verify_decomposition
@@ -18,16 +18,19 @@ from sephorn.decompose import (
     pure_state_simplex,
     simplex_frame,
     werner_decompose,
+    wootters_decomposition,
+    wootters_frame,
 )
 from sephorn.errors import (
     BoundExceeded,
+    DimensionMismatch,
     FactorConstraintViolated,
     OutOfPositivityRange,
     SearchFailed,
 )
 from sephorn.horn import product_singulars_feasible
 from sephorn.linalg import random_orthogonal
-from sephorn.states import isotropic, werner
+from sephorn.states import isotropic, random_density, werner
 from sephorn.su import generator_basis, symmetric_structure_tensor
 
 
@@ -371,6 +374,76 @@ class TestIsotropicDecompose:
             isotropic_decompose(3, -0.2)
         with pytest.raises(OutOfPositivityRange):
             isotropic_decompose(3, 1.1)
+
+
+def random_ppt_qubits(rng, rank, count, filtered=False):
+    """``count`` random PPT 2 x 2 states of ``rank``, optionally under random
+    local filters (which keep the rank and PPT)."""
+    out = []
+    while len(out) < count:
+        rho = random_density(4, rank, rng)
+        if filtered:
+            f = np.kron(*(rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))))
+            rho = f @ rho @ f.conj().T
+            rho = 0.5 * (rho + rho.conj().T) / np.trace(rho).real
+        if np.linalg.eigvalsh(partial_transpose_matrix(rho, 2, 2))[0] >= 0.0:
+            out.append(decompose_state(rho, 2, 2))
+    return out
+
+
+def wootters_inputs():
+    rng = np.random.default_rng(41)
+    product = np.diag([0.5, 0.0, 0.0, 0.5])
+    cases = [(f"werner-{phi}", werner(2, phi)) for phi in (0.0, 0.5, 1.0)]
+    cases += [("isotropic-1/3", isotropic(2, 1.0 / 3.0)),
+              ("mixed", decompose_state(np.eye(4) / 4.0, 2, 2)),
+              ("00+11", decompose_state(product, 2, 2))]
+    cases += [(f"rank3-{i}", d) for i, d in enumerate(random_ppt_qubits(rng, 3, 10))]
+    # a pure local factor leaves tau = 0 on a rank-2 support: a null block
+    # of two Takagi vectors
+    for i in range(4):
+        pure, mixed = random_density(2, 1, rng), random_density(2, 2, rng)
+        pair = (pure, mixed) if i % 2 else (mixed, pure)
+        cases.append((f"pure-factor-{i}", decompose_state(np.kron(*pair), 2, 2)))
+    cases += [(f"filtered-{i}", d)
+              for i, d in enumerate(random_ppt_qubits(rng, 4, 10, filtered=True))]
+    return cases
+
+
+class TestWootters:
+    CASES = wootters_inputs()
+
+    @pytest.mark.parametrize("d", [d for _, d in CASES], ids=[c for c, _ in CASES])
+    def test_pure_product_components_reproduce_state(self, d):
+        dec = wootters_decomposition(d)
+        assert 1 <= len(dec) <= 4
+        assert dec.probs.min() > 0.0
+        assert abs(dec.probs.sum() - 1.0) <= 1e-12
+        for got, want in ((np.linalg.norm(dec.r_vectors, axis=1), 1.0),
+                          (np.linalg.norm(dec.s_vectors, axis=1), 1.0),
+                          (dec.marginal_a, d.a), (dec.marginal_b, d.b),
+                          (dec.correlation, d.corr)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("d, lam", [
+        (werner(2, 0.5), [0.25, 0.25, 0.25, 0.25]),
+        (werner(2, 0.0), [0.5, 1 / 6, 1 / 6, 1 / 6]),
+        (decompose_state(np.diag([0.5, 0.0, 0.0, 0.5]), 2, 2), [0.5, 0.5, 0.0, 0.0]),
+    ], ids=["werner-0.5", "werner-0", "00+11"])
+    def test_frame_values(self, d, lam):
+        frame = wootters_frame(d)
+        np.testing.assert_allclose(frame.lam, lam, rtol=0, atol=1e-12)
+        assert frame.concurrence_margin <= 1e-12
+
+    def test_frame_of_entangled_state_has_positive_margin(self):
+        # the Bell state has concurrence 1
+        frame = wootters_frame(isotropic(2, 1.0))
+        assert abs(frame.concurrence_margin - 1.0) < 1e-12
+
+    def test_rejects_wrong_dims(self):
+        d = decompose_state(np.eye(6) / 6.0, 2, 3)
+        with pytest.raises(DimensionMismatch):
+            wootters_frame(d)
 
 
 class TestTransport:
