@@ -42,15 +42,10 @@ from .decompose import (
     ENTANGLED,
     NOT_DECOMPOSED_HERE,
     DecompositionOutcome,
-    FactorizationFrame,
     SeparableDecomposition,
-    SimplexFrame,
-    assemble_factor_pair,
-    factorization_frame,
     isotropic_decompose,
     kyfan_bound_decomposition,
     pure_state_simplex,
-    simplex_frame,
     werner_decompose,
     wootters_decomposition,
 )
@@ -63,13 +58,7 @@ from .horn import (
     product_singulars_feasible,
     triple_set,
 )
-from .linalg import (
-    Svd,
-    eigh_descending,
-    random_orthogonal,
-    random_unitary,
-    svd,
-)
+from .linalg import eigh_descending, random_orthogonal, random_unitary
 from .states import bell, isotropic, p_zero, random_density, werner
 from .su import antisymmetric_indices, generator_basis, symmetric_structure_tensor
 
@@ -80,26 +69,21 @@ __all__ = [
     "BlochRadii",
     "DecompositionOutcome",
     "ENTANGLED",
-    "FactorizationFrame",
     "HornReport",
     "NOT_DECOMPOSED_HERE",
     "NormalFormResult",
     "SeparableDecomposition",
-    "SimplexFrame",
     "Status",
-    "Svd",
     "TripleSet",
     "Verdict",
     "all_triples",
     "analyze",
     "antisymmetric_indices",
-    "assemble_factor_pair",
     "bell",
     "check_product_inequalities",
     "compose_state",
     "decompose_state",
     "eigh_descending",
-    "factorization_frame",
     "from_bloch",
     "generator_basis",
     "is_physical",
@@ -124,8 +108,6 @@ __all__ = [
     "random_density",
     "random_orthogonal",
     "random_unitary",
-    "simplex_frame",
-    "svd",
     "symmetric_structure_tensor",
     "to_bloch",
     "transpose_flip",

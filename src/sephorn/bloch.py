@@ -17,8 +17,8 @@ from .su import generator_basis
 
 
 def dim_of_bloch(vec: np.ndarray) -> int:
-    """Local dimension N from a Bloch-vector length N^2 - 1."""
-    length = len(vec)
+    """Local dimension N from a Bloch-vector length N^2 - 1 (the last axis)."""
+    length = np.shape(vec)[-1]
     n = round(np.sqrt(length + 1))
     if n * n - 1 != length:
         raise DimensionMismatch(f"length {length} is not of the form N^2 - 1")
@@ -32,44 +32,71 @@ def _gen_stack(dim: int) -> np.ndarray:
     return generator_basis(dim).matrices
 
 
+def _gen_rows(dim: int) -> np.ndarray:
+    """The generators flattened to the rows of an (N^2 - 1, N^2) array."""
+    return _gen_stack(dim).reshape(dim * dim - 1, dim * dim)
+
+
 def validate_state(rho: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """Check finiteness, Hermiticity and unit trace, returning the matrix as complex."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+    if rho.ndim != 2:
         raise NotAState(f"expected a square matrix, got shape {rho.shape}")
+    return _validate_stack(rho, tol)
+
+
+def _validate_stack(rho: np.ndarray, tol: float) -> np.ndarray:
+    """:func:`validate_state` for one matrix or a stack of them on the
+    leading axis; every matrix must pass, and an error names the first of a
+    stack that fails."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim not in (2, 3) or rho.shape[-2] != rho.shape[-1]:
+        raise NotAState(f"expected a square matrix or a stack of them, got shape {rho.shape}")
     if not np.isfinite(rho).all():
-        raise NotAState("matrix has non-finite entries")
-    herm_dev = np.abs(rho - rho.conj().T).max() if rho.size else 0.0
-    if herm_dev > tol:
-        raise NotAState(f"Hermiticity deviation {herm_dev:.3e} exceeds {tol:.1e}")
-    tr_dev = abs(np.trace(rho) - 1.0)
-    if tr_dev > tol:
-        raise NotAState(f"trace deviates from 1 by {tr_dev:.3e}")
+        where, _ = _first_failure(rho, (~np.isfinite(rho)).sum(axis=(-2, -1)), 0)
+        raise NotAState(f"{where}matrix has non-finite entries")
+    herm = np.abs(rho - rho.conj().swapaxes(-1, -2))
+    if herm.size and herm.max() > tol:
+        where, dev = _first_failure(rho, herm.max(axis=(-2, -1)), tol)
+        raise NotAState(f"{where}Hermiticity deviation {dev:.3e} exceeds {tol:.1e}")
+    tr_dev = np.abs(rho.diagonal(0, -2, -1).sum(-1) - 1.0)
+    if (tr_dev > tol).any():
+        where, dev = _first_failure(rho, tr_dev, tol)
+        raise NotAState(f"{where}trace deviates from 1 by {dev:.3e}")
     return rho
 
 
+def _first_failure(rho: np.ndarray, per_matrix: np.ndarray, tol: float) -> tuple[str, float]:
+    """Message prefix naming the first matrix whose value exceeds ``tol``
+    (empty for a single matrix), and that value."""
+    per_matrix = np.reshape(per_matrix, -1)
+    i = int(np.argmax(per_matrix > tol))
+    return (f"matrix {i}: " if rho.ndim == 3 else ""), float(per_matrix[i])
+
+
 def to_bloch(rho: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Expectation values Tr[rho g_mu] of a trace-one Hermitian matrix."""
-    rho = validate_state(rho, tol)
-    gens = _gen_stack(rho.shape[0])
-    return np.real(np.einsum("ij,mji->m", rho, gens))
+    """Expectation values Tr[rho g_mu] of a trace-one Hermitian matrix.
+
+    A stack of L matrices on the leading axis gives an (L, N^2 - 1) array.
+    """
+    rho = _validate_stack(rho, tol)
+    n = rho.shape[-1]
+    # Tr[rho g] = sum_ij rho_ij conj(g_ij) for Hermitian g
+    return np.real(rho.reshape(*rho.shape[:-2], n * n) @ _gen_rows(n).conj().T)
 
 
 def from_bloch(r: np.ndarray, dim: int | None = None) -> np.ndarray:
     """Hermitian trace-one matrix for a Bloch vector.
 
+    A stack of L vectors on the leading axis gives an (L, N, N) array.
     Positivity is not guaranteed; vectors outside the physical body yield
     matrices with negative eigenvalues (see :func:`is_physical`).
     """
     r = np.asarray(r, dtype=float)
     n = dim_of_bloch(r) if dim is None else dim
-    if n * n - 1 != len(r):
-        raise DimensionMismatch(f"vector length {len(r)} does not match dim {n}")
-    gens = _gen_stack(n)
-    rho = np.eye(n, dtype=complex) / n
-    if len(r):
-        rho += 0.5 * np.tensordot(r, gens, axes=1)
-    return rho
+    if n * n - 1 != r.shape[-1]:
+        raise DimensionMismatch(f"vector length {r.shape[-1]} does not match dim {n}")
+    return np.eye(n) / n + 0.5 * (r @ _gen_rows(n)).reshape(*r.shape[:-1], n, n)
 
 
 def is_physical(r: np.ndarray, tol: float = 1e-9) -> bool:
@@ -81,7 +108,7 @@ def is_physical(r: np.ndarray, tol: float = 1e-9) -> bool:
 
 
 def transpose_flip(r: np.ndarray) -> np.ndarray:
-    """Bloch image of matrix transposition.
+    """Bloch image of matrix transposition, row by row for a stack.
 
     Negates exactly the antisymmetric-generator components, so
     ``from_bloch(transpose_flip(r)) == from_bloch(r).T``; physical input
@@ -92,7 +119,7 @@ def transpose_flip(r: np.ndarray) -> np.ndarray:
     out = r.copy()
     if n > 1:
         idx = list(generator_basis(n).antisymmetric_indices)
-        out[idx] = -out[idx]
+        out[..., idx] = -out[..., idx]
     return out
 
 

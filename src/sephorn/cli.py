@@ -24,7 +24,7 @@ from .config import DEFAULT, default_positivity_tol
 from .criteria import Status, Verdict, analyze
 from .decompose import DecompositionOutcome, werner_decompose
 from .errors import FileFormatError, SepHornError
-from .horn import triple_set
+from .horn import MAX_N, triple_set
 from .states import werner
 
 EXIT_SEPARABLE = 0
@@ -137,8 +137,8 @@ def cmd_analyze(paths, tol, max_iter, seed, report, jobs):
               help="Write to a file instead of stdout.")
 def cmd_horn_triples(n, r, out):
     """Dump the admissible index triples of cardinality R in 1..N."""
-    if not 1 <= r < n or n > 16:
-        raise click.UsageError(f"need 1 <= r < n <= 16, got n={n}, r={r}")
+    if not 1 <= r < n or n > MAX_N:
+        raise click.UsageError(f"need 1 <= r < n <= {MAX_N}, got n={n}, r={r}")
     ts = triple_set(n, r)
 
     def fmt(s):

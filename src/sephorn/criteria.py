@@ -28,13 +28,12 @@ from .bipartite import (
     project_to_support,
     support_isometries,
 )
-from .bloch import is_physical, radii, validate_state
+from .bloch import from_bloch, radii, validate_state
 from .config import DEFAULT, Tolerances
 from .decompose import (
     DecompositionOutcome,
     SeparableDecomposition,
     embed_isometries,
-    factorization_frame,
     isotropic_decompose,
     kyfan_bound_decomposition,
     pull_back_filters,
@@ -140,8 +139,7 @@ def kyfan_sufficient_check(d: BipartiteDecomposed, *, slack: float = 1e-9,
     norm = kyfan_norm(d.corr)
     if norm > sufficient_bound(d.dim_a, d.dim_b) + slack:
         return Verdict(status=Status.INCONCLUSIVE)
-    frame = factorization_frame(d.corr)
-    dec = kyfan_bound_decomposition(frame, d.dim_a, d.dim_b, slack=slack)
+    dec = kyfan_bound_decomposition(d.corr, d.dim_a, d.dim_b, slack=slack)
     return Verdict(status=Status.SEPARABLE, decomposition=dec)
 
 
@@ -156,7 +154,8 @@ def ppt_check(d: BipartiteDecomposed, *, tol: float = 1e-9) -> PptCheck:
 def verify_decomposition(dec: SeparableDecomposition, d: BipartiteDecomposed,
                          *, cfg: Tolerances = DEFAULT) -> VerificationReport:
     """Check a decomposition against a state: probability simplex, the three
-    moment equations, and physicality of every component."""
+    moment equations, and physicality of every component (one batched
+    eigensolve per side)."""
     problems = []
     probs = np.asarray(dec.probs, dtype=float)
     if probs.size == 0:
@@ -173,10 +172,11 @@ def verify_decomposition(dec: SeparableDecomposition, d: BipartiteDecomposed,
     if max_residual > cfg.residual:
         problems.append(f"moment residual {max_residual:.3e}")
     for label, vecs in (("A", dec.r_vectors), ("B", dec.s_vectors)):
-        for i, v in enumerate(vecs):
-            if not is_physical(v, tol=cfg.component_psd):
-                problems.append(f"component {i} on side {label} unphysical")
-                break
+        low = np.linalg.eigvalsh(from_bloch(vecs))[:, 0]
+        bad = np.flatnonzero(low < -cfg.component_psd)
+        if bad.size:
+            problems.append(f"component {bad[0]} on side {label} unphysical "
+                            f"(min eigenvalue {low[bad[0]]:.3e})")
     return VerificationReport(valid=not problems, max_residual=max_residual,
                               detail="; ".join(problems))
 

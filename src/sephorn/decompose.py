@@ -1,11 +1,12 @@
 """Constructive separable decompositions.
 
 Builds explicit convex decompositions ``rho = sum_i p_i rho_i^A x rho_i^B``
-in Bloch form: the factor-pair scaffolding for a general correlation matrix,
-the fixed-point construction that succeeds whenever the Ky Fan norm fits the
-inscribed-ball budget, the pure-state simplex built from a Weyl-Heisenberg
-SIC, the closed-form Werner / isotropic decompositions and Wootters'
-four-component product decomposition of two-qubit states.
+in Bloch form: the closed-form +- pair construction that succeeds whenever
+the Ky Fan norm fits the inscribed-ball budget, the pure-state simplex built
+from a Weyl-Heisenberg SIC, the closed-form Werner / isotropic
+decompositions and Wootters' four-component product decomposition of
+two-qubit states.  Decompositions are transported between equivalent states
+as component stacks, one batched conjugation per side.
 """
 
 from __future__ import annotations
@@ -19,15 +20,7 @@ from scipy.optimize import least_squares, minimize
 
 from .bipartite import BipartiteDecomposed, compose_state
 from .bloch import from_bloch, to_bloch, transpose_flip
-from .errors import (
-    BoundExceeded,
-    DimensionMismatch,
-    FactorConstraintViolated,
-    FixedPointDiverged,
-    OutOfPositivityRange,
-    SearchFailed,
-)
-from .linalg import svd
+from .errors import BoundExceeded, DimensionMismatch, OutOfPositivityRange, SearchFailed
 from .states import werner_coefficient
 from .su import generator_basis
 
@@ -73,203 +66,43 @@ NOT_DECOMPOSED_HERE = DecompositionOutcome.NOT_DECOMPOSED_HERE
 
 
 # ---------------------------------------------------------------------------
-# factorization frame
+# closed-form construction within the Ky Fan budget
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FactorizationFrame:
-    """Singular frame of a correlation matrix, padded to L columns.
+def kyfan_bound_decomposition(corr: np.ndarray, dim_a: int, dim_b: int,
+                              *, slack: float = 1e-9) -> SeparableDecomposition:
+    """Explicit decomposition of a normal-form state whose correlation fits
+    the inscribed ball (de Vicente's constructive Ky Fan bound).
 
-    ``corr = left_basis @ diag(taus) @ right_basis.T``; columns beyond the
-    available singular vectors are zero (their singular values vanish), which
-    lets L exceed the ambient Bloch dimensions.
+    With corr = sum_i tau_i u_i v_i^T and K = ||corr||_KF sqrt(N(N-1)M(M-1))/2
+    <= 1, every tau_i > 0 contributes the pair
+    (+-sqrt(2K/(N(N-1))) u_i, +-sqrt(2K/(M(M-1))) v_i), each of weight
+    tau_i / (2 sum tau).  The pairs cancel in the marginals and sum to corr
+    in the correlation; every vector has squared norm 2K/(N(N-1)) (resp. M),
+    inside the inscribed ball, hence physical.  A rank-r correlation gives
+    2r components, a zero one the single maximally mixed product; K above
+    ``1 + slack`` raises BoundExceeded.
     """
-
-    left_basis: np.ndarray    # (Ka, L)
-    right_basis: np.ndarray   # (Kb, L)
-    taus: np.ndarray          # (L,), descending, zero-padded
-
-    @property
-    def size(self) -> int:
-        return len(self.taus)
-
-    @property
-    def rank(self) -> int:
-        if len(self.taus) == 0 or self.taus[0] <= 0.0:
-            return 0
-        return int(np.sum(self.taus > 1e-12 * self.taus[0]))
-
-
-def factorization_frame(corr: np.ndarray, size: int | None = None) -> FactorizationFrame:
-    """SVD frame of ``corr`` with ``size`` columns (default rank + 1)."""
     corr = np.asarray(corr, dtype=float)
     ka, kb = corr.shape
-    fac = svd(corr)
-    rank = int(np.sum(fac.singulars > 1e-12 * fac.singulars[0])) if fac.singulars.size else 0
-    length = rank + 1 if size is None else size
-    if length < rank:
-        raise DimensionMismatch(f"size {length} below rank {rank}")
-    left = np.zeros((ka, length))
-    right = np.zeros((kb, length))
-    taus = np.zeros(length)
-    avail_l = min(length, ka)
-    avail_r = min(length, kb)
-    left[:, :avail_l] = fac.left[:, :avail_l]
-    right[:, :avail_r] = fac.right[:, :avail_r]
-    taus[:min(length, len(fac.singulars))] = fac.singulars[:min(length, len(fac.singulars))]
-    return FactorizationFrame(left_basis=left, right_basis=right, taus=taus)
-
-
-def assemble_factor_pair(frame: FactorizationFrame, x, y, q1, q2, alpha, beta,
-                         *, tol: float = 1e-8):
-    """Assemble the two factor matrices from rotations and singular values.
-
-    Requires the diagonal constraint
-    ``x @ diag(alpha) @ q1 @ q2.T @ diag(beta) @ y.T == diag(taus)``;
-    the returned pair ``(m_rp, m_sp)`` then reconstructs the correlation
-    matrix as ``m_rp @ m_sp.T``.
-    """
-    x, y, q1, q2 = (np.asarray(m, dtype=float) for m in (x, y, q1, q2))
-    alpha = np.asarray(alpha, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    length = frame.size
-    for name, m in (("x", x), ("y", y), ("q1", q1), ("q2", q2)):
-        if m.shape != (length, length):
-            raise DimensionMismatch(f"{name} must be {length} x {length}, got {m.shape}")
-    middle = (x * alpha) @ q1 @ q2.T @ (np.diag(beta) @ y.T)
-    target = np.diag(frame.taus)
-    scale = max(1.0, float(np.abs(target).max()))
-    residual = float(np.abs(middle - target).max())
-    if residual > tol * scale:
-        got = np.linalg.svd(middle, compute_uv=False)
-        mismatch = float(np.abs(got - frame.taus).max())
-        raise FactorConstraintViolated(
-            f"constraint residual {residual:.3e} (singular-value mismatch {mismatch:.3e})"
-        )
-    m_rp = frame.left_basis @ (x * alpha) @ q1
-    m_sp = frame.right_basis @ (y * beta) @ q2
-    return m_rp, m_sp
-
-
-# ---------------------------------------------------------------------------
-# fixed-point construction within the Ky Fan budget
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SimplexFrame:
-    """Rotation with prescribed last row sqrt(p) plus factor singular values.
-
-    Intermediate of :func:`kyfan_bound_decomposition`: ``q`` is orthogonal
-    with determinant +1 and last row ``sqrt(probs)``; ``alpha`` and ``beta``
-    are the factor singular values attached to its leading rows.
-    """
-
-    q: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
-    probs: np.ndarray
-
-
-def _reflector_rotation(p: np.ndarray) -> np.ndarray:
-    """Rotation with determinant +1 whose last row is sqrt(p).
-
-    The Householder reflector H = I - 2 v v^T / v^T v with v = e_K - sqrt(p)
-    maps e_K to sqrt(p); it is symmetric, so its last row is sqrt(p) too.
-    Negating row 0 turns the reflection into a rotation.  v_K is formed as
-    (1 - p_K) / (1 + sqrt(p_K)), which avoids the cancellation in
-    1 - sqrt(p_K) when p is close to e_K, and v = 0 gives the identity.
-    """
-    v = -np.sqrt(p)
-    v[-1] = p[:-1].sum() / (1.0 + np.sqrt(p[-1]))
-    norm2 = float(v @ v)
-    q = np.eye(len(p))
-    if norm2 == 0.0:
-        return q
-    q -= (2.0 / norm2) * np.outer(v, v)
-    q[0] = -q[0]
-    return q
-
-
-def _probability_rotation(kappa: np.ndarray, *, tol: float = 1e-12,
-                          rel_tol: float = 1e-10, max_iter: int = 10_000):
-    """Self-consistent rotation: last row sqrt(p), p_j = sum_i kappa_i Q_ij^2 / K.
-
-    Damped fixed-point iteration from the uniform distribution; the rotation
-    is rebuilt by a Householder reflector from sqrt(p) each sweep, so the
-    emitted probabilities are the squared last row.
-    """
-    count = len(kappa) + 1
-    total = float(kappa.sum())
-    p = np.full(count, 1.0 / count)
-    prev_delta = np.inf
-    damping = False
-    for _ in range(max_iter):
-        q = _reflector_rotation(p)
-        p_new = (kappa @ (q[:-1, :] ** 2)) / total
-        delta = float(np.abs(p_new - p).max())
-        rel = float((np.abs(p_new - p) / np.maximum(p, 1e-9)).max())
-        if delta < tol and rel < rel_tol:
-            return q, p
-        if delta >= prev_delta:
-            damping = True
-        prev_delta = delta
-        p = 0.5 * (p_new + p) if damping else p_new
-    raise FixedPointDiverged(
-        f"probability fixed point not within tolerance after {max_iter} sweeps"
-    )
-
-
-def simplex_frame(frame: FactorizationFrame, dim_a: int, dim_b: int,
-                  *, slack: float = 1e-9) -> SimplexFrame:
-    """Solve the rotation fixed point for the inscribed-ball construction.
-
-    With kappa_i = tau_i * sqrt(N(N-1)M(M-1))/2 and K = sum kappa_i <= 1 the
-    factor singular values are alpha_i = sqrt(2 kappa_i / (N(N-1))) and
-    beta_i likewise with M; the rotation's last row is sqrt(p) with the
-    self-consistent weights p_j = sum_i kappa_i Q_ij^2 / K.
-    """
-    rank = frame.rank
-    if rank == 0:
-        raise BoundExceeded("zero correlation needs no rotation frame")
-    weight = np.sqrt(dim_a * (dim_a - 1.0) * dim_b * (dim_b - 1.0)) / 2.0
-    kappa = frame.taus[:rank] * weight
-    budget = float(kappa.sum())
+    u, taus, vh = np.linalg.svd(corr, full_matrices=False)
+    if taus.size == 0 or taus[0] <= 0.0:
+        return SeparableDecomposition(probs=np.array([1.0]),
+                                      r_vectors=np.zeros((1, ka)),
+                                      s_vectors=np.zeros((1, kb)))
+    rank = int(np.sum(taus > 1e-12 * taus[0]))
+    taus, u, v = taus[:rank], u[:, :rank].T, vh[:rank]
+    budget = float(taus.sum()) * np.sqrt(dim_a * (dim_a - 1.0) * dim_b * (dim_b - 1.0)) / 2.0
     if budget > 1.0 + slack:
         raise BoundExceeded(
             f"scaled Ky Fan norm {budget:.12f} exceeds the constructive bound 1"
         )
-    alpha = np.sqrt(2.0 * kappa / (dim_a * (dim_a - 1.0)))
-    beta = np.sqrt(2.0 * kappa / (dim_b * (dim_b - 1.0)))
-    q, probs = _probability_rotation(kappa)
-    return SimplexFrame(q=q, alpha=alpha, beta=beta, probs=probs)
-
-
-def kyfan_bound_decomposition(frame: FactorizationFrame, dim_a: int, dim_b: int,
-                              *, slack: float = 1e-9) -> SeparableDecomposition:
-    """Explicit decomposition when the correlation fits the inscribed ball.
-
-    Reads the local Bloch vectors off the columns of the rotation built by
-    :func:`simplex_frame`.  Every emitted vector has squared norm
-    2K/(N(N-1)) (resp. M with K = sum kappa_i), inside the inscribed ball,
-    hence automatically physical.
-    """
-    ka = frame.left_basis.shape[0]
-    kb = frame.right_basis.shape[0]
-    if frame.rank == 0:
-        return SeparableDecomposition(probs=np.array([1.0]),
-                                      r_vectors=np.zeros((1, ka)),
-                                      s_vectors=np.zeros((1, kb)))
-    sf = simplex_frame(frame, dim_a, dim_b, slack=slack)
-    rank = frame.rank
-    head = sf.q[:rank, :]
-    keep = sf.probs > 1e-13
-    probs_kept = sf.probs[keep] / sf.probs[keep].sum()
-    r_cols = frame.left_basis[:, :rank] @ (sf.alpha[:, None] * head[:, keep])
-    s_cols = frame.right_basis[:, :rank] @ (sf.beta[:, None] * head[:, keep])
-    scale = 1.0 / np.sqrt(sf.probs[keep])
-    return SeparableDecomposition(probs=probs_kept,
-                                  r_vectors=(r_cols * scale).T,
-                                  s_vectors=(s_cols * scale).T)
+    r = np.sqrt(2.0 * budget / (dim_a * (dim_a - 1.0))) * u
+    s = np.sqrt(2.0 * budget / (dim_b * (dim_b - 1.0))) * v
+    probs = np.repeat(taus / (2.0 * taus.sum()), 2)
+    return SeparableDecomposition(probs=probs,
+                                  r_vectors=np.stack([r, -r], axis=1).reshape(2 * rank, ka),
+                                  s_vectors=np.stack([s, -s], axis=1).reshape(2 * rank, kb))
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +172,7 @@ def _sic_simplex(dim: int, seed: int) -> np.ndarray:
         )
     psi = polished.x[:dim] + 1j * polished.x[dim:]
     kets = disp @ (psi / np.linalg.norm(psi))
-    out = np.array([to_bloch(np.outer(ket, ket.conj())) for ket in kets])
+    out = to_bloch(np.einsum("ki,kj->kij", kets, kets.conj()))
     out.setflags(write=False)
     return out
 
@@ -428,10 +261,9 @@ def isotropic_decompose(dim: int, p: float,
     partner = werner_decompose(dim, phi, seed)
     if isinstance(partner, DecompositionOutcome):
         return partner
-    flipped = np.array([transpose_flip(s) for s in partner.s_vectors])
     return SeparableDecomposition(probs=partner.probs,
                                   r_vectors=partner.r_vectors,
-                                  s_vectors=flipped)
+                                  s_vectors=transpose_flip(partner.s_vectors))
 
 
 # ---------------------------------------------------------------------------
@@ -520,23 +352,19 @@ def wootters_decomposition(d: BipartiteDecomposed,
 
 def _transform_components(dec: SeparableDecomposition, map_a, map_b,
                           dim_a_in: int, dim_b_in: int):
-    """Apply rho -> M rho M^dag (+ renormalize) to every component pair."""
-    probs = []
-    r_out = []
-    s_out = []
-    for p, r, s in dec.entries():
-        rho_a = map_a @ from_bloch(r, dim_a_in) @ map_a.conj().T
-        rho_b = map_b @ from_bloch(s, dim_b_in) @ map_b.conj().T
-        ta = float(np.real(np.trace(rho_a)))
-        tb = float(np.real(np.trace(rho_b)))
-        probs.append(p * ta * tb)
-        r_out.append(to_bloch(rho_a / ta, tol=np.inf))
-        s_out.append(to_bloch(rho_b / tb, tol=np.inf))
-    probs = np.asarray(probs)
-    probs /= probs.sum()
-    return SeparableDecomposition(probs=probs,
-                                  r_vectors=np.asarray(r_out),
-                                  s_vectors=np.asarray(s_out))
+    """Apply rho -> M rho M^dag (+ renormalize) to every component pair.
+
+    One batched conjugation per side; the traces of the conjugated stacks
+    re-weight the components.
+    """
+    rho_a = map_a @ from_bloch(dec.r_vectors, dim_a_in) @ map_a.conj().T
+    rho_b = map_b @ from_bloch(dec.s_vectors, dim_b_in) @ map_b.conj().T
+    ta = np.einsum("lii->l", rho_a).real
+    tb = np.einsum("lii->l", rho_b).real
+    probs = dec.probs * ta * tb
+    return SeparableDecomposition(probs=probs / probs.sum(),
+                                  r_vectors=to_bloch(rho_a / ta[:, None, None], tol=np.inf),
+                                  s_vectors=to_bloch(rho_b / tb[:, None, None], tol=np.inf))
 
 
 def pull_back_filters(dec: SeparableDecomposition, filter_a: np.ndarray,

@@ -70,17 +70,8 @@ class NotSorted(SepHornError):
 
 # --- constructions ----------------------------------------------------------
 
-class FactorConstraintViolated(SepHornError):
-    """The diagonal factorization constraint linking the singular values of
-    the two factors to those of the target does not hold."""
-
-
 class BoundExceeded(SepHornError):
     """Correlation strength exceeds the constructive sufficient bound."""
-
-
-class FixedPointDiverged(SepHornError):
-    """Probability fixed-point iteration exhausted its budget."""
 
 
 class SearchFailed(SepHornError):

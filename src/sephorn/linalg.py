@@ -7,28 +7,9 @@ caller-owned :class:`numpy.random.Generator`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionMismatch, NoConvergence, NotHermitian
-
-
-@dataclass(frozen=True)
-class Svd:
-    """Factorization ``m = left @ diag(singulars) @ right.T``.
-
-    ``left`` and ``right`` have orthonormal columns and ``singulars`` is
-    non-negative and descending.
-    """
-
-    left: np.ndarray
-    singulars: np.ndarray
-    right: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        k = len(self.singulars)
-        return (self.left[:, :k] * self.singulars) @ self.right[:, :k].T
 
 
 def eigh_descending(m: np.ndarray, herm_tol: float = 1e-10):
@@ -48,16 +29,6 @@ def eigh_descending(m: np.ndarray, herm_tol: float = 1e-10):
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
         raise NoConvergence(str(exc)) from exc
     return w[::-1].copy(), v[:, ::-1].copy()
-
-
-def svd(m: np.ndarray) -> Svd:
-    """Real SVD with descending singular values."""
-    m = np.asarray(m, dtype=float)
-    try:
-        u, s, vh = np.linalg.svd(m)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
-    return Svd(left=u, singulars=s, right=vh.T)
 
 
 def _as_generator(seed) -> np.random.Generator:

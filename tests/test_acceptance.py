@@ -28,7 +28,6 @@ from sephorn.criteria import (
     verify_decomposition,
 )
 from sephorn.decompose import (
-    factorization_frame,
     isotropic_decompose,
     kyfan_bound_decomposition,
     werner_decompose,
@@ -244,8 +243,7 @@ def test_8_constructive_bound_decompositions():
         base = np.linalg.svd(raw, compute_uv=False).sum() * weight
         for budget in (0.5, 0.9, 1.0):
             corr = raw * (budget / base)
-            frame = factorization_frame(corr)
-            dec = kyfan_bound_decomposition(frame, n, m)
+            dec = kyfan_bound_decomposition(corr, n, m)
             # verify against the normal-form state carrying this correlation
             state = BipartiteDecomposed(dim_a=n, dim_b=m, a=np.zeros(ka),
                                         b=np.zeros(kb), corr=corr)

@@ -55,6 +55,38 @@ def test_to_bloch_rejects_non_states():
         to_bloch(np.array([[0.5, 0.5], [0.0, 0.5]]))  # not Hermitian
 
 
+def test_stacks_match_single_matrices():
+    rng = np.random.default_rng(4)
+    for dim in (2, 3, 5):
+        rhos = np.array([random_density(dim, dim, rng) for _ in range(6)])
+        vecs = to_bloch(rhos)
+        assert vecs.shape == (6, dim * dim - 1)
+        for rho, r in zip(rhos, vecs):
+            np.testing.assert_allclose(r, to_bloch(rho), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(from_bloch(vecs), rhos, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(transpose_flip(vecs),
+                                      [transpose_flip(r) for r in vecs])
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (lambda m: m.__setitem__((0, 0), np.nan), "matrix 2: matrix has non-finite"),
+    (lambda m: m.__setitem__((0, 1), 0.1), "matrix 2: Hermiticity deviation"),
+    (lambda m: m.__setitem__((0, 0), 0.9), "matrix 2: trace deviates"),
+], ids=["non-finite", "non-hermitian", "trace"])
+def test_stack_checks_every_matrix(spoil, message):
+    rhos = np.array([np.eye(3, dtype=complex) / 3.0] * 4)
+    spoil(rhos[2])
+    spoil(rhos[3])
+    with pytest.raises(NotAState, match=message):
+        to_bloch(rhos)
+
+
+def test_validate_state_takes_one_matrix():
+    # states from outside stay single matrices; only to_bloch takes stacks
+    with pytest.raises(NotAState, match="expected a square matrix"):
+        validate_state(np.array([np.eye(2) / 2.0] * 2))
+
+
 def test_validate_state_rejects_non_finite():
     rho = np.eye(6, dtype=complex) / 6.0
     rho[0, 1] = rho[1, 0] = np.nan

@@ -228,6 +228,15 @@ class TestVerify:
                                      s_vectors=dec.s_vectors)
         report = verify_decomposition(bad, werner(2, 1.0))
         assert not report.valid
+        # the first oversized side-B vector in the middle of the stack is named
+        s_vectors = dec.s_vectors.copy()
+        s_vectors[2:] *= 1.5
+        bad = SeparableDecomposition(probs=dec.probs, r_vectors=dec.r_vectors,
+                                     s_vectors=s_vectors)
+        report = verify_decomposition(bad, werner(2, 1.0))
+        assert not report.valid
+        assert "component 2 on side B unphysical" in report.detail
+        assert "side A" not in report.detail
 
     def test_bad_probabilities_invalid(self):
         dec = werner_decompose(2, 1.0)

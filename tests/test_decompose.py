@@ -3,20 +3,17 @@ import pytest
 
 from sephorn.bipartite import BipartiteDecomposed, decompose_state, partial_transpose_matrix
 from sephorn import decompose
-from sephorn.bloch import from_bloch, is_physical
+from sephorn.bloch import from_bloch, is_physical, to_bloch
 from sephorn.criteria import verify_decomposition
 from sephorn.decompose import (
     ENTANGLED,
     DecompositionOutcome,
     SeparableDecomposition,
-    assemble_factor_pair,
     embed_isometries,
-    factorization_frame,
     isotropic_decompose,
     kyfan_bound_decomposition,
     pull_back_filters,
     pure_state_simplex,
-    simplex_frame,
     werner_decompose,
     wootters_decomposition,
     wootters_frame,
@@ -24,12 +21,10 @@ from sephorn.decompose import (
 from sephorn.errors import (
     BoundExceeded,
     DimensionMismatch,
-    FactorConstraintViolated,
     OutOfPositivityRange,
     SearchFailed,
 )
 from sephorn.horn import product_singulars_feasible
-from sephorn.linalg import random_orthogonal
 from sephorn.states import isotropic, random_density, werner
 from sephorn.su import generator_basis, symmetric_structure_tensor
 
@@ -48,123 +43,17 @@ def padded_singulars(matrix, length):
     return out
 
 
-class TestFactorizationFrame:
-    def test_reconstruction_and_padding(self):
-        rng = np.random.default_rng(0)
-        corr = rng.normal(size=(3, 3))
-        frame = factorization_frame(corr)
-        assert frame.size == frame.rank + 1 == 4
-        approx = frame.left_basis @ np.diag(frame.taus) @ frame.right_basis.T
-        np.testing.assert_allclose(approx, corr, atol=1e-12)
-
-    def test_rank_deficient(self):
-        corr = np.outer([1.0, 0.0, 0.0], [0.0, 0.5, 0.0])
-        frame = factorization_frame(corr)
-        assert frame.rank == 1 and frame.size == 2
-        np.testing.assert_allclose(frame.taus, [0.5, 0.0], atol=1e-15)
-
-
-class TestAssembleFactorPair:
-    def test_diagonal_case(self):
-        corr = np.diag([0.6, 0.3, 0.1])
-        frame = factorization_frame(corr, size=3)
-        eye = np.eye(3)
-        alpha = np.sqrt(frame.taus)
-        m_rp, m_sp = assemble_factor_pair(frame, eye, eye, eye, eye, alpha, alpha)
-        np.testing.assert_allclose(m_rp @ m_sp.T, corr, atol=1e-12)
-
-    def test_forward_round_trip(self):
-        # sample an admissible (alpha, beta, Q), absorb the leftover rotations
-        # of their product into x and y, and reassemble the correlation matrix
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            size = int(rng.integers(2, 6))
-            ka = size + int(rng.integers(0, 3))
-            alpha = np.sort(rng.uniform(0.1, 1.5, size=size))[::-1]
-            beta = np.sort(rng.uniform(0.1, 1.5, size=size))[::-1]
-            q = random_orthogonal(size, rng)
-            middle = (alpha[:, None] * q) * beta[None, :]
-            u_mid, taus, vh_mid = np.linalg.svd(middle)
-            basis_l = random_orthogonal(ka, rng)[:, :size]
-            basis_r = random_orthogonal(ka, rng)[:, :size]
-            corr = basis_l @ np.diag(taus) @ basis_r.T
-            frame = factorization_frame(corr, size=size)
-            m_rp, m_sp = assemble_factor_pair(frame, u_mid.T, vh_mid, q,
-                                              np.eye(size), alpha, beta)
-            assert np.abs(m_rp @ m_sp.T - corr).max() < 1e-9
-
-    def test_constraint_violation(self):
-        corr = np.diag([0.6, 0.3, 0.1])
-        frame = factorization_frame(corr, size=3)
-        eye = np.eye(3)
-        with pytest.raises(FactorConstraintViolated):
-            assemble_factor_pair(frame, eye, eye, eye, eye,
-                                 np.array([1.0, 1.0, 1.0]),
-                                 np.array([1.0, 1.0, 1.0]))
-
-
-class TestSimplexFrame:
-    def test_rotation_and_weights_consistent(self):
-        rng = np.random.default_rng(14)
-        corr = rng.normal(size=(3, 3))
-        corr *= 0.8 / np.linalg.svd(corr, compute_uv=False).sum()
-        frame = factorization_frame(corr)
-        sf = simplex_frame(frame, 2, 2)
-        count = frame.rank + 1
-        np.testing.assert_allclose(sf.q @ sf.q.T, np.eye(count), atol=1e-10)
-        np.testing.assert_allclose(sf.q[-1], np.sqrt(sf.probs), atol=1e-9)
-        kappa = sf.alpha * sf.beta  # alpha_i beta_i = tau_i for two qubits
-        np.testing.assert_allclose(kappa, frame.taus[:frame.rank], atol=1e-12)
-        want = (kappa @ sf.q[:-1] ** 2) / kappa.sum()
-        np.testing.assert_allclose(sf.probs, want, atol=1e-9)
-
-
-class TestReflectorRotation:
-    @staticmethod
-    def distributions(count):
-        rng = np.random.default_rng(count)
-        yield np.full(count, 1.0 / count)
-        yield np.eye(count)[-1]
-        for _ in range(5):
-            yield rng.dirichlet(np.ones(count))
-
-    @pytest.mark.parametrize("count", range(2, 10))
-    def test_rotation_with_last_row_sqrt_p(self, count):
-        for p in self.distributions(count):
-            q = decompose._reflector_rotation(p)
-            np.testing.assert_allclose(q @ q.T, np.eye(count), rtol=0, atol=1e-12)
-            assert np.linalg.det(q) == pytest.approx(1.0, abs=1e-12)
-            np.testing.assert_allclose(q[-1], np.sqrt(p), rtol=0, atol=1e-15)
-
-    def test_point_mass_gives_identity(self):
-        assert (decompose._reflector_rotation(np.eye(4)[-1]) == np.eye(4)).all()
-
-    @pytest.mark.parametrize("count", range(2, 10))
-    def test_simplex_frame_probs_are_squared_last_row(self, count):
-        rng = np.random.default_rng(100 + count)
-        rank = count - 1
-        corr = rng.normal(size=(8, rank)) @ rng.normal(size=(rank, 8))
-        corr *= 0.8 / (3.0 * np.linalg.svd(corr, compute_uv=False).sum())
-        frame = factorization_frame(corr)
-        assert frame.rank == rank
-        sf = simplex_frame(frame, 3, 3)
-        assert sf.q.shape == (count, count)
-        np.testing.assert_allclose(sf.probs, sf.q[-1] ** 2, rtol=0, atol=1e-15)
-
-
 class TestKyfanBoundDecomposition:
     def test_zero_correlation(self):
-        frame = factorization_frame(np.zeros((3, 3)))
-        dec = kyfan_bound_decomposition(frame, 2, 2)
+        dec = kyfan_bound_decomposition(np.zeros((3, 3)), 2, 2)
         assert len(dec) == 1
         assert dec.probs[0] == 1.0
         assert np.abs(dec.r_vectors).max() == 0.0
 
     def test_two_qubit_point_nine(self):
         corr = np.diag([0.3, 0.3, 0.3])
-        frame = factorization_frame(corr)
-        dec = kyfan_bound_decomposition(frame, 2, 2)
-        assert len(dec) == 4
+        dec = kyfan_bound_decomposition(corr, 2, 2)
+        assert len(dec) == 6
         norms = np.sum(dec.r_vectors ** 2, axis=1)
         np.testing.assert_allclose(norms, 0.9, atol=1e-9)
         report = verify_decomposition(dec, normal_form_state(corr, 2, 2))
@@ -175,29 +64,40 @@ class TestKyfanBoundDecomposition:
         u = rng.normal(size=3)
         v = rng.normal(size=3)
         corr = 0.5 * np.outer(u / np.linalg.norm(u), v / np.linalg.norm(v))
-        frame = factorization_frame(corr)
-        dec = kyfan_bound_decomposition(frame, 2, 2)
+        dec = kyfan_bound_decomposition(corr, 2, 2)
         assert len(dec) == 2
         report = verify_decomposition(dec, normal_form_state(corr, 2, 2))
         assert report.valid
 
     def test_bound_exceeded(self):
-        frame = factorization_frame(np.diag([0.5, 0.5, 0.5]))
         with pytest.raises(BoundExceeded):
-            kyfan_bound_decomposition(frame, 2, 2)
+            kyfan_bound_decomposition(np.diag([0.5, 0.5, 0.5]), 2, 2)
 
     def test_component_norm_formula(self):
-        # |r_j|^2 = 2 K / (N(N-1)) for every component, K the scaled norm
+        # |r_j|^2 = 2 K / (N(N-1)) for every component, K the scaled norm;
+        # components come in +- pairs of equal weight, 2 per singular value
         rng = np.random.default_rng(9)
-        for dims in ((2, 2), (2, 3), (3, 3)):
-            n, m = dims
+        cases = [(dims, None) for dims in ((2, 2), (2, 3), (3, 3), (3, 4), (4, 4))]
+        cases.append(((3, 4), 5))
+        for (n, m), rank in cases:
             ka, kb = n * n - 1, m * m - 1
-            raw = rng.normal(size=(ka, kb))
+            if rank is None:
+                raw = rng.normal(size=(ka, kb))
+                rank = min(ka, kb)
+            else:
+                raw = rng.normal(size=(ka, rank)) @ rng.normal(size=(rank, kb))
             target = rng.uniform(0.3, 1.0)
             weight = np.sqrt(n * (n - 1) * m * (m - 1)) / 2.0
             raw *= target / (np.linalg.svd(raw, compute_uv=False).sum() * weight)
-            frame = factorization_frame(raw)
-            dec = kyfan_bound_decomposition(frame, n, m)
+            dec = kyfan_bound_decomposition(raw, n, m)
+            assert len(dec) == 2 * rank
+            assert (dec.probs[0::2] == dec.probs[1::2]).all()
+            assert (dec.r_vectors[0::2] == -dec.r_vectors[1::2]).all()
+            assert (dec.s_vectors[0::2] == -dec.s_vectors[1::2]).all()
+            # the pairs cancel exactly; the weighted sum rounds only where a
+            # fused multiply-add keeps the rounding error of the other term
+            np.testing.assert_allclose(dec.marginal_a, 0.0, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(dec.marginal_b, 0.0, rtol=0, atol=1e-15)
             np.testing.assert_allclose(np.sum(dec.r_vectors ** 2, axis=1),
                                        2.0 * target / (n * (n - 1)), atol=1e-9)
             np.testing.assert_allclose(np.sum(dec.s_vectors ** 2, axis=1),
@@ -208,8 +108,7 @@ class TestKyfanBoundDecomposition:
     def test_horn_consistency(self):
         # singular values of the emitted factor pair against the target
         corr = np.diag([0.3, 0.3, 0.3])
-        frame = factorization_frame(corr)
-        dec = kyfan_bound_decomposition(frame, 2, 2)
+        dec = kyfan_bound_decomposition(corr, 2, 2)
         m_rp = (dec.r_vectors * np.sqrt(dec.probs[:, None])).T
         m_sp = (dec.s_vectors * np.sqrt(dec.probs[:, None])).T
         length = len(dec)
@@ -473,3 +372,68 @@ class TestTransport:
         lifted = embed_isometries(base, va, vb)
         report = verify_decomposition(lifted, decompose_state(big, 3, 4))
         assert report.valid
+
+    @staticmethod
+    def reference_transport(dec, map_a, map_b):
+        """Per-component M rho M^dag with explicit generator sums and traces."""
+        def to_matrix(vec, dim):
+            gens = generator_basis(dim).matrices if dim > 1 else np.zeros((0, 1, 1))
+            return np.eye(dim) / dim + 0.5 * sum(x * g for x, g in zip(vec, gens))
+
+        def to_vector(rho):
+            dim = rho.shape[0]
+            gens = generator_basis(dim).matrices if dim > 1 else []
+            return np.array([np.trace(rho @ g).real for g in gens])
+
+        probs, r_out, s_out = [], [], []
+        for p, r, s in dec.entries():
+            rho_a = map_a @ to_matrix(r, map_a.shape[1]) @ map_a.conj().T
+            rho_b = map_b @ to_matrix(s, map_b.shape[1]) @ map_b.conj().T
+            ta, tb = np.trace(rho_a).real, np.trace(rho_b).real
+            probs.append(p * ta * tb)
+            r_out.append(to_vector(rho_a / ta))
+            s_out.append(to_vector(rho_b / tb))
+        probs = np.array(probs)
+        return probs / probs.sum(), np.array(r_out), np.array(s_out)
+
+    @staticmethod
+    def random_decomposition(rng, dim_a, dim_b, count):
+        def side(dim):
+            if dim == 1:
+                return np.zeros((count, 0))
+            return to_bloch(np.array([random_density(dim, dim, rng) for _ in range(count)]))
+        return SeparableDecomposition(probs=rng.dirichlet(np.ones(count)),
+                                      r_vectors=side(dim_a), s_vectors=side(dim_b))
+
+    def assert_matches_reference(self, got, dec, map_a, map_b):
+        probs, r_vectors, s_vectors = self.reference_transport(dec, map_a, map_b)
+        for have, want in ((got.probs, probs), (got.r_vectors, r_vectors),
+                           (got.s_vectors, s_vectors)):
+            assert have.shape == want.shape
+            np.testing.assert_allclose(have, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dim_a, dim_b", [(2, 3), (3, 3), (7, 7)])
+    def test_stacked_transport_matches_component_loop(self, dim_a, dim_b):
+        from sephorn.linalg import random_unitary
+        rng = np.random.default_rng(dim_a * 10 + dim_b)
+        dec = self.random_decomposition(rng, dim_a, dim_b, 2 * dim_a * dim_b)
+        fa, fb = (np.eye(n) + 0.3 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+                  for n in (dim_a, dim_b))
+        pulled = pull_back_filters(dec, fa, fb, dim_a, dim_b)
+        self.assert_matches_reference(pulled, dec, np.linalg.inv(fa), np.linalg.inv(fb))
+        va = random_unitary(dim_a + 2, rng)[:, :dim_a]
+        vb = random_unitary(dim_b + 1, rng)[:, :dim_b]
+        self.assert_matches_reference(embed_isometries(dec, va, vb), dec, va, vb)
+
+    def test_rank_one_factor_lifted(self):
+        from sephorn.linalg import random_unitary
+        rng = np.random.default_rng(29)
+        dec = self.random_decomposition(rng, 1, 2, 5)
+        va = random_unitary(3, rng)[:, :1]
+        vb = random_unitary(4, rng)[:, :2]
+        lifted = embed_isometries(dec, va, vb)
+        self.assert_matches_reference(lifted, dec, va, vb)
+        # the dim-1 side lifts to the one pure state va va^dag
+        np.testing.assert_allclose(from_bloch(lifted.r_vectors),
+                                   np.broadcast_to(va @ va.conj().T, (5, 3, 3)),
+                                   rtol=0, atol=1e-12)

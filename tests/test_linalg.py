@@ -6,7 +6,6 @@ from sephorn.linalg import (
     eigh_descending,
     random_orthogonal,
     random_unitary,
-    svd,
 )
 
 
@@ -55,34 +54,6 @@ class TestEigh:
             g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             w, _ = eigh_descending(g @ g.conj().T)
             assert w[-1] >= -1e-10
-
-
-class TestSvd:
-    def test_identity(self):
-        fac = svd(np.eye(3))
-        np.testing.assert_allclose(fac.singulars, [1.0, 1.0, 1.0])
-
-    def test_signed_diagonal(self):
-        # diag(1,-1,1) has all-unit singular values
-        fac = svd(np.diag([1.0, -1.0, 1.0]))
-        np.testing.assert_allclose(fac.singulars, [1.0, 1.0, 1.0], atol=1e-15)
-
-    def test_rank_one(self):
-        u = np.array([1.0, 0.0, 0.0])
-        v = np.array([0.6, 0.8])
-        fac = svd(np.outer(u, v))
-        np.testing.assert_allclose(fac.singulars, [1.0, 0.0], atol=1e-14)
-
-    def test_reconstruction_property(self):
-        rng = np.random.default_rng(3)
-        for _ in range(40):
-            rows, cols = rng.integers(1, 7, size=2)
-            m = rng.normal(size=(rows, cols))
-            fac = svd(m)
-            err = np.linalg.norm(fac.reconstruct() - m)
-            assert err <= 1e-12 * (1.0 + np.linalg.norm(m))
-            assert (np.diff(fac.singulars) <= 1e-14).all()
-            assert (fac.singulars >= 0).all()
 
 
 class TestRandomFactors:
