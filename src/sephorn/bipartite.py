@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import _gen_stack, from_bloch, to_bloch, validate_state
+from .bloch import _gen_rows, from_bloch, to_bloch, validate_state
 from .errors import DimensionMismatch, NotFullRank
 from .su import generator_basis
 
@@ -59,10 +59,11 @@ def decompose_state(rho: np.ndarray, dim_a: int, dim_b: int,
         )
     a = to_bloch(partial_trace(rho, dim_a, dim_b, 0), tol=np.inf)
     b = to_bloch(partial_trace(rho, dim_a, dim_b, 1), tol=np.inf)
-    # corr[u, v] = sum r4[i, m, j, n] g_u[j, i] h_v[n, m], one stack at a time
-    r4 = rho.reshape(dim_a, dim_b, dim_a, dim_b)
-    half = np.tensordot(r4, _gen_stack(dim_a), axes=([2, 0], [1, 2]))
-    corr = np.real(np.tensordot(half, _gen_stack(dim_b), axes=([0, 1], [2, 1])))
+    # corr[u, v] = sum rho[im, jn] conj(g_u[i, j]) conj(h_v[m, n]) for Hermitian
+    # generators: one matmul per side on rho regrouped to (ij, mn)
+    grouped = (rho.reshape(dim_a, dim_b, dim_a, dim_b).transpose(0, 2, 1, 3)
+               .reshape(dim_a * dim_a, dim_b * dim_b))
+    corr = np.real(_gen_rows(dim_a).conj() @ grouped @ _gen_rows(dim_b).conj().T)
     return BipartiteDecomposed(dim_a=dim_a, dim_b=dim_b, a=a, b=b, corr=corr)
 
 
@@ -72,8 +73,8 @@ def compose_state(d: BipartiteDecomposed) -> np.ndarray:
     n, m = d.dim_a, d.dim_b
     rho4 = np.multiply.outer(from_bloch(d.a, n), from_bloch(d.b, m))
     if d.corr.size:
-        joint = np.tensordot(d.corr - np.outer(d.a, d.b), _gen_stack(m), axes=1)
-        rho4 += 0.25 * np.tensordot(_gen_stack(n), joint, axes=(0, 0))
+        joint = _gen_rows(n).T @ (d.corr - np.outer(d.a, d.b)) @ _gen_rows(m)
+        rho4 += 0.25 * joint.reshape(n, n, m, m)
     return rho4.transpose(0, 2, 1, 3).reshape(n * m, n * m)
 
 

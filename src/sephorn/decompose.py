@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import least_squares, minimize
 
 from .bipartite import BipartiteDecomposed, compose_state
 from .bloch import from_bloch, to_bloch, transpose_flip
@@ -151,6 +150,10 @@ def _overlap_residuals(v: np.ndarray, disp: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _sic_simplex(dim: int, seed: int) -> np.ndarray:
+    # imported here: scipy.optimize is most of the package's import time and
+    # memory, and only the simplex search needs it
+    from scipy.optimize import least_squares, minimize
+
     disp = _displacements(dim)
     rng = np.random.default_rng(seed)
     best = np.inf

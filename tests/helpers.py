@@ -1,5 +1,8 @@
 """Shared test helpers."""
 
+from functools import lru_cache
+from itertools import combinations
+
 import numpy as np
 
 from sephorn.horn import flat_index_arrays
@@ -24,3 +27,35 @@ def batch_min_margin(a, b, c) -> np.ndarray:
         lhs = np.add.reduceat(c[lo:hi, kk], starts, axis=1)
         out[lo:hi] = (rhs - lhs).min(axis=1)
     return out
+
+
+@lru_cache(maxsize=None)
+def loop_triple_set(n: int, r: int) -> tuple:
+    """Reference for ``horn.triple_set(n, r).triples``: every candidate
+    (I, J, K) with the total-sum identity, tested one lower inequality at a
+    time against this function's own sets of every p < r in 1..r."""
+    if r == 1:
+        return tuple(sorted(((i,), (j,), (i + j - 1,))
+                            for i in range(1, n + 1)
+                            for j in range(1, n + 1)
+                            if i + j - 1 <= n))
+    lower = [loop_triple_set(r, p) for p in range(1, r)]
+    subsets = list(combinations(range(1, n + 1), r))
+    shift = r * (r + 1) // 2
+    out = []
+    for I in subsets:
+        for J in subsets:
+            for K in subsets:
+                if sum(I) + sum(J) == sum(K) + shift and _admissible(I, J, K, lower):
+                    out.append((I, J, K))
+    return tuple(sorted(out))
+
+
+def _admissible(I, J, K, lower) -> bool:
+    for p0, tsets in enumerate(lower):
+        shift = (p0 + 1) * (p0 + 2) // 2
+        for F, G, H in tsets:
+            lhs = sum(I[f - 1] for f in F) + sum(J[g - 1] for g in G)
+            if lhs > sum(K[h - 1] for h in H) + shift:
+                return False
+    return True

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -9,6 +10,48 @@ from sephorn.cli import main
 from sephorn.criteria import verify_decomposition
 from sephorn.states import bell, p_zero, werner
 from sephorn.bipartite import decompose_state
+
+
+# SHA-256 of `horn-triples n r` output for n <= 9, recorded from the
+# per-candidate enumeration that the batched one replaced
+HORN_TRIPLES_SHA256 = {
+    (2, 1): "647adadc89de5a78178aff1a7d75c9f037848910c656987b2e702048a66e26ea",
+    (3, 1): "bbd7b6229bd4845d16fc92cd0745416789c208cedd61b70da6de1442adfbfde4",
+    (3, 2): "474c341e6a6433279ca4ef29fcf315a9d8a5636bf4cef763fb1f8b2cb5c9e5c1",
+    (4, 1): "5e12036c357d8d0b6de17af309b22ca80872f56bb45f188d798e09fd298ceeca",
+    (4, 2): "334b7318d07215f2dc76d7432372ee7608218d5175cbe33cfc902f725dbba001",
+    (4, 3): "ff8fb1bcbff1b7eb3fbc487147866a4fb5e11f686c6f2116bd97789f9866f4ef",
+    (5, 1): "c5a96d927d410695510c81804c49c169db53211dc6a29d0daf17bf2c219ada0e",
+    (5, 2): "4c7602989415b83f70f806c6760c87228682438a68c533d53aca57286eddd243",
+    (5, 3): "11a0387ce8d5fab3ba51c02f3a50e0153520d6ff48554a54257dbf81f37a59c1",
+    (5, 4): "c60994642a96db75757c35e35a7ebc9d71863895da1ba786b05163b3ab112ac0",
+    (6, 1): "8de1d07baac97bfef4183b686adc8d848a7a013d0ff8dd6ab6927bc246709a56",
+    (6, 2): "628ebf0662279a07a2e97d88151495ea89bc4e8364502167f9eba1ee6963c181",
+    (6, 3): "18d398e2d1e2126540b4af58d2fd1b6eb52732c4c7cf0dfefd14815a7b58fc23",
+    (6, 4): "faaeb31cad1d0226ebb97fc0830fb6e7f443cfc0ad84a2f3a5f26e26b2a8ad87",
+    (6, 5): "f95cc011b3c9d4d5e1ec50f991e199d6a1b3b03635fd97bf79866ab9bc63cb53",
+    (7, 1): "0b2c4c82e275a6ee26e5ce9218588b6c14609724201381d731d1c1c855f35982",
+    (7, 2): "27bcfd0d873ea2201fba4ecdd2196231cf639f3740944fdab52d029933128664",
+    (7, 3): "b8fd2c0d413c3f76d4da49337958f1b4c223ba19a09dd803c5e6bcf723a37b4d",
+    (7, 4): "f74e339c41a55e02c6b896de6ab89b7b834412eda80837135c60fd3e37e9e509",
+    (7, 5): "ce8cc8fd401460e7923c2dedf69f080b726061afd24c1a25d96bce7577bd39dc",
+    (7, 6): "9294126a0ce2db6ba5290017e371971ddf1f23f70bb2ae5df974219a98a13df1",
+    (8, 1): "4e6b4dacd3b48195761be3ce7badd691ffd86386b6a1e91dcbd87c0384e27ffb",
+    (8, 2): "00baa5be1fafebafa715b7160f26ee9dfa0689e3238cd3cd8ad7e3d1e5d192e3",
+    (8, 3): "6f4dd4046bad34e55def322022c24ed02d54441227601f20833406359190a11d",
+    (8, 4): "75cda74744e76aa3cece8e2f208ef9ed7742b0a25b07043693662a994a5172ea",
+    (8, 5): "960d9da3c384a011bb6789fc6d6d2cdfe4bf46237108fbfac5770157f318d09e",
+    (8, 6): "d58e939113d5b2f9db57e94b6e217e7bb7082aae203dbfd363077c8d7c9c9e71",
+    (8, 7): "53da96cd57afe4b85bdf05bf6d00f2f2bb914077c2d1cf3c7c3eb0874b4c448c",
+    (9, 1): "e4a01f9ca1a2b730ee5757a22a28e1c5aae66f17f45967ebec8e214a07f1b0aa",
+    (9, 2): "166dc6b9e2cac831e6624b3e21e244cc430c5614d376c34096d7caaae26dd198",
+    (9, 3): "56c06975f8ab601df293dc23e07d303d45c2910c5fc5e8906ee35ad4925788a8",
+    (9, 4): "90ced9b3de50160157ba230ef5655a886a4c769d245a56a9cd3915a1b18cb32a",
+    (9, 5): "232ad3b166ac4b453af04f67971e3a665c87cbeb10f6abb5954bae69ac2ec338",
+    (9, 6): "3b7a8c9eae832014c9a7ac07ace5350fb85c28f2faa82fb28f3a6fa975949ab0",
+    (9, 7): "a7aa955f7c3ca448ee491191a70f0f16e206da050e7975e706b60269b37c2b69",
+    (9, 8): "51e75f6bf6d88838753414516b226ec4f867de5fdf300a3b9134305a9f3b5c6e",
+}
 
 
 def run_cli(args, capsys):
@@ -119,6 +162,12 @@ class TestHornTriples:
     def test_n3_r1_count(self, capsys):
         code, out, _ = run_cli(["horn-triples", "3", "1"], capsys)
         assert len(out.strip().splitlines()) == 6
+
+    def test_output_matches_recorded_digests(self, capsys):
+        for (n, r), digest in HORN_TRIPLES_SHA256.items():
+            code, out, _ = run_cli(["horn-triples", str(n), str(r)], capsys)
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, (n, r)
 
     def test_cap_exceeded(self, capsys):
         code, _, err = run_cli(["horn-triples", "17", "1"], capsys)

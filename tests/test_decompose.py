@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import sephorn
 from sephorn.bipartite import BipartiteDecomposed, decompose_state, partial_transpose_matrix
 from sephorn import decompose
 from sephorn.bloch import from_bloch, is_physical, to_bloch
@@ -118,6 +124,18 @@ class TestKyfanBoundDecomposition:
 
 
 class TestPureSimplex:
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        # only the simplex search needs scipy.optimize; importing the
+        # package and its CLI must not pay for it
+        src = str(Path(sephorn.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = ("import sys, sephorn, sephorn.cli; "
+                "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize loaded'")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
     def test_qubit_tetrahedron(self):
         vecs = pure_state_simplex(2, seed=0)
         assert vecs.shape == (4, 3)

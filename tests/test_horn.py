@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import batch_min_margin
+from helpers import batch_min_margin, loop_triple_set
 from sephorn.errors import BadCardinality, LengthMismatch, NotSorted, TripleCapExceeded
 from sephorn.horn import (
+    MAX_N,
     all_triples,
     check_product_inequalities,
     partition_of,
@@ -89,6 +90,15 @@ class TestTripleSets:
     def test_cap(self):
         with pytest.raises(TripleCapExceeded):
             triple_set(17, 1)
+
+    def test_cap_starts_above_max_n(self):
+        with pytest.raises(TripleCapExceeded):
+            triple_set(MAX_N + 1, 1)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_matches_loop_reference(self, n):
+        for r in range(1, n):
+            assert triple_set(n, r).triples == loop_triple_set(n, r)
 
     def test_additive_oracle_sample(self):
         # eigenvalues of (A, B, A+B) never violate the emitted inequalities
