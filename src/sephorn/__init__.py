@@ -21,8 +21,6 @@ from .bipartite import (
 from .bloch import (
     BlochRadii,
     from_bloch,
-    is_physical,
-    purity,
     radii,
     to_bloch,
     transpose_flip,
@@ -58,9 +56,9 @@ from .horn import (
     product_singulars_feasible,
     triple_set,
 )
-from .linalg import eigh_descending, random_orthogonal, random_unitary
+from .linalg import random_orthogonal, random_unitary
 from .states import bell, isotropic, p_zero, random_density, werner
-from .su import antisymmetric_indices, generator_basis, symmetric_structure_tensor
+from .su import antisymmetric_indices, generator_basis
 
 __version__ = "0.1.0"
 
@@ -83,10 +81,8 @@ __all__ = [
     "check_product_inequalities",
     "compose_state",
     "decompose_state",
-    "eigh_descending",
     "from_bloch",
     "generator_basis",
-    "is_physical",
     "isotropic",
     "isotropic_decompose",
     "kyfan_bound_decomposition",
@@ -103,12 +99,10 @@ __all__ = [
     "product_singulars_feasible",
     "project_to_support",
     "pure_state_simplex",
-    "purity",
     "radii",
     "random_density",
     "random_orthogonal",
     "random_unitary",
-    "symmetric_structure_tensor",
     "to_bloch",
     "transpose_flip",
     "triple_set",

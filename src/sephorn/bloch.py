@@ -38,7 +38,10 @@ def _gen_rows(dim: int) -> np.ndarray:
 
 
 def validate_state(rho: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Check finiteness, Hermiticity and unit trace, returning the matrix as complex."""
+    """Check finiteness, Hermiticity and unit trace, returning the matrix as complex.
+
+    An infinite ``tol`` checks finiteness only.
+    """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2:
         raise NotAState(f"expected a square matrix, got shape {rho.shape}")
@@ -55,6 +58,9 @@ def _validate_stack(rho: np.ndarray, tol: float) -> np.ndarray:
     if not np.isfinite(rho).all():
         where, _ = _first_failure(rho, (~np.isfinite(rho)).sum(axis=(-2, -1)), 0)
         raise NotAState(f"{where}matrix has non-finite entries")
+    if tol == np.inf:
+        # no deviation exceeds an infinite tolerance
+        return rho
     herm = np.abs(rho - rho.conj().swapaxes(-1, -2))
     if herm.size and herm.max() > tol:
         where, dev = _first_failure(rho, herm.max(axis=(-2, -1)), tol)
@@ -78,6 +84,9 @@ def to_bloch(rho: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """Expectation values Tr[rho g_mu] of a trace-one Hermitian matrix.
 
     A stack of L matrices on the leading axis gives an (L, N^2 - 1) array.
+    The matrices are validated as by :func:`validate_state` with ``tol``; an
+    infinite ``tol``, for matrices built from validated input, checks
+    finiteness only.
     """
     rho = _validate_stack(rho, tol)
     n = rho.shape[-1]
@@ -90,21 +99,13 @@ def from_bloch(r: np.ndarray, dim: int | None = None) -> np.ndarray:
 
     A stack of L vectors on the leading axis gives an (L, N, N) array.
     Positivity is not guaranteed; vectors outside the physical body yield
-    matrices with negative eigenvalues (see :func:`is_physical`).
+    matrices with negative eigenvalues.
     """
     r = np.asarray(r, dtype=float)
     n = dim_of_bloch(r) if dim is None else dim
     if n * n - 1 != r.shape[-1]:
         raise DimensionMismatch(f"vector length {r.shape[-1]} does not match dim {n}")
     return np.eye(n) / n + 0.5 * (r @ _gen_rows(n)).reshape(*r.shape[:-1], n, n)
-
-
-def is_physical(r: np.ndarray, tol: float = 1e-9) -> bool:
-    """True when the reconstructed matrix is PSD within ``tol``."""
-    rho = from_bloch(r)
-    if rho.shape[0] == 1:
-        return True
-    return float(np.linalg.eigvalsh(rho)[0]) >= -tol
 
 
 def transpose_flip(r: np.ndarray) -> np.ndarray:
@@ -140,8 +141,3 @@ def radii(dim: int) -> BlochRadii:
         inner=float(np.sqrt(2.0 / (dim * (dim - 1)))),
     )
 
-
-def purity(r: np.ndarray) -> float:
-    """Tr[rho^2] = 1/N + |r|^2 / 2."""
-    n = dim_of_bloch(np.asarray(r))
-    return 1.0 / n + 0.5 * float(np.dot(r, r))

@@ -209,7 +209,7 @@ def cmd_normal_form(path, out, max_iter, tol):
     rho, dims = fileio.state_from_text(Path(path).read_text())
     d = decompose_state(rho, dims[0], dims[1])
     result = normal_form(d, max_iter=max_iter, tol=tol)
-    filtered = compose_state(result.state)
+    filtered = result.state.matrix
     out_path = Path(out) if out else Path(str(Path(path).with_suffix("")) + ".normal.json")
     out_path.write_text(fileio.state_to_text(filtered, dims))
     click.echo(f"filtered state written to {out_path}")

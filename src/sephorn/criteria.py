@@ -9,6 +9,12 @@ necessary criterion) and ``INCONCLUSIVE``.
 Two-qubit states are decided by partial transposition and Wootters'
 closed-form product decomposition, without filtering; larger states are
 filtered to normal form before the norm bounds and family decompositions.
+
+The criteria read the spectral results a :class:`BipartiteDecomposed`
+record computes once: partial transposition takes the eigenvalues of the
+matrix-level partial transpose of ``d.matrix``, and the two Ky Fan checks,
+the constructive decomposition and the excess logged on inconclusive
+verdicts all read the one singular value decomposition ``d.corr_svd``.
 """
 
 from __future__ import annotations
@@ -20,22 +26,21 @@ import numpy as np
 
 from .bipartite import (
     BipartiteDecomposed,
-    compose_state,
     decompose_state,
     local_ranks,
     normal_form,
-    partial_transpose,
+    partial_transpose_matrix,
     project_to_support,
     support_isometries,
 )
-from .bloch import from_bloch, radii, validate_state
+from .bloch import from_bloch
 from .config import DEFAULT, Tolerances
 from .decompose import (
     DecompositionOutcome,
     SeparableDecomposition,
     embed_isometries,
     isotropic_decompose,
-    kyfan_bound_decomposition,
+    _kyfan_pairs,
     pull_back_filters,
     werner_decompose,
     wootters_decomposition,
@@ -108,19 +113,26 @@ def _require_normal_form(d: BipartiteDecomposed, tol: float) -> None:
         )
 
 
+def _kyfan_necessary(d: BipartiteDecomposed, slack: float) -> KyFanCheck:
+    """de Vicente's bound ||corr||_KF <= R_+(N) R_+(M), which every
+    separable state satisfies, filtered or not."""
+    n, m = d.dim_a, d.dim_b
+    bound = np.sqrt(2.0 * (n - 1.0) / n) * np.sqrt(2.0 * (m - 1.0) / m)
+    margin = float(d.corr_svd[1].sum() - bound)
+    return KyFanCheck(passed=margin <= slack, margin=margin)
+
+
 def kyfan_necessary_check(d: BipartiteDecomposed, *, slack: float = 1e-9,
                           nf_tol: float = 1e-8) -> KyFanCheck:
     """Necessary norm bound for normal-form states.
 
     Separability forces ||corr||_KF^2 <= (2(N-1)/N)(2(M-1)/M); the margin is
     the Ky Fan norm minus the bound's square root, so a positive margin
-    beyond ``slack`` certifies entanglement.
+    beyond ``slack`` certifies entanglement.  The norm is read from
+    ``d.corr_svd``.
     """
     _require_normal_form(d, nf_tol)
-    n, m = d.dim_a, d.dim_b
-    bound = np.sqrt(2.0 * (n - 1.0) / n) * np.sqrt(2.0 * (m - 1.0) / m)
-    margin = float(kyfan_norm(d.corr) - bound)
-    return KyFanCheck(passed=margin <= slack, margin=margin)
+    return _kyfan_necessary(d, slack)
 
 
 def sufficient_bound(dim_a: int, dim_b: int) -> float:
@@ -133,20 +145,22 @@ def kyfan_sufficient_check(d: BipartiteDecomposed, *, slack: float = 1e-9,
     """Constructive sufficient check for normal-form states.
 
     Below the bound the explicit decomposition is built and attached;
-    otherwise the verdict is inconclusive.
+    otherwise the verdict is inconclusive.  The norm and the decomposition
+    both come from ``d.corr_svd``.
     """
     _require_normal_form(d, nf_tol)
-    norm = kyfan_norm(d.corr)
-    if norm > sufficient_bound(d.dim_a, d.dim_b) + slack:
+    u, taus, vh = d.corr_svd
+    if taus.sum() > sufficient_bound(d.dim_a, d.dim_b) + slack:
         return Verdict(status=Status.INCONCLUSIVE)
-    dec = kyfan_bound_decomposition(d.corr, d.dim_a, d.dim_b, slack=slack)
+    dec = _kyfan_pairs(u, taus, vh, d.dim_a, d.dim_b, slack=slack)
     return Verdict(status=Status.SEPARABLE, decomposition=dec)
 
 
 def ppt_check(d: BipartiteDecomposed, *, tol: float = 1e-9) -> PptCheck:
     """Positivity of the partially transposed state; failure certifies
-    entanglement."""
-    rho_pt = compose_state(partial_transpose(d))
+    entanglement.  One eigenvalue solve of the matrix-level partial
+    transpose of ``d.matrix``."""
+    rho_pt = partial_transpose_matrix(d.matrix, d.dim_a, d.dim_b)
     low = float(np.linalg.eigvalsh(rho_pt)[0])
     return PptCheck(passed=low >= -tol, min_eigenvalue=low)
 
@@ -193,7 +207,11 @@ def two_qubit_decide(d: BipartiteDecomposed, *, cfg: Tolerances = DEFAULT) -> Ve
     logs ``concurrence`` (margin lam_1 - lam_2 - lam_3 - lam_4, passing up
     to ``cfg.kyfan_slack``) and then ``decomposition[wootters]``, Wootters'
     four pure product components, verified; if either fails the verdict is
-    INCONCLUSIVE.
+    INCONCLUSIVE.  A state that passes PPT only within the tolerance, with
+    its lowest partial-transpose eigenvalue in [-``cfg.psd``, 0), and fails
+    the concurrence check lies in a band PPT cannot resolve at that
+    tolerance; its verdict also logs the failed ``ppt-tolerance-band``
+    criterion, whose margin is minus that eigenvalue.
     """
     if (d.dim_a, d.dim_b) != (2, 2):
         raise DimensionMismatch(f"two_qubit_decide needs 2 x 2, got {d.dim_a} x {d.dim_b}")
@@ -210,6 +228,12 @@ def two_qubit_decide(d: BipartiteDecomposed, *, cfg: Tolerances = DEFAULT) -> Ve
         verdict = _verified(wootters_decomposition(d, frame), d, log, cfg, "wootters")
         if verdict is not None:
             return verdict
+    elif ppt.min_eigenvalue < 0.0:
+        log.append(CriterionResult(
+            "ppt-tolerance-band", False, -ppt.min_eigenvalue,
+            f"lowest partial-transpose eigenvalue {ppt.min_eigenvalue:.3e} lies inside "
+            f"the PPT tolerance band [-{cfg.psd:.1e}, 0), where PPT cannot "
+            f"resolve the positive concurrence {margin:.3e}"))
     return Verdict(status=Status.INCONCLUSIVE, criteria=tuple(log))
 
 
@@ -251,25 +275,6 @@ def _match_isotropic(d: BipartiteDecomposed, tol: float = 1e-9) -> float | None:
 # pipeline
 # ---------------------------------------------------------------------------
 
-def _horn_envelope(d: BipartiteDecomposed, slack: float) -> CriterionResult:
-    """Inequality battery against the most permissive physical envelope.
-
-    Every factor singular value is bounded by the pure-state radius
-    R_+(N) = sqrt(2(N-1)/N), so the multiplicative inequalities with uniform
-    alpha = R_+(N), beta = R_+(M) are necessary for separability.  With
-    uniform factors the r = 1, K = {1} inequality tau_1 <= R_+(N) R_+(M)
-    implies every other one, so the battery is this one comparison.  The
-    margin log(tau_1 / (R_+(N) R_+(M))) is positive on a violation.
-    """
-    envelope = radii(d.dim_a).outer * radii(d.dim_b).outer
-    tau1 = float(np.linalg.norm(d.corr, 2)) if d.corr.size else 0.0
-    with np.errstate(divide="ignore"):
-        margin = float(np.log(tau1 / envelope))
-    return CriterionResult("horn-envelope", margin <= np.log1p(slack), margin,
-                           f"largest singular value {tau1:.6g} against the "
-                           f"pure-state envelope {envelope:.6g}")
-
-
 def _trivial_factor_decomposition(d: BipartiteDecomposed) -> SeparableDecomposition:
     return SeparableDecomposition(probs=np.array([1.0]),
                                   r_vectors=d.a.reshape(1, -1).copy(),
@@ -294,17 +299,30 @@ def analyze(rho: np.ndarray, dim_a: int, dim_b: int, *,
     """Full separability pipeline for a density matrix.
 
     Stages: validation, support projection (with a shortcut for trivial
-    rank-one factors), normal-form filtering, then the criteria battery --
-    exact decision for two qubits; otherwise partial transposition, the
+    rank-one factors), then the criteria battery -- exact decision for two
+    qubits; otherwise partial transposition, normal-form filtering, the
     necessary norm bound, the constructive sufficient bound, and closed-form
     family decompositions.  Separable verdicts are re-verified before being
-    returned; inconclusive verdicts carry the inequality envelope check.
+    returned.  An inconclusive verdict on a filtered state logs the failed
+    ``kyfan-sufficient`` criterion, whose margin is how far the filtered
+    Ky Fan norm exceeds the constructive bound; when filtering does not
+    converge, the necessary norm bound is applied to the unfiltered
+    correlation instead, and a violation is ENTANGLED.
+
+    The input is validated once, and each spectral quantity is computed
+    once: the eigenvalues of rho (at 2 x 2 its eigendecomposition, which
+    also gives Wootters' frame), one eigendecomposition per marginal,
+    the eigenvalues of the partial transpose and one singular value
+    decomposition of the filtered correlation.
     """
-    rho = validate_state(rho, tol=cfg.state)
-    low = float(np.linalg.eigvalsh(rho)[0])
+    d = decompose_state(rho, dim_a, dim_b, tol=cfg.state)
+    if (dim_a, dim_b) == (2, 2):
+        low = float(d.spectrum[0][0])
+    else:
+        # eigenvalues only: no later stage needs the eigenvectors here
+        low = float(np.linalg.eigvalsh(d.matrix)[0])
     if low < -cfg.psd:
         raise NotPSD(f"input has minimum eigenvalue {low:.3e}")
-    d = decompose_state(rho, dim_a, dim_b, tol=cfg.state)
     return _analyze_decomposed(d, cfg=cfg, seed=seed)
 
 
@@ -349,12 +367,15 @@ def _analyze_decomposed(d: BipartiteDecomposed, *, cfg: Tolerances,
                      rank_tol=cfg.rank)
     marg = float(max(np.linalg.norm(nf.state.a), np.linalg.norm(nf.state.b)))
     if marg >= 1e-8:
-        # Normal form reached only in the limit; the surviving necessary
-        # criteria were inconclusive, so the verdict stays honest.
+        # Normal form reached only in the limit: the norm bound still holds
+        # for every separable state, so apply it to the unfiltered correlation
         log.append(CriterionResult("normal-form", False, marg,
                                    f"not converged in {nf.iterations} sweeps"))
-        log.append(_horn_envelope(d, cfg.kyfan_slack))
-        return Verdict(status=Status.INCONCLUSIVE, criteria=tuple(log))
+        nk = _kyfan_necessary(d, cfg.kyfan_slack)
+        log.append(CriterionResult("kyfan-necessary", nk.passed, nk.margin,
+                                   "norm bound on the unfiltered correlation"))
+        status = Status.INCONCLUSIVE if nk.passed else Status.ENTANGLED
+        return Verdict(status=status, criteria=tuple(log))
 
     tilde = nf.state
     nk = kyfan_necessary_check(tilde, slack=cfg.kyfan_slack)
@@ -370,6 +391,12 @@ def _analyze_decomposed(d: BipartiteDecomposed, *, cfg: Tolerances,
         verdict = _verified(dec, d, log, cfg, "kyfan-sufficient")
         if verdict is not None:
             return verdict
+    else:
+        bound = sufficient_bound(d.dim_a, d.dim_b)
+        excess = float(tilde.corr_svd[1].sum() - bound)
+        log.append(CriterionResult("kyfan-sufficient", False, excess,
+                                   f"filtered Ky Fan norm exceeds the constructive "
+                                   f"bound {bound:.6g}"))
 
     for matcher, builder, label in (
         (_match_werner, werner_decompose, "werner"),
@@ -394,5 +421,4 @@ def _analyze_decomposed(d: BipartiteDecomposed, *, cfg: Tolerances,
         if verdict is not None:
             return verdict
 
-    log.append(_horn_envelope(tilde, cfg.kyfan_slack))
     return Verdict(status=Status.INCONCLUSIVE, criteria=tuple(log))

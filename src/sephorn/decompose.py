@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bipartite import BipartiteDecomposed, compose_state
+from .bipartite import BipartiteDecomposed
 from .bloch import from_bloch, to_bloch, transpose_flip
 from .errors import BoundExceeded, DimensionMismatch, OutOfPositivityRange, SearchFailed
 from .states import werner_coefficient
@@ -82,9 +82,14 @@ def kyfan_bound_decomposition(corr: np.ndarray, dim_a: int, dim_b: int,
     2r components, a zero one the single maximally mixed product; K above
     ``1 + slack`` raises BoundExceeded.
     """
-    corr = np.asarray(corr, dtype=float)
-    ka, kb = corr.shape
-    u, taus, vh = np.linalg.svd(corr, full_matrices=False)
+    u, taus, vh = np.linalg.svd(np.asarray(corr, dtype=float), full_matrices=False)
+    return _kyfan_pairs(u, taus, vh, dim_a, dim_b, slack=slack)
+
+
+def _kyfan_pairs(u: np.ndarray, taus: np.ndarray, vh: np.ndarray, dim_a: int,
+                 dim_b: int, *, slack: float) -> SeparableDecomposition:
+    """:func:`kyfan_bound_decomposition` from the thin SVD of the correlation."""
+    ka, kb = u.shape[0], vh.shape[1]
     if taus.size == 0 or taus[0] <= 0.0:
         return SeparableDecomposition(probs=np.array([1.0]),
                                       r_vectors=np.zeros((1, ka)),
@@ -294,7 +299,8 @@ def wootters_frame(d: BipartiteDecomposed) -> WoottersFrame:
     """Wootters' frame of a 2 x 2 state.
 
     rho = V V^dag over the subnormalised eigenvectors of its positive
-    eigenvalues, and tau = V^T (sigma_y x sigma_y) V is complex symmetric.
+    eigenvalues (from ``d.spectrum``), and tau = V^T (sigma_y x sigma_y) V
+    is complex symmetric.
     The real symmetric embedding [[Re tau, Im tau], [Im tau, -Re tau]] has
     eigenpairs (lam, [Re u; Im u]) and (-lam, [-Im u; Re u]), so its top
     eigenvectors give the Takagi factorisation tau = U diag(lam) U^T, exact
@@ -303,7 +309,7 @@ def wootters_frame(d: BipartiteDecomposed) -> WoottersFrame:
     """
     if (d.dim_a, d.dim_b) != (2, 2):
         raise DimensionMismatch(f"Wootters' frame needs 2 x 2, got {d.dim_a} x {d.dim_b}")
-    w, vecs = np.linalg.eigh(compose_state(d))
+    w, vecs = d.spectrum
     v = vecs[:, w > 0.0] * np.sqrt(w[w > 0.0])
     rank = v.shape[1]
     tau = v.T @ _SIGMA_YY @ v

@@ -1,34 +1,12 @@
-"""Dense linear-algebra kernels shared by the whole package.
+"""Haar-random orthogonal and unitary matrices.
 
-All spectral factorizations order values descending, orthogonal factors are
-real, and the deterministic random samplers take either an integer seed or a
+The samplers are deterministic: they take either an integer seed or a
 caller-owned :class:`numpy.random.Generator`.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .errors import DimensionMismatch, NoConvergence, NotHermitian
-
-
-def eigh_descending(m: np.ndarray, herm_tol: float = 1e-10):
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
-
-    Returns ``(eigenvalues, eigenvectors)`` with eigenvectors as columns
-    matching the eigenvalue order.
-    """
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    dev = np.abs(m - m.conj().T).max() if m.size else 0.0
-    if dev > herm_tol:
-        raise NotHermitian(f"Hermiticity deviation {dev:.3e} exceeds {herm_tol:.1e}")
-    try:
-        w, v = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
-        raise NoConvergence(str(exc)) from exc
-    return w[::-1].copy(), v[:, ::-1].copy()
 
 
 def _as_generator(seed) -> np.random.Generator:

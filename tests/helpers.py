@@ -5,9 +5,16 @@ from itertools import combinations
 
 import numpy as np
 
+from sephorn.bloch import from_bloch
 from sephorn.horn import flat_index_arrays
 
 CHUNK = 8192  # sample rows per vectorized block
+
+
+def is_physical(r, tol: float = 1e-9) -> bool:
+    """True when the matrix of Bloch vector ``r`` is PSD within ``tol``."""
+    rho = from_bloch(np.asarray(r, dtype=float))
+    return rho.shape[0] == 1 or float(np.linalg.eigvalsh(rho)[0]) >= -tol
 
 
 def batch_min_margin(a, b, c) -> np.ndarray:

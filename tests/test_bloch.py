@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
+from helpers import is_physical
 from sephorn.bloch import (
     from_bloch,
-    is_physical,
-    purity,
     radii,
     to_bloch,
     transpose_flip,
@@ -178,6 +177,12 @@ class TestRadii:
             assert abs(rd.inner / rd.outer - 1.0 / (dim - 1)) < 1e-12
 
 
+def purity(r):
+    """Tr[rho^2] of the matrix of a Bloch vector, taken from the matrix."""
+    rho = from_bloch(r)
+    return float(np.real(np.trace(rho @ rho)))
+
+
 class TestPurity:
     def test_pure_states_saturate(self):
         rng = np.random.default_rng(9)
@@ -187,11 +192,14 @@ class TestPurity:
             assert abs(r @ r - 2.0 * (dim - 1) / dim) < 1e-12
 
     def test_matches_trace_of_square(self):
+        # Tr[rho^2] = 1/N + |r|^2 / 2 for the Tr[g g] = 2 normalization
         rng = np.random.default_rng(10)
         for dim in (2, 3, 4):
             rho = random_density(dim, dim, rng)
+            r = to_bloch(rho)
             direct = float(np.real(np.trace(rho @ rho)))
-            assert abs(purity(to_bloch(rho)) - direct) < 1e-12
+            assert abs(1.0 / dim + 0.5 * float(r @ r) - direct) < 1e-12
+            assert abs(purity(r) - direct) < 1e-12
 
     def test_norm_saturation_implies_pure(self):
         rng = np.random.default_rng(12)

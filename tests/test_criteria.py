@@ -1,10 +1,13 @@
+import time
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sephorn import criteria
-from sephorn.bipartite import compose_state, decompose_state, partial_transpose
+from sephorn.bipartite import compose_state, decompose_state, normal_form, partial_transpose
 from sephorn.config import DEFAULT
 from sephorn.criteria import (
     Status,
@@ -13,14 +16,23 @@ from sephorn.criteria import (
     kyfan_norm,
     kyfan_sufficient_check,
     ppt_check,
+    sufficient_bound,
     two_qubit_decide,
     verify_decomposition,
 )
 from sephorn.decompose import SeparableDecomposition, werner_decompose
 from sephorn.errors import DimensionMismatch, NotNormalForm, SepHornError
-from sephorn.horn import check_product_inequalities
 from sephorn.linalg import random_unitary
 from sephorn.states import bell, isotropic, p_zero, random_density, werner
+
+
+def tiles_state():
+    """The 3 x 3 PPT entangled state from the tiles unextendible product basis."""
+    e = np.eye(3)
+    tiles = [(e[0], e[0] - e[1]), (e[0] - e[1], e[2]), (e[2], e[1] - e[2]),
+             (e[1] - e[2], e[0]), (e[0] + e[1] + e[2], e[0] + e[1] + e[2])]
+    kets = [np.kron(x, y) / np.linalg.norm(np.kron(x, y)) for x, y in tiles]
+    return (np.eye(9) - sum(np.outer(k, k) for k in kets)).astype(complex) / 4.0
 
 
 def random_two_qubit(rng, rank=4):
@@ -160,9 +172,15 @@ class TestTwoQubit:
         # lowest eigenvalue about -2.5e-11, inside the positivity tolerance
         verdict = analyze(compose_state(p_zero(1e-5)), 2, 2)
         assert verdict.status is Status.INCONCLUSIVE
-        assert [c.name for c in verdict.criteria] == ["ppt", "concurrence"]
-        assert verdict.criteria[0].passed and not verdict.criteria[1].passed
-        assert abs(verdict.criteria[1].margin - 1e-5) < 1e-9
+        names = [c.name for c in verdict.criteria]
+        assert names == ["ppt", "concurrence", "ppt-tolerance-band"]
+        ppt, concurrence, band = verdict.criteria
+        assert ppt.passed and not concurrence.passed
+        assert abs(concurrence.margin - 1e-5) < 1e-9
+        # the verdict names the band the lowest eigenvalue lies in
+        assert not band.passed
+        assert band.margin == ppt.margin and 0.0 < band.margin <= DEFAULT.psd
+        assert "PPT tolerance band" in band.detail
 
     def test_rank_three_ppt_with_full_local_rank_is_separable(self):
         rho = np.diag([0.4, 0.3, 0.3, 0.0])
@@ -214,6 +232,151 @@ class TestTwoQubitGate:
         # the PPT decision, so no input, full-rank or not, is INCONCLUSIVE
         want = Status.SEPARABLE if low > 0.0 else Status.ENTANGLED
         assert verdict.status is want, verdict.criteria
+
+
+def lowest_pt_eigenvalue(rho, n, m):
+    """Lowest eigenvalue of the partial transpose on the second factor."""
+    rho_pt = rho.reshape(n, m, n, m).transpose(0, 3, 2, 1).reshape(n * m, n * m)
+    return float(np.linalg.eigvalsh(rho_pt)[0])
+
+
+# wall-clock budget of one analyze call: a warm call takes about 2 ms at
+# every size here; the budget leaves room for the first simplex build of a
+# square dimension (scipy's import and the SIC search, under a second)
+CALL_BUDGET_S = {(2, 3): 2.0, (2, 4): 2.0, (2, 5): 2.0, (3, 4): 2.0, (3, 5): 2.0,
+                 (4, 5): 2.0, (3, 3): 3.0, (4, 4): 3.0, (5, 5): 3.0}
+
+
+@st.composite
+def qudit_states(draw):
+    """States on 2x3 to 5x5: Ginibre states of any rank, products of local
+    states of any rank, Werner and isotropic states on square dimensions,
+    and random pure states mixed with I/(NM) near the weight where their
+    partial transpose turns singular; each plain, under random local
+    unitaries or under random local filters."""
+    n, m = draw(st.sampled_from(sorted(CALL_BUDGET_S)))
+    size = n * m
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["ginibre", "product", "boundary"]
+                                + (["werner", "isotropic"] if n == m else [])))
+    if kind == "ginibre":
+        rho = random_density(size, draw(st.integers(1, size)), rng)
+    elif kind == "product":
+        rho = np.kron(random_density(n, draw(st.integers(1, n)), rng),
+                      random_density(m, draw(st.integers(1, m)), rng))
+    elif kind == "werner":
+        rho = compose_state(werner(n, draw(st.floats(-1.0, 1.0))))
+    elif kind == "isotropic":
+        rho = compose_state(isotropic(n, draw(st.floats(-1.0 / (n * n - 1.0), 1.0))))
+    else:
+        pure = random_density(size, 1, rng)
+        low = lowest_pt_eigenvalue(pure, n, m)
+        weight = -low / (1.0 / size - low)
+        offset = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-12.0, -2.0))
+        weight = min(max(weight + offset, 0.0), 1.0)
+        rho = (1.0 - weight) * pure + weight * np.eye(size) / size
+    frame = draw(st.sampled_from(["plain", "rotated", "filtered"]))
+    if frame != "plain":
+        parts = [rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)) for k in (n, m)]
+        if frame == "rotated":
+            parts = [np.linalg.qr(p)[0] for p in parts]
+        f = np.kron(*parts)
+        rho = f @ rho @ f.conj().T
+    rho = 0.5 * (rho + rho.conj().T) / np.trace(rho).real
+    return rho, (n, m)
+
+
+class TestQuditGate:
+    @settings(max_examples=150, deadline=None)
+    @given(qudit_states())
+    def test_verdict_agrees_with_ppt(self, case):
+        rho, (n, m) = case
+        start = time.perf_counter()
+        try:
+            verdict = analyze(rho, n, m)
+        except SepHornError:
+            verdict = None
+        elapsed = time.perf_counter() - start
+        assert elapsed <= CALL_BUDGET_S[(n, m)], (n, m, elapsed)
+        if verdict is None:
+            return
+        low = lowest_pt_eigenvalue(rho, n, m)
+        # PPT decides outside twice its tolerance: the support projection
+        # moves the eigenvalues of rank-deficient input by round-off
+        if low < -2.0 * DEFAULT.psd:
+            assert verdict.status is Status.ENTANGLED, verdict.criteria
+        if (n, m) == (2, 3) and low > 2.0 * DEFAULT.psd:
+            # PPT is also sufficient at 2 x 3 (Horodecki, quant-ph/9605038)
+            assert verdict.status is not Status.ENTANGLED, verdict.criteria
+        if verdict.status is Status.ENTANGLED:
+            assert any(not c.passed for c in verdict.criteria)
+        if verdict.status is Status.SEPARABLE:
+            d = decompose_state(rho, n, m)
+            assert verify_decomposition(verdict.decomposition, d).valid
+
+
+class TestSpectralCounts:
+    """Each spectral quantity is computed once per verdict."""
+
+    @staticmethod
+    def record(monkeypatch):
+        calls = []
+        for name in ("svd", "eigh", "eigvalsh"):
+            real = getattr(np.linalg, name)
+
+            def spy(a, *args, _name=name, _real=real, **kwargs):
+                calls.append((_name, np.array(a)))
+                return _real(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, spy)
+        return calls
+
+    def test_separable_qutrit_verdict(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        u = np.kron(random_unitary(3, rng), random_unitary(3, rng))
+        rho = u @ (0.05 * random_density(9, 9, rng) + 0.95 * np.eye(9) / 9.0) @ u.conj().T
+        calls = self.record(monkeypatch)
+        verdict = analyze(rho, 3, 3)
+        monkeypatch.undo()
+        assert verdict.status is Status.SEPARABLE
+        assert verdict.criteria[-1].name == "decomposition[kyfan-sufficient]"
+        d = decompose_state(rho, 3, 3)
+        tilde = normal_form(d).state
+        # one SVD, of the filtered correlation
+        svds = [a for name, a in calls if name == "svd"]
+        assert len(svds) == 1
+        np.testing.assert_allclose(svds[0], tilde.corr, atol=1e-12)
+        # one eigensolve each of rho and of its partial transpose
+        rho_pt = rho.reshape(3, 3, 3, 3).transpose(0, 3, 2, 1).reshape(9, 9)
+        full = [a for _, a in calls if a.shape == (9, 9)]
+        assert len(full) == 2
+        assert np.allclose(full[0], rho) and np.allclose(full[1], rho_pt)
+        # one eigendecomposition per input marginal; every other 3 x 3 solve
+        # belongs to a filter sweep on a later iterate
+        r4 = rho.reshape(3, 3, 3, 3)
+        for marginal in (np.einsum("ijkj->ik", r4), np.einsum("ijil->jl", r4)):
+            same = [name for name, a in calls
+                    if a.shape == (3, 3) and np.allclose(a / np.trace(a), marginal)]
+            assert same == ["eigh"]
+        # the memoized results are read-only and computed once
+        memo = [d.matrix, *d.marginal_eigh[0], *d.marginal_eigh[1], *d.spectrum,
+                *tilde.corr_svd]
+        assert not any(a.flags.writeable for a in memo)
+        assert d.corr_svd is d.corr_svd and tilde.marginal_eigh is tilde.marginal_eigh
+        with pytest.raises(ValueError):
+            tilde.corr_svd[1][0] = 0.0
+
+    def test_two_qubit_verdict_shares_one_eigh(self, monkeypatch):
+        # the PSD check and Wootters' frame read one eigendecomposition of rho
+        rho = compose_state(werner(2, 0.5))
+        calls = self.record(monkeypatch)
+        verdict = analyze(rho, 2, 2)
+        monkeypatch.undo()
+        assert verdict.status is Status.SEPARABLE
+        rho_pt = rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+        full = [(name, a) for name, a in calls if a.shape == (4, 4)]
+        assert [name for name, _ in full] == ["eigh", "eigvalsh"]
+        assert np.allclose(full[0][1], rho) and np.allclose(full[1][1], rho_pt)
 
 
 class TestVerify:
@@ -306,16 +469,39 @@ class TestAnalyze:
         rho = u @ base @ u.conj().T
         verdict = analyze(rho, 3, 3)
         assert verdict.status is Status.INCONCLUSIVE
-        envelope = verdict.criteria[-1]
-        assert envelope.name == "horn-envelope"
-        # the closed form agrees with the full battery against the uniform
-        # pure-state envelope alpha = beta = R_+(3)
-        taus = np.linalg.svd(decompose_state(rho, 3, 3).corr, compute_uv=False)
-        radius = np.full(len(taus), np.sqrt(4.0 / 3.0))
-        battery = check_product_inequalities(taus, radius, radius)
-        assert envelope.passed and battery.feasible
-        assert abs(envelope.margin - np.log(taus[0] / (4.0 / 3.0))) < 1e-9
-        assert abs(envelope.margin + battery.worst_margin) < 1e-9
+        names = [c.name for c in verdict.criteria]
+        assert names == ["ppt", "kyfan-necessary", "kyfan-sufficient"]
+        # the failed sufficient criterion: how far the filtered Ky Fan norm
+        # lies outside the constructive ball
+        sufficient = verdict.criteria[-1]
+        tilde = normal_form(decompose_state(rho, 3, 3)).state
+        norm = np.linalg.svd(tilde.corr, compute_uv=False).sum()
+        assert not sufficient.passed
+        assert abs(sufficient.margin - (norm - sufficient_bound(3, 3))) < 1e-9
+        assert sufficient.margin > 0.8
+
+    def test_unconverged_filtering_applies_the_unfiltered_bound(self):
+        # the tiles state of Bennett et al. is PPT and entangled, and its
+        # unfiltered correlation violates ||T||_KF <= R_+(3)^2 = 4/3; two
+        # sweeps do not bring it to normal form
+        rho = tiles_state()
+        cfg = replace(DEFAULT, normal_max_iter=2)
+        verdict = analyze(rho, 3, 3, cfg=cfg)
+        assert verdict.status is Status.ENTANGLED
+        names = [c.name for c in verdict.criteria]
+        assert names == ["ppt", "normal-form", "kyfan-necessary"]
+        norm = np.linalg.svd(decompose_state(rho, 3, 3).corr, compute_uv=False).sum()
+        bound = verdict.criteria[-1]
+        assert not bound.passed
+        assert abs(bound.margin - (norm - 4.0 / 3.0)) < 1e-12
+        # a separable state whose filtering is cut short passes the bound
+        # and stays inconclusive
+        rng = np.random.default_rng(32)
+        rho = 0.5 * random_density(9, 9, rng) + 0.5 * np.eye(9) / 9.0
+        verdict = analyze(rho, 3, 3, cfg=cfg)
+        assert verdict.status is Status.INCONCLUSIVE
+        assert [c.name for c in verdict.criteria] == names
+        assert verdict.criteria[-1].passed and verdict.criteria[-1].margin < 0.0
 
     def test_threshold_isotropic_is_separable(self):
         # p = 1/(N+1) is recovered from the state a few ulps above the

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 import sephorn
+from helpers import is_physical
 from sephorn.bipartite import BipartiteDecomposed, decompose_state, partial_transpose_matrix
 from sephorn import decompose
-from sephorn.bloch import from_bloch, is_physical, to_bloch
+from sephorn.bloch import from_bloch, to_bloch
 from sephorn.criteria import verify_decomposition
 from sephorn.decompose import (
     ENTANGLED,
@@ -32,7 +33,7 @@ from sephorn.errors import (
 )
 from sephorn.horn import product_singulars_feasible
 from sephorn.states import isotropic, random_density, werner
-from sephorn.su import generator_basis, symmetric_structure_tensor
+from sephorn.su import generator_basis
 
 
 def normal_form_state(corr, dim_a, dim_b):
@@ -155,10 +156,10 @@ class TestPureSimplex:
             assert is_physical(v, tol=1e-8)
 
     def test_qutrit_components_are_pure(self):
-        # cubic structure-constant invariant of pure qutrit states
-        tensor = symmetric_structure_tensor(generator_basis(3))
+        # spectrum (1, 0, 0): a rank-one projector
         for v in pure_state_simplex(3, seed=0):
-            assert abs(tensor.contract(np.asarray(v)) - 8.0 / 9.0) < 1e-6
+            np.testing.assert_allclose(np.linalg.eigvalsh(from_bloch(v)), [0.0, 0.0, 1.0],
+                                       atol=1e-6)
 
     def test_deterministic_per_seed(self):
         a = pure_state_simplex(3, seed=1)
