@@ -58,7 +58,7 @@ from .horn import (
 )
 from .linalg import random_orthogonal, random_unitary
 from .states import bell, isotropic, p_zero, random_density, werner
-from .su import antisymmetric_indices, generator_basis
+from .su import antisymmetric_indices, generator_basis, symmetric_structure_tensor
 
 __version__ = "0.1.0"
 
@@ -103,6 +103,7 @@ __all__ = [
     "random_density",
     "random_orthogonal",
     "random_unitary",
+    "symmetric_structure_tensor",
     "to_bloch",
     "transpose_flip",
     "triple_set",

@@ -1,4 +1,4 @@
-"""Generalized Gell-Mann generators of SU(N).
+"""Generalized Gell-Mann generators of SU(N) and their structure constants.
 
 Canonical ordering, fixed so that file formats and rotation constructions
 are reproducible: all symmetric off-diagonal pairs (j < k) first, then all
@@ -9,8 +9,9 @@ is Tr[g_mu g_nu] = 2 delta_mu_nu throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
@@ -77,3 +78,51 @@ def antisymmetric_indices(basis: GeneratorBasis) -> tuple[int, ...]:
     """Indices of generators with g^T = -g (one per off-diagonal pair)."""
     return basis.antisymmetric_indices
 
+
+@dataclass(frozen=True)
+class SymmetricStructureTensor:
+    """Fully symmetric structure constants of the generator basis.
+
+    Normalization: entry (mu, nu, rho) holds Tr[{g_mu, g_nu} g_rho] / 4, the
+    convention under which the (1,1,8) entry for SU(3) equals 1/sqrt(3).  The
+    sparse map stores every index permutation of each nonzero entry.
+    """
+
+    dim: int
+    entries: dict[tuple[int, int, int], float] = field(repr=False)
+
+    def value(self, mu: int, nu: int, rho: int) -> float:
+        return self.entries.get((mu, nu, rho), 0.0)
+
+    def dense(self) -> np.ndarray:
+        k = self.dim * self.dim - 1
+        out = np.zeros((k, k, k))
+        for (a, b, c), v in self.entries.items():
+            out[a, b, c] = v
+        return out
+
+    def contract(self, vec: np.ndarray) -> float:
+        """Cubic form sum_{mu nu rho} d_{mu nu rho} v_mu v_nu v_rho."""
+        dense = self.dense()
+        return float(np.einsum("abc,a,b,c->", dense, vec, vec, vec))
+
+
+@lru_cache(maxsize=None)
+def _structure_tensor_cached(dim: int) -> SymmetricStructureTensor:
+    basis = generator_basis(dim)
+    mats = basis.matrices
+    k = len(basis)
+    entries: dict[tuple[int, int, int], float] = {}
+    for a, b, c in combinations_with_replacement(range(k), 3):
+        anti = mats[a] @ mats[b] + mats[b] @ mats[a]
+        val = float(np.real(np.trace(anti @ mats[c]))) / 4.0
+        if abs(val) < 1e-14:
+            continue
+        for perm in set(permutations((a, b, c))):
+            entries[perm] = val
+    return SymmetricStructureTensor(dim=dim, entries=entries)
+
+
+def symmetric_structure_tensor(basis: GeneratorBasis) -> SymmetricStructureTensor:
+    """Symmetric structure constants of ``basis`` (all zero for SU(2))."""
+    return _structure_tensor_cached(basis.dim)

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from sephorn.errors import DimensionTooSmall
-from sephorn.su import antisymmetric_indices, generator_basis
+from sephorn.linalg import random_unitary
+from sephorn.su import (
+    antisymmetric_indices,
+    generator_basis,
+    symmetric_structure_tensor,
+)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -57,3 +62,44 @@ def test_antisymmetric_indices_by_transpose(dim):
 def test_su2_antisymmetric_is_sigma_y():
     assert antisymmetric_indices(generator_basis(2)) == (1,)
 
+
+class TestStructureTensor:
+    def test_su2_vanishes(self):
+        tensor = symmetric_structure_tensor(generator_basis(2))
+        assert tensor.entries == {}
+
+    def test_su3_symmetric_diagonal_entry(self):
+        # standard value for the (first symmetric, first symmetric, last
+        # diagonal) entry of SU(3)
+        tensor = symmetric_structure_tensor(generator_basis(3))
+        assert abs(tensor.value(0, 0, 7) - 1.0 / np.sqrt(3.0)) < 1e-12
+
+    def test_matches_anticommutator_trace(self):
+        basis = generator_basis(3)
+        tensor = symmetric_structure_tensor(basis)
+        rng = np.random.default_rng(2)
+        mats = basis.matrices
+        for _ in range(25):
+            a, b, c = rng.integers(0, 8, size=3)
+            direct = np.trace((mats[a] @ mats[b] + mats[b] @ mats[a]) @ mats[c]) / 4.0
+            assert abs(tensor.value(int(a), int(b), int(c)) - direct.real) < 1e-12
+
+    def test_permutation_symmetry(self):
+        tensor = symmetric_structure_tensor(generator_basis(3))
+        for (a, b, c), v in tensor.entries.items():
+            assert tensor.value(c, a, b) == v
+            assert tensor.value(b, c, a) == v
+            assert tensor.value(b, a, c) == v
+
+    def test_pure_state_cubic_invariant(self):
+        # qutrit pure states satisfy |r|^2 = 4/3 and d(r, r, r) = 8/9, which
+        # pins the normalization convention independently of the traces
+        basis = generator_basis(3)
+        tensor = symmetric_structure_tensor(basis)
+        rng = np.random.default_rng(11)
+        for trial in range(10):
+            u = random_unitary(3, rng)
+            rho = np.outer(u[:, 0], u[:, 0].conj())
+            r = np.real(np.einsum("ij,mji->m", rho, basis.matrices))
+            assert abs(r @ r - 4.0 / 3.0) < 1e-12
+            assert abs(tensor.contract(r) - 8.0 / 9.0) < 1e-10
