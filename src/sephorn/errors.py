@@ -12,14 +12,6 @@ class SepHornError(Exception):
 
 # --- linear algebra ---------------------------------------------------------
 
-class NotHermitian(SepHornError):
-    """Input matrix deviates from Hermiticity beyond tolerance."""
-
-
-class NoConvergence(SepHornError):
-    """An iterative linear-algebra kernel exhausted its budget."""
-
-
 class DimensionMismatch(SepHornError):
     """Array shapes are inconsistent with the declared dimensions."""
 
@@ -65,7 +57,7 @@ class LengthMismatch(SepHornError):
 
 
 class NotSorted(SepHornError):
-    """Singular-value sequences must be non-negative and descending."""
+    """Singular-value sequences must be finite, non-negative and descending."""
 
 
 # --- constructions ----------------------------------------------------------

@@ -12,6 +12,11 @@ holds over every admissible triple of every cardinality r < L.  Inequality
 arithmetic runs in the log domain with log 0 = -inf, so zero singular
 values are handled one-sidedly; for strictly positive alpha and beta the
 product equality prod tau = prod alpha_i beta_i is additionally required.
+
+Each side of an inequality is a subset sum of logs, and there are only 2^L
+subsets against T triples (T = 8 752 at L = 8), so the battery takes every
+subset's log-sum with one matrix product and reads each inequality from
+that table by the bitmasks of I, J and K, cached per L in ``subset_table``.
 """
 
 from __future__ import annotations
@@ -28,8 +33,13 @@ from .errors import BadCardinality, LengthMismatch, NotSorted, TripleCapExceeded
 # 5.2 million triples, and n = 13 about 28 million
 MAX_N = 12
 
-# int16 entries per block of candidates tested at once in ``triple_set``
+# candidates per block tested at once in ``triple_set``: enough for 2^16
+# int16 entries, and never fewer than _MIN_BLOCK, so a block of T lower
+# inequalities holds at most max(2^16, 64 T) entries.  At n <= MAX_N one
+# block also holds no more than one I's candidates; the largest block is at
+# n = 12, r = 10 (64 x 191 353 entries, 24 MB per int16 temporary)
 _BLOCK_ENTRIES = 1 << 16
+_MIN_BLOCK = 64
 
 Triple = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
@@ -63,10 +73,11 @@ def triple_set(n: int, r: int) -> TripleSet:
     sum(I) + sum(J) = sum(K) + r(r+1)/2 and, for every p < r and every
     admissible (F, G, H) of cardinality p in 1..r, the position-selected
     inequality sum_{f in F} i_f + sum_{g in G} j_g <= sum_{h in H} k_h
-    + p(p+1)/2.  All inequalities of one candidate are tested at once, in
-    blocks of candidates of bounded size.  The number of triples, and with
-    it time and memory, grows about fivefold per step of n, so n is capped
-    at ``MAX_N``.
+    + p(p+1)/2.  Candidates are tested in blocks of bounded size: first
+    against the inequalities of p <= 2, which reject most failing
+    candidates, then the block's survivors against all of them.  The
+    number of triples, and with it time and memory, grows about fivefold
+    per step of n, so n is capped at ``MAX_N``.
     """
     if n > MAX_N:
         raise TripleCapExceeded(f"triple enumeration capped at n <= {MAX_N}, got {n}")
@@ -90,7 +101,8 @@ def triple_set(n: int, r: int) -> TripleSet:
     by_sum = np.argsort(sums, kind="stable")
     sorted_sums = sums[by_sum]
     shift = r * (r + 1) // 2
-    block = max(1, _BLOCK_ENTRIES // len(bound))
+    block = max(_MIN_BLOCK, _BLOCK_ENTRIES // len(bound))
+    head = sum(len(triple_set(r, p)) for p in range(1, min(r, 3)))   # columns of p <= 2
     out = []
     for a in range(len(subsets)):
         target = sums[a] + sums - shift
@@ -103,6 +115,8 @@ def triple_set(n: int, r: int) -> TripleSet:
         slack = bound - part_i[a]
         for lo_c in range(0, len(b_all), block):
             b, c = b_all[lo_c:lo_c + block], c_all[lo_c:lo_c + block]
+            ok = (part_j[b, :head] - part_k[c, :head] <= slack[:head]).all(axis=1)
+            b, c = b[ok], c[ok]
             ok = (part_j[b] - part_k[c] <= slack).all(axis=1)
             out.extend((subsets[a], subsets[j], subsets[k])
                        for j, k in zip(b[ok].tolist(), c[ok].tolist()))
@@ -138,24 +152,24 @@ def all_triples(n: int) -> tuple[TripleSet, ...]:
 
 
 @lru_cache(maxsize=None)
-def flat_index_arrays(n: int):
-    """All triples for 1 <= r < n flattened to CSR index arrays.
+def subset_table(n: int):
+    """Subset-sum table of every triple for 1 <= r < n.
 
-    Returns ``(ii, jj, kk, offsets, triples)`` with 0-based indices; segment
-    t of the flat arrays holds the indices of ``triples[t]``.
+    Returns ``(members, positions, triples)``.  ``members`` is the (n, 2^n)
+    0/1 matrix whose column m marks the indices in bitmask m (index i is
+    bit i - 1), so for a stack ``x`` of three length-n rows, ``x @ members``
+    holds every subset sum of each row.  ``positions`` is the (3, T) array
+    of s * 2^n + (bitmask of side s of triple t): the places of I, J and K
+    of ``triples[t]`` in that (3, 2^n) table, flattened.  ``triples`` is
+    the flat tuple of ``all_triples(n)`` in order.
     """
-    triples: list[Triple] = []
-    for ts in all_triples(n):
-        triples.extend(ts.triples)
-    ii, jj, kk, offs = [], [], [], [0]
-    for I, J, K in triples:
-        ii.extend(x - 1 for x in I)
-        jj.extend(x - 1 for x in J)
-        kk.extend(x - 1 for x in K)
-        offs.append(len(ii))
-    return (np.asarray(ii, dtype=np.int64), np.asarray(jj, dtype=np.int64),
-            np.asarray(kk, dtype=np.int64), np.asarray(offs, dtype=np.int64),
-            tuple(triples))
+    sets = all_triples(n)
+    masks = np.concatenate([(1 << (np.asarray(ts.triples, dtype=np.intp) - 1)).sum(axis=-1)
+                            for ts in sets])                    # (T, 3)
+    positions = masks.T + (np.arange(3)[:, None] << n)
+    members = ((np.arange(1 << n) >> np.arange(n)[:, None]) & 1).astype(float)
+    triples = tuple(t for ts in sets for t in ts.triples)
+    return members, positions, triples
 
 
 @dataclass(frozen=True)
@@ -182,6 +196,8 @@ def _validated(name: str, values, length: int | None) -> np.ndarray:
         raise LengthMismatch(f"{name} must be one-dimensional")
     if length is not None and len(arr) != length:
         raise LengthMismatch(f"{name} has length {len(arr)}, expected {length}")
+    if not np.isfinite(arr).all():
+        raise NotSorted(f"{name} contains non-finite entries")
     if len(arr) and (arr < 0).any():
         raise NotSorted(f"{name} contains negative entries")
     if len(arr) > 1 and (np.diff(arr) > 1e-12).any():
@@ -189,53 +205,52 @@ def _validated(name: str, values, length: int | None) -> np.ndarray:
     return arr
 
 
-def _log_with_inf(values: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.log(values)
-
-
 def check_product_inequalities(tau, alpha, beta, *, slack: float = 1e-9) -> HornReport:
     """Evaluate every multiplicative inequality for the given singular values.
 
-    All three sequences must be descending, non-negative and of one common
-    length L.  Inequalities are compared in the log domain with a relative
-    slack; equalities count as satisfied.
+    All three sequences must be finite, descending, non-negative and of one
+    common length L.  Inequalities are compared in the log domain with a
+    relative slack; equalities count as satisfied.  One product with the cached
+    ``subset_table(L)`` gives the log-sum of every subset of alpha, beta and
+    tau, with -inf for a subset that holds a zero, and one gather by
+    position reads both sides of all T inequalities, so a call costs
+    O(L 2^L + T) and holds no Python loop over the triples.  ``violated``
+    lists the failing triples in the order of ``all_triples(L)``.
     """
     tau = _validated("tau", tau, None)
     alpha = _validated("alpha", alpha, len(tau))
     beta = _validated("beta", beta, len(tau))
-    length = len(tau)
-    if length <= 1:
-        eq = _product_equality(tau, alpha, beta, slack=slack)
-        return HornReport(feasible=True, worst_margin=np.inf, violated=(),
-                          product_equality=eq)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.log(np.array([alpha, beta, tau]))           # log 0 = -inf
+        zero = np.isneginf(logs)
+        eq = _product_equality(logs, zero, slack=slack)
+        if len(tau) <= 1:
+            return HornReport(feasible=True, worst_margin=np.inf, violated=(),
+                              product_equality=eq)
 
-    ii, jj, kk, offs, triples = flat_index_arrays(length)
-    # per-triple log sums; a -inf (zero value) propagates through its sum
-    starts = offs[:-1]
-    rhs = (np.add.reduceat(_log_with_inf(alpha)[ii], starts)
-           + np.add.reduceat(_log_with_inf(beta)[jj], starts))
-    lhs = np.add.reduceat(_log_with_inf(tau)[kk], starts)
-
-    log_slack = np.log1p(slack)
-    with np.errstate(invalid="ignore"):
-        margins = np.where(np.isneginf(lhs), np.inf,
-                           np.where(np.isneginf(rhs), -np.inf, rhs - lhs))
-    bad = margins < -log_slack
-    violated = tuple(t for t, flag in zip(triples, bad) if flag)
-    worst = float(margins.min())
-    eq = _product_equality(tau, alpha, beta, slack=slack)
-    return HornReport(feasible=not bad.any(), worst_margin=worst,
+        members, positions, triples = subset_table(len(tau))
+        # every subset's log-sum, -inf for a subset holding a zero value
+        sums = np.where(zero, 0.0, logs) @ members
+        sums[zero @ members > 0] = -np.inf
+        alpha_i, beta_j, tau_k = sums.ravel().take(positions)
+        margins = alpha_i + beta_j - tau_k
+    # nan is -inf - -inf: the left side vanishes, so the inequality holds
+    margins[np.isnan(margins)] = np.inf
+    bad = np.flatnonzero(margins < -np.log1p(slack))
+    violated = tuple(map(triples.__getitem__, bad.tolist()))
+    return HornReport(feasible=not violated, worst_margin=float(margins.min()),
                       violated=violated, product_equality=eq)
 
 
-def _product_equality(tau, alpha, beta, *, slack: float = 1e-9) -> bool | None:
-    if len(tau) == 0:
+def _product_equality(logs, zero, *, slack: float) -> bool | None:
+    """The determinant identity on the (3, L) logs of alpha, beta and tau,
+    None when ``zero`` flags a vanishing value."""
+    if logs.shape[1] == 0:
         return True
-    if min(tau.min(), alpha.min(), beta.min()) <= 0.0:
+    if zero.any():
         return None
-    lhs = np.log(tau).sum()
-    rhs = np.log(alpha).sum() + np.log(beta).sum()
+    rhs = logs[0].sum() + logs[1].sum()
+    lhs = logs[2].sum()
     return bool(abs(lhs - rhs) <= slack * max(1.0, abs(lhs), abs(rhs)))
 
 
@@ -251,13 +266,7 @@ def product_singulars_feasible(tau, alpha, beta, *, slack: float = 1e-9) -> bool
     report = check_product_inequalities(tau, alpha, beta, slack=slack)
     if not report.feasible:
         return False
-    alpha = np.asarray(alpha, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    if len(alpha) == 0 or alpha.min() <= 0.0 or beta.min() <= 0.0:
-        return True
-    log_rhs = np.log(alpha).sum() + np.log(beta).sum()
-    if (tau <= 0.0).any():
-        return False
-    log_lhs = np.log(tau).sum()
-    return bool(abs(log_lhs - log_rhs) <= slack * max(1.0, abs(log_lhs), abs(log_rhs)))
+    if report.product_equality is not None:
+        return report.product_equality
+    # some value is zero: in alpha or beta only the inequalities apply
+    return bool(min(np.min(alpha), np.min(beta)) <= 0.0)

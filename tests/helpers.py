@@ -6,7 +6,7 @@ from itertools import combinations
 import numpy as np
 
 from sephorn.bloch import from_bloch
-from sephorn.horn import flat_index_arrays
+from sephorn.horn import subset_table
 
 CHUNK = 8192  # sample rows per vectorized block
 
@@ -20,19 +20,18 @@ def is_physical(r, tol: float = 1e-9) -> bool:
 def batch_min_margin(a, b, c) -> np.ndarray:
     """Worst inequality margin per sample row.
 
-    a, b, c: (S, n) descending value rows.  Returns the (S,) array of
-    min over every admissible triple of sum a[I] + sum b[J] - sum c[K];
-    a negative entry flags a violated inequality.
+    a, b, c: (S, n) finite descending value rows.  Returns the (S,) array
+    of min over every admissible triple of sum a[I] + sum b[J] - sum c[K];
+    a negative entry flags a violated inequality.  Each side is one
+    (S, 2^n) product with the subset table, then one gather by position.
     """
-    ii, jj, kk, offs, _ = flat_index_arrays(a.shape[1])
-    starts = offs[:-1]
+    members, positions, _ = subset_table(a.shape[1])
     out = np.empty(a.shape[0])
     for lo in range(0, a.shape[0], CHUNK):
         hi = min(lo + CHUNK, a.shape[0])
-        rhs = (np.add.reduceat(a[lo:hi, ii], starts, axis=1)
-               + np.add.reduceat(b[lo:hi, jj], starts, axis=1))
-        lhs = np.add.reduceat(c[lo:hi, kk], starts, axis=1)
-        out[lo:hi] = (rhs - lhs).min(axis=1)
+        sums = (np.stack([a[lo:hi], b[lo:hi], c[lo:hi]], axis=1) @ members).reshape(hi - lo, -1)
+        a_i, b_j, c_k = sums[:, positions].transpose(1, 0, 2)
+        out[lo:hi] = (a_i + b_j - c_k).min(axis=1)
     return out
 
 

@@ -9,6 +9,7 @@ from helpers import batch_min_margin, loop_triple_set
 from sephorn.errors import BadCardinality, LengthMismatch, NotSorted, TripleCapExceeded
 from sephorn.horn import (
     MAX_N,
+    HornReport,
     all_triples,
     check_product_inequalities,
     partition_of,
@@ -150,6 +151,48 @@ def test_rejected_candidates_exist_for_n4():
     assert len(rejected_sum_candidates(4)) == 6
 
 
+def battery_inputs(rng, length):
+    """Singular values of D_alpha Q D_beta, the same with tau_1 lifted above
+    alpha_1 beta_1, and zero-padded variants of both sides."""
+    alpha, beta = (np.sort(rng.uniform(0.2, 1.5, size=length))[::-1] for _ in range(2))
+    q = random_orthogonal(length, rng)
+    tau = np.linalg.svd((alpha[:, None] * q) * beta[None, :], compute_uv=False)
+    lifted = tau.copy()
+    lifted[0] = 1.05 * alpha[0] * beta[0]
+    cut = int(rng.integers(1, length))
+    alpha_low, tau_low, beta_low = alpha.copy(), tau.copy(), beta.copy()
+    alpha_low[cut:] = 0.0
+    tau_low[cut:] = 0.0
+    beta_low[cut:] = 0.0
+    return [(tau, alpha, beta), (lifted, alpha, beta),
+            (tau_low, alpha_low, beta), (tau_low, alpha, beta),
+            (tau, alpha, beta_low)]
+
+
+def loop_report(tau, alpha, beta, slack=1e-9):
+    """Reference for ``check_product_inequalities``: one triple at a time,
+    in the order of ``all_triples``, with log 0 = -inf."""
+    with np.errstate(divide="ignore"):
+        lt, la, lb = (np.log(np.asarray(v, dtype=float)).tolist()
+                      for v in (tau, alpha, beta))
+    margins, violated = [], []
+    for ts in all_triples(len(tau)):
+        for I, J, K in ts:
+            rhs = sum(la[i - 1] for i in I) + sum(lb[j - 1] for j in J)
+            lhs = sum(lt[k - 1] for k in K)
+            margin = np.inf if lhs == -np.inf else (-np.inf if rhs == -np.inf else rhs - lhs)
+            margins.append(margin)
+            if margin < -np.log1p(slack):
+                violated.append((I, J, K))
+    if -np.inf in lt + la + lb:
+        equality = None
+    else:
+        lhs, rhs = sum(lt), sum(la) + sum(lb)
+        equality = abs(lhs - rhs) <= slack * max(1.0, abs(lhs), abs(rhs))
+    return HornReport(feasible=not violated, worst_margin=min(margins),
+                      violated=tuple(violated), product_equality=equality)
+
+
 class TestProductInequalities:
     def test_all_ones_boundary(self):
         report = check_product_inequalities([1.0, 1.0], [1.0, 1.0], [1.0, 1.0])
@@ -200,6 +243,23 @@ class TestProductInequalities:
         assert set(report.violated) == set(want_violated)
         assert report.feasible == (not want_violated)
 
+    @pytest.mark.parametrize("length", range(2, 9), ids=lambda n: f"L={n}")
+    def test_matches_loop_reference(self, length):
+        # product, r = 1-perturbed and zero-padded inputs against a plain
+        # loop over the triples, in the battery's own triple order
+        rng = np.random.default_rng(700 + length)
+        for _ in range(2):
+            for tau, alpha, beta in battery_inputs(rng, length):
+                want = loop_report(tau, alpha, beta)
+                report = check_product_inequalities(tau, alpha, beta)
+                assert report.feasible == want.feasible
+                assert report.violated == want.violated
+                assert report.product_equality == want.product_equality
+                if np.isinf(want.worst_margin):
+                    assert report.worst_margin == want.worst_margin
+                else:
+                    assert abs(report.worst_margin - want.worst_margin) <= 1e-12
+
     def test_feasible_iff_no_violations(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
@@ -214,6 +274,13 @@ class TestProductInequalities:
             check_product_inequalities([0.5, 1.0], [1.0, 0.5], [1.0, 0.5])
         with pytest.raises(NotSorted):
             check_product_inequalities([1.0, -0.5], [1.0, 0.5], [1.0, 0.5])
+
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_rejected(self, bad):
+        # a non-finite value has no subset sum to read the inequalities from
+        with pytest.raises(NotSorted):
+            check_product_inequalities([1.0, 0.5], [bad, 0.5], [1.0, 0.5])
 
 
 class TestFeasibility:
