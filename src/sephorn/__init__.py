@@ -19,9 +19,7 @@ from .bipartite import (
     project_to_support,
 )
 from .bloch import (
-    BlochRadii,
     from_bloch,
-    radii,
     to_bloch,
     transpose_flip,
 )
@@ -30,7 +28,6 @@ from .criteria import (
     Verdict,
     analyze,
     kyfan_necessary_check,
-    kyfan_norm,
     kyfan_sufficient_check,
     ppt_check,
     two_qubit_decide,
@@ -58,13 +55,12 @@ from .horn import (
 )
 from .linalg import random_orthogonal, random_unitary
 from .states import bell, isotropic, p_zero, random_density, werner
-from .su import antisymmetric_indices, generator_basis, symmetric_structure_tensor
+from .su import generator_basis, symmetric_structure_tensor
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BipartiteDecomposed",
-    "BlochRadii",
     "DecompositionOutcome",
     "ENTANGLED",
     "HornReport",
@@ -76,7 +72,6 @@ __all__ = [
     "Verdict",
     "all_triples",
     "analyze",
-    "antisymmetric_indices",
     "bell",
     "check_product_inequalities",
     "compose_state",
@@ -87,7 +82,6 @@ __all__ = [
     "isotropic_decompose",
     "kyfan_bound_decomposition",
     "kyfan_necessary_check",
-    "kyfan_norm",
     "kyfan_sufficient_check",
     "local_ranks",
     "normal_form",
@@ -99,7 +93,6 @@ __all__ = [
     "product_singulars_feasible",
     "project_to_support",
     "pure_state_simplex",
-    "radii",
     "random_density",
     "random_orthogonal",
     "random_unitary",

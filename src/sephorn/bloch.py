@@ -8,8 +8,6 @@ plain numpy arrays; the local dimension is recovered from the length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionMismatch, NotAState
@@ -122,22 +120,3 @@ def transpose_flip(r: np.ndarray) -> np.ndarray:
         idx = list(generator_basis(n).antisymmetric_indices)
         out[..., idx] = -out[..., idx]
     return out
-
-
-@dataclass(frozen=True)
-class BlochRadii:
-    """Circumscribed and inscribed sphere radii of the physical Bloch body."""
-
-    outer: float
-    inner: float
-
-
-def radii(dim: int) -> BlochRadii:
-    """outer = sqrt(2(N-1)/N), inner = sqrt(2/(N(N-1))); equal only at N=2."""
-    if dim < 2:
-        raise DimensionMismatch(f"radii need dim >= 2, got {dim}")
-    return BlochRadii(
-        outer=float(np.sqrt(2.0 * (dim - 1) / dim)),
-        inner=float(np.sqrt(2.0 / (dim * (dim - 1)))),
-    )
-

@@ -2,10 +2,11 @@
 
 Combines the necessary checks (norm bound on the correlation matrix,
 positivity under partial transposition), the constructive sufficient check,
-the exact two-qubit decision and the closed-form family decompositions into
-a single pipeline with three honest outcomes: ``SEPARABLE`` (always carrying
-a verified decomposition), ``ENTANGLED`` (always carrying a violated
-necessary criterion) and ``INCONCLUSIVE``.
+the exact two-qubit decision and the closed-form Werner and isotropic
+decompositions, recognised in any local frame, into a single pipeline with
+three honest outcomes: ``SEPARABLE`` (always carrying a verified
+decomposition), ``ENTANGLED`` (always carrying a violated necessary
+criterion) and ``INCONCLUSIVE``.
 Two-qubit states are decided by partial transposition and Wootters'
 closed-form product decomposition, without filtering; larger states are
 filtered to normal form before the norm bounds and family decompositions.
@@ -13,8 +14,9 @@ filtered to normal form before the norm bounds and family decompositions.
 The criteria read the spectral results a :class:`BipartiteDecomposed`
 record computes once: partial transposition takes the eigenvalues of the
 matrix-level partial transpose of ``d.matrix``, and the two Ky Fan checks,
-the constructive decomposition and the excess logged on inconclusive
-verdicts all read the one singular value decomposition ``d.corr_svd``.
+the constructive decomposition, the family recogniser and the excess logged
+on inconclusive verdicts all read the one singular value decomposition
+``d.corr_svd``.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import numpy as np
 
 from .bipartite import (
     BipartiteDecomposed,
+    NormalFormResult,
     decompose_state,
     local_ranks,
     normal_form,
@@ -36,10 +39,8 @@ from .bipartite import (
 from .bloch import from_bloch
 from .config import DEFAULT, Tolerances
 from .decompose import (
-    DecompositionOutcome,
     SeparableDecomposition,
     embed_isometries,
-    isotropic_decompose,
     _kyfan_pairs,
     pull_back_filters,
     werner_decompose,
@@ -47,7 +48,7 @@ from .decompose import (
     wootters_frame,
 )
 from .errors import DimensionMismatch, NotNormalForm, NotPSD, SepHornError
-from .su import generator_basis
+from .states import werner_parameter
 
 
 class Status(enum.Enum):
@@ -95,14 +96,6 @@ class Verdict:
 # ---------------------------------------------------------------------------
 # individual criteria
 # ---------------------------------------------------------------------------
-
-def kyfan_norm(corr: np.ndarray) -> float:
-    """Sum of the singular values of a correlation matrix."""
-    corr = np.asarray(corr, dtype=float)
-    if corr.size == 0:
-        return 0.0
-    return float(np.linalg.svd(corr, compute_uv=False).sum())
-
 
 def _require_normal_form(d: BipartiteDecomposed, tol: float) -> None:
     na = float(np.linalg.norm(d.a))
@@ -238,37 +231,46 @@ def two_qubit_decide(d: BipartiteDecomposed, *, cfg: Tolerances = DEFAULT) -> Ve
 
 
 # ---------------------------------------------------------------------------
-# special-family recognition on normal forms
+# Werner and isotropic families in any local frame
 # ---------------------------------------------------------------------------
 
-def _match_werner(d: BipartiteDecomposed, tol: float = 1e-9) -> float | None:
-    """Werner parameter when corr is c * identity (square dims), else None."""
-    if d.dim_a != d.dim_b or d.corr.shape[0] != d.corr.shape[1]:
-        return None
-    k = d.corr.shape[0]
-    diag = np.diag(d.corr)
-    c = float(diag.mean())
-    if np.abs(d.corr - c * np.eye(k)).max() > tol:
+def _family_verdict(d: BipartiteDecomposed, nf: NormalFormResult,
+                    log: list[CriterionResult], cfg: Tolerances,
+                    seed: int) -> Verdict | None:
+    """Werner and isotropic states in any local frame, from the stored SVD.
+
+    Filtering takes every local-filter image of a Werner or isotropic state
+    to a local-unitary image, whose correlation is c O with O orthogonal:
+    Ad(W) for Werner, Ad(W) Flip for isotropic.  So all singular values of
+    the filtered correlation U diag(tau) V^T are equal; when they spread
+    by more than ``cfg.residual`` no rotated family reproduces it within
+    the verification residual, and None is returned with nothing logged.
+    Otherwise O = U V^T, and the canonical Werner decomposition of c = +-tau_1
+    has its A side rotated by +-O.  c = -tau_1 is taken while its Werner
+    parameter is separable: that A side lies in the inscribed ball, where
+    every rotation stays physical.  The filters are pulled back and the
+    result is verified like every other decomposition.
+    """
+    u, taus, vh = nf.state.corr_svd
+    if d.dim_a != d.dim_b or taus[0] - taus[-1] > cfg.residual:
         return None
     n = d.dim_a
-    return (c * n * (n * n - 1.0) / 2.0 + 1.0) / n
-
-
-def _match_isotropic(d: BipartiteDecomposed, tol: float = 1e-9) -> float | None:
-    """Isotropic parameter when corr is the +-diagonal pattern, else None."""
-    if d.dim_a != d.dim_b:
+    # round-off puts a recovered phi just outside [0, 1] at either end (phi =
+    # 1 + 5e-12 on a filtered 3x3 Werner state, -1e-16 on a rotated phi = 0
+    # one), so phi is clamped; the Ky Fan necessary check bounds the excess
+    # above 1, and verification has the last word
+    sign = -1.0 if werner_parameter(n, -taus[0]) >= -cfg.residual else 1.0
+    phi = min(max(werner_parameter(n, sign * taus[0]), 0.0), 1.0)
+    try:
+        built = werner_decompose(n, phi, seed)
+    except SepHornError as exc:
+        log.append(CriterionResult("family", False, 0.0, str(exc)))
         return None
-    n = d.dim_a
-    basis = generator_basis(n)
-    diag = np.diag(d.corr).copy()
-    anti = list(basis.antisymmetric_indices)
-    diag[anti] = -diag[anti]
-    c = float(diag.mean())
-    pattern = np.full(len(diag), c)
-    pattern[anti] = -c
-    if np.abs(d.corr - np.diag(pattern)).max() > tol:
-        return None
-    return c * n / 2.0
+    rotated = SeparableDecomposition(probs=built.probs,
+                                     r_vectors=built.r_vectors @ (sign * u @ vh).T,
+                                     s_vectors=built.s_vectors)
+    dec = pull_back_filters(rotated, nf.filter_a, nf.filter_b, d.dim_a, d.dim_b)
+    return _verified(dec, d, log, cfg, "family")
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +303,10 @@ def analyze(rho: np.ndarray, dim_a: int, dim_b: int, *,
     Stages: validation, support projection (with a shortcut for trivial
     rank-one factors), then the criteria battery -- exact decision for two
     qubits; otherwise partial transposition, normal-form filtering, the
-    necessary norm bound, the constructive sufficient bound, and closed-form
-    family decompositions.  Separable verdicts are re-verified before being
+    necessary norm bound, the constructive sufficient bound, and the
+    closed-form Werner and isotropic decompositions, which recognise either
+    family in any local frame by the equal singular values of its filtered
+    correlation.  Separable verdicts are re-verified before being
     returned.  An inconclusive verdict on a filtered state logs the failed
     ``kyfan-sufficient`` criterion, whose margin is how far the filtered
     Ky Fan norm exceeds the constructive bound; when filtering does not
@@ -398,27 +402,7 @@ def _analyze_decomposed(d: BipartiteDecomposed, *, cfg: Tolerances,
                                    f"filtered Ky Fan norm exceeds the constructive "
                                    f"bound {bound:.6g}"))
 
-    for matcher, builder, label in (
-        (_match_werner, werner_decompose, "werner"),
-        (_match_isotropic, isotropic_decompose, "isotropic"),
-    ):
-        param = matcher(tilde)
-        if param is None:
-            continue
-        try:
-            built = builder(d.dim_a, param, seed)
-        except SepHornError as exc:
-            log.append(CriterionResult(f"family[{label}]", False, 0.0, str(exc)))
-            continue
-        if isinstance(built, DecompositionOutcome):
-            # the entangled parameter range is already covered by the
-            # partial-transposition check above
-            log.append(CriterionResult(f"family[{label}]", False, 0.0,
-                                       built.value))
-            continue
-        dec = pull_back_filters(built, nf.filter_a, nf.filter_b, d.dim_a, d.dim_b)
-        verdict = _verified(dec, d, log, cfg, label)
-        if verdict is not None:
-            return verdict
-
+    verdict = _family_verdict(d, nf, log, cfg, seed)
+    if verdict is not None:
+        return verdict
     return Verdict(status=Status.INCONCLUSIVE, criteria=tuple(log))

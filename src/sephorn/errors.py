@@ -49,7 +49,7 @@ class BadCardinality(SepHornError):
 
 
 class TripleCapExceeded(SepHornError):
-    """Triple enumeration is capped at n <= 16."""
+    """Triple enumeration is capped at n <= ``horn.MAX_N``."""
 
 
 class LengthMismatch(SepHornError):

@@ -190,19 +190,31 @@ class HornReport:
     product_equality: bool | None
 
 
-def _validated(name: str, values, length: int | None) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise LengthMismatch(f"{name} must be one-dimensional")
-    if length is not None and len(arr) != length:
-        raise LengthMismatch(f"{name} has length {len(arr)}, expected {length}")
-    if not np.isfinite(arr).all():
-        raise NotSorted(f"{name} contains non-finite entries")
-    if len(arr) and (arr < 0).any():
-        raise NotSorted(f"{name} contains negative entries")
-    if len(arr) > 1 and (np.diff(arr) > 1e-12).any():
-        raise NotSorted(f"{name} is not descending")
-    return arr
+_NAMES = ("alpha", "beta", "tau")
+
+
+def _validated(tau, alpha, beta) -> np.ndarray:
+    """alpha, beta and tau as the rows of one (3, L) array, each check run
+    once on the stack; an error names the first row that fails it."""
+    rows = [np.asarray(v, dtype=float) for v in (alpha, beta, tau)]
+    for name, row in zip(_NAMES, rows):
+        if row.ndim != 1:
+            raise LengthMismatch(f"{name} must be one-dimensional")
+        if len(row) != len(rows[0]):
+            raise LengthMismatch(f"{name} has length {len(row)}, alpha has {len(rows[0])}")
+    x = np.array(rows)
+    if not np.isfinite(x).all():
+        raise NotSorted(f"{_first_row(~np.isfinite(x))} contains non-finite entries")
+    if (x < 0).any():
+        raise NotSorted(f"{_first_row(x < 0)} contains negative entries")
+    rising = x[:, 1:] - x[:, :-1] > 1e-12
+    if rising.any():
+        raise NotSorted(f"{_first_row(rising)} is not descending")
+    return x
+
+
+def _first_row(mask: np.ndarray) -> str:
+    return _NAMES[int(np.argmax(mask.any(axis=1)))]
 
 
 def check_product_inequalities(tau, alpha, beta, *, slack: float = 1e-9) -> HornReport:
@@ -217,18 +229,17 @@ def check_product_inequalities(tau, alpha, beta, *, slack: float = 1e-9) -> Horn
     O(L 2^L + T) and holds no Python loop over the triples.  ``violated``
     lists the failing triples in the order of ``all_triples(L)``.
     """
-    tau = _validated("tau", tau, None)
-    alpha = _validated("alpha", alpha, len(tau))
-    beta = _validated("beta", beta, len(tau))
+    values = _validated(tau, alpha, beta)
+    length = values.shape[1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.log(np.array([alpha, beta, tau]))           # log 0 = -inf
+        logs = np.log(values)                                 # log 0 = -inf
         zero = np.isneginf(logs)
         eq = _product_equality(logs, zero, slack=slack)
-        if len(tau) <= 1:
+        if length <= 1:
             return HornReport(feasible=True, worst_margin=np.inf, violated=(),
                               product_equality=eq)
 
-        members, positions, triples = subset_table(len(tau))
+        members, positions, triples = subset_table(length)
         # every subset's log-sum, -inf for a subset holding a zero value
         sums = np.where(zero, 0.0, logs) @ members
         sums[zero @ members > 0] = -np.inf

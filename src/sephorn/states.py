@@ -14,6 +14,12 @@ def werner_coefficient(dim: int, phi: float) -> float:
     return 2.0 * (dim * phi - 1.0) / (dim * (dim * dim - 1.0))
 
 
+def werner_parameter(dim: int, c: float) -> float:
+    """Werner parameter phi of correlation coefficient c, the inverse of
+    :func:`werner_coefficient`."""
+    return (c * dim * (dim * dim - 1.0) / 2.0 + 1.0) / dim
+
+
 def werner(dim: int, phi: float, psd_tol: float = 1e-9) -> BipartiteDecomposed:
     """Werner state on dim x dim: zero marginals, correlation c * identity.
 

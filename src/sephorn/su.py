@@ -33,6 +33,7 @@ class GeneratorBasis:
 
     @property
     def antisymmetric_indices(self) -> tuple[int, ...]:
+        """Indices of generators with g^T = -g (one per off-diagonal pair)."""
         return tuple(i for i, k in enumerate(self.kinds) if k == KIND_ANTISYMMETRIC)
 
     @property
@@ -72,11 +73,6 @@ def generator_basis(dim: int) -> GeneratorBasis:
     stack = np.ascontiguousarray(np.array(mats))
     stack.setflags(write=False)
     return GeneratorBasis(dim=dim, matrices=stack, kinds=tuple(kinds))
-
-
-def antisymmetric_indices(basis: GeneratorBasis) -> tuple[int, ...]:
-    """Indices of generators with g^T = -g (one per off-diagonal pair)."""
-    return basis.antisymmetric_indices
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ from sephorn.bloch import from_bloch
 from sephorn.criteria import (
     Status,
     analyze,
-    kyfan_norm,
     ppt_check,
     two_qubit_decide,
     verify_decomposition,
@@ -54,7 +53,7 @@ def descending_eigs(batch):
 def test_1_bell_detection():
     start = time.time()
     verdict = analyze(compose_state(bell()), 2, 2)
-    norm = kyfan_norm(bell().corr)
+    norm = float(np.linalg.svd(bell().corr, compute_uv=False).sum())
     elapsed = time.time() - start
     ok = (verdict.status is Status.ENTANGLED
           and abs(norm - 3.0) <= 1e-12

@@ -4,7 +4,6 @@ import pytest
 from helpers import is_physical
 from sephorn.bloch import (
     from_bloch,
-    radii,
     to_bloch,
     transpose_flip,
     validate_state,
@@ -28,7 +27,7 @@ def test_maximally_mixed_is_zero():
 def test_qubit_ground_state():
     r = to_bloch(np.diag([1.0, 0.0]))
     np.testing.assert_allclose(r, [0.0, 0.0, 1.0], atol=1e-15)
-    assert abs(np.linalg.norm(r) - radii(2).outer) < 1e-15
+    assert abs(np.linalg.norm(r) - 1.0) < 1e-15
 
 
 def test_random_qutrit_norm_bound():
@@ -119,7 +118,7 @@ def test_inner_ball_rotations_stay_physical():
     rng = np.random.default_rng(8)
     for dim in (2, 3):
         k = dim * dim - 1
-        inner = radii(dim).inner
+        inner = np.sqrt(2.0 / (dim * (dim - 1)))
         for _ in range(1000):
             direction = rng.normal(size=k)
             direction *= inner * rng.uniform() / np.linalg.norm(direction)
@@ -159,22 +158,6 @@ class TestTransposeFlip:
         rng = np.random.default_rng(2)
         r = to_bloch(random_density(3, 3, rng))
         np.testing.assert_array_equal(transpose_flip(transpose_flip(r)), r)
-
-
-class TestRadii:
-    def test_qubit(self):
-        rd = radii(2)
-        assert rd.outer == 1.0 and rd.inner == 1.0
-
-    def test_qutrit(self):
-        rd = radii(3)
-        assert abs(rd.outer - np.sqrt(4.0 / 3.0)) < 1e-15
-        assert abs(rd.inner - np.sqrt(1.0 / 3.0)) < 1e-15
-
-    def test_ratio_scaling(self):
-        for dim in (2, 5, 11, 40):
-            rd = radii(dim)
-            assert abs(rd.inner / rd.outer - 1.0 / (dim - 1)) < 1e-12
 
 
 def purity(r):

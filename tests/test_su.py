@@ -3,11 +3,7 @@ import pytest
 
 from sephorn.errors import DimensionTooSmall
 from sephorn.linalg import random_unitary
-from sephorn.su import (
-    antisymmetric_indices,
-    generator_basis,
-    symmetric_structure_tensor,
-)
+from sephorn.su import generator_basis, symmetric_structure_tensor
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -52,7 +48,7 @@ def test_rejects_dim_below_two():
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_antisymmetric_indices_by_transpose(dim):
     basis = generator_basis(dim)
-    idx = antisymmetric_indices(basis)
+    idx = basis.antisymmetric_indices
     assert len(idx) == dim * (dim - 1) // 2
     for mu in range(len(basis)):
         anti = np.abs(basis.matrices[mu].T + basis.matrices[mu]).max() < 1e-14
@@ -60,7 +56,7 @@ def test_antisymmetric_indices_by_transpose(dim):
 
 
 def test_su2_antisymmetric_is_sigma_y():
-    assert antisymmetric_indices(generator_basis(2)) == (1,)
+    assert generator_basis(2).antisymmetric_indices == (1,)
 
 
 class TestStructureTensor:
