@@ -16,7 +16,11 @@ record computes once: partial transposition takes the eigenvalues of the
 matrix-level partial transpose of ``d.matrix``, and the two Ky Fan checks,
 the constructive decomposition, the family recogniser and the excess logged
 on inconclusive verdicts all read the one singular value decomposition
-``d.corr_svd``.
+``d.corr_svd``.  Where only a positivity threshold is tested -- the input
+above 2 x 2 and the components of a decomposition -- a Cholesky
+factorisation of the shifted matrix certifies it
+(:func:`~sephorn.linalg.certify_psd`); eigenvalues are computed only when
+that fails, so a rejection still reports the exact lowest eigenvalue.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ from .decompose import (
     wootters_frame,
 )
 from .errors import DimensionMismatch, NotNormalForm, NotPSD, SepHornError
+from .linalg import certify_psd
 from .states import werner_parameter
 
 
@@ -158,15 +163,47 @@ def ppt_check(d: BipartiteDecomposed, *, tol: float = 1e-9) -> PptCheck:
     return PptCheck(passed=low >= -tol, min_eigenvalue=low)
 
 
+def _malformed(probs: np.ndarray, dec: SeparableDecomposition,
+               d: BipartiteDecomposed) -> str:
+    """The first problem that leaves a decomposition's moments undefined --
+    vector stacks whose shape does not match the probabilities and the
+    local dimensions, or non-finite entries -- or "" when there is none."""
+    entries = [("probability", probs)]
+    for label, vecs, dim in (("A", dec.r_vectors, d.dim_a), ("B", dec.s_vectors, d.dim_b)):
+        vecs = np.asarray(vecs, dtype=float)
+        if vecs.shape != (probs.size, dim * dim - 1):
+            if vecs.ndim != 2 or len(vecs) != probs.size:
+                return (f"side {label} holds vectors of shape {vecs.shape} "
+                        f"for {probs.size} probabilities")
+            return f"side {label} vector width {vecs.shape[1]} does not match dim {dim}"
+        entries.append((f"vector on side {label}", vecs))
+    for what, values in entries:
+        if not np.isfinite(values).all():
+            bad = ~np.isfinite(values).reshape(probs.size, -1).all(axis=1)
+            return f"non-finite {what} at component {np.flatnonzero(bad)[0]}"
+    return ""
+
+
 def verify_decomposition(dec: SeparableDecomposition, d: BipartiteDecomposed,
                          *, cfg: Tolerances = DEFAULT) -> VerificationReport:
     """Check a decomposition against a state: probability simplex, the three
-    moment equations, and physicality of every component (one batched
-    eigensolve per side)."""
+    moment equations, and physicality of every component.
+
+    Malformed input -- non-finite entries, or vectors whose width does not
+    match the local dimension -- is reported as invalid before any moment is
+    computed.  Physicality takes one Cholesky certificate per side
+    (:func:`~sephorn.linalg.certify_psd` on the stack of component
+    matrices); only a side that fails it is eigensolved, and the first
+    component below ``-cfg.component_psd`` is named with its lowest
+    eigenvalue.
+    """
     problems = []
     probs = np.asarray(dec.probs, dtype=float)
     if probs.size == 0:
         return VerificationReport(valid=False, max_residual=np.inf, detail="empty")
+    malformed = _malformed(probs, dec, d)
+    if malformed:
+        return VerificationReport(valid=False, max_residual=np.inf, detail=malformed)
     if probs.min() <= 0.0:
         problems.append(f"nonpositive probability {probs.min():.3e}")
     sum_dev = abs(probs.sum() - 1.0)
@@ -179,8 +216,10 @@ def verify_decomposition(dec: SeparableDecomposition, d: BipartiteDecomposed,
     if max_residual > cfg.residual:
         problems.append(f"moment residual {max_residual:.3e}")
     for label, vecs in (("A", dec.r_vectors), ("B", dec.s_vectors)):
-        low = np.linalg.eigvalsh(from_bloch(vecs))[:, 0]
-        bad = np.flatnonzero(low < -cfg.component_psd)
+        low = certify_psd(from_bloch(vecs), cfg.component_psd)
+        if low is None:
+            continue
+        bad = np.flatnonzero(~(low >= -cfg.component_psd))
         if bad.size:
             problems.append(f"component {bad[0]} on side {label} unphysical "
                             f"(min eigenvalue {low[bad[0]]:.3e})")
@@ -314,18 +353,20 @@ def analyze(rho: np.ndarray, dim_a: int, dim_b: int, *,
     correlation instead, and a violation is ENTANGLED.
 
     The input is validated once, and each spectral quantity is computed
-    once: the eigenvalues of rho (at 2 x 2 its eigendecomposition, which
-    also gives Wootters' frame), one eigendecomposition per marginal,
-    the eigenvalues of the partial transpose and one singular value
-    decomposition of the filtered correlation.
+    once: one eigendecomposition per marginal, the eigenvalues of the
+    partial transpose and one singular value decomposition of the filtered
+    correlation.  Positivity of rho is read at 2 x 2 from its
+    eigendecomposition, which also gives Wootters' frame; above 2 x 2 it is
+    certified by a Cholesky factorisation of rho + ``cfg.psd`` I, and the
+    eigenvalues of rho are computed only when that fails, so that
+    :class:`NotPSD` reports the exact lowest eigenvalue.
     """
     d = decompose_state(rho, dim_a, dim_b, tol=cfg.state)
     if (dim_a, dim_b) == (2, 2):
         low = float(d.spectrum[0][0])
     else:
-        # eigenvalues only: no later stage needs the eigenvectors here
-        low = float(np.linalg.eigvalsh(d.matrix)[0])
-    if low < -cfg.psd:
+        low = certify_psd(d.matrix, cfg.psd)
+    if low is not None and not low >= -cfg.psd:
         raise NotPSD(f"input has minimum eigenvalue {low:.3e}")
     return _analyze_decomposed(d, cfg=cfg, seed=seed)
 

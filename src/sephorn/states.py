@@ -6,6 +6,7 @@ import numpy as np
 
 from .bipartite import BipartiteDecomposed, compose_state, decompose_state
 from .errors import NotPSD, OutOfPositivityRange
+from .linalg import certify_psd
 from .su import generator_basis
 
 
@@ -92,6 +93,6 @@ def random_density(dim: int, rank: int, seed) -> np.ndarray:
 
 
 def _check_psd(d: BipartiteDecomposed, tol: float, label: str) -> None:
-    low = float(np.linalg.eigvalsh(compose_state(d))[0])
-    if low < -tol:
+    low = certify_psd(compose_state(d), tol)
+    if low is not None and not low >= -tol:
         raise NotPSD(f"{label} has minimum eigenvalue {low:.3e}")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from sephorn import criteria
 from sephorn.bipartite import compose_state, decompose_state, normal_form, partial_transpose
+from sephorn.bloch import from_bloch
 from sephorn.config import DEFAULT
 from sephorn.criteria import (
     Status,
@@ -20,7 +21,7 @@ from sephorn.criteria import (
     verify_decomposition,
 )
 from sephorn.decompose import SeparableDecomposition, werner_decompose
-from sephorn.errors import DimensionMismatch, NotNormalForm, SepHornError
+from sephorn.errors import DimensionMismatch, NotNormalForm, NotPSD, SepHornError
 from sephorn.linalg import random_unitary
 from sephorn.states import bell, isotropic, p_zero, random_density, werner
 
@@ -339,7 +340,7 @@ class TestSpectralCounts:
     @staticmethod
     def record(monkeypatch):
         calls = []
-        for name in ("svd", "eigh", "eigvalsh"):
+        for name in ("svd", "eigh", "eigvalsh", "cholesky"):
             real = getattr(np.linalg, name)
 
             def spy(a, *args, _name=name, _real=real, **kwargs):
@@ -364,11 +365,17 @@ class TestSpectralCounts:
         svds = [a for name, a in calls if name == "svd"]
         assert len(svds) == 1
         np.testing.assert_allclose(svds[0], tilde.corr, atol=1e-12)
-        # one eigensolve each of rho and of its partial transpose
+        # rho's positivity is certified by one Cholesky factorisation of
+        # rho + psd I; the one 9 x 9 eigensolve is of its partial transpose
         rho_pt = rho.reshape(3, 3, 3, 3).transpose(0, 3, 2, 1).reshape(9, 9)
-        full = [a for _, a in calls if a.shape == (9, 9)]
-        assert len(full) == 2
-        assert np.allclose(full[0], rho) and np.allclose(full[1], rho_pt)
+        full = [(name, a) for name, a in calls if a.shape == (9, 9)]
+        assert [name for name, _ in full] == ["cholesky", "eigvalsh"]
+        np.testing.assert_allclose(full[0][1] - rho, DEFAULT.psd * np.eye(9), rtol=0, atol=1e-15)
+        assert np.allclose(full[1][1], rho_pt)
+        # the components of the decomposition are certified, one Cholesky
+        # factorisation per side, and never eigensolved
+        stacks = [name for name, a in calls if a.ndim == 3]
+        assert stacks == ["cholesky", "cholesky"]
         # one eigendecomposition per input marginal; every other 3 x 3 solve
         # belongs to a filter sweep on a later iterate
         r4 = rho.reshape(3, 3, 3, 3)
@@ -418,6 +425,32 @@ class TestVerify:
         assert not report.valid
         assert "component 2 on side B unphysical" in report.detail
         assert "side A" not in report.detail
+        # the failed certificate falls back to the exact lowest eigenvalue
+        low = np.linalg.eigvalsh(from_bloch(s_vectors[2]))[0]
+        assert f"(min eigenvalue {low:.3e})" in report.detail
+
+    @pytest.mark.parametrize("probs, r_vectors, s_vectors, problem", [
+        ([np.nan], np.zeros((1, 8)), np.zeros((1, 8)), "non-finite probability at component 0"),
+        ([1.0], np.full((1, 8), np.nan), np.zeros((1, 8)),
+         "non-finite vector on side A at component 0"),
+        ([1.0], np.zeros((1, 8)), np.zeros((1, 3)), "side B vector width 3 does not match dim 3"),
+        ([0.5, 0.5], np.zeros((1, 8)), np.zeros((2, 8)),
+         "side A holds vectors of shape (1, 8) for 2 probabilities"),
+    ])
+    def test_malformed_input_invalid(self, monkeypatch, probs, r_vectors, s_vectors, problem):
+        # malformed decompositions are rejected by name before any moment or
+        # positivity certificate is computed
+        def never(*args, **kwargs):
+            raise AssertionError("positivity certified")
+
+        d = decompose_state(np.eye(9) / 9.0, 3, 3)
+        assert verify_decomposition(SeparableDecomposition(
+            np.array([1.0]), np.zeros((1, 8)), np.zeros((1, 8))), d).valid
+        monkeypatch.setattr(criteria, "certify_psd", never)
+        bad = SeparableDecomposition(np.array(probs), r_vectors, s_vectors)
+        report = verify_decomposition(bad, d)
+        assert not report.valid
+        assert problem in report.detail
 
     def test_bad_probabilities_invalid(self):
         dec = werner_decompose(2, 1.0)
@@ -438,6 +471,26 @@ class TestAnalyze:
 
     def test_bell_entangled(self):
         assert analyze(compose_state(bell()), 2, 2).status is Status.ENTANGLED
+
+    def test_input_positivity_threshold(self):
+        # a 3x3 input whose lowest eigenvalue lies within psd of zero is
+        # accepted; below that NotPSD carries the exact lowest eigenvalue
+        rng = np.random.default_rng(61)
+        u = random_unitary(9, rng)
+        for low, accepted in ((-5e-10, True), (-2e-9, False)):
+            w = rng.uniform(0.05, 0.2, 9)
+            w[0] = low
+            w[1:] *= (1.0 - low) / w[1:].sum()
+            rho = (u * w) @ u.conj().T
+            rho = (rho + rho.conj().T) / 2.0
+            exact = np.linalg.eigvalsh(rho)[0]
+            assert abs(exact - low) < 1e-15
+            if accepted:
+                analyze(rho, 3, 3)
+                continue
+            with pytest.raises(NotPSD) as exc:
+                analyze(rho, 3, 3)
+            assert f"input has minimum eigenvalue {exact:.3e}" in str(exc.value)
 
     def test_qutrit_werner_simplex(self):
         verdict = analyze(compose_state(werner(3, 1.0)), 3, 3)

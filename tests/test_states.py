@@ -31,6 +31,10 @@ class TestWerner:
         with pytest.raises(NotPSD):
             werner(3, -1.02)
 
+    def test_nan_parameter_is_not_psd(self):
+        with pytest.raises(NotPSD, match="minimum eigenvalue nan"):
+            werner(3, float("nan"))
+
     def test_swap_expectation(self):
         # the family parameter equals the swap-operator expectation value
         swap = np.zeros((9, 9))
