@@ -35,7 +35,6 @@ from .criteria import (
 )
 from .decompose import (
     ENTANGLED,
-    NOT_DECOMPOSED_HERE,
     DecompositionOutcome,
     SeparableDecomposition,
     isotropic_decompose,
@@ -55,7 +54,7 @@ from .horn import (
 )
 from .linalg import random_orthogonal, random_unitary
 from .states import bell, isotropic, p_zero, random_density, werner
-from .su import generator_basis, symmetric_structure_tensor
+from .su import generator_basis
 
 __version__ = "0.1.0"
 
@@ -64,7 +63,6 @@ __all__ = [
     "DecompositionOutcome",
     "ENTANGLED",
     "HornReport",
-    "NOT_DECOMPOSED_HERE",
     "NormalFormResult",
     "SeparableDecomposition",
     "Status",
@@ -96,7 +94,6 @@ __all__ = [
     "random_density",
     "random_orthogonal",
     "random_unitary",
-    "symmetric_structure_tensor",
     "to_bloch",
     "transpose_flip",
     "triple_set",

@@ -22,7 +22,7 @@ from . import fileio
 from .bipartite import compose_state, decompose_state, normal_form
 from .config import DEFAULT, default_positivity_tol
 from .criteria import Status, Verdict, analyze
-from .decompose import DecompositionOutcome, werner_decompose
+from .decompose import ENTANGLED, werner_decompose
 from .errors import FileFormatError, SepHornError
 from .horn import MAX_N, triple_set
 from .states import werner
@@ -179,12 +179,9 @@ def cmd_werner(dim, phi, want_decomposition, seed, out):
     click.echo(f"state written to {path}")
 
     outcome = werner_decompose(dim, phi, seed)
-    if isinstance(outcome, DecompositionOutcome):
-        if outcome is DecompositionOutcome.ENTANGLED:
-            click.echo("status: ENTANGLED")
-            return EXIT_ENTANGLED
-        click.echo("status: INCONCLUSIVE (no closed-form decomposition)")
-        return EXIT_INCONCLUSIVE
+    if outcome is ENTANGLED:
+        click.echo("status: ENTANGLED")
+        return EXIT_ENTANGLED
     click.echo(f"status: SEPARABLE ({len(outcome)} components)")
     if want_decomposition:
         dec_path = path.with_suffix("").with_suffix("")  # strip .state.json

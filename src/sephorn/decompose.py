@@ -54,14 +54,12 @@ class SeparableDecomposition:
 
 
 class DecompositionOutcome(enum.Enum):
-    """Non-constructive outcomes of the closed-form decomposition routines."""
+    """Non-constructive outcome of the closed-form decomposition routines."""
 
     ENTANGLED = "entangled"
-    NOT_DECOMPOSED_HERE = "not-decomposed-here"
 
 
 ENTANGLED = DecompositionOutcome.ENTANGLED
-NOT_DECOMPOSED_HERE = DecompositionOutcome.NOT_DECOMPOSED_HERE
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +112,7 @@ def _kyfan_pairs(u: np.ndarray, taus: np.ndarray, vh: np.ndarray, dim_a: int,
 # ---------------------------------------------------------------------------
 
 SIC_ATTEMPTS = 20
+SIC_ITERATIONS = 100
 SIC_RESIDUAL = 1e-12
 
 
@@ -125,51 +124,61 @@ def _displacements(dim: int) -> np.ndarray:
                      for a in range(dim) for b in range(dim)])
 
 
-def _frame_potential(v: np.ndarray, disp: np.ndarray):
-    """sum_k |<psi|D_k|psi>|^4 / <psi|psi>^4 and its gradient in (Re psi, Im psi).
+def _overlap_residuals(v: np.ndarray, disp: np.ndarray):
+    """|<psi|D_k|psi>|^2 - 1/(N+1) for k != 0, then <psi|psi> - 1, and their
+    Jacobian in (Re psi, Im psi).
 
-    The minimum 2N/(N+1) is reached exactly by SIC fiducials.
+    With o_k = <psi|D_k|psi>, d o_k = (D_k psi + (D_k^dag psi)^*) . d Re psi
+    + i ((D_k^dag psi)^* - D_k psi) . d Im psi, and d|o_k|^2 = 2 Re(o_k^* d o_k).
     """
     dim = disp.shape[1]
     psi = v[:dim] + 1j * v[dim:]
-    norm = float(np.vdot(psi, psi).real)
-    d_psi = disp @ psi
-    dag_psi = np.einsum("kji,j->ki", disp.conj(), psi)
+    d_psi = disp[1:] @ psi
+    dag_psi = np.einsum("kji,j->ki", disp[1:], psi.conj())
     overlaps = d_psi @ psi.conj()
-    mod2 = np.abs(overlaps) ** 2
-    total = float(mod2 @ mod2)
-    # Wirtinger derivative d/d(conj psi); the real gradient is twice it
-    grad = 2.0 * mod2 @ (overlaps.conj()[:, None] * d_psi + overlaps[:, None] * dag_psi)
-    grad = grad / norm ** 4 - 4.0 * total * psi / norm ** 5
-    return total / norm ** 4, 2.0 * np.concatenate([grad.real, grad.imag])
+    weight = 2.0 * overlaps.conj()[:, None]
+    residuals = np.append(np.abs(overlaps) ** 2 - 1.0 / (dim + 1.0),
+                          np.vdot(psi, psi).real - 1.0)
+    jac = np.vstack([np.hstack([(weight * (d_psi + dag_psi)).real,
+                                (weight * (d_psi - dag_psi)).imag]), 2.0 * v])
+    return residuals, jac
 
 
-def _overlap_residuals(v: np.ndarray, disp: np.ndarray) -> np.ndarray:
-    """|<psi|D_k|psi>|^2 - 1/(N+1) for k != 0, then <psi|psi> - 1."""
-    dim = disp.shape[1]
-    psi = v[:dim] + 1j * v[dim:]
-    overlaps = (disp[1:] @ psi) @ psi.conj()
-    return np.append(np.abs(overlaps) ** 2 - 1.0 / (dim + 1.0),
-                     np.vdot(psi, psi).real - 1.0)
+def _levenberg_marquardt(v: np.ndarray, disp: np.ndarray):
+    """At most ``SIC_ITERATIONS`` damped Gauss-Newton steps on the overlap
+    equations from ``v``; returns the last point and its residuals.
+
+    The damping falls tenfold after a step that lowers the squared residual
+    and rises tenfold after one that does not.  A failed step ends the solve
+    once every residual is within ``SIC_RESIDUAL`` (it is then at round-off)
+    or once the damping passes 1e6 (it is then at a stationary point).  The
+    floor on the damping keeps the system regular along the global phase,
+    which no residual sees.
+    """
+    residuals, jac = _overlap_residuals(v, disp)
+    damping = 1e-3
+    eye = np.eye(v.size)
+    for _ in range(SIC_ITERATIONS):
+        step = np.linalg.solve(jac.T @ jac + damping * eye, -(jac.T @ residuals))
+        trial, trial_jac = _overlap_residuals(v + step, disp)
+        if trial @ trial < residuals @ residuals:
+            v, residuals, jac = v + step, trial, trial_jac
+            damping = max(damping / 10.0, 1e-12)
+        elif np.abs(residuals).max() <= SIC_RESIDUAL or damping > 1e6:
+            break
+        else:
+            damping *= 10.0
+    return v, residuals
 
 
 @lru_cache(maxsize=None)
 def _sic_simplex(dim: int, seed: int) -> np.ndarray:
-    # imported here: scipy.optimize is most of the package's import time and
-    # memory, and only the simplex search needs it
-    from scipy.optimize import least_squares, minimize
-
     disp = _displacements(dim)
     rng = np.random.default_rng(seed)
     best = np.inf
     for _ in range(SIC_ATTEMPTS):
-        start = minimize(_frame_potential, rng.normal(size=2 * dim), args=(disp,),
-                         jac=True, method="L-BFGS-B",
-                         options={"maxiter": 2000, "ftol": 1e-15, "gtol": 1e-12})
-        polished = least_squares(_overlap_residuals, start.x / np.linalg.norm(start.x),
-                                 args=(disp,), method="lm",
-                                 xtol=1e-15, ftol=1e-15, gtol=1e-15)
-        best = min(best, float(np.abs(polished.fun).max()))
+        v, residuals = _levenberg_marquardt(rng.normal(size=2 * dim), disp)
+        best = min(best, float(np.abs(residuals).max()))
         if best <= SIC_RESIDUAL:
             break
     else:
@@ -178,7 +187,7 @@ def _sic_simplex(dim: int, seed: int) -> np.ndarray:
             f"best overlap residual {best:.3e}",
             residual=best,
         )
-    psi = polished.x[:dim] + 1j * polished.x[dim:]
+    psi = v[:dim] + 1j * v[dim:]
     kets = disp @ (psi / np.linalg.norm(psi))
     out = to_bloch(np.einsum("ki,kj->kij", kets, kets.conj()))
     out.setflags(write=False)
@@ -192,12 +201,12 @@ def pure_state_simplex(dim: int, seed: int = 0) -> np.ndarray:
     2(N-1)/N and pairwise cosine -1/(N^2-1).  That is the condition
     |<psi_i|psi_j>|^2 = 1/(N+1) on the pure states, so the rows are a
     SIC-POVM.  It is built as the Weyl-Heisenberg orbit D_k|psi> of one
-    fiducial psi in C^N: the frame potential sum_k |<psi|D_k|psi>|^4 is
-    minimized from a point drawn with ``seed``, and the minimizer is
-    polished by least squares on the overlap equations.  Each of
-    ``SIC_ATTEMPTS`` draws is accepted when every overlap equation holds
-    within ``SIC_RESIDUAL``; SearchFailed carries the best residual when
-    none does.
+    fiducial psi in C^N (Renes et al., quant-ph/0310075), found by one
+    Levenberg-Marquardt solve of the overlap equations
+    |<psi|D_k|psi>|^2 = 1/(N+1), <psi|psi> = 1 with their analytic
+    Jacobian, from a point drawn with ``seed``.  Each of ``SIC_ATTEMPTS``
+    draws is accepted when every overlap equation holds within
+    ``SIC_RESIDUAL``; SearchFailed carries the best residual when none does.
     """
     return _sic_simplex(dim, int(seed))
 
@@ -215,8 +224,10 @@ def werner_decompose(dim: int, phi: float,
     toward the maximally mixed state, saturating at phi = 1).
     0 <= phi < 1/N: paired simplexes r_i = -N alpha q_i (inscribed ball),
     s_i = N beta q_i (pure), with alpha beta = |c| and beta held at the
-    pure bound.  phi < 0 is entangled.  ``seed`` picks the
-    :func:`pure_state_simplex` fiducial.
+    pure bound; alpha^2 = c^2 N(N+1)/2 stays within 2/(N(N-1)(N^2-1)),
+    the bound that keeps r_i in the inscribed ball, and reaches it only at
+    phi = 0.  phi < 0 is entangled.
+    ``seed`` picks the :func:`pure_state_simplex` fiducial.
     """
     if not -1.0 - 1e-12 <= phi <= 1.0 + 1e-12:
         raise OutOfPositivityRange(f"Werner parameter phi={phi} outside [-1, 1]")
@@ -233,9 +244,6 @@ def werner_decompose(dim: int, phi: float,
                                       s_vectors=scaled.copy())
     beta = np.sqrt(2.0 / (dim * (dim + 1.0)))
     alpha = abs(c) / beta
-    inner_cap = 2.0 / (dim * (dim - 1.0) * (dim * dim - 1.0))
-    if alpha * alpha > inner_cap * (1.0 + 1e-12):
-        return NOT_DECOMPOSED_HERE
     unit = vertices / np.sqrt(2.0 * dim / (dim + 1.0))  # rotation columns q_i
     return SeparableDecomposition(probs=probs,
                                   r_vectors=-dim * alpha * unit,
@@ -254,8 +262,9 @@ def isotropic_decompose(dim: int, p: float,
     Maps p to the Werner parameter phi = (p (N^2-1) + 1)/N, decomposes the
     Werner state and transpose-flips every B-side vector.  p > 1/(N+1) is
     entangled; p outside the PSD range raises OutOfPositivityRange.  Both
-    comparisons allow 1e-12 of round-off, so a parameter recovered from a
-    state at the threshold still decomposes.
+    comparisons allow 1e-12 of round-off, and phi is clamped to [0, 1]
+    after them, so a parameter recovered from a state at either end still
+    decomposes.
     """
     low = -1.0 / (dim * dim - 1.0)
     if not low - 1e-12 <= p <= 1.0 + 1e-12:
@@ -265,10 +274,8 @@ def isotropic_decompose(dim: int, p: float,
     if p > isotropic_threshold(dim) + 1e-12:
         return ENTANGLED
     p = min(p, isotropic_threshold(dim))
-    phi = (p * (dim * dim - 1.0) + 1.0) / dim
+    phi = max((p * (dim * dim - 1.0) + 1.0) / dim, 0.0)
     partner = werner_decompose(dim, phi, seed)
-    if isinstance(partner, DecompositionOutcome):
-        return partner
     return SeparableDecomposition(probs=partner.probs,
                                   r_vectors=partner.r_vectors,
                                   s_vectors=transpose_flip(partner.s_vectors))

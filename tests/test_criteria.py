@@ -230,10 +230,10 @@ def lowest_pt_eigenvalue(rho, n, m):
 
 
 # wall-clock budget of one analyze call: a warm call takes about 2 ms at
-# every size here; the budget leaves room for the first simplex build of a
-# square dimension (scipy's import and the SIC search, under a second)
-CALL_BUDGET_S = {(2, 3): 2.0, (2, 4): 2.0, (2, 5): 2.0, (3, 4): 2.0, (3, 5): 2.0,
-                 (4, 5): 2.0, (3, 3): 3.0, (4, 4): 3.0, (5, 5): 3.0}
+# every size here, and the first simplex build of a square dimension adds
+# a few milliseconds
+GATE_DIMS = [(2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (3, 5), (4, 4), (4, 5), (5, 5)]
+CALL_BUDGET_S = 2.0
 
 
 @st.composite
@@ -243,7 +243,7 @@ def qudit_states(draw):
     and random pure states mixed with I/(NM) near the weight where their
     partial transpose turns singular; each plain, under random local
     unitaries or under random local filters."""
-    n, m = draw(st.sampled_from(sorted(CALL_BUDGET_S)))
+    n, m = draw(st.sampled_from(GATE_DIMS))
     size = n * m
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["ginibre", "product", "boundary"]
@@ -316,7 +316,7 @@ class TestQuditGate:
         except SepHornError:
             verdict = None
         elapsed = time.perf_counter() - start
-        assert elapsed <= CALL_BUDGET_S[(n, m)], (n, m, elapsed)
+        assert elapsed <= CALL_BUDGET_S, (n, m, elapsed)
         if verdict is None:
             return
         low = lowest_pt_eigenvalue(rho, n, m)

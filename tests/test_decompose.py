@@ -125,17 +125,36 @@ class TestKyfanBoundDecomposition:
 
 
 class TestPureSimplex:
-    def test_import_leaves_scipy_optimize_unloaded(self):
-        # only the simplex search needs scipy.optimize; importing the
-        # package and its CLI must not pay for it
+    def test_scipy_never_imported(self):
+        # the package, its CLI, every simplex the families use and a Werner
+        # verdict run on numpy alone
         src = str(Path(sephorn.__file__).resolve().parents[1])
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        code = ("import sys, sephorn, sephorn.cli; "
-                "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize loaded'")
+        code = ("import sys, sephorn, sephorn.cli\n"
+                "for n in range(2, 8):\n"
+                "    sephorn.pure_state_simplex(n)\n"
+                "rho = sephorn.compose_state(sephorn.werner(3, 1.0))\n"
+                "verdict = sephorn.analyze(rho, 3, 3)\n"
+                "names = [c.name for c in verdict.criteria]\n"
+                "assert verdict.status is sephorn.Status.SEPARABLE, names\n"
+                "assert 'decomposition[family]' in names, names\n"
+                "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+                "assert not loaded, loaded\n")
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_overlap_jacobian_matches_differences(self, dim):
+        disp = decompose._displacements(dim)
+        v = np.random.default_rng(dim).normal(size=2 * dim)
+        _, jac = decompose._overlap_residuals(v, disp)
+        step = 1e-6
+        central = np.array([(decompose._overlap_residuals(v + step * e, disp)[0]
+                             - decompose._overlap_residuals(v - step * e, disp)[0]) / (2 * step)
+                            for e in np.eye(2 * dim)]).T
+        np.testing.assert_allclose(jac, central, rtol=0, atol=1e-8 * np.abs(jac).max())
 
     def test_qubit_tetrahedron(self):
         vecs = pure_state_simplex(2, seed=0)
@@ -286,6 +305,15 @@ class TestIsotropicDecompose:
         dec = isotropic_decompose(3, -1.0 / 8.0)
         report = verify_decomposition(dec, isotropic(3, -1.0 / 8.0))
         assert report.valid and report.max_residual < 1e-8
+
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_round_off_below_positivity_edge_decomposes(self, dim):
+        # within the 1e-12 slack the lower edge is decomposed, not sent to
+        # the Werner partner as phi < 0, which is entangled
+        low = -1.0 / (dim * dim - 1.0)
+        dec = isotropic_decompose(dim, low - 5e-13)
+        report = verify_decomposition(dec, isotropic(dim, low))
+        assert report.valid and report.max_residual < 1e-10
 
     def test_out_of_range(self):
         with pytest.raises(OutOfPositivityRange):
