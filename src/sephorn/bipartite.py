@@ -9,17 +9,21 @@ pipeline reads once, on first use: the eigendecomposition of each reduced
 matrix (local ranks, support isometries, the full-rank check and first
 filter of :func:`normal_form`), the eigendecomposition of the density
 matrix and the singular value decomposition of the correlation matrix.
+Both :func:`decompose_state` and :func:`normal_form`, for the filtered
+state, read the Bloch data off one product chain on the realigned matrix
+R[(i, j), (a, b)] = rho[ia, jb] (:func:`_moments`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from math import sqrt
 
 import numpy as np
 
-from .bloch import _gen_rows, from_bloch, to_bloch, validate_state
-from .errors import DimensionMismatch, NotFullRank
+from .bloch import _gen_rows, from_bloch, validate_state
+from .errors import DimensionMismatch, NotAState, NotFullRank
 from .su import generator_basis
 
 
@@ -80,14 +84,6 @@ class NormalFormResult:
     iterations: int
 
 
-def partial_trace(rho: np.ndarray, dim_a: int, dim_b: int, keep: int) -> np.ndarray:
-    """Reduced matrix of subsystem ``keep`` (0 = first, 1 = second)."""
-    r4 = np.asarray(rho).reshape(dim_a, dim_b, dim_a, dim_b)
-    if keep == 0:
-        return np.trace(r4, axis1=1, axis2=3)
-    return np.trace(r4, axis1=0, axis2=2)
-
-
 def partial_transpose_matrix(rho: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
     """Matrix-level (1 x T) partial transposition on the second factor."""
     r4 = np.asarray(rho).reshape(dim_a, dim_b, dim_a, dim_b)
@@ -105,17 +101,29 @@ def decompose_state(rho: np.ndarray, dim_a: int, dim_b: int,
         raise DimensionMismatch(
             f"matrix of size {rho.shape[0]} does not factor as {dim_a} x {dim_b}"
         )
-    a = to_bloch(partial_trace(rho, dim_a, dim_b, 0), tol=np.inf)
-    b = to_bloch(partial_trace(rho, dim_a, dim_b, 1), tol=np.inf)
-    # corr[u, v] = sum rho[im, jn] conj(g_u[i, j]) conj(h_v[m, n]) for Hermitian
-    # generators: one matmul per side on rho regrouped to (ij, mn)
-    grouped = (rho.reshape(dim_a, dim_b, dim_a, dim_b).transpose(0, 2, 1, 3)
-               .reshape(dim_a * dim_a, dim_b * dim_b))
-    corr = np.real(_gen_rows(dim_a).conj() @ grouped @ _gen_rows(dim_b).conj().T)
-    d = BipartiteDecomposed(dim_a=dim_a, dim_b=dim_b, a=a, b=b, corr=corr)
+    moments = _moments(rho.reshape(dim_a, dim_b, dim_a, dim_b).transpose(0, 2, 1, 3)
+                       .reshape(dim_a * dim_a, dim_b * dim_b), dim_a, dim_b)
+    d = BipartiteDecomposed(dim_a=dim_a, dim_b=dim_b, a=moments[1:, 0],
+                            b=moments[0, 1:], corr=moments[1:, 1:])
     # seed the memoized matrix with the one the data came from
     d.__dict__["matrix"] = _read_only((rho.copy(),))[0]
     return d
+
+
+@lru_cache(maxsize=None)
+def _moment_rows(dim: int) -> np.ndarray:
+    """Conjugate rows of [I; generators], a read-only (N^2, N^2) array: row
+    mu dotted with a flattened Hermitian X gives Tr[X g_mu], with g_0 = I."""
+    rows = np.vstack([np.eye(dim).reshape(1, -1), _gen_rows(dim)]).conj()
+    rows.setflags(write=False)
+    return rows
+
+
+def _moments(realigned: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
+    """The real (N^2, M^2) matrix [[Tr rho, b^T], [a, corr]] of a Hermitian
+    rho, whose entry [mu, nu] is Tr[rho (g_mu x h_nu)] with g_0 = I and
+    h_0 = I, from the realigned matrix R[(i, j), (a, b)] = rho[ia, jb]."""
+    return np.real(_moment_rows(dim_a) @ realigned @ _moment_rows(dim_b).T)
 
 
 def compose_state(d: BipartiteDecomposed) -> np.ndarray:
@@ -177,40 +185,25 @@ def project_to_support(d: BipartiteDecomposed, tol: float = 1e-9) -> BipartiteDe
     return decompose_state(rho, na, nb)
 
 
-def _inv_sqrt(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """X^{-1/2} from the eigenpairs (w, v) of a positive definite X."""
-    return (v * (1.0 / np.sqrt(w))) @ v.conj().T
-
-
-def _filter_side(r4: np.ndarray, filt: np.ndarray, side: int) -> np.ndarray:
-    """(F x I) rho (F x I)^dag for side 0, (I x F) rho (I x F)^dag for side 1.
-
-    Works on the (N, M, N, M) tensor of a Hermitian rho and uses
-    F rho F^dag = F (F rho)^dag, so each side costs two small matrix
-    products on reshapes of the tensor and no Kronecker product.
-    """
-    n, m = r4.shape[:2]
-    rows = (n, -1) if side == 0 else (n, m, -1)
-    half = (filt @ r4.reshape(rows)).reshape(n * m, n * m)
-    return (filt @ half.conj().T.reshape(rows)).reshape(r4.shape)
-
-
 def normal_form(d: BipartiteDecomposed, max_iter: int = 500,
                 tol: float = 1e-10, rank_tol: float = 1e-9) -> NormalFormResult:
     """Filter a full-local-rank state toward maximally mixed marginals.
 
-    Alternately conjugates by (N rho_A)^{-1/2} on side A and
-    (M rho_B)^{-1/2} on side B, renormalizing the trace, until both marginal
-    Bloch norms fall below ``tol`` or ``max_iter`` sweeps have run.  The
-    iterate starts as ``d.matrix`` and is kept as the (N, M, N, M) tensor;
-    the full-rank check and the first A-side filter use the stored marginal
-    spectra, and each sweep takes three partial traces: rho_B after the
-    A-side filter, then rho_A and rho_B of the new iterate, which serve both
-    the convergence test and the next A-side filter.  The final tensor
-    becomes the record of the filtered state, validated to 1e-6; a state
-    already in normal form is returned as it is.  States whose normal form
-    is reached only in the limit come back with ``converged=False`` and the
-    last filtered iterate.
+    Gurvits' operator scaling (quant-ph/0303055): alternately multiplies
+    F_A by (N rho_A)^{-1/2} and F_B by (M rho_B)^{-1/2}, the reduced matrices
+    of the unit-trace iterate (F_A x F_B) rho (F_A x F_B)^dag, until both
+    marginal Bloch norms fall below ``tol`` or ``max_iter`` sweeps have run.
+    The iterate is never formed: with R the realigned ``d.matrix`` and
+    G = F^dag F, its reduced matrices are F_A (R vec(G_B^T)) F_A^dag and
+    F_B (vec(G_A^T)^T R) F_B^dag, one ``eigh`` each per sweep, with the
+    eigenvalues scaled to sum to N (M) so that the trace stays one.  The
+    first A-side filter uses the stored marginal spectrum; after a sweep
+    rho_B is I/M, and the eigenvalues of N rho_A give |a| and the next
+    A-side filter.  The filtered record is read off R conjugated once by
+    the filters, and ``converged`` from the record: it is False after
+    ``max_iter`` sweeps when the normal form is reached only in the limit,
+    and when rounding in ill-conditioned filters leaves the record's norms
+    just above ``tol``.  A state already in normal form is returned as is.
     """
     n, m = d.dim_a, d.dim_b
     (wa, va), (wb, _) = d.marginal_eigh
@@ -218,41 +211,37 @@ def normal_form(d: BipartiteDecomposed, max_iter: int = 500,
         raise NotFullRank(
             f"marginal ranks below ({n},{m}); project to support first"
         )
-    r4 = d.matrix.reshape(n, m, n, m)
+    r = d.matrix.reshape(n, m, n, m).transpose(0, 2, 1, 3).reshape(n * n, m * m)
     fa = np.eye(n, dtype=complex)
     fb = np.eye(m, dtype=complex)
-    mixed_a = np.eye(n) / n
-    mixed_b = np.eye(m) / m
-    # |a| = sqrt(2) * ||rho_A - eye/N||_F: the Bloch norm at the start, then
-    # the traceless part of each iterate's marginal, which stays accurate
-    # near zero where the purity formula 2 Tr[rho_A^2] - 2/N loses all
-    # significant digits
-    na, nb = float(np.linalg.norm(d.a)), float(np.linalg.norm(d.b))
     w, v = n * wa, va
+    converged = float(np.linalg.norm(d.a)) < tol and float(np.linalg.norm(d.b)) < tol
     iterations = 0
-    while not (na < tol and nb < tol) and iterations < max_iter:
-        if iterations:
-            w, v = np.linalg.eigh(n * ra)
-        filt = _inv_sqrt(w, v)
-        r4 = _filter_side(r4, filt, 0)
-        rb = partial_trace(r4, n, m, 1)
-        total = np.real(np.trace(rb))
-        r4 /= total
-        rb /= total
-        fa = filt @ fa
-        filt = _inv_sqrt(*np.linalg.eigh(m * rb))
-        r4 = _filter_side(r4, filt, 1)
-        ra = partial_trace(r4, n, m, 0)
-        rb = partial_trace(r4, n, m, 1)
-        total = np.real(np.trace(ra))
-        r4 /= total
-        ra /= total
-        rb /= total
-        fb = filt @ fb
+    while not converged and iterations < max_iter:
+        fa = (v / np.sqrt(w)) @ v.conj().T @ fa
+        w, v = np.linalg.eigh(fb @ ((fa.T @ fa.conj()).reshape(-1) @ r).reshape(m, m)
+                              @ fb.conj().T)
+        w *= m / w.sum()
+        fb = (v / np.sqrt(w)) @ v.conj().T @ fb
+        w, v = np.linalg.eigh(fa @ (r @ (fb.T @ fb.conj()).reshape(-1)).reshape(n, n)
+                              @ fa.conj().T)
+        w *= n / w.sum()
         iterations += 1
-        na = np.sqrt(2.0) * float(np.linalg.norm(ra - mixed_a))
-        nb = np.sqrt(2.0) * float(np.linalg.norm(rb - mixed_b))
-    state = d if iterations == 0 else decompose_state(r4.reshape(n * m, n * m), n, m,
-                                                      tol=1e-6)
+        # |a| = sqrt(2) ||rho_A - I/N||_F = sqrt(2) ||w - 1|| / N, which stays
+        # accurate near zero, where 2 Tr[rho_A^2] - 2/N loses every digit
+        dev = w - 1.0
+        converged = sqrt(2.0 * (dev @ dev)) < n * tol
+    state = d
+    if iterations:
+        # kron(F, F*) R kron(G, G*)^T realigns (F x G) rho (F x G)^dag
+        ka, kb = (np.multiply.outer(f, f.conj()).transpose(0, 2, 1, 3).reshape(k * k, k * k)
+                  for f, k in ((fa, n), (fb, m)))
+        moments = _moments(ka @ r @ kb.T, n, m)
+        moments /= moments[0, 0]
+        if not np.isfinite(moments).all():
+            raise NotAState("filtered state has non-finite entries")
+        state = BipartiteDecomposed(dim_a=n, dim_b=m, a=moments[1:, 0],
+                                    b=moments[0, 1:], corr=moments[1:, 1:])
+        converged = bool(np.linalg.norm(state.a) < tol and np.linalg.norm(state.b) < tol)
     return NormalFormResult(state=state, filter_a=fa, filter_b=fb,
-                            converged=na < tol and nb < tol, iterations=iterations)
+                            converged=converged, iterations=iterations)

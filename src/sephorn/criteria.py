@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -163,23 +164,26 @@ def ppt_check(d: BipartiteDecomposed, *, tol: float = 1e-9) -> PptCheck:
     return PptCheck(passed=low >= -tol, min_eigenvalue=low)
 
 
-def _malformed(probs: np.ndarray, dec: SeparableDecomposition,
+def _misshapen(probs: np.ndarray, dec: SeparableDecomposition,
                d: BipartiteDecomposed) -> str:
-    """The first problem that leaves a decomposition's moments undefined --
-    vector stacks whose shape does not match the probabilities and the
-    local dimensions, or non-finite entries -- or "" when there is none."""
-    entries = [("probability", probs)]
+    """The first vector stack whose shape does not match the probabilities
+    and the local dimensions, or ""."""
     for label, vecs, dim in (("A", dec.r_vectors, d.dim_a), ("B", dec.s_vectors, d.dim_b)):
-        vecs = np.asarray(vecs, dtype=float)
-        if vecs.shape != (probs.size, dim * dim - 1):
-            if vecs.ndim != 2 or len(vecs) != probs.size:
-                return (f"side {label} holds vectors of shape {vecs.shape} "
+        shape = np.shape(vecs)
+        if shape != (probs.size, dim * dim - 1):
+            if len(shape) != 2 or shape[0] != probs.size:
+                return (f"side {label} holds vectors of shape {shape} "
                         f"for {probs.size} probabilities")
-            return f"side {label} vector width {vecs.shape[1]} does not match dim {dim}"
-        entries.append((f"vector on side {label}", vecs))
-    for what, values in entries:
-        if not np.isfinite(values).all():
-            bad = ~np.isfinite(values).reshape(probs.size, -1).all(axis=1)
+            return f"side {label} vector width {shape[1]} does not match dim {dim}"
+    return ""
+
+
+def _first_non_finite(probs: np.ndarray, dec: SeparableDecomposition) -> str:
+    """The first non-finite probability or vector entry by component, or ""."""
+    for what, values in (("probability", probs), ("vector on side A", dec.r_vectors),
+                         ("vector on side B", dec.s_vectors)):
+        bad = ~np.isfinite(np.asarray(values, dtype=float)).reshape(probs.size, -1).all(axis=1)
+        if bad.any():
             return f"non-finite {what} at component {np.flatnonzero(bad)[0]}"
     return ""
 
@@ -189,29 +193,36 @@ def verify_decomposition(dec: SeparableDecomposition, d: BipartiteDecomposed,
     """Check a decomposition against a state: probability simplex, the three
     moment equations, and physicality of every component.
 
-    Malformed input -- non-finite entries, or vectors whose width does not
-    match the local dimension -- is reported as invalid before any moment is
-    computed.  Physicality takes one Cholesky certificate per side
+    Malformed input -- mis-shaped vectors, or non-finite entries, which
+    reach the probability sum or a moment residual and are then named by a
+    scan -- is reported as invalid before any certificate is computed.
+    Physicality takes one Cholesky certificate per side
     (:func:`~sephorn.linalg.certify_psd` on the stack of component
     matrices); only a side that fails it is eigensolved, and the first
     component below ``-cfg.component_psd`` is named with its lowest
     eigenvalue.
     """
-    problems = []
     probs = np.asarray(dec.probs, dtype=float)
     if probs.size == 0:
         return VerificationReport(valid=False, max_residual=np.inf, detail="empty")
-    malformed = _malformed(probs, dec, d)
+    malformed = _misshapen(probs, dec, d)
+    if not malformed:
+        sum_dev = abs(probs.sum() - 1.0)
+        # an infinite entry times a zero weight is NaN, named below
+        with np.errstate(invalid="ignore", over="ignore"):
+            res_a = float(np.abs(dec.marginal_a - d.a).max()) if d.a.size else 0.0
+            res_b = float(np.abs(dec.marginal_b - d.b).max()) if d.b.size else 0.0
+            res_t = float(np.abs(dec.correlation - d.corr).max()) if d.corr.size else 0.0
+        # summed, not maximised: max(1.0, nan) is 1.0
+        if not isfinite(sum_dev + res_a + res_b + res_t):
+            malformed = _first_non_finite(probs, dec)
     if malformed:
         return VerificationReport(valid=False, max_residual=np.inf, detail=malformed)
+    problems = []
     if probs.min() <= 0.0:
         problems.append(f"nonpositive probability {probs.min():.3e}")
-    sum_dev = abs(probs.sum() - 1.0)
     if sum_dev > cfg.prob_sum:
         problems.append(f"probabilities sum off by {sum_dev:.3e}")
-    res_a = float(np.abs(dec.marginal_a - d.a).max()) if d.a.size else 0.0
-    res_b = float(np.abs(dec.marginal_b - d.b).max()) if d.b.size else 0.0
-    res_t = float(np.abs(dec.correlation - d.corr).max()) if d.corr.size else 0.0
     max_residual = max(res_a, res_b, res_t)
     if max_residual > cfg.residual:
         problems.append(f"moment residual {max_residual:.3e}")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,22 @@ class TestDecompose:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             decompose_state(np.eye(4) / 4, 2, 3)
+
+    @pytest.mark.parametrize("dims", [(1, 3), (3, 1), (2, 3), (3, 4)])
+    def test_moments_match_explicit_traces(self, dims):
+        # dimension-1 factors are what project_to_support hands back
+        n, m = dims
+        rho = random_density(n * m, n * m, np.random.default_rng(n * 10 + m))
+        d = decompose_state(rho, n, m)
+        gens_a, gens_b = _gen_stack(n), _gen_stack(m)
+        eye_a, eye_b = np.eye(n), np.eye(m)
+        a = [np.trace(rho @ np.kron(g, eye_b)).real for g in gens_a]
+        b = [np.trace(rho @ np.kron(eye_a, h)).real for h in gens_b]
+        corr = [[np.trace(rho @ np.kron(g, h)).real for h in gens_b] for g in gens_a]
+        np.testing.assert_allclose(d.a, np.reshape(a, n * n - 1), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(d.b, np.reshape(b, m * m - 1), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(d.corr, np.reshape(corr, (n * n - 1, m * m - 1)),
+                                   rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
     def test_round_trip(self, dims):
@@ -203,7 +221,7 @@ class TestNormalForm:
         filtered /= np.trace(filtered).real
         np.testing.assert_allclose(filtered, compose_state(result.state), atol=1e-10)
 
-    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4)])
     def test_filters_reproduce_random_states(self, dims):
         rng = np.random.default_rng(13)
         tol = 1e-10
@@ -213,11 +231,53 @@ class TestNormalForm:
             assert result.converged
             big = np.kron(result.filter_a, result.filter_b)
             filtered = big @ compose_state(d) @ big.conj().T
-            filtered /= np.trace(filtered).real
+            # each filter step keeps the trace at one
+            assert abs(np.trace(filtered) - 1.0) < 1e-12
             np.testing.assert_allclose(filtered, compose_state(result.state),
                                        rtol=0, atol=1e-10)
             assert np.linalg.norm(result.state.a) <= tol
             assert np.linalg.norm(result.state.b) <= tol
+
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 3), (2, 4), (3, 4), (4, 4)])
+    def test_low_rank_plus_noise(self, dims):
+        # low rank plus a little noise needs ill-conditioned filters; every
+        # converged record is within tol and is the state its filters give
+        rng = np.random.default_rng(sum(dims))
+        size = dims[0] * dims[1]
+        tol = 1e-10
+        filtered_states = 0
+        for rank in (1, 2, 3):
+            for eps in (1e-3, 1e-6, 1e-9):
+                rho = (1 - eps) * random_density(size, rank, rng) + eps * np.eye(size) / size
+                d = decompose_state(rho, *dims)
+                if local_ranks(d) != dims:
+                    continue
+                result = normal_form(d, tol=tol)
+                if not result.converged:
+                    continue
+                filtered_states += 1
+                assert np.linalg.norm(result.state.a) <= tol
+                assert np.linalg.norm(result.state.b) <= tol
+                big = np.kron(result.filter_a, result.filter_b)
+                filtered = big @ rho @ big.conj().T
+                filtered /= np.trace(filtered).real
+                np.testing.assert_allclose(filtered, compose_state(result.state),
+                                           rtol=0, atol=1e-10)
+        assert filtered_states >= 3
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    @pytest.mark.parametrize("eps", [1e-4, 1e-6, 1e-8])
+    def test_stall_states_run_to_budget(self, dim, eps):
+        # (1 - eps)|00><00| + eps I/d has its normal form only in the limit;
+        # the filters diverge but stay finite, and no numpy warning is raised
+        size = dim * dim
+        rho = eps * np.eye(size) / size
+        rho[0, 0] += 1 - eps
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = normal_form(decompose_state(rho, dim, dim), max_iter=500)
+        assert result.iterations == 500 and not result.converged
+        assert np.isfinite(result.filter_a).all() and np.isfinite(result.filter_b).all()
 
     def test_p_zero_limit_behavior(self):
         result = normal_form(p_zero(0.5), max_iter=500)

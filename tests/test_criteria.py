@@ -376,8 +376,13 @@ class TestSpectralCounts:
         # factorisation per side, and never eigensolved
         stacks = [name for name, a in calls if a.ndim == 3]
         assert stacks == ["cholesky", "cholesky"]
-        # one eigendecomposition per input marginal; every other 3 x 3 solve
-        # belongs to a filter sweep on a later iterate
+        # one eigendecomposition per input marginal, then two per filter
+        # sweep: the B-side filter and the A-side marginal after it, whose
+        # eigenvalues give the convergence test and the next A-side filter
+        sweeps = normal_form(d).iterations
+        assert sweeps > 0
+        small = [a for name, a in calls if name == "eigh" and a.shape == (3, 3)]
+        assert len(small) == 2 + 2 * sweeps
         r4 = rho.reshape(3, 3, 3, 3)
         for marginal in (np.einsum("ijkj->ik", r4), np.einsum("ijil->jl", r4)):
             same = [name for name, a in calls
