@@ -14,7 +14,6 @@ from .bipartite import (
     decompose_state,
     local_ranks,
     normal_form,
-    partial_transpose,
     partial_transpose_matrix,
     project_to_support,
 )
@@ -28,7 +27,6 @@ from .criteria import (
     Verdict,
     analyze,
     kyfan_necessary_check,
-    kyfan_sufficient_check,
     ppt_check,
     two_qubit_decide,
     verify_decomposition,
@@ -80,11 +78,9 @@ __all__ = [
     "isotropic_decompose",
     "kyfan_bound_decomposition",
     "kyfan_necessary_check",
-    "kyfan_sufficient_check",
     "local_ranks",
     "normal_form",
     "p_zero",
-    "partial_transpose",
     "partial_transpose_matrix",
     "partition_of",
     "ppt_check",

@@ -24,7 +24,6 @@ import numpy as np
 
 from .bloch import _gen_rows, from_bloch, validate_state
 from .errors import DimensionMismatch, NotAState, NotFullRank
-from .su import generator_basis
 
 
 def _read_only(arrays: tuple) -> tuple:
@@ -135,21 +134,6 @@ def compose_state(d: BipartiteDecomposed) -> np.ndarray:
         joint = _gen_rows(n).T @ (d.corr - np.outer(d.a, d.b)) @ _gen_rows(m)
         rho4 += 0.25 * joint.reshape(n, n, m, m)
     return rho4.transpose(0, 2, 1, 3).reshape(n * m, n * m)
-
-
-def partial_transpose(d: BipartiteDecomposed) -> BipartiteDecomposed:
-    """Bloch image of partial transposition on the second subsystem.
-
-    Flips the sign of the correlation columns (and marginal components) at
-    the antisymmetric-generator indices of side B; an involution.
-    """
-    b = d.b.copy()
-    corr = d.corr.copy()
-    if d.dim_b > 1:
-        idx = list(generator_basis(d.dim_b).antisymmetric_indices)
-        b[idx] = -b[idx]
-        corr[:, idx] = -corr[:, idx]
-    return BipartiteDecomposed(dim_a=d.dim_a, dim_b=d.dim_b, a=d.a.copy(), b=b, corr=corr)
 
 
 def local_ranks(d: BipartiteDecomposed, tol: float = 1e-9) -> tuple[int, int]:

@@ -77,9 +77,7 @@ def _verdict_report(path: str, verdict: Verdict, decomposition_file: str | None,
 def _analyze_one(path: str, tol: float, max_iter: int, seed: int):
     text = Path(path).read_text()
     rho, dims = fileio.state_from_text(text)
-    cfg = DEFAULT.with_positivity(tol)
-    if max_iter != cfg.normal_max_iter:
-        cfg = replace(cfg, normal_max_iter=max_iter)
+    cfg = replace(DEFAULT.with_positivity(tol), normal_max_iter=max_iter)
     verdict = analyze(rho, dims[0], dims[1], cfg=cfg, seed=seed)
     decomposition_file = None
     if verdict.status is Status.SEPARABLE and verdict.decomposition is not None:
@@ -93,8 +91,8 @@ def _analyze_one(path: str, tol: float, max_iter: int, seed: int):
 @click.argument("paths", nargs=-1, required=True,
                 type=click.Path(exists=True, dir_okay=False))
 @click.option("--tol", type=float, default=None,
-              help="Positivity tolerance (default: SEP_HORN_TOL or 1e-9).")
-@click.option("--max-iter", type=int, default=500, show_default=True,
+              help=f"Positivity tolerance (default: SEP_HORN_TOL or {DEFAULT.psd:g}).")
+@click.option("--max-iter", type=int, default=DEFAULT.normal_max_iter, show_default=True,
               help="Normal-form filtering budget.")
 @click.option("--seed", type=int, default=0, show_default=True,
               help="Seed for randomized constructions.")
@@ -199,8 +197,8 @@ def cmd_werner(dim, phi, want_decomposition, seed, out):
 @click.argument("path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Filtered state file (default: <input>.normal.json).")
-@click.option("--max-iter", type=int, default=500, show_default=True)
-@click.option("--tol", type=float, default=1e-10, show_default=True)
+@click.option("--max-iter", type=int, default=DEFAULT.normal_max_iter, show_default=True)
+@click.option("--tol", type=float, default=DEFAULT.normal_tol, show_default=True)
 def cmd_normal_form(path, out, max_iter, tol):
     """Filter a state toward maximally mixed marginals and report convergence."""
     rho, dims = fileio.state_from_text(Path(path).read_text())

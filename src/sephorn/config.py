@@ -29,7 +29,7 @@ class Tolerances:
     kyfan_slack: float = 1e-9    # slack on the norm-bound criteria
 
     # decomposition verification
-    residual: float = 1e-8       # reconstruction residual for decompositions
+    residual: float = 1e-8       # decomposition residual; normal-form acceptance
     prob_sum: float = 1e-10      # probability normalization
     component_psd: float = 1e-8  # physicality of decomposition components
 

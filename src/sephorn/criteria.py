@@ -11,16 +11,28 @@ Two-qubit states are decided by partial transposition and Wootters'
 closed-form product decomposition, without filtering; larger states are
 filtered to normal form before the norm bounds and family decompositions.
 
+Above 2 x 2 the battery rests on de Vicente's Ky Fan bounds on the
+filtered correlation (QIC 7, 624 (2007)), and each question is decided
+once.  The filtered record counts as normal form when both marginal Bloch
+norms lie below ``cfg.residual``; one accepted short of ``cfg.normal_tol``
+logs a passed ``normal-form`` criterion.  The necessary bound,
+:func:`kyfan_necessary_check`, holds for every separable state, filtered or
+not, and returns the criterion the verdict logs.  The constructive bound is
+compared in :func:`~sephorn.decompose.kyfan_bound_decomposition` alone:
+within ``cfg.kyfan_slack`` it builds the decomposition, and beyond it its
+BoundExceeded carries the excess that the failed ``kyfan-sufficient``
+criterion logs.
+
 The criteria read the spectral results a :class:`BipartiteDecomposed`
 record computes once: partial transposition takes the eigenvalues of the
-matrix-level partial transpose of ``d.matrix``, and the two Ky Fan checks,
-the constructive decomposition, the family recogniser and the excess logged
-on inconclusive verdicts all read the one singular value decomposition
-``d.corr_svd``.  Where only a positivity threshold is tested -- the input
-above 2 x 2 and the components of a decomposition -- a Cholesky
-factorisation of the shifted matrix certifies it
-(:func:`~sephorn.linalg.certify_psd`); eigenvalues are computed only when
-that fails, so a rejection still reports the exact lowest eigenvalue.
+matrix-level partial transpose of ``d.matrix``, and the necessary bound,
+the constructive decomposition with its bound and the family recogniser
+all read the one singular value decomposition ``d.corr_svd``.  Where only
+a positivity threshold is tested -- the input above 2 x 2 and the
+components of a decomposition -- a Cholesky factorisation of the shifted
+matrix certifies it (:func:`~sephorn.linalg.certify_psd`); eigenvalues are
+computed only when that fails, so a rejection still reports the exact
+lowest eigenvalue.
 """
 
 from __future__ import annotations
@@ -46,13 +58,13 @@ from .config import DEFAULT, Tolerances
 from .decompose import (
     SeparableDecomposition,
     embed_isometries,
-    _kyfan_pairs,
+    kyfan_bound_decomposition,
     pull_back_filters,
     werner_decompose,
     wootters_decomposition,
     wootters_frame,
 )
-from .errors import DimensionMismatch, NotNormalForm, NotPSD, SepHornError
+from .errors import BoundExceeded, DimensionMismatch, NotPSD, SepHornError
 from .linalg import certify_psd
 from .states import werner_parameter
 
@@ -71,12 +83,6 @@ class CriterionResult:
     passed: bool
     margin: float
     detail: str = ""
-
-
-@dataclass(frozen=True)
-class KyFanCheck:
-    passed: bool
-    margin: float
 
 
 @dataclass(frozen=True)
@@ -103,56 +109,20 @@ class Verdict:
 # individual criteria
 # ---------------------------------------------------------------------------
 
-def _require_normal_form(d: BipartiteDecomposed, tol: float) -> None:
-    na = float(np.linalg.norm(d.a))
-    nb = float(np.linalg.norm(d.b))
-    if na > tol or nb > tol:
-        raise NotNormalForm(
-            f"marginal Bloch norms ({na:.2e}, {nb:.2e}) exceed {tol:.1e}"
-        )
+def kyfan_necessary_check(d: BipartiteDecomposed, *, slack: float = 1e-9) -> CriterionResult:
+    """de Vicente's necessary bound ||corr||_KF <= R_+(N) R_+(M), with
+    R_+(N) = sqrt(2(N-1)/N), which every separable state satisfies,
+    filtered or not.
 
-
-def _kyfan_necessary(d: BipartiteDecomposed, slack: float) -> KyFanCheck:
-    """de Vicente's bound ||corr||_KF <= R_+(N) R_+(M), which every
-    separable state satisfies, filtered or not."""
+    The ``kyfan-necessary`` criterion's margin is the Ky Fan norm, read
+    from ``d.corr_svd``, minus the bound, so a positive margin beyond
+    ``slack`` certifies entanglement.
+    """
     n, m = d.dim_a, d.dim_b
     bound = np.sqrt(2.0 * (n - 1.0) / n) * np.sqrt(2.0 * (m - 1.0) / m)
     margin = float(d.corr_svd[1].sum() - bound)
-    return KyFanCheck(passed=margin <= slack, margin=margin)
-
-
-def kyfan_necessary_check(d: BipartiteDecomposed, *, slack: float = 1e-9,
-                          nf_tol: float = 1e-8) -> KyFanCheck:
-    """Necessary norm bound for normal-form states.
-
-    Separability forces ||corr||_KF^2 <= (2(N-1)/N)(2(M-1)/M); the margin is
-    the Ky Fan norm minus the bound's square root, so a positive margin
-    beyond ``slack`` certifies entanglement.  The norm is read from
-    ``d.corr_svd``.
-    """
-    _require_normal_form(d, nf_tol)
-    return _kyfan_necessary(d, slack)
-
-
-def sufficient_bound(dim_a: int, dim_b: int) -> float:
-    """Constructive sufficient Ky Fan bound 2/sqrt(NM(N-1)(M-1))."""
-    return 2.0 / np.sqrt(dim_a * dim_b * (dim_a - 1.0) * (dim_b - 1.0))
-
-
-def kyfan_sufficient_check(d: BipartiteDecomposed, *, slack: float = 1e-9,
-                           nf_tol: float = 1e-8) -> Verdict:
-    """Constructive sufficient check for normal-form states.
-
-    Below the bound the explicit decomposition is built and attached;
-    otherwise the verdict is inconclusive.  The norm and the decomposition
-    both come from ``d.corr_svd``.
-    """
-    _require_normal_form(d, nf_tol)
-    u, taus, vh = d.corr_svd
-    if taus.sum() > sufficient_bound(d.dim_a, d.dim_b) + slack:
-        return Verdict(status=Status.INCONCLUSIVE)
-    dec = _kyfan_pairs(u, taus, vh, d.dim_a, d.dim_b, slack=slack)
-    return Verdict(status=Status.SEPARABLE, decomposition=dec)
+    return CriterionResult("kyfan-necessary", margin <= slack, margin,
+                           f"Ky Fan norm bound {bound:.6g}")
 
 
 def ppt_check(d: BipartiteDecomposed, *, tol: float = 1e-9) -> PptCheck:
@@ -359,9 +329,10 @@ def analyze(rho: np.ndarray, dim_a: int, dim_b: int, *,
     correlation.  Separable verdicts are re-verified before being
     returned.  An inconclusive verdict on a filtered state logs the failed
     ``kyfan-sufficient`` criterion, whose margin is how far the filtered
-    Ky Fan norm exceeds the constructive bound; when filtering does not
-    converge, the necessary norm bound is applied to the unfiltered
-    correlation instead, and a violation is ENTANGLED.
+    Ky Fan norm exceeds the constructive bound; when filtering leaves a
+    marginal Bloch norm at ``cfg.residual`` or above, the failed
+    ``normal-form`` criterion is logged, the necessary norm bound is applied
+    to the unfiltered correlation instead, and a violation is ENTANGLED.
 
     The input is validated once, and each spectral quantity is computed
     once: one eigendecomposition per marginal, the eigenvalues of the
@@ -421,38 +392,38 @@ def _analyze_decomposed(d: BipartiteDecomposed, *, cfg: Tolerances,
 
     nf = normal_form(d, max_iter=cfg.normal_max_iter, tol=cfg.normal_tol,
                      rank_tol=cfg.rank)
-    marg = float(max(np.linalg.norm(nf.state.a), np.linalg.norm(nf.state.b)))
-    if marg >= 1e-8:
+    tilde = nf.state
+    marg = float(max(np.linalg.norm(tilde.a), np.linalg.norm(tilde.b)))
+    if marg >= cfg.residual:
         # Normal form reached only in the limit: the norm bound still holds
         # for every separable state, so apply it to the unfiltered correlation
         log.append(CriterionResult("normal-form", False, marg,
                                    f"not converged in {nf.iterations} sweeps"))
-        nk = _kyfan_necessary(d, cfg.kyfan_slack)
-        log.append(CriterionResult("kyfan-necessary", nk.passed, nk.margin,
-                                   "norm bound on the unfiltered correlation"))
+        nk = kyfan_necessary_check(d, slack=cfg.kyfan_slack)
+        log.append(nk)
         status = Status.INCONCLUSIVE if nk.passed else Status.ENTANGLED
         return Verdict(status=status, criteria=tuple(log))
+    if not nf.converged:
+        log.append(CriterionResult("normal-form", True, marg,
+                                   f"not converged in {nf.iterations} sweeps; record within "
+                                   f"{cfg.residual:.1e} used"))
 
-    tilde = nf.state
     nk = kyfan_necessary_check(tilde, slack=cfg.kyfan_slack)
-    log.append(CriterionResult("kyfan-necessary", nk.passed, nk.margin,
-                               "norm bound on the filtered correlation"))
+    log.append(nk)
     if not nk.passed:
         return Verdict(status=Status.ENTANGLED, criteria=tuple(log))
 
-    sk = kyfan_sufficient_check(tilde, slack=cfg.kyfan_slack)
-    if sk.status is Status.SEPARABLE and sk.decomposition is not None:
-        dec = pull_back_filters(sk.decomposition, nf.filter_a, nf.filter_b,
+    try:
+        sufficient = kyfan_bound_decomposition(tilde.corr_svd, d.dim_a, d.dim_b,
+                                               slack=cfg.kyfan_slack)
+    except BoundExceeded as exc:
+        log.append(CriterionResult("kyfan-sufficient", False, exc.excess, str(exc)))
+    else:
+        dec = pull_back_filters(sufficient, nf.filter_a, nf.filter_b,
                                 d.dim_a, d.dim_b)
         verdict = _verified(dec, d, log, cfg, "kyfan-sufficient")
         if verdict is not None:
             return verdict
-    else:
-        bound = sufficient_bound(d.dim_a, d.dim_b)
-        excess = float(tilde.corr_svd[1].sum() - bound)
-        log.append(CriterionResult("kyfan-sufficient", False, excess,
-                                   f"filtered Ky Fan norm exceeds the constructive "
-                                   f"bound {bound:.6g}"))
 
     verdict = _family_verdict(d, nf, log, cfg, seed)
     if verdict is not None:

@@ -66,39 +66,40 @@ ENTANGLED = DecompositionOutcome.ENTANGLED
 # closed-form construction within the Ky Fan budget
 # ---------------------------------------------------------------------------
 
-def kyfan_bound_decomposition(corr: np.ndarray, dim_a: int, dim_b: int,
+def kyfan_bound_decomposition(corr_svd: tuple[np.ndarray, np.ndarray, np.ndarray],
+                              dim_a: int, dim_b: int,
                               *, slack: float = 1e-9) -> SeparableDecomposition:
     """Explicit decomposition of a normal-form state whose correlation fits
     the inscribed ball (de Vicente's constructive Ky Fan bound).
 
-    With corr = sum_i tau_i u_i v_i^T and K = ||corr||_KF sqrt(N(N-1)M(M-1))/2
-    <= 1, every tau_i > 0 contributes the pair
+    ``corr_svd`` is the thin singular value decomposition (u, tau, vh) of
+    the correlation, tau descending, as ``BipartiteDecomposed.corr_svd``
+    stores it.  The Ky Fan norm sum tau fits when it exceeds the bound
+    2/sqrt(NM(N-1)(M-1)) by at most ``slack``; otherwise BoundExceeded
+    carries the excess, norm minus bound.  With K = ||corr||_KF
+    sqrt(N(N-1)M(M-1))/2, every tau_i > 0 contributes the pair
     (+-sqrt(2K/(N(N-1))) u_i, +-sqrt(2K/(M(M-1))) v_i), each of weight
     tau_i / (2 sum tau).  The pairs cancel in the marginals and sum to corr
     in the correlation; every vector has squared norm 2K/(N(N-1)) (resp. M),
-    inside the inscribed ball, hence physical.  A rank-r correlation gives
-    2r components, a zero one the single maximally mixed product; K above
-    ``1 + slack`` raises BoundExceeded.
+    inside the inscribed ball for K <= 1, hence physical.  Within the
+    slack a component's lowest eigenvalue is at worst about -(K - 1)/(2N),
+    inside the verification tolerance.  A rank-r correlation gives 2r
+    components, a zero one the single maximally mixed product.
     """
-    u, taus, vh = np.linalg.svd(np.asarray(corr, dtype=float), full_matrices=False)
-    return _kyfan_pairs(u, taus, vh, dim_a, dim_b, slack=slack)
-
-
-def _kyfan_pairs(u: np.ndarray, taus: np.ndarray, vh: np.ndarray, dim_a: int,
-                 dim_b: int, *, slack: float) -> SeparableDecomposition:
-    """:func:`kyfan_bound_decomposition` from the thin SVD of the correlation."""
+    u, taus, vh = corr_svd
     ka, kb = u.shape[0], vh.shape[1]
     if taus.size == 0 or taus[0] <= 0.0:
         return SeparableDecomposition(probs=np.array([1.0]),
                                       r_vectors=np.zeros((1, ka)),
                                       s_vectors=np.zeros((1, kb)))
+    bound = 2.0 / np.sqrt(dim_a * dim_b * (dim_a - 1.0) * (dim_b - 1.0))
+    excess = float(taus.sum() - bound)
+    if excess > slack:
+        raise BoundExceeded(f"Ky Fan norm exceeds the constructive bound {bound:.6g} "
+                            f"by {excess:.3e}", excess=excess)
     rank = int(np.sum(taus > 1e-12 * taus[0]))
     taus, u, v = taus[:rank], u[:, :rank].T, vh[:rank]
-    budget = float(taus.sum()) * np.sqrt(dim_a * (dim_a - 1.0) * dim_b * (dim_b - 1.0)) / 2.0
-    if budget > 1.0 + slack:
-        raise BoundExceeded(
-            f"scaled Ky Fan norm {budget:.12f} exceeds the constructive bound 1"
-        )
+    budget = float(taus.sum()) / bound
     r = np.sqrt(2.0 * budget / (dim_a * (dim_a - 1.0))) * u
     s = np.sqrt(2.0 * budget / (dim_b * (dim_b - 1.0))) * v
     probs = np.repeat(taus / (2.0 * taus.sum()), 2)

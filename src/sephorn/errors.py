@@ -34,10 +34,6 @@ class NotFullRank(SepHornError):
     """Operation requires full local ranks."""
 
 
-class NotNormalForm(SepHornError):
-    """Operation requires vanishing marginal Bloch vectors."""
-
-
 class OutOfPositivityRange(SepHornError):
     """State-family parameter lies outside the physical range."""
 
@@ -63,7 +59,12 @@ class NotSorted(SepHornError):
 # --- constructions ----------------------------------------------------------
 
 class BoundExceeded(SepHornError):
-    """Correlation strength exceeds the constructive sufficient bound."""
+    """Correlation strength exceeds the constructive sufficient bound;
+    ``excess`` is the Ky Fan norm minus the bound."""
+
+    def __init__(self, message: str, excess: float):
+        super().__init__(message)
+        self.excess = excess
 
 
 class SearchFailed(SepHornError):

@@ -242,10 +242,10 @@ def test_8_constructive_bound_decompositions():
         base = np.linalg.svd(raw, compute_uv=False).sum() * weight
         for budget in (0.5, 0.9, 1.0):
             corr = raw * (budget / base)
-            dec = kyfan_bound_decomposition(corr, n, m)
-            # verify against the normal-form state carrying this correlation
+            # the normal-form state carrying this correlation
             state = BipartiteDecomposed(dim_a=n, dim_b=m, a=np.zeros(ka),
                                         b=np.zeros(kb), corr=corr)
+            dec = kyfan_bound_decomposition(state.corr_svd, n, m)
             check = verify_decomposition(dec, state)
             norm_dev_r = np.abs(np.sum(dec.r_vectors ** 2, axis=1)
                                 - 2.0 * budget / (n * (n - 1))).max()

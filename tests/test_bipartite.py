@@ -8,8 +8,6 @@ from sephorn.bipartite import (
     decompose_state,
     local_ranks,
     normal_form,
-    partial_transpose,
-    partial_transpose_matrix,
     project_to_support,
     support_isometries,
 )
@@ -96,49 +94,6 @@ class TestContractions:
         np.testing.assert_allclose(compose_state(d), ref.reshape(n * m, n * m),
                                    rtol=0, atol=1e-13)
         np.testing.assert_allclose(compose_state(d), rho, rtol=0, atol=1e-13)
-
-
-class TestPartialTranspose:
-    def test_bell(self):
-        d = partial_transpose(bell())
-        np.testing.assert_allclose(d.corr, np.eye(3), atol=1e-14)
-        low = np.linalg.eigvalsh(compose_state(d))[0]
-        assert abs(low - (-0.5)) < 1e-12
-
-    def test_matches_matrix_level(self):
-        rng = np.random.default_rng(3)
-        for dims in ((2, 2), (2, 3), (3, 2)):
-            d = random_bipartite(*dims, rng)
-            via_bloch = compose_state(partial_transpose(d))
-            via_matrix = partial_transpose_matrix(compose_state(d), *dims)
-            np.testing.assert_allclose(via_bloch, via_matrix, atol=1e-12)
-
-    def test_product_state_stays_psd(self):
-        rng = np.random.default_rng(4)
-        rho = np.kron(random_density(2, 2, rng), random_density(2, 2, rng))
-        d = partial_transpose(decompose_state(rho, 2, 2))
-        assert np.linalg.eigvalsh(compose_state(d))[0] >= -1e-12
-
-    def test_involution(self):
-        d = random_bipartite(2, 3, np.random.default_rng(5))
-        dd = partial_transpose(partial_transpose(d))
-        np.testing.assert_array_equal(dd.corr, d.corr)
-        np.testing.assert_array_equal(dd.b, d.b)
-
-    def test_preserves_singular_values_in_normal_form(self):
-        rng = np.random.default_rng(6)
-        for dims in ((2, 2), (3, 3)):
-            d = random_bipartite(*dims, rng)
-            tilde = normal_form(d).state
-            before = np.linalg.svd(tilde.corr, compute_uv=False)
-            after = np.linalg.svd(partial_transpose(tilde).corr, compute_uv=False)
-            np.testing.assert_allclose(before, after, atol=1e-10)
-
-    def test_spectrum_commutes_with_compose(self):
-        d = random_bipartite(2, 3, np.random.default_rng(7))
-        ev_a = np.linalg.eigvalsh(compose_state(partial_transpose(d)))
-        ev_b = np.linalg.eigvalsh(partial_transpose_matrix(compose_state(d), 2, 3))
-        np.testing.assert_allclose(ev_a, ev_b, atol=1e-10)
 
 
 class TestLocalRanks:

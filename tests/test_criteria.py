@@ -7,21 +7,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sephorn import criteria
-from sephorn.bipartite import compose_state, decompose_state, normal_form, partial_transpose
+from sephorn.bipartite import (
+    BipartiteDecomposed,
+    compose_state,
+    decompose_state,
+    normal_form,
+    partial_transpose_matrix,
+)
 from sephorn.bloch import from_bloch
 from sephorn.config import DEFAULT
 from sephorn.criteria import (
     Status,
     analyze,
     kyfan_necessary_check,
-    kyfan_sufficient_check,
     ppt_check,
-    sufficient_bound,
     two_qubit_decide,
     verify_decomposition,
 )
-from sephorn.decompose import SeparableDecomposition, werner_decompose
-from sephorn.errors import DimensionMismatch, NotNormalForm, NotPSD, SepHornError
+from sephorn.decompose import SeparableDecomposition, kyfan_bound_decomposition, werner_decompose
+from sephorn.errors import BoundExceeded, DimensionMismatch, NotPSD, SepHornError
 from sephorn.linalg import random_unitary
 from sephorn.states import bell, isotropic, p_zero, random_density, werner
 
@@ -55,10 +59,18 @@ class TestNecessary:
         assert check.passed
         assert abs(check.margin) < 1e-12
 
-    def test_requires_normal_form(self):
-        d = decompose_state(compose_state(p_zero(0.3)), 2, 2)
-        with pytest.raises(NotNormalForm):
-            kyfan_necessary_check(d)
+    def test_holds_off_normal_form(self):
+        # the bound holds for every separable state, so it applies to a
+        # product state with nonzero marginals, and the criterion it returns
+        # is the one the verdict logs
+        rng = np.random.default_rng(7)
+        d = decompose_state(np.kron(random_density(2, 2, rng), random_density(3, 3, rng)), 2, 3)
+        assert min(np.linalg.norm(d.a), np.linalg.norm(d.b)) > 0.1
+        check = kyfan_necessary_check(d)
+        assert check.name == "kyfan-necessary"
+        assert check.passed and check.margin < 0.0
+        bound = np.sqrt(2.0 / 2.0) * np.sqrt(4.0 / 3.0)
+        assert abs(check.margin - (d.corr_svd[1].sum() - bound)) < 1e-12
 
 
 class TestSufficient:
@@ -66,17 +78,18 @@ class TestSufficient:
         corr = np.diag([0.3, 0.3, 0.3])
         d = decompose_state(np.eye(4) / 4, 2, 2)
         d = type(d)(dim_a=2, dim_b=2, a=d.a, b=d.b, corr=corr)
-        verdict = kyfan_sufficient_check(d)
-        assert verdict.status is Status.SEPARABLE
-        assert verify_decomposition(verdict.decomposition, d).valid
+        dec = kyfan_bound_decomposition(d.corr_svd, 2, 2)
+        assert verify_decomposition(dec, d).valid
 
     def test_saturated_werner_boundary(self):
-        verdict = kyfan_sufficient_check(werner(2, 1.0))
-        assert verdict.status is Status.SEPARABLE
-        assert verify_decomposition(verdict.decomposition, werner(2, 1.0)).valid
+        dec = kyfan_bound_decomposition(werner(2, 1.0).corr_svd, 2, 2)
+        assert verify_decomposition(dec, werner(2, 1.0)).valid
 
     def test_bell_inconclusive(self):
-        assert kyfan_sufficient_check(bell()).status is Status.INCONCLUSIVE
+        # three unit singular values against the bound 1
+        with pytest.raises(BoundExceeded) as exc:
+            kyfan_bound_decomposition(bell().corr_svd, 2, 2)
+        assert abs(exc.value.excess - 2.0) < 1e-12
 
 
 class TestPpt:
@@ -550,7 +563,7 @@ class TestAnalyze:
         tilde = normal_form(decompose_state(rho, 3, 3)).state
         norm = np.linalg.svd(tilde.corr, compute_uv=False).sum()
         assert not sufficient.passed
-        assert abs(sufficient.margin - (norm - sufficient_bound(3, 3))) < 1e-9
+        assert abs(sufficient.margin - (norm - 2.0 / np.sqrt(9.0 * 4.0))) < 1e-9
         assert sufficient.margin > 0.1
 
     def test_unconverged_filtering_applies_the_unfiltered_bound(self):
@@ -575,6 +588,41 @@ class TestAnalyze:
         assert verdict.status is Status.INCONCLUSIVE
         assert [c.name for c in verdict.criteria] == names
         assert verdict.criteria[-1].passed and verdict.criteria[-1].margin < 0.0
+
+    def test_record_short_of_convergence_logs_normal_form(self):
+        # a mixture of two product states plus 3e-8 I/6 stops short of the
+        # normal-form tolerance, with a record well inside the residual; the
+        # record is used, and the log says so
+        rng = np.random.default_rng(0)
+        mix = sum(w * np.kron(random_density(2, 1, rng), random_density(3, 1, rng))
+                  for w in (0.4, 0.6))
+        rho = (1.0 - 3e-8) * mix + 3e-8 * np.eye(6) / 6.0
+        nf = normal_form(decompose_state(rho, 2, 3))
+        marg = max(np.linalg.norm(nf.state.a), np.linalg.norm(nf.state.b))
+        assert not nf.converged and DEFAULT.normal_tol <= marg < DEFAULT.residual
+        verdict = analyze(rho, 2, 3)
+        names = [c.name for c in verdict.criteria]
+        assert names[:3] == ["ppt", "normal-form", "kyfan-necessary"]
+        logged = verdict.criteria[1]
+        assert logged.passed and logged.margin == marg
+        assert f"{nf.iterations} sweeps" in logged.detail
+
+    @pytest.mark.parametrize("fraction", [0.2, 0.6, 0.9])
+    @pytest.mark.parametrize("n, m", [(2, 3), (3, 3), (3, 4), (4, 4)])
+    def test_kyfan_norm_within_slack_of_the_bound_is_separable(self, n, m, fraction):
+        # a normal-form state whose Ky Fan norm lies a fraction of the slack
+        # above the constructive bound is decomposed, not refused by a
+        # second, stricter comparison
+        rng = np.random.default_rng(n * m)
+        raw = rng.normal(size=(n * n - 1, m * m - 1))
+        norm = 2.0 / np.sqrt(n * m * (n - 1.0) * (m - 1.0)) + fraction * DEFAULT.kyfan_slack
+        corr = raw * (norm / np.linalg.svd(raw, compute_uv=False).sum())
+        rho = compose_state(BipartiteDecomposed(dim_a=n, dim_b=m, a=np.zeros(n * n - 1),
+                                                b=np.zeros(m * m - 1), corr=corr))
+        verdict = analyze(rho, n, m)
+        assert verdict.status is Status.SEPARABLE, verdict.criteria
+        assert verdict.criteria[-1].name == "decomposition[kyfan-sufficient]"
+        assert verify_decomposition(verdict.decomposition, decompose_state(rho, n, m)).valid
 
     def test_threshold_isotropic_is_separable(self):
         # p = 1/(N+1) is recovered from the state a few ulps above the
@@ -605,7 +653,8 @@ class TestAnalyze:
         # partial transposition preserves separability on the corpus
         corpus = [werner(2, 0.7), werner(3, 0.9), isotropic(3, 0.1)]
         for d in corpus:
-            assert ppt_check(partial_transpose(d)).passed
+            flipped = partial_transpose_matrix(d.matrix, d.dim_a, d.dim_b)
+            assert ppt_check(decompose_state(flipped, d.dim_a, d.dim_b)).passed
 
     def test_soundness_on_2x3_states(self):
         # verdicts never contradict the partial-transposition criterion,

@@ -52,18 +52,18 @@ def padded_singulars(matrix, length):
 
 class TestKyfanBoundDecomposition:
     def test_zero_correlation(self):
-        dec = kyfan_bound_decomposition(np.zeros((3, 3)), 2, 2)
+        dec = kyfan_bound_decomposition(normal_form_state(np.zeros((3, 3)), 2, 2).corr_svd, 2, 2)
         assert len(dec) == 1
         assert dec.probs[0] == 1.0
         assert np.abs(dec.r_vectors).max() == 0.0
 
     def test_two_qubit_point_nine(self):
-        corr = np.diag([0.3, 0.3, 0.3])
-        dec = kyfan_bound_decomposition(corr, 2, 2)
+        state = normal_form_state(np.diag([0.3, 0.3, 0.3]), 2, 2)
+        dec = kyfan_bound_decomposition(state.corr_svd, 2, 2)
         assert len(dec) == 6
         norms = np.sum(dec.r_vectors ** 2, axis=1)
         np.testing.assert_allclose(norms, 0.9, atol=1e-9)
-        report = verify_decomposition(dec, normal_form_state(corr, 2, 2))
+        report = verify_decomposition(dec, state)
         assert report.valid and report.max_residual < 1e-8
 
     def test_rank_one(self):
@@ -71,14 +71,18 @@ class TestKyfanBoundDecomposition:
         u = rng.normal(size=3)
         v = rng.normal(size=3)
         corr = 0.5 * np.outer(u / np.linalg.norm(u), v / np.linalg.norm(v))
-        dec = kyfan_bound_decomposition(corr, 2, 2)
+        state = normal_form_state(corr, 2, 2)
+        dec = kyfan_bound_decomposition(state.corr_svd, 2, 2)
         assert len(dec) == 2
-        report = verify_decomposition(dec, normal_form_state(corr, 2, 2))
+        report = verify_decomposition(dec, state)
         assert report.valid
 
     def test_bound_exceeded(self):
-        with pytest.raises(BoundExceeded):
-            kyfan_bound_decomposition(np.diag([0.5, 0.5, 0.5]), 2, 2)
+        corr = np.diag([0.5, 0.5, 0.5])
+        with pytest.raises(BoundExceeded) as exc:
+            kyfan_bound_decomposition(normal_form_state(corr, 2, 2).corr_svd, 2, 2)
+        # the excess is the Ky Fan norm minus the bound 1
+        assert abs(exc.value.excess - 0.5) < 1e-12
 
     def test_component_norm_formula(self):
         # |r_j|^2 = 2 K / (N(N-1)) for every component, K the scaled norm;
@@ -96,7 +100,8 @@ class TestKyfanBoundDecomposition:
             target = rng.uniform(0.3, 1.0)
             weight = np.sqrt(n * (n - 1) * m * (m - 1)) / 2.0
             raw *= target / (np.linalg.svd(raw, compute_uv=False).sum() * weight)
-            dec = kyfan_bound_decomposition(raw, n, m)
+            state = normal_form_state(raw, n, m)
+            dec = kyfan_bound_decomposition(state.corr_svd, n, m)
             assert len(dec) == 2 * rank
             assert (dec.probs[0::2] == dec.probs[1::2]).all()
             assert (dec.r_vectors[0::2] == -dec.r_vectors[1::2]).all()
@@ -109,13 +114,13 @@ class TestKyfanBoundDecomposition:
                                        2.0 * target / (n * (n - 1)), atol=1e-9)
             np.testing.assert_allclose(np.sum(dec.s_vectors ** 2, axis=1),
                                        2.0 * target / (m * (m - 1)), atol=1e-9)
-            report = verify_decomposition(dec, normal_form_state(raw, n, m))
+            report = verify_decomposition(dec, state)
             assert report.valid and report.max_residual < 1e-8
 
     def test_horn_consistency(self):
         # singular values of the emitted factor pair against the target
         corr = np.diag([0.3, 0.3, 0.3])
-        dec = kyfan_bound_decomposition(corr, 2, 2)
+        dec = kyfan_bound_decomposition(normal_form_state(corr, 2, 2).corr_svd, 2, 2)
         m_rp = (dec.r_vectors * np.sqrt(dec.probs[:, None])).T
         m_sp = (dec.s_vectors * np.sqrt(dec.probs[:, None])).T
         length = len(dec)

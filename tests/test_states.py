@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sephorn.bipartite import compose_state, local_ranks, partial_transpose
+from sephorn.bipartite import compose_state, decompose_state, local_ranks, partial_transpose_matrix
 from sephorn.errors import NotPSD, OutOfPositivityRange
 from sephorn.states import bell, isotropic, p_zero, random_density, werner
 
@@ -52,7 +52,8 @@ class TestIsotropic:
         # (phi below 0 maps outside the physical isotropic range)
         for dim, phi in ((2, 1.0), (3, 0.5), (4, 0.1)):
             p = (dim * phi - 1.0) / (dim * dim - 1.0)
-            flipped = partial_transpose(werner(dim, phi))
+            rho_pt = partial_transpose_matrix(werner(dim, phi).matrix, dim, dim)
+            flipped = decompose_state(rho_pt, dim, dim)
             np.testing.assert_allclose(flipped.corr, isotropic(dim, p).corr,
                                        atol=1e-14)
 
