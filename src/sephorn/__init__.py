@@ -17,11 +17,7 @@ from .bipartite import (
     partial_transpose_matrix,
     project_to_support,
 )
-from .bloch import (
-    from_bloch,
-    to_bloch,
-    transpose_flip,
-)
+from .bloch import from_bloch, to_bloch
 from .criteria import (
     Status,
     Verdict,
@@ -32,10 +28,7 @@ from .criteria import (
     verify_decomposition,
 )
 from .decompose import (
-    ENTANGLED,
-    DecompositionOutcome,
     SeparableDecomposition,
-    isotropic_decompose,
     kyfan_bound_decomposition,
     pure_state_simplex,
     werner_decompose,
@@ -58,8 +51,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BipartiteDecomposed",
-    "DecompositionOutcome",
-    "ENTANGLED",
     "HornReport",
     "NormalFormResult",
     "SeparableDecomposition",
@@ -75,7 +66,6 @@ __all__ = [
     "from_bloch",
     "generator_basis",
     "isotropic",
-    "isotropic_decompose",
     "kyfan_bound_decomposition",
     "kyfan_necessary_check",
     "local_ranks",
@@ -91,7 +81,6 @@ __all__ = [
     "random_orthogonal",
     "random_unitary",
     "to_bloch",
-    "transpose_flip",
     "triple_set",
     "two_qubit_decide",
     "verify_decomposition",

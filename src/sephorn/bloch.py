@@ -105,18 +105,3 @@ def from_bloch(r: np.ndarray, dim: int | None = None) -> np.ndarray:
         raise DimensionMismatch(f"vector length {r.shape[-1]} does not match dim {n}")
     return np.eye(n) / n + 0.5 * (r @ _gen_rows(n)).reshape(*r.shape[:-1], n, n)
 
-
-def transpose_flip(r: np.ndarray) -> np.ndarray:
-    """Bloch image of matrix transposition, row by row for a stack.
-
-    Negates exactly the antisymmetric-generator components, so
-    ``from_bloch(transpose_flip(r)) == from_bloch(r).T``; physical input
-    stays physical and the map is an involution.
-    """
-    r = np.asarray(r, dtype=float)
-    n = dim_of_bloch(r)
-    out = r.copy()
-    if n > 1:
-        idx = list(generator_basis(n).antisymmetric_indices)
-        out[..., idx] = -out[..., idx]
-    return out

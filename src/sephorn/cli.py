@@ -2,8 +2,10 @@
 
 Exit codes are a stable contract: 0 = separable, 1 = entangled,
 2 = inconclusive, 64 = unreadable input or bad usage, 70 = numeric failure
-(any unexpected exception included).
-The environment variable ``SEP_HORN_TOL`` sets the default ``--tol``.
+(any unexpected exception included).  ``werner`` writes a Werner state and
+exits with the code of its ``analyze`` verdict.
+The environment variable ``SEP_HORN_TOL`` sets the default ``--tol``; a
+tolerance that is not finite and >= 0, from either source, is bad usage.
 """
 
 from __future__ import annotations
@@ -19,10 +21,9 @@ import click
 import numpy as np
 
 from . import fileio
-from .bipartite import compose_state, decompose_state, normal_form
-from .config import DEFAULT, default_positivity_tol
+from .bipartite import decompose_state, normal_form
+from .config import DEFAULT, ENV_TOL, default_positivity_tol
 from .criteria import Status, Verdict, analyze
-from .decompose import ENTANGLED, werner_decompose
 from .errors import FileFormatError, SepHornError
 from .horn import MAX_N, triple_set
 from .states import werner
@@ -43,6 +44,17 @@ _STATUS_EXIT = {
 @click.group()
 def cli():
     """Separability analysis of bipartite quantum states."""
+
+
+def _checked_tol(value: float, source: str) -> float:
+    """``value`` when it is a finite tolerance >= 0; otherwise a usage error."""
+    if not (np.isfinite(value) and value >= 0.0):
+        raise click.UsageError(f"{source} must be finite and >= 0, got {value}")
+    return value
+
+
+def _check_tol_option(ctx, param, value):
+    return value if value is None else _checked_tol(value, "--tol")
 
 
 # ---------------------------------------------------------------------------
@@ -90,12 +102,12 @@ def _analyze_one(path: str, tol: float, max_iter: int, seed: int):
 @cli.command("analyze")
 @click.argument("paths", nargs=-1, required=True,
                 type=click.Path(exists=True, dir_okay=False))
-@click.option("--tol", type=float, default=None,
+@click.option("--tol", type=float, default=None, callback=_check_tol_option,
               help=f"Positivity tolerance (default: SEP_HORN_TOL or {DEFAULT.psd:g}).")
 @click.option("--max-iter", type=int, default=DEFAULT.normal_max_iter, show_default=True,
               help="Normal-form filtering budget.")
 @click.option("--seed", type=int, default=0, show_default=True,
-              help="Seed for randomized constructions.")
+              help="Seed of the SIC fiducial search for Werner and isotropic states.")
 @click.option("--report", type=click.Choice(["text", "structured"]),
               default="text", show_default=True)
 @click.option("--jobs", type=int, default=1, show_default=True,
@@ -105,7 +117,11 @@ def cmd_analyze(paths, tol, max_iter, seed, report, jobs):
 
     With several PATHS the exit code is the worst (maximum) per-file code.
     """
-    tol = default_positivity_tol() if tol is None else tol
+    if tol is None:
+        try:
+            tol = _checked_tol(default_positivity_tol(), ENV_TOL)
+        except ValueError as exc:
+            raise click.UsageError(str(exc)) from exc
     results = {}
     if jobs > 1 and len(paths) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -160,12 +176,17 @@ def cmd_horn_triples(n, r, out):
 @click.argument("dim", type=int)
 @click.argument("phi", type=float)
 @click.option("--decompose", "want_decomposition", is_flag=True,
-              help="Also write the explicit decomposition file.")
-@click.option("--seed", type=int, default=0, show_default=True)
+              help="Also write the verified decomposition of a separable state.")
+@click.option("--seed", type=int, default=0, show_default=True,
+              help="Seed of the SIC fiducial search.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="State file path (default: werner_<dim>_phi<phi>.state.json).")
 def cmd_werner(dim, phi, want_decomposition, seed, out):
-    """Emit a Werner state file and report its separability."""
+    """Emit a Werner state file and report its ``analyze`` verdict.
+
+    The exit code is the verdict's; a separable verdict reports the number of
+    components of its verified decomposition.
+    """
     if dim < 2:
         raise click.UsageError(f"dim must be >= 2, got {dim}")
     try:
@@ -173,20 +194,19 @@ def cmd_werner(dim, phi, want_decomposition, seed, out):
     except SepHornError as exc:
         raise click.UsageError(str(exc)) from exc
     path = Path(out) if out else Path(f"werner_{dim}_phi{phi}.state.json")
-    path.write_text(fileio.state_to_text(compose_state(state), (dim, dim)))
+    path.write_text(fileio.state_to_text(state.matrix, (dim, dim)))
     click.echo(f"state written to {path}")
 
-    outcome = werner_decompose(dim, phi, seed)
-    if outcome is ENTANGLED:
-        click.echo("status: ENTANGLED")
-        return EXIT_ENTANGLED
-    click.echo(f"status: SEPARABLE ({len(outcome)} components)")
-    if want_decomposition:
+    verdict = analyze(state.matrix, dim, dim, seed=seed)
+    dec = verdict.decomposition
+    click.echo(f"status: {verdict.status.value.upper()}"
+               + (f" ({len(dec)} components)" if dec is not None else ""))
+    if want_decomposition and dec is not None:
         dec_path = path.with_suffix("").with_suffix("")  # strip .state.json
         dec_file = Path(str(dec_path) + ".decomposition.json")
-        dec_file.write_text(fileio.decomposition_to_text(outcome, (dim, dim)))
+        dec_file.write_text(fileio.decomposition_to_text(dec, (dim, dim)))
         click.echo(f"decomposition written to {dec_file}")
-    return EXIT_SEPARABLE
+    return _STATUS_EXIT[verdict.status]
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +218,8 @@ def cmd_werner(dim, phi, want_decomposition, seed, out):
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Filtered state file (default: <input>.normal.json).")
 @click.option("--max-iter", type=int, default=DEFAULT.normal_max_iter, show_default=True)
-@click.option("--tol", type=float, default=DEFAULT.normal_tol, show_default=True)
+@click.option("--tol", type=float, default=DEFAULT.normal_tol, show_default=True,
+              callback=_check_tol_option)
 def cmd_normal_form(path, out, max_iter, tol):
     """Filter a state toward maximally mixed marginals and report convergence."""
     rho, dims = fileio.state_from_text(Path(path).read_text())

@@ -3,22 +3,23 @@
 Builds explicit convex decompositions ``rho = sum_i p_i rho_i^A x rho_i^B``
 in Bloch form: the closed-form +- pair construction that succeeds whenever
 the Ky Fan norm fits the inscribed-ball budget, the pure-state simplex built
-from a Weyl-Heisenberg SIC, the closed-form Werner / isotropic
-decompositions and Wootters' four-component product decomposition of
-two-qubit states.  Decompositions are transported between equivalent states
-as component stacks, one batched conjugation per side.
+from a Weyl-Heisenberg SIC, the closed-form decomposition of a separable
+Werner state (which ``criteria.analyze`` rotates and pulls back to decompose
+every Werner and isotropic state it recognises) and Wootters'
+four-component product decomposition of two-qubit states.  Decompositions
+are transported between equivalent states as component stacks, one batched
+conjugation per side.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .bipartite import BipartiteDecomposed
-from .bloch import from_bloch, to_bloch, transpose_flip
+from .bloch import from_bloch, to_bloch
 from .errors import BoundExceeded, DimensionMismatch, OutOfPositivityRange, SearchFailed
 from .states import werner_coefficient
 from .su import generator_basis
@@ -51,15 +52,6 @@ class SeparableDecomposition:
     @property
     def correlation(self) -> np.ndarray:
         return (self.r_vectors * self.probs[:, None]).T @ self.s_vectors
-
-
-class DecompositionOutcome(enum.Enum):
-    """Non-constructive outcome of the closed-form decomposition routines."""
-
-    ENTANGLED = "entangled"
-
-
-ENTANGLED = DecompositionOutcome.ENTANGLED
 
 
 # ---------------------------------------------------------------------------
@@ -213,12 +205,11 @@ def pure_state_simplex(dim: int, seed: int = 0) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Werner / isotropic families
+# separable Werner states
 # ---------------------------------------------------------------------------
 
-def werner_decompose(dim: int, phi: float,
-                     seed: int = 0) -> SeparableDecomposition | DecompositionOutcome:
-    """Closed-form decomposition of the Werner family.
+def werner_decompose(dim: int, phi: float, seed: int = 0) -> SeparableDecomposition:
+    """Closed-form decomposition of a separable Werner state, 0 <= phi <= 1.
 
     phi >= 1/N: uniform mixture of scaled pure-simplex product states
     r_i = s_i = t * v_i with t = sqrt(c N(N+1)/2) <= 1 (convex shrinkage
@@ -227,13 +218,13 @@ def werner_decompose(dim: int, phi: float,
     s_i = N beta q_i (pure), with alpha beta = |c| and beta held at the
     pure bound; alpha^2 = c^2 N(N+1)/2 stays within 2/(N(N-1)(N^2-1)),
     the bound that keeps r_i in the inscribed ball, and reaches it only at
-    phi = 0.  phi < 0 is entangled.
-    ``seed`` picks the :func:`pure_state_simplex` fiducial.
+    phi = 0.  Any other phi, the entangled range [-1, 0) included, raises
+    OutOfPositivityRange.  ``seed`` picks the :func:`pure_state_simplex`
+    fiducial.
     """
-    if not -1.0 - 1e-12 <= phi <= 1.0 + 1e-12:
-        raise OutOfPositivityRange(f"Werner parameter phi={phi} outside [-1, 1]")
-    if phi < 0.0:
-        return ENTANGLED
+    if not 0.0 <= phi <= 1.0:
+        raise OutOfPositivityRange(
+            f"Werner parameter phi={phi} outside the separable range [0, 1]")
     c = werner_coefficient(dim, phi)
     vertices = pure_state_simplex(dim, seed)  # (N^2, K)
     count = dim * dim
@@ -249,37 +240,6 @@ def werner_decompose(dim: int, phi: float,
     return SeparableDecomposition(probs=probs,
                                   r_vectors=-dim * alpha * unit,
                                   s_vectors=dim * beta * unit)
-
-
-def isotropic_threshold(dim: int) -> float:
-    """Entanglement threshold 1/(N+1) of the isotropic family."""
-    return 1.0 / (dim + 1.0)
-
-
-def isotropic_decompose(dim: int, p: float,
-                        seed: int = 0) -> SeparableDecomposition | DecompositionOutcome:
-    """Decompose the isotropic family via its Werner partner.
-
-    Maps p to the Werner parameter phi = (p (N^2-1) + 1)/N, decomposes the
-    Werner state and transpose-flips every B-side vector.  p > 1/(N+1) is
-    entangled; p outside the PSD range raises OutOfPositivityRange.  Both
-    comparisons allow 1e-12 of round-off, and phi is clamped to [0, 1]
-    after them, so a parameter recovered from a state at either end still
-    decomposes.
-    """
-    low = -1.0 / (dim * dim - 1.0)
-    if not low - 1e-12 <= p <= 1.0 + 1e-12:
-        raise OutOfPositivityRange(
-            f"isotropic parameter p={p} outside [{low:.6f}, 1]"
-        )
-    if p > isotropic_threshold(dim) + 1e-12:
-        return ENTANGLED
-    p = min(p, isotropic_threshold(dim))
-    phi = max((p * (dim * dim - 1.0) + 1.0) / dim, 0.0)
-    partner = werner_decompose(dim, phi, seed)
-    return SeparableDecomposition(probs=partner.probs,
-                                  r_vectors=partner.r_vectors,
-                                  s_vectors=transpose_flip(partner.s_vectors))
 
 
 # ---------------------------------------------------------------------------

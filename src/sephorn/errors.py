@@ -35,7 +35,9 @@ class NotFullRank(SepHornError):
 
 
 class OutOfPositivityRange(SepHornError):
-    """State-family parameter lies outside the physical range."""
+    """State-family parameter lies outside the physical range, or outside
+    the range a construction covers (the separable range 0 <= phi <= 1 of
+    the closed-form Werner decomposition)."""
 
 
 # --- combinatorics ----------------------------------------------------------

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bipartite import BipartiteDecomposed, compose_state, decompose_state
+from .bipartite import BipartiteDecomposed, decompose_state
+from .config import DEFAULT
 from .errors import NotPSD, OutOfPositivityRange
-from .linalg import certify_psd
 from .su import generator_basis
 
 
@@ -21,37 +21,39 @@ def werner_parameter(dim: int, c: float) -> float:
     return (c * dim * (dim * dim - 1.0) / 2.0 + 1.0) / dim
 
 
-def werner(dim: int, phi: float, psd_tol: float = 1e-9) -> BipartiteDecomposed:
+def werner(dim: int, phi: float) -> BipartiteDecomposed:
     """Werner state on dim x dim: zero marginals, correlation c * identity.
 
-    PSD over phi in [-1, 1]; out-of-range parameters raise NotPSD.
+    Its spectrum is (1 + phi)/(N(N+1)) on the symmetric subspace and
+    (1 - phi)/(N(N-1)) on the antisymmetric one, so it is PSD over
+    phi in [-1, 1]; out-of-range parameters raise NotPSD.
     """
+    _check_psd(min((1.0 + phi) / (dim * (dim + 1.0)), (1.0 - phi) / (dim * (dim - 1.0))),
+               f"Werner(dim={dim}, phi={phi})")
     k = dim * dim - 1
-    c = werner_coefficient(dim, phi)
-    d = BipartiteDecomposed(dim_a=dim, dim_b=dim,
-                            a=np.zeros(k), b=np.zeros(k),
-                            corr=c * np.eye(k))
-    _check_psd(d, psd_tol, f"Werner(dim={dim}, phi={phi})")
-    return d
+    return BipartiteDecomposed(dim_a=dim, dim_b=dim,
+                               a=np.zeros(k), b=np.zeros(k),
+                               corr=werner_coefficient(dim, phi) * np.eye(k))
 
 
-def isotropic(dim: int, p: float, psd_tol: float = 1e-9) -> BipartiteDecomposed:
+def isotropic(dim: int, p: float) -> BipartiteDecomposed:
     """Isotropic state on dim x dim: diagonal correlation +-2p/N.
 
     The correlation matrix carries +2p/N at the transpose-symmetric
-    generator indices and -2p/N at the antisymmetric ones.  PSD over
-    p in [-1/(N^2-1), 1].
+    generator indices and -2p/N at the antisymmetric ones.  Its spectrum is
+    p + (1 - p)/N^2 on the maximally entangled vector and (1 - p)/N^2 on
+    its complement, so it is PSD over p in [-1/(N^2-1), 1]; out-of-range
+    parameters raise NotPSD.
     """
+    mixed = (1.0 - p) / (dim * dim)
+    _check_psd(min(p + mixed, mixed), f"isotropic(dim={dim}, p={p})")
     k = dim * dim - 1
-    basis = generator_basis(dim)
     diag = np.full(k, 2.0 * p / dim)
-    anti = list(basis.antisymmetric_indices)
+    anti = list(generator_basis(dim).antisymmetric_indices)
     diag[anti] = -diag[anti]
-    d = BipartiteDecomposed(dim_a=dim, dim_b=dim,
-                            a=np.zeros(k), b=np.zeros(k),
-                            corr=np.diag(diag))
-    _check_psd(d, psd_tol, f"isotropic(dim={dim}, p={p})")
-    return d
+    return BipartiteDecomposed(dim_a=dim, dim_b=dim,
+                               a=np.zeros(k), b=np.zeros(k),
+                               corr=np.diag(diag))
 
 
 def bell() -> BipartiteDecomposed:
@@ -92,7 +94,8 @@ def random_density(dim: int, rank: int, seed) -> np.ndarray:
     return rho / np.real(np.trace(rho))
 
 
-def _check_psd(d: BipartiteDecomposed, tol: float, label: str) -> None:
-    low = certify_psd(compose_state(d), tol)
-    if low is not None and not low >= -tol:
+def _check_psd(low: float, label: str) -> None:
+    """Raise NotPSD when the lowest eigenvalue ``low`` is below -``DEFAULT.psd``
+    (or NaN)."""
+    if not low >= -DEFAULT.psd:
         raise NotPSD(f"{label} has minimum eigenvalue {low:.3e}")

@@ -26,11 +26,7 @@ from sephorn.criteria import (
     two_qubit_decide,
     verify_decomposition,
 )
-from sephorn.decompose import (
-    isotropic_decompose,
-    kyfan_bound_decomposition,
-    werner_decompose,
-)
+from sephorn.decompose import kyfan_bound_decomposition, werner_decompose
 from sephorn.horn import all_triples, check_product_inequalities, triple_set
 from sephorn.linalg import random_orthogonal
 from sephorn.states import bell, isotropic, p_zero, random_density, werner
@@ -191,9 +187,10 @@ def test_6_isotropic_boundary():
                      f"(ppt min eig {ppt.min_eigenvalue:.1e})")
         if dim <= 3:
             below = threshold - 0.01
-            dec = isotropic_decompose(dim, below, seed=0)
-            check = verify_decomposition(dec, isotropic(dim, below))
-            ok = ok and check.valid
+            state = isotropic(dim, below)
+            verdict = analyze(compose_state(state), dim, dim)
+            check = verify_decomposition(verdict.decomposition, state)
+            ok = ok and verdict.status is Status.SEPARABLE and check.valid
             notes.append(f"N={dim} p={below:.3f}: separable "
                          f"(residual {check.max_residual:.1e})")
     elapsed = time.time() - start

@@ -5,7 +5,6 @@ from helpers import is_physical
 from sephorn.bloch import (
     from_bloch,
     to_bloch,
-    transpose_flip,
     validate_state,
 )
 from sephorn.errors import DimensionMismatch, NotAState
@@ -62,8 +61,6 @@ def test_stacks_match_single_matrices():
         for rho, r in zip(rhos, vecs):
             np.testing.assert_allclose(r, to_bloch(rho), rtol=0, atol=1e-15)
         np.testing.assert_allclose(from_bloch(vecs), rhos, rtol=0, atol=1e-12)
-        np.testing.assert_array_equal(transpose_flip(vecs),
-                                      [transpose_flip(r) for r in vecs])
 
 
 @pytest.mark.parametrize("spoil, message", [
@@ -132,32 +129,6 @@ def test_negated_pure_qutrit_vector_unphysical():
         r = random_pure_bloch(3, rng)
         assert is_physical(r)
         assert not is_physical(-r)
-
-
-class TestTransposeFlip:
-    def test_qubit_flips_y(self):
-        r = np.array([0.3, 0.4, 0.5])
-        np.testing.assert_array_equal(transpose_flip(r), [0.3, -0.4, 0.5])
-
-    def test_matches_matrix_transpose(self):
-        rng = np.random.default_rng(1)
-        for dim in (2, 3, 4):
-            rho = random_density(dim, dim, rng)
-            r = to_bloch(rho)
-            np.testing.assert_allclose(from_bloch(transpose_flip(r)), rho.T,
-                                       atol=1e-12)
-
-    def test_physical_stays_physical(self):
-        rng = np.random.default_rng(6)
-        for dim in (2, 3):
-            for _ in range(20):
-                r = to_bloch(random_density(dim, dim, rng))
-                assert is_physical(transpose_flip(r))
-
-    def test_involution(self):
-        rng = np.random.default_rng(2)
-        r = to_bloch(random_density(3, 3, rng))
-        np.testing.assert_array_equal(transpose_flip(transpose_flip(r)), r)
 
 
 def purity(r):

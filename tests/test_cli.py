@@ -6,8 +6,10 @@ import pytest
 
 from sephorn import fileio
 from sephorn.bipartite import compose_state
+from sephorn import criteria
 from sephorn.cli import main
 from sephorn.criteria import verify_decomposition
+from sephorn.errors import SearchFailed
 from sephorn.states import bell, p_zero, werner
 from sephorn.bipartite import decompose_state
 
@@ -194,6 +196,30 @@ class TestWerner:
         dec, _ = fileio.decomposition_from_text(dec_file.read_text())
         assert verify_decomposition(dec, decompose_state(rho, 3, 3)).valid
 
+    def test_kyfan_point_writes_verified_decomposition(self, tmp_path, capsys):
+        # phi = 1/2 at N = 3 sits on the Ky Fan bound: the verdict's 16-component
+        # decomposition is written, not the 9-component Werner simplex
+        out_path = tmp_path / "w.state.json"
+        code, out, _ = run_cli(["werner", "3", "0.5", "--decompose",
+                                "--out", str(out_path)], capsys)
+        assert code == 0
+        assert "SEPARABLE (16 components)" in out
+        rho, _ = fileio.state_from_text(out_path.read_text())
+        dec, _ = fileio.decomposition_from_text(
+            (tmp_path / "w.decomposition.json").read_text())
+        assert verify_decomposition(dec, decompose_state(rho, 3, 3)).valid
+
+    def test_failed_construction_is_inconclusive(self, tmp_path, capsys, monkeypatch):
+        def failed(*args, **kwargs):
+            raise SearchFailed("no SIC fiducial", residual=1e-2)
+
+        monkeypatch.setattr(criteria, "werner_decompose", failed)
+        code, out, _ = run_cli(["werner", "3", "1.0", "--decompose",
+                                "--out", str(tmp_path / "w.state.json")], capsys)
+        assert code == 2
+        assert "status: INCONCLUSIVE" in out
+        assert not (tmp_path / "w.decomposition.json").exists()
+
     def test_negative_phi_entangled(self, tmp_path, capsys):
         code, out, _ = run_cli(["werner", "3", "--out",
                                 str(tmp_path / "w.state.json"), "--", "-0.1"],
@@ -258,7 +284,33 @@ def test_jobs_flag_parallel_analysis(tmp_path, capsys):
     assert "SEPARABLE" in out and "ENTANGLED" in out
 
 
+def identity_state(tmp_path):
+    return write_state(tmp_path / "mixed.state.json",
+                       decompose_state(np.eye(9, dtype=complex) / 9.0, 3, 3), (3, 3))
+
+
 class TestEnvTolerance:
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_bad_tol_option_is_usage_error(self, tmp_path, capsys, tol):
+        code, _, err = run_cli(["analyze", identity_state(tmp_path), f"--tol={tol}"],
+                               capsys)
+        assert code == 64
+        assert "--tol must be finite and >= 0" in err
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf", "tight"])
+    def test_bad_env_tol_is_usage_error(self, tmp_path, capsys, monkeypatch, tol):
+        monkeypatch.setenv("SEP_HORN_TOL", tol)
+        code, _, err = run_cli(["analyze", identity_state(tmp_path)], capsys)
+        assert code == 64
+        assert "SEP_HORN_TOL must be" in err
+
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_bad_normal_form_tol_is_usage_error(self, tmp_path, capsys, tol):
+        code, _, err = run_cli(["normal-form", identity_state(tmp_path), f"--tol={tol}"],
+                               capsys)
+        assert code == 64
+        assert "--tol must be finite and >= 0" in err
+
     def test_env_overrides_default(self, monkeypatch):
         from sephorn.config import default_positivity_tol
         monkeypatch.setenv("SEP_HORN_TOL", "1e-6")

@@ -11,13 +11,10 @@ from helpers import is_physical
 from sephorn.bipartite import BipartiteDecomposed, decompose_state, partial_transpose_matrix
 from sephorn import decompose
 from sephorn.bloch import from_bloch, to_bloch
-from sephorn.criteria import verify_decomposition
+from sephorn.criteria import Status, analyze, verify_decomposition
 from sephorn.decompose import (
-    ENTANGLED,
-    DecompositionOutcome,
     SeparableDecomposition,
     embed_isometries,
-    isotropic_decompose,
     kyfan_bound_decomposition,
     pull_back_filters,
     pure_state_simplex,
@@ -256,13 +253,14 @@ class TestWernerDecompose:
     def test_interior_points(self):
         for dim, phi in ((2, 0.7), (2, 0.2), (3, 0.8), (3, 0.15)):
             dec = werner_decompose(dim, phi)
-            assert not isinstance(dec, DecompositionOutcome)
             report = verify_decomposition(dec, werner(dim, phi))
             assert report.valid and report.max_residual < 1e-8
 
-    def test_negative_phi_entangled(self):
-        assert werner_decompose(2, -0.3) is ENTANGLED
-        assert werner_decompose(3, -0.01) is ENTANGLED
+    def test_negative_phi_out_of_range(self):
+        # the entangled range phi < 0 is outside the construction's range
+        for dim, phi in ((2, -0.3), (3, -0.01)):
+            with pytest.raises(OutOfPositivityRange, match=r"separable range \[0, 1\]"):
+                werner_decompose(dim, phi)
 
     def test_out_of_range(self):
         with pytest.raises(OutOfPositivityRange):
@@ -290,41 +288,44 @@ class TestWernerDecompose:
 
 
 class TestIsotropicDecompose:
+    """Isotropic states are decomposed by the family recogniser of
+    ``analyze``, which rotates the closed-form Werner decomposition."""
+
+    @staticmethod
+    def separable_residual(dim, p, target_p=None):
+        # analyze the state at p, verify against the state at target_p
+        verdict = analyze(isotropic(dim, p).matrix, dim, dim)
+        assert verdict.status is Status.SEPARABLE, (dim, p, verdict.criteria)
+        target = isotropic(dim, p if target_p is None else target_p)
+        report = verify_decomposition(verdict.decomposition, target)
+        assert report.valid, (dim, p, report)
+        return report.max_residual
+
     def test_qubit_image_of_saturated_werner(self):
-        dec = isotropic_decompose(2, 1.0 / 3.0)
-        report = verify_decomposition(dec, isotropic(2, 1.0 / 3.0))
-        assert report.valid and report.max_residual < 1e-8
+        assert self.separable_residual(2, 1.0 / 3.0) < 1e-8
 
     def test_entangled_above_threshold(self):
-        assert isotropic_decompose(3, 0.26) is ENTANGLED
+        verdict = analyze(isotropic(3, 0.26).matrix, 3, 3)
+        assert verdict.status is Status.ENTANGLED
 
     def test_round_off_above_threshold_decomposes(self):
-        # within the 1e-12 slack the threshold state is decomposed, even
-        # where the Werner partner's phi would leave its own slack
-        threshold = 1.0 / 6.0
-        dec = isotropic_decompose(5, threshold + 5e-13)
-        report = verify_decomposition(dec, isotropic(5, threshold))
-        assert report.valid and report.max_residual < 1e-10
+        # the threshold state is decomposed, and so is one 5e-13 above it,
+        # as round-off in a recovered parameter can give
+        for dim in (3, 5):
+            threshold = 1.0 / (dim + 1.0)
+            assert self.separable_residual(dim, threshold) < 1e-10
+            assert self.separable_residual(dim, threshold + 5e-13, threshold) < 1e-10
 
     def test_lower_positivity_edge(self):
-        dec = isotropic_decompose(3, -1.0 / 8.0)
-        report = verify_decomposition(dec, isotropic(3, -1.0 / 8.0))
-        assert report.valid and report.max_residual < 1e-8
+        for dim in (3, 5):
+            assert self.separable_residual(dim, -1.0 / (dim * dim - 1.0)) < 1e-8
 
     @pytest.mark.parametrize("dim", [2, 3, 5])
     def test_round_off_below_positivity_edge_decomposes(self, dim):
-        # within the 1e-12 slack the lower edge is decomposed, not sent to
-        # the Werner partner as phi < 0, which is entangled
+        # 5e-13 below the lower edge the state is still physical within the
+        # positivity tolerance, and is decomposed
         low = -1.0 / (dim * dim - 1.0)
-        dec = isotropic_decompose(dim, low - 5e-13)
-        report = verify_decomposition(dec, isotropic(dim, low))
-        assert report.valid and report.max_residual < 1e-10
-
-    def test_out_of_range(self):
-        with pytest.raises(OutOfPositivityRange):
-            isotropic_decompose(3, -0.2)
-        with pytest.raises(OutOfPositivityRange):
-            isotropic_decompose(3, 1.1)
+        assert self.separable_residual(dim, low - 5e-13, low) < 1e-10
 
 
 def random_ppt_qubits(rng, rank, count, filtered=False):
