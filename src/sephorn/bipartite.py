@@ -23,6 +23,7 @@ from math import sqrt
 import numpy as np
 
 from .bloch import _gen_rows, from_bloch, validate_state
+from .config import MAX_ITER, NORMAL_TOL, POSITIVITY_TOL
 from .errors import DimensionMismatch, NotAState, NotFullRank
 
 
@@ -169,8 +170,8 @@ def project_to_support(d: BipartiteDecomposed, tol: float = 1e-9) -> BipartiteDe
     return decompose_state(rho, na, nb)
 
 
-def normal_form(d: BipartiteDecomposed, max_iter: int = 500,
-                tol: float = 1e-10, rank_tol: float = 1e-9) -> NormalFormResult:
+def normal_form(d: BipartiteDecomposed, max_iter: int = MAX_ITER, tol: float = NORMAL_TOL,
+                rank_tol: float = POSITIVITY_TOL) -> NormalFormResult:
     """Filter a full-local-rank state toward maximally mixed marginals.
 
     Gurvits' operator scaling (quant-ph/0303055): alternately multiplies

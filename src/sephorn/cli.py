@@ -14,7 +14,6 @@ import concurrent.futures
 import json
 import sys
 import traceback
-from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -22,7 +21,7 @@ import numpy as np
 
 from . import fileio
 from .bipartite import decompose_state, normal_form
-from .config import DEFAULT, ENV_TOL, default_positivity_tol
+from .config import ENV_TOL, MAX_ITER, NORMAL_TOL, POSITIVITY_TOL, default_positivity_tol
 from .criteria import Status, Verdict, analyze
 from .errors import FileFormatError, SepHornError
 from .horn import MAX_N, triple_set
@@ -89,8 +88,7 @@ def _verdict_report(path: str, verdict: Verdict, decomposition_file: str | None,
 def _analyze_one(path: str, tol: float, max_iter: int, seed: int):
     text = Path(path).read_text()
     rho, dims = fileio.state_from_text(text)
-    cfg = replace(DEFAULT.with_positivity(tol), normal_max_iter=max_iter)
-    verdict = analyze(rho, dims[0], dims[1], cfg=cfg, seed=seed)
+    verdict = analyze(rho, dims[0], dims[1], tol=tol, max_iter=max_iter, seed=seed)
     decomposition_file = None
     if verdict.status is Status.SEPARABLE and verdict.decomposition is not None:
         decomposition_file = str(Path(path).with_suffix("")) + ".decomposition.json"
@@ -103,8 +101,8 @@ def _analyze_one(path: str, tol: float, max_iter: int, seed: int):
 @click.argument("paths", nargs=-1, required=True,
                 type=click.Path(exists=True, dir_okay=False))
 @click.option("--tol", type=float, default=None, callback=_check_tol_option,
-              help=f"Positivity tolerance (default: SEP_HORN_TOL or {DEFAULT.psd:g}).")
-@click.option("--max-iter", type=int, default=DEFAULT.normal_max_iter, show_default=True,
+              help=f"Positivity tolerance (default: SEP_HORN_TOL or {POSITIVITY_TOL:g}).")
+@click.option("--max-iter", type=int, default=MAX_ITER, show_default=True,
               help="Normal-form filtering budget.")
 @click.option("--seed", type=int, default=0, show_default=True,
               help="Seed of the SIC fiducial search for Werner and isotropic states.")
@@ -124,7 +122,7 @@ def cmd_analyze(paths, tol, max_iter, seed, report, jobs):
             raise click.UsageError(str(exc)) from exc
     results = {}
     if jobs > 1 and len(paths) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(paths))) as pool:
             futures = {pool.submit(_analyze_one, p, tol, max_iter, seed): p
                        for p in paths}
             for fut in concurrent.futures.as_completed(futures):
@@ -217,8 +215,8 @@ def cmd_werner(dim, phi, want_decomposition, seed, out):
 @click.argument("path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Filtered state file (default: <input>.normal.json).")
-@click.option("--max-iter", type=int, default=DEFAULT.normal_max_iter, show_default=True)
-@click.option("--tol", type=float, default=DEFAULT.normal_tol, show_default=True,
+@click.option("--max-iter", type=int, default=MAX_ITER, show_default=True)
+@click.option("--tol", type=float, default=NORMAL_TOL, show_default=True,
               callback=_check_tol_option)
 def cmd_normal_form(path, out, max_iter, tol):
     """Filter a state toward maximally mixed marginals and report convergence."""

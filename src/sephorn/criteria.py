@@ -14,12 +14,12 @@ filtered to normal form before the norm bounds and family decompositions.
 Above 2 x 2 the battery rests on de Vicente's Ky Fan bounds on the
 filtered correlation (QIC 7, 624 (2007)), and each question is decided
 once.  The filtered record counts as normal form when both marginal Bloch
-norms lie below ``cfg.residual``; one accepted short of ``cfg.normal_tol``
-logs a passed ``normal-form`` criterion.  The necessary bound,
+norms lie below ``RESIDUAL``; one accepted short of ``NORMAL_TOL`` logs a
+passed ``normal-form`` criterion.  The necessary bound,
 :func:`kyfan_necessary_check`, holds for every separable state, filtered or
 not, and returns the criterion the verdict logs.  The constructive bound is
 compared in :func:`~sephorn.decompose.kyfan_bound_decomposition` alone:
-within ``cfg.kyfan_slack`` it builds the decomposition, and beyond it its
+within ``KYFAN_SLACK`` it builds the decomposition, and beyond it its
 BoundExceeded carries the excess that the failed ``kyfan-sufficient``
 criterion logs.
 
@@ -54,7 +54,8 @@ from .bipartite import (
     support_isometries,
 )
 from .bloch import from_bloch
-from .config import DEFAULT, Tolerances
+from .config import (COMPONENT_PSD, KYFAN_SLACK, MAX_ITER, NORMAL_TOL, POSITIVITY_TOL,
+                     PROB_SUM, RESIDUAL, STATE_TOL)
 from .decompose import (
     SeparableDecomposition,
     embed_isometries,
@@ -109,19 +110,19 @@ class Verdict:
 # individual criteria
 # ---------------------------------------------------------------------------
 
-def kyfan_necessary_check(d: BipartiteDecomposed, *, slack: float = 1e-9) -> CriterionResult:
+def kyfan_necessary_check(d: BipartiteDecomposed) -> CriterionResult:
     """de Vicente's necessary bound ||corr||_KF <= R_+(N) R_+(M), with
     R_+(N) = sqrt(2(N-1)/N), which every separable state satisfies,
     filtered or not.
 
     The ``kyfan-necessary`` criterion's margin is the Ky Fan norm, read
     from ``d.corr_svd``, minus the bound, so a positive margin beyond
-    ``slack`` certifies entanglement.
+    ``KYFAN_SLACK`` certifies entanglement.
     """
     n, m = d.dim_a, d.dim_b
     bound = np.sqrt(2.0 * (n - 1.0) / n) * np.sqrt(2.0 * (m - 1.0) / m)
     margin = float(d.corr_svd[1].sum() - bound)
-    return CriterionResult("kyfan-necessary", margin <= slack, margin,
+    return CriterionResult("kyfan-necessary", margin <= KYFAN_SLACK, margin,
                            f"Ky Fan norm bound {bound:.6g}")
 
 
@@ -158,8 +159,8 @@ def _first_non_finite(probs: np.ndarray, dec: SeparableDecomposition) -> str:
     return ""
 
 
-def verify_decomposition(dec: SeparableDecomposition, d: BipartiteDecomposed,
-                         *, cfg: Tolerances = DEFAULT) -> VerificationReport:
+def verify_decomposition(dec: SeparableDecomposition,
+                         d: BipartiteDecomposed) -> VerificationReport:
     """Check a decomposition against a state: probability simplex, the three
     moment equations, and physicality of every component.
 
@@ -169,8 +170,9 @@ def verify_decomposition(dec: SeparableDecomposition, d: BipartiteDecomposed,
     Physicality takes one Cholesky certificate per side
     (:func:`~sephorn.linalg.certify_psd` on the stack of component
     matrices); only a side that fails it is eigensolved, and the first
-    component below ``-cfg.component_psd`` is named with its lowest
-    eigenvalue.
+    component below ``-COMPONENT_PSD`` is named with its lowest eigenvalue.
+    The probability sum must lie within ``PROB_SUM`` of one and every moment
+    residual within ``RESIDUAL``.
     """
     probs = np.asarray(dec.probs, dtype=float)
     if probs.size == 0:
@@ -191,16 +193,16 @@ def verify_decomposition(dec: SeparableDecomposition, d: BipartiteDecomposed,
     problems = []
     if probs.min() <= 0.0:
         problems.append(f"nonpositive probability {probs.min():.3e}")
-    if sum_dev > cfg.prob_sum:
+    if sum_dev > PROB_SUM:
         problems.append(f"probabilities sum off by {sum_dev:.3e}")
     max_residual = max(res_a, res_b, res_t)
-    if max_residual > cfg.residual:
+    if max_residual > RESIDUAL:
         problems.append(f"moment residual {max_residual:.3e}")
     for label, vecs in (("A", dec.r_vectors), ("B", dec.s_vectors)):
-        low = certify_psd(from_bloch(vecs), cfg.component_psd)
+        low = certify_psd(from_bloch(vecs), COMPONENT_PSD)
         if low is None:
             continue
-        bad = np.flatnonzero(~(low >= -cfg.component_psd))
+        bad = np.flatnonzero(~(low >= -COMPONENT_PSD))
         if bad.size:
             problems.append(f"component {bad[0]} on side {label} unphysical "
                             f"(min eigenvalue {low[bad[0]]:.3e})")
@@ -212,40 +214,40 @@ def verify_decomposition(dec: SeparableDecomposition, d: BipartiteDecomposed,
 # exact two-qubit decision
 # ---------------------------------------------------------------------------
 
-def two_qubit_decide(d: BipartiteDecomposed, *, cfg: Tolerances = DEFAULT) -> Verdict:
+def two_qubit_decide(d: BipartiteDecomposed, *, tol: float = POSITIVITY_TOL) -> Verdict:
     """Exact separability decision for 2 x 2 states, without filtering.
 
     PPT is necessary and sufficient here (Horodecki, quant-ph/9605038): an
     NPT state is ENTANGLED with the failed ``ppt`` criterion.  A PPT state
     logs ``concurrence`` (margin lam_1 - lam_2 - lam_3 - lam_4, passing up
-    to ``cfg.kyfan_slack``) and then ``decomposition[wootters]``, Wootters'
+    to ``KYFAN_SLACK``) and then ``decomposition[wootters]``, Wootters'
     four pure product components, verified; if either fails the verdict is
     INCONCLUSIVE.  A state that passes PPT only within the tolerance, with
-    its lowest partial-transpose eigenvalue in [-``cfg.psd``, 0), and fails
+    its lowest partial-transpose eigenvalue in [-``tol``, 0), and fails
     the concurrence check lies in a band PPT cannot resolve at that
     tolerance; its verdict also logs the failed ``ppt-tolerance-band``
     criterion, whose margin is minus that eigenvalue.
     """
     if (d.dim_a, d.dim_b) != (2, 2):
         raise DimensionMismatch(f"two_qubit_decide needs 2 x 2, got {d.dim_a} x {d.dim_b}")
-    ppt = ppt_check(d, tol=cfg.psd)
+    ppt = ppt_check(d, tol=tol)
     log = [CriterionResult("ppt", ppt.passed, max(0.0, -ppt.min_eigenvalue),
                            f"min eigenvalue {ppt.min_eigenvalue:.3e}")]
     if not ppt.passed:
         return Verdict(status=Status.ENTANGLED, criteria=tuple(log))
     frame = wootters_frame(d)
     margin = frame.concurrence_margin
-    log.append(CriterionResult("concurrence", margin <= cfg.kyfan_slack, margin,
+    log.append(CriterionResult("concurrence", margin <= KYFAN_SLACK, margin,
                                "Wootters values " + ", ".join(f"{v:.6g}" for v in frame.lam)))
-    if margin <= cfg.kyfan_slack:
-        verdict = _verified(wootters_decomposition(d, frame), d, log, cfg, "wootters")
+    if margin <= KYFAN_SLACK:
+        verdict = _verified(wootters_decomposition(d, frame), d, log, "wootters")
         if verdict is not None:
             return verdict
     elif ppt.min_eigenvalue < 0.0:
         log.append(CriterionResult(
             "ppt-tolerance-band", False, -ppt.min_eigenvalue,
             f"lowest partial-transpose eigenvalue {ppt.min_eigenvalue:.3e} lies inside "
-            f"the PPT tolerance band [-{cfg.psd:.1e}, 0), where PPT cannot "
+            f"the PPT tolerance band [-{tol:.1e}, 0), where PPT cannot "
             f"resolve the positive concurrence {margin:.3e}"))
     return Verdict(status=Status.INCONCLUSIVE, criteria=tuple(log))
 
@@ -255,15 +257,14 @@ def two_qubit_decide(d: BipartiteDecomposed, *, cfg: Tolerances = DEFAULT) -> Ve
 # ---------------------------------------------------------------------------
 
 def _family_verdict(d: BipartiteDecomposed, nf: NormalFormResult,
-                    log: list[CriterionResult], cfg: Tolerances,
-                    seed: int) -> Verdict | None:
+                    log: list[CriterionResult], seed: int) -> Verdict | None:
     """Werner and isotropic states in any local frame, from the stored SVD.
 
     Filtering takes every local-filter image of a Werner or isotropic state
     to a local-unitary image, whose correlation is c O with O orthogonal:
     Ad(W) for Werner, Ad(W) Flip for isotropic.  So all singular values of
     the filtered correlation U diag(tau) V^T are equal; when they spread
-    by more than ``cfg.residual`` no rotated family reproduces it within
+    by more than ``RESIDUAL`` no rotated family reproduces it within
     the verification residual, and None is returned with nothing logged.
     Otherwise O = U V^T, and the canonical Werner decomposition of c = +-tau_1
     has its A side rotated by +-O.  c = -tau_1 is taken while its Werner
@@ -272,14 +273,14 @@ def _family_verdict(d: BipartiteDecomposed, nf: NormalFormResult,
     result is verified like every other decomposition.
     """
     u, taus, vh = nf.state.corr_svd
-    if d.dim_a != d.dim_b or taus[0] - taus[-1] > cfg.residual:
+    if d.dim_a != d.dim_b or taus[0] - taus[-1] > RESIDUAL:
         return None
     n = d.dim_a
     # round-off puts a recovered phi just outside [0, 1] at either end (phi =
     # 1 + 5e-12 on a filtered 3x3 Werner state, -1e-16 on a rotated phi = 0
     # one), so phi is clamped; the Ky Fan necessary check bounds the excess
     # above 1, and verification has the last word
-    sign = -1.0 if werner_parameter(n, -taus[0]) >= -cfg.residual else 1.0
+    sign = -1.0 if werner_parameter(n, -taus[0]) >= -RESIDUAL else 1.0
     phi = min(max(werner_parameter(n, sign * taus[0]), 0.0), 1.0)
     try:
         built = werner_decompose(n, phi, seed)
@@ -290,7 +291,7 @@ def _family_verdict(d: BipartiteDecomposed, nf: NormalFormResult,
                                      r_vectors=built.r_vectors @ (sign * u @ vh).T,
                                      s_vectors=built.s_vectors)
     dec = pull_back_filters(rotated, nf.filter_a, nf.filter_b, d.dim_a, d.dim_b)
-    return _verified(dec, d, log, cfg, "family")
+    return _verified(dec, d, log, "family")
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +305,9 @@ def _trivial_factor_decomposition(d: BipartiteDecomposed) -> SeparableDecomposit
 
 
 def _verified(status_dec: SeparableDecomposition, d: BipartiteDecomposed,
-              log: list[CriterionResult], cfg: Tolerances,
-              source: str) -> Verdict | None:
+              log: list[CriterionResult], source: str) -> Verdict | None:
     """Package a separable verdict, or None when verification fails."""
-    report = verify_decomposition(status_dec, d, cfg=cfg)
+    report = verify_decomposition(status_dec, d)
     log.append(CriterionResult(f"decomposition[{source}]", report.valid,
                                report.max_residual, report.detail))
     if not report.valid:
@@ -316,8 +316,8 @@ def _verified(status_dec: SeparableDecomposition, d: BipartiteDecomposed,
                    criteria=tuple(log))
 
 
-def analyze(rho: np.ndarray, dim_a: int, dim_b: int, *,
-            cfg: Tolerances = DEFAULT, seed: int = 0) -> Verdict:
+def analyze(rho: np.ndarray, dim_a: int, dim_b: int, *, tol: float = POSITIVITY_TOL,
+            max_iter: int = MAX_ITER, seed: int = 0) -> Verdict:
     """Full separability pipeline for a density matrix.
 
     Stages: validation, support projection (with a shortcut for trivial
@@ -330,7 +330,7 @@ def analyze(rho: np.ndarray, dim_a: int, dim_b: int, *,
     returned.  An inconclusive verdict on a filtered state logs the failed
     ``kyfan-sufficient`` criterion, whose margin is how far the filtered
     Ky Fan norm exceeds the constructive bound; when filtering leaves a
-    marginal Bloch norm at ``cfg.residual`` or above, the failed
+    marginal Bloch norm at ``RESIDUAL`` or above, the failed
     ``normal-form`` criterion is logged, the necessary norm bound is applied
     to the unfiltered correlation instead, and a violation is ENTANGLED.
 
@@ -339,93 +339,96 @@ def analyze(rho: np.ndarray, dim_a: int, dim_b: int, *,
     partial transpose and one singular value decomposition of the filtered
     correlation.  Positivity of rho is read at 2 x 2 from its
     eigendecomposition, which also gives Wootters' frame; above 2 x 2 it is
-    certified by a Cholesky factorisation of rho + ``cfg.psd`` I, and the
+    certified by a Cholesky factorisation of rho + ``tol`` I, and the
     eigenvalues of rho are computed only when that fails, so that
     :class:`NotPSD` reports the exact lowest eigenvalue.
+
+    ``tol`` is the psd threshold of rho and of its partial transpose and the
+    local-rank cutoff; Hermiticity and unit trace are validated to
+    ``max(STATE_TOL, tol)``.  ``max_iter`` bounds the filtering sweeps, and
+    ``seed`` picks the SIC fiducial of the family decompositions.
     """
-    d = decompose_state(rho, dim_a, dim_b, tol=cfg.state)
+    d = decompose_state(rho, dim_a, dim_b, tol=max(STATE_TOL, tol))
     if (dim_a, dim_b) == (2, 2):
         low = float(d.spectrum[0][0])
     else:
-        low = certify_psd(d.matrix, cfg.psd)
-    if low is not None and not low >= -cfg.psd:
+        low = certify_psd(d.matrix, tol)
+    if low is not None and not low >= -tol:
         raise NotPSD(f"input has minimum eigenvalue {low:.3e}")
-    return _analyze_decomposed(d, cfg=cfg, seed=seed)
+    return _analyze_decomposed(d, tol=tol, max_iter=max_iter, seed=seed)
 
 
-def _analyze_decomposed(d: BipartiteDecomposed, *, cfg: Tolerances,
+def _analyze_decomposed(d: BipartiteDecomposed, *, tol: float, max_iter: int,
                         seed: int) -> Verdict:
     log: list[CriterionResult] = []
-    n_rank, m_rank = local_ranks(d, tol=cfg.rank)
+    n_rank, m_rank = local_ranks(d, tol=tol)
 
     if n_rank < d.dim_a or m_rank < d.dim_b:
-        iso_a, iso_b = support_isometries(d, tol=cfg.rank)
-        reduced = project_to_support(d, tol=cfg.rank)
+        iso_a, iso_b = support_isometries(d, tol=tol)
+        reduced = project_to_support(d, tol=tol)
         log.append(CriterionResult(
             "support-projection", True, 0.0,
             f"reduced {d.dim_a}x{d.dim_b} -> {n_rank}x{m_rank}"))
         if n_rank == 1 or m_rank == 1:
             dec = embed_isometries(_trivial_factor_decomposition(reduced),
                                    iso_a, iso_b)
-            verdict = _verified(dec, d, log, cfg, "trivial-factor")
+            verdict = _verified(dec, d, log, "trivial-factor")
             if verdict is not None:
                 return verdict
             return Verdict(status=Status.INCONCLUSIVE, criteria=tuple(log))
-        sub = _analyze_decomposed(reduced, cfg=cfg, seed=seed)
+        sub = _analyze_decomposed(reduced, tol=tol, max_iter=max_iter, seed=seed)
         log.extend(sub.criteria)
         if sub.status is Status.SEPARABLE and sub.decomposition is not None:
             dec = embed_isometries(sub.decomposition, iso_a, iso_b)
-            verdict = _verified(dec, d, log, cfg, "embedded")
+            verdict = _verified(dec, d, log, "embedded")
             if verdict is not None:
                 return verdict
             return Verdict(status=Status.INCONCLUSIVE, criteria=tuple(log))
         return Verdict(status=sub.status, criteria=tuple(log))
 
     if (d.dim_a, d.dim_b) == (2, 2):
-        return two_qubit_decide(d, cfg=cfg)
+        return two_qubit_decide(d, tol=tol)
 
-    ppt = ppt_check(d, tol=cfg.psd)
+    ppt = ppt_check(d, tol=tol)
     log.append(CriterionResult("ppt", ppt.passed, max(0.0, -ppt.min_eigenvalue),
                                f"min eigenvalue {ppt.min_eigenvalue:.3e}"))
     if not ppt.passed:
         return Verdict(status=Status.ENTANGLED, criteria=tuple(log))
 
-    nf = normal_form(d, max_iter=cfg.normal_max_iter, tol=cfg.normal_tol,
-                     rank_tol=cfg.rank)
+    nf = normal_form(d, max_iter=max_iter, tol=NORMAL_TOL, rank_tol=tol)
     tilde = nf.state
     marg = float(max(np.linalg.norm(tilde.a), np.linalg.norm(tilde.b)))
-    if marg >= cfg.residual:
+    if marg >= RESIDUAL:
         # Normal form reached only in the limit: the norm bound still holds
         # for every separable state, so apply it to the unfiltered correlation
         log.append(CriterionResult("normal-form", False, marg,
                                    f"not converged in {nf.iterations} sweeps"))
-        nk = kyfan_necessary_check(d, slack=cfg.kyfan_slack)
+        nk = kyfan_necessary_check(d)
         log.append(nk)
         status = Status.INCONCLUSIVE if nk.passed else Status.ENTANGLED
         return Verdict(status=status, criteria=tuple(log))
     if not nf.converged:
         log.append(CriterionResult("normal-form", True, marg,
                                    f"not converged in {nf.iterations} sweeps; record within "
-                                   f"{cfg.residual:.1e} used"))
+                                   f"{RESIDUAL:.1e} used"))
 
-    nk = kyfan_necessary_check(tilde, slack=cfg.kyfan_slack)
+    nk = kyfan_necessary_check(tilde)
     log.append(nk)
     if not nk.passed:
         return Verdict(status=Status.ENTANGLED, criteria=tuple(log))
 
     try:
-        sufficient = kyfan_bound_decomposition(tilde.corr_svd, d.dim_a, d.dim_b,
-                                               slack=cfg.kyfan_slack)
+        sufficient = kyfan_bound_decomposition(tilde.corr_svd, d.dim_a, d.dim_b)
     except BoundExceeded as exc:
         log.append(CriterionResult("kyfan-sufficient", False, exc.excess, str(exc)))
     else:
         dec = pull_back_filters(sufficient, nf.filter_a, nf.filter_b,
                                 d.dim_a, d.dim_b)
-        verdict = _verified(dec, d, log, cfg, "kyfan-sufficient")
+        verdict = _verified(dec, d, log, "kyfan-sufficient")
         if verdict is not None:
             return verdict
 
-    verdict = _family_verdict(d, nf, log, cfg, seed)
+    verdict = _family_verdict(d, nf, log, seed)
     if verdict is not None:
         return verdict
     return Verdict(status=Status.INCONCLUSIVE, criteria=tuple(log))

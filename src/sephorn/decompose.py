@@ -20,6 +20,7 @@ import numpy as np
 
 from .bipartite import BipartiteDecomposed
 from .bloch import from_bloch, to_bloch
+from .config import KYFAN_SLACK
 from .errors import BoundExceeded, DimensionMismatch, OutOfPositivityRange, SearchFailed
 from .states import werner_coefficient
 from .su import generator_basis
@@ -59,15 +60,14 @@ class SeparableDecomposition:
 # ---------------------------------------------------------------------------
 
 def kyfan_bound_decomposition(corr_svd: tuple[np.ndarray, np.ndarray, np.ndarray],
-                              dim_a: int, dim_b: int,
-                              *, slack: float = 1e-9) -> SeparableDecomposition:
+                              dim_a: int, dim_b: int) -> SeparableDecomposition:
     """Explicit decomposition of a normal-form state whose correlation fits
     the inscribed ball (de Vicente's constructive Ky Fan bound).
 
     ``corr_svd`` is the thin singular value decomposition (u, tau, vh) of
     the correlation, tau descending, as ``BipartiteDecomposed.corr_svd``
     stores it.  The Ky Fan norm sum tau fits when it exceeds the bound
-    2/sqrt(NM(N-1)(M-1)) by at most ``slack``; otherwise BoundExceeded
+    2/sqrt(NM(N-1)(M-1)) by at most ``KYFAN_SLACK``; otherwise BoundExceeded
     carries the excess, norm minus bound.  With K = ||corr||_KF
     sqrt(N(N-1)M(M-1))/2, every tau_i > 0 contributes the pair
     (+-sqrt(2K/(N(N-1))) u_i, +-sqrt(2K/(M(M-1))) v_i), each of weight
@@ -86,7 +86,7 @@ def kyfan_bound_decomposition(corr_svd: tuple[np.ndarray, np.ndarray, np.ndarray
                                       s_vectors=np.zeros((1, kb)))
     bound = 2.0 / np.sqrt(dim_a * dim_b * (dim_a - 1.0) * (dim_b - 1.0))
     excess = float(taus.sum() - bound)
-    if excess > slack:
+    if excess > KYFAN_SLACK:
         raise BoundExceeded(f"Ky Fan norm exceeds the constructive bound {bound:.6g} "
                             f"by {excess:.3e}", excess=excess)
     rank = int(np.sum(taus > 1e-12 * taus[0]))

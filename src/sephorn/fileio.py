@@ -42,13 +42,7 @@ def state_to_text(rho: np.ndarray, dims: tuple[int, int]) -> str:
 
 def state_from_text(text: str):
     """Parse a state file; returns ``(rho, (dim_a, dim_b))``."""
-    doc = _load(text)
-    if doc.get("format") != STATE_FORMAT:
-        raise FileFormatError(f"unsupported state format {doc.get('format')!r}")
-    dims = doc.get("dims")
-    if (not isinstance(dims, list) or len(dims) != 2
-            or not all(isinstance(x, int) and x >= 1 for x in dims)):
-        raise FileFormatError(f"bad dims field {dims!r}")
+    doc, dims = _load(text, STATE_FORMAT)
     size = dims[0] * dims[1]
     matrix = doc.get("matrix")
     if not isinstance(matrix, list) or len(matrix) != size:
@@ -58,13 +52,11 @@ def state_from_text(text: str):
         if not isinstance(row, list) or len(row) != size:
             raise FileFormatError(f"row {i} must have {size} entries")
         for j, pair in enumerate(row):
-            if (not isinstance(pair, list) or len(pair) != 2
-                    or not all(isinstance(x, (int, float)) for x in pair)):
+            if not isinstance(pair, list) or len(pair) != 2:
                 raise FileFormatError(f"entry ({i},{j}) must be a [re, im] pair")
-            if not all(math.isfinite(x) for x in pair):
-                raise FileFormatError(f"entry ({i},{j}) is not finite: {pair!r}")
-            rho[i, j] = complex(pair[0], pair[1])
-    return rho, (dims[0], dims[1])
+            re, im = _numbers(pair, f"entry ({i},{j})")
+            rho[i, j] = complex(re, im)
+    return rho, dims
 
 
 def decomposition_to_text(dec: SeparableDecomposition, dims: tuple[int, int]) -> str:
@@ -77,13 +69,7 @@ def decomposition_to_text(dec: SeparableDecomposition, dims: tuple[int, int]) ->
 
 def decomposition_from_text(text: str):
     """Parse a decomposition file; returns ``(decomposition, (dim_a, dim_b))``."""
-    doc = _load(text)
-    if doc.get("format") != DECOMPOSITION_FORMAT:
-        raise FileFormatError(f"unsupported decomposition format {doc.get('format')!r}")
-    dims = doc.get("dims")
-    if (not isinstance(dims, list) or len(dims) != 2
-            or not all(isinstance(x, int) and x >= 1 for x in dims)):
-        raise FileFormatError(f"bad dims field {dims!r}")
+    doc, dims = _load(text, DECOMPOSITION_FORMAT)
     ka = dims[0] * dims[0] - 1
     kb = dims[1] * dims[1] - 1
     raw = doc.get("entries")
@@ -92,11 +78,12 @@ def decomposition_from_text(text: str):
     probs, r_vecs, s_vecs = [], [], []
     for i, entry in enumerate(raw):
         try:
-            probs.append(float(entry["p"]))
-            r = [float(x) for x in entry["r"]]
-            s = [float(x) for x in entry["s"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FileFormatError(f"entry {i} malformed: {exc}") from exc
+            p, r, s = entry["p"], entry["r"], entry["s"]
+        except (KeyError, TypeError) as exc:
+            raise FileFormatError(f"entry {i} malformed: {exc!r}") from exc
+        probs.extend(_numbers([p], f"entry {i} probability"))
+        r = _numbers(r, f"entry {i} vector r")
+        s = _numbers(s, f"entry {i} vector s")
         if len(r) != ka or len(s) != kb:
             raise FileFormatError(
                 f"entry {i}: vector lengths ({len(r)},{len(s)}) != ({ka},{kb})")
@@ -105,14 +92,32 @@ def decomposition_from_text(text: str):
     dec = SeparableDecomposition(probs=np.asarray(probs),
                                  r_vectors=np.asarray(r_vecs),
                                  s_vectors=np.asarray(s_vecs))
-    return dec, (dims[0], dims[1])
+    return dec, dims
 
 
-def _load(text: str) -> dict:
+def _numbers(values, what: str) -> list[float]:
+    """``values`` as floats when it is a list of finite numbers, not bools."""
+    if not isinstance(values, list) or not all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) for x in values):
+        raise FileFormatError(f"{what} must be a list of numbers, got {values!r}")
+    if not all(math.isfinite(x) for x in values):
+        raise FileFormatError(f"{what} is not finite: {values!r}")
+    return [float(x) for x in values]
+
+
+def _load(text: str, fmt: str) -> tuple[dict, tuple[int, int]]:
+    """The document of a ``fmt`` file and its ``dims`` field, two integers >= 1."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FileFormatError("top-level document must be an object")
-    return doc
+    if doc.get("format") != fmt:
+        raise FileFormatError(f"unsupported format {doc.get('format')!r}, expected {fmt!r}")
+    dims = doc.get("dims")
+    if (not isinstance(dims, list) or len(dims) != 2
+            or not all(isinstance(x, int) and not isinstance(x, bool) and x >= 1
+                       for x in dims)):
+        raise FileFormatError(f"bad dims field {dims!r}")
+    return doc, (dims[0], dims[1])

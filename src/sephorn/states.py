@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bipartite import BipartiteDecomposed, decompose_state
-from .config import DEFAULT
+from .config import POSITIVITY_TOL
 from .errors import NotPSD, OutOfPositivityRange
 from .su import generator_basis
 
@@ -95,7 +95,7 @@ def random_density(dim: int, rank: int, seed) -> np.ndarray:
 
 
 def _check_psd(low: float, label: str) -> None:
-    """Raise NotPSD when the lowest eigenvalue ``low`` is below -``DEFAULT.psd``
-    (or NaN)."""
-    if not low >= -DEFAULT.psd:
+    """Raise NotPSD when the lowest eigenvalue ``low`` is below
+    -``POSITIVITY_TOL`` (or NaN)."""
+    if not low >= -POSITIVITY_TOL:
         raise NotPSD(f"{label} has minimum eigenvalue {low:.3e}")

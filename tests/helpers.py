@@ -11,6 +11,33 @@ from sephorn.horn import subset_table
 CHUNK = 8192  # sample rows per vectorized block
 
 
+def tiles_state() -> np.ndarray:
+    """The 3 x 3 PPT entangled state from the tiles unextendible product basis."""
+    e = np.eye(3)
+    tiles = [(e[0], e[0] - e[1]), (e[0] - e[1], e[2]), (e[2], e[1] - e[2]),
+             (e[1] - e[2], e[0]), (e[0] + e[1] + e[2], e[0] + e[1] + e[2])]
+    kets = [np.kron(x, y) / np.linalg.norm(np.kron(x, y)) for x, y in tiles]
+    return (np.eye(9) - sum(np.outer(k, k) for k in kets)).astype(complex) / 4.0
+
+
+def horodecki_3x3(a: float) -> np.ndarray:
+    """P. Horodecki's 3 x 3 PPT entangled state for 0 < a < 1 (quant-ph/9703004)."""
+    rho = np.diag([a] * 6 + [(1 + a) / 2, a, (1 + a) / 2])
+    for i, j in ((0, 4), (0, 8), (4, 8)):
+        rho[i, j] = rho[j, i] = a
+    rho[6, 8] = rho[8, 6] = np.sqrt(1 - a * a) / 2
+    return rho.astype(complex) / (8 * a + 1)
+
+
+def horodecki_2x4(b: float) -> np.ndarray:
+    """P. Horodecki's 2 x 4 PPT entangled state for 0 < b < 1 (quant-ph/9703004)."""
+    rho = np.diag([b] * 4 + [(1 + b) / 2, b, b, (1 + b) / 2])
+    for i in range(3):
+        rho[i, i + 5] = rho[i + 5, i] = b
+    rho[4, 7] = rho[7, 4] = np.sqrt(1 - b * b) / 2
+    return rho.astype(complex) / (7 * b + 1)
+
+
 def is_physical(r, tol: float = 1e-9) -> bool:
     """True when the matrix of Bloch vector ``r`` is PSD within ``tol``."""
     rho = from_bloch(np.asarray(r, dtype=float))

@@ -1,16 +1,19 @@
+import concurrent.futures
 import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from sephorn import fileio
+from helpers import tiles_state
+from sephorn import cli, fileio
 from sephorn.bipartite import compose_state
 from sephorn import criteria
 from sephorn.cli import main
 from sephorn.criteria import verify_decomposition
 from sephorn.errors import SearchFailed
-from sephorn.states import bell, p_zero, werner
+from sephorn.linalg import random_unitary
+from sephorn.states import bell, p_zero, random_density, werner
 from sephorn.bipartite import decompose_state
 
 
@@ -65,7 +68,11 @@ def run_cli(args, capsys):
 
 
 def write_state(path, d, dims):
-    path.write_text(fileio.state_to_text(compose_state(d), dims))
+    return write_matrix(path, compose_state(d), dims)
+
+
+def write_matrix(path, rho, dims):
+    path.write_text(fileio.state_to_text(rho, dims))
     return str(path)
 
 
@@ -284,6 +291,35 @@ def test_jobs_flag_parallel_analysis(tmp_path, capsys):
     assert "SEPARABLE" in out and "ENTANGLED" in out
 
 
+def test_jobs_capped_at_file_count(tmp_path, capsys, monkeypatch):
+    # the pool starts every worker it is asked for, so --jobs beyond the
+    # number of files would only start idle processes
+    asked = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    p1 = write_state(tmp_path / "a.state.json", werner(2, 0.5), (2, 2))
+    p2 = write_state(tmp_path / "b.state.json", bell(), (2, 2))
+    code, out, _ = run_cli(["analyze", p1, p2, "--jobs", "64"], capsys)
+    assert asked == [2]
+    assert code == 1
+    assert "SEPARABLE" in out and "ENTANGLED" in out
+
+
 def identity_state(tmp_path):
     return write_state(tmp_path / "mixed.state.json",
                        decompose_state(np.eye(9, dtype=complex) / 9.0, 3, 3), (3, 3))
@@ -323,3 +359,61 @@ class TestEnvTolerance:
         monkeypatch.setenv("SEP_HORN_TOL", "tight")
         with pytest.raises(ValueError):
             default_positivity_tol()
+
+
+def criterion_names(out):
+    return [c["name"] for c in json.loads(out)["criteria"]]
+
+
+class TestToleranceThreading:
+    """``--tol`` (or ``SEP_HORN_TOL``) sets the positivity and rank
+    thresholds of a verdict, the validation threshold never drops below
+    1e-9, and ``--max-iter`` sets the filtering budget."""
+
+    def test_negative_eigenvalue_within_tol_gets_a_verdict(self, tmp_path, capsys,
+                                                           monkeypatch):
+        rng = np.random.default_rng(1)
+        w, v = np.linalg.eigh(random_density(6, 6, rng))
+        w[0] = -1e-7
+        w[1:] *= (1.0 + 1e-7) / w[1:].sum()
+        path = write_matrix(tmp_path / "negative.state.json", (v * w) @ v.conj().T, (2, 3))
+        code, _, err = run_cli(["analyze", path], capsys)
+        assert code == 70
+        assert "minimum eigenvalue -1.000e-07" in err
+        code, out, _ = run_cli(["analyze", path, "--tol", "1e-6"], capsys)
+        assert code == 1
+        monkeypatch.setenv("SEP_HORN_TOL", "1e-6")
+        assert run_cli(["analyze", path], capsys) == (code, out, "")
+
+    def test_rank_threshold_follows_tol(self, tmp_path, capsys):
+        # a product state whose A-marginal has eigenvalue 1e-7 is projected
+        # to its support only when the tolerance exceeds that eigenvalue
+        rng = np.random.default_rng(1)
+        u = random_unitary(2, rng)
+        rho_a = u @ np.diag([1.0 - 1e-7, 1e-7]) @ u.conj().T
+        path = write_matrix(tmp_path / "product.state.json",
+                            np.kron(rho_a, random_density(3, 3, rng)), (2, 3))
+        code, out, _ = run_cli(["analyze", path, "--report", "structured"], capsys)
+        assert code == 0
+        assert "support-projection" not in criterion_names(out)
+        _, out, _ = run_cli(["analyze", path, "--tol", "1e-6", "--report", "structured"],
+                            capsys)
+        assert criterion_names(out)[0] == "support-projection"
+
+    def test_validation_floor_holds_below_1e_9(self, tmp_path, capsys):
+        # a trace 5e-10 off one passes validation even under --tol 1e-12
+        path = write_matrix(tmp_path / "scaled.state.json",
+                            np.eye(6, dtype=complex) * (1.0 + 5e-10) / 6.0, (2, 3))
+        code, out, _ = run_cli(["analyze", path, "--tol", "1e-12"], capsys)
+        assert code == 0
+        assert "SEPARABLE" in out
+
+    def test_max_iter_sets_the_filtering_budget(self, tmp_path, capsys):
+        path = write_matrix(tmp_path / "tiles.state.json", tiles_state(), (3, 3))
+        code, out, _ = run_cli(["analyze", path, "--report", "structured"], capsys)
+        assert code == 1
+        assert criterion_names(out) == ["ppt", "kyfan-necessary"]
+        code, out, _ = run_cli(["analyze", path, "--max-iter", "2", "--report", "structured"],
+                               capsys)
+        assert code == 1
+        assert criterion_names(out) == ["ppt", "normal-form", "kyfan-necessary"]

@@ -1,11 +1,11 @@
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import horodecki_2x4, horodecki_3x3, tiles_state
 from sephorn import criteria
 from sephorn.bipartite import (
     BipartiteDecomposed,
@@ -15,7 +15,7 @@ from sephorn.bipartite import (
     partial_transpose_matrix,
 )
 from sephorn.bloch import from_bloch
-from sephorn.config import DEFAULT
+from sephorn.config import KYFAN_SLACK, NORMAL_TOL, POSITIVITY_TOL, RESIDUAL
 from sephorn.criteria import (
     Status,
     analyze,
@@ -28,15 +28,6 @@ from sephorn.decompose import SeparableDecomposition, kyfan_bound_decomposition,
 from sephorn.errors import BoundExceeded, DimensionMismatch, NotPSD, SepHornError
 from sephorn.linalg import random_unitary
 from sephorn.states import bell, isotropic, p_zero, random_density, werner
-
-
-def tiles_state():
-    """The 3 x 3 PPT entangled state from the tiles unextendible product basis."""
-    e = np.eye(3)
-    tiles = [(e[0], e[0] - e[1]), (e[0] - e[1], e[2]), (e[2], e[1] - e[2]),
-             (e[1] - e[2], e[0]), (e[0] + e[1] + e[2], e[0] + e[1] + e[2])]
-    kets = [np.kron(x, y) / np.linalg.norm(np.kron(x, y)) for x, y in tiles]
-    return (np.eye(9) - sum(np.outer(k, k) for k in kets)).astype(complex) / 4.0
 
 
 def random_two_qubit(rng, rank=4):
@@ -181,7 +172,7 @@ class TestTwoQubit:
         assert abs(concurrence.margin - 1e-5) < 1e-9
         # the verdict names the band the lowest eigenvalue lies in
         assert not band.passed
-        assert band.margin == ppt.margin and 0.0 < band.margin <= DEFAULT.psd
+        assert band.margin == ppt.margin and 0.0 < band.margin <= POSITIVITY_TOL
         assert "PPT tolerance band" in band.detail
 
     def test_rank_three_ppt_with_full_local_rank_is_separable(self):
@@ -224,7 +215,7 @@ class TestTwoQubitGate:
         except SepHornError:
             return
         low = ppt_check(decompose_state(rho, 2, 2)).min_eigenvalue
-        if abs(low) <= DEFAULT.psd:
+        if abs(low) <= POSITIVITY_TOL:
             # inside the positivity tolerance an entangled state passes PPT
             # with a concurrence that can exceed the slack (p_zero(p) has
             # concurrence p and lowest eigenvalue about -p^2/4), so only
@@ -318,6 +309,37 @@ class TestFamiliesInAnyFrame:
                                     decompose_state(rho, dim, dim)).valid
 
 
+def bound_entangled_cases():
+    """PPT entangled states: the tiles state with 0-20% white noise and P.
+    Horodecki's 3 x 3 and 2 x 4 families.  The flag marks the states whose
+    filtered correlation violates the Ky Fan necessary bound."""
+    for noise, violated in ((0.0, True), (0.05, True), (0.1, True), (0.2, False)):
+        rho = (1.0 - noise) * tiles_state() + noise * np.eye(9) / 9.0
+        yield pytest.param(rho, 3, 3, violated, id=f"tiles-noise-{noise}")
+    for a in (0.1, 0.3, 0.5, 0.9):
+        yield pytest.param(horodecki_3x3(a), 3, 3, True, id=f"horodecki-3x3-{a}")
+    for b in (0.1, 0.5, 0.9):
+        yield pytest.param(horodecki_2x4(b), 2, 4, False, id=f"horodecki-2x4-{b}")
+
+
+class TestBoundEntangledGuard:
+    """PPT entangled states are never SEPARABLE, in any frame, and those
+    the filtered Ky Fan necessary bound detects are ENTANGLED by it."""
+
+    @pytest.mark.parametrize("frame", ["plain", "rotated"])
+    @pytest.mark.parametrize("rho, n, m, violated", bound_entangled_cases())
+    def test_never_separable(self, rho, n, m, violated, frame):
+        rho = in_frame(rho, n, m, frame, np.random.default_rng(6))
+        assert lowest_pt_eigenvalue(rho, n, m) > -1e-12
+        verdict = analyze(rho, n, m)
+        assert verdict.status is not Status.SEPARABLE, verdict.criteria
+        if violated:
+            assert verdict.status is Status.ENTANGLED, verdict.criteria
+            bound = verdict.criteria[-1]
+            assert bound.name == "kyfan-necessary" and not bound.passed
+            assert bound.margin > 1e-3
+
+
 class TestQuditGate:
     @settings(max_examples=150, deadline=None)
     @given(qudit_states())
@@ -335,9 +357,9 @@ class TestQuditGate:
         low = lowest_pt_eigenvalue(rho, n, m)
         # PPT decides outside twice its tolerance: the support projection
         # moves the eigenvalues of rank-deficient input by round-off
-        if low < -2.0 * DEFAULT.psd:
+        if low < -2.0 * POSITIVITY_TOL:
             assert verdict.status is Status.ENTANGLED, verdict.criteria
-        if (n, m) == (2, 3) and low > 2.0 * DEFAULT.psd:
+        if (n, m) == (2, 3) and low > 2.0 * POSITIVITY_TOL:
             # PPT is also sufficient at 2 x 3 (Horodecki, quant-ph/9605038)
             assert verdict.status is not Status.ENTANGLED, verdict.criteria
         if verdict.status is Status.ENTANGLED:
@@ -383,7 +405,7 @@ class TestSpectralCounts:
         rho_pt = rho.reshape(3, 3, 3, 3).transpose(0, 3, 2, 1).reshape(9, 9)
         full = [(name, a) for name, a in calls if a.shape == (9, 9)]
         assert [name for name, _ in full] == ["cholesky", "eigvalsh"]
-        np.testing.assert_allclose(full[0][1] - rho, DEFAULT.psd * np.eye(9), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(full[0][1] - rho, POSITIVITY_TOL * np.eye(9), rtol=0, atol=1e-15)
         assert np.allclose(full[1][1], rho_pt)
         # the components of the decomposition are certified, one Cholesky
         # factorisation per side, and never eigensolved
@@ -571,8 +593,7 @@ class TestAnalyze:
         # unfiltered correlation violates ||T||_KF <= R_+(3)^2 = 4/3; two
         # sweeps do not bring it to normal form
         rho = tiles_state()
-        cfg = replace(DEFAULT, normal_max_iter=2)
-        verdict = analyze(rho, 3, 3, cfg=cfg)
+        verdict = analyze(rho, 3, 3, max_iter=2)
         assert verdict.status is Status.ENTANGLED
         names = [c.name for c in verdict.criteria]
         assert names == ["ppt", "normal-form", "kyfan-necessary"]
@@ -584,7 +605,7 @@ class TestAnalyze:
         # and stays inconclusive
         rng = np.random.default_rng(32)
         rho = 0.5 * random_density(9, 9, rng) + 0.5 * np.eye(9) / 9.0
-        verdict = analyze(rho, 3, 3, cfg=cfg)
+        verdict = analyze(rho, 3, 3, max_iter=2)
         assert verdict.status is Status.INCONCLUSIVE
         assert [c.name for c in verdict.criteria] == names
         assert verdict.criteria[-1].passed and verdict.criteria[-1].margin < 0.0
@@ -599,7 +620,7 @@ class TestAnalyze:
         rho = (1.0 - 3e-8) * mix + 3e-8 * np.eye(6) / 6.0
         nf = normal_form(decompose_state(rho, 2, 3))
         marg = max(np.linalg.norm(nf.state.a), np.linalg.norm(nf.state.b))
-        assert not nf.converged and DEFAULT.normal_tol <= marg < DEFAULT.residual
+        assert not nf.converged and NORMAL_TOL <= marg < RESIDUAL
         verdict = analyze(rho, 2, 3)
         names = [c.name for c in verdict.criteria]
         assert names[:3] == ["ppt", "normal-form", "kyfan-necessary"]
@@ -615,7 +636,7 @@ class TestAnalyze:
         # second, stricter comparison
         rng = np.random.default_rng(n * m)
         raw = rng.normal(size=(n * n - 1, m * m - 1))
-        norm = 2.0 / np.sqrt(n * m * (n - 1.0) * (m - 1.0)) + fraction * DEFAULT.kyfan_slack
+        norm = 2.0 / np.sqrt(n * m * (n - 1.0) * (m - 1.0)) + fraction * KYFAN_SLACK
         corr = raw * (norm / np.linalg.svd(raw, compute_uv=False).sum())
         rho = compose_state(BipartiteDecomposed(dim_a=n, dim_b=m, a=np.zeros(n * n - 1),
                                                 b=np.zeros(m * m - 1), corr=corr))
@@ -644,7 +665,7 @@ class TestAnalyze:
         rng = np.random.default_rng(33)
         rho = 0.3 * random_density(9, 9, rng) + 0.7 * np.eye(9) / 9.0
         taus = normal_form(decompose_state(rho, 3, 3)).state.corr_svd[1]
-        assert taus[0] - taus[-1] > DEFAULT.residual
+        assert taus[0] - taus[-1] > RESIDUAL
         verdict = analyze(rho, 3, 3)
         assert verdict.status is Status.INCONCLUSIVE
         assert not any("family" in c.name for c in verdict.criteria)

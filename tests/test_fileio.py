@@ -31,6 +31,10 @@ class TestStateFiles:
         '[[[1, 0], [0, 0], [0, 0], "x"], [[0,0],[0,0],[0,0],[0,0]], '
         '[[0,0],[0,0],[0,0],[0,0]], [[0,0],[0,0],[0,0],[0,0]]]}',
         '[1, 2, 3]',
+        '{"format": "sep-horn-state/1", "dims": [true, 2], "matrix": '
+        '[[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]}',
+        '{"format": "sep-horn-state/1", "dims": [1, 2], "matrix": '
+        '[[[0.5, false], [0, 0]], [[0, 0], [0.5, 0]]]}',
     ])
     def test_rejects_malformed(self, text):
         with pytest.raises(FileFormatError):
@@ -75,6 +79,24 @@ class TestDecompositionFiles:
         '"entries": [{"p": 0.5, "r": [1, 0], "s": [0, 0, 0]}]}',
         '{"format": "sep-horn-decomposition/1", "dims": [2, 2], '
         '"entries": [{"p": "half", "r": [0, 0, 0], "s": [0, 0, 0]}]}',
+        '{"format": "sep-horn-decomposition/1", "dims": [2, 2], '
+        '"entries": [{"p": NaN, "r": ["1", true, 0], "s": [0, 0, Infinity]}]}',
+        '{"format": "sep-horn-decomposition/1", "dims": [2, 2], '
+        '"entries": [{"p": NaN, "r": [0, 0, 0], "s": [0, 0, 0]}]}',
+        '{"format": "sep-horn-decomposition/1", "dims": [2, 2], '
+        '"entries": [{"p": "0.5", "r": [0, 0, 0], "s": [0, 0, 0]}]}',
+        '{"format": "sep-horn-decomposition/1", "dims": [2, 2], '
+        '"entries": [{"p": true, "r": [0, 0, 0], "s": [0, 0, 0]}]}',
+        '{"format": "sep-horn-decomposition/1", "dims": [2, 2], '
+        '"entries": [{"p": 1, "r": ["1", 0, 0], "s": [0, 0, 0]}]}',
+        '{"format": "sep-horn-decomposition/1", "dims": [2, 2], '
+        '"entries": [{"p": 1, "r": [true, 0, 0], "s": [0, 0, 0]}]}',
+        '{"format": "sep-horn-decomposition/1", "dims": [2, 2], '
+        '"entries": [{"p": 1, "r": [0, 0, 0], "s": [0, 0, -Infinity]}]}',
+        '{"format": "sep-horn-decomposition/1", "dims": [2, 2], '
+        '"entries": [{"p": 1, "r": [0, 0, 0], "s": "000"}]}',
+        '{"format": "sep-horn-decomposition/1", "dims": [true, true], '
+        '"entries": [{"p": 1, "r": [], "s": []}]}',
     ])
     def test_rejects_malformed(self, text):
         with pytest.raises(FileFormatError):
