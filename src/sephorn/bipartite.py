@@ -119,6 +119,14 @@ def _moment_rows(dim: int) -> np.ndarray:
     return rows
 
 
+def _conjugation(f: np.ndarray) -> np.ndarray:
+    """kron(F, F*), the (K^2, k^2) matrix of X -> F X F^dag on row-major
+    flattened k x k matrices, for F of shape (K, k)."""
+    big, small = f.shape
+    return (np.multiply.outer(f, f.conj()).transpose(0, 2, 1, 3)
+            .reshape(big * big, small * small))
+
+
 def _moments(realigned: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
     """The real (N^2, M^2) matrix [[Tr rho, b^T], [a, corr]] of a Hermitian
     rho, whose entry [mu, nu] is Tr[rho (g_mu x h_nu)] with g_0 = I and
@@ -219,9 +227,7 @@ def normal_form(d: BipartiteDecomposed, max_iter: int = MAX_ITER, tol: float = N
     state = d
     if iterations:
         # kron(F, F*) R kron(G, G*)^T realigns (F x G) rho (F x G)^dag
-        ka, kb = (np.multiply.outer(f, f.conj()).transpose(0, 2, 1, 3).reshape(k * k, k * k)
-                  for f, k in ((fa, n), (fb, m)))
-        moments = _moments(ka @ r @ kb.T, n, m)
+        moments = _moments(_conjugation(fa) @ r @ _conjugation(fb).T, n, m)
         moments /= moments[0, 0]
         if not np.isfinite(moments).all():
             raise NotAState("filtered state has non-finite entries")

@@ -56,9 +56,6 @@ def _validate_stack(rho: np.ndarray, tol: float) -> np.ndarray:
     if not np.isfinite(rho).all():
         where, _ = _first_failure(rho, (~np.isfinite(rho)).sum(axis=(-2, -1)), 0)
         raise NotAState(f"{where}matrix has non-finite entries")
-    if tol == np.inf:
-        # no deviation exceeds an infinite tolerance
-        return rho
     herm = np.abs(rho - rho.conj().swapaxes(-1, -2))
     if herm.size and herm.max() > tol:
         where, dev = _first_failure(rho, herm.max(axis=(-2, -1)), tol)
@@ -82,9 +79,7 @@ def to_bloch(rho: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """Expectation values Tr[rho g_mu] of a trace-one Hermitian matrix.
 
     A stack of L matrices on the leading axis gives an (L, N^2 - 1) array.
-    The matrices are validated as by :func:`validate_state` with ``tol``; an
-    infinite ``tol``, for matrices built from validated input, checks
-    finiteness only.
+    The matrices are validated as by :func:`validate_state` with ``tol``.
     """
     rho = _validate_stack(rho, tol)
     n = rho.shape[-1]

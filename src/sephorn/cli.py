@@ -102,8 +102,8 @@ def _analyze_one(path: str, tol: float, max_iter: int, seed: int):
                 type=click.Path(exists=True, dir_okay=False))
 @click.option("--tol", type=float, default=None, callback=_check_tol_option,
               help=f"Positivity tolerance (default: SEP_HORN_TOL or {POSITIVITY_TOL:g}).")
-@click.option("--max-iter", type=int, default=MAX_ITER, show_default=True,
-              help="Normal-form filtering budget.")
+@click.option("--max-iter", type=click.IntRange(min=0), default=MAX_ITER,
+              show_default=True, help="Normal-form filtering budget.")
 @click.option("--seed", type=int, default=0, show_default=True,
               help="Seed of the SIC fiducial search for Werner and isotropic states.")
 @click.option("--report", type=click.Choice(["text", "structured"]),
@@ -215,7 +215,7 @@ def cmd_werner(dim, phi, want_decomposition, seed, out):
 @click.argument("path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Filtered state file (default: <input>.normal.json).")
-@click.option("--max-iter", type=int, default=MAX_ITER, show_default=True)
+@click.option("--max-iter", type=click.IntRange(min=0), default=MAX_ITER, show_default=True)
 @click.option("--tol", type=float, default=NORMAL_TOL, show_default=True,
               callback=_check_tol_option)
 def cmd_normal_form(path, out, max_iter, tol):

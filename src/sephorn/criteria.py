@@ -269,8 +269,9 @@ def _family_verdict(d: BipartiteDecomposed, nf: NormalFormResult,
     Otherwise O = U V^T, and the canonical Werner decomposition of c = +-tau_1
     has its A side rotated by +-O.  c = -tau_1 is taken while its Werner
     parameter is separable: that A side lies in the inscribed ball, where
-    every rotation stays physical.  The filters are pulled back and the
-    result is verified like every other decomposition.
+    every rotation stays physical.  The result is pulled back through the
+    filters when filtering moved the state (:func:`_unfiltered`) and
+    verified like every other decomposition.
     """
     u, taus, vh = nf.state.corr_svd
     if d.dim_a != d.dim_b or taus[0] - taus[-1] > RESIDUAL:
@@ -290,15 +291,25 @@ def _family_verdict(d: BipartiteDecomposed, nf: NormalFormResult,
     rotated = SeparableDecomposition(probs=built.probs,
                                      r_vectors=built.r_vectors @ (sign * u @ vh).T,
                                      s_vectors=built.s_vectors)
-    dec = pull_back_filters(rotated, nf.filter_a, nf.filter_b, d.dim_a, d.dim_b)
-    return _verified(dec, d, log, "family")
+    return _verified(_unfiltered(rotated, nf), d, log, "family")
 
 
 # ---------------------------------------------------------------------------
 # pipeline
 # ---------------------------------------------------------------------------
 
+def _unfiltered(dec: SeparableDecomposition, nf: NormalFormResult) -> SeparableDecomposition:
+    """``dec``, a decomposition of the filtered state ``nf.state``, as one of
+    the state filtering started from: pulled back through the filters when
+    a sweep ran, and as it is when none did, since the filters are then I
+    and ``nf.state`` is that state."""
+    if not nf.iterations:
+        return dec
+    return pull_back_filters(dec, nf.filter_a, nf.filter_b, nf.state.dim_a, nf.state.dim_b)
+
+
 def _trivial_factor_decomposition(d: BipartiteDecomposed) -> SeparableDecomposition:
+    """The product of the two marginals, as one component."""
     return SeparableDecomposition(probs=np.array([1.0]),
                                   r_vectors=d.a.reshape(1, -1).copy(),
                                   s_vectors=d.b.reshape(1, -1).copy())
@@ -364,18 +375,18 @@ def _analyze_decomposed(d: BipartiteDecomposed, *, tol: float, max_iter: int,
     n_rank, m_rank = local_ranks(d, tol=tol)
 
     if n_rank < d.dim_a or m_rank < d.dim_b:
-        iso_a, iso_b = support_isometries(d, tol=tol)
-        reduced = project_to_support(d, tol=tol)
         log.append(CriterionResult(
             "support-projection", True, 0.0,
             f"reduced {d.dim_a}x{d.dim_b} -> {n_rank}x{m_rank}"))
         if n_rank == 1 or m_rank == 1:
-            dec = embed_isometries(_trivial_factor_decomposition(reduced),
-                                   iso_a, iso_b)
-            verdict = _verified(dec, d, log, "trivial-factor")
+            # a pure marginal makes rho the product of its marginals; the
+            # unprojected ones keep a weight below tol that the support drops
+            verdict = _verified(_trivial_factor_decomposition(d), d, log, "trivial-factor")
             if verdict is not None:
                 return verdict
             return Verdict(status=Status.INCONCLUSIVE, criteria=tuple(log))
+        iso_a, iso_b = support_isometries(d, tol=tol)
+        reduced = project_to_support(d, tol=tol)
         sub = _analyze_decomposed(reduced, tol=tol, max_iter=max_iter, seed=seed)
         log.extend(sub.criteria)
         if sub.status is Status.SEPARABLE and sub.decomposition is not None:
@@ -422,9 +433,7 @@ def _analyze_decomposed(d: BipartiteDecomposed, *, tol: float, max_iter: int,
     except BoundExceeded as exc:
         log.append(CriterionResult("kyfan-sufficient", False, exc.excess, str(exc)))
     else:
-        dec = pull_back_filters(sufficient, nf.filter_a, nf.filter_b,
-                                d.dim_a, d.dim_b)
-        verdict = _verified(dec, d, log, "kyfan-sufficient")
+        verdict = _verified(_unfiltered(sufficient, nf), d, log, "kyfan-sufficient")
         if verdict is not None:
             return verdict
 

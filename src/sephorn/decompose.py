@@ -7,8 +7,8 @@ from a Weyl-Heisenberg SIC, the closed-form decomposition of a separable
 Werner state (which ``criteria.analyze`` rotates and pulls back to decompose
 every Werner and isotropic state it recognises) and Wootters'
 four-component product decomposition of two-qubit states.  Decompositions
-are transported between equivalent states as component stacks, one batched
-conjugation per side.
+are transported between equivalent states in Bloch coordinates: one real
+matrix per side maps the rows [1, r] of every component at once.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bipartite import BipartiteDecomposed
-from .bloch import from_bloch, to_bloch
+from .bipartite import BipartiteDecomposed, _conjugation, _moment_rows
+from .bloch import to_bloch
 from .config import KYFAN_SLACK
 from .errors import BoundExceeded, DimensionMismatch, OutOfPositivityRange, SearchFailed
 from .states import werner_coefficient
@@ -327,21 +327,40 @@ def wootters_decomposition(d: BipartiteDecomposed,
 # transporting decompositions between equivalent states
 # ---------------------------------------------------------------------------
 
+def _bloch_transport(f: np.ndarray, dim_in: int) -> np.ndarray:
+    """T = Re[G_out kron(F, F*) E_in], the real (K^2, k^2) matrix of
+    X -> F X F^dag in Bloch coordinates, for F of shape (K, k = dim_in).
+
+    E_in's columns are vec(I/k) and vec(g_mu/2), so E_in [1, r] is the
+    component matrix of the Bloch vector r, and the rows of G_out read
+    Tr[Y] and Tr[Y g_nu] off vec(Y).  Every entry is the trace of a product
+    of Hermitian matrices, hence real.
+    """
+    scale = np.full(dim_in * dim_in, 0.5)
+    scale[0] = 1.0 / dim_in
+    embed = _moment_rows(dim_in).conj().T * scale
+    return np.real(_moment_rows(f.shape[0]) @ (_conjugation(f) @ embed))
+
+
 def _transform_components(dec: SeparableDecomposition, map_a, map_b,
                           dim_a_in: int, dim_b_in: int):
     """Apply rho -> M rho M^dag (+ renormalize) to every component pair.
 
-    One batched conjugation per side; the traces of the conjugated stacks
-    re-weight the components.
+    One real matrix per side (:func:`_bloch_transport`) takes the rows
+    [1, r] to the trace and the generator moments of the conjugated
+    components; the traces re-weight the components and divide out of the
+    new Bloch vectors.
     """
-    rho_a = map_a @ from_bloch(dec.r_vectors, dim_a_in) @ map_a.conj().T
-    rho_b = map_b @ from_bloch(dec.s_vectors, dim_b_in) @ map_b.conj().T
-    ta = np.einsum("lii->l", rho_a).real
-    tb = np.einsum("lii->l", rho_b).real
-    probs = dec.probs * ta * tb
+    probs = dec.probs
+    sides = []
+    for vecs, f, dim_in in ((dec.r_vectors, map_a, dim_a_in),
+                            (dec.s_vectors, map_b, dim_b_in)):
+        t = _bloch_transport(f, dim_in)
+        moments = vecs @ t[:, 1:].T + t[:, 0]
+        probs = probs * moments[:, 0]
+        sides.append(moments[:, 1:] / moments[:, :1])
     return SeparableDecomposition(probs=probs / probs.sum(),
-                                  r_vectors=to_bloch(rho_a / ta[:, None, None], tol=np.inf),
-                                  s_vectors=to_bloch(rho_b / tb[:, None, None], tol=np.inf))
+                                  r_vectors=sides[0], s_vectors=sides[1])
 
 
 def pull_back_filters(dec: SeparableDecomposition, filter_a: np.ndarray,
@@ -349,8 +368,9 @@ def pull_back_filters(dec: SeparableDecomposition, filter_a: np.ndarray,
     """Transport a decomposition of the filtered state back to the original.
 
     Inverts the local filters: each component is conjugated by the filter
-    inverses and the weights are re-normalized, which preserves positivity
-    and reproduces the pre-filter state exactly.
+    inverses, as one real Bloch-space matrix per side, and the weights are
+    re-normalized, which preserves positivity and reproduces the pre-filter
+    state exactly.
     """
     inv_a = np.linalg.inv(filter_a)
     inv_b = np.linalg.inv(filter_b)

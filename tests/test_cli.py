@@ -396,9 +396,14 @@ class TestToleranceThreading:
         code, out, _ = run_cli(["analyze", path, "--report", "structured"], capsys)
         assert code == 0
         assert "support-projection" not in criterion_names(out)
-        _, out, _ = run_cli(["analyze", path, "--tol", "1e-6", "--report", "structured"],
-                            capsys)
-        assert criterion_names(out)[0] == "support-projection"
+        code, out, _ = run_cli(["analyze", path, "--tol", "1e-6", "--report", "structured"],
+                               capsys)
+        assert code == 0
+        criteria = json.loads(out)["criteria"]
+        assert criteria[0]["name"] == "support-projection"
+        # the product of the unprojected marginals keeps the 1e-7 weight
+        assert criteria[-1]["name"] == "decomposition[trivial-factor]"
+        assert criteria[-1]["passed"]
 
     def test_validation_floor_holds_below_1e_9(self, tmp_path, capsys):
         # a trace 5e-10 off one passes validation even under --tol 1e-12
@@ -407,6 +412,16 @@ class TestToleranceThreading:
         code, out, _ = run_cli(["analyze", path, "--tol", "1e-12"], capsys)
         assert code == 0
         assert "SEPARABLE" in out
+
+    @pytest.mark.parametrize("command", ["analyze", "normal-form"])
+    def test_negative_max_iter_is_usage_error(self, tmp_path, capsys, command):
+        path = identity_state(tmp_path)
+        code, _, err = run_cli([command, path, "--max-iter", "-1"], capsys)
+        assert code == 64
+        assert "--max-iter" in err
+        # a budget of no sweeps is valid, and I/9 needs none
+        code, _, _ = run_cli([command, path, "--max-iter", "0"], capsys)
+        assert code == 0
 
     def test_max_iter_sets_the_filtering_budget(self, tmp_path, capsys):
         path = write_matrix(tmp_path / "tiles.state.json", tiles_state(), (3, 3))

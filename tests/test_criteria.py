@@ -309,6 +309,69 @@ class TestFamiliesInAnyFrame:
                                     decompose_state(rho, dim, dim)).valid
 
 
+def kyfan_family_cases():
+    """Werner and isotropic states inside the constructive Ky Fan interval,
+    for N = 3..7."""
+    for dim in range(3, 8):
+        phi = 0.5 * (1.0 / dim + 1.0 / (dim - 1.0))
+        p = 0.5 / ((dim - 1.0) * (dim * dim - 1.0))
+        yield pytest.param(dim, werner(dim, phi), id=f"{dim}-werner")
+        yield pytest.param(dim, isotropic(dim, p), id=f"{dim}-isotropic")
+
+
+class TestNormalFormIsNotTransported:
+    """A state whose marginals are already maximally mixed runs no filtering
+    sweep, so its decomposition is returned as built, not pulled back
+    through identity filters; a filtered state's is still pulled back."""
+
+    @staticmethod
+    def pull_back_calls(monkeypatch):
+        calls = []
+        pull_back = criteria.pull_back_filters
+
+        def spy(*args):
+            calls.append(args)
+            return pull_back(*args)
+        monkeypatch.setattr(criteria, "pull_back_filters", spy)
+        return calls
+
+    @staticmethod
+    def separable(verdict, source):
+        names = [c.name for c in verdict.criteria]
+        assert verdict.status is Status.SEPARABLE, verdict.criteria
+        assert names[-1] == f"decomposition[{source}]"
+        assert "normal-form" not in names
+
+    @pytest.mark.parametrize("dim, state", kyfan_family_cases())
+    def test_kyfan_decomposition_returned_as_built(self, dim, state, monkeypatch):
+        calls = self.pull_back_calls(monkeypatch)
+        rho = in_frame(compose_state(state), dim, dim, "rotated", np.random.default_rng(7))
+        verdict = analyze(rho, dim, dim)
+        self.separable(verdict, "kyfan-sufficient")
+        assert calls == []
+        built = kyfan_bound_decomposition(decompose_state(rho, dim, dim).corr_svd, dim, dim)
+        for got, want in ((verdict.decomposition.probs, built.probs),
+                          (verdict.decomposition.r_vectors, built.r_vectors),
+                          (verdict.decomposition.s_vectors, built.s_vectors)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_rotated_werner_simplex_is_not_transported(self, monkeypatch):
+        calls = self.pull_back_calls(monkeypatch)
+        rho = in_frame(compose_state(werner(3, 1.0)), 3, 3, "rotated",
+                       np.random.default_rng(7))
+        self.separable(analyze(rho, 3, 3), "family")
+        assert calls == []
+
+    def test_filtered_werner_is_pulled_back(self, monkeypatch):
+        calls = self.pull_back_calls(monkeypatch)
+        rho = in_frame(compose_state(werner(3, 1.0)), 3, 3, "filtered",
+                       np.random.default_rng(7))
+        verdict = analyze(rho, 3, 3)
+        self.separable(verdict, "family")
+        assert len(calls) == 1
+        assert verify_decomposition(verdict.decomposition, decompose_state(rho, 3, 3)).valid
+
+
 def bound_entangled_cases():
     """PPT entangled states: the tiles state with 0-20% white noise and P.
     Horodecki's 3 x 3 and 2 x 4 families.  The flag marks the states whose

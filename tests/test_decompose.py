@@ -465,13 +465,21 @@ class TestTransport:
             assert have.shape == want.shape
             np.testing.assert_allclose(have, want, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("dim_a, dim_b", [(2, 3), (3, 3), (7, 7)])
-    def test_stacked_transport_matches_component_loop(self, dim_a, dim_b):
+    @pytest.mark.parametrize("dim_a, dim_b, cond", [
+        pytest.param(n, m, cond, id=f"{n}-{m}" + ("" if cond is None else f"-cond{cond:.0e}"))
+        for n, m in [(2, 2), (2, 3), (3, 3), (4, 5), (7, 7)] for cond in (None, 1e2, 1e4)])
+    def test_stacked_transport_matches_component_loop(self, dim_a, dim_b, cond):
+        """Filters near I, or with singular values spread from 1 to 1/cond."""
         from sephorn.linalg import random_unitary
         rng = np.random.default_rng(dim_a * 10 + dim_b)
         dec = self.random_decomposition(rng, dim_a, dim_b, 2 * dim_a * dim_b)
-        fa, fb = (np.eye(n) + 0.3 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-                  for n in (dim_a, dim_b))
+        if cond is None:
+            fa, fb = (np.eye(n) + 0.3 * (rng.normal(size=(n, n))
+                                         + 1j * rng.normal(size=(n, n)))
+                      for n in (dim_a, dim_b))
+        else:
+            fa, fb = ((random_unitary(n, rng) * np.geomspace(1.0, 1.0 / cond, n))
+                      @ random_unitary(n, rng) for n in (dim_a, dim_b))
         pulled = pull_back_filters(dec, fa, fb, dim_a, dim_b)
         self.assert_matches_reference(pulled, dec, np.linalg.inv(fa), np.linalg.inv(fb))
         va = random_unitary(dim_a + 2, rng)[:, :dim_a]
