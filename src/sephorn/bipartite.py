@@ -6,9 +6,14 @@ plus the (N^2-1) x (M^2-1) correlation matrix of joint generator
 expectations ``corr[mu, nu] = Tr[rho (g_mu x h_nu)]``.  The record also
 carries the density matrix and computes each spectral quantity the
 pipeline reads once, on first use: the eigendecomposition of each reduced
-matrix (local ranks, support isometries, the full-rank check and first
-filter of :func:`normal_form`), the eigendecomposition of the density
-matrix and the singular value decomposition of the correlation matrix.
+matrix, per side, the eigendecomposition of the density matrix and the
+singular value decomposition of the correlation matrix.  Local rank is
+answered first from the Bloch norm (:func:`~sephorn.bloch.ball_floor`): a
+side whose floor exceeds the rank cutoff has full rank, which decides
+every mixed qubit side exactly and every side inside the inscribed ball.
+A reduced matrix is eigensolved only for a side the floor leaves open,
+for :func:`support_isometries` and for the first filter of
+:func:`normal_form`.
 Both :func:`decompose_state` and :func:`normal_form`, for the filtered
 state, read the Bloch data off one product chain on the realigned matrix
 R[(i, j), (a, b)] = rho[ia, jb] (:func:`_moments`).
@@ -22,7 +27,7 @@ from math import sqrt
 
 import numpy as np
 
-from .bloch import _gen_rows, from_bloch, validate_state
+from .bloch import _gen_rows, ball_floor, from_bloch, validate_state
 from .config import MAX_ITER, NORMAL_TOL, POSITIVITY_TOL
 from .errors import DimensionMismatch, NotAState, NotFullRank
 
@@ -56,11 +61,14 @@ class BipartiteDecomposed:
         return _read_only((compose_state(self),))[0]
 
     @cached_property
-    def marginal_eigh(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Ascending eigenpairs ``((w_a, v_a), (w_b, v_b))`` of the two
-        reduced matrices."""
-        return tuple(_read_only(np.linalg.eigh(from_bloch(vec, dim)))
-                     for vec, dim in ((self.a, self.dim_a), (self.b, self.dim_b)))
+    def marginal_eigh_a(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending eigenpairs ``(w, v)`` of the reduced matrix of A."""
+        return _read_only(np.linalg.eigh(from_bloch(self.a, self.dim_a)))
+
+    @cached_property
+    def marginal_eigh_b(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending eigenpairs ``(w, v)`` of the reduced matrix of B."""
+        return _read_only(np.linalg.eigh(from_bloch(self.b, self.dim_b)))
 
     @cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
@@ -146,9 +154,20 @@ def compose_state(d: BipartiteDecomposed) -> np.ndarray:
 
 
 def local_ranks(d: BipartiteDecomposed, tol: float = 1e-9) -> tuple[int, int]:
-    """Ranks of the two reduced matrices (eigenvalue threshold ``tol``)."""
-    (wa, _), (wb, _) = d.marginal_eigh
-    return int(np.sum(wa > tol)), int(np.sum(wb > tol))
+    """Ranks of the two reduced matrices (eigenvalue threshold ``tol``).
+
+    A side whose :func:`~sephorn.bloch.ball_floor` exceeds ``tol`` has full
+    rank, with no eigensolve.  That decides every qubit side whose lowest
+    eigenvalue exceeds ``tol``, since the floor is that eigenvalue at
+    N = 2, and every side inside the inscribed ball.  Any other side counts
+    the eigenvalues above ``tol`` of its memoized eigendecomposition, which
+    :func:`support_isometries` then reuses.
+    """
+    rank_a = (d.dim_a if ball_floor(d.a, d.dim_a) > tol
+              else int(np.sum(d.marginal_eigh_a[0] > tol)))
+    rank_b = (d.dim_b if ball_floor(d.b, d.dim_b) > tol
+              else int(np.sum(d.marginal_eigh_b[0] > tol)))
+    return rank_a, rank_b
 
 
 def support_isometries(d: BipartiteDecomposed, tol: float = 1e-9):
@@ -157,7 +176,7 @@ def support_isometries(d: BipartiteDecomposed, tol: float = 1e-9):
     Returns ``(va, vb)`` with ``va`` of shape (dim_a, rank_a); columns are
     support eigenvectors ordered by descending eigenvalue.
     """
-    (wa, va), (wb, vb) = d.marginal_eigh
+    (wa, va), (wb, vb) = d.marginal_eigh_a, d.marginal_eigh_b
     return va[:, wa > tol][:, ::-1], vb[:, wb > tol][:, ::-1]
 
 
@@ -189,37 +208,49 @@ def normal_form(d: BipartiteDecomposed, max_iter: int = MAX_ITER, tol: float = N
     The iterate is never formed: with R the realigned ``d.matrix`` and
     G = F^dag F, its reduced matrices are F_A (R vec(G_B^T)) F_A^dag and
     F_B (vec(G_A^T)^T R) F_B^dag, one ``eigh`` each per sweep, with the
-    eigenvalues scaled to sum to N (M) so that the trace stays one.  The
-    first A-side filter uses the stored marginal spectrum; after a sweep
+    eigenvalues scaled to sum to N (M) so that the trace stays one.
+    Full local rank at ``rank_tol`` is checked by :func:`local_ranks`, so a
+    side inside the inscribed ball is not eigensolved for it.  The first
+    A-side filter uses the memoized eigendecomposition of the reduced
+    matrix of A, computed only when that first sweep runs; after a sweep
     rho_B is I/M, and the eigenvalues of N rho_A give |a| and the next
-    A-side filter.  The filtered record is read off R conjugated once by
-    the filters, and ``converged`` from the record: it is False after
-    ``max_iter`` sweeps when the normal form is reached only in the limit,
-    and when rounding in ill-conditioned filters leaves the record's norms
-    just above ``tol``.  A state already in normal form is returned as is.
+    A-side filter.  A sweep stops at a reduced matrix with a non-positive
+    or non-finite eigenvalue, which ill-conditioned filters can produce
+    from a marginal just above ``rank_tol``: its inverse square root does
+    not exist.  The filtered record is read off R conjugated once by the
+    filters reached, and ``converged`` from the record: it is False after
+    such a stop, after ``max_iter`` sweeps when the normal form is reached
+    only in the limit, and when rounding in ill-conditioned filters leaves
+    the record's norms just above ``tol``.  ``iterations`` counts the
+    sweeps begun.  A state already in normal form is returned as is.
     """
     n, m = d.dim_a, d.dim_b
-    (wa, va), (wb, _) = d.marginal_eigh
-    if wa[0] <= rank_tol or wb[0] <= rank_tol:
+    if local_ranks(d, rank_tol) != (n, m):
         raise NotFullRank(
             f"marginal ranks below ({n},{m}); project to support first"
         )
     r = d.matrix.reshape(n, m, n, m).transpose(0, 2, 1, 3).reshape(n * n, m * m)
     fa = np.eye(n, dtype=complex)
     fb = np.eye(m, dtype=complex)
-    w, v = n * wa, va
     converged = float(np.linalg.norm(d.a)) < tol and float(np.linalg.norm(d.b)) < tol
+    if not converged:
+        wa, v = d.marginal_eigh_a
+        w = n * wa
     iterations = 0
     while not converged and iterations < max_iter:
+        iterations += 1
         fa = (v / np.sqrt(w)) @ v.conj().T @ fa
         w, v = np.linalg.eigh(fb @ ((fa.T @ fa.conj()).reshape(-1) @ r).reshape(m, m)
                               @ fb.conj().T)
+        if not (w[0] > 0.0 and w[-1] < np.inf):
+            break
         w *= m / w.sum()
         fb = (v / np.sqrt(w)) @ v.conj().T @ fb
         w, v = np.linalg.eigh(fa @ (r @ (fb.T @ fb.conj()).reshape(-1)).reshape(n, n)
                               @ fa.conj().T)
+        if not (w[0] > 0.0 and w[-1] < np.inf):
+            break
         w *= n / w.sum()
-        iterations += 1
         # |a| = sqrt(2) ||rho_A - I/N||_F = sqrt(2) ||w - 1|| / N, which stays
         # accurate near zero, where 2 Tr[rho_A^2] - 2/N loses every digit
         dev = w - 1.0

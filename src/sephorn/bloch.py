@@ -8,6 +8,8 @@ plain numpy arrays; the local dimension is recovered from the length.
 
 from __future__ import annotations
 
+from math import sqrt
+
 import numpy as np
 
 from .errors import DimensionMismatch, NotAState
@@ -85,6 +87,20 @@ def to_bloch(rho: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     n = rho.shape[-1]
     # Tr[rho g] = sum_ij rho_ij conj(g_ij) for Hermitian g
     return np.real(rho.reshape(*rho.shape[:-2], n * n) @ _gen_rows(n).conj().T)
+
+
+def ball_floor(vecs: np.ndarray, dim: int) -> np.ndarray | float:
+    """Lower bound 1/N - |r| sqrt((N-1)/(2N)) on the lowest eigenvalue of
+    :func:`from_bloch` of each vector on the last axis.
+
+    from_bloch(r) - I/N is traceless with Frobenius norm |r|/sqrt(2), and a
+    traceless Hermitian N x N matrix of Frobenius norm s has no eigenvalue
+    below -s sqrt((N-1)/N).  The bound is exact at N = 2, and it is
+    positive exactly inside the ball inscribed in the state space,
+    |r|^2 < 2/(N(N-1)).
+    """
+    vecs = np.asarray(vecs, dtype=float)
+    return 1.0 / dim - np.sqrt((vecs * vecs).sum(-1)) * sqrt((dim - 1.0) / (2.0 * dim))
 
 
 def from_bloch(r: np.ndarray, dim: int | None = None) -> np.ndarray:

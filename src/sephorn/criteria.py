@@ -28,11 +28,16 @@ record computes once: partial transposition takes the eigenvalues of the
 matrix-level partial transpose of ``d.matrix``, and the necessary bound,
 the constructive decomposition with its bound and the family recogniser
 all read the one singular value decomposition ``d.corr_svd``.  Where only
-a positivity threshold is tested -- the input above 2 x 2 and the
-components of a decomposition -- a Cholesky factorisation of the shifted
-matrix certifies it (:func:`~sephorn.linalg.certify_psd`); eigenvalues are
-computed only when that fails, so a rejection still reports the exact
-lowest eigenvalue.
+a positivity threshold is tested, the Bloch norm answers first: the floor
+1/N - |r| sqrt((N-1)/(2N)) (:func:`~sephorn.bloch.ball_floor`) bounds the
+lowest eigenvalue from below and is exact at N = 2, so it certifies the
+local ranks of every mixed qubit marginal and the physicality of every
+qubit component and of every component inside the inscribed ball, with
+no matrix built.  What it leaves open -- the input above 2 x 2 and the
+components outside the ball -- is certified by a Cholesky factorisation
+of the shifted matrix (:func:`~sephorn.linalg.certify_psd`); eigenvalues
+are computed only when that fails, so a rejection still reports the
+exact lowest eigenvalue.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ from .bipartite import (
     project_to_support,
     support_isometries,
 )
-from .bloch import from_bloch
+from .bloch import ball_floor, from_bloch
 from .config import (COMPONENT_PSD, KYFAN_SLACK, MAX_ITER, NORMAL_TOL, POSITIVITY_TOL,
                      PROB_SUM, RESIDUAL, STATE_TOL)
 from .decompose import (
@@ -167,10 +172,14 @@ def verify_decomposition(dec: SeparableDecomposition,
     Malformed input -- mis-shaped vectors, or non-finite entries, which
     reach the probability sum or a moment residual and are then named by a
     scan -- is reported as invalid before any certificate is computed.
-    Physicality takes one Cholesky certificate per side
-    (:func:`~sephorn.linalg.certify_psd` on the stack of component
-    matrices); only a side that fails it is eigensolved, and the first
-    component below ``-COMPONENT_PSD`` is named with its lowest eigenvalue.
+    Physicality is read first from the Bloch norm: a component whose
+    :func:`~sephorn.bloch.ball_floor` is at least ``-COMPONENT_PSD`` is
+    physical, which settles every qubit component (the floor is exact
+    there) and every component inside the inscribed ball.  The remaining
+    components of a side, if any, are built and certified as one stack by
+    Cholesky (:func:`~sephorn.linalg.certify_psd`); only a stack that fails
+    it is eigensolved, and the first component below ``-COMPONENT_PSD`` is
+    named by its index in the decomposition, with its lowest eigenvalue.
     The probability sum must lie within ``PROB_SUM`` of one and every moment
     residual within ``RESIDUAL``.
     """
@@ -198,13 +207,17 @@ def verify_decomposition(dec: SeparableDecomposition,
     max_residual = max(res_a, res_b, res_t)
     if max_residual > RESIDUAL:
         problems.append(f"moment residual {max_residual:.3e}")
-    for label, vecs in (("A", dec.r_vectors), ("B", dec.s_vectors)):
-        low = certify_psd(from_bloch(vecs), COMPONENT_PSD)
+    for label, vecs, dim in (("A", dec.r_vectors, d.dim_a), ("B", dec.s_vectors, d.dim_b)):
+        # written so that a NaN floor goes on to the certificate
+        rows = np.flatnonzero(~(ball_floor(vecs, dim) >= -COMPONENT_PSD))
+        if not rows.size:
+            continue
+        low = certify_psd(from_bloch(vecs[rows], dim), COMPONENT_PSD)
         if low is None:
             continue
         bad = np.flatnonzero(~(low >= -COMPONENT_PSD))
         if bad.size:
-            problems.append(f"component {bad[0]} on side {label} unphysical "
+            problems.append(f"component {rows[bad[0]]} on side {label} unphysical "
                             f"(min eigenvalue {low[bad[0]]:.3e})")
     return VerificationReport(valid=not problems, max_residual=max_residual,
                               detail="; ".join(problems))
@@ -346,10 +359,12 @@ def analyze(rho: np.ndarray, dim_a: int, dim_b: int, *, tol: float = POSITIVITY_
     to the unfiltered correlation instead, and a violation is ENTANGLED.
 
     The input is validated once, and each spectral quantity is computed
-    once: one eigendecomposition per marginal, the eigenvalues of the
-    partial transpose and one singular value decomposition of the filtered
-    correlation.  Positivity of rho is read at 2 x 2 from its
-    eigendecomposition, which also gives Wootters' frame; above 2 x 2 it is
+    at most once: the eigendecomposition of a marginal only where
+    :func:`~sephorn.bloch.ball_floor` leaves its rank open or a filter or
+    support isometry needs it, the eigenvalues of the partial transpose and
+    one singular value decomposition of the filtered correlation.
+    Positivity of rho is read at 2 x 2 from its eigendecomposition, which
+    also gives Wootters' frame; above 2 x 2 it is
     certified by a Cholesky factorisation of rho + ``tol`` I, and the
     eigenvalues of rho are computed only when that fails, so that
     :class:`NotPSD` reports the exact lowest eigenvalue.

@@ -23,7 +23,6 @@ from .bloch import to_bloch
 from .config import KYFAN_SLACK
 from .errors import BoundExceeded, DimensionMismatch, OutOfPositivityRange, SearchFailed
 from .states import werner_coefficient
-from .su import generator_basis
 
 
 @dataclass(frozen=True)
@@ -281,7 +280,11 @@ def wootters_frame(d: BipartiteDecomposed) -> WoottersFrame:
     v = vecs[:, w > 0.0] * np.sqrt(w[w > 0.0])
     rank = v.shape[1]
     tau = v.T @ _SIGMA_YY @ v
-    lam, emb = np.linalg.eigh(np.block([[tau.real, tau.imag], [tau.imag, -tau.real]]))
+    embedding = np.empty((2 * rank, 2 * rank))
+    embedding[:rank, :rank] = tau.real
+    embedding[rank:, rank:] = -tau.real
+    embedding[:rank, rank:] = embedding[rank:, :rank] = tau.imag
+    lam, emb = np.linalg.eigh(embedding)
     top = emb[:, ::-1][:, :rank]
     x = np.zeros((4, 4), dtype=complex)
     x[:, :rank] = v @ np.linalg.qr(top[:rank] + 1j * top[rank:])[0].conj()
@@ -317,8 +320,12 @@ def wootters_decomposition(d: BipartiteDecomposed,
     probs = np.sum(np.abs(z) ** 2, axis=0)
     u, _, vh = np.linalg.svd(z.T.reshape(4, 2, 2))
     kets = np.stack([u[:, :, 0], vh[:, 0, :]])
-    bloch = np.einsum("ski,mij,skj->skm", kets.conj(), generator_basis(2).matrices,
-                      kets).real
+    # the ket (a_0, a_1) has Bloch vector (2 Re z, 2 Im z, |a_0|^2 - |a_1|^2)
+    # with z = conj(a_0) a_1
+    cross = kets[..., 0].conj() * kets[..., 1]
+    pops = np.abs(kets) ** 2
+    bloch = np.stack([2.0 * cross.real, 2.0 * cross.imag, pops[..., 0] - pops[..., 1]],
+                     axis=-1)
     return SeparableDecomposition(probs=probs / probs.sum(),
                                   r_vectors=bloch[0], s_vectors=bloch[1])
 

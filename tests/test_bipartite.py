@@ -11,8 +11,9 @@ from sephorn.bipartite import (
     project_to_support,
     support_isometries,
 )
-from sephorn.bloch import _gen_stack, to_bloch
+from sephorn.bloch import _gen_stack, from_bloch, to_bloch
 from sephorn.errors import DimensionMismatch, NotFullRank
+from sephorn.linalg import random_unitary
 from sephorn.states import bell, p_zero, random_density, werner
 
 
@@ -108,6 +109,31 @@ class TestLocalRanks:
     def test_p_zero_half(self):
         # marginals are diag(3/4, 1/4) and diag(3/4, 1/4): full rank
         assert local_ranks(p_zero(0.5)) == (2, 2)
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-7])
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (4, 2)])
+    def test_match_eigenvalue_counts_at_the_cutoff(self, dims, tol):
+        # marginals with their lowest eigenvalues just above and just below
+        # tol, where the ball floor and the eigenvalue count must agree
+        rng = np.random.default_rng(dims[0] * 10 + dims[1])
+        for low_a, low_b in ((1.001, 0.999), (0.999, 1.001), (1.001, 1.001), (0.999, 0.999)):
+            marginals = []
+            for dim, low in zip(dims, (low_a, low_b)):
+                w = np.full(dim, tol * low)
+                w[1:] = (1.0 - tol * low) * rng.dirichlet(np.ones(dim - 1))
+                u = random_unitary(dim, rng)
+                marginals.append((u * w) @ u.conj().T)
+            d = decompose_state(np.kron(*marginals), *dims)
+            expected = tuple(int(np.sum(np.linalg.eigvalsh(from_bloch(vec, dim)) > tol))
+                             for vec, dim in ((d.a, dims[0]), (d.b, dims[1])))
+            assert local_ranks(d, tol) == expected
+            assert expected == tuple(dim if low > 1.0 else dim - 1
+                                     for dim, low in zip(dims, (low_a, low_b)))
+
+    def test_ball_floor_skips_the_eigensolve(self):
+        d = decompose_state(random_density(6, 6, np.random.default_rng(3)), 2, 3)
+        assert local_ranks(d) == (2, 3)
+        assert "marginal_eigh_a" not in vars(d) and "marginal_eigh_b" not in vars(d)
 
 
 class TestSupportProjection:

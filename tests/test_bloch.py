@@ -3,6 +3,7 @@ import pytest
 
 from helpers import is_physical
 from sephorn.bloch import (
+    ball_floor,
     from_bloch,
     to_bloch,
     validate_state,
@@ -175,3 +176,27 @@ def test_pure_state_angle_bound():
             for j in range(i + 1, len(vecs)):
                 cos = vecs[i] @ vecs[j] / (np.linalg.norm(vecs[i]) * np.linalg.norm(vecs[j]))
                 assert cos >= bound
+
+
+class TestBallFloor:
+    @pytest.mark.parametrize("dim", range(2, 8))
+    def test_bounds_the_lowest_eigenvalue(self, dim):
+        # states, pure states and vectors scaled past the state space
+        rng = np.random.default_rng(dim)
+        states = to_bloch(np.array([random_density(dim, rank, rng)
+                                    for rank in (1, 2, dim) for _ in range(10)]))
+        vecs = np.vstack([states, 1.5 * states, rng.normal(size=(20, dim * dim - 1))])
+        floor = ball_floor(vecs, dim)
+        low = np.linalg.eigvalsh(from_bloch(vecs, dim))[:, 0]
+        assert floor.shape == (len(vecs),)
+        assert (floor <= low + 1e-12).all()
+        if dim == 2:
+            np.testing.assert_allclose(floor, low, rtol=0, atol=1e-12)
+
+    def test_single_vector_and_inscribed_ball(self):
+        # the floor vanishes on the sphere |r|^2 = 2/(N(N-1)) and is 1/N at 0
+        r = np.zeros(8)
+        assert ball_floor(r, 3) == pytest.approx(1.0 / 3.0)
+        r[0] = np.sqrt(2.0 / 6.0)
+        assert abs(ball_floor(r, 3)) < 1e-15
+        assert ball_floor(np.zeros(0), 1) == 1.0

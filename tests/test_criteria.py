@@ -1,4 +1,5 @@
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ from sephorn.bipartite import (
     normal_form,
     partial_transpose_matrix,
 )
-from sephorn.bloch import from_bloch
-from sephorn.config import KYFAN_SLACK, NORMAL_TOL, POSITIVITY_TOL, RESIDUAL
+from sephorn.bloch import ball_floor, from_bloch
+from sephorn.config import COMPONENT_PSD, KYFAN_SLACK, NORMAL_TOL, POSITIVITY_TOL, RESIDUAL
 from sephorn.criteria import (
     Status,
     analyze,
@@ -24,7 +25,14 @@ from sephorn.criteria import (
     two_qubit_decide,
     verify_decomposition,
 )
-from sephorn.decompose import SeparableDecomposition, kyfan_bound_decomposition, werner_decompose
+from sephorn.decompose import (
+    SeparableDecomposition,
+    embed_isometries,
+    kyfan_bound_decomposition,
+    pull_back_filters,
+    werner_decompose,
+    wootters_decomposition,
+)
 from sephorn.errors import BoundExceeded, DimensionMismatch, NotPSD, SepHornError
 from sephorn.linalg import random_unitary
 from sephorn.states import bell, isotropic, p_zero, random_density, werner
@@ -470,29 +478,48 @@ class TestSpectralCounts:
         assert [name for name, _ in full] == ["cholesky", "eigvalsh"]
         np.testing.assert_allclose(full[0][1] - rho, POSITIVITY_TOL * np.eye(9), rtol=0, atol=1e-15)
         assert np.allclose(full[1][1], rho_pt)
-        # the components of the decomposition are certified, one Cholesky
-        # factorisation per side, and never eigensolved
-        stacks = [name for name, a in calls if a.ndim == 3]
-        assert stacks == ["cholesky", "cholesky"]
-        # one eigendecomposition per input marginal, then two per filter
-        # sweep: the B-side filter and the A-side marginal after it, whose
-        # eigenvalues give the convergence test and the next A-side filter
+        # the components of the decomposition lie inside the inscribed ball,
+        # so their Bloch norms certify them: no matrix is factorised
+        dec = verdict.decomposition
+        for vecs in (dec.r_vectors, dec.s_vectors):
+            assert (ball_floor(vecs, 3) >= -COMPONENT_PSD).all()
+        assert [name for name, a in calls if a.ndim == 3] == []
+        # both marginals lie inside the ball, so their ranks need no
+        # eigensolve; the A-side marginal is eigensolved once, for the
+        # first filter, then two per filter sweep: the B-side filter and the
+        # A-side marginal after it, whose eigenvalues give the convergence
+        # test and the next A-side filter
+        assert ball_floor(d.a, 3) > POSITIVITY_TOL and ball_floor(d.b, 3) > POSITIVITY_TOL
         sweeps = normal_form(d).iterations
         assert sweeps > 0
         small = [a for name, a in calls if name == "eigh" and a.shape == (3, 3)]
-        assert len(small) == 2 + 2 * sweeps
+        assert len(small) == 1 + 2 * sweeps
         r4 = rho.reshape(3, 3, 3, 3)
-        for marginal in (np.einsum("ijkj->ik", r4), np.einsum("ijil->jl", r4)):
+        for marginal, expected in ((np.einsum("ijkj->ik", r4), ["eigh"]),
+                                   (np.einsum("ijil->jl", r4), [])):
             same = [name for name, a in calls
                     if a.shape == (3, 3) and np.allclose(a / np.trace(a), marginal)]
-            assert same == ["eigh"]
+            assert same == expected
         # the memoized results are read-only and computed once
-        memo = [d.matrix, *d.marginal_eigh[0], *d.marginal_eigh[1], *d.spectrum,
+        memo = [d.matrix, *d.marginal_eigh_a, *d.marginal_eigh_b, *d.spectrum,
                 *tilde.corr_svd]
         assert not any(a.flags.writeable for a in memo)
-        assert d.corr_svd is d.corr_svd and tilde.marginal_eigh is tilde.marginal_eigh
+        assert d.corr_svd is d.corr_svd and tilde.marginal_eigh_a is tilde.marginal_eigh_a
         with pytest.raises(ValueError):
             tilde.corr_svd[1][0] = 0.0
+
+    def test_full_rank_two_qubit_verdict_factorises_no_marginal(self, monkeypatch):
+        # the Bloch norms decide the local ranks and certify the pure
+        # Wootters components: no 2 x 2 eigensolve, no stacked Cholesky
+        rng = np.random.default_rng(43)
+        rho = 0.3 * random_density(4, 4, rng) + 0.7 * np.eye(4) / 4.0
+        calls = self.record(monkeypatch)
+        verdict = analyze(rho, 2, 2)
+        monkeypatch.undo()
+        assert verdict.status is Status.SEPARABLE
+        assert verdict.criteria[-1].name == "decomposition[wootters]"
+        assert not any(name == "eigh" and a.shape == (2, 2) for name, a in calls)
+        assert not any(name == "cholesky" and a.ndim == 3 for name, a in calls)
 
     def test_two_qubit_verdict_shares_one_eigh(self, monkeypatch):
         # the PSD check and Wootters' frame read one eigendecomposition of rho
@@ -555,12 +582,99 @@ class TestVerify:
         assert not report.valid
         assert problem in report.detail
 
+    @staticmethod
+    def decompositions():
+        """(decomposition, state) pairs from every construction analyze
+        verifies, by label."""
+        rng = np.random.default_rng(71)
+        out = {}
+        for i in range(3):
+            d = decompose_state(0.4 * random_density(4, 4, rng) + 0.6 * np.eye(4) / 4.0, 2, 2)
+            out[f"wootters-{i}"] = (wootters_decomposition(d), d)
+        for n, m in ((3, 3), (2, 4)):
+            f = np.kron(np.eye(n) + 0.3 * rng.normal(size=(n, n)),
+                        np.eye(m) + 0.3 * rng.normal(size=(m, m)))
+            rho = f @ (0.05 * random_density(n * m, n * m, rng) + 0.95 * np.eye(n * m)) @ f.T
+            d = decompose_state(rho / np.trace(rho), n, m)
+            nf = normal_form(d)
+            dec = kyfan_bound_decomposition(nf.state.corr_svd, n, m)
+            out[f"kyfan-{n}x{m}"] = (dec, nf.state)
+            out[f"pulled-back-{n}x{m}"] = (
+                pull_back_filters(dec, nf.filter_a, nf.filter_b, n, m), d)
+        for n, phi in ((3, 0.1), (3, 0.8), (4, 0.5)):
+            out[f"werner-{n}-{phi}"] = (werner_decompose(n, phi), werner(n, phi))
+        va, vb = random_unitary(3, rng)[:, :2], random_unitary(3, rng)[:, :2]
+        iso = np.kron(va, vb)
+        big = decompose_state(iso @ compose_state(werner(2, 0.7)) @ iso.conj().T, 3, 3)
+        out["embedded"] = (embed_isometries(werner_decompose(2, 0.7), va, vb), big)
+        return out
+
+    @staticmethod
+    def planted(case, side, scale):
+        """The decomposition of ``case`` with the vector of one side of its
+        middle component scaled by ``scale``, and the next one by twice
+        that, with the state."""
+        dec, d = case
+        mid = len(dec) // 2
+        vecs = (dec.r_vectors if side == "A" else dec.s_vectors).copy()
+        vecs[mid] *= scale
+        vecs[mid + 1] *= 2.0 * scale
+        if side == "A":
+            return SeparableDecomposition(dec.probs, vecs, dec.s_vectors), d
+        return SeparableDecomposition(dec.probs, dec.r_vectors, vecs), d
+
+    def test_ball_floor_matches_cholesky_reference(self, monkeypatch):
+        # the report is the one the all-Cholesky certificate gives, for
+        # valid decompositions and for unphysical components planted in the
+        # middle of a stack at N = 2 and N = 3, which are named by their
+        # index in the decomposition
+        cases = self.decompositions()
+        valid = list(cases)
+        planted = {"wootters-0": "A", "werner-3-0.1": "A", "werner-3-0.8": "B"}
+        for label, side in planted.items():
+            cases[f"planted-{label}"] = self.planted(cases[label], side,
+                                                     3.0 if label == "werner-3-0.1" else 1.5)
+        reports = {label: verify_decomposition(dec, d) for label, (dec, d) in cases.items()}
+        assert all(reports[label].valid for label in valid)
+        for label, side in planted.items():
+            mid = len(cases[label][0]) // 2
+            assert f"component {mid} on side {side} unphysical" in reports[f"planted-{label}"].detail
+        # both branches run: components certified by the floor, and
+        # components outside the inscribed ball left to the factorisation
+        floors = np.concatenate([np.append(ball_floor(dec.r_vectors, d.dim_a),
+                                           ball_floor(dec.s_vectors, d.dim_b))
+                                 for dec, d in cases.values()])
+        assert (floors >= -COMPONENT_PSD).any() and (floors < -COMPONENT_PSD).any()
+        monkeypatch.setattr(criteria, "ball_floor", lambda vecs, dim: np.full(len(vecs), -np.inf))
+        assert {label: verify_decomposition(dec, d)
+                for label, (dec, d) in cases.items()} == reports
+
     def test_bad_probabilities_invalid(self):
         dec = werner_decompose(2, 1.0)
         bad = SeparableDecomposition(probs=dec.probs * 0.9,
                                      r_vectors=dec.r_vectors,
                                      s_vectors=dec.s_vectors)
         assert not verify_decomposition(bad, werner(2, 1.0)).valid
+
+
+class TestIllConditionedFilters:
+    @pytest.mark.parametrize("frame", range(6))
+    def test_filtering_stops_short_of_a_singular_filter(self, frame):
+        # a product state whose marginals have an eigenvalue 1.2e-9, just
+        # above the rank cutoff and outside the inscribed ball: ill-conditioned
+        # filters drive a reduced matrix to a non-positive eigenvalue, where
+        # filtering stops with an unconverged record
+        u, v = random_unitary(3, 1 + frame), random_unitary(3, 101 + frame)
+        rho_a = (u * [1.2e-9, 0.49, 0.51 - 1.2e-9]) @ u.conj().T
+        rho_b = (v * [1.2e-9, 0.48, 0.52 - 1.2e-9]) @ v.conj().T
+        rho = np.kron(rho_a, rho_b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            verdict = analyze(rho, 3, 3)
+            nf = normal_form(decompose_state(rho, 3, 3))
+        assert verdict.status is not Status.ENTANGLED
+        assert not nf.converged and nf.iterations > 0
+        assert np.isfinite(nf.filter_a).all() and np.isfinite(nf.filter_b).all()
 
 
 class TestAnalyze:
