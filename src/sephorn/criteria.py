@@ -175,10 +175,12 @@ def verify_decomposition(dec: SeparableDecomposition,
     Physicality is read first from the Bloch norm: a component whose
     :func:`~sephorn.bloch.ball_floor` is at least ``-COMPONENT_PSD`` is
     physical, which settles every qubit component (the floor is exact
-    there) and every component inside the inscribed ball.  The remaining
-    components of a side, if any, are built and certified as one stack by
-    Cholesky (:func:`~sephorn.linalg.certify_psd`); only a stack that fails
-    it is eigensolved, and the first component below ``-COMPONENT_PSD`` is
+    there) and every component inside the inscribed ball; a side whose
+    lowest floor passes is settled with no scan of its rows, and a NaN
+    floor never passes.  The remaining components of a side, if any, are
+    built and certified as one stack by Cholesky
+    (:func:`~sephorn.linalg.certify_psd`); only a stack that fails it is
+    eigensolved, and the first component below ``-COMPONENT_PSD`` is
     named by its index in the decomposition, with its lowest eigenvalue.
     The probability sum must lie within ``PROB_SUM`` of one and every moment
     residual within ``RESIDUAL``.
@@ -209,9 +211,10 @@ def verify_decomposition(dec: SeparableDecomposition,
         problems.append(f"moment residual {max_residual:.3e}")
     for label, vecs, dim in (("A", dec.r_vectors, d.dim_a), ("B", dec.s_vectors, d.dim_b)):
         # written so that a NaN floor goes on to the certificate
-        rows = np.flatnonzero(~(ball_floor(vecs, dim) >= -COMPONENT_PSD))
-        if not rows.size:
+        floor = ball_floor(vecs, dim)
+        if floor.min() >= -COMPONENT_PSD:
             continue
+        rows = np.flatnonzero(~(floor >= -COMPONENT_PSD))
         low = certify_psd(from_bloch(vecs[rows], dim), COMPONENT_PSD)
         if low is None:
             continue
@@ -250,8 +253,9 @@ def two_qubit_decide(d: BipartiteDecomposed, *, tol: float = POSITIVITY_TOL) -> 
         return Verdict(status=Status.ENTANGLED, criteria=tuple(log))
     frame = wootters_frame(d)
     margin = frame.concurrence_margin
+    values = ", ".join(f"{v:.6g}" for v in frame.lam.tolist())
     log.append(CriterionResult("concurrence", margin <= KYFAN_SLACK, margin,
-                               "Wootters values " + ", ".join(f"{v:.6g}" for v in frame.lam)))
+                               f"Wootters values {values}"))
     if margin <= KYFAN_SLACK:
         verdict = _verified(wootters_decomposition(d, frame), d, log, "wootters")
         if verdict is not None:
@@ -356,7 +360,10 @@ def analyze(rho: np.ndarray, dim_a: int, dim_b: int, *, tol: float = POSITIVITY_
     Ky Fan norm exceeds the constructive bound; when filtering leaves a
     marginal Bloch norm at ``RESIDUAL`` or above, the failed
     ``normal-form`` criterion is logged, the necessary norm bound is applied
-    to the unfiltered correlation instead, and a violation is ENTANGLED.
+    to the unfiltered correlation instead, and a violation is ENTANGLED;
+    a state that passes it and whose correlation is a b^T within
+    ``RESIDUAL`` -- a product state with ill-conditioned marginals -- is
+    then offered its one-component ``trivial-factor`` decomposition.
 
     The input is validated once, and each spectral quantity is computed
     at most once: the eigendecomposition of a marginal only where
@@ -431,8 +438,15 @@ def _analyze_decomposed(d: BipartiteDecomposed, *, tol: float, max_iter: int,
                                    f"not converged in {nf.iterations} sweeps"))
         nk = kyfan_necessary_check(d)
         log.append(nk)
-        status = Status.INCONCLUSIVE if nk.passed else Status.ENTANGLED
-        return Verdict(status=status, criteria=tuple(log))
+        if not nk.passed:
+            return Verdict(status=Status.ENTANGLED, criteria=tuple(log))
+        # a product of its marginals, which ill-conditioned marginals can
+        # keep from normal form, is the one component (a, b)
+        if np.abs(d.corr - np.outer(d.a, d.b)).max(initial=0.0) <= RESIDUAL:
+            verdict = _verified(_trivial_factor_decomposition(d), d, log, "trivial-factor")
+            if verdict is not None:
+                return verdict
+        return Verdict(status=Status.INCONCLUSIVE, criteria=tuple(log))
     if not nf.converged:
         log.append(CriterionResult("normal-form", True, marg,
                                    f"not converged in {nf.iterations} sweeps; record within "

@@ -6,7 +6,9 @@ the Ky Fan norm fits the inscribed-ball budget, the pure-state simplex built
 from a Weyl-Heisenberg SIC, the closed-form decomposition of a separable
 Werner state (which ``criteria.analyze`` rotates and pulls back to decompose
 every Werner and isotropic state it recognises) and Wootters'
-four-component product decomposition of two-qubit states.  Decompositions
+four-component product decomposition of two-qubit states, whose pure
+local kets are read off the Gram matrices of each product vector with no
+factorisation.  Decompositions
 are transported between equivalent states in Bloch coordinates: one real
 matrix per side maps the rows [1, r] of every component at once.
 """
@@ -15,11 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import atan2, pi, sqrt
 
 import numpy as np
 
 from .bipartite import BipartiteDecomposed, _conjugation, _moment_rows
-from .bloch import to_bloch
+from .bloch import _gen_stack, to_bloch
 from .config import KYFAN_SLACK
 from .errors import BoundExceeded, DimensionMismatch, OutOfPositivityRange, SearchFailed
 from .states import werner_coefficient
@@ -247,6 +250,11 @@ def werner_decompose(dim: int, phi: float, seed: int = 0) -> SeparableDecomposit
 
 _SIGMA_YY = np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0]))
 _HADAMARD = 0.5 * np.kron([[1.0, 1.0], [1.0, -1.0]], [[1.0, 1.0], [1.0, -1.0]])
+# I, sigma x I and I x sigma: for z in C^2 x C^2 reshaped to the 2 x 2 Z,
+# z^dag (sigma x I) z = Tr[sigma Z Z^dag] and z^dag (I x sigma) z =
+# Tr[sigma Z^T Z^*], the Pauli moments of its two Gram matrices
+_GRAM_MOMENTS = np.concatenate([np.eye(4)[None], np.kron(_gen_stack(2), np.eye(2)),
+                                np.kron(np.eye(2), _gen_stack(2))])
 
 
 @dataclass(frozen=True)
@@ -259,7 +267,8 @@ class WoottersFrame:
     @property
     def concurrence_margin(self) -> float:
         """lam_1 - lam_2 - lam_3 - lam_4: the concurrence when positive."""
-        return float(self.lam[0] - self.lam[1:].sum())
+        lam = self.lam.tolist()
+        return lam[0] - (lam[1] + lam[2] + lam[3])
 
 
 def wootters_frame(d: BipartiteDecomposed) -> WoottersFrame:
@@ -277,13 +286,15 @@ def wootters_frame(d: BipartiteDecomposed) -> WoottersFrame:
     if (d.dim_a, d.dim_b) != (2, 2):
         raise DimensionMismatch(f"Wootters' frame needs 2 x 2, got {d.dim_a} x {d.dim_b}")
     w, vecs = d.spectrum
-    v = vecs[:, w > 0.0] * np.sqrt(w[w > 0.0])
+    positive = w > 0.0
+    v = vecs[:, positive] * np.sqrt(w[positive])
     rank = v.shape[1]
     tau = v.T @ _SIGMA_YY @ v
+    re, im = tau.real, tau.imag
     embedding = np.empty((2 * rank, 2 * rank))
-    embedding[:rank, :rank] = tau.real
-    embedding[rank:, rank:] = -tau.real
-    embedding[:rank, rank:] = embedding[rank:, :rank] = tau.imag
+    embedding[:rank, :rank] = re
+    embedding[rank:, rank:] = -re
+    embedding[:rank, rank:] = embedding[rank:, :rank] = im
     lam, emb = np.linalg.eigh(embedding)
     top = emb[:, ::-1][:, :rank]
     x = np.zeros((4, 4), dtype=complex)
@@ -291,6 +302,20 @@ def wootters_frame(d: BipartiteDecomposed) -> WoottersFrame:
     padded = np.zeros(4)
     padded[:rank] = np.maximum(lam[::-1][:rank], 0.0)
     return WoottersFrame(x=x, lam=padded)
+
+
+def _triangle_angles(a: float, b: float, diag: float) -> tuple[float, float]:
+    """The angles of the triangle with sides a, b, diag at the vertex where
+    a meets diag and at the one where b meets diag, from the half-angle
+    formulas on the semi-perimeter excesses, which give a flat triangle
+    exact angles of 0 or pi."""
+    ex_a = max(0.0, b + diag - a) / 2.0
+    ex_b = max(0.0, a + diag - b) / 2.0
+    ex_d = max(0.0, a + b - diag) / 2.0
+    semi = ex_a + ex_b + ex_d
+    at_a = 2.0 * atan2(sqrt(ex_a * ex_d), sqrt(semi * ex_b))
+    at_b = pi - at_a - 2.0 * atan2(sqrt(ex_a * ex_b), sqrt(semi * ex_d))
+    return at_a, at_b
 
 
 def wootters_decomposition(d: BipartiteDecomposed,
@@ -303,31 +328,29 @@ def wootters_decomposition(d: BipartiteDecomposed,
     vector, and z z^dag = rho.  The quadrilateral closes along the diagonal
     max(lam_1 - lam_2, lam_3 - lam_4) as two triangles; half-angle formulas
     on the semi-perimeter excesses and the angle sum keep their angles exact
-    for flat triangles and a zero diagonal.  Weights are |z_i|^2, and the
-    local kets are the top singular vectors of z_i as a 2 x 2 matrix.
-    ``frame`` defaults to :func:`wootters_frame` of ``d``.
+    for flat triangles, a zero diagonal and degenerate lam, and they are
+    evaluated in Python floats.  Reshaped to 2 x 2, z_i = a b^T has the
+    Gram matrices Z Z^dag = |b|^2 a a^dag and Z^T Z^* = |a|^2 b b^dag.  The
+    weight is the trace of the first, |z_i|^2, and each side's ket is read
+    off its Gram matrix g: the Pauli moments Tr[g sigma] = (2 Re g_10,
+    2 Im g_10, g_00 - g_11), divided by their norm, are the Bloch vector of
+    the top eigenvector of g, which for a product z_i is a (resp. b).  So
+    every component is pure, and no matrix is factorised.  ``frame``
+    defaults to :func:`wootters_frame` of ``d``.
     """
     frame = wootters_frame(d) if frame is None else frame
-    lam = frame.lam
+    lam = frame.lam.tolist()
     diag = max(lam[0] - lam[1], lam[2] - lam[3])
-    a, b = lam[0::2], lam[1::2]
-    ex_a, ex_b, ex_d = np.maximum(0.0, [b + diag - a, a + diag - b, a + b - diag]) / 2.0
-    semi = ex_a + ex_b + ex_d
-    at_a = 2.0 * np.arctan2(np.sqrt(ex_a * ex_d), np.sqrt(semi * ex_b))
-    at_b = np.pi - at_a - 2.0 * np.arctan2(np.sqrt(ex_a * ex_b), np.sqrt(semi * ex_d))
-    theta = np.array([at_a[0], -at_b[0], np.pi + at_a[1], np.pi - at_b[1]])
+    at_a0, at_b0 = _triangle_angles(lam[0], lam[1], diag)
+    at_a1, at_b1 = _triangle_angles(lam[2], lam[3], diag)
+    theta = np.array([at_a0, -at_b0, pi + at_a1, pi - at_b1])
     z = (frame.x * np.exp(0.5j * theta)) @ _HADAMARD
-    probs = np.sum(np.abs(z) ** 2, axis=0)
-    u, _, vh = np.linalg.svd(z.T.reshape(4, 2, 2))
-    kets = np.stack([u[:, :, 0], vh[:, 0, :]])
-    # the ket (a_0, a_1) has Bloch vector (2 Re z, 2 Im z, |a_0|^2 - |a_1|^2)
-    # with z = conj(a_0) a_1
-    cross = kets[..., 0].conj() * kets[..., 1]
-    pops = np.abs(kets) ** 2
-    bloch = np.stack([2.0 * cross.real, 2.0 * cross.imag, pops[..., 0] - pops[..., 1]],
-                     axis=-1)
-    return SeparableDecomposition(probs=probs / probs.sum(),
-                                  r_vectors=bloch[0], s_vectors=bloch[1])
+    # row k: z_i^dag M_k z_i for every component i
+    moments = (z.conj() * (_GRAM_MOMENTS @ z)).sum(axis=1).real
+    bloch = moments[1:].T.reshape(4, 2, 3)
+    bloch /= np.sqrt((bloch * bloch).sum(axis=-1, keepdims=True))
+    return SeparableDecomposition(probs=moments[0] / moments[0].sum(),
+                                  r_vectors=bloch[:, 0], s_vectors=bloch[:, 1])
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import ast
 import types
+from pathlib import Path
 
 import sephorn
 
@@ -13,3 +15,19 @@ def test_all_lists_exactly_the_public_bindings():
     public = {name for name, value in vars(sephorn).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert public == set(sephorn.__all__)
+
+
+def test_package_imports_neither_scipy_nor_numba():
+    # the package depends on numpy and click alone
+    found = []
+    for path in sorted(Path(sephorn.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] in ("scipy", "numba")]
+    assert found == []

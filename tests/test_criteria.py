@@ -446,7 +446,7 @@ class TestSpectralCounts:
     @staticmethod
     def record(monkeypatch):
         calls = []
-        for name in ("svd", "eigh", "eigvalsh", "cholesky"):
+        for name in ("svd", "eigh", "eigvalsh", "cholesky", "qr"):
             real = getattr(np.linalg, name)
 
             def spy(a, *args, _name=name, _real=real, **kwargs):
@@ -521,6 +521,25 @@ class TestSpectralCounts:
         assert not any(name == "eigh" and a.shape == (2, 2) for name, a in calls)
         assert not any(name == "cholesky" and a.ndim == 3 for name, a in calls)
 
+    def test_full_rank_ppt_two_qubit_verdict_dispatches(self, monkeypatch):
+        # the spectrum of rho, the eigenvalues of its partial transpose, and
+        # for Wootters' frame the real 8 x 8 embedding of tau and the QR of
+        # its top eigenvectors; the kets are read off Gram matrices with no
+        # SVD, and the Bloch norms certify the components
+        rng = np.random.default_rng(43)
+        rho = 0.3 * random_density(4, 4, rng) + 0.7 * np.eye(4) / 4.0
+        calls = self.record(monkeypatch)
+        verdict = analyze(rho, 2, 2)
+        monkeypatch.undo()
+        assert verdict.status is Status.SEPARABLE
+        assert verdict.criteria[-1].name == "decomposition[wootters]"
+        assert [(name, a.shape, a.dtype.kind) for name, a in calls] == [
+            ("eigh", (4, 4), "c"), ("eigvalsh", (4, 4), "c"),
+            ("eigh", (8, 8), "f"), ("qr", (4, 4), "c")]
+        rho_pt = rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+        np.testing.assert_allclose(calls[0][1], rho, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(calls[1][1], rho_pt, rtol=0, atol=1e-15)
+
     def test_two_qubit_verdict_shares_one_eigh(self, monkeypatch):
         # the PSD check and Wootters' frame read one eigendecomposition of rho
         rho = compose_state(werner(2, 0.5))
@@ -529,8 +548,9 @@ class TestSpectralCounts:
         monkeypatch.undo()
         assert verdict.status is Status.SEPARABLE
         rho_pt = rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+        # the third 4 x 4 call is the QR of Wootters' Takagi vectors
         full = [(name, a) for name, a in calls if a.shape == (4, 4)]
-        assert [name for name, _ in full] == ["eigh", "eigvalsh"]
+        assert [name for name, _ in full] == ["eigh", "eigvalsh", "qr"]
         assert np.allclose(full[0][1], rho) and np.allclose(full[1][1], rho_pt)
 
 
@@ -658,16 +678,20 @@ class TestVerify:
 
 
 class TestIllConditionedFilters:
-    @pytest.mark.parametrize("frame", range(6))
-    def test_filtering_stops_short_of_a_singular_filter(self, frame):
-        # a product state whose marginals have an eigenvalue 1.2e-9, just
-        # above the rank cutoff and outside the inscribed ball: ill-conditioned
-        # filters drive a reduced matrix to a non-positive eigenvalue, where
-        # filtering stops with an unconverged record
+    @staticmethod
+    def product(frame):
+        """A 3 x 3 product state whose marginals have an eigenvalue 1.2e-9,
+        just above the rank cutoff and outside the inscribed ball."""
         u, v = random_unitary(3, 1 + frame), random_unitary(3, 101 + frame)
         rho_a = (u * [1.2e-9, 0.49, 0.51 - 1.2e-9]) @ u.conj().T
         rho_b = (v * [1.2e-9, 0.48, 0.52 - 1.2e-9]) @ v.conj().T
-        rho = np.kron(rho_a, rho_b)
+        return np.kron(rho_a, rho_b)
+
+    @pytest.mark.parametrize("frame", range(6))
+    def test_filtering_stops_short_of_a_singular_filter(self, frame):
+        # ill-conditioned filters drive a reduced matrix to a non-positive
+        # eigenvalue, where filtering stops with an unconverged record
+        rho = self.product(frame)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             verdict = analyze(rho, 3, 3)
@@ -675,6 +699,43 @@ class TestIllConditionedFilters:
         assert verdict.status is not Status.ENTANGLED
         assert not nf.converged and nf.iterations > 0
         assert np.isfinite(nf.filter_a).all() and np.isfinite(nf.filter_b).all()
+
+    def test_unfiltered_products_are_separable(self):
+        # filtering fails on every frame, and the product of the marginals
+        # verifies as the one-component decomposition
+        for frame in range(30):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                verdict = analyze(self.product(frame), 3, 3)
+            assert verdict.status is Status.SEPARABLE, frame
+            assert [(c.name, c.passed) for c in verdict.criteria] == [
+                ("ppt", True), ("normal-form", False), ("kyfan-necessary", True),
+                ("decomposition[trivial-factor]", True)], frame
+            assert len(verdict.decomposition) == 1
+
+    @pytest.mark.parametrize("dims", [(1, 3), (3, 1)])
+    def test_one_sided_states_are_separable(self, dims):
+        # with a trivial factor the correlation is empty, and the state is
+        # the product of its marginals whether or not filtering converges
+        for frame in range(30):
+            v = random_unitary(3, 101 + frame)
+            rho = (v * [1.2e-9, 0.48, 0.52 - 1.2e-9]) @ v.conj().T
+            verdict = analyze(rho, *dims)
+            assert verdict.status is Status.SEPARABLE, frame
+            assert verdict.criteria[-1].passed
+
+    def test_correlated_state_is_not_offered_the_product(self):
+        # (1 - eps)|00><00| + eps I/9 never reaches normal form, and its
+        # correlation differs from a b^T by order eps: the product of its
+        # marginals is not tried
+        rho = np.eye(9) * 1e-4 / 9.0
+        rho[0, 0] += 1.0 - 1e-4
+        d = decompose_state(rho, 3, 3)
+        assert np.abs(d.corr - np.outer(d.a, d.b)).max() > RESIDUAL
+        verdict = analyze(rho, 3, 3)
+        assert verdict.status is Status.INCONCLUSIVE
+        assert [(c.name, c.passed) for c in verdict.criteria] == [
+            ("ppt", True), ("normal-form", False), ("kyfan-necessary", True)]
 
 
 class TestAnalyze:

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,12 @@ import pytest
 
 import sephorn
 from helpers import is_physical
-from sephorn.bipartite import BipartiteDecomposed, decompose_state, partial_transpose_matrix
+from sephorn.bipartite import (
+    BipartiteDecomposed,
+    compose_state,
+    decompose_state,
+    partial_transpose_matrix,
+)
 from sephorn import decompose
 from sephorn.bloch import from_bloch, to_bloch
 from sephorn.criteria import Status, analyze, verify_decomposition
@@ -362,8 +368,64 @@ def wootters_inputs():
     return cases
 
 
+def wootters_reference(d):
+    """Weights and local Bloch vectors of Wootters' components from the top
+    singular vectors of each z_i as a 2 x 2 matrix, with the angles taken
+    in numpy, independently of the construction under test."""
+    frame = wootters_frame(d)
+    lam = frame.lam
+    diag = max(lam[0] - lam[1], lam[2] - lam[3])
+    a, b = lam[0::2], lam[1::2]
+    ex_a, ex_b, ex_d = np.maximum(0.0, [b + diag - a, a + diag - b, a + b - diag]) / 2.0
+    semi = ex_a + ex_b + ex_d
+    at_a = 2.0 * np.arctan2(np.sqrt(ex_a * ex_d), np.sqrt(semi * ex_b))
+    at_b = np.pi - at_a - 2.0 * np.arctan2(np.sqrt(ex_a * ex_b), np.sqrt(semi * ex_d))
+    theta = np.array([at_a[0], -at_b[0], np.pi + at_a[1], np.pi - at_b[1]])
+    hadamard = 0.5 * np.kron([[1.0, 1.0], [1.0, -1.0]], [[1.0, 1.0], [1.0, -1.0]])
+    z = (frame.x * np.exp(0.5j * theta)) @ hadamard
+    probs = np.sum(np.abs(z) ** 2, axis=0)
+    u, _, vh = np.linalg.svd(z.T.reshape(4, 2, 2))
+    blochs = [to_bloch(np.einsum("ki,kj->kij", ket, ket.conj()))
+              for ket in (u[:, :, 0], vh[:, 0, :])]
+    return probs / probs.sum(), blochs[0], blochs[1]
+
+
+def separable_qubit_states():
+    """Classical mixtures, I/4, Werner and isotropic states at their
+    separability thresholds, and mixtures of 2 to 4 random pure products."""
+    rng = np.random.default_rng(47)
+    cases = [(f"classical-{i}", np.diag(rng.dirichlet(np.ones(4)))) for i in range(3)]
+    cases += [("classical-00+11", np.diag([0.5, 0.0, 0.0, 0.5])),
+              ("mixed", np.eye(4) / 4.0),
+              ("werner-0", compose_state(werner(2, 0.0))),
+              ("isotropic-1/3", compose_state(isotropic(2, 1.0 / 3.0)))]
+    for count in (2, 3, 4):
+        for i in range(3):
+            weights = rng.dirichlet(np.ones(count))
+            rho = sum(w * np.kron(random_density(2, 1, rng), random_density(2, 1, rng))
+                      for w in weights)
+            cases.append((f"products-{count}-{i}", rho))
+    return cases
+
+
 class TestWootters:
     CASES = wootters_inputs()
+    SEPARABLE = separable_qubit_states()
+
+    @pytest.mark.parametrize("d", [d for _, d in CASES], ids=[c for c, _ in CASES])
+    def test_kets_are_the_top_singular_vectors(self, d):
+        dec = wootters_decomposition(d)
+        for got, want in zip((dec.probs, dec.r_vectors, dec.s_vectors), wootters_reference(d)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("rho", [rho for _, rho in SEPARABLE], ids=[c for c, _ in SEPARABLE])
+    def test_separable_states_decompose(self, rho):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            verdict = analyze(rho, 2, 2)
+        assert verdict.status is Status.SEPARABLE
+        assert verdict.criteria[-1].name == "decomposition[wootters]"
+        assert verdict.criteria[-1].passed
 
     @pytest.mark.parametrize("d", [d for _, d in CASES], ids=[c for c, _ in CASES])
     def test_pure_product_components_reproduce_state(self, d):
