@@ -85,10 +85,10 @@ def _verdict_report(path: str, verdict: Verdict, decomposition_file: str | None,
     return "\n".join(lines)
 
 
-def _analyze_one(path: str, tol: float, max_iter: int, seed: int):
+def _analyze_one(path: str, tol: float, max_iter: int):
     text = Path(path).read_text()
     rho, dims = fileio.state_from_text(text)
-    verdict = analyze(rho, dims[0], dims[1], tol=tol, max_iter=max_iter, seed=seed)
+    verdict = analyze(rho, dims[0], dims[1], tol=tol, max_iter=max_iter)
     decomposition_file = None
     if verdict.status is Status.SEPARABLE and verdict.decomposition is not None:
         decomposition_file = str(Path(path).with_suffix("")) + ".decomposition.json"
@@ -104,13 +104,11 @@ def _analyze_one(path: str, tol: float, max_iter: int, seed: int):
               help=f"Positivity tolerance (default: SEP_HORN_TOL or {POSITIVITY_TOL:g}).")
 @click.option("--max-iter", type=click.IntRange(min=0), default=MAX_ITER,
               show_default=True, help="Normal-form filtering budget.")
-@click.option("--seed", type=int, default=0, show_default=True,
-              help="Seed of the SIC fiducial search for Werner and isotropic states.")
 @click.option("--report", type=click.Choice(["text", "structured"]),
               default="text", show_default=True)
 @click.option("--jobs", type=int, default=1, show_default=True,
               help="Parallel workers for multi-file analysis.")
-def cmd_analyze(paths, tol, max_iter, seed, report, jobs):
+def cmd_analyze(paths, tol, max_iter, report, jobs):
     """Analyze state files; writes a decomposition next to separable inputs.
 
     With several PATHS the exit code is the worst (maximum) per-file code.
@@ -123,13 +121,13 @@ def cmd_analyze(paths, tol, max_iter, seed, report, jobs):
     results = {}
     if jobs > 1 and len(paths) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(paths))) as pool:
-            futures = {pool.submit(_analyze_one, p, tol, max_iter, seed): p
+            futures = {pool.submit(_analyze_one, p, tol, max_iter): p
                        for p in paths}
             for fut in concurrent.futures.as_completed(futures):
                 results[futures[fut]] = fut.result()
     else:
         for p in paths:
-            results[p] = _analyze_one(p, tol, max_iter, seed)
+            results[p] = _analyze_one(p, tol, max_iter)
     code = 0
     for p in paths:
         verdict, dec_file = results[p]
@@ -175,11 +173,9 @@ def cmd_horn_triples(n, r, out):
 @click.argument("phi", type=float)
 @click.option("--decompose", "want_decomposition", is_flag=True,
               help="Also write the verified decomposition of a separable state.")
-@click.option("--seed", type=int, default=0, show_default=True,
-              help="Seed of the SIC fiducial search.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="State file path (default: werner_<dim>_phi<phi>.state.json).")
-def cmd_werner(dim, phi, want_decomposition, seed, out):
+def cmd_werner(dim, phi, want_decomposition, out):
     """Emit a Werner state file and report its ``analyze`` verdict.
 
     The exit code is the verdict's; a separable verdict reports the number of
@@ -195,7 +191,7 @@ def cmd_werner(dim, phi, want_decomposition, seed, out):
     path.write_text(fileio.state_to_text(state.matrix, (dim, dim)))
     click.echo(f"state written to {path}")
 
-    verdict = analyze(state.matrix, dim, dim, seed=seed)
+    verdict = analyze(state.matrix, dim, dim)
     dec = verdict.decomposition
     click.echo(f"status: {verdict.status.value.upper()}"
                + (f" ({len(dec)} components)" if dec is not None else ""))

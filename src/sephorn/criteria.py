@@ -274,7 +274,7 @@ def two_qubit_decide(d: BipartiteDecomposed, *, tol: float = POSITIVITY_TOL) -> 
 # ---------------------------------------------------------------------------
 
 def _family_verdict(d: BipartiteDecomposed, nf: NormalFormResult,
-                    log: list[CriterionResult], seed: int) -> Verdict | None:
+                    log: list[CriterionResult]) -> Verdict | None:
     """Werner and isotropic states in any local frame, from the stored SVD.
 
     Filtering takes every local-filter image of a Werner or isotropic state
@@ -301,7 +301,7 @@ def _family_verdict(d: BipartiteDecomposed, nf: NormalFormResult,
     sign = -1.0 if werner_parameter(n, -taus[0]) >= -RESIDUAL else 1.0
     phi = min(max(werner_parameter(n, sign * taus[0]), 0.0), 1.0)
     try:
-        built = werner_decompose(n, phi, seed)
+        built = werner_decompose(n, phi)
     except SepHornError as exc:
         log.append(CriterionResult("family", False, 0.0, str(exc)))
         return None
@@ -345,7 +345,7 @@ def _verified(status_dec: SeparableDecomposition, d: BipartiteDecomposed,
 
 
 def analyze(rho: np.ndarray, dim_a: int, dim_b: int, *, tol: float = POSITIVITY_TOL,
-            max_iter: int = MAX_ITER, seed: int = 0) -> Verdict:
+            max_iter: int = MAX_ITER) -> Verdict:
     """Full separability pipeline for a density matrix.
 
     Stages: validation, support projection (with a shortcut for trivial
@@ -378,8 +378,7 @@ def analyze(rho: np.ndarray, dim_a: int, dim_b: int, *, tol: float = POSITIVITY_
 
     ``tol`` is the psd threshold of rho and of its partial transpose and the
     local-rank cutoff; Hermiticity and unit trace are validated to
-    ``max(STATE_TOL, tol)``.  ``max_iter`` bounds the filtering sweeps, and
-    ``seed`` picks the SIC fiducial of the family decompositions.
+    ``max(STATE_TOL, tol)``.  ``max_iter`` bounds the filtering sweeps.
     """
     d = decompose_state(rho, dim_a, dim_b, tol=max(STATE_TOL, tol))
     if (dim_a, dim_b) == (2, 2):
@@ -388,11 +387,10 @@ def analyze(rho: np.ndarray, dim_a: int, dim_b: int, *, tol: float = POSITIVITY_
         low = certify_psd(d.matrix, tol)
     if low is not None and not low >= -tol:
         raise NotPSD(f"input has minimum eigenvalue {low:.3e}")
-    return _analyze_decomposed(d, tol=tol, max_iter=max_iter, seed=seed)
+    return _analyze_decomposed(d, tol=tol, max_iter=max_iter)
 
 
-def _analyze_decomposed(d: BipartiteDecomposed, *, tol: float, max_iter: int,
-                        seed: int) -> Verdict:
+def _analyze_decomposed(d: BipartiteDecomposed, *, tol: float, max_iter: int) -> Verdict:
     log: list[CriterionResult] = []
     n_rank, m_rank = local_ranks(d, tol=tol)
 
@@ -409,7 +407,7 @@ def _analyze_decomposed(d: BipartiteDecomposed, *, tol: float, max_iter: int,
             return Verdict(status=Status.INCONCLUSIVE, criteria=tuple(log))
         iso_a, iso_b = support_isometries(d, tol=tol)
         reduced = project_to_support(d, tol=tol)
-        sub = _analyze_decomposed(reduced, tol=tol, max_iter=max_iter, seed=seed)
+        sub = _analyze_decomposed(reduced, tol=tol, max_iter=max_iter)
         log.extend(sub.criteria)
         if sub.status is Status.SEPARABLE and sub.decomposition is not None:
             dec = embed_isometries(sub.decomposition, iso_a, iso_b)
@@ -466,7 +464,7 @@ def _analyze_decomposed(d: BipartiteDecomposed, *, tol: float, max_iter: int,
         if verdict is not None:
             return verdict
 
-    verdict = _family_verdict(d, nf, log, seed)
+    verdict = _family_verdict(d, nf, log)
     if verdict is not None:
         return verdict
     return Verdict(status=Status.INCONCLUSIVE, criteria=tuple(log))

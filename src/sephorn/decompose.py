@@ -25,7 +25,6 @@ from .bipartite import BipartiteDecomposed, _conjugation, _moment_rows
 from .bloch import _gen_stack, to_bloch
 from .config import KYFAN_SLACK
 from .errors import BoundExceeded, DimensionMismatch, OutOfPositivityRange, SearchFailed
-from .states import werner_coefficient
 
 
 @dataclass(frozen=True)
@@ -167,9 +166,23 @@ def _levenberg_marquardt(v: np.ndarray, disp: np.ndarray):
 
 
 @lru_cache(maxsize=None)
-def _sic_simplex(dim: int, seed: int) -> np.ndarray:
+def pure_state_simplex(dim: int) -> np.ndarray:
+    """N^2 pure-state Bloch vectors forming a regular simplex.
+
+    Rows of the returned read-only (N^2, N^2-1) array have squared norm
+    2(N-1)/N and pairwise cosine -1/(N^2-1).  That is the condition
+    |<psi_i|psi_j>|^2 = 1/(N+1) on the pure states, so the rows are a
+    SIC-POVM.  It is built as the Weyl-Heisenberg orbit D_k|psi> of one
+    fiducial psi in C^N (Renes et al., quant-ph/0310075), found by one
+    Levenberg-Marquardt solve of the overlap equations
+    |<psi|D_k|psi>|^2 = 1/(N+1), <psi|psi> = 1 with their analytic
+    Jacobian.  The starts are drawn from one fixed stream, so the simplex
+    of each N is always the same.  Each of ``SIC_ATTEMPTS`` starts is
+    accepted when every overlap equation holds within ``SIC_RESIDUAL``;
+    SearchFailed carries the best residual when none does.
+    """
     disp = _displacements(dim)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     best = np.inf
     for _ in range(SIC_ATTEMPTS):
         v, residuals = _levenberg_marquardt(rng.normal(size=2 * dim), disp)
@@ -189,59 +202,32 @@ def _sic_simplex(dim: int, seed: int) -> np.ndarray:
     return out
 
 
-def pure_state_simplex(dim: int, seed: int = 0) -> np.ndarray:
-    """N^2 pure-state Bloch vectors forming a regular simplex.
-
-    Rows of the returned read-only (N^2, N^2-1) array have squared norm
-    2(N-1)/N and pairwise cosine -1/(N^2-1).  That is the condition
-    |<psi_i|psi_j>|^2 = 1/(N+1) on the pure states, so the rows are a
-    SIC-POVM.  It is built as the Weyl-Heisenberg orbit D_k|psi> of one
-    fiducial psi in C^N (Renes et al., quant-ph/0310075), found by one
-    Levenberg-Marquardt solve of the overlap equations
-    |<psi|D_k|psi>|^2 = 1/(N+1), <psi|psi> = 1 with their analytic
-    Jacobian, from a point drawn with ``seed``.  Each of ``SIC_ATTEMPTS``
-    draws is accepted when every overlap equation holds within
-    ``SIC_RESIDUAL``; SearchFailed carries the best residual when none does.
-    """
-    return _sic_simplex(dim, int(seed))
-
-
 # ---------------------------------------------------------------------------
 # separable Werner states
 # ---------------------------------------------------------------------------
 
-def werner_decompose(dim: int, phi: float, seed: int = 0) -> SeparableDecomposition:
+def werner_decompose(dim: int, phi: float) -> SeparableDecomposition:
     """Closed-form decomposition of a separable Werner state, 0 <= phi <= 1.
 
-    phi >= 1/N: uniform mixture of scaled pure-simplex product states
-    r_i = s_i = t * v_i with t = sqrt(c N(N+1)/2) <= 1 (convex shrinkage
-    toward the maximally mixed state, saturating at phi = 1).
-    0 <= phi < 1/N: paired simplexes r_i = -N alpha q_i (inscribed ball),
-    s_i = N beta q_i (pure), with alpha beta = |c| and beta held at the
-    pure bound; alpha^2 = c^2 N(N+1)/2 stays within 2/(N(N-1)(N^2-1)),
-    the bound that keeps r_i in the inscribed ball, and reaches it only at
-    phi = 0.  Any other phi, the entangled range [-1, 0) included, raises
-    OutOfPositivityRange.  ``seed`` picks the :func:`pure_state_simplex`
-    fiducial.
+    With v_i the rows of :func:`pure_state_simplex` and
+    kappa = (N phi - 1)/(N - 1), the state is the uniform mixture of the
+    depolarised SIC state (1 - kappa) I/N + kappa |psi_i><psi_i|
+    (r_i = kappa v_i) times the pure |psi_i><psi_i| (s_i = v_i).  The frame
+    sum_i v_i v_i^T = 2N/(N+1) I makes the correlation
+    kappa 2/(N(N+1)) I = c I.  The A side is physical exactly for
+    -1/(N-1) <= kappa <= 1, which is 0 <= phi <= 1; below phi = 1/N it lies
+    in the inscribed ball, which it reaches at phi = 0.  Any other phi, the
+    entangled range [-1, 0) included, raises OutOfPositivityRange.
     """
     if not 0.0 <= phi <= 1.0:
         raise OutOfPositivityRange(
             f"Werner parameter phi={phi} outside the separable range [0, 1]")
-    c = werner_coefficient(dim, phi)
-    vertices = pure_state_simplex(dim, seed)  # (N^2, K)
+    vertices = pure_state_simplex(dim)  # (N^2, K)
     count = dim * dim
-    probs = np.full(count, 1.0 / count)
-    if c >= 0.0:
-        t = np.sqrt(c * dim * (dim + 1.0) / 2.0)
-        scaled = t * vertices
-        return SeparableDecomposition(probs=probs, r_vectors=scaled.copy(),
-                                      s_vectors=scaled.copy())
-    beta = np.sqrt(2.0 / (dim * (dim + 1.0)))
-    alpha = abs(c) / beta
-    unit = vertices / np.sqrt(2.0 * dim / (dim + 1.0))  # rotation columns q_i
-    return SeparableDecomposition(probs=probs,
-                                  r_vectors=-dim * alpha * unit,
-                                  s_vectors=dim * beta * unit)
+    kappa = (dim * phi - 1.0) / (dim - 1.0)
+    return SeparableDecomposition(probs=np.full(count, 1.0 / count),
+                                  r_vectors=kappa * vertices,
+                                  s_vectors=vertices.copy())
 
 
 # ---------------------------------------------------------------------------

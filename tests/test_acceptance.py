@@ -155,7 +155,7 @@ def test_5_werner_endpoints():
     notes = []
     for dim in (2, 3):
         for phi in (1.0, 0.0):
-            dec = werner_decompose(dim, phi, seed=0)
+            dec = werner_decompose(dim, phi)
             target = werner(dim, phi)
             check = verify_decomposition(dec, target)
             min_eig = min(

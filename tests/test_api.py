@@ -1,4 +1,5 @@
 import ast
+import inspect
 import types
 from pathlib import Path
 
@@ -31,3 +32,11 @@ def test_package_imports_neither_scipy_nor_numba():
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name.split(".")[0] in ("scipy", "numba")]
     assert found == []
+
+
+def test_analyze_keywords_are_pinned():
+    # adding a keyword to analyze takes an edit here
+    params = inspect.signature(sephorn.analyze).parameters.values()
+    assert [p.name for p in params if p.kind is p.KEYWORD_ONLY] == ["tol", "max_iter"]
+    assert [p.name for p in params if p.kind is not p.KEYWORD_ONLY] == [
+        "rho", "dim_a", "dim_b"]

@@ -8,7 +8,7 @@ import pytest
 from helpers import tiles_state
 from sephorn import cli, fileio
 from sephorn.bipartite import compose_state
-from sephorn import criteria
+from sephorn import criteria, decompose
 from sephorn.cli import main
 from sephorn.criteria import verify_decomposition
 from sephorn.errors import SearchFailed
@@ -152,12 +152,31 @@ class TestAnalyze:
         assert code == 1
         assert out.count("SEPARABLE") == 1 and out.count("ENTANGLED") == 1
 
-    def test_seed_reproducible(self, tmp_path, capsys):
+    def test_decomposition_reproducible(self, tmp_path, capsys):
+        # the simplex is rebuilt between the runs, from the same fixed starts
         path = write_state(tmp_path / "w3.state.json", werner(3, 1.0), (3, 3))
-        run_cli(["analyze", path, "--seed", "5"], capsys)
-        first = (tmp_path / "w3.state.decomposition.json").read_text()
-        run_cli(["analyze", path, "--seed", "5"], capsys)
-        assert (tmp_path / "w3.state.decomposition.json").read_text() == first
+        assert run_cli(["analyze", path], capsys)[0] == 0
+        first = (tmp_path / "w3.state.decomposition.json").read_bytes()
+        decompose.pure_state_simplex.cache_clear()
+        assert run_cli(["analyze", path], capsys)[0] == 0
+        assert (tmp_path / "w3.state.decomposition.json").read_bytes() == first
+
+    def test_seed_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        # the SIC starts are fixed, so no option picks them; a stale flag is
+        # bad usage, never a verdict
+        monkeypatch.chdir(tmp_path)
+        path = write_state(tmp_path / "w3.state.json", werner(3, 1.0), (3, 3))
+        for args in (["analyze", path, "--seed", "5"], ["werner", "3", "1.0", "--seed", "5"]):
+            code, out, err = run_cli(args, capsys)
+            assert code == 64 and out == "" and "--seed" in err, args
+
+
+def test_options_are_pinned():
+    # adding an option to either command takes an edit here
+    assert [p.name for p in cli.cmd_analyze.params] == [
+        "paths", "tol", "max_iter", "report", "jobs"]
+    assert [p.name for p in cli.cmd_werner.params] == [
+        "dim", "phi", "want_decomposition", "out"]
 
 
 class TestHornTriples:

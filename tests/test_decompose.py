@@ -165,7 +165,7 @@ class TestPureSimplex:
         np.testing.assert_allclose(jac, central, rtol=0, atol=1e-8 * np.abs(jac).max())
 
     def test_qubit_tetrahedron(self):
-        vecs = pure_state_simplex(2, seed=0)
+        vecs = pure_state_simplex(2)
         assert vecs.shape == (4, 3)
         gram = vecs @ vecs.T
         np.testing.assert_allclose(np.diag(gram), 1.0, atol=1e-12)
@@ -173,7 +173,7 @@ class TestPureSimplex:
         np.testing.assert_allclose(off, -1.0 / 3.0, atol=1e-12)
 
     def test_qutrit_simplex(self):
-        vecs = pure_state_simplex(3, seed=0)
+        vecs = pure_state_simplex(3)
         assert vecs.shape == (9, 8)
         gram = vecs @ vecs.T
         np.testing.assert_allclose(np.diag(gram), 4.0 / 3.0, atol=1e-10)
@@ -184,17 +184,19 @@ class TestPureSimplex:
 
     def test_qutrit_components_are_pure(self):
         # spectrum (1, 0, 0): a rank-one projector
-        for v in pure_state_simplex(3, seed=0):
+        for v in pure_state_simplex(3):
             np.testing.assert_allclose(np.linalg.eigvalsh(from_bloch(v)), [0.0, 0.0, 1.0],
                                        atol=1e-6)
 
     def test_deterministic_per_seed(self):
-        a = pure_state_simplex(3, seed=1)
-        b = pure_state_simplex(3, seed=1)
-        assert (a == b).all()
+        # the starts come from one fixed stream: a rebuilt simplex is the
+        # cached one bit for bit
+        cached = pure_state_simplex(3)
+        pure_state_simplex.cache_clear()
+        assert (pure_state_simplex(3) == cached).all()
 
     def test_best_effort_dim_four(self):
-        vecs = pure_state_simplex(4, seed=0)
+        vecs = pure_state_simplex(4)
         assert vecs.shape == (16, 15)
         gram = vecs @ vecs.T
         np.testing.assert_allclose(np.diag(gram), 1.5, atol=1e-10)
@@ -221,8 +223,14 @@ class TestPureSimplex:
     def test_exhausted_attempts_raise(self, monkeypatch):
         monkeypatch.setattr(decompose, "SIC_ATTEMPTS", 2)
         monkeypatch.setattr(decompose, "SIC_RESIDUAL", -1.0)
-        with pytest.raises(SearchFailed) as exc:
-            pure_state_simplex(3, seed=987654)
+        # cleared before, so the search runs instead of a cached simplex
+        # answering, and after, so the cache is left as a fresh process has it
+        pure_state_simplex.cache_clear()
+        try:
+            with pytest.raises(SearchFailed) as exc:
+                pure_state_simplex(3)
+        finally:
+            pure_state_simplex.cache_clear()
         assert 0.0 <= exc.value.residual < 1e-12
 
 
@@ -256,11 +264,18 @@ class TestWernerDecompose:
         dec = werner_decompose(3, 1.0 / 3.0)
         assert verify_decomposition(dec, werner(3, 1.0 / 3.0)).valid
 
-    def test_interior_points(self):
-        for dim, phi in ((2, 0.7), (2, 0.2), (3, 0.8), (3, 0.15)):
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7])
+    def test_interior_points(self, dim):
+        # one formula on both sides of phi = 1/N: the pure simplex on B and
+        # kappa = (N phi - 1)/(N - 1) times it on A
+        vertices = pure_state_simplex(dim)
+        for phi in sorted({*np.linspace(0.0, 1.0, 11), 1.0 / dim, 0.15, 0.85}):
             dec = werner_decompose(dim, phi)
             report = verify_decomposition(dec, werner(dim, phi))
-            assert report.valid and report.max_residual < 1e-8
+            assert report.valid and report.max_residual <= 1e-10, (phi, report)
+            kappa = (dim * phi - 1.0) / (dim - 1.0)
+            assert (dec.s_vectors == vertices).all()
+            np.testing.assert_allclose(dec.r_vectors, kappa * vertices, rtol=0, atol=1e-15)
 
     def test_negative_phi_out_of_range(self):
         # the entangled range phi < 0 is outside the construction's range
@@ -273,13 +288,15 @@ class TestWernerDecompose:
             werner_decompose(2, 1.5)
 
     def test_factor_balance(self):
-        # product of the two factor scales matches the correlation strength
-        for dim, phi in ((2, 1.0), (3, 0.0), (3, 1.0)):
+        # product of the two factor scales matches the correlation strength,
+        # with the B factor pure throughout
+        for dim, phi in ((2, 1.0), (2, 0.7), (3, 0.0), (3, 0.2), (3, 0.8), (3, 1.0)):
             dec = werner_decompose(dim, phi)
             c = 2.0 * (dim * phi - 1.0) / (dim * (dim * dim - 1.0))
             ra = np.linalg.norm(dec.r_vectors[0]) / np.sqrt(dim * dim - 1.0)
             sb = np.linalg.norm(dec.s_vectors[0]) / np.sqrt(dim * dim - 1.0)
             assert abs(ra * sb - abs(c)) < 1e-10
+            assert abs(sb * sb - 2.0 / (dim * (dim + 1.0))) < 1e-12
 
     def test_horn_consistency(self):
         for dim, phi in ((2, 1.0), (3, 1.0), (3, 0.0)):
