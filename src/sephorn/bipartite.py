@@ -6,8 +6,9 @@ plus the (N^2-1) x (M^2-1) correlation matrix of joint generator
 expectations ``corr[mu, nu] = Tr[rho (g_mu x h_nu)]``.  The record also
 carries the density matrix and computes each spectral quantity the
 pipeline reads once, on first use: the eigendecomposition of each reduced
-matrix, per side, the eigendecomposition of the density matrix and the
-singular value decomposition of the correlation matrix.  Local rank is
+matrix, per side, and of the density matrix, the singular value
+decomposition of the correlation matrix and the moment matrix
+[[1, b^T], [a, corr]] that verification subtracts from.  Local rank is
 answered first from the Bloch norm (:func:`~sephorn.bloch.ball_floor`): a
 side whose floor exceeds the rank cutoff has full rank, which decides
 every mixed qubit side exactly and every side inside the inscribed ball.
@@ -16,7 +17,7 @@ for :func:`support_isometries` and for the first filter of
 :func:`normal_form`.
 Both :func:`decompose_state` and :func:`normal_form`, for the filtered
 state, read the Bloch data off one product chain on the realigned matrix
-R[(i, j), (a, b)] = rho[ia, jb] (:func:`_moments`).
+R[(i, j), (a, b)] = rho[ia, jb] (:func:`_moments`), which is ``moments``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from math import sqrt
 import numpy as np
 
 from .bloch import _gen_rows, ball_floor, from_bloch, validate_state
-from .config import MAX_ITER, NORMAL_TOL, POSITIVITY_TOL
+from .config import MAX_ITER, NORMAL_TOL, POSITIVITY_TOL, STATE_TOL
 from .errors import DimensionMismatch, NotAState, NotFullRank
 
 
@@ -59,6 +60,14 @@ class BipartiteDecomposed:
         """The density matrix: the one :func:`decompose_state` took the
         Bloch data from, or else composed from them."""
         return _read_only((compose_state(self),))[0]
+
+    @cached_property
+    def moments(self) -> np.ndarray:
+        """The (N^2, M^2) matrix [[1, b^T], [a, corr]]: entry [mu, nu] is
+        Tr[rho (g_mu x h_nu)] with g_0 = I and h_0 = I, the trace taken as one."""
+        out = np.ones((self.dim_a ** 2, self.dim_b ** 2))
+        out[1:, 0], out[0, 1:], out[1:, 1:] = self.a, self.b, self.corr
+        return _read_only((out,))[0]
 
     @cached_property
     def marginal_eigh_a(self) -> tuple[np.ndarray, np.ndarray]:
@@ -99,7 +108,7 @@ def partial_transpose_matrix(rho: np.ndarray, dim_a: int, dim_b: int) -> np.ndar
 
 
 def decompose_state(rho: np.ndarray, dim_a: int, dim_b: int,
-                    tol: float = 1e-9) -> BipartiteDecomposed:
+                    tol: float = STATE_TOL) -> BipartiteDecomposed:
     """Extract (a, b, corr) from a trace-one Hermitian matrix.
 
     The record keeps a read-only copy of the matrix as ``matrix``.
@@ -111,10 +120,11 @@ def decompose_state(rho: np.ndarray, dim_a: int, dim_b: int,
         )
     moments = _moments(rho.reshape(dim_a, dim_b, dim_a, dim_b).transpose(0, 2, 1, 3)
                        .reshape(dim_a * dim_a, dim_b * dim_b), dim_a, dim_b)
+    moments[0, 0] = 1.0
     d = BipartiteDecomposed(dim_a=dim_a, dim_b=dim_b, a=moments[1:, 0],
                             b=moments[0, 1:], corr=moments[1:, 1:])
-    # seed the memoized matrix with the one the data came from
-    d.__dict__["matrix"] = _read_only((rho.copy(),))[0]
+    # seed the memoized matrices with the ones the data came from
+    d.__dict__["matrix"], d.__dict__["moments"] = _read_only((rho.copy(), moments))
     return d
 
 
@@ -153,7 +163,7 @@ def compose_state(d: BipartiteDecomposed) -> np.ndarray:
     return rho4.transpose(0, 2, 1, 3).reshape(n * m, n * m)
 
 
-def local_ranks(d: BipartiteDecomposed, tol: float = 1e-9) -> tuple[int, int]:
+def local_ranks(d: BipartiteDecomposed, tol: float = POSITIVITY_TOL) -> tuple[int, int]:
     """Ranks of the two reduced matrices (eigenvalue threshold ``tol``).
 
     A side whose :func:`~sephorn.bloch.ball_floor` exceeds ``tol`` has full
@@ -170,7 +180,7 @@ def local_ranks(d: BipartiteDecomposed, tol: float = 1e-9) -> tuple[int, int]:
     return rank_a, rank_b
 
 
-def support_isometries(d: BipartiteDecomposed, tol: float = 1e-9):
+def support_isometries(d: BipartiteDecomposed, tol: float = POSITIVITY_TOL):
     """Isometries onto the supports of the reduced matrices.
 
     Returns ``(va, vb)`` with ``va`` of shape (dim_a, rank_a); columns are
@@ -180,7 +190,7 @@ def support_isometries(d: BipartiteDecomposed, tol: float = 1e-9):
     return va[:, wa > tol][:, ::-1], vb[:, wb > tol][:, ::-1]
 
 
-def project_to_support(d: BipartiteDecomposed, tol: float = 1e-9) -> BipartiteDecomposed:
+def project_to_support(d: BipartiteDecomposed, tol: float = POSITIVITY_TOL) -> BipartiteDecomposed:
     """Conjugate by support isometries, yielding full local ranks.
 
     Full-local-rank input is returned unchanged.  States with a trivial
@@ -264,6 +274,7 @@ def normal_form(d: BipartiteDecomposed, max_iter: int = MAX_ITER, tol: float = N
             raise NotAState("filtered state has non-finite entries")
         state = BipartiteDecomposed(dim_a=n, dim_b=m, a=moments[1:, 0],
                                     b=moments[0, 1:], corr=moments[1:, 1:])
+        state.__dict__["moments"] = _read_only((moments,))[0]
         converged = bool(np.linalg.norm(state.a) < tol and np.linalg.norm(state.b) < tol)
     return NormalFormResult(state=state, filter_a=fa, filter_b=fb,
                             converged=converged, iterations=iterations)

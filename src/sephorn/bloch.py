@@ -12,6 +12,7 @@ from math import sqrt
 
 import numpy as np
 
+from .config import STATE_TOL
 from .errors import DimensionMismatch, NotAState
 from .su import generator_basis
 
@@ -37,7 +38,7 @@ def _gen_rows(dim: int) -> np.ndarray:
     return _gen_stack(dim).reshape(dim * dim - 1, dim * dim)
 
 
-def validate_state(rho: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def validate_state(rho: np.ndarray, tol: float = STATE_TOL) -> np.ndarray:
     """Check finiteness, Hermiticity and unit trace, returning the matrix as complex.
 
     An infinite ``tol`` checks finiteness only.
@@ -77,7 +78,7 @@ def _first_failure(rho: np.ndarray, per_matrix: np.ndarray, tol: float) -> tuple
     return (f"matrix {i}: " if rho.ndim == 3 else ""), float(per_matrix[i])
 
 
-def to_bloch(rho: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def to_bloch(rho: np.ndarray, tol: float = STATE_TOL) -> np.ndarray:
     """Expectation values Tr[rho g_mu] of a trace-one Hermitian matrix.
 
     A stack of L matrices on the leading axis gives an (L, N^2 - 1) array.
@@ -87,6 +88,14 @@ def to_bloch(rho: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     n = rho.shape[-1]
     # Tr[rho g] = sum_ij rho_ij conj(g_ij) for Hermitian g
     return np.real(rho.reshape(*rho.shape[:-2], n * n) @ _gen_rows(n).conj().T)
+
+
+def _augmented(vecs) -> np.ndarray:
+    """The rows [1, r], Tr[rho g_mu] with g_0 = I, of vectors r on the last axis."""
+    shape = np.shape(vecs)
+    out = np.empty(shape[:-1] + (shape[-1] + 1,))
+    out[..., 0], out[..., 1:] = 1.0, vecs
+    return out
 
 
 def ball_floor(vecs: np.ndarray, dim: int) -> np.ndarray | float:

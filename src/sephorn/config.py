@@ -24,6 +24,7 @@ KYFAN_SLACK = 1e-9     # slack on the norm-bound criteria
 RESIDUAL = 1e-8        # decomposition residual; normal-form acceptance
 PROB_SUM = 1e-10       # probability normalization of a decomposition
 COMPONENT_PSD = 1e-8   # physicality of decomposition components
+TAKAGI_ORTHO = 1e-12   # Gram deviation of Wootters' Takagi vectors that takes a QR
 
 
 def default_positivity_tol() -> float:

@@ -23,21 +23,19 @@ within ``KYFAN_SLACK`` it builds the decomposition, and beyond it its
 BoundExceeded carries the excess that the failed ``kyfan-sufficient``
 criterion logs.
 
-The criteria read the spectral results a :class:`BipartiteDecomposed`
-record computes once: partial transposition takes the eigenvalues of the
-matrix-level partial transpose of ``d.matrix``, and the necessary bound,
-the constructive decomposition with its bound and the family recogniser
-all read the one singular value decomposition ``d.corr_svd``.  Where only
-a positivity threshold is tested, the Bloch norm answers first: the floor
-1/N - |r| sqrt((N-1)/(2N)) (:func:`~sephorn.bloch.ball_floor`) bounds the
-lowest eigenvalue from below and is exact at N = 2, so it certifies the
-local ranks of every mixed qubit marginal and the physicality of every
-qubit component and of every component inside the inscribed ball, with
-no matrix built.  What it leaves open -- the input above 2 x 2 and the
-components outside the ball -- is certified by a Cholesky factorisation
-of the shifted matrix (:func:`~sephorn.linalg.certify_psd`); eigenvalues
-are computed only when that fails, so a rejection still reports the
-exact lowest eigenvalue.
+The criteria read what a :class:`BipartiteDecomposed` record computes
+once: the eigenvalues of the partial transpose of ``d.matrix``, the one
+singular value decomposition ``d.corr_svd`` that the norm bounds and the
+family recogniser share, and the moment matrix ``d.moments`` that
+verification subtracts from the decomposition's own in one step.  Where
+only a positivity threshold is tested, the Bloch norm answers first: the
+floor 1/N - |r| sqrt((N-1)/(2N)) (:func:`~sephorn.bloch.ball_floor`) is
+exact at N = 2 and positive inside the inscribed ball, so it settles every
+mixed qubit marginal and every qubit or in-ball component with no matrix
+built.  The rest, the input above 2 x 2 included, is certified by a
+Cholesky factorisation of the shifted matrix
+(:func:`~sephorn.linalg.certify_psd`); eigenvalues are computed only when
+that fails, so a rejection still reports the exact lowest eigenvalue.
 """
 
 from __future__ import annotations
@@ -131,7 +129,7 @@ def kyfan_necessary_check(d: BipartiteDecomposed) -> CriterionResult:
                            f"Ky Fan norm bound {bound:.6g}")
 
 
-def ppt_check(d: BipartiteDecomposed, *, tol: float = 1e-9) -> PptCheck:
+def ppt_check(d: BipartiteDecomposed, *, tol: float = POSITIVITY_TOL) -> PptCheck:
     """Positivity of the partially transposed state; failure certifies
     entanglement.  One eigenvalue solve of the matrix-level partial
     transpose of ``d.matrix``."""
@@ -166,12 +164,15 @@ def _first_non_finite(probs: np.ndarray, dec: SeparableDecomposition) -> str:
 
 def verify_decomposition(dec: SeparableDecomposition,
                          d: BipartiteDecomposed) -> VerificationReport:
-    """Check a decomposition against a state: probability simplex, the three
+    """Check a decomposition against a state: probability simplex, the
     moment equations, and physicality of every component.
 
+    One difference, ``dec.moments - d.moments``, holds every residual: its
+    entry [0, 0] is sum p - 1, which must lie within ``PROB_SUM``, and its
+    other entries, marginals and correlation, must lie within ``RESIDUAL``.
     Malformed input -- mis-shaped vectors, or non-finite entries, which
-    reach the probability sum or a moment residual and are then named by a
-    scan -- is reported as invalid before any certificate is computed.
+    reach that difference and are then named by a scan -- is reported as
+    invalid before any certificate is computed.
     Physicality is read first from the Bloch norm: a component whose
     :func:`~sephorn.bloch.ball_floor` is at least ``-COMPONENT_PSD`` is
     physical, which settles every qubit component (the floor is exact
@@ -182,22 +183,18 @@ def verify_decomposition(dec: SeparableDecomposition,
     (:func:`~sephorn.linalg.certify_psd`); only a stack that fails it is
     eigensolved, and the first component below ``-COMPONENT_PSD`` is
     named by its index in the decomposition, with its lowest eigenvalue.
-    The probability sum must lie within ``PROB_SUM`` of one and every moment
-    residual within ``RESIDUAL``.
     """
     probs = np.asarray(dec.probs, dtype=float)
     if probs.size == 0:
         return VerificationReport(valid=False, max_residual=np.inf, detail="empty")
     malformed = _misshapen(probs, dec, d)
     if not malformed:
-        sum_dev = abs(probs.sum() - 1.0)
         # an infinite entry times a zero weight is NaN, named below
         with np.errstate(invalid="ignore", over="ignore"):
-            res_a = float(np.abs(dec.marginal_a - d.a).max()) if d.a.size else 0.0
-            res_b = float(np.abs(dec.marginal_b - d.b).max()) if d.b.size else 0.0
-            res_t = float(np.abs(dec.correlation - d.corr).max()) if d.corr.size else 0.0
+            residual = np.abs(dec.moments - d.moments).ravel()
+        sum_dev, max_residual = float(residual[0]), float(residual[1:].max(initial=0.0))
         # summed, not maximised: max(1.0, nan) is 1.0
-        if not isfinite(sum_dev + res_a + res_b + res_t):
+        if not isfinite(sum_dev + max_residual):
             malformed = _first_non_finite(probs, dec)
     if malformed:
         return VerificationReport(valid=False, max_residual=np.inf, detail=malformed)
@@ -206,7 +203,6 @@ def verify_decomposition(dec: SeparableDecomposition,
         problems.append(f"nonpositive probability {probs.min():.3e}")
     if sum_dev > PROB_SUM:
         problems.append(f"probabilities sum off by {sum_dev:.3e}")
-    max_residual = max(res_a, res_b, res_t)
     if max_residual > RESIDUAL:
         problems.append(f"moment residual {max_residual:.3e}")
     for label, vecs, dim in (("A", dec.r_vectors, d.dim_a), ("B", dec.s_vectors, d.dim_b)):

@@ -22,8 +22,8 @@ from math import atan2, pi, sqrt
 import numpy as np
 
 from .bipartite import BipartiteDecomposed, _conjugation, _moment_rows
-from .bloch import _gen_stack, to_bloch
-from .config import KYFAN_SLACK
+from .bloch import _augmented, _gen_stack, to_bloch
+from .config import KYFAN_SLACK, TAKAGI_ORTHO
 from .errors import BoundExceeded, DimensionMismatch, OutOfPositivityRange, SearchFailed
 
 
@@ -44,16 +44,10 @@ class SeparableDecomposition:
             yield self.probs[i], self.r_vectors[i], self.s_vectors[i]
 
     @property
-    def marginal_a(self) -> np.ndarray:
-        return self.probs @ self.r_vectors
-
-    @property
-    def marginal_b(self) -> np.ndarray:
-        return self.probs @ self.s_vectors
-
-    @property
-    def correlation(self) -> np.ndarray:
-        return (self.r_vectors * self.probs[:, None]).T @ self.s_vectors
+    def moments(self) -> np.ndarray:
+        """(p [1, r])^T [1, s]: sum p, then both marginals and the correlation
+        laid out as ``BipartiteDecomposed.moments``."""
+        return (_augmented(self.r_vectors).T * self.probs) @ _augmented(self.s_vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +259,11 @@ def wootters_frame(d: BipartiteDecomposed) -> WoottersFrame:
     is complex symmetric.
     The real symmetric embedding [[Re tau, Im tau], [Im tau, -Re tau]] has
     eigenpairs (lam, [Re u; Im u]) and (-lam, [-Im u; Re u]), so its top
-    eigenvectors give the Takagi factorisation tau = U diag(lam) U^T, exact
-    also for degenerate lam > 0.  The null block holds pairs u, i u; QR
-    orthonormalises it as complex vectors and only flips signs elsewhere.
+    eigenvectors give the Takagi factorisation tau = U diag(lam) U^T.  For
+    lam > 0, degenerate or not, i u lies in the eigenspace of -lam, so U is
+    unitary as it comes; only a null block of tau, exact or within
+    round-off, can hold pairs u, i u.  A QR orthonormalises U only when
+    U^dag U departs from I by more than ``TAKAGI_ORTHO``.
     """
     if (d.dim_a, d.dim_b) != (2, 2):
         raise DimensionMismatch(f"Wootters' frame needs 2 x 2, got {d.dim_a} x {d.dim_b}")
@@ -283,8 +279,11 @@ def wootters_frame(d: BipartiteDecomposed) -> WoottersFrame:
     embedding[:rank, rank:] = embedding[rank:, :rank] = im
     lam, emb = np.linalg.eigh(embedding)
     top = emb[:, ::-1][:, :rank]
+    takagi = top[:rank] + 1j * top[rank:]
+    if np.abs(takagi.conj().T @ takagi - np.eye(rank)).max() > TAKAGI_ORTHO:
+        takagi = np.linalg.qr(takagi)[0]
     x = np.zeros((4, 4), dtype=complex)
-    x[:, :rank] = v @ np.linalg.qr(top[:rank] + 1j * top[rank:])[0].conj()
+    x[:, :rank] = v @ takagi.conj()
     padded = np.zeros(4)
     padded[:rank] = np.maximum(lam[::-1][:rank], 0.0)
     return WoottersFrame(x=x, lam=padded)
@@ -371,8 +370,7 @@ def _transform_components(dec: SeparableDecomposition, map_a, map_b,
     sides = []
     for vecs, f, dim_in in ((dec.r_vectors, map_a, dim_a_in),
                             (dec.s_vectors, map_b, dim_b_in)):
-        t = _bloch_transport(f, dim_in)
-        moments = vecs @ t[:, 1:].T + t[:, 0]
+        moments = _augmented(vecs) @ _bloch_transport(f, dim_in).T
         probs = probs * moments[:, 0]
         sides.append(moments[:, 1:] / moments[:, :1])
     return SeparableDecomposition(probs=probs / probs.sum(),
@@ -388,14 +386,11 @@ def pull_back_filters(dec: SeparableDecomposition, filter_a: np.ndarray,
     re-normalized, which preserves positivity and reproduces the pre-filter
     state exactly.
     """
-    inv_a = np.linalg.inv(filter_a)
-    inv_b = np.linalg.inv(filter_b)
-    return _transform_components(dec, inv_a, inv_b, dim_a, dim_b)
+    return _transform_components(dec, np.linalg.inv(filter_a), np.linalg.inv(filter_b),
+                                 dim_a, dim_b)
 
 
 def embed_isometries(dec: SeparableDecomposition, iso_a: np.ndarray,
                      iso_b: np.ndarray) -> SeparableDecomposition:
     """Lift a decomposition through support isometries to the ambient dims."""
-    dim_a_in = iso_a.shape[1]
-    dim_b_in = iso_b.shape[1]
-    return _transform_components(dec, iso_a, iso_b, dim_a_in, dim_b_in)
+    return _transform_components(dec, iso_a, iso_b, iso_a.shape[1], iso_b.shape[1])

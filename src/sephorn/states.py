@@ -77,9 +77,7 @@ def p_zero(p: float, sign: int = +1) -> BipartiteDecomposed:
         raise OutOfPositivityRange(f"p must lie in [0, 1], got {p}")
     if sign not in (+1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    psi = np.zeros(4)
-    psi[1] = 1.0 / np.sqrt(2.0)
-    psi[2] = sign / np.sqrt(2.0)
+    psi = np.array([0.0, 1.0, sign, 0.0]) / np.sqrt(2.0)
     rho = p * np.outer(psi, psi) + (1.0 - p) * np.diag([1.0, 0.0, 0.0, 0.0])
     return decompose_state(rho.astype(complex), 2, 2)
 

@@ -41,27 +41,16 @@ def generator_basis(dim: int) -> GeneratorBasis:
     """The dim^2 - 1 generators of SU(dim) in canonical ordering."""
     if dim < 2:
         raise DimensionTooSmall(f"generator basis needs dim >= 2, got {dim}")
-    mats = []
-    kinds = []
-    for j in range(dim):
-        for k in range(j + 1, dim):
-            m = np.zeros((dim, dim), dtype=complex)
-            m[j, k] = 1.0
-            m[k, j] = 1.0
-            mats.append(m)
-            kinds.append(KIND_SYMMETRIC)
-    for j in range(dim):
-        for k in range(j + 1, dim):
-            m = np.zeros((dim, dim), dtype=complex)
-            m[j, k] = -1.0j
-            m[k, j] = 1.0j
-            mats.append(m)
-            kinds.append(KIND_ANTISYMMETRIC)
+    mats, kinds = [], []
+    for kind, upper, lower in ((KIND_SYMMETRIC, 1.0, 1.0), (KIND_ANTISYMMETRIC, -1.0j, 1.0j)):
+        for j in range(dim):
+            for k in range(j + 1, dim):
+                m = np.zeros((dim, dim), dtype=complex)
+                m[j, k], m[k, j] = upper, lower
+                mats.append(m)
+                kinds.append(kind)
     for level in range(1, dim):
-        m = np.zeros((dim, dim), dtype=complex)
-        for i in range(level):
-            m[i, i] = 1.0
-        m[level, level] = -level
+        m = np.diag(np.r_[np.ones(level), -level, np.zeros(dim - level - 1)]).astype(complex)
         mats.append(m * np.sqrt(2.0 / (level * (level + 1))))
         kinds.append(KIND_DIAGONAL)
     stack = np.ascontiguousarray(np.array(mats))

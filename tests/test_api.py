@@ -34,6 +34,23 @@ def test_package_imports_neither_scipy_nor_numba():
     assert found == []
 
 
+def test_no_bare_float_keyword_defaults():
+    # every threshold is a config constant: a default in bloch, bipartite
+    # or criteria names one instead of spelling its value
+    found = []
+    root = Path(sephorn.__file__).resolve().parent
+    for name in ("bloch", "bipartite", "criteria"):
+        path = root / f"{name}.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            for default in node.args.defaults + node.args.kw_defaults:
+                value = default.operand if isinstance(default, ast.UnaryOp) else default
+                if isinstance(value, ast.Constant) and isinstance(value.value, float):
+                    found.append(f"{path.name}:{default.lineno}")
+    assert found == []
+
+
 def test_analyze_keywords_are_pinned():
     # adding a keyword to analyze takes an edit here
     params = inspect.signature(sephorn.analyze).parameters.values()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sephorn.bipartite import (
+    BipartiteDecomposed,
     compose_state,
     decompose_state,
     local_ranks,
@@ -64,6 +65,29 @@ class TestDecompose:
         np.testing.assert_allclose(d.b, np.reshape(b, m * m - 1), rtol=0, atol=1e-13)
         np.testing.assert_allclose(d.corr, np.reshape(corr, (n * n - 1, m * m - 1)),
                                    rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("dims", [(1, 3), (2, 3), (3, 3)])
+    def test_moments_are_seeded_and_read_only(self, dims):
+        # decompose_state and normal_form seed [[1, b^T], [a, corr]] from the
+        # matrix they slice a, b and corr from; a record built from its
+        # Bloch data alone builds the same matrix; the trace reads as one
+        n, m = dims
+        rng = np.random.default_rng(n * 10 + m)
+        rho = random_density(n * m, n * m, rng) * (1.0 + 5e-10)
+        d = decompose_state(rho, n, m)
+        assert "moments" in vars(d)
+        built = BipartiteDecomposed(dim_a=n, dim_b=m, a=d.a, b=d.b, corr=d.corr)
+        assert "moments" not in vars(built)
+        np.testing.assert_array_equal(d.moments, built.moments)
+        assert d.moments.shape == (n * n, m * m) and d.moments[0, 0] == 1.0
+        assert d.moments is d.moments
+        assert not d.moments.flags.writeable and not built.moments.flags.writeable
+        if n > 1:
+            state = normal_form(d).state
+            assert "moments" in vars(state)
+            np.testing.assert_allclose(state.moments, BipartiteDecomposed(
+                dim_a=n, dim_b=m, a=state.a, b=state.b, corr=state.corr).moments,
+                rtol=0, atol=0)
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
     def test_round_trip(self, dims):

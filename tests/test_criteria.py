@@ -16,7 +16,8 @@ from sephorn.bipartite import (
     partial_transpose_matrix,
 )
 from sephorn.bloch import ball_floor, from_bloch
-from sephorn.config import COMPONENT_PSD, KYFAN_SLACK, NORMAL_TOL, POSITIVITY_TOL, RESIDUAL
+from sephorn.config import (COMPONENT_PSD, KYFAN_SLACK, NORMAL_TOL, POSITIVITY_TOL, PROB_SUM,
+                            RESIDUAL)
 from sephorn.criteria import (
     Status,
     analyze,
@@ -523,9 +524,10 @@ class TestSpectralCounts:
 
     def test_full_rank_ppt_two_qubit_verdict_dispatches(self, monkeypatch):
         # the spectrum of rho, the eigenvalues of its partial transpose, and
-        # for Wootters' frame the real 8 x 8 embedding of tau and the QR of
-        # its top eigenvectors; the kets are read off Gram matrices with no
-        # SVD, and the Bloch norms certify the components
+        # for Wootters' frame the real 8 x 8 embedding of tau, whose top
+        # eigenvectors are complex-orthonormal with no QR, since tau has no
+        # null block; the kets are read off Gram matrices with no SVD, and
+        # the Bloch norms certify the components
         rng = np.random.default_rng(43)
         rho = 0.3 * random_density(4, 4, rng) + 0.7 * np.eye(4) / 4.0
         calls = self.record(monkeypatch)
@@ -535,7 +537,7 @@ class TestSpectralCounts:
         assert verdict.criteria[-1].name == "decomposition[wootters]"
         assert [(name, a.shape, a.dtype.kind) for name, a in calls] == [
             ("eigh", (4, 4), "c"), ("eigvalsh", (4, 4), "c"),
-            ("eigh", (8, 8), "f"), ("qr", (4, 4), "c")]
+            ("eigh", (8, 8), "f")]
         rho_pt = rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
         np.testing.assert_allclose(calls[0][1], rho, rtol=0, atol=1e-15)
         np.testing.assert_allclose(calls[1][1], rho_pt, rtol=0, atol=1e-15)
@@ -548,9 +550,10 @@ class TestSpectralCounts:
         monkeypatch.undo()
         assert verdict.status is Status.SEPARABLE
         rho_pt = rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
-        # the third 4 x 4 call is the QR of Wootters' Takagi vectors
+        # Wootters' values are all 1/4, a degenerate tau with no null block,
+        # so its Takagi vectors need no QR
         full = [(name, a) for name, a in calls if a.shape == (4, 4)]
-        assert [name for name, _ in full] == ["eigh", "eigvalsh", "qr"]
+        assert [name for name, _ in full] == ["eigh", "eigvalsh"]
         assert np.allclose(full[0][1], rho) and np.allclose(full[1][1], rho_pt)
 
 
@@ -668,6 +671,50 @@ class TestVerify:
         monkeypatch.setattr(criteria, "ball_floor", lambda vecs, dim: np.full(len(vecs), -np.inf))
         assert {label: verify_decomposition(dec, d)
                 for label, (dec, d) in cases.items()} == reports
+
+    @staticmethod
+    def three_residual_reference(dec, d):
+        """(valid, max_residual, detail) from separate residuals: |sum p - 1|,
+        the two marginals and the correlation, each from its own product,
+        and every component's lowest eigenvalue."""
+        p, r, s = dec.probs, dec.r_vectors, dec.s_vectors
+        sum_dev = abs(p.sum() - 1.0)
+        max_residual = max(np.abs(p @ r - d.a).max(initial=0.0),
+                           np.abs(p @ s - d.b).max(initial=0.0),
+                           np.abs((r * p[:, None]).T @ s - d.corr).max(initial=0.0))
+        problems = []
+        if p.min() <= 0.0:
+            problems.append(f"nonpositive probability {p.min():.3e}")
+        if sum_dev > PROB_SUM:
+            problems.append(f"probabilities sum off by {sum_dev:.3e}")
+        if max_residual > RESIDUAL:
+            problems.append(f"moment residual {max_residual:.3e}")
+        for label, vecs, dim in (("A", r, d.dim_a), ("B", s, d.dim_b)):
+            low = np.linalg.eigvalsh(from_bloch(vecs, dim))[:, 0]
+            bad = np.flatnonzero(low < -COMPONENT_PSD)
+            if bad.size:
+                problems.append(f"component {bad[0]} on side {label} unphysical "
+                                f"(min eigenvalue {low[bad[0]]:.3e})")
+        return not problems, max_residual, "; ".join(problems)
+
+    def test_one_product_matches_three_residuals(self):
+        # the augmented product gives the report of the three separate
+        # residuals, on every construction analyze verifies and on faulty
+        # copies of them: scaled weights and planted unphysical components
+        cases = self.decompositions()
+        for label in list(cases):
+            dec, d = cases[label]
+            cases[f"{label}-weights"] = (SeparableDecomposition(
+                0.9 * dec.probs, dec.r_vectors, dec.s_vectors), d)
+            cases[f"{label}-planted"] = self.planted(cases[label], "B", 1.5)
+        invalid = 0
+        for label, (dec, d) in cases.items():
+            report = verify_decomposition(dec, d)
+            valid, max_residual, detail = self.three_residual_reference(dec, d)
+            assert (report.valid, report.detail) == (valid, detail), label
+            assert abs(report.max_residual - max_residual) <= 1e-15, label
+            invalid += not valid
+        assert invalid == 2 * len(self.decompositions())
 
     def test_bad_probabilities_invalid(self):
         dec = werner_decompose(2, 1.0)

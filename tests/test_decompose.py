@@ -17,6 +17,7 @@ from sephorn.bipartite import (
 )
 from sephorn import decompose
 from sephorn.bloch import from_bloch, to_bloch
+from sephorn.config import TAKAGI_ORTHO
 from sephorn.criteria import Status, analyze, verify_decomposition
 from sephorn.decompose import (
     SeparableDecomposition,
@@ -111,8 +112,8 @@ class TestKyfanBoundDecomposition:
             assert (dec.s_vectors[0::2] == -dec.s_vectors[1::2]).all()
             # the pairs cancel exactly; the weighted sum rounds only where a
             # fused multiply-add keeps the rounding error of the other term
-            np.testing.assert_allclose(dec.marginal_a, 0.0, rtol=0, atol=1e-15)
-            np.testing.assert_allclose(dec.marginal_b, 0.0, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(dec.moments[1:, 0], 0.0, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(dec.moments[0, 1:], 0.0, rtol=0, atol=1e-15)
             np.testing.assert_allclose(np.sum(dec.r_vectors ** 2, axis=1),
                                        2.0 * target / (n * (n - 1)), atol=1e-9)
             np.testing.assert_allclose(np.sum(dec.s_vectors ** 2, axis=1),
@@ -385,6 +386,26 @@ def wootters_inputs():
     return cases
 
 
+def null_block_inputs():
+    """States below rank four, whose tau can have a null block, with
+    whether Wootters' frame must take the QR: 00+11 has none (its two zero
+    eigenvalues are exact, and tau is nonsingular on its support); the
+    pure-factor states count two round-off eigenvalues of rho as positive,
+    which leaves lam pairs near 1e-8 whose Takagi vectors come out of the
+    embedding orthonormal only to about 1e-10; a rank-1 or rank-2 state
+    takes the QR when its round-off eigenvalues do the same (None)."""
+    cases = dict(wootters_inputs())
+    out = [("00+11", cases["00+11"], False)]
+    out += [(f"pure-factor-{i}", cases[f"pure-factor-{i}"], True) for i in range(4)]
+    rng = np.random.default_rng(53)
+    for i in range(2):
+        out.append((f"rank1-{i}", decompose_state(random_density(4, 1, rng), 2, 2), None))
+        product = np.kron(random_density(2, 1, rng), random_density(2, 1, rng))
+        out.append((f"rank1-product-{i}", decompose_state(product, 2, 2), None))
+        out.append((f"rank2-{i}", decompose_state(random_density(4, 2, rng), 2, 2), None))
+    return out
+
+
 def wootters_reference(d):
     """Weights and local Bloch vectors of Wootters' components from the top
     singular vectors of each z_i as a 2 x 2 matrix, with the angles taken
@@ -452,8 +473,8 @@ class TestWootters:
         assert abs(dec.probs.sum() - 1.0) <= 1e-12
         for got, want in ((np.linalg.norm(dec.r_vectors, axis=1), 1.0),
                           (np.linalg.norm(dec.s_vectors, axis=1), 1.0),
-                          (dec.marginal_a, d.a), (dec.marginal_b, d.b),
-                          (dec.correlation, d.corr)):
+                          (dec.moments[1:, 0], d.a), (dec.moments[0, 1:], d.b),
+                          (dec.moments[1:, 1:], d.corr)):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("d, lam", [
@@ -465,6 +486,41 @@ class TestWootters:
         frame = wootters_frame(d)
         np.testing.assert_allclose(frame.lam, lam, rtol=0, atol=1e-12)
         assert frame.concurrence_margin <= 1e-12
+
+    @pytest.mark.parametrize("d, qr", [(d, qr) for _, d, qr in null_block_inputs()],
+                             ids=[c for c, _, _ in null_block_inputs()])
+    def test_null_block_takes_the_qr(self, monkeypatch, d, qr):
+        # the QR runs exactly when the embedding's top eigenvectors are not
+        # complex-orthonormal, and either way rho = x x^dag and
+        # x^T (sigma_y x sigma_y) x = diag(lam)
+        calls = []
+        eigh, real_qr = np.linalg.eigh, np.linalg.qr
+
+        def spy_eigh(a, *args, **kwargs):
+            calls.append(("eigh", eigh(a, *args, **kwargs)))
+            return calls[-1][1]
+
+        def spy_qr(a, *args, **kwargs):
+            calls.append(("qr", a))
+            return real_qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy_eigh)
+        monkeypatch.setattr(np.linalg, "qr", spy_qr)
+        frame = wootters_frame(d)
+        monkeypatch.undo()
+        # the last eigh is the embedding's; rho's may come first, if not memoized
+        _, emb = [out for name, out in calls if name == "eigh"][-1]
+        rank = emb.shape[0] // 2
+        top = emb[:, ::-1][:, :rank]
+        takagi = top[:rank] + 1j * top[rank:]
+        mixed = bool(np.abs(takagi.conj().T @ takagi - np.eye(rank)).max() > TAKAGI_ORTHO)
+        assert [name for name, _ in calls if name == "qr"] == (["qr"] if mixed else [])
+        if qr is not None:
+            assert mixed is qr
+        x = frame.x
+        np.testing.assert_allclose(x @ x.conj().T, d.matrix, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(x.T @ decompose._SIGMA_YY @ x, np.diag(frame.lam),
+                                   rtol=0, atol=1e-12)
 
     def test_frame_of_entangled_state_has_positive_margin(self):
         # the Bell state has concurrence 1
