@@ -13,8 +13,10 @@ answered first from the Bloch norm (:func:`~sephorn.bloch.ball_floor`): a
 side whose floor exceeds the rank cutoff has full rank, which decides
 every mixed qubit side exactly and every side inside the inscribed ball.
 A reduced matrix is eigensolved only for a side the floor leaves open,
-for :func:`support_isometries` and for the first filter of
-:func:`normal_form`.
+for :func:`support_isometries` and for the first filter of the product
+loop that :func:`normal_form` hands ill-conditioned and stalling states
+to; its Gram-matrix iteration inverts reduced matrices and factorises
+nothing until the Cholesky factors of the converged filters.
 Both :func:`decompose_state` and :func:`normal_form`, for the filtered
 state, read the Bloch data off one product chain on the realigned matrix
 R[(i, j), (a, b)] = rho[ia, jb] (:func:`_moments`), which is ``moments``.
@@ -29,7 +31,7 @@ from math import sqrt
 import numpy as np
 
 from .bloch import _gen_rows, ball_floor, from_bloch, validate_state
-from .config import MAX_ITER, NORMAL_TOL, POSITIVITY_TOL, STATE_TOL
+from .config import MAX_ITER, NORMAL_TOL, POSITIVITY_TOL, SCALING_RATE, STATE_TOL
 from .errors import DimensionMismatch, NotAState, NotFullRank
 
 
@@ -118,8 +120,7 @@ def decompose_state(rho: np.ndarray, dim_a: int, dim_b: int,
         raise DimensionMismatch(
             f"matrix of size {rho.shape[0]} does not factor as {dim_a} x {dim_b}"
         )
-    moments = _moments(rho.reshape(dim_a, dim_b, dim_a, dim_b).transpose(0, 2, 1, 3)
-                       .reshape(dim_a * dim_a, dim_b * dim_b), dim_a, dim_b)
+    moments = _moments(_realigned(rho, dim_a, dim_b), dim_a, dim_b)
     moments[0, 0] = 1.0
     d = BipartiteDecomposed(dim_a=dim_a, dim_b=dim_b, a=moments[1:, 0],
                             b=moments[0, 1:], corr=moments[1:, 1:])
@@ -211,35 +212,110 @@ def normal_form(d: BipartiteDecomposed, max_iter: int = MAX_ITER, tol: float = N
                 rank_tol: float = POSITIVITY_TOL) -> NormalFormResult:
     """Filter a full-local-rank state toward maximally mixed marginals.
 
-    Gurvits' operator scaling (quant-ph/0303055): alternately multiplies
-    F_A by (N rho_A)^{-1/2} and F_B by (M rho_B)^{-1/2}, the reduced matrices
-    of the unit-trace iterate (F_A x F_B) rho (F_A x F_B)^dag, until both
+    Gurvits' operator scaling (quant-ph/0303055; Garg, Gurvits, Oliveira
+    and Wigderson, arXiv:1511.03730): alternately rescale the filters F_A
+    and F_B so that the reduced matrix of A, then of B, of the unit-trace
+    iterate (F_A x F_B) rho (F_A x F_B)^dag is I/N (I/M), until both
     marginal Bloch norms fall below ``tol`` or ``max_iter`` sweeps have run.
-    The iterate is never formed: with R the realigned ``d.matrix`` and
-    G = F^dag F, its reduced matrices are F_A (R vec(G_B^T)) F_A^dag and
-    F_B (vec(G_A^T)^T R) F_B^dag, one ``eigh`` each per sweep, with the
-    eigenvalues scaled to sum to N (M) so that the trace stays one.
-    Full local rank at ``rank_tol`` is checked by :func:`local_ranks`, so a
-    side inside the inscribed ball is not eigensolved for it.  The first
-    A-side filter uses the memoized eigendecomposition of the reduced
-    matrix of A, computed only when that first sweep runs; after a sweep
-    rho_B is I/M, and the eigenvalues of N rho_A give |a| and the next
-    A-side filter.  A sweep stops at a reduced matrix with a non-positive
-    or non-finite eigenvalue, which ill-conditioned filters can produce
-    from a marginal just above ``rank_tol``: its inverse square root does
-    not exist.  The filtered record is read off R conjugated once by the
-    filters reached, and ``converged`` from the record: it is False after
-    such a stop, after ``max_iter`` sweeps when the normal form is reached
-    only in the limit, and when rounding in ill-conditioned filters leaves
-    the record's norms just above ``tol``.  ``iterations`` counts the
-    sweeps begun.  A state already in normal form is returned as is.
+    The iterate is never formed.  With R the realigned ``d.matrix`` and
+    G = F^dag F, the A-side half-step needs only X_A = R vec(G_B^T),
+    reshaped to N x N, and sets G_A = (N X_A)^{-1}; the B side likewise
+    sets G_B = (M X_B)^{-1} with X_B = vec(G_A^T)^T R.  A sweep is one
+    half-step per side followed by the convergence test on
+    |a| = sqrt(2) ||N rho_A - I||_F / N, whose square is read as
+    Tr[(N G_A X_A - I)^2] with no matrix root.  On convergence the filters
+    are the upper-triangular Cholesky factors of the Gram matrices, and no
+    marginal is eigensolved.
+    Re-inverting a nearly singular X_A loses the states whose filters blow
+    up, so this Gram iteration hands over to :func:`_filter_products`,
+    which restarts from I, at the first sweep whose deviation is not below
+    ``SCALING_RATE`` times the last one, at a non-finite value, a singular
+    matrix, an exhausted budget or a record outside ``tol``; every state
+    that hands over gets that loop's result.  The iteration is the same
+    in exact arithmetic, so both count the same sweeps on a state that
+    converges.  Full local rank at ``rank_tol`` is checked by
+    :func:`local_ranks`, so a side inside the inscribed ball is not
+    eigensolved for it.  ``converged`` is read from the filtered record,
+    and ``iterations`` counts the sweeps begun.  A state already in
+    normal form is returned as is.
     """
     n, m = d.dim_a, d.dim_b
     if local_ranks(d, rank_tol) != (n, m):
         raise NotFullRank(
             f"marginal ranks below ({n},{m}); project to support first"
         )
-    r = d.matrix.reshape(n, m, n, m).transpose(0, 2, 1, 3).reshape(n * n, m * m)
+    r = _realigned(d.matrix, n, m)
+    if max(np.linalg.norm(d.a), np.linalg.norm(d.b)) >= tol:
+        # an abandoned iterate may overflow; what it reaches is tested
+        with np.errstate(all="ignore"):
+            result = _gram_scaling(d, r, max_iter, tol)
+        if result is not None:
+            return result
+    return _filter_products(d, r, max_iter, tol)
+
+
+def _realigned(rho: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
+    """The realigned matrix R[(i, j), (a, b)] = rho[ia, jb]."""
+    return (rho.reshape(dim_a, dim_b, dim_a, dim_b).transpose(0, 2, 1, 3)
+            .reshape(dim_a * dim_a, dim_b * dim_b))
+
+
+def _gram_scaling(d: BipartiteDecomposed, r: np.ndarray, max_iter: int,
+                  tol: float) -> NormalFormResult | None:
+    """Operator scaling run on the Gram matrices G = F^dag F, from the
+    realigned matrix ``r``; None where :func:`normal_form` hands over."""
+    n, m = d.dim_a, d.dim_b
+    eye_a = np.eye(n)
+    xa = (r @ np.eye(m).reshape(-1)).reshape(n, n)
+    last = np.inf
+    for sweep in range(1, max_iter + 1):
+        try:
+            ga = np.linalg.inv(n * xa)
+            gb = np.linalg.inv(m * (ga.T.reshape(-1) @ r).reshape(m, m))
+        except np.linalg.LinAlgError:
+            return None
+        xa = (r @ gb.T.reshape(-1)).reshape(n, n)
+        # ||N rho_A - I||_F^2 of the iterate F_A X_A F_A^dag, by cyclicity
+        y = ga @ xa
+        y *= n
+        y -= eye_a
+        dev = float((y.T.ravel() @ y.ravel()).real)
+        if 2.0 * dev < (n * tol) ** 2:
+            try:
+                # G = L L^dag, so F = L^dag is upper-triangular with F^dag F = G
+                result = _filtered(d, r, np.linalg.cholesky(ga).conj().T,
+                                   np.linalg.cholesky(gb).conj().T, tol, sweep)
+            except (np.linalg.LinAlgError, NotAState):
+                return None
+            return result if result.converged else None
+        # dev is squared: the deviation itself must shrink by SCALING_RATE
+        if not dev < SCALING_RATE ** 2 * last:
+            return None
+        last = dev
+    return None
+
+
+def _filter_products(d: BipartiteDecomposed, r: np.ndarray, max_iter: int,
+                     tol: float) -> NormalFormResult:
+    """Operator scaling on the filters themselves, from the realigned
+    matrix ``r``: the path of :func:`normal_form` for the states the Gram
+    iteration hands over.
+
+    Alternately multiplies F_A by (N rho_A)^{-1/2} and F_B by
+    (M rho_B)^{-1/2}, the reduced matrices F_A (R vec(G_B^T)) F_A^dag and
+    F_B (vec(G_A^T)^T R) F_B^dag of the iterate, one ``eigh`` each per
+    sweep, with the eigenvalues scaled to sum to N (M) so that the trace
+    stays one.  The first A-side filter uses the memoized eigendecomposition
+    of the reduced matrix of A; after a sweep rho_B is I/M, and the
+    eigenvalues of N rho_A give |a| and the next A-side filter.  A sweep
+    stops at a reduced matrix with a non-positive or non-finite eigenvalue,
+    which ill-conditioned filters can produce from a marginal just above
+    the rank cutoff: its inverse square root does not exist.
+    ``converged`` is False after such a stop, after ``max_iter`` sweeps
+    when the normal form is reached only in the limit, and when rounding
+    in ill-conditioned filters leaves the record's norms just above ``tol``.
+    """
+    n, m = d.dim_a, d.dim_b
     fa = np.eye(n, dtype=complex)
     fb = np.eye(m, dtype=complex)
     converged = float(np.linalg.norm(d.a)) < tol and float(np.linalg.norm(d.b)) < tol
@@ -265,16 +341,26 @@ def normal_form(d: BipartiteDecomposed, max_iter: int = MAX_ITER, tol: float = N
         # accurate near zero, where 2 Tr[rho_A^2] - 2/N loses every digit
         dev = w - 1.0
         converged = sqrt(2.0 * (dev @ dev)) < n * tol
-    state = d
-    if iterations:
-        # kron(F, F*) R kron(G, G*)^T realigns (F x G) rho (F x G)^dag
-        moments = _moments(_conjugation(fa) @ r @ _conjugation(fb).T, n, m)
-        moments /= moments[0, 0]
-        if not np.isfinite(moments).all():
-            raise NotAState("filtered state has non-finite entries")
-        state = BipartiteDecomposed(dim_a=n, dim_b=m, a=moments[1:, 0],
-                                    b=moments[0, 1:], corr=moments[1:, 1:])
-        state.__dict__["moments"] = _read_only((moments,))[0]
-        converged = bool(np.linalg.norm(state.a) < tol and np.linalg.norm(state.b) < tol)
+    if not iterations:
+        return NormalFormResult(state=d, filter_a=fa, filter_b=fb,
+                                converged=converged, iterations=0)
+    return _filtered(d, r, fa, fb, tol, iterations)
+
+
+def _filtered(d: BipartiteDecomposed, r: np.ndarray, fa: np.ndarray, fb: np.ndarray,
+              tol: float, iterations: int) -> NormalFormResult:
+    """The result for filters ``fa`` and ``fb``: the filtered record is read
+    off the realigned matrix ``r`` conjugated once by the filters, and
+    ``converged`` from its marginal norms."""
+    n, m = d.dim_a, d.dim_b
+    # kron(F, F*) R kron(G, G*)^T realigns (F x G) rho (F x G)^dag
+    moments = _moments(_conjugation(fa) @ r @ _conjugation(fb).T, n, m)
+    moments /= moments[0, 0]
+    if not np.isfinite(moments).all():
+        raise NotAState("filtered state has non-finite entries")
+    state = BipartiteDecomposed(dim_a=n, dim_b=m, a=moments[1:, 0],
+                                b=moments[0, 1:], corr=moments[1:, 1:])
+    state.__dict__["moments"] = _read_only((moments,))[0]
+    converged = bool(np.linalg.norm(state.a) < tol and np.linalg.norm(state.b) < tol)
     return NormalFormResult(state=state, filter_a=fa, filter_b=fb,
                             converged=converged, iterations=iterations)

@@ -363,9 +363,10 @@ def analyze(rho: np.ndarray, dim_a: int, dim_b: int, *, tol: float = POSITIVITY_
 
     The input is validated once, and each spectral quantity is computed
     at most once: the eigendecomposition of a marginal only where
-    :func:`~sephorn.bloch.ball_floor` leaves its rank open or a filter or
-    support isometry needs it, the eigenvalues of the partial transpose and
-    one singular value decomposition of the filtered correlation.
+    :func:`~sephorn.bloch.ball_floor` leaves its rank open, a support
+    isometry needs it or filtering falls back to its product loop, the
+    eigenvalues of the partial transpose and one singular value
+    decomposition of the filtered correlation.
     Positivity of rho is read at 2 x 2 from its eigendecomposition, which
     also gives Wootters' frame; above 2 x 2 it is
     certified by a Cholesky factorisation of rho + ``tol`` I, and the

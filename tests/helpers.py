@@ -7,6 +7,7 @@ import numpy as np
 
 from sephorn.bloch import from_bloch
 from sephorn.horn import subset_table
+from sephorn.linalg import random_unitary
 
 CHUNK = 8192  # sample rows per vectorized block
 
@@ -36,6 +37,15 @@ def horodecki_2x4(b: float) -> np.ndarray:
         rho[i, i + 5] = rho[i + 5, i] = b
     rho[4, 7] = rho[7, 4] = np.sqrt(1 - b * b) / 2
     return rho.astype(complex) / (7 * b + 1)
+
+
+def ill_conditioned_product(frame: int) -> np.ndarray:
+    """A 3 x 3 product state whose marginals have an eigenvalue 1.2e-9,
+    just above the rank cutoff and outside the inscribed ball."""
+    u, v = random_unitary(3, 1 + frame), random_unitary(3, 101 + frame)
+    rho_a = (u * [1.2e-9, 0.49, 0.51 - 1.2e-9]) @ u.conj().T
+    rho_b = (v * [1.2e-9, 0.48, 0.52 - 1.2e-9]) @ v.conj().T
+    return np.kron(rho_a, rho_b)
 
 
 def is_physical(r, tol: float = 1e-9) -> bool:

@@ -1,10 +1,16 @@
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
+from helpers import ill_conditioned_product
+from sephorn import bipartite
 from sephorn.bipartite import (
     BipartiteDecomposed,
+    _filter_products,
+    _gram_scaling,
+    _realigned,
     compose_state,
     decompose_state,
     local_ranks,
@@ -13,9 +19,10 @@ from sephorn.bipartite import (
     support_isometries,
 )
 from sephorn.bloch import _gen_stack, from_bloch, to_bloch
+from sephorn.config import MAX_ITER, NORMAL_TOL
 from sephorn.errors import DimensionMismatch, NotFullRank
 from sephorn.linalg import random_unitary
-from sephorn.states import bell, p_zero, random_density, werner
+from sephorn.states import bell, isotropic, p_zero, random_density, werner
 
 
 def random_bipartite(dim_a, dim_b, rng, rank=None):
@@ -283,6 +290,112 @@ class TestNormalForm:
             result = normal_form(decompose_state(rho, dim, dim), max_iter=500)
         assert result.iterations == 500 and not result.converged
         assert np.isfinite(result.filter_a).all() and np.isfinite(result.filter_b).all()
+
+    @staticmethod
+    def product_loop(d, max_iter=MAX_ITER, tol=NORMAL_TOL):
+        """The filter-product loop alone."""
+        return _filter_products(d, _realigned(d.matrix, d.dim_a, d.dim_b), max_iter, tol)
+
+    @staticmethod
+    def assert_same(result, loop):
+        assert (result.iterations, result.converged) == (loop.iterations, loop.converged)
+        for got, want in ((result.filter_a, loop.filter_a), (result.filter_b, loop.filter_b),
+                          (result.state.a, loop.state.a), (result.state.b, loop.state.b),
+                          (result.state.corr, loop.state.corr)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_hand_over_gives_the_product_loop_result(self, monkeypatch):
+        # states the Gram iteration cannot finish: the stall states, whose
+        # deviation ratio rises toward 1, ill-conditioned products, whose
+        # filters blow up, and a two-product mixture whose record stalls
+        # near 1e-9; each gets the product loop's result exactly, with no
+        # warning
+        states = []
+        for dim in (3, 4):
+            for eps in (1e-4, 1e-6, 1e-8):
+                rho = eps * np.eye(dim * dim) / dim ** 2
+                rho[0, 0] += 1 - eps
+                states.append((rho, dim, dim))
+                # the deviation ratio is 0.63, 0.73, 0.79, 0.82 at sweeps
+                # 2 to 5: five Gram sweeps, one inverse per half-step,
+                # before the hand-over
+                inverses = []
+                real = np.linalg.inv
+                monkeypatch.setattr(np.linalg, "inv", lambda a: inverses.append(a) or real(a))
+                normal_form(decompose_state(rho, dim, dim), max_iter=6)
+                monkeypatch.undo()
+                assert len(inverses) == 10
+        states += [(ill_conditioned_product(frame), 3, 3) for frame in range(30)]
+        rng = np.random.default_rng(0)
+        mix = sum(w * np.kron(random_density(2, 1, rng), random_density(3, 1, rng))
+                  for w in (0.4, 0.6))
+        states.append(((1.0 - 3e-8) * mix + 3e-8 * np.eye(6) / 6.0, 2, 3))
+        for rho, n, m in states:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                d = decompose_state(rho, n, m)
+                self.assert_same(normal_form(d), self.product_loop(d))
+
+    def test_record_outside_tol_hands_over(self, monkeypatch):
+        # the Gram test can pass on a sweep whose record, read off the
+        # Cholesky filters, has a norm just above tol; such a record is
+        # planted here by marking the Gram path's record unconverged, and
+        # the state must get the product loop's result
+        rng = np.random.default_rng(7)
+        d = decompose_state(random_density(9, 9, rng), 3, 3)
+        real, records = bipartite._filtered, []
+
+        def filtered(*args):
+            result = real(*args)
+            records.append(result)
+            return result if len(records) > 1 else dataclasses.replace(result, converged=False)
+
+        monkeypatch.setattr(bipartite, "_filtered", filtered)
+        result = normal_form(d)
+        monkeypatch.undo()
+        assert len(records) == 2 and records[0].converged
+        self.assert_same(result, self.product_loop(d))
+        assert result.converged
+        # unpatched, the Gram path returns only records within tol
+        for _ in range(20):
+            d = decompose_state(random_density(6, 6, rng), 2, 3)
+            fast = _gram_scaling(d, _realigned(d.matrix, 2, 3), MAX_ITER, NORMAL_TOL)
+            assert fast is not None and fast.converged
+            assert max(np.linalg.norm(fast.state.a), np.linalg.norm(fast.state.b)) < NORMAL_TOL
+
+    def test_gram_scaling_matches_the_product_loop(self):
+        # the Gram iteration finishes every one of these states, in the
+        # product loop's sweeps and at the same normal form up to a local
+        # unitary
+        rng = np.random.default_rng(13)
+        states = [(random_density(n * m, n * m, rng), n, m)
+                  for n, m in ((2, 3), (3, 3), (3, 4), (4, 4), (3, 5)) for _ in range(20)]
+        # Werner and isotropic states at the benchmark corpus's Ky Fan
+        # parameters, filtered as that corpus filters them: U diag(s) V^dag
+        # on each side with s uniform in [0.5, 1.5]
+        families = []
+        for n in range(3, 8):
+            phi = 0.5 * (1.0 / n + 1.0 / (n - 1.0))
+            p = 0.5 / ((n - 1.0) * (n * n - 1.0))
+            for rho in (compose_state(werner(n, phi)), compose_state(isotropic(n, p))):
+                filters = []
+                for _ in range(2):
+                    u, v = random_unitary(n, rng), random_unitary(n, rng)
+                    filters.append((u * rng.uniform(0.5, 1.5, size=n)) @ v.conj().T)
+                big = np.kron(*filters)
+                rho = big @ rho @ big.conj().T
+                families.append((rho / np.trace(rho).real, n, n))
+        for rho, n, m in states + families:
+            d = decompose_state(rho, n, m)
+            loop = self.product_loop(d)
+            fast = _gram_scaling(d, _realigned(d.matrix, n, m), MAX_ITER, NORMAL_TOL)
+            assert fast is not None
+            assert fast.converged and loop.converged
+            assert fast.iterations == loop.iterations
+            assert np.array_equal(fast.filter_a, np.triu(fast.filter_a))
+            np.testing.assert_allclose(np.linalg.svd(fast.state.corr, compute_uv=False),
+                                       np.linalg.svd(loop.state.corr, compute_uv=False),
+                                       rtol=0, atol=1e-12)
 
     def test_p_zero_limit_behavior(self):
         result = normal_form(p_zero(0.5), max_iter=500)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import horodecki_2x4, horodecki_3x3, tiles_state
+from helpers import horodecki_2x4, horodecki_3x3, ill_conditioned_product, tiles_state
 from sephorn import criteria
 from sephorn.bipartite import (
     BipartiteDecomposed,
@@ -447,7 +447,7 @@ class TestSpectralCounts:
     @staticmethod
     def record(monkeypatch):
         calls = []
-        for name in ("svd", "eigh", "eigvalsh", "cholesky", "qr"):
+        for name in ("svd", "eigh", "eigvalsh", "cholesky", "qr", "inv"):
             real = getattr(np.linalg, name)
 
             def spy(a, *args, _name=name, _real=real, **kwargs):
@@ -467,7 +467,8 @@ class TestSpectralCounts:
         assert verdict.status is Status.SEPARABLE
         assert verdict.criteria[-1].name == "decomposition[kyfan-sufficient]"
         d = decompose_state(rho, 3, 3)
-        tilde = normal_form(d).state
+        nf = normal_form(d)
+        tilde = nf.state
         # one SVD, of the filtered correlation
         svds = [a for name, a in calls if name == "svd"]
         assert len(svds) == 1
@@ -486,17 +487,24 @@ class TestSpectralCounts:
             assert (ball_floor(vecs, 3) >= -COMPONENT_PSD).all()
         assert [name for name, a in calls if a.ndim == 3] == []
         # both marginals lie inside the ball, so their ranks need no
-        # eigensolve; the A-side marginal is eigensolved once, for the
-        # first filter, then two per filter sweep: the B-side filter and the
-        # A-side marginal after it, whose eigenvalues give the convergence
-        # test and the next A-side filter
+        # eigensolve, and filtering this well-conditioned state eigensolves
+        # nothing: each half-sweep inverts one 3 x 3 matrix, the filters are
+        # the upper-triangular Cholesky factors of the two Gram matrices,
+        # and the pull-back inverts the two filters
         assert ball_floor(d.a, 3) > POSITIVITY_TOL and ball_floor(d.b, 3) > POSITIVITY_TOL
-        sweeps = normal_form(d).iterations
-        assert sweeps > 0
-        small = [a for name, a in calls if name == "eigh" and a.shape == (3, 3)]
-        assert len(small) == 1 + 2 * sweeps
+        assert nf.iterations > 0
+        small = [(name, a) for name, a in calls if a.shape == (3, 3)]
+        assert [name for name, _ in small] == (["inv"] * (2 * nf.iterations)
+                                                 + ["cholesky"] * 2 + ["inv"] * 2)
+        for (_, gram), f in zip(small[-4:-2], (nf.filter_a, nf.filter_b)):
+            np.testing.assert_allclose(f.conj().T @ f, gram, rtol=0, atol=1e-12)
+            assert np.array_equal(f, np.triu(f))
+        for (_, a), f in zip(small[-2:], (nf.filter_a, nf.filter_b)):
+            np.testing.assert_array_equal(a, f)
+        # the A marginal is inverted by the first half-sweep and never
+        # eigensolved; the B marginal is not factorised at all
         r4 = rho.reshape(3, 3, 3, 3)
-        for marginal, expected in ((np.einsum("ijkj->ik", r4), ["eigh"]),
+        for marginal, expected in ((np.einsum("ijkj->ik", r4), ["inv"]),
                                    (np.einsum("ijil->jl", r4), [])):
             same = [name for name, a in calls
                     if a.shape == (3, 3) and np.allclose(a / np.trace(a), marginal)]
@@ -725,20 +733,11 @@ class TestVerify:
 
 
 class TestIllConditionedFilters:
-    @staticmethod
-    def product(frame):
-        """A 3 x 3 product state whose marginals have an eigenvalue 1.2e-9,
-        just above the rank cutoff and outside the inscribed ball."""
-        u, v = random_unitary(3, 1 + frame), random_unitary(3, 101 + frame)
-        rho_a = (u * [1.2e-9, 0.49, 0.51 - 1.2e-9]) @ u.conj().T
-        rho_b = (v * [1.2e-9, 0.48, 0.52 - 1.2e-9]) @ v.conj().T
-        return np.kron(rho_a, rho_b)
-
     @pytest.mark.parametrize("frame", range(6))
     def test_filtering_stops_short_of_a_singular_filter(self, frame):
         # ill-conditioned filters drive a reduced matrix to a non-positive
         # eigenvalue, where filtering stops with an unconverged record
-        rho = self.product(frame)
+        rho = ill_conditioned_product(frame)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             verdict = analyze(rho, 3, 3)
@@ -753,7 +752,7 @@ class TestIllConditionedFilters:
         for frame in range(30):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                verdict = analyze(self.product(frame), 3, 3)
+                verdict = analyze(ill_conditioned_product(frame), 3, 3)
             assert verdict.status is Status.SEPARABLE, frame
             assert [(c.name, c.passed) for c in verdict.criteria] == [
                 ("ppt", True), ("normal-form", False), ("kyfan-necessary", True),
