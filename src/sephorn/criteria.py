@@ -7,9 +7,13 @@ decompositions, recognised in any local frame, into a single pipeline with
 three honest outcomes: ``SEPARABLE`` (always carrying a verified
 decomposition), ``ENTANGLED`` (always carrying a violated necessary
 criterion) and ``INCONCLUSIVE``.
-Two-qubit states are decided by partial transposition and Wootters'
-closed-form product decomposition, without filtering; larger states are
-filtered to normal form before the norm bounds and family decompositions.
+The battery is three ordered tuples of stages, one per kind of record
+(``_RANK_DEFICIENT``, ``_TWO_QUBIT``, ``_FULL_RANK``), each run by the one
+loop in ``_Call.run``, which builds every verdict that ends a tuple; each
+criterion is logged once.  Two-qubit states are decided by partial
+transposition and Wootters' closed-form product decomposition, without
+filtering; larger states are filtered to normal form before the norm
+bounds and family decompositions.
 
 Above 2 x 2 the battery rests on de Vicente's Ky Fan bounds on the
 filtered correlation (QIC 7, 624 (2007)), and each question is decided
@@ -41,7 +45,7 @@ that fails, so a rejection still reports the exact lowest eigenvalue.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import isfinite
 
 import numpy as np
@@ -223,11 +227,196 @@ def verify_decomposition(dec: SeparableDecomposition,
 
 
 # ---------------------------------------------------------------------------
-# exact two-qubit decision
+# stages
+# ---------------------------------------------------------------------------
+
+@dataclass
+class _Call:
+    """One pass of the battery over one record: its inputs, its local ranks,
+    the criteria logged so far and, once filtering has reached normal form,
+    the filtering result."""
+
+    d: BipartiteDecomposed
+    tol: float
+    max_iter: int = MAX_ITER
+    ranks: tuple[int, int] | None = None
+    log: list[CriterionResult] = field(default_factory=list)
+    nf: NormalFormResult | None = None
+
+    def run(self, stages) -> Verdict:
+        """Run ``stages`` in order.  Each returns a verdict, a terminal
+        status, or None to go on; INCONCLUSIVE when the stages run out."""
+        for stage in stages:
+            out = stage(self)
+            if isinstance(out, Verdict):
+                return out
+            if out is not None:
+                return Verdict(status=out, criteria=tuple(self.log))
+        return Verdict(status=Status.INCONCLUSIVE, criteria=tuple(self.log))
+
+    def verified(self, dec: SeparableDecomposition, source: str) -> Verdict | None:
+        """The SEPARABLE verdict on ``dec``, or None when verification fails.
+        Once filtering has run, ``dec`` decomposes the filtered state: it is
+        pulled back through the filters when a sweep ran, and taken as it is
+        when none did, since the filters are then I."""
+        nf = self.nf
+        if nf is not None and nf.iterations:
+            dec = pull_back_filters(dec, nf.filter_a, nf.filter_b, self.d.dim_a, self.d.dim_b)
+        report = verify_decomposition(dec, self.d)
+        self.log.append(CriterionResult(f"decomposition[{source}]", report.valid,
+                                        report.max_residual, report.detail))
+        if not report.valid:
+            return None
+        return Verdict(status=Status.SEPARABLE, decomposition=dec, criteria=tuple(self.log))
+
+
+def _support(call: _Call) -> Verdict | Status | None:
+    """A rank-deficient marginal.  A pure one makes rho the product of its
+    marginals; otherwise the state is decided on its local supports and the
+    decomposition embedded back."""
+    d, tol = call.d, call.tol
+    call.log.append(CriterionResult("support-projection", True, 0.0,
+                                    f"reduced {d.dim_a}x{d.dim_b} -> "
+                                    f"{call.ranks[0]}x{call.ranks[1]}"))
+    if 1 in call.ranks:
+        # the unprojected marginals keep a weight below tol that the support drops
+        return _trivial_factor(call)
+    iso_a, iso_b = support_isometries(d, tol=tol)
+    sub = _analyze_decomposed(project_to_support(d, tol=tol), tol=tol, max_iter=call.max_iter)
+    call.log.extend(sub.criteria)
+    if sub.status is not Status.SEPARABLE:
+        return sub.status
+    return call.verified(embed_isometries(sub.decomposition, iso_a, iso_b), "embedded")
+
+
+def _trivial_factor(call: _Call) -> Verdict | None:
+    """The product of the two marginals, as one component."""
+    d = call.d
+    return call.verified(SeparableDecomposition(probs=np.array([1.0]),
+                                                r_vectors=d.a.reshape(1, -1).copy(),
+                                                s_vectors=d.b.reshape(1, -1).copy()),
+                         "trivial-factor")
+
+
+def _ppt(call: _Call) -> Status | None:
+    ppt = ppt_check(call.d, tol=call.tol)
+    call.log.append(CriterionResult("ppt", ppt.passed, max(0.0, -ppt.min_eigenvalue),
+                                    f"min eigenvalue {ppt.min_eigenvalue:.3e}"))
+    return None if ppt.passed else Status.ENTANGLED
+
+
+def _wootters(call: _Call) -> Verdict | None:
+    """Wootters' concurrence and, at zero, his product decomposition; a
+    positive concurrence on a state that passed PPT only within the
+    tolerance logs the ``ppt-tolerance-band`` (see :func:`two_qubit_decide`)."""
+    frame = wootters_frame(call.d)
+    margin = frame.concurrence_margin
+    values = ", ".join(f"{v:.6g}" for v in frame.lam.tolist())
+    call.log.append(CriterionResult("concurrence", margin <= KYFAN_SLACK, margin,
+                                    f"Wootters values {values}"))
+    if margin <= KYFAN_SLACK:
+        return call.verified(wootters_decomposition(call.d, frame), "wootters")
+    # _ppt logged the first entry: its margin is minus the lowest eigenvalue
+    # when that is negative
+    band = call.log[0].margin
+    if band > 0.0:
+        call.log.append(CriterionResult(
+            "ppt-tolerance-band", False, band,
+            f"lowest partial-transpose eigenvalue {-band:.3e} lies inside "
+            f"the PPT tolerance band [-{call.tol:.1e}, 0), where PPT cannot "
+            f"resolve the positive concurrence {margin:.3e}"))
+    return None
+
+
+def _filter(call: _Call) -> Verdict | None:
+    """Filter to normal form.  When the record's marginal Bloch norms stay
+    at ``RESIDUAL`` or above, normal form is reached only in the limit: the
+    necessary norm bound, which holds for every separable state, is applied
+    to the unfiltered correlation, and a product of its marginals, which
+    ill-conditioned marginals can keep from normal form, is offered its one
+    component (a, b); the pass ends there."""
+    d = call.d
+    nf = normal_form(d, max_iter=call.max_iter, tol=NORMAL_TOL, rank_tol=call.tol)
+    marg = float(max(np.linalg.norm(nf.state.a), np.linalg.norm(nf.state.b)))
+    if marg >= RESIDUAL:
+        call.log.append(CriterionResult("normal-form", False, marg,
+                                        f"not converged in {nf.iterations} sweeps"))
+        product = np.abs(d.corr - np.outer(d.a, d.b)).max(initial=0.0) <= RESIDUAL
+        return call.run((_kyfan_necessary, _trivial_factor) if product else (_kyfan_necessary,))
+    if not nf.converged:
+        call.log.append(CriterionResult("normal-form", True, marg,
+                                        f"not converged in {nf.iterations} sweeps; record within "
+                                        f"{RESIDUAL:.1e} used"))
+    call.nf = nf
+    return None
+
+
+def _kyfan_necessary(call: _Call) -> Status | None:
+    """The necessary norm bound, on the normal form once filtering has
+    reached it and on the unfiltered record otherwise."""
+    check = kyfan_necessary_check(call.d if call.nf is None else call.nf.state)
+    call.log.append(check)
+    return None if check.passed else Status.ENTANGLED
+
+
+def _kyfan_sufficient(call: _Call) -> Verdict | None:
+    try:
+        built = kyfan_bound_decomposition(call.nf.state.corr_svd, call.d.dim_a, call.d.dim_b)
+    except BoundExceeded as exc:
+        call.log.append(CriterionResult("kyfan-sufficient", False, exc.excess, str(exc)))
+        return None
+    return call.verified(built, "kyfan-sufficient")
+
+
+def _family(call: _Call) -> Verdict | None:
+    """Werner and isotropic states in any local frame, from the stored SVD.
+
+    Filtering takes every local-filter image of a Werner or isotropic state
+    to a local-unitary image, whose correlation is c O with O orthogonal:
+    Ad(W) for Werner, Ad(W) Flip for isotropic.  So all singular values of
+    the filtered correlation U diag(tau) V^T are equal; when they spread
+    by more than ``RESIDUAL`` no rotated family reproduces it within
+    the verification residual, and the stage passes with nothing logged.
+    Otherwise O = U V^T, and the canonical Werner decomposition of c = +-tau_1
+    has its A side rotated by +-O.  c = -tau_1 is taken while its Werner
+    parameter is separable: that A side lies in the inscribed ball, where
+    every rotation stays physical.  The result is pulled back through the
+    filters and verified like every other decomposition.
+    """
+    u, taus, vh = call.nf.state.corr_svd
+    n = call.d.dim_a
+    if n != call.d.dim_b or taus[0] - taus[-1] > RESIDUAL:
+        return None
+    # round-off puts a recovered phi just outside [0, 1] at either end (phi =
+    # 1 + 5e-12 on a filtered 3x3 Werner state, -1e-16 on a rotated phi = 0
+    # one), so phi is clamped; the Ky Fan necessary check bounds the excess
+    # above 1, and verification has the last word
+    sign = -1.0 if werner_parameter(n, -taus[0]) >= -RESIDUAL else 1.0
+    phi = min(max(werner_parameter(n, sign * taus[0]), 0.0), 1.0)
+    try:
+        built = werner_decompose(n, phi)
+    except SepHornError as exc:
+        call.log.append(CriterionResult("family", False, 0.0, str(exc)))
+        return None
+    return call.verified(SeparableDecomposition(probs=built.probs,
+                                                r_vectors=built.r_vectors @ (sign * u @ vh).T,
+                                                s_vectors=built.s_vectors), "family")
+
+
+# The battery, in order, for a record with a rank-deficient marginal, a
+# full-rank 2 x 2 one and any other (README, "Pipeline")
+_RANK_DEFICIENT = (_support,)
+_TWO_QUBIT = (_ppt, _wootters)
+_FULL_RANK = (_ppt, _filter, _kyfan_necessary, _kyfan_sufficient, _family)
+
+
+# ---------------------------------------------------------------------------
+# pipeline
 # ---------------------------------------------------------------------------
 
 def two_qubit_decide(d: BipartiteDecomposed, *, tol: float = POSITIVITY_TOL) -> Verdict:
-    """Exact separability decision for 2 x 2 states, without filtering.
+    """Exact separability decision for 2 x 2 states, without filtering: the
+    stages ``_TWO_QUBIT``.
 
     PPT is necessary and sufficient here (Horodecki, quant-ph/9605038): an
     NPT state is ENTANGLED with the failed ``ppt`` criterion.  A PPT state
@@ -242,115 +431,23 @@ def two_qubit_decide(d: BipartiteDecomposed, *, tol: float = POSITIVITY_TOL) -> 
     """
     if (d.dim_a, d.dim_b) != (2, 2):
         raise DimensionMismatch(f"two_qubit_decide needs 2 x 2, got {d.dim_a} x {d.dim_b}")
-    ppt = ppt_check(d, tol=tol)
-    log = [CriterionResult("ppt", ppt.passed, max(0.0, -ppt.min_eigenvalue),
-                           f"min eigenvalue {ppt.min_eigenvalue:.3e}")]
-    if not ppt.passed:
-        return Verdict(status=Status.ENTANGLED, criteria=tuple(log))
-    frame = wootters_frame(d)
-    margin = frame.concurrence_margin
-    values = ", ".join(f"{v:.6g}" for v in frame.lam.tolist())
-    log.append(CriterionResult("concurrence", margin <= KYFAN_SLACK, margin,
-                               f"Wootters values {values}"))
-    if margin <= KYFAN_SLACK:
-        verdict = _verified(wootters_decomposition(d, frame), d, log, "wootters")
-        if verdict is not None:
-            return verdict
-    elif ppt.min_eigenvalue < 0.0:
-        log.append(CriterionResult(
-            "ppt-tolerance-band", False, -ppt.min_eigenvalue,
-            f"lowest partial-transpose eigenvalue {ppt.min_eigenvalue:.3e} lies inside "
-            f"the PPT tolerance band [-{tol:.1e}, 0), where PPT cannot "
-            f"resolve the positive concurrence {margin:.3e}"))
-    return Verdict(status=Status.INCONCLUSIVE, criteria=tuple(log))
-
-
-# ---------------------------------------------------------------------------
-# Werner and isotropic families in any local frame
-# ---------------------------------------------------------------------------
-
-def _family_verdict(d: BipartiteDecomposed, nf: NormalFormResult,
-                    log: list[CriterionResult]) -> Verdict | None:
-    """Werner and isotropic states in any local frame, from the stored SVD.
-
-    Filtering takes every local-filter image of a Werner or isotropic state
-    to a local-unitary image, whose correlation is c O with O orthogonal:
-    Ad(W) for Werner, Ad(W) Flip for isotropic.  So all singular values of
-    the filtered correlation U diag(tau) V^T are equal; when they spread
-    by more than ``RESIDUAL`` no rotated family reproduces it within
-    the verification residual, and None is returned with nothing logged.
-    Otherwise O = U V^T, and the canonical Werner decomposition of c = +-tau_1
-    has its A side rotated by +-O.  c = -tau_1 is taken while its Werner
-    parameter is separable: that A side lies in the inscribed ball, where
-    every rotation stays physical.  The result is pulled back through the
-    filters when filtering moved the state (:func:`_unfiltered`) and
-    verified like every other decomposition.
-    """
-    u, taus, vh = nf.state.corr_svd
-    if d.dim_a != d.dim_b or taus[0] - taus[-1] > RESIDUAL:
-        return None
-    n = d.dim_a
-    # round-off puts a recovered phi just outside [0, 1] at either end (phi =
-    # 1 + 5e-12 on a filtered 3x3 Werner state, -1e-16 on a rotated phi = 0
-    # one), so phi is clamped; the Ky Fan necessary check bounds the excess
-    # above 1, and verification has the last word
-    sign = -1.0 if werner_parameter(n, -taus[0]) >= -RESIDUAL else 1.0
-    phi = min(max(werner_parameter(n, sign * taus[0]), 0.0), 1.0)
-    try:
-        built = werner_decompose(n, phi)
-    except SepHornError as exc:
-        log.append(CriterionResult("family", False, 0.0, str(exc)))
-        return None
-    rotated = SeparableDecomposition(probs=built.probs,
-                                     r_vectors=built.r_vectors @ (sign * u @ vh).T,
-                                     s_vectors=built.s_vectors)
-    return _verified(_unfiltered(rotated, nf), d, log, "family")
-
-
-# ---------------------------------------------------------------------------
-# pipeline
-# ---------------------------------------------------------------------------
-
-def _unfiltered(dec: SeparableDecomposition, nf: NormalFormResult) -> SeparableDecomposition:
-    """``dec``, a decomposition of the filtered state ``nf.state``, as one of
-    the state filtering started from: pulled back through the filters when
-    a sweep ran, and as it is when none did, since the filters are then I
-    and ``nf.state`` is that state."""
-    if not nf.iterations:
-        return dec
-    return pull_back_filters(dec, nf.filter_a, nf.filter_b, nf.state.dim_a, nf.state.dim_b)
-
-
-def _trivial_factor_decomposition(d: BipartiteDecomposed) -> SeparableDecomposition:
-    """The product of the two marginals, as one component."""
-    return SeparableDecomposition(probs=np.array([1.0]),
-                                  r_vectors=d.a.reshape(1, -1).copy(),
-                                  s_vectors=d.b.reshape(1, -1).copy())
-
-
-def _verified(status_dec: SeparableDecomposition, d: BipartiteDecomposed,
-              log: list[CriterionResult], source: str) -> Verdict | None:
-    """Package a separable verdict, or None when verification fails."""
-    report = verify_decomposition(status_dec, d)
-    log.append(CriterionResult(f"decomposition[{source}]", report.valid,
-                               report.max_residual, report.detail))
-    if not report.valid:
-        return None
-    return Verdict(status=Status.SEPARABLE, decomposition=status_dec,
-                   criteria=tuple(log))
+    return _Call(d, tol).run(_TWO_QUBIT)
 
 
 def analyze(rho: np.ndarray, dim_a: int, dim_b: int, *, tol: float = POSITIVITY_TOL,
             max_iter: int = MAX_ITER) -> Verdict:
     """Full separability pipeline for a density matrix.
 
-    Stages: validation, support projection (with a shortcut for trivial
-    rank-one factors), then the criteria battery -- exact decision for two
-    qubits; otherwise partial transposition, normal-form filtering, the
-    necessary norm bound, the constructive sufficient bound, and the
-    closed-form Werner and isotropic decompositions, which recognise either
-    family in any local frame by the equal singular values of its filtered
-    correlation.  Separable verdicts are re-verified before being
+    After validation, a record runs one of three stage tuples, in order:
+    ``_RANK_DEFICIENT`` when a marginal is rank-deficient (the trivial
+    factor for a pure marginal; otherwise support projection, the pipeline
+    on the projected record, and embedding), ``_TWO_QUBIT`` at full-rank
+    2 x 2 (:func:`two_qubit_decide`), and ``_FULL_RANK`` otherwise:
+    partial transposition, normal-form filtering, the necessary norm bound,
+    the constructive sufficient bound, and the closed-form Werner and
+    isotropic decompositions, which recognise either family in any local
+    frame by the equal singular values of its filtered correlation.
+    Separable verdicts are re-verified before being
     returned.  An inconclusive verdict on a filtered state logs the failed
     ``kyfan-sufficient`` criterion, whose margin is how far the filtered
     Ky Fan norm exceeds the constructive bound; when filtering leaves a
@@ -388,80 +485,9 @@ def analyze(rho: np.ndarray, dim_a: int, dim_b: int, *, tol: float = POSITIVITY_
 
 
 def _analyze_decomposed(d: BipartiteDecomposed, *, tol: float, max_iter: int) -> Verdict:
-    log: list[CriterionResult] = []
-    n_rank, m_rank = local_ranks(d, tol=tol)
-
-    if n_rank < d.dim_a or m_rank < d.dim_b:
-        log.append(CriterionResult(
-            "support-projection", True, 0.0,
-            f"reduced {d.dim_a}x{d.dim_b} -> {n_rank}x{m_rank}"))
-        if n_rank == 1 or m_rank == 1:
-            # a pure marginal makes rho the product of its marginals; the
-            # unprojected ones keep a weight below tol that the support drops
-            verdict = _verified(_trivial_factor_decomposition(d), d, log, "trivial-factor")
-            if verdict is not None:
-                return verdict
-            return Verdict(status=Status.INCONCLUSIVE, criteria=tuple(log))
-        iso_a, iso_b = support_isometries(d, tol=tol)
-        reduced = project_to_support(d, tol=tol)
-        sub = _analyze_decomposed(reduced, tol=tol, max_iter=max_iter)
-        log.extend(sub.criteria)
-        if sub.status is Status.SEPARABLE and sub.decomposition is not None:
-            dec = embed_isometries(sub.decomposition, iso_a, iso_b)
-            verdict = _verified(dec, d, log, "embedded")
-            if verdict is not None:
-                return verdict
-            return Verdict(status=Status.INCONCLUSIVE, criteria=tuple(log))
-        return Verdict(status=sub.status, criteria=tuple(log))
-
-    if (d.dim_a, d.dim_b) == (2, 2):
+    ranks = local_ranks(d, tol=tol)
+    if ranks != (d.dim_a, d.dim_b):
+        return _Call(d, tol, max_iter, ranks).run(_RANK_DEFICIENT)
+    if ranks == (2, 2):
         return two_qubit_decide(d, tol=tol)
-
-    ppt = ppt_check(d, tol=tol)
-    log.append(CriterionResult("ppt", ppt.passed, max(0.0, -ppt.min_eigenvalue),
-                               f"min eigenvalue {ppt.min_eigenvalue:.3e}"))
-    if not ppt.passed:
-        return Verdict(status=Status.ENTANGLED, criteria=tuple(log))
-
-    nf = normal_form(d, max_iter=max_iter, tol=NORMAL_TOL, rank_tol=tol)
-    tilde = nf.state
-    marg = float(max(np.linalg.norm(tilde.a), np.linalg.norm(tilde.b)))
-    if marg >= RESIDUAL:
-        # Normal form reached only in the limit: the norm bound still holds
-        # for every separable state, so apply it to the unfiltered correlation
-        log.append(CriterionResult("normal-form", False, marg,
-                                   f"not converged in {nf.iterations} sweeps"))
-        nk = kyfan_necessary_check(d)
-        log.append(nk)
-        if not nk.passed:
-            return Verdict(status=Status.ENTANGLED, criteria=tuple(log))
-        # a product of its marginals, which ill-conditioned marginals can
-        # keep from normal form, is the one component (a, b)
-        if np.abs(d.corr - np.outer(d.a, d.b)).max(initial=0.0) <= RESIDUAL:
-            verdict = _verified(_trivial_factor_decomposition(d), d, log, "trivial-factor")
-            if verdict is not None:
-                return verdict
-        return Verdict(status=Status.INCONCLUSIVE, criteria=tuple(log))
-    if not nf.converged:
-        log.append(CriterionResult("normal-form", True, marg,
-                                   f"not converged in {nf.iterations} sweeps; record within "
-                                   f"{RESIDUAL:.1e} used"))
-
-    nk = kyfan_necessary_check(tilde)
-    log.append(nk)
-    if not nk.passed:
-        return Verdict(status=Status.ENTANGLED, criteria=tuple(log))
-
-    try:
-        sufficient = kyfan_bound_decomposition(tilde.corr_svd, d.dim_a, d.dim_b)
-    except BoundExceeded as exc:
-        log.append(CriterionResult("kyfan-sufficient", False, exc.excess, str(exc)))
-    else:
-        verdict = _verified(_unfiltered(sufficient, nf), d, log, "kyfan-sufficient")
-        if verdict is not None:
-            return verdict
-
-    verdict = _family_verdict(d, nf, log)
-    if verdict is not None:
-        return verdict
-    return Verdict(status=Status.INCONCLUSIVE, criteria=tuple(log))
+    return _Call(d, tol, max_iter, ranks).run(_FULL_RANK)

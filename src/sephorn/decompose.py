@@ -256,7 +256,9 @@ def wootters_frame(d: BipartiteDecomposed) -> WoottersFrame:
 
     rho = V V^dag over the subnormalised eigenvectors of its positive
     eigenvalues (from ``d.spectrum``), and tau = V^T (sigma_y x sigma_y) V
-    is complex symmetric.
+    is complex symmetric.  An eigenvalue counts as positive above 16 eps
+    times the largest: round-off ones near 1e-17 of a rank-deficient rho
+    would enter V and leave spurious lam of order their square root.
     The real symmetric embedding [[Re tau, Im tau], [Im tau, -Re tau]] has
     eigenpairs (lam, [Re u; Im u]) and (-lam, [-Im u; Re u]), so its top
     eigenvectors give the Takagi factorisation tau = U diag(lam) U^T.  For
@@ -268,7 +270,7 @@ def wootters_frame(d: BipartiteDecomposed) -> WoottersFrame:
     if (d.dim_a, d.dim_b) != (2, 2):
         raise DimensionMismatch(f"Wootters' frame needs 2 x 2, got {d.dim_a} x {d.dim_b}")
     w, vecs = d.spectrum
-    positive = w > 0.0
+    positive = w > 16.0 * np.finfo(float).eps * w[-1]
     v = vecs[:, positive] * np.sqrt(w[positive])
     rank = v.shape[1]
     tau = v.T @ _SIGMA_YY @ v

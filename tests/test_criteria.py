@@ -977,3 +977,76 @@ class TestAnalyze:
                 assert ppt_ok
                 assert verify_decomposition(verdict.decomposition, d).valid
         assert seen[Status.ENTANGLED] > 0
+
+
+def _products(weights, n, m, seed):
+    """sum_i w_i |a_i b_i><a_i b_i| over random pure products."""
+    rng = np.random.default_rng(seed)
+    return sum(w * np.kron(random_density(n, 1, rng), random_density(m, 1, rng))
+               for w in weights)
+
+
+def _with_noise(rho, eps):
+    return (1.0 - eps) * rho + eps * np.eye(rho.shape[0]) / rho.shape[0]
+
+
+def _embedded(rho, n, m, seed):
+    """A 2 x 2 state placed on random two-dimensional local supports."""
+    rng = np.random.default_rng(seed)
+    iso = np.kron(random_unitary(n, rng)[:, :2], random_unitary(m, rng)[:, :2])
+    return iso @ rho @ iso.conj().T
+
+
+SEP, ENT, INC = Status.SEPARABLE, Status.ENTANGLED, Status.INCONCLUSIVE
+PPT, KYFAN = ("ppt", True), ("kyfan-necessary", True)
+WOOTTERS = [PPT, ("concurrence", True), ("decomposition[wootters]", True)]
+
+
+def criterion_sequence_cases():
+    """One state per sequence of (criterion, passed) that a verdict logs."""
+    outside = 0.3 * random_density(9, 9, np.random.default_rng(31)) + 0.7 * np.eye(9) / 9.0
+    inside = 0.05 * random_density(9, 9, np.random.default_rng(31)) + 0.95 * np.eye(9) / 9.0
+    stall = _with_noise(np.diag(np.eye(9)[0]), 1e-4)
+    cases = [
+        ("npt", compose_state(isotropic(3, 0.5)), 3, 3, ENT, [("ppt", False)]),
+        ("kyfan-sufficient-fails", outside, 3, 3, INC,
+         [PPT, KYFAN, ("kyfan-sufficient", False)]),
+        ("wootters", compose_state(werner(2, 0.5)), 2, 2, SEP, WOOTTERS),
+        ("ppt-tolerance-band", compose_state(p_zero(1e-5)), 2, 2, INC,
+         [PPT, ("concurrence", False), ("ppt-tolerance-band", False)]),
+        ("kyfan-sufficient", inside, 3, 3, SEP,
+         [PPT, KYFAN, ("decomposition[kyfan-sufficient]", True)]),
+        ("normal-form-short-separable", _with_noise(_products([1.0], 2, 3, 0), 3e-8), 2, 3,
+         SEP, [PPT, ("normal-form", True), KYFAN, ("decomposition[kyfan-sufficient]", True)]),
+        ("normal-form-short-inconclusive",
+         _with_noise(_products([0.4, 0.6], 2, 3, 0), 3e-8), 2, 3,
+         INC, [PPT, ("normal-form", True), KYFAN, ("kyfan-sufficient", False)]),
+        ("normal-form-fails", stall, 3, 3, INC, [PPT, ("normal-form", False), KYFAN]),
+        ("trivial-factor-after-normal-form", ill_conditioned_product(0), 3, 3, SEP,
+         [PPT, ("normal-form", False), KYFAN, ("decomposition[trivial-factor]", True)]),
+        ("family", compose_state(werner(3, 1.0)), 3, 3, SEP,
+         [PPT, KYFAN, ("kyfan-sufficient", False), ("decomposition[family]", True)]),
+        ("tiles", tiles_state(), 3, 3, ENT, [PPT, ("kyfan-necessary", False)]),
+        ("horodecki-3x3", horodecki_3x3(0.5), 3, 3, ENT, [PPT, ("kyfan-necessary", False)]),
+        ("pure-marginal", np.kron(random_density(2, 1, 5), random_density(3, 3, 6)), 2, 3, SEP,
+         [("support-projection", True), ("decomposition[trivial-factor]", True)]),
+        ("embedded-wootters", _products([0.4, 0.6], 2, 3, 0), 2, 3, SEP,
+         [("support-projection", True), *WOOTTERS, ("decomposition[embedded]", True)]),
+        ("embedded-npt", _embedded(compose_state(bell()), 3, 3, 7), 3, 3, ENT,
+         [("support-projection", True), ("ppt", False)]),
+        ("embedded-kyfan-sufficient-fails", _products([0.2, 0.3, 0.5], 2, 4, 0), 2, 4, INC,
+         [("support-projection", True), PPT, KYFAN, ("kyfan-sufficient", False)]),
+    ]
+    for cid, rho, n, m, status, sequence in cases:
+        yield pytest.param(rho, n, m, status, sequence, id=cid)
+
+
+@pytest.mark.parametrize("rho, n, m, status, sequence", criterion_sequence_cases())
+def test_criterion_sequence(rho, n, m, status, sequence):
+    # every path through the battery, pinned by the criteria it logs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        verdict = analyze(rho, n, m)
+    assert verdict.status is status
+    assert [(c.name, c.passed) for c in verdict.criteria] == sequence
+    assert (verdict.decomposition is not None) is (status is SEP)

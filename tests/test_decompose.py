@@ -388,21 +388,21 @@ def wootters_inputs():
 
 def null_block_inputs():
     """States below rank four, whose tau can have a null block, with
-    whether Wootters' frame must take the QR: 00+11 has none (its two zero
-    eigenvalues are exact, and tau is nonsingular on its support); the
-    pure-factor states count two round-off eigenvalues of rho as positive,
-    which leaves lam pairs near 1e-8 whose Takagi vectors come out of the
-    embedding orthonormal only to about 1e-10; a rank-1 or rank-2 state
-    takes the QR when its round-off eigenvalues do the same (None)."""
+    whether Wootters' frame must take the QR.  Round-off eigenvalues of rho
+    stay out of the frame, so only the pure-factor states take it: tau
+    vanishes on their rank-2 support, and the embedding's eigenvectors for
+    its two round-off lam pairs mix u with i u.  00+11 (exact zero
+    eigenvalues, tau nonsingular on its support) and the random rank-1 and
+    rank-2 states have a Takagi basis that is unitary as it comes."""
     cases = dict(wootters_inputs())
     out = [("00+11", cases["00+11"], False)]
     out += [(f"pure-factor-{i}", cases[f"pure-factor-{i}"], True) for i in range(4)]
     rng = np.random.default_rng(53)
     for i in range(2):
-        out.append((f"rank1-{i}", decompose_state(random_density(4, 1, rng), 2, 2), None))
+        out.append((f"rank1-{i}", decompose_state(random_density(4, 1, rng), 2, 2), False))
         product = np.kron(random_density(2, 1, rng), random_density(2, 1, rng))
-        out.append((f"rank1-product-{i}", decompose_state(product, 2, 2), None))
-        out.append((f"rank2-{i}", decompose_state(random_density(4, 2, rng), 2, 2), None))
+        out.append((f"rank1-product-{i}", decompose_state(product, 2, 2), False))
+        out.append((f"rank2-{i}", decompose_state(random_density(4, 2, rng), 2, 2), False))
     return out
 
 
@@ -515,8 +515,10 @@ class TestWootters:
         takagi = top[:rank] + 1j * top[rank:]
         mixed = bool(np.abs(takagi.conj().T @ takagi - np.eye(rank)).max() > TAKAGI_ORTHO)
         assert [name for name, _ in calls if name == "qr"] == (["qr"] if mixed else [])
-        if qr is not None:
-            assert mixed is qr
+        assert mixed is qr
+        # no Wootters value beyond the support of rho
+        support = int((np.linalg.eigvalsh(d.matrix) > 1e-12).sum())
+        assert (frame.lam[support:] < 1e-12).all(), frame.lam
         x = frame.x
         np.testing.assert_allclose(x @ x.conj().T, d.matrix, rtol=0, atol=1e-12)
         np.testing.assert_allclose(x.T @ decompose._SIGMA_YY @ x, np.diag(frame.lam),

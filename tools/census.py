@@ -1,0 +1,127 @@
+#!/usr/bin/env python3
+"""Verdict census: every criterion of every verdict over a fixed set of states.
+
+Runs ``sephorn.analyze`` with warnings raised as errors over a seeded
+census and writes, per case, the status, each logged criterion as
+(name, passed, margin, detail) and the decomposition's probabilities, or
+the exception a case raised.  Run from the repository root:
+
+    python3 tools/census.py --out census.json
+    python3 tools/census.py --against census.json
+
+``--against FILE`` compares with a census written earlier, for instance by
+the parent commit, lists each case that differs and exits 1 if any does.
+Floats are compared through their JSON text, so equal means bit-identical.
+
+The census holds the benchmark's qubit, qudit and families corpora at seeds
+1-3 (``pipebench.corpus``, read only), low-rank states plus white noise,
+mixtures of k random product states plus white noise, noisy full-rank
+states from 2x3 to 4x4, the filtering stall states (1 - eps)|00><00| +
+eps I/d, thirty 3x3 products whose marginals have an eigenvalue just above
+the rank cutoff, and forty mixtures of two 2x3 products plus 3e-8 I/6.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+import warnings
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+from pipebench import corpus  # noqa: E402
+from sephorn import analyze, random_density, random_unitary  # noqa: E402
+
+DIMS = ((2, 3), (3, 3), (2, 4), (3, 4), (4, 4))
+
+
+def _noisy(rho: np.ndarray, eps: float) -> np.ndarray:
+    return (1.0 - eps) * rho + eps * np.eye(rho.shape[0]) / rho.shape[0]
+
+
+def _products(k: int, n: int, m: int, rng) -> np.ndarray:
+    weights = rng.dirichlet(np.ones(k))
+    return sum(w * np.kron(random_density(n, 1, rng), random_density(m, 1, rng))
+               for w in weights)
+
+
+def cases():
+    """Yield (case id, rho, dim_a, dim_b) for the whole census, in order."""
+    for workload in ("qubit", "qudit", "families"):
+        for seed in (1, 2, 3):
+            for case in corpus.build(workload, seed):
+                yield f"{case.id}@{seed}", case.rho, *case.dims
+    rng = np.random.default_rng(2016)
+    for n, m in DIMS:
+        for rank in (1, 2, 3):
+            for eps in (1e-2, 1e-4, 1e-6, 1e-8):
+                rho = _noisy(random_density(n * m, rank, rng), eps)
+                yield f"low-rank/{n}x{m}/rank{rank}/{eps:.0e}", rho, n, m
+        for k in (1, 2, 3, 4):
+            for eps in (0.0, 3e-8, 1e-7, 1e-6, 1e-5, 1e-3, 1e-2):
+                for i in range(3):
+                    rho = _noisy(_products(k, n, m, rng), eps)
+                    yield f"products/{n}x{m}/k{k}/{eps:.0e}/{i}", rho, n, m
+        for weight in (0.3, 0.5, 0.7, 0.9):
+            for i in range(3):
+                rho = _noisy(random_density(n * m, n * m, rng), weight)
+                yield f"noisy/{n}x{m}/{weight}/{i}", rho, n, m
+    for dim in (3, 4):
+        for eps in (1e-4, 1e-6):
+            rho = np.eye(dim * dim) * eps / dim ** 2
+            rho[0, 0] += 1.0 - eps
+            yield f"stall/{dim}x{dim}/{eps:.0e}", rho, dim, dim
+    for frame in range(30):
+        u, v = random_unitary(3, 1 + frame), random_unitary(3, 101 + frame)
+        rho_a = (u * [1.2e-9, 0.49, 0.51 - 1.2e-9]) @ u.conj().T
+        rho_b = (v * [1.2e-9, 0.48, 0.52 - 1.2e-9]) @ v.conj().T
+        yield f"ill-conditioned/{frame}", np.kron(rho_a, rho_b), 3, 3
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        mix = sum(w * np.kron(random_density(2, 1, rng), random_density(3, 1, rng))
+                  for w in (0.4, 0.6))
+        yield f"short-of-normal-form/{seed}", _noisy(mix, 3e-8), 2, 3
+
+
+def outcome(rho: np.ndarray, n: int, m: int) -> dict:
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            verdict = analyze(rho, n, m)
+    except Exception as exc:  # a raised case is a census entry like any other
+        return {"error": f"{type(exc).__name__}: {exc}"}
+    dec = verdict.decomposition
+    return {"status": verdict.status.value,
+            "criteria": [[c.name, bool(c.passed), float(c.margin), c.detail]
+                         for c in verdict.criteria],
+            "probs": None if dec is None else [float(p) for p in dec.probs]}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", type=Path, help="write the census here as JSON")
+    parser.add_argument("--against", type=Path, help="compare with this census")
+    args = parser.parse_args(argv)
+    census = {cid: outcome(rho, n, m) for cid, rho, n, m in cases()}
+    if args.out:
+        args.out.write_text(json.dumps(census, indent=1) + "\n")
+    print(f"{len(census)} cases")
+    if args.against is None:
+        return 0
+    before = json.loads(args.against.read_text())
+    differing = [cid for cid in sorted(census.keys() | before.keys())
+                 if json.dumps(census.get(cid)) != json.dumps(before.get(cid))]
+    for cid in differing:
+        print(f"differs: {cid}\n  before: {json.dumps(before.get(cid))}\n"
+              f"  after:  {json.dumps(census.get(cid))}")
+    print(f"{len(differing)} differing cases")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
