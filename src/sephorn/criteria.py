@@ -12,26 +12,35 @@ The battery is three ordered tuples of stages, one per kind of record
 loop in ``_Call.run``, which builds every verdict that ends a tuple; each
 criterion is logged once.  Two-qubit states are decided by partial
 transposition and Wootters' closed-form product decomposition, without
-filtering; larger states are filtered to normal form before the norm
-bounds and family decompositions.
+filtering; larger states that the constructive bound does not decide
+unfiltered are filtered to normal form before the norm bounds and family
+decompositions.
 
-Above 2 x 2 the battery rests on de Vicente's Ky Fan bounds on the
-filtered correlation (QIC 7, 624 (2007)), and each question is decided
-once.  The filtered record counts as normal form when both marginal Bloch
-norms lie below ``RESIDUAL``; one accepted short of ``NORMAL_TOL`` logs a
-passed ``normal-form`` criterion.  The necessary bound,
-:func:`kyfan_necessary_check`, holds for every separable state, filtered or
-not, and returns the criterion the verdict logs.  The constructive bound is
-compared in :func:`~sephorn.decompose.kyfan_bound_decomposition` alone:
-within ``KYFAN_SLACK`` it builds the decomposition, and beyond it its
+Above 2 x 2 the battery rests on de Vicente's Ky Fan bounds (QIC 7, 624
+(2007)), and each question is decided once.  The constructive bound is
+tried first on the unfiltered record, shifted by its marginals:
+||corr - a b^T||_KF <= (R_N - |a|)(R_M - |b|), with R_N = sqrt(2/(N(N-1)))
+the radius of the inscribed ball.  It decides a state whose correlation
+fits the inscribed ball about its marginals with one singular value
+decomposition, and no filtering, pull-back or Gram iteration; a state it
+does not decide logs nothing and is filtered, and the bounds then apply to
+the filtered correlation.  The filtered record counts as normal form when
+both marginal Bloch norms lie below ``RESIDUAL``; one accepted short of
+``NORMAL_TOL`` logs a passed ``normal-form`` criterion.  The necessary
+bound, :func:`kyfan_necessary_check`, holds for every separable state,
+filtered or not, and returns the criterion the verdict logs.  On the
+filtered record the constructive bound is compared in
+:func:`~sephorn.decompose.kyfan_bound_decomposition` alone: within
+``KYFAN_SLACK`` it builds the decomposition, and beyond it its
 BoundExceeded carries the excess that the failed ``kyfan-sufficient``
 criterion logs.
 
 The criteria read what a :class:`BipartiteDecomposed` record computes
 once: the eigenvalues of the partial transpose of ``d.matrix``, the one
 singular value decomposition ``d.corr_svd`` that the norm bounds and the
-family recogniser share, and the moment matrix ``d.moments`` that
-verification subtracts from the decomposition's own in one step.  Where
+family recogniser share on the filtered record, and the moment matrix
+``d.moments`` that verification subtracts from the decomposition's own in
+one step.  Where
 only a positivity threshold is tested, the Bloch norm answers first: the
 floor 1/N - |r| sqrt((N-1)/(2N)) (:func:`~sephorn.bloch.ball_floor`) is
 exact at N = 2 and positive inside the inscribed ball, so it settles every
@@ -46,7 +55,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from math import isfinite
+from math import isfinite, sqrt
 
 import numpy as np
 
@@ -67,6 +76,7 @@ from .decompose import (
     SeparableDecomposition,
     embed_isometries,
     kyfan_bound_decomposition,
+    kyfan_room,
     pull_back_filters,
     werner_decompose,
     wootters_decomposition,
@@ -328,6 +338,42 @@ def _wootters(call: _Call) -> Verdict | None:
     return None
 
 
+def _kyfan_unfiltered(call: _Call) -> Verdict | None:
+    """de Vicente's constructive bound on the unfiltered record, shifted by
+    its marginals: ||C||_KF <= (R_N - |a|)(R_M - |b|) with C = corr - a b^T
+    (:func:`~sephorn.decompose.kyfan_room`), within ``KYFAN_SLACK``.  The
+    cheapest test that settles it decides: a marginal on or outside its
+    inscribed ball, or ||C||_F above the bound, rejects, since
+    ||C||_F <= ||C||_KF; sqrt(min(k_A, k_B)) ||C||_F within it accepts,
+    since that bounds ||C||_KF; otherwise the singular values of C decide.
+    An accepted state is decomposed from one SVD of C, with no filtering
+    and so no pull-back; a rejected one logs nothing and goes on to the
+    filter.  One-sided records, whose correlation is empty, are skipped."""
+    d = call.d
+    if min(d.dim_a, d.dim_b) < 2:
+        return None
+    marginals = (d.a, d.b)
+    room = kyfan_room(d.dim_a, d.dim_b, marginals)
+    if room <= 0.0:
+        return None
+    room += KYFAN_SLACK
+    c = d.corr - np.outer(d.a, d.b)
+    frobenius = float(np.linalg.norm(c))
+    if frobenius > room:
+        return None
+    if (sqrt(min(c.shape)) * frobenius > room
+            and np.linalg.svd(c, compute_uv=False).sum() > room):
+        return None
+    try:
+        built = kyfan_bound_decomposition(np.linalg.svd(c, full_matrices=False),
+                                          d.dim_a, d.dim_b, marginals)
+    except BoundExceeded:
+        # the SVD's Ky Fan norm can land ulps above a bound that the
+        # Frobenius estimate or the singular values alone met
+        return None
+    return call.verified(built, "kyfan-sufficient")
+
+
 def _filter(call: _Call) -> Verdict | None:
     """Filter to normal form.  When the record's marginal Bloch norms stay
     at ``RESIDUAL`` or above, normal form is reached only in the limit: the
@@ -407,7 +453,7 @@ def _family(call: _Call) -> Verdict | None:
 # full-rank 2 x 2 one and any other (README, "Pipeline")
 _RANK_DEFICIENT = (_support,)
 _TWO_QUBIT = (_ppt, _wootters)
-_FULL_RANK = (_ppt, _filter, _kyfan_necessary, _kyfan_sufficient, _family)
+_FULL_RANK = (_ppt, _kyfan_unfiltered, _filter, _kyfan_necessary, _kyfan_sufficient, _family)
 
 
 # ---------------------------------------------------------------------------
@@ -443,15 +489,18 @@ def analyze(rho: np.ndarray, dim_a: int, dim_b: int, *, tol: float = POSITIVITY_
     factor for a pure marginal; otherwise support projection, the pipeline
     on the projected record, and embedding), ``_TWO_QUBIT`` at full-rank
     2 x 2 (:func:`two_qubit_decide`), and ``_FULL_RANK`` otherwise:
-    partial transposition, normal-form filtering, the necessary norm bound,
-    the constructive sufficient bound, and the closed-form Werner and
-    isotropic decompositions, which recognise either family in any local
-    frame by the equal singular values of its filtered correlation.
-    Separable verdicts are re-verified before being
-    returned.  An inconclusive verdict on a filtered state logs the failed
-    ``kyfan-sufficient`` criterion, whose margin is how far the filtered
-    Ky Fan norm exceeds the constructive bound; when filtering leaves a
-    marginal Bloch norm at ``RESIDUAL`` or above, the failed
+    partial transposition, the constructive sufficient bound on the
+    unfiltered record shifted by its marginals, normal-form filtering, the
+    necessary norm bound, the constructive sufficient bound, and the
+    closed-form Werner and isotropic decompositions, which recognise either
+    family in any local frame by the equal singular values of its filtered
+    correlation.  A state the unfiltered bound decides logs
+    ``decomposition[kyfan-sufficient]`` right after ``ppt``; one it does
+    not decide logs nothing for it.  Separable verdicts are re-verified
+    before being returned.  An inconclusive verdict on a filtered state
+    logs the failed ``kyfan-sufficient`` criterion, whose margin is how far
+    the filtered Ky Fan norm exceeds the constructive bound; when filtering
+    leaves a marginal Bloch norm at ``RESIDUAL`` or above, the failed
     ``normal-form`` criterion is logged, the necessary norm bound is applied
     to the unfiltered correlation instead, and a violation is ENTANGLED;
     a state that passes it and whose correlation is a b^T within
@@ -463,7 +512,9 @@ def analyze(rho: np.ndarray, dim_a: int, dim_b: int, *, tol: float = POSITIVITY_
     :func:`~sephorn.bloch.ball_floor` leaves its rank open, a support
     isometry needs it or filtering falls back to its product loop, the
     eigenvalues of the partial transpose and one singular value
-    decomposition of the filtered correlation.
+    decomposition: of corr - a b^T for a state decided unfiltered, of the
+    filtered correlation otherwise, after at most the singular values of
+    corr - a b^T.
     Positivity of rho is read at 2 x 2 from its eigendecomposition, which
     also gives Wootters' frame; above 2 x 2 it is
     certified by a Cholesky factorisation of rho + ``tol`` I, and the

@@ -54,45 +54,86 @@ class SeparableDecomposition:
 # closed-form construction within the Ky Fan budget
 # ---------------------------------------------------------------------------
 
+def _shifted_bound(dim_a: int, dim_b: int, marginals) -> tuple[float, float, float]:
+    """The bound of :func:`kyfan_room`, with the shares of the two radii
+    left to a pair about the marginals, max(0, 1 - |a|/R_N) and
+    max(0, 1 - |b|/R_M).  Both are exactly 1 without marginals, so the
+    bound is then bit for bit the unshifted one."""
+    shrink_a = shrink_b = 1.0
+    if marginals is not None:
+        a, b = marginals
+        shrink_a = max(0.0, 1.0 - sqrt(a @ a) / sqrt(2.0 / (dim_a * (dim_a - 1.0))))
+        shrink_b = max(0.0, 1.0 - sqrt(b @ b) / sqrt(2.0 / (dim_b * (dim_b - 1.0))))
+    bound = 2.0 / np.sqrt(dim_a * dim_b * (dim_a - 1.0) * (dim_b - 1.0)) * shrink_a * shrink_b
+    return bound, shrink_a, shrink_b
+
+
+def kyfan_room(dim_a: int, dim_b: int, marginals=None) -> float:
+    """de Vicente's constructive Ky Fan bound (R_N - |a|)(R_M - |b|), with
+    R_N = sqrt(2/(N(N-1))) the radius of the inscribed ball: it is
+    2/sqrt(NM(N-1)(M-1)) without marginals, and 0 when a marginal lies on
+    or outside its ball."""
+    return _shifted_bound(dim_a, dim_b, marginals)[0]
+
+
+def _pairs(centre, step: np.ndarray) -> np.ndarray:
+    """The rows centre + step_i and centre - step_i, interleaved; exactly
+    step_i and -step_i without a centre."""
+    out = np.empty((2 * step.shape[0], step.shape[1]))
+    if centre is None:
+        out[0::2], out[1::2] = step, -step
+    else:
+        out[0::2], out[1::2] = centre + step, centre - step
+    return out
+
+
 def kyfan_bound_decomposition(corr_svd: tuple[np.ndarray, np.ndarray, np.ndarray],
-                              dim_a: int, dim_b: int) -> SeparableDecomposition:
-    """Explicit decomposition of a normal-form state whose correlation fits
-    the inscribed ball (de Vicente's constructive Ky Fan bound).
+                              dim_a: int, dim_b: int,
+                              marginals: tuple[np.ndarray, np.ndarray] | None = None
+                              ) -> SeparableDecomposition:
+    """Explicit decomposition of a state whose correlation, less the product
+    of its marginals, fits the inscribed ball (de Vicente's constructive Ky
+    Fan bound).
 
     ``corr_svd`` is the thin singular value decomposition (u, tau, vh) of
-    the correlation, tau descending, as ``BipartiteDecomposed.corr_svd``
-    stores it.  The Ky Fan norm sum tau fits when it exceeds the bound
-    2/sqrt(NM(N-1)(M-1)) by at most ``KYFAN_SLACK``; otherwise BoundExceeded
-    carries the excess, norm minus bound.  With K = ||corr||_KF
-    sqrt(N(N-1)M(M-1))/2, every tau_i > 0 contributes the pair
-    (+-sqrt(2K/(N(N-1))) u_i, +-sqrt(2K/(M(M-1))) v_i), each of weight
-    tau_i / (2 sum tau).  The pairs cancel in the marginals and sum to corr
-    in the correlation; every vector has squared norm 2K/(N(N-1)) (resp. M),
-    inside the inscribed ball for K <= 1, hence physical.  Within the
-    slack a component's lowest eigenvalue is at worst about -(K - 1)/(2N),
-    inside the verification tolerance.  A rank-r correlation gives 2r
-    components, a zero one the single maximally mixed product.
+    C = corr - a b^T, tau descending, as ``BipartiteDecomposed.corr_svd``
+    stores it for a normal-form state, whose marginals ``marginals`` = (a,
+    b) are zero and may be omitted.  The Ky Fan norm sum tau fits when it
+    exceeds the bound (R_N - |a|)(R_M - |b|) (:func:`kyfan_room`), with
+    R_N = sqrt(2/(N(N-1))) the radius of the inscribed ball, by at most
+    ``KYFAN_SLACK``; otherwise, or when a marginal lies on or outside its
+    ball, BoundExceeded carries the excess, norm minus bound.  With
+    K = ||C||_KF / bound, every tau_i > 0 contributes the pair
+    (a +- s u_i, b +- t v_i), each of weight tau_i / (2 sum tau), where
+    s = (R_N - |a|) sqrt(K) and t = (R_M - |b|) sqrt(K), so s t = ||C||_KF.
+    The pairs reproduce the marginals, and sum to a b^T + C = corr in the
+    correlation; every A vector has norm at most |a| + s, within R_N for
+    K <= 1 (resp. B), hence physical.  Within the slack a component's lowest
+    eigenvalue is at worst about -(K - 1)/(2N), inside the verification
+    tolerance.  A rank-r C gives 2r components, a zero one the single
+    product (a, b).  Without marginals the pairs are exactly +-(s u_i,
+    t v_i).
     """
     u, taus, vh = corr_svd
-    ka, kb = u.shape[0], vh.shape[1]
+    a, b = (None, None) if marginals is None else marginals
     if taus.size == 0 or taus[0] <= 0.0:
-        return SeparableDecomposition(probs=np.array([1.0]),
-                                      r_vectors=np.zeros((1, ka)),
-                                      s_vectors=np.zeros((1, kb)))
-    bound = 2.0 / np.sqrt(dim_a * dim_b * (dim_a - 1.0) * (dim_b - 1.0))
+        ka, kb = u.shape[0], vh.shape[1]
+        return SeparableDecomposition(
+            probs=np.array([1.0]),
+            r_vectors=np.zeros((1, ka)) if a is None else np.reshape(a, (1, ka)).copy(),
+            s_vectors=np.zeros((1, kb)) if b is None else np.reshape(b, (1, kb)).copy())
+    bound, shrink_a, shrink_b = _shifted_bound(dim_a, dim_b, marginals)
     excess = float(taus.sum() - bound)
-    if excess > KYFAN_SLACK:
+    if excess > KYFAN_SLACK or bound <= 0.0:
         raise BoundExceeded(f"Ky Fan norm exceeds the constructive bound {bound:.6g} "
                             f"by {excess:.3e}", excess=excess)
-    rank = int(np.sum(taus > 1e-12 * taus[0]))
+    rank = np.count_nonzero(taus > 1e-12 * taus[0])
     taus, u, v = taus[:rank], u[:, :rank].T, vh[:rank]
     budget = float(taus.sum()) / bound
-    r = np.sqrt(2.0 * budget / (dim_a * (dim_a - 1.0))) * u
-    s = np.sqrt(2.0 * budget / (dim_b * (dim_b - 1.0))) * v
-    probs = np.repeat(taus / (2.0 * taus.sum()), 2)
-    return SeparableDecomposition(probs=probs,
-                                  r_vectors=np.stack([r, -r], axis=1).reshape(2 * rank, ka),
-                                  s_vectors=np.stack([s, -s], axis=1).reshape(2 * rank, kb))
+    r = shrink_a * np.sqrt(2.0 * budget / (dim_a * (dim_a - 1.0))) * u
+    s = shrink_b * np.sqrt(2.0 * budget / (dim_b * (dim_b - 1.0))) * v
+    return SeparableDecomposition(probs=np.repeat(taus / (2.0 * taus.sum()), 2),
+                                  r_vectors=_pairs(a, r), s_vectors=_pairs(b, s))
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,35 @@ class TestSufficient:
             kyfan_bound_decomposition(bell().corr_svd, 2, 2)
         assert abs(exc.value.excess - 2.0) < 1e-12
 
+    def test_marginals_shift_the_ball(self):
+        # the bound (R_N - |a|)(R_M - |b|) on C = corr - a b^T: a qutrit
+        # marginal of norm R_3/2 halves the room, which 0.9 of it still fits
+        # and 1.1 of it does not; on or outside the ball only C = 0, the
+        # product (a, b), is decomposed
+        radius = np.sqrt(1.0 / 3.0)
+        a, b = np.zeros(8), np.zeros(8)
+        a[7] = radius / 2.0
+        corr = np.zeros((8, 8))
+        corr[0, 0] = 1.0
+        svd = np.linalg.svd(corr, full_matrices=False)
+        for fraction in (0.9, 1.1):
+            scaled = (svd[0], fraction * radius * radius / 2.0 * svd[1], svd[2])
+            d = BipartiteDecomposed(dim_a=3, dim_b=3, a=a, b=b,
+                                    corr=np.outer(a, b) + scaled[1][0] * corr)
+            if fraction > 1.0:
+                with pytest.raises(BoundExceeded) as exc:
+                    kyfan_bound_decomposition(scaled, 3, 3, (a, b))
+                assert abs(exc.value.excess - 0.1 * radius * radius / 2.0) < 1e-15
+                continue
+            dec = kyfan_bound_decomposition(scaled, 3, 3, (a, b))
+            assert verify_decomposition(dec, d).valid
+            assert (ball_floor(dec.r_vectors, 3) >= 0.0).all()
+        a[7] = radius
+        with pytest.raises(BoundExceeded):
+            kyfan_bound_decomposition(svd, 3, 3, (a, b))
+        dec = kyfan_bound_decomposition((svd[0], 0.0 * svd[1], svd[2]), 3, 3, (a, b))
+        assert len(dec) == 1 and np.array_equal(dec.r_vectors[0], a)
+
 
 class TestPpt:
     def test_bell_fails(self):
@@ -329,9 +358,10 @@ def kyfan_family_cases():
 
 
 class TestNormalFormIsNotTransported:
-    """A state whose marginals are already maximally mixed runs no filtering
-    sweep, so its decomposition is returned as built, not pulled back
-    through identity filters; a filtered state's is still pulled back."""
+    """A state decided before filtering, or whose marginals are already
+    maximally mixed, runs no filtering sweep, so its decomposition is
+    returned as built, not pulled back through identity filters; a filtered
+    state's is still pulled back."""
 
     @staticmethod
     def pull_back_calls(monkeypatch):
@@ -358,7 +388,12 @@ class TestNormalFormIsNotTransported:
         verdict = analyze(rho, dim, dim)
         self.separable(verdict, "kyfan-sufficient")
         assert calls == []
-        built = kyfan_bound_decomposition(decompose_state(rho, dim, dim).corr_svd, dim, dim)
+        # decided before filtering, from the correlation less the product
+        # of the marginals
+        d = decompose_state(rho, dim, dim)
+        built = kyfan_bound_decomposition(
+            np.linalg.svd(d.corr - np.outer(d.a, d.b), full_matrices=False), dim, dim,
+            (d.a, d.b))
         for got, want in ((verdict.decomposition.probs, built.probs),
                           (verdict.decomposition.r_vectors, built.r_vectors),
                           (verdict.decomposition.s_vectors, built.s_vectors)):
@@ -412,6 +447,58 @@ class TestBoundEntangledGuard:
             assert bound.margin > 1e-3
 
 
+@st.composite
+def noisy_states(draw):
+    """(1 - w) R + w I/d for a random state R of any rank and w in [0.05, 1],
+    drawn from [0.9, 1] half the time, where most states in a unitary frame
+    fit the shifted bound, at 2x3 to 4x4, under random local unitaries or
+    random local filters."""
+    n, m = draw(st.sampled_from([(2, 3), (3, 3), (2, 4), (3, 4), (4, 4)]))
+    size = n * m
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weight = draw(st.one_of(st.floats(0.05, 1.0), st.floats(0.9, 1.0)))
+    rho = ((1.0 - weight) * random_density(size, draw(st.integers(1, size)), rng)
+           + weight * np.eye(size) / size)
+    return in_frame(rho, n, m, draw(st.sampled_from(["rotated", "filtered"])), rng), (n, m)
+
+
+class TestUnfilteredKyFan:
+    """The constructive Ky Fan bound shifted by the unfiltered marginals
+    decides only states that the battery without it also finds separable,
+    and it decides them with components inside the inscribed ball."""
+
+    WITHOUT = tuple(s for s in criteria._FULL_RANK if s is not criteria._kyfan_unfiltered)
+
+    @staticmethod
+    def stage(d):
+        return criteria._Call(d, POSITIVITY_TOL).run((criteria._kyfan_unfiltered,))
+
+    @settings(max_examples=150, deadline=None)
+    @given(noisy_states())
+    def test_decided_states_are_separable_without_it(self, case):
+        rho, (n, m) = case
+        d = decompose_state(rho, n, m)
+        verdict = self.stage(d)
+        if verdict.status is not Status.SEPARABLE:
+            # a state it does not decide goes on with nothing logged
+            assert verdict.criteria == ()
+            return
+        report = verify_decomposition(verdict.decomposition, d)
+        assert report.valid and report.max_residual <= 1e-14, report
+        for vecs, dim in ((verdict.decomposition.r_vectors, n),
+                          (verdict.decomposition.s_vectors, m)):
+            assert (ball_floor(vecs, dim) >= 0.0).all()
+        without = criteria._Call(d, POSITIVITY_TOL).run(self.WITHOUT)
+        assert without.status is Status.SEPARABLE, without.criteria
+
+    @pytest.mark.parametrize("frame", ["plain", "rotated", "filtered"])
+    @pytest.mark.parametrize("rho, n, m, violated", bound_entangled_cases())
+    def test_bound_entangled_states_are_not_decided(self, rho, n, m, violated, frame):
+        rho = in_frame(rho, n, m, frame, np.random.default_rng(6))
+        verdict = self.stage(decompose_state(rho, n, m))
+        assert verdict.status is Status.INCONCLUSIVE and verdict.criteria == ()
+
+
 class TestQuditGate:
     @settings(max_examples=150, deadline=None)
     @given(qudit_states())
@@ -457,22 +544,25 @@ class TestSpectralCounts:
             monkeypatch.setattr(np.linalg, name, spy)
         return calls
 
-    def test_separable_qutrit_verdict(self, monkeypatch):
+    @staticmethod
+    def qutrit_state(frame):
+        """0.05 of a random qutrit state plus 0.95 I/9 under random local
+        unitaries and, for "filtered", under the local filters I + 0.15 G
+        too, G Ginibre: its marginals stay inside the inscribed ball, but
+        its correlation less their product no longer fits the Ky Fan bound
+        shifted by them."""
         rng = np.random.default_rng(41)
         u = np.kron(random_unitary(3, rng), random_unitary(3, rng))
         rho = u @ (0.05 * random_density(9, 9, rng) + 0.95 * np.eye(9) / 9.0) @ u.conj().T
-        calls = self.record(monkeypatch)
-        verdict = analyze(rho, 3, 3)
-        monkeypatch.undo()
-        assert verdict.status is Status.SEPARABLE
-        assert verdict.criteria[-1].name == "decomposition[kyfan-sufficient]"
-        d = decompose_state(rho, 3, 3)
-        nf = normal_form(d)
-        tilde = nf.state
-        # one SVD, of the filtered correlation
-        svds = [a for name, a in calls if name == "svd"]
-        assert len(svds) == 1
-        np.testing.assert_allclose(svds[0], tilde.corr, atol=1e-12)
+        if frame == "filtered":
+            f = np.kron(*[np.eye(3) + 0.15 * (rng.normal(size=(3, 3))
+                                              + 1j * rng.normal(size=(3, 3))) for _ in range(2)])
+            rho = f @ rho @ f.conj().T
+            rho = 0.5 * (rho + rho.conj().T) / np.trace(rho).real
+        return rho
+
+    @staticmethod
+    def check_full_matrices(calls, rho):
         # rho's positivity is certified by one Cholesky factorisation of
         # rho + psd I; the one 9 x 9 eigensolve is of its partial transpose
         rho_pt = rho.reshape(3, 3, 3, 3).transpose(0, 3, 2, 1).reshape(9, 9)
@@ -480,12 +570,53 @@ class TestSpectralCounts:
         assert [name for name, _ in full] == ["cholesky", "eigvalsh"]
         np.testing.assert_allclose(full[0][1] - rho, POSITIVITY_TOL * np.eye(9), rtol=0, atol=1e-15)
         assert np.allclose(full[1][1], rho_pt)
+
+    def test_separable_qutrit_verdict(self, monkeypatch):
+        rho = self.qutrit_state("rotated")
+        calls = self.record(monkeypatch)
+        verdict = analyze(rho, 3, 3)
+        monkeypatch.undo()
+        assert verdict.status is Status.SEPARABLE
+        assert [c.name for c in verdict.criteria] == ["ppt", "decomposition[kyfan-sufficient]"]
+        d = decompose_state(rho, 3, 3)
+        # decided before filtering: one SVD, of the correlation less the
+        # product of the marginals, and no filter inverted
+        svds = [a for name, a in calls if name == "svd"]
+        assert len(svds) == 1
+        np.testing.assert_allclose(svds[0], d.corr - np.outer(d.a, d.b), rtol=0, atol=1e-15)
+        assert [name for name, _ in calls if name == "inv"] == []
+        self.check_full_matrices(calls, rho)
         # the components of the decomposition lie inside the inscribed ball,
         # so their Bloch norms certify them: no matrix is factorised
         dec = verdict.decomposition
         for vecs in (dec.r_vectors, dec.s_vectors):
             assert (ball_floor(vecs, 3) >= -COMPONENT_PSD).all()
         assert [name for name, a in calls if a.ndim == 3] == []
+        # both marginals lie inside the ball, so their ranks need no
+        # eigensolve, and no 3 x 3 matrix is factorised at all
+        assert ball_floor(d.a, 3) > POSITIVITY_TOL and ball_floor(d.b, 3) > POSITIVITY_TOL
+        assert [name for name, a in calls if a.shape == (3, 3)] == []
+
+    def test_separable_filtered_qutrit_verdict(self, monkeypatch):
+        rho = self.qutrit_state("filtered")
+        calls = self.record(monkeypatch)
+        verdict = analyze(rho, 3, 3)
+        monkeypatch.undo()
+        assert verdict.status is Status.SEPARABLE
+        assert [c.name for c in verdict.criteria] == [
+            "ppt", "kyfan-necessary", "decomposition[kyfan-sufficient]"]
+        d = decompose_state(rho, 3, 3)
+        nf = normal_form(d)
+        tilde = nf.state
+        # one SVD, of the filtered correlation: the unfiltered record is
+        # refused by the Frobenius norm alone
+        svds = [a for name, a in calls if name == "svd"]
+        assert len(svds) == 1
+        np.testing.assert_allclose(svds[0], tilde.corr, atol=1e-12)
+        self.check_full_matrices(calls, rho)
+        # some pulled-back components leave the inscribed ball; their stacks
+        # are certified by Cholesky, and none is eigensolved
+        assert {name for name, a in calls if a.ndim == 3} == {"cholesky"}
         # both marginals lie inside the ball, so their ranks need no
         # eigensolve, and filtering this well-conditioned state eigensolves
         # nothing: each half-sweep inverts one 3 x 3 matrix, the filters are
@@ -1007,6 +1138,7 @@ def criterion_sequence_cases():
     outside = 0.3 * random_density(9, 9, np.random.default_rng(31)) + 0.7 * np.eye(9) / 9.0
     inside = 0.05 * random_density(9, 9, np.random.default_rng(31)) + 0.95 * np.eye(9) / 9.0
     stall = _with_noise(np.diag(np.eye(9)[0]), 1e-4)
+    one_sided = np.diag([0.2, 0.3, 0.5]).astype(complex)
     cases = [
         ("npt", compose_state(isotropic(3, 0.5)), 3, 3, ENT, [("ppt", False)]),
         ("kyfan-sufficient-fails", outside, 3, 3, INC,
@@ -1014,7 +1146,14 @@ def criterion_sequence_cases():
         ("wootters", compose_state(werner(2, 0.5)), 2, 2, SEP, WOOTTERS),
         ("ppt-tolerance-band", compose_state(p_zero(1e-5)), 2, 2, INC,
          [PPT, ("concurrence", False), ("ppt-tolerance-band", False)]),
-        ("kyfan-sufficient", inside, 3, 3, SEP,
+        ("kyfan-sufficient", in_frame(inside, 3, 3, "filtered", np.random.default_rng(31)),
+         3, 3, SEP, [PPT, KYFAN, ("decomposition[kyfan-sufficient]", True)]),
+        ("kyfan-sufficient-unfiltered", inside, 3, 3, SEP,
+         [PPT, ("decomposition[kyfan-sufficient]", True)]),
+        # one-sided records skip the unfiltered bound, whose ball has no radius
+        ("one-sided-1x3", one_sided, 1, 3, SEP,
+         [PPT, KYFAN, ("decomposition[kyfan-sufficient]", True)]),
+        ("one-sided-3x1", one_sided, 3, 1, SEP,
          [PPT, KYFAN, ("decomposition[kyfan-sufficient]", True)]),
         ("normal-form-short-separable", _with_noise(_products([1.0], 2, 3, 0), 3e-8), 2, 3,
          SEP, [PPT, ("normal-form", True), KYFAN, ("decomposition[kyfan-sufficient]", True)]),

@@ -12,6 +12,9 @@ the exception a case raised.  Run from the repository root:
 ``--against FILE`` compares with a census written earlier, for instance by
 the parent commit, lists each case that differs and exits 1 if any does.
 Floats are compared through their JSON text, so equal means bit-identical.
+The comparison ends with one line per group of differing cases that share
+their status before, their status after and the last criterion logged
+after, with the group's count.
 
 The census holds the benchmark's qubit, qudit and families corpora at seeds
 1-3 (``pipebench.corpus``, read only), low-rank states plus white noise,
@@ -27,6 +30,7 @@ import argparse
 import json
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -102,6 +106,19 @@ def outcome(rho: np.ndarray, n: int, m: int) -> dict:
             "probs": None if dec is None else [float(p) for p in dec.probs]}
 
 
+def _status(entry: dict | None) -> str:
+    """A census entry's status, "error" for a raised case, "absent" for none."""
+    if entry is None:
+        return "absent"
+    return entry.get("status", "error")
+
+
+def _last_criterion(entry: dict | None) -> str:
+    """The name of the last criterion a census entry logged, or "-"."""
+    criteria = (entry or {}).get("criteria") or [["-"]]
+    return criteria[-1][0]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", type=Path, help="write the census here as JSON")
@@ -119,6 +136,10 @@ def main(argv=None) -> int:
     for cid in differing:
         print(f"differs: {cid}\n  before: {json.dumps(before.get(cid))}\n"
               f"  after:  {json.dumps(census.get(cid))}")
+    groups = Counter((_status(before.get(cid)), _status(census.get(cid)),
+                      _last_criterion(census.get(cid))) for cid in differing)
+    for (was, now, last), count in sorted(groups.items()):
+        print(f"{count:6d}  {was} -> {now}, last criterion {last}")
     print(f"{len(differing)} differing cases")
     return 1 if differing else 0
 
