@@ -28,12 +28,13 @@ the filtered correlation.  The filtered record counts as normal form when
 both marginal Bloch norms lie below ``RESIDUAL``; one accepted short of
 ``NORMAL_TOL`` logs a passed ``normal-form`` criterion.  The necessary
 bound, :func:`kyfan_necessary_check`, holds for every separable state,
-filtered or not, and returns the criterion the verdict logs.  On the
-filtered record the constructive bound is compared in
-:func:`~sephorn.decompose.kyfan_bound_decomposition` alone: within
-``KYFAN_SLACK`` it builds the decomposition, and beyond it its
-BoundExceeded carries the excess that the failed ``kyfan-sufficient``
-criterion logs.
+filtered or not, and returns the criterion the verdict logs.  The
+constructive bound and its slack come from
+:func:`~sephorn.decompose.kyfan_room`, and the Ky Fan norm is compared
+with them in :func:`~sephorn.decompose.kyfan_bound_decomposition` alone,
+on either record: within the slack it builds the decomposition, and
+beyond it its BoundExceeded carries the excess that the failed
+``kyfan-sufficient`` criterion logs on the filtered record.
 
 The criteria read what a :class:`BipartiteDecomposed` record computes
 once: the eigenvalues of the partial transpose of ``d.matrix``, the one
@@ -55,7 +56,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from math import isfinite, sqrt
+from math import isfinite
 
 import numpy as np
 
@@ -340,36 +341,24 @@ def _wootters(call: _Call) -> Verdict | None:
 
 def _kyfan_unfiltered(call: _Call) -> Verdict | None:
     """de Vicente's constructive bound on the unfiltered record, shifted by
-    its marginals: ||C||_KF <= (R_N - |a|)(R_M - |b|) with C = corr - a b^T
-    (:func:`~sephorn.decompose.kyfan_room`), within ``KYFAN_SLACK``.  The
-    cheapest test that settles it decides: a marginal on or outside its
-    inscribed ball, or ||C||_F above the bound, rejects, since
-    ||C||_F <= ||C||_KF; sqrt(min(k_A, k_B)) ||C||_F within it accepts,
-    since that bounds ||C||_KF; otherwise the singular values of C decide.
-    An accepted state is decomposed from one SVD of C, with no filtering
-    and so no pull-back; a rejected one logs nothing and goes on to the
-    filter.  One-sided records, whose correlation is empty, are skipped."""
+    its marginals: ||C||_KF <= (R_N - |a|)(R_M - |b|) with C = corr - a b^T,
+    within the slack of :func:`~sephorn.decompose.kyfan_room`.  ||C||_F
+    above that rejects before any SVD, since ||C||_F <= ||C||_KF; otherwise
+    one SVD of C decides, and :func:`~sephorn.decompose.kyfan_bound_decomposition`
+    builds the decomposition from it, with no filtering and so no
+    pull-back.  A state it rejects logs nothing and goes on to the filter.
+    One-sided records, whose correlation is empty, are skipped."""
     d = call.d
     if min(d.dim_a, d.dim_b) < 2:
         return None
-    marginals = (d.a, d.b)
-    room = kyfan_room(d.dim_a, d.dim_b, marginals)
-    if room <= 0.0:
-        return None
-    room += KYFAN_SLACK
+    bound, slack, _, _ = kyfan_room(d.dim_a, d.dim_b, d.a, d.b)
     c = d.corr - np.outer(d.a, d.b)
-    frobenius = float(np.linalg.norm(c))
-    if frobenius > room:
-        return None
-    if (sqrt(min(c.shape)) * frobenius > room
-            and np.linalg.svd(c, compute_uv=False).sum() > room):
+    if np.linalg.norm(c) - bound > slack:
         return None
     try:
         built = kyfan_bound_decomposition(np.linalg.svd(c, full_matrices=False),
-                                          d.dim_a, d.dim_b, marginals)
+                                          d.dim_a, d.dim_b, (d.a, d.b))
     except BoundExceeded:
-        # the SVD's Ky Fan norm can land ulps above a bound that the
-        # Frobenius estimate or the singular values alone met
         return None
     return call.verified(built, "kyfan-sufficient")
 
@@ -513,8 +502,8 @@ def analyze(rho: np.ndarray, dim_a: int, dim_b: int, *, tol: float = POSITIVITY_
     isometry needs it or filtering falls back to its product loop, the
     eigenvalues of the partial transpose and one singular value
     decomposition: of corr - a b^T for a state decided unfiltered, of the
-    filtered correlation otherwise, after at most the singular values of
-    corr - a b^T.
+    filtered correlation otherwise, after one of corr - a b^T when its
+    Frobenius norm fits the shifted bound and its Ky Fan norm does not.
     Positivity of rho is read at 2 x 2 from its eigendecomposition, which
     also gives Wootters' frame; above 2 x 2 it is
     certified by a Cholesky factorisation of rho + ``tol`` I, and the

@@ -54,36 +54,29 @@ class SeparableDecomposition:
 # closed-form construction within the Ky Fan budget
 # ---------------------------------------------------------------------------
 
-def _shifted_bound(dim_a: int, dim_b: int, marginals) -> tuple[float, float, float]:
-    """The bound of :func:`kyfan_room`, with the shares of the two radii
-    left to a pair about the marginals, max(0, 1 - |a|/R_N) and
-    max(0, 1 - |b|/R_M).  Both are exactly 1 without marginals, so the
-    bound is then bit for bit the unshifted one."""
-    shrink_a = shrink_b = 1.0
-    if marginals is not None:
-        a, b = marginals
-        shrink_a = max(0.0, 1.0 - sqrt(a @ a) / sqrt(2.0 / (dim_a * (dim_a - 1.0))))
-        shrink_b = max(0.0, 1.0 - sqrt(b @ b) / sqrt(2.0 / (dim_b * (dim_b - 1.0))))
-    bound = 2.0 / np.sqrt(dim_a * dim_b * (dim_a - 1.0) * (dim_b - 1.0)) * shrink_a * shrink_b
-    return bound, shrink_a, shrink_b
+def kyfan_room(dim_a: int, dim_b: int, a: np.ndarray, b: np.ndarray
+               ) -> tuple[float, float, float, float]:
+    """de Vicente's constructive Ky Fan bound about the marginals a, b, as
+    (bound, slack, shrink_a, shrink_b).  bound = (R_N - |a|)(R_M - |b|),
+    with R_N = sqrt(2/(N(N-1))) the radius of the inscribed ball, is
+    2/sqrt(NM(N-1)(M-1)) without marginals and 0 when a marginal lies on or
+    outside its ball; shrink_a = max(0, 1 - |a|/R_N) (resp. b) is the share
+    of each radius left about its marginal, so bound is the unshifted bound
+    times shrink_a shrink_b.  A Ky Fan norm fits when it exceeds bound by at
+    most slack = ``KYFAN_SLACK`` shrink_a shrink_b: the slack shrinks with
+    the bound, so the relative excess K - 1 that it admits is the same about
+    every pair of marginals.  Both shrinks are exactly 1 without marginals."""
+    shrink_a = max(0.0, 1.0 - sqrt(a @ a) / sqrt(2.0 / (dim_a * (dim_a - 1.0))))
+    shrink_b = max(0.0, 1.0 - sqrt(b @ b) / sqrt(2.0 / (dim_b * (dim_b - 1.0))))
+    scale = shrink_a * shrink_b
+    bound = 2.0 / np.sqrt(dim_a * dim_b * (dim_a - 1.0) * (dim_b - 1.0)) * scale
+    return bound, KYFAN_SLACK * scale, shrink_a, shrink_b
 
 
-def kyfan_room(dim_a: int, dim_b: int, marginals=None) -> float:
-    """de Vicente's constructive Ky Fan bound (R_N - |a|)(R_M - |b|), with
-    R_N = sqrt(2/(N(N-1))) the radius of the inscribed ball: it is
-    2/sqrt(NM(N-1)(M-1)) without marginals, and 0 when a marginal lies on
-    or outside its ball."""
-    return _shifted_bound(dim_a, dim_b, marginals)[0]
-
-
-def _pairs(centre, step: np.ndarray) -> np.ndarray:
-    """The rows centre + step_i and centre - step_i, interleaved; exactly
-    step_i and -step_i without a centre."""
+def _pairs(centre: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """The rows centre + step_i and centre - step_i, interleaved."""
     out = np.empty((2 * step.shape[0], step.shape[1]))
-    if centre is None:
-        out[0::2], out[1::2] = step, -step
-    else:
-        out[0::2], out[1::2] = centre + step, centre - step
+    out[0::2], out[1::2] = centre + step, centre - step
     return out
 
 
@@ -99,32 +92,30 @@ def kyfan_bound_decomposition(corr_svd: tuple[np.ndarray, np.ndarray, np.ndarray
     C = corr - a b^T, tau descending, as ``BipartiteDecomposed.corr_svd``
     stores it for a normal-form state, whose marginals ``marginals`` = (a,
     b) are zero and may be omitted.  The Ky Fan norm sum tau fits when it
-    exceeds the bound (R_N - |a|)(R_M - |b|) (:func:`kyfan_room`), with
-    R_N = sqrt(2/(N(N-1))) the radius of the inscribed ball, by at most
-    ``KYFAN_SLACK``; otherwise, or when a marginal lies on or outside its
-    ball, BoundExceeded carries the excess, norm minus bound.  With
-    K = ||C||_KF / bound, every tau_i > 0 contributes the pair
-    (a +- s u_i, b +- t v_i), each of weight tau_i / (2 sum tau), where
-    s = (R_N - |a|) sqrt(K) and t = (R_M - |b|) sqrt(K), so s t = ||C||_KF.
-    The pairs reproduce the marginals, and sum to a b^T + C = corr in the
-    correlation; every A vector has norm at most |a| + s, within R_N for
-    K <= 1 (resp. B), hence physical.  Within the slack a component's lowest
+    exceeds the bound (R_N - |a|)(R_M - |b|), with R_N = sqrt(2/(N(N-1)))
+    the radius of the inscribed ball, by at most the slack of
+    :func:`kyfan_room`, ``KYFAN_SLACK`` scaled as the bound is; otherwise,
+    or when a marginal lies on or outside its ball, BoundExceeded carries
+    the excess, norm minus bound.  With K = ||C||_KF / bound, every
+    tau_i > 0 contributes the pair (a +- s u_i, b +- t v_i), each of weight
+    tau_i / (2 sum tau), where s = (R_N - |a|) sqrt(K) and
+    t = (R_M - |b|) sqrt(K), so s t = ||C||_KF.  The pairs reproduce the
+    marginals, and sum to a b^T + C = corr in the correlation; every A
+    vector has norm at most |a| + s, within R_N for K <= 1 (resp. B), hence
+    physical.  Within the slack K - 1 is at most ``KYFAN_SLACK`` over the
+    unshifted bound 2/sqrt(NM(N-1)(M-1)), and a component's lowest
     eigenvalue is at worst about -(K - 1)/(2N), inside the verification
     tolerance.  A rank-r C gives 2r components, a zero one the single
-    product (a, b).  Without marginals the pairs are exactly +-(s u_i,
-    t v_i).
+    product (a, b).
     """
     u, taus, vh = corr_svd
-    a, b = (None, None) if marginals is None else marginals
+    a, b = (np.zeros(u.shape[0]), np.zeros(vh.shape[1])) if marginals is None else marginals
     if taus.size == 0 or taus[0] <= 0.0:
-        ka, kb = u.shape[0], vh.shape[1]
-        return SeparableDecomposition(
-            probs=np.array([1.0]),
-            r_vectors=np.zeros((1, ka)) if a is None else np.reshape(a, (1, ka)).copy(),
-            s_vectors=np.zeros((1, kb)) if b is None else np.reshape(b, (1, kb)).copy())
-    bound, shrink_a, shrink_b = _shifted_bound(dim_a, dim_b, marginals)
+        return SeparableDecomposition(probs=np.array([1.0]), r_vectors=np.array([a], dtype=float),
+                                      s_vectors=np.array([b], dtype=float))
+    bound, slack, shrink_a, shrink_b = kyfan_room(dim_a, dim_b, a, b)
     excess = float(taus.sum() - bound)
-    if excess > KYFAN_SLACK or bound <= 0.0:
+    if excess > slack:
         raise BoundExceeded(f"Ky Fan norm exceeds the constructive bound {bound:.6g} "
                             f"by {excess:.3e}", excess=excess)
     rank = np.count_nonzero(taus > 1e-12 * taus[0])

@@ -30,6 +30,7 @@ from sephorn.decompose import (
     SeparableDecomposition,
     embed_isometries,
     kyfan_bound_decomposition,
+    kyfan_room,
     pull_back_filters,
     werner_decompose,
     wootters_decomposition,
@@ -94,11 +95,13 @@ class TestSufficient:
     def test_marginals_shift_the_ball(self):
         # the bound (R_N - |a|)(R_M - |b|) on C = corr - a b^T: a qutrit
         # marginal of norm R_3/2 halves the room, which 0.9 of it still fits
-        # and 1.1 of it does not; on or outside the ball only C = 0, the
-        # product (a, b), is decomposed
+        # and 1.1 of it does not, and the slack halves with it; on or
+        # outside the ball only C = 0, the product (a, b), is decomposed
         radius = np.sqrt(1.0 / 3.0)
         a, b = np.zeros(8), np.zeros(8)
+        assert kyfan_room(3, 3, a, b) == (radius * radius, KYFAN_SLACK, 1.0, 1.0)
         a[7] = radius / 2.0
+        assert kyfan_room(3, 3, a, b)[1:3] == (KYFAN_SLACK / 2.0, 0.5)
         corr = np.zeros((8, 8))
         corr[0, 0] = 1.0
         svd = np.linalg.svd(corr, full_matrices=False)
@@ -490,6 +493,30 @@ class TestUnfilteredKyFan:
             assert (ball_floor(vecs, dim) >= 0.0).all()
         without = criteria._Call(d, POSITIVITY_TOL).run(self.WITHOUT)
         assert without.status is Status.SEPARABLE, without.criteria
+
+    def test_marginal_on_the_inscribed_sphere(self):
+        # diag(2/3, 1/6, 1/6) lies on the inscribed sphere, where round-off
+        # leaves a room of a few ulps; the slack shrinks with it, so 1e-11
+        # of correlation is not stretched far outside the state space and
+        # no failed verification is logged ahead of the filter
+        rng = np.random.default_rng(7)
+        marginal = np.diag([2.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0])
+        for _ in range(40):
+            u = random_unitary(3, rng)
+            noise = []
+            for _side in range(2):
+                g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+                g = g + g.conj().T
+                noise.append(g - np.trace(g) / 3.0 * np.eye(3))
+            rho = (np.kron(u @ marginal @ u.conj().T, np.eye(3) / 3.0)
+                   + 1e-11 * np.kron(*noise))
+            d = decompose_state(rho, 3, 3)
+            verdict = self.stage(d)
+            if verdict.status is not Status.SEPARABLE:
+                assert verdict.criteria == ()
+            verdict = analyze(rho, 3, 3)
+            assert verdict.status is Status.SEPARABLE
+            assert all(c.passed for c in verdict.criteria), verdict.criteria
 
     @pytest.mark.parametrize("frame", ["plain", "rotated", "filtered"])
     @pytest.mark.parametrize("rho, n, m, violated", bound_entangled_cases())
