@@ -12,11 +12,9 @@ decomposition of the correlation matrix and the moment matrix
 answered first from the Bloch norm (:func:`~sephorn.bloch.ball_floor`): a
 side whose floor exceeds the rank cutoff has full rank, which decides
 every mixed qubit side exactly and every side inside the inscribed ball.
-A reduced matrix is eigensolved only for a side the floor leaves open,
-for :func:`support_isometries` and for the first filter of the product
-loop that :func:`normal_form` hands ill-conditioned and stalling states
-to; its Gram-matrix iteration inverts reduced matrices and factorises
-nothing until the Cholesky factors of the converged filters.
+A reduced matrix is eigensolved only for a side the floor leaves open
+and for :func:`support_isometries`: :func:`normal_form` inverts reduced
+matrices and factorises nothing but the Cholesky factors of its filters.
 Both :func:`decompose_state` and :func:`normal_form`, for the filtered
 state, read the Bloch data off one product chain on the realigned matrix
 R[(i, j), (a, b)] = rho[ia, jb] (:func:`_moments`), which is ``moments``.
@@ -26,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import sqrt
 
 import numpy as np
 
@@ -217,41 +214,58 @@ def normal_form(d: BipartiteDecomposed, max_iter: int = MAX_ITER, tol: float = N
     and F_B so that the reduced matrix of A, then of B, of the unit-trace
     iterate (F_A x F_B) rho (F_A x F_B)^dag is I/N (I/M), until both
     marginal Bloch norms fall below ``tol`` or ``max_iter`` sweeps have run.
-    The iterate is never formed.  With R the realigned ``d.matrix`` and
-    G = F^dag F, the A-side half-step needs only X_A = R vec(G_B^T),
-    reshaped to N x N, and sets G_A = (N X_A)^{-1}; the B side likewise
-    sets G_B = (M X_B)^{-1} with X_B = vec(G_A^T)^T R.  A sweep is one
-    half-step per side followed by the convergence test on
-    |a| = sqrt(2) ||N rho_A - I||_F / N, whose square is read as
-    Tr[(N G_A X_A - I)^2] with no matrix root.  On convergence the filters
-    are the upper-triangular Cholesky factors of the Gram matrices, and no
-    marginal is eigensolved.
-    Re-inverting a nearly singular X_A loses the states whose filters blow
-    up, so this Gram iteration hands over to :func:`_filter_products`,
-    which restarts from I, at the first sweep whose deviation is not below
-    ``SCALING_RATE`` times the last one, at a non-finite value, a singular
-    matrix, an exhausted budget or a record outside ``tol``; every state
-    that hands over gets that loop's result.  The iteration is the same
-    in exact arithmetic, so both count the same sweeps on a state that
-    converges.  Full local rank at ``rank_tol`` is checked by
-    :func:`local_ranks`, so a side inside the inscribed ball is not
-    eigensolved for it.  ``converged`` is read from the filtered record,
-    and ``iterations`` counts the sweeps begun.  A state already in
-    normal form is returned as is.
+    The sweeps run on the Gram matrices G = F^dag F, in runs of
+    :func:`_gram_scaling` on a realigned matrix R, the first on the
+    realigned ``d.matrix``.  After a run the upper-triangular Cholesky
+    factors U of its Gram matrices, G = U^dag U, multiply the filters, and
+    the record is read off R conjugated once by kron(U, U*) on each side.
+    That matrix over its trace is the next run's R: the next run restarts
+    from G = I on the filtered state and inverts its reduced matrices,
+    closer to I/N and I/M than those the last run started from.  The loop
+    ends when the record is within ``tol``, the budget is spent, a
+    factorisation fails or a run does not lower the record's larger
+    marginal norm, and returns the lowest record; a state that converges
+    faster than ``SCALING_RATE`` per sweep takes one run.  No marginal is
+    eigensolved: full local rank at ``rank_tol`` is checked by
+    :func:`local_ranks`, which reads a side inside the inscribed ball off
+    its Bloch norm.  ``converged`` is read from the filtered record, and
+    ``iterations`` counts the sweeps begun.  A state already in normal
+    form is returned as is.
     """
     n, m = d.dim_a, d.dim_b
     if local_ranks(d, rank_tol) != (n, m):
         raise NotFullRank(
             f"marginal ranks below ({n},{m}); project to support first"
         )
+    state, fa, fb = d, np.eye(n, dtype=complex), np.eye(m, dtype=complex)
+    low = _marginal_norm(d)
     r = _realigned(d.matrix, n, m)
-    if max(np.linalg.norm(d.a), np.linalg.norm(d.b)) >= tol:
-        # an abandoned iterate may overflow; what it reaches is tested
-        with np.errstate(all="ignore"):
-            result = _gram_scaling(d, r, max_iter, tol)
-        if result is not None:
-            return result
-    return _filter_products(d, r, max_iter, tol)
+    swept = 0
+    # a run may reach non-finite values; what it returns is tested
+    with np.errstate(all="ignore"):
+        while low >= tol and swept < max_iter:
+            pair, sweeps = _gram_scaling(r, n, m, max_iter - swept, tol)
+            swept += sweeps
+            if pair is None:
+                break
+            try:
+                # G = L L^dag, so U = L^dag is upper-triangular with U^dag U = G
+                ua, ub = (np.linalg.cholesky(g).conj().T for g in pair)
+                filtered, r = _filtered(r, ua, ub, n, m)
+            except (np.linalg.LinAlgError, NotAState):
+                break
+            norm = _marginal_norm(filtered)
+            if not norm < low:
+                break
+            fa, fb = (ua, ub) if state is d else (ua @ fa, ub @ fb)
+            state, low = filtered, norm
+    return NormalFormResult(state=state, filter_a=fa, filter_b=fb,
+                            converged=bool(low < tol), iterations=swept)
+
+
+def _marginal_norm(d: BipartiteDecomposed) -> float:
+    """The larger of the two marginal Bloch norms."""
+    return float(max(np.linalg.norm(d.a), np.linalg.norm(d.b)))
 
 
 def _realigned(rho: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
@@ -260,107 +274,60 @@ def _realigned(rho: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
             .reshape(dim_a * dim_a, dim_b * dim_b))
 
 
-def _gram_scaling(d: BipartiteDecomposed, r: np.ndarray, max_iter: int,
-                  tol: float) -> NormalFormResult | None:
-    """Operator scaling run on the Gram matrices G = F^dag F, from the
-    realigned matrix ``r``; None where :func:`normal_form` hands over."""
-    n, m = d.dim_a, d.dim_b
+def _gram_scaling(r: np.ndarray, n: int, m: int, budget: int,
+                  tol: float) -> tuple[tuple[np.ndarray, np.ndarray] | None, int]:
+    """One run of operator scaling on the Gram matrices G = F^dag F, from
+    G = I on the realigned matrix ``r`` of an N x M state.
+
+    The A-side half-step forms X_A = R vec(G_B^T), reshaped to N x N, and
+    sets G_A = (N X_A)^{-1}; the B side likewise sets G_B = (M X_B)^{-1}
+    with X_B = vec(G_A^T)^T R.  A sweep is one half-step per side followed
+    by the test on |a| = sqrt(2) ||N rho_A - I||_F / N, whose square is
+    read as Tr[(N G_A X_A - I)^2] with no matrix root.  The run stops when
+    |a| < ``tol``, at the first sweep whose deviation is not below
+    ``SCALING_RATE`` times the last one, at a singular or non-finite sweep,
+    or after ``budget`` sweeps.  Returns the last finite pair
+    (G_A, G_B), None if no sweep gave one, and the number of sweeps begun.
+    """
     eye_a = np.eye(n)
     xa = (r @ np.eye(m).reshape(-1)).reshape(n, n)
-    last = np.inf
-    for sweep in range(1, max_iter + 1):
+    last, pair = np.inf, None
+    for sweep in range(1, budget + 1):
         try:
             ga = np.linalg.inv(n * xa)
             gb = np.linalg.inv(m * (ga.T.reshape(-1) @ r).reshape(m, m))
         except np.linalg.LinAlgError:
-            return None
+            return pair, sweep
         xa = (r @ gb.T.reshape(-1)).reshape(n, n)
         # ||N rho_A - I||_F^2 of the iterate F_A X_A F_A^dag, by cyclicity
         y = ga @ xa
         y *= n
         y -= eye_a
         dev = float((y.T.ravel() @ y.ravel()).real)
-        if 2.0 * dev < (n * tol) ** 2:
-            try:
-                # G = L L^dag, so F = L^dag is upper-triangular with F^dag F = G
-                result = _filtered(d, r, np.linalg.cholesky(ga).conj().T,
-                                   np.linalg.cholesky(gb).conj().T, tol, sweep)
-            except (np.linalg.LinAlgError, NotAState):
-                return None
-            return result if result.converged else None
+        if not dev < np.inf:
+            return pair, sweep
+        pair = ga, gb
         # dev is squared: the deviation itself must shrink by SCALING_RATE
-        if not dev < SCALING_RATE ** 2 * last:
-            return None
+        if 2.0 * dev < (n * tol) ** 2 or not dev < SCALING_RATE ** 2 * last:
+            return pair, sweep
         last = dev
-    return None
+    return pair, budget
 
 
-def _filter_products(d: BipartiteDecomposed, r: np.ndarray, max_iter: int,
-                     tol: float) -> NormalFormResult:
-    """Operator scaling on the filters themselves, from the realigned
-    matrix ``r``: the path of :func:`normal_form` for the states the Gram
-    iteration hands over.
-
-    Alternately multiplies F_A by (N rho_A)^{-1/2} and F_B by
-    (M rho_B)^{-1/2}, the reduced matrices F_A (R vec(G_B^T)) F_A^dag and
-    F_B (vec(G_A^T)^T R) F_B^dag of the iterate, one ``eigh`` each per
-    sweep, with the eigenvalues scaled to sum to N (M) so that the trace
-    stays one.  The first A-side filter uses the memoized eigendecomposition
-    of the reduced matrix of A; after a sweep rho_B is I/M, and the
-    eigenvalues of N rho_A give |a| and the next A-side filter.  A sweep
-    stops at a reduced matrix with a non-positive or non-finite eigenvalue,
-    which ill-conditioned filters can produce from a marginal just above
-    the rank cutoff: its inverse square root does not exist.
-    ``converged`` is False after such a stop, after ``max_iter`` sweeps
-    when the normal form is reached only in the limit, and when rounding
-    in ill-conditioned filters leaves the record's norms just above ``tol``.
-    """
-    n, m = d.dim_a, d.dim_b
-    fa = np.eye(n, dtype=complex)
-    fb = np.eye(m, dtype=complex)
-    converged = float(np.linalg.norm(d.a)) < tol and float(np.linalg.norm(d.b)) < tol
-    if not converged:
-        wa, v = d.marginal_eigh_a
-        w = n * wa
-    iterations = 0
-    while not converged and iterations < max_iter:
-        iterations += 1
-        fa = (v / np.sqrt(w)) @ v.conj().T @ fa
-        w, v = np.linalg.eigh(fb @ ((fa.T @ fa.conj()).reshape(-1) @ r).reshape(m, m)
-                              @ fb.conj().T)
-        if not (w[0] > 0.0 and w[-1] < np.inf):
-            break
-        w *= m / w.sum()
-        fb = (v / np.sqrt(w)) @ v.conj().T @ fb
-        w, v = np.linalg.eigh(fa @ (r @ (fb.T @ fb.conj()).reshape(-1)).reshape(n, n)
-                              @ fa.conj().T)
-        if not (w[0] > 0.0 and w[-1] < np.inf):
-            break
-        w *= n / w.sum()
-        # |a| = sqrt(2) ||rho_A - I/N||_F = sqrt(2) ||w - 1|| / N, which stays
-        # accurate near zero, where 2 Tr[rho_A^2] - 2/N loses every digit
-        dev = w - 1.0
-        converged = sqrt(2.0 * (dev @ dev)) < n * tol
-    if not iterations:
-        return NormalFormResult(state=d, filter_a=fa, filter_b=fb,
-                                converged=converged, iterations=0)
-    return _filtered(d, r, fa, fb, tol, iterations)
-
-
-def _filtered(d: BipartiteDecomposed, r: np.ndarray, fa: np.ndarray, fb: np.ndarray,
-              tol: float, iterations: int) -> NormalFormResult:
-    """The result for filters ``fa`` and ``fb``: the filtered record is read
-    off the realigned matrix ``r`` conjugated once by the filters, and
-    ``converged`` from its marginal norms."""
-    n, m = d.dim_a, d.dim_b
+def _filtered(r: np.ndarray, fa: np.ndarray, fb: np.ndarray, n: int,
+              m: int) -> tuple[BipartiteDecomposed, np.ndarray]:
+    """The record of the N x M state with realigned matrix ``r`` filtered by
+    ``fa`` and ``fb``, read off ``r`` conjugated once by the filters, and
+    that conjugated matrix over its trace, the filtered state's realigned
+    matrix."""
     # kron(F, F*) R kron(G, G*)^T realigns (F x G) rho (F x G)^dag
-    moments = _moments(_conjugation(fa) @ r @ _conjugation(fb).T, n, m)
-    moments /= moments[0, 0]
+    conj = _conjugation(fa) @ r @ _conjugation(fb).T
+    moments = _moments(conj, n, m)
+    trace = moments[0, 0]
+    moments /= trace
     if not np.isfinite(moments).all():
         raise NotAState("filtered state has non-finite entries")
     state = BipartiteDecomposed(dim_a=n, dim_b=m, a=moments[1:, 0],
                                 b=moments[0, 1:], corr=moments[1:, 1:])
     state.__dict__["moments"] = _read_only((moments,))[0]
-    converged = bool(np.linalg.norm(state.a) < tol and np.linalg.norm(state.b) < tol)
-    return NormalFormResult(state=state, filter_a=fa, filter_b=fb,
-                            converged=converged, iterations=iterations)
+    return state, conj / trace

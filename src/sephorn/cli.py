@@ -22,7 +22,7 @@ import numpy as np
 from . import fileio
 from .bipartite import decompose_state, normal_form
 from .config import ENV_TOL, MAX_ITER, NORMAL_TOL, POSITIVITY_TOL, default_positivity_tol
-from .criteria import Status, Verdict, analyze
+from .criteria import Status, Verdict, analyze, require_psd
 from .errors import FileFormatError, SepHornError
 from .horn import MAX_N, triple_set
 from .states import werner
@@ -215,9 +215,14 @@ def cmd_werner(dim, phi, want_decomposition, out):
 @click.option("--tol", type=float, default=NORMAL_TOL, show_default=True,
               callback=_check_tol_option)
 def cmd_normal_form(path, out, max_iter, tol):
-    """Filter a state toward maximally mixed marginals and report convergence."""
+    """Filter a state toward maximally mixed marginals and report convergence.
+
+    The input is checked for positivity as ``analyze`` checks it, at the
+    default positivity tolerance.
+    """
     rho, dims = fileio.state_from_text(Path(path).read_text())
     d = decompose_state(rho, dims[0], dims[1])
+    require_psd(d)
     result = normal_form(d, max_iter=max_iter, tol=tol)
     filtered = result.state.matrix
     out_path = Path(out) if out else Path(str(Path(path).with_suffix("")) + ".normal.json")

@@ -20,7 +20,7 @@ POSITIVITY_TOL = 1e-9  # minimum-eigenvalue threshold for physicality; rank cuto
 STATE_TOL = 1e-9       # trace-one / Hermiticity for density matrices (floor)
 MAX_ITER = 500         # normal-form filtering budget, in sweeps
 NORMAL_TOL = 1e-10     # marginal Bloch-norm convergence target of filtering
-SCALING_RATE = 0.8     # per-sweep deviation ratio that Gram-matrix filtering must beat
+SCALING_RATE = 0.8     # per-sweep deviation ratio a filtering run must beat, else it re-bases
 KYFAN_SLACK = 1e-9     # slack on the norm-bound criteria
 RESIDUAL = 1e-8        # decomposition residual; normal-form acceptance
 PROB_SUM = 1e-10       # probability normalization of a decomposition

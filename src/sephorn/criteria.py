@@ -498,30 +498,35 @@ def analyze(rho: np.ndarray, dim_a: int, dim_b: int, *, tol: float = POSITIVITY_
 
     The input is validated once, and each spectral quantity is computed
     at most once: the eigendecomposition of a marginal only where
-    :func:`~sephorn.bloch.ball_floor` leaves its rank open, a support
-    isometry needs it or filtering falls back to its product loop, the
-    eigenvalues of the partial transpose and one singular value
-    decomposition: of corr - a b^T for a state decided unfiltered, of the
-    filtered correlation otherwise, after one of corr - a b^T when its
-    Frobenius norm fits the shifted bound and its Ky Fan norm does not.
-    Positivity of rho is read at 2 x 2 from its eigendecomposition, which
-    also gives Wootters' frame; above 2 x 2 it is
-    certified by a Cholesky factorisation of rho + ``tol`` I, and the
-    eigenvalues of rho are computed only when that fails, so that
-    :class:`NotPSD` reports the exact lowest eigenvalue.
+    :func:`~sephorn.bloch.ball_floor` leaves its rank open or a support
+    isometry needs it, the eigenvalues of the partial transpose and one
+    singular value decomposition: of corr - a b^T for a state decided
+    unfiltered, of the filtered correlation otherwise, after one of
+    corr - a b^T when its Frobenius norm fits the shifted bound and its
+    Ky Fan norm does not.
+    Positivity of rho is checked by :func:`require_psd`.
 
     ``tol`` is the psd threshold of rho and of its partial transpose and the
     local-rank cutoff; Hermiticity and unit trace are validated to
     ``max(STATE_TOL, tol)``.  ``max_iter`` bounds the filtering sweeps.
     """
     d = decompose_state(rho, dim_a, dim_b, tol=max(STATE_TOL, tol))
-    if (dim_a, dim_b) == (2, 2):
+    require_psd(d, tol)
+    return _analyze_decomposed(d, tol=tol, max_iter=max_iter)
+
+
+def require_psd(d: BipartiteDecomposed, tol: float = POSITIVITY_TOL) -> None:
+    """Raise :class:`NotPSD` unless every eigenvalue of ``d.matrix`` is at
+    least -``tol``.  At 2 x 2 the lowest eigenvalue is read from the
+    memoized spectrum, which Wootters' frame reuses; above 2 x 2
+    :func:`~sephorn.linalg.certify_psd` factorises, and eigensolves only
+    when that fails, so that the error reports the exact lowest eigenvalue."""
+    if (d.dim_a, d.dim_b) == (2, 2):
         low = float(d.spectrum[0][0])
     else:
         low = certify_psd(d.matrix, tol)
     if low is not None and not low >= -tol:
         raise NotPSD(f"input has minimum eigenvalue {low:.3e}")
-    return _analyze_decomposed(d, tol=tol, max_iter=max_iter)
 
 
 def _analyze_decomposed(d: BipartiteDecomposed, *, tol: float, max_iter: int) -> Verdict:

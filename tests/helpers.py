@@ -5,7 +5,9 @@ from itertools import combinations
 
 import numpy as np
 
+from sephorn.bipartite import NormalFormResult, _filtered, _realigned
 from sephorn.bloch import from_bloch
+from sephorn.config import MAX_ITER, NORMAL_TOL
 from sephorn.horn import subset_table
 from sephorn.linalg import random_unitary
 
@@ -46,6 +48,50 @@ def ill_conditioned_product(frame: int) -> np.ndarray:
     rho_a = (u * [1.2e-9, 0.49, 0.51 - 1.2e-9]) @ u.conj().T
     rho_b = (v * [1.2e-9, 0.48, 0.52 - 1.2e-9]) @ v.conj().T
     return np.kron(rho_a, rho_b)
+
+
+def filter_products(d, max_iter: int = MAX_ITER, tol: float = NORMAL_TOL) -> NormalFormResult:
+    """Reference for ``bipartite.normal_form``: operator scaling on the
+    filters themselves, one ``eigh`` per half-step.
+
+    Alternately multiplies F_A by (N rho_A)^{-1/2} and F_B by
+    (M rho_B)^{-1/2}, the reduced matrices F_A (R vec(G_B^T)) F_A^dag and
+    F_B (vec(G_A^T)^T R) F_B^dag of the iterate, with G = F^T F* and R the
+    realigned matrix, and the eigenvalues scaled to sum to N (M).  After a
+    sweep rho_B is I/M, and the eigenvalues of N rho_A give |a| and the
+    next A-side filter.  A sweep stops at a reduced matrix with a
+    non-positive or non-finite eigenvalue.
+    """
+    n, m = d.dim_a, d.dim_b
+    r = _realigned(d.matrix, n, m)
+    fa, fb = np.eye(n, dtype=complex), np.eye(m, dtype=complex)
+    converged = max(np.linalg.norm(d.a), np.linalg.norm(d.b)) < tol
+    w, v = np.linalg.eigh(from_bloch(d.a, n))
+    w = n * w
+    iterations = 0
+    while not converged and iterations < max_iter:
+        iterations += 1
+        fa = (v / np.sqrt(w)) @ v.conj().T @ fa
+        w, v = np.linalg.eigh(fb @ ((fa.T @ fa.conj()).reshape(-1) @ r).reshape(m, m)
+                              @ fb.conj().T)
+        if not (w[0] > 0.0 and w[-1] < np.inf):
+            break
+        w *= m / w.sum()
+        fb = (v / np.sqrt(w)) @ v.conj().T @ fb
+        w, v = np.linalg.eigh(fa @ (r @ (fb.T @ fb.conj()).reshape(-1)).reshape(n, n)
+                              @ fa.conj().T)
+        if not (w[0] > 0.0 and w[-1] < np.inf):
+            break
+        w *= n / w.sum()
+        dev = w - 1.0
+        converged = np.sqrt(2.0 * (dev @ dev)) < n * tol
+    if not iterations:
+        return NormalFormResult(state=d, filter_a=fa, filter_b=fb,
+                                converged=bool(converged), iterations=0)
+    state, _ = _filtered(r, fa, fb, n, m)
+    converged = max(np.linalg.norm(state.a), np.linalg.norm(state.b)) < tol
+    return NormalFormResult(state=state, filter_a=fa, filter_b=fb,
+                            converged=bool(converged), iterations=iterations)
 
 
 def is_physical(r, tol: float = 1e-9) -> bool:

@@ -1,16 +1,13 @@
-import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
-from helpers import ill_conditioned_product
+from helpers import filter_products, ill_conditioned_product
 from sephorn import bipartite
 from sephorn.bipartite import (
     BipartiteDecomposed,
-    _filter_products,
-    _gram_scaling,
-    _realigned,
+    _marginal_norm,
     compose_state,
     decompose_state,
     local_ranks,
@@ -292,79 +289,131 @@ class TestNormalForm:
         assert np.isfinite(result.filter_a).all() and np.isfinite(result.filter_b).all()
 
     @staticmethod
-    def product_loop(d, max_iter=MAX_ITER, tol=NORMAL_TOL):
-        """The filter-product loop alone."""
-        return _filter_products(d, _realigned(d.matrix, d.dim_a, d.dim_b), max_iter, tol)
+    def stall_state(dim, eps):
+        rho = eps * np.eye(dim * dim) / dim ** 2
+        rho[0, 0] += 1 - eps
+        return decompose_state(rho, dim, dim)
 
-    @staticmethod
-    def assert_same(result, loop):
-        assert (result.iterations, result.converged) == (loop.iterations, loop.converged)
-        for got, want in ((result.filter_a, loop.filter_a), (result.filter_b, loop.filter_b),
-                          (result.state.a, loop.state.a), (result.state.b, loop.state.b),
-                          (result.state.corr, loop.state.corr)):
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_stall_states_re_base_to_the_budget(self, dim, monkeypatch):
+        # a stall state's deviation ratio reaches SCALING_RATE within five
+        # sweeps, so the budget is spent in many short runs, each on the
+        # record before it; that record falls like the product loop's,
+        # about 1/sweeps, and ends at the same norm
+        d = self.stall_state(dim, 1e-6)
+        real, budgets = bipartite._gram_scaling, []
+
+        def run(r, n, m, budget, tol):
+            budgets.append(budget)
+            return real(r, n, m, budget, tol)
+
+        monkeypatch.setattr(bipartite, "_gram_scaling", run)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = normal_form(d)
+        monkeypatch.undo()
+        loop = filter_products(d)
+        assert result.iterations == loop.iterations == MAX_ITER
+        assert budgets[0] == MAX_ITER and len(budgets) > 100
+        np.testing.assert_allclose(_marginal_norm(result.state), _marginal_norm(loop.state),
+                                   rtol=1e-9)
+
+    @pytest.mark.parametrize("second", ["higher", "indefinite", "none"])
+    def test_a_run_that_does_not_lower_the_record_ends_the_loop(self, second, monkeypatch):
+        # the loop ends with the lower record when a re-based run returns a
+        # record no lower, a pair with no Cholesky factor, or no pair; every
+        # sweep begun counts.  Planted here by a second run of three sweeps
+        d = self.stall_state(3, 1e-6)
+        pair = {"higher": (np.diag([1.0, 4.0, 9.0]), np.eye(3)),
+                "indefinite": (-np.eye(3), np.eye(3)), "none": None}[second]
+        real, runs = bipartite._gram_scaling, []
+
+        def run(r, n, m, budget, tol):
+            runs.append(real(r, n, m, budget, tol))
+            return runs[-1] if len(runs) == 1 else (pair, 3)
+
+        monkeypatch.setattr(bipartite, "_gram_scaling", run)
+        result = normal_form(d)
+        monkeypatch.undo()
+        first = runs[0][1]
+        assert len(runs) == 2 and result.iterations == first + 3
+        # the first run's record, which a budget of its sweeps returns
+        alone = normal_form(d, max_iter=first)
+        assert alone.iterations == first and not alone.converged
+        for got, want in ((result.filter_a, alone.filter_a), (result.filter_b, alone.filter_b),
+                          (result.state.a, alone.state.a), (result.state.corr, alone.state.corr)):
             np.testing.assert_array_equal(got, want)
 
-    def test_hand_over_gives_the_product_loop_result(self, monkeypatch):
-        # states the Gram iteration cannot finish: the stall states, whose
-        # deviation ratio rises toward 1, ill-conditioned products, whose
-        # filters blow up, and a two-product mixture whose record stalls
-        # near 1e-9; each gets the product loop's result exactly, with no
-        # warning
-        states = []
-        for dim in (3, 4):
-            for eps in (1e-4, 1e-6, 1e-8):
-                rho = eps * np.eye(dim * dim) / dim ** 2
-                rho[0, 0] += 1 - eps
-                states.append((rho, dim, dim))
-                # the deviation ratio is 0.63, 0.73, 0.79, 0.82 at sweeps
-                # 2 to 5: five Gram sweeps, one inverse per half-step,
-                # before the hand-over
-                inverses = []
-                real = np.linalg.inv
-                monkeypatch.setattr(np.linalg, "inv", lambda a: inverses.append(a) or real(a))
-                normal_form(decompose_state(rho, dim, dim), max_iter=6)
-                monkeypatch.undo()
-                assert len(inverses) == 10
-        states += [(ill_conditioned_product(frame), 3, 3) for frame in range(30)]
+    def test_re_based_filters_compose(self, monkeypatch):
+        # a record outside tol is re-based: the next run starts from G = I
+        # on the filtered state, and its Cholesky factors multiply the
+        # filters, which stay upper-triangular.  Planted here by cutting
+        # the first run to two sweeps
+        rng = np.random.default_rng(7)
+        real, budgets = bipartite._gram_scaling, []
+
+        def run(r, n, m, budget, tol):
+            budgets.append(budget)
+            return real(r, n, m, 2 if len(budgets) == 1 else budget, tol)
+
+        for n, m in ((2, 3), (3, 3), (3, 4), (4, 4)):
+            rho = random_density(n * m, n * m, rng)
+            d = decompose_state(rho, n, m)
+            budgets.clear()
+            monkeypatch.setattr(bipartite, "_gram_scaling", run)
+            result = normal_form(d)
+            monkeypatch.undo()
+            assert budgets == [MAX_ITER, MAX_ITER - 2] and result.converged
+            for f in (result.filter_a, result.filter_b):
+                assert np.array_equal(f, np.triu(f))
+            big = np.kron(result.filter_a, result.filter_b)
+            filtered = big @ rho @ big.conj().T
+            filtered /= np.trace(filtered).real
+            np.testing.assert_allclose(filtered, compose_state(result.state), rtol=0, atol=1e-10)
+            np.testing.assert_allclose(np.linalg.svd(result.state.corr, compute_uv=False),
+                                       np.linalg.svd(normal_form(d).state.corr, compute_uv=False),
+                                       rtol=0, atol=1e-12)
+
+    def test_two_product_mixture_converges(self):
+        # (1 - 3e-8)(0.4 P_1 + 0.6 P_2) + 3e-8 I/6 over random pure 2 x 3
+        # products: the product loop stops short of tol, while a re-based
+        # run brings the record within it
         rng = np.random.default_rng(0)
         mix = sum(w * np.kron(random_density(2, 1, rng), random_density(3, 1, rng))
                   for w in (0.4, 0.6))
-        states.append(((1.0 - 3e-8) * mix + 3e-8 * np.eye(6) / 6.0, 2, 3))
-        for rho, n, m in states:
+        rho = (1.0 - 3e-8) * mix + 3e-8 * np.eye(6) / 6.0
+        d = decompose_state(rho, 2, 3)
+        loop = filter_products(d)
+        assert not loop.converged
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = normal_form(d)
+        assert result.converged and result.iterations < 100
+        assert _marginal_norm(result.state) < NORMAL_TOL
+        big = np.kron(result.filter_a, result.filter_b)
+        filtered = big @ rho @ big.conj().T
+        filtered /= np.trace(filtered).real
+        np.testing.assert_allclose(filtered, compose_state(result.state), rtol=0, atol=1e-10)
+
+    def test_ill_conditioned_products_stop_within_a_few_sweeps(self):
+        # marginals with an eigenvalue 1.2e-9 leave the first run's Gram
+        # matrices indefinite in rounding; the loop stops at the failed
+        # factorisation with finite filters and no warning, where the
+        # product loop runs up to its budget on some frames.  The verdict
+        # on these states is TestIllConditionedFilters' in test_criteria
+        budget_runs = 0
+        for frame in range(30):
+            d = decompose_state(ill_conditioned_product(frame), 3, 3)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                d = decompose_state(rho, n, m)
-                self.assert_same(normal_form(d), self.product_loop(d))
-
-    def test_record_outside_tol_hands_over(self, monkeypatch):
-        # the Gram test can pass on a sweep whose record, read off the
-        # Cholesky filters, has a norm just above tol; such a record is
-        # planted here by marking the Gram path's record unconverged, and
-        # the state must get the product loop's result
-        rng = np.random.default_rng(7)
-        d = decompose_state(random_density(9, 9, rng), 3, 3)
-        real, records = bipartite._filtered, []
-
-        def filtered(*args):
-            result = real(*args)
-            records.append(result)
-            return result if len(records) > 1 else dataclasses.replace(result, converged=False)
-
-        monkeypatch.setattr(bipartite, "_filtered", filtered)
-        result = normal_form(d)
-        monkeypatch.undo()
-        assert len(records) == 2 and records[0].converged
-        self.assert_same(result, self.product_loop(d))
-        assert result.converged
-        # unpatched, the Gram path returns only records within tol
-        for _ in range(20):
-            d = decompose_state(random_density(6, 6, rng), 2, 3)
-            fast = _gram_scaling(d, _realigned(d.matrix, 2, 3), MAX_ITER, NORMAL_TOL)
-            assert fast is not None and fast.converged
-            assert max(np.linalg.norm(fast.state.a), np.linalg.norm(fast.state.b)) < NORMAL_TOL
+                result = normal_form(d)
+            assert not result.converged and 0 < result.iterations < 10, frame
+            assert np.isfinite(result.filter_a).all() and np.isfinite(result.filter_b).all()
+            budget_runs += filter_products(d).iterations == MAX_ITER
+        assert budget_runs > 0
 
     def test_gram_scaling_matches_the_product_loop(self):
-        # the Gram iteration finishes every one of these states, in the
+        # the Gram iteration finishes every one of these states in the
         # product loop's sweeps and at the same normal form up to a local
         # unitary
         rng = np.random.default_rng(13)
@@ -387,9 +436,8 @@ class TestNormalForm:
                 families.append((rho / np.trace(rho).real, n, n))
         for rho, n, m in states + families:
             d = decompose_state(rho, n, m)
-            loop = self.product_loop(d)
-            fast = _gram_scaling(d, _realigned(d.matrix, n, m), MAX_ITER, NORMAL_TOL)
-            assert fast is not None
+            loop = filter_products(d)
+            fast = normal_form(d)
             assert fast.converged and loop.converged
             assert fast.iterations == loop.iterations
             assert np.array_equal(fast.filter_a, np.triu(fast.filter_a))

@@ -281,6 +281,18 @@ class TestNormalForm:
         assert "converged: True" in out
         assert "iterations: 0" in out
 
+    @pytest.mark.parametrize("diagonal, dims", [([0.4, 0.4, 0.3, -0.1], (2, 2)),
+                                                ([0.2, 0.2, 0.2, 0.2, 0.3, -0.1], (2, 3))])
+    def test_unphysical_state_exits_70(self, tmp_path, capsys, diagonal, dims):
+        # full-rank marginals and a negative eigenvalue: normal-form refuses
+        # the state as analyze does, and writes no filtered state
+        path = write_matrix(tmp_path / "neg.state.json", np.diag(diagonal).astype(complex), dims)
+        for command in ("normal-form", "analyze"):
+            code, _, err = run_cli([command, path], capsys)
+            assert code == 70
+            assert "minimum eigenvalue -1.000e-01" in err
+        assert not (tmp_path / "neg.state.normal.json").exists()
+
     def test_random_converges(self, tmp_path, capsys):
         rng = np.random.default_rng(11)
         from sephorn.states import random_density

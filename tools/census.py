@@ -4,7 +4,10 @@
 Runs ``sephorn.analyze`` with warnings raised as errors over a seeded
 census and writes, per case, the status, each logged criterion as
 (name, passed, margin, detail) and the decomposition's probabilities, or
-the exception a case raised.  Run from the repository root:
+the exception a case raised.  It also prints the summed wall time of the
+``analyze`` calls per case group, the first component of the case id
+(``qudit``, ``stall``, ...), to stdout only, so that ``--against`` compares
+verdicts and never timings.  Run from the repository root:
 
     python3 tools/census.py --out census.json
     python3 tools/census.py --against census.json
@@ -29,6 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -92,18 +96,21 @@ def cases():
         yield f"short-of-normal-form/{seed}", _noisy(mix, 3e-8), 2, 3
 
 
-def outcome(rho: np.ndarray, n: int, m: int) -> dict:
+def outcome(rho: np.ndarray, n: int, m: int) -> tuple[dict, float]:
+    """A case's census entry and the seconds its ``analyze`` call took."""
+    start = time.perf_counter()
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             verdict = analyze(rho, n, m)
     except Exception as exc:  # a raised case is a census entry like any other
-        return {"error": f"{type(exc).__name__}: {exc}"}
+        return {"error": f"{type(exc).__name__}: {exc}"}, time.perf_counter() - start
+    seconds = time.perf_counter() - start
     dec = verdict.decomposition
     return {"status": verdict.status.value,
             "criteria": [[c.name, bool(c.passed), float(c.margin), c.detail]
                          for c in verdict.criteria],
-            "probs": None if dec is None else [float(p) for p in dec.probs]}
+            "probs": None if dec is None else [float(p) for p in dec.probs]}, seconds
 
 
 def _status(entry: dict | None) -> str:
@@ -124,10 +131,15 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, help="write the census here as JSON")
     parser.add_argument("--against", type=Path, help="compare with this census")
     args = parser.parse_args(argv)
-    census = {cid: outcome(rho, n, m) for cid, rho, n, m in cases()}
+    census, seconds = {}, Counter()
+    for cid, rho, n, m in cases():
+        census[cid], elapsed = outcome(rho, n, m)
+        seconds[cid.split("/")[0]] += elapsed
     if args.out:
         args.out.write_text(json.dumps(census, indent=1) + "\n")
     print(f"{len(census)} cases")
+    for group, total in seconds.items():
+        print(f"{group:>24s}  {total:8.3f} s in analyze")
     if args.against is None:
         return 0
     before = json.loads(args.against.read_text())
