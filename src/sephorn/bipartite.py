@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -111,7 +112,10 @@ def decompose_state(rho: np.ndarray, dim_a: int, dim_b: int,
     """Extract (a, b, corr) from a trace-one Hermitian matrix.
 
     The record keeps a read-only copy of the matrix as ``matrix``.
+    Dimensions that are not integers >= 1 raise :class:`DimensionMismatch`.
     """
+    if not all(isinstance(dim, Integral) and dim >= 1 for dim in (dim_a, dim_b)):
+        raise DimensionMismatch(f"dimensions must be integers >= 1, got {dim_a!r} x {dim_b!r}")
     rho = validate_state(rho, tol)
     if rho.shape[0] != dim_a * dim_b:
         raise DimensionMismatch(

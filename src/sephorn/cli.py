@@ -106,7 +106,7 @@ def _analyze_one(path: str, tol: float, max_iter: int):
               show_default=True, help="Normal-form filtering budget.")
 @click.option("--report", type=click.Choice(["text", "structured"]),
               default="text", show_default=True)
-@click.option("--jobs", type=int, default=1, show_default=True,
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
               help="Parallel workers for multi-file analysis.")
 def cmd_analyze(paths, tol, max_iter, report, jobs):
     """Analyze state files; writes a decomposition next to separable inputs.

@@ -7,14 +7,12 @@ decompositions, recognised in any local frame, into a single pipeline with
 three honest outcomes: ``SEPARABLE`` (always carrying a verified
 decomposition), ``ENTANGLED`` (always carrying a violated necessary
 criterion) and ``INCONCLUSIVE``.
-The battery is three ordered tuples of stages, one per kind of record
-(``_RANK_DEFICIENT``, ``_TWO_QUBIT``, ``_FULL_RANK``), each run by the one
-loop in ``_Call.run``, which builds every verdict that ends a tuple; each
-criterion is logged once.  Two-qubit states are decided by partial
-transposition and Wootters' closed-form product decomposition, without
-filtering; larger states that the constructive bound does not decide
-unfiltered are filtered to normal form before the norm bounds and family
-decompositions.
+A state is projected onto its local supports while a marginal is
+rank-deficient, and then runs one ordered tuple of stages, ``_TWO_QUBIT``
+(partial transposition and Wootters' decomposition, no filtering) or
+``_FULL_RANK``, in the one loop of ``_Call.run``, which builds every
+verdict that ends a tuple.  Each criterion is logged once, and each
+decomposition is verified once, against the input.
 
 Above 2 x 2 the battery rests on de Vicente's Ky Fan bounds (QIC 7, 624
 (2007)), and each question is decided once.  The constructive bound is
@@ -57,12 +55,14 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from math import isfinite
+from numbers import Integral
 
 import numpy as np
 
 from .bipartite import (
     BipartiteDecomposed,
     NormalFormResult,
+    _marginal_norm,
     decompose_state,
     local_ranks,
     normal_form,
@@ -83,7 +83,8 @@ from .decompose import (
     wootters_decomposition,
     wootters_frame,
 )
-from .errors import BoundExceeded, DimensionMismatch, NotPSD, SepHornError
+from .errors import (BadParameter, BoundExceeded, DimensionMismatch, NotFullRank, NotPSD,
+                     SepHornError)
 from .linalg import certify_psd
 from .states import werner_parameter
 
@@ -243,16 +244,20 @@ def verify_decomposition(dec: SeparableDecomposition,
 
 @dataclass
 class _Call:
-    """One pass of the battery over one record: its inputs, its local ranks,
-    the criteria logged so far and, once filtering has reached normal form,
-    the filtering result."""
+    """One pass of the battery: the record the stages read, the input or its
+    projection onto the local supports, with their isometries, the criteria
+    logged so far and, once filtering has reached normal form, its result."""
 
     d: BipartiteDecomposed
     tol: float
     max_iter: int = MAX_ITER
-    ranks: tuple[int, int] | None = None
     log: list[CriterionResult] = field(default_factory=list)
     nf: NormalFormResult | None = None
+    isometries: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
+    input_record: BipartiteDecomposed = field(init=False)
+
+    def __post_init__(self):
+        self.input_record = self.d
 
     def run(self, stages) -> Verdict:
         """Run ``stages`` in order.  Each returns a verdict, a terminal
@@ -267,37 +272,21 @@ class _Call:
 
     def verified(self, dec: SeparableDecomposition, source: str) -> Verdict | None:
         """The SEPARABLE verdict on ``dec``, or None when verification fails.
-        Once filtering has run, ``dec`` decomposes the filtered state: it is
-        pulled back through the filters when a sweep ran, and taken as it is
-        when none did, since the filters are then I."""
+        ``dec`` decomposes the record the stages read: it is pulled back
+        through the filters when a filtering sweep ran (the filters are I
+        when none did), lifted through the isometries of each support
+        projection, the last first, and verified once, against the input."""
         nf = self.nf
         if nf is not None and nf.iterations:
             dec = pull_back_filters(dec, nf.filter_a, nf.filter_b, self.d.dim_a, self.d.dim_b)
-        report = verify_decomposition(dec, self.d)
+        for iso_a, iso_b in reversed(self.isometries):
+            dec = embed_isometries(dec, iso_a, iso_b)
+        report = verify_decomposition(dec, self.input_record)
         self.log.append(CriterionResult(f"decomposition[{source}]", report.valid,
                                         report.max_residual, report.detail))
         if not report.valid:
             return None
         return Verdict(status=Status.SEPARABLE, decomposition=dec, criteria=tuple(self.log))
-
-
-def _support(call: _Call) -> Verdict | Status | None:
-    """A rank-deficient marginal.  A pure one makes rho the product of its
-    marginals; otherwise the state is decided on its local supports and the
-    decomposition embedded back."""
-    d, tol = call.d, call.tol
-    call.log.append(CriterionResult("support-projection", True, 0.0,
-                                    f"reduced {d.dim_a}x{d.dim_b} -> "
-                                    f"{call.ranks[0]}x{call.ranks[1]}"))
-    if 1 in call.ranks:
-        # the unprojected marginals keep a weight below tol that the support drops
-        return _trivial_factor(call)
-    iso_a, iso_b = support_isometries(d, tol=tol)
-    sub = _analyze_decomposed(project_to_support(d, tol=tol), tol=tol, max_iter=call.max_iter)
-    call.log.extend(sub.criteria)
-    if sub.status is not Status.SEPARABLE:
-        return sub.status
-    return call.verified(embed_isometries(sub.decomposition, iso_a, iso_b), "embedded")
 
 
 def _trivial_factor(call: _Call) -> Verdict | None:
@@ -327,9 +316,8 @@ def _wootters(call: _Call) -> Verdict | None:
                                     f"Wootters values {values}"))
     if margin <= KYFAN_SLACK:
         return call.verified(wootters_decomposition(call.d, frame), "wootters")
-    # _ppt logged the first entry: its margin is minus the lowest eigenvalue
-    # when that is negative
-    band = call.log[0].margin
+    # the ppt margin is minus the lowest eigenvalue when that is negative
+    band = next(c.margin for c in call.log if c.name == "ppt")
     if band > 0.0:
         call.log.append(CriterionResult(
             "ppt-tolerance-band", False, band,
@@ -372,12 +360,13 @@ def _filter(call: _Call) -> Verdict | None:
     component (a, b); the pass ends there."""
     d = call.d
     nf = normal_form(d, max_iter=call.max_iter, tol=NORMAL_TOL, rank_tol=call.tol)
-    marg = float(max(np.linalg.norm(nf.state.a), np.linalg.norm(nf.state.b)))
+    marg = _marginal_norm(nf.state)
     if marg >= RESIDUAL:
         call.log.append(CriterionResult("normal-form", False, marg,
                                         f"not converged in {nf.iterations} sweeps"))
         product = np.abs(d.corr - np.outer(d.a, d.b)).max(initial=0.0) <= RESIDUAL
-        return call.run((_kyfan_necessary, _trivial_factor) if product else (_kyfan_necessary,))
+        return (_kyfan_necessary(call) or (_trivial_factor(call) if product else None)
+                or Status.INCONCLUSIVE)
     if not nf.converged:
         call.log.append(CriterionResult("normal-form", True, marg,
                                         f"not converged in {nf.iterations} sweeps; record within "
@@ -438,9 +427,8 @@ def _family(call: _Call) -> Verdict | None:
                                                 s_vectors=built.s_vectors), "family")
 
 
-# The battery, in order, for a record with a rank-deficient marginal, a
-# full-rank 2 x 2 one and any other (README, "Pipeline")
-_RANK_DEFICIENT = (_support,)
+# The battery, in order, for a 2 x 2 record and any other, each with full
+# local ranks (README, "Pipeline")
 _TWO_QUBIT = (_ppt, _wootters)
 _FULL_RANK = (_ppt, _kyfan_unfiltered, _filter, _kyfan_necessary, _kyfan_sufficient, _family)
 
@@ -471,45 +459,40 @@ def two_qubit_decide(d: BipartiteDecomposed, *, tol: float = POSITIVITY_TOL) -> 
 
 def analyze(rho: np.ndarray, dim_a: int, dim_b: int, *, tol: float = POSITIVITY_TOL,
             max_iter: int = MAX_ITER) -> Verdict:
-    """Full separability pipeline for a density matrix.
+    """Full separability pipeline for a density matrix, in one pass.
 
-    After validation, a record runs one of three stage tuples, in order:
-    ``_RANK_DEFICIENT`` when a marginal is rank-deficient (the trivial
-    factor for a pure marginal; otherwise support projection, the pipeline
-    on the projected record, and embedding), ``_TWO_QUBIT`` at full-rank
-    2 x 2 (:func:`two_qubit_decide`), and ``_FULL_RANK`` otherwise:
-    partial transposition, the constructive sufficient bound on the
-    unfiltered record shifted by its marginals, normal-form filtering, the
-    necessary norm bound, the constructive sufficient bound, and the
-    closed-form Werner and isotropic decompositions, which recognise either
-    family in any local frame by the equal singular values of its filtered
-    correlation.  A state the unfiltered bound decides logs
-    ``decomposition[kyfan-sufficient]`` right after ``ppt``; one it does
-    not decide logs nothing for it.  Separable verdicts are re-verified
-    before being returned.  An inconclusive verdict on a filtered state
-    logs the failed ``kyfan-sufficient`` criterion, whose margin is how far
-    the filtered Ky Fan norm exceeds the constructive bound; when filtering
-    leaves a marginal Bloch norm at ``RESIDUAL`` or above, the failed
-    ``normal-form`` criterion is logged, the necessary norm bound is applied
-    to the unfiltered correlation instead, and a violation is ENTANGLED;
-    a state that passes it and whose correlation is a b^T within
-    ``RESIDUAL`` -- a product state with ill-conditioned marginals -- is
-    then offered its one-component ``trivial-factor`` decomposition.
+    After validation, while a marginal is rank-deficient the record logs
+    ``support-projection`` and is projected onto its local supports; a
+    rank-one marginal ends the pass instead with the ``trivial-factor``
+    decomposition of the record, whose unprojected marginals keep the
+    weight the support drops.  The full-rank record runs one stage tuple:
+    ``_TWO_QUBIT`` at 2 x 2 (:func:`two_qubit_decide`), else ``_FULL_RANK``:
+    partial transposition; the constructive bound on the unfiltered record
+    shifted by its marginals, which logs nothing unless it decides;
+    normal-form filtering; the necessary norm bound; the constructive bound
+    on the filtered record, whose failure logs how far the Ky Fan norm
+    exceeds it; and the closed-form Werner and isotropic decompositions in
+    any local frame.  When filtering leaves a marginal Bloch norm at
+    ``RESIDUAL`` or above, the failed ``normal-form`` criterion is logged,
+    the necessary bound is applied to the unfiltered correlation, and a
+    state that passes it with correlation a b^T within ``RESIDUAL`` -- a
+    product with ill-conditioned marginals -- is offered its
+    ``trivial-factor`` decomposition.  Each decomposition is pulled back
+    through the filters, lifted through the support isometries and verified
+    once, against the input, as ``decomposition[<construction>]``.
 
-    The input is validated once, and each spectral quantity is computed
-    at most once: the eigendecomposition of a marginal only where
-    :func:`~sephorn.bloch.ball_floor` leaves its rank open or a support
-    isometry needs it, the eigenvalues of the partial transpose and one
-    singular value decomposition: of corr - a b^T for a state decided
-    unfiltered, of the filtered correlation otherwise, after one of
-    corr - a b^T when its Frobenius norm fits the shifted bound and its
-    Ky Fan norm does not.
-    Positivity of rho is checked by :func:`require_psd`.
-
-    ``tol`` is the psd threshold of rho and of its partial transpose and the
-    local-rank cutoff; Hermiticity and unit trace are validated to
-    ``max(STATE_TOL, tol)``.  ``max_iter`` bounds the filtering sweeps.
+    Positivity of rho is checked by :func:`require_psd`.  ``tol`` is the
+    psd threshold of rho and of its partial transpose and the local-rank
+    cutoff; Hermiticity and unit trace are validated to
+    ``max(STATE_TOL, tol)``.  ``max_iter`` bounds the filtering sweeps.  A
+    ``tol`` that is not finite and >= 0, or a ``max_iter`` that is not an
+    integer >= 0, raises :class:`BadParameter`; a marginal with no
+    eigenvalue above ``tol`` raises :class:`NotFullRank`.
     """
+    if not (isfinite(tol) and tol >= 0.0):
+        raise BadParameter(f"tol must be finite and >= 0, got {tol}")
+    if not (isinstance(max_iter, Integral) and max_iter >= 0):
+        raise BadParameter(f"max_iter must be an integer >= 0, got {max_iter}")
     d = decompose_state(rho, dim_a, dim_b, tol=max(STATE_TOL, tol))
     require_psd(d, tol)
     return _analyze_decomposed(d, tol=tol, max_iter=max_iter)
@@ -530,9 +513,17 @@ def require_psd(d: BipartiteDecomposed, tol: float = POSITIVITY_TOL) -> None:
 
 
 def _analyze_decomposed(d: BipartiteDecomposed, *, tol: float, max_iter: int) -> Verdict:
-    ranks = local_ranks(d, tol=tol)
-    if ranks != (d.dim_a, d.dim_b):
-        return _Call(d, tol, max_iter, ranks).run(_RANK_DEFICIENT)
-    if ranks == (2, 2):
-        return two_qubit_decide(d, tol=tol)
-    return _Call(d, tol, max_iter, ranks).run(_FULL_RANK)
+    call = _Call(d, tol, max_iter)
+    while (ranks := local_ranks(call.d, tol=tol)) != (call.d.dim_a, call.d.dim_b):
+        if 0 in ranks:
+            raise NotFullRank(f"marginal {'AB'[ranks.index(0)]} has no eigenvalue "
+                              f"above tol = {tol:g}")
+        call.log.append(CriterionResult("support-projection", True, 0.0,
+                                        f"reduced {call.d.dim_a}x{call.d.dim_b} -> "
+                                        f"{ranks[0]}x{ranks[1]}"))
+        if 1 in ranks:
+            # the unprojected marginals keep a weight below tol that the support drops
+            return call.run((_trivial_factor,))
+        call.isometries.append(support_isometries(call.d, tol=tol))
+        call.d = project_to_support(call.d, tol=tol)
+    return call.run(_TWO_QUBIT if ranks == (2, 2) else _FULL_RANK)

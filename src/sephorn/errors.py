@@ -10,6 +10,10 @@ class SepHornError(Exception):
     """Base class for all sephorn errors."""
 
 
+class BadParameter(SepHornError):
+    """A caller-chosen number (``tol``, ``max_iter``) lies outside its range."""
+
+
 # --- linear algebra ---------------------------------------------------------
 
 class DimensionMismatch(SepHornError):

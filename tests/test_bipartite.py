@@ -54,6 +54,11 @@ class TestDecompose:
         with pytest.raises(DimensionMismatch):
             decompose_state(np.eye(4) / 4, 2, 3)
 
+    @pytest.mark.parametrize("dims", [(-3, -3), (3.0, 3.0), (0, 9), (3, None)])
+    def test_dimensions_must_be_integers_at_least_one(self, dims):
+        with pytest.raises(DimensionMismatch, match="integers >= 1"):
+            decompose_state(np.eye(9) / 9, *dims)
+
     @pytest.mark.parametrize("dims", [(1, 3), (3, 1), (2, 3), (3, 4)])
     def test_moments_match_explicit_traces(self, dims):
         # dimension-1 factors are what project_to_support hands back

@@ -322,6 +322,13 @@ def test_jobs_flag_parallel_analysis(tmp_path, capsys):
     assert "SEPARABLE" in out and "ENTANGLED" in out
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_usage_error(tmp_path, capsys, jobs):
+    p1 = write_state(tmp_path / "a.state.json", werner(2, 0.5), (2, 2))
+    code, out, err = run_cli(["analyze", p1, "--jobs", jobs], capsys)
+    assert code == 64 and out == "" and "--jobs" in err
+
+
 def test_jobs_capped_at_file_count(tmp_path, capsys, monkeypatch):
     # the pool starts every worker it is asked for, so --jobs beyond the
     # number of files would only start idle processes

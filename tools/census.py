@@ -24,7 +24,8 @@ The census holds the benchmark's qubit, qudit and families corpora at seeds
 mixtures of k random product states plus white noise, noisy full-rank
 states from 2x3 to 4x4, the filtering stall states (1 - eps)|00><00| +
 eps I/d, thirty 3x3 products whose marginals have an eigenvalue just above
-the rank cutoff, and forty mixtures of two 2x3 products plus 3e-8 I/6.
+the rank cutoff, forty mixtures of two 2x3 products plus 3e-8 I/6, and ten
+3x3 states that take two support projections (:func:`nested_support`).
 """
 
 from __future__ import annotations
@@ -56,6 +57,19 @@ def _products(k: int, n: int, m: int, rng) -> np.ndarray:
     weights = rng.dirichlet(np.ones(k))
     return sum(w * np.kron(random_density(n, 1, rng), random_density(m, 1, rng))
                for w in weights)
+
+
+def nested_support(rng, eps: float = 0.6e-9) -> np.ndarray:
+    """(1 - 2 eps) times two products on the {0,1} x {0,1} block, plus
+    eps |22><22| and eps |20><20|, at 3x3.  B's weight eps on |2> lies
+    below the rank cutoff and A's 2 eps above it; once B is projected, A
+    keeps eps on |2> and is projected in turn."""
+    block = sum(w * np.kron(np.pad(random_density(2, 1, rng), (0, 1)),
+                            np.pad(random_density(2, 1, rng), (0, 1)))
+                for w in (0.4, 0.6))
+    tail = np.zeros(9)
+    tail[[8, 6]] = eps
+    return (1.0 - 2.0 * eps) * block + np.diag(tail)
 
 
 def cases():
@@ -94,6 +108,8 @@ def cases():
         mix = sum(w * np.kron(random_density(2, 1, rng), random_density(3, 1, rng))
                   for w in (0.4, 0.6))
         yield f"short-of-normal-form/{seed}", _noisy(mix, 3e-8), 2, 3
+    for seed in range(10):
+        yield f"nested-support/{seed}", nested_support(np.random.default_rng(seed)), 3, 3
 
 
 def outcome(rho: np.ndarray, n: int, m: int) -> tuple[dict, float]:
