@@ -11,8 +11,9 @@ A state is projected onto its local supports while a marginal is
 rank-deficient, and then runs one ordered tuple of stages, ``_TWO_QUBIT``
 (partial transposition and Wootters' decomposition, no filtering) or
 ``_FULL_RANK``, in the one loop of ``_Call.run``, which builds every
-verdict that ends a tuple.  Each criterion is logged once, and each
-decomposition is verified once, against the input.
+verdict that ends a tuple.  Each criterion is logged once.  Each
+decomposition reaches the input through one local map per side, in one
+:func:`~sephorn.decompose.transport`, and is verified once, against it.
 
 Above 2 x 2 the battery rests on de Vicente's Ky Fan bounds (QIC 7, 624
 (2007)), and each question is decided once.  The constructive bound is
@@ -61,7 +62,6 @@ import numpy as np
 
 from .bipartite import (
     BipartiteDecomposed,
-    NormalFormResult,
     _marginal_norm,
     decompose_state,
     local_ranks,
@@ -75,10 +75,9 @@ from .config import (COMPONENT_PSD, KYFAN_SLACK, MAX_ITER, NORMAL_TOL, POSITIVIT
                      PROB_SUM, RESIDUAL, STATE_TOL)
 from .decompose import (
     SeparableDecomposition,
-    embed_isometries,
     kyfan_bound_decomposition,
     kyfan_room,
-    pull_back_filters,
+    transport,
     werner_decompose,
     wootters_decomposition,
     wootters_frame,
@@ -129,6 +128,12 @@ class Verdict:
 # individual criteria
 # ---------------------------------------------------------------------------
 
+def _check_tol(tol: float) -> None:
+    """Raise :class:`BadParameter` unless ``tol`` is finite and >= 0."""
+    if not (isfinite(tol) and tol >= 0.0):
+        raise BadParameter(f"tol must be finite and >= 0, got {tol}")
+
+
 def kyfan_necessary_check(d: BipartiteDecomposed) -> CriterionResult:
     """de Vicente's necessary bound ||corr||_KF <= R_+(N) R_+(M), with
     R_+(N) = sqrt(2(N-1)/N), which every separable state satisfies,
@@ -148,7 +153,8 @@ def kyfan_necessary_check(d: BipartiteDecomposed) -> CriterionResult:
 def ppt_check(d: BipartiteDecomposed, *, tol: float = POSITIVITY_TOL) -> PptCheck:
     """Positivity of the partially transposed state; failure certifies
     entanglement.  One eigenvalue solve of the matrix-level partial
-    transpose of ``d.matrix``."""
+    transpose of ``d.matrix``.  ``tol`` is checked as in :func:`analyze`."""
+    _check_tol(tol)
     rho_pt = partial_transpose_matrix(d.matrix, d.dim_a, d.dim_b)
     low = float(np.linalg.eigvalsh(rho_pt)[0])
     return PptCheck(passed=low >= -tol, min_eigenvalue=low)
@@ -244,16 +250,17 @@ def verify_decomposition(dec: SeparableDecomposition,
 
 @dataclass
 class _Call:
-    """One pass of the battery: the record the stages read, the input or its
-    projection onto the local supports, with their isometries, the criteria
-    logged so far and, once filtering has reached normal form, its result."""
+    """One pass of the battery.  ``d`` is the one record every stage reads:
+    the input, its projection onto the local supports, then its normal
+    form.  ``lift`` holds each side's support isometries composed into one,
+    ``filters`` the forward filters; each is None until it is taken."""
 
     d: BipartiteDecomposed
     tol: float
     max_iter: int = MAX_ITER
     log: list[CriterionResult] = field(default_factory=list)
-    nf: NormalFormResult | None = None
-    isometries: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
+    lift: tuple[np.ndarray, np.ndarray] | None = None
+    filters: tuple[np.ndarray, np.ndarray] | None = None
     input_record: BipartiteDecomposed = field(init=False)
 
     def __post_init__(self):
@@ -272,15 +279,16 @@ class _Call:
 
     def verified(self, dec: SeparableDecomposition, source: str) -> Verdict | None:
         """The SEPARABLE verdict on ``dec``, or None when verification fails.
-        ``dec`` decomposes the record the stages read: it is pulled back
-        through the filters when a filtering sweep ran (the filters are I
-        when none did), lifted through the isometries of each support
-        projection, the last first, and verified once, against the input."""
-        nf = self.nf
-        if nf is not None and nf.iterations:
-            dec = pull_back_filters(dec, nf.filter_a, nf.filter_b, self.d.dim_a, self.d.dim_b)
-        for iso_a, iso_b in reversed(self.isometries):
-            dec = embed_isometries(dec, iso_a, iso_b)
+        ``dec`` decomposes ``d`` and reaches the input through one map per
+        side, lift times inverse filter, in one transport call (none when no
+        projection or sweep ran), and is verified once, against the input.  The
+        filters are inverted here, since most filtered passes verify nothing."""
+        maps = self.lift
+        if self.filters is not None:
+            pull = [np.linalg.inv(f) for f in self.filters]
+            maps = pull if maps is None else [lift @ inv for lift, inv in zip(maps, pull)]
+        if maps is not None:
+            dec = transport(dec, *maps)
         report = verify_decomposition(dec, self.input_record)
         self.log.append(CriterionResult(f"decomposition[{source}]", report.valid,
                                         report.max_residual, report.detail))
@@ -352,12 +360,13 @@ def _kyfan_unfiltered(call: _Call) -> Verdict | None:
 
 
 def _filter(call: _Call) -> Verdict | None:
-    """Filter to normal form.  When the record's marginal Bloch norms stay
-    at ``RESIDUAL`` or above, normal form is reached only in the limit: the
-    necessary norm bound, which holds for every separable state, is applied
-    to the unfiltered correlation, and a product of its marginals, which
-    ill-conditioned marginals can keep from normal form, is offered its one
-    component (a, b); the pass ends there."""
+    """Filter to normal form, which becomes the record ``d``, keeping the
+    forward filters when a sweep ran.  When the record's marginal Bloch
+    norms stay at ``RESIDUAL`` or above, normal form is reached only in the
+    limit: the necessary norm bound, which holds for every separable state,
+    is applied to the unfiltered correlation, and a product of its
+    marginals, which ill-conditioned marginals can keep from normal form, is
+    offered its one component (a, b); the pass ends there."""
     d = call.d
     nf = normal_form(d, max_iter=call.max_iter, tol=NORMAL_TOL, rank_tol=call.tol)
     marg = _marginal_norm(nf.state)
@@ -371,21 +380,23 @@ def _filter(call: _Call) -> Verdict | None:
         call.log.append(CriterionResult("normal-form", True, marg,
                                         f"not converged in {nf.iterations} sweeps; record within "
                                         f"{RESIDUAL:.1e} used"))
-    call.nf = nf
+    if nf.iterations:
+        call.filters = nf.filter_a, nf.filter_b
+    call.d = nf.state
     return None
 
 
 def _kyfan_necessary(call: _Call) -> Status | None:
-    """The necessary norm bound, on the normal form once filtering has
-    reached it and on the unfiltered record otherwise."""
-    check = kyfan_necessary_check(call.d if call.nf is None else call.nf.state)
+    """The necessary norm bound on ``d``: the normal form once filtering
+    has reached it, the unfiltered record when filtering failed."""
+    check = kyfan_necessary_check(call.d)
     call.log.append(check)
     return None if check.passed else Status.ENTANGLED
 
 
 def _kyfan_sufficient(call: _Call) -> Verdict | None:
     try:
-        built = kyfan_bound_decomposition(call.nf.state.corr_svd, call.d.dim_a, call.d.dim_b)
+        built = kyfan_bound_decomposition(call.d.corr_svd, call.d.dim_a, call.d.dim_b)
     except BoundExceeded as exc:
         call.log.append(CriterionResult("kyfan-sufficient", False, exc.excess, str(exc)))
         return None
@@ -393,7 +404,8 @@ def _kyfan_sufficient(call: _Call) -> Verdict | None:
 
 
 def _family(call: _Call) -> Verdict | None:
-    """Werner and isotropic states in any local frame, from the stored SVD.
+    """Werner and isotropic states in any local frame, from the stored SVD
+    of the filtered record ``d``.
 
     Filtering takes every local-filter image of a Werner or isotropic state
     to a local-unitary image, whose correlation is c O with O orthogonal:
@@ -404,10 +416,10 @@ def _family(call: _Call) -> Verdict | None:
     Otherwise O = U V^T, and the canonical Werner decomposition of c = +-tau_1
     has its A side rotated by +-O.  c = -tau_1 is taken while its Werner
     parameter is separable: that A side lies in the inscribed ball, where
-    every rotation stays physical.  The result is pulled back through the
-    filters and verified like every other decomposition.
+    every rotation stays physical.  The result reaches the input and is
+    verified like every other decomposition.
     """
-    u, taus, vh = call.nf.state.corr_svd
+    u, taus, vh = call.d.corr_svd
     n = call.d.dim_a
     if n != call.d.dim_b or taus[0] - taus[-1] > RESIDUAL:
         return None
@@ -450,8 +462,10 @@ def two_qubit_decide(d: BipartiteDecomposed, *, tol: float = POSITIVITY_TOL) -> 
     its lowest partial-transpose eigenvalue in [-``tol``, 0), and fails
     the concurrence check lies in a band PPT cannot resolve at that
     tolerance; its verdict also logs the failed ``ppt-tolerance-band``
-    criterion, whose margin is minus that eigenvalue.
+    criterion, whose margin is minus that eigenvalue.  ``tol`` is checked
+    as in :func:`analyze`.
     """
+    _check_tol(tol)
     if (d.dim_a, d.dim_b) != (2, 2):
         raise DimensionMismatch(f"two_qubit_decide needs 2 x 2, got {d.dim_a} x {d.dim_b}")
     return _Call(d, tol).run(_TWO_QUBIT)
@@ -477,9 +491,9 @@ def analyze(rho: np.ndarray, dim_a: int, dim_b: int, *, tol: float = POSITIVITY_
     the necessary bound is applied to the unfiltered correlation, and a
     state that passes it with correlation a b^T within ``RESIDUAL`` -- a
     product with ill-conditioned marginals -- is offered its
-    ``trivial-factor`` decomposition.  Each decomposition is pulled back
-    through the filters, lifted through the support isometries and verified
-    once, against the input, as ``decomposition[<construction>]``.
+    ``trivial-factor`` decomposition.  Each decomposition is carried by the
+    support isometries times the inverse filters to the input and verified
+    there once, as ``decomposition[<construction>]``.
 
     Positivity of rho is checked by :func:`require_psd`.  ``tol`` is the
     psd threshold of rho and of its partial transpose and the local-rank
@@ -489,8 +503,7 @@ def analyze(rho: np.ndarray, dim_a: int, dim_b: int, *, tol: float = POSITIVITY_
     integer >= 0, raises :class:`BadParameter`; a marginal with no
     eigenvalue above ``tol`` raises :class:`NotFullRank`.
     """
-    if not (isfinite(tol) and tol >= 0.0):
-        raise BadParameter(f"tol must be finite and >= 0, got {tol}")
+    _check_tol(tol)
     if not (isinstance(max_iter, Integral) and max_iter >= 0):
         raise BadParameter(f"max_iter must be an integer >= 0, got {max_iter}")
     d = decompose_state(rho, dim_a, dim_b, tol=max(STATE_TOL, tol))
@@ -503,7 +516,9 @@ def require_psd(d: BipartiteDecomposed, tol: float = POSITIVITY_TOL) -> None:
     least -``tol``.  At 2 x 2 the lowest eigenvalue is read from the
     memoized spectrum, which Wootters' frame reuses; above 2 x 2
     :func:`~sephorn.linalg.certify_psd` factorises, and eigensolves only
-    when that fails, so that the error reports the exact lowest eigenvalue."""
+    when that fails, so that the error reports the exact lowest eigenvalue.
+    ``tol`` is checked as in :func:`analyze`."""
+    _check_tol(tol)
     if (d.dim_a, d.dim_b) == (2, 2):
         low = float(d.spectrum[0][0])
     else:
@@ -524,6 +539,7 @@ def _analyze_decomposed(d: BipartiteDecomposed, *, tol: float, max_iter: int) ->
         if 1 in ranks:
             # the unprojected marginals keep a weight below tol that the support drops
             return call.run((_trivial_factor,))
-        call.isometries.append(support_isometries(call.d, tol=tol))
+        va, vb = support_isometries(call.d, tol=tol)
+        call.lift = (va, vb) if call.lift is None else (call.lift[0] @ va, call.lift[1] @ vb)
         call.d = project_to_support(call.d, tol=tol)
     return call.run(_TWO_QUBIT if ranks == (2, 2) else _FULL_RANK)

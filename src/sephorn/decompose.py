@@ -8,9 +8,9 @@ Werner state (which ``criteria.analyze`` rotates and pulls back to decompose
 every Werner and isotropic state it recognises) and Wootters'
 four-component product decomposition of two-qubit states, whose pure
 local kets are read off the Gram matrices of each product vector with no
-factorisation.  Decompositions
-are transported between equivalent states in Bloch coordinates: one real
-matrix per side maps the rows [1, r] of every component at once.
+factorisation.  :func:`transport` carries a decomposition through one
+local map per side in Bloch coordinates: one real matrix per side maps
+the rows [1, r] of every component at once.
 """
 
 from __future__ import annotations
@@ -373,58 +373,40 @@ def wootters_decomposition(d: BipartiteDecomposed,
 
 
 # ---------------------------------------------------------------------------
-# transporting decompositions between equivalent states
+# carrying decompositions through local maps
 # ---------------------------------------------------------------------------
 
-def _bloch_transport(f: np.ndarray, dim_in: int) -> np.ndarray:
+def _bloch_transport(f: np.ndarray) -> np.ndarray:
     """T = Re[G_out kron(F, F*) E_in], the real (K^2, k^2) matrix of
-    X -> F X F^dag in Bloch coordinates, for F of shape (K, k = dim_in).
+    X -> F X F^dag in Bloch coordinates, for F of shape (K, k).
 
     E_in's columns are vec(I/k) and vec(g_mu/2), so E_in [1, r] is the
     component matrix of the Bloch vector r, and the rows of G_out read
     Tr[Y] and Tr[Y g_nu] off vec(Y).  Every entry is the trace of a product
     of Hermitian matrices, hence real.
     """
+    dim_in = f.shape[1]
     scale = np.full(dim_in * dim_in, 0.5)
     scale[0] = 1.0 / dim_in
     embed = _moment_rows(dim_in).conj().T * scale
     return np.real(_moment_rows(f.shape[0]) @ (_conjugation(f) @ embed))
 
 
-def _transform_components(dec: SeparableDecomposition, map_a, map_b,
-                          dim_a_in: int, dim_b_in: int):
-    """Apply rho -> M rho M^dag (+ renormalize) to every component pair.
-
-    One real matrix per side (:func:`_bloch_transport`) takes the rows
-    [1, r] to the trace and the generator moments of the conjugated
-    components; the traces re-weight the components and divide out of the
-    new Bloch vectors.
+def transport(dec: SeparableDecomposition, map_a: np.ndarray,
+              map_b: np.ndarray) -> SeparableDecomposition:
+    """Carry a decomposition through the local maps X -> M X M^dag, M =
+    ``map_a`` on A and ``map_b`` on B, which take every product component
+    to a product: a support isometry lifts, an inverse filter pulls back,
+    and their product does both.  One real matrix per side
+    (:func:`_bloch_transport`) takes the rows [1, r] to the trace and the
+    generator moments of the mapped components; the traces re-weight the
+    components and divide out of the new Bloch vectors.
     """
     probs = dec.probs
     sides = []
-    for vecs, f, dim_in in ((dec.r_vectors, map_a, dim_a_in),
-                            (dec.s_vectors, map_b, dim_b_in)):
-        moments = _augmented(vecs) @ _bloch_transport(f, dim_in).T
+    for vecs, f in ((dec.r_vectors, map_a), (dec.s_vectors, map_b)):
+        moments = _augmented(vecs) @ _bloch_transport(f).T
         probs = probs * moments[:, 0]
         sides.append(moments[:, 1:] / moments[:, :1])
     return SeparableDecomposition(probs=probs / probs.sum(),
                                   r_vectors=sides[0], s_vectors=sides[1])
-
-
-def pull_back_filters(dec: SeparableDecomposition, filter_a: np.ndarray,
-                      filter_b: np.ndarray, dim_a: int, dim_b: int) -> SeparableDecomposition:
-    """Transport a decomposition of the filtered state back to the original.
-
-    Inverts the local filters: each component is conjugated by the filter
-    inverses, as one real Bloch-space matrix per side, and the weights are
-    re-normalized, which preserves positivity and reproduces the pre-filter
-    state exactly.
-    """
-    return _transform_components(dec, np.linalg.inv(filter_a), np.linalg.inv(filter_b),
-                                 dim_a, dim_b)
-
-
-def embed_isometries(dec: SeparableDecomposition, iso_a: np.ndarray,
-                     iso_b: np.ndarray) -> SeparableDecomposition:
-    """Lift a decomposition through support isometries to the ambient dims."""
-    return _transform_components(dec, iso_a, iso_b, iso_a.shape[1], iso_b.shape[1])

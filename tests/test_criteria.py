@@ -28,10 +28,9 @@ from sephorn.criteria import (
 )
 from sephorn.decompose import (
     SeparableDecomposition,
-    embed_isometries,
     kyfan_bound_decomposition,
     kyfan_room,
-    pull_back_filters,
+    transport,
     werner_decompose,
     wootters_decomposition,
 )
@@ -364,18 +363,17 @@ def kyfan_family_cases():
 class TestNormalFormIsNotTransported:
     """A state decided before filtering, or whose marginals are already
     maximally mixed, runs no filtering sweep, so its decomposition is
-    returned as built, not pulled back through identity filters; a filtered
-    state's is still pulled back."""
+    returned as built, not transported through identity filters; a filtered
+    state's is transported once."""
 
     @staticmethod
-    def pull_back_calls(monkeypatch):
+    def transport_calls(monkeypatch):
         calls = []
-        pull_back = criteria.pull_back_filters
 
         def spy(*args):
             calls.append(args)
-            return pull_back(*args)
-        monkeypatch.setattr(criteria, "pull_back_filters", spy)
+            return transport(*args)
+        monkeypatch.setattr(criteria, "transport", spy)
         return calls
 
     @staticmethod
@@ -387,7 +385,7 @@ class TestNormalFormIsNotTransported:
 
     @pytest.mark.parametrize("dim, state", kyfan_family_cases())
     def test_kyfan_decomposition_returned_as_built(self, dim, state, monkeypatch):
-        calls = self.pull_back_calls(monkeypatch)
+        calls = self.transport_calls(monkeypatch)
         rho = in_frame(compose_state(state), dim, dim, "rotated", np.random.default_rng(7))
         verdict = analyze(rho, dim, dim)
         self.separable(verdict, "kyfan-sufficient")
@@ -404,14 +402,14 @@ class TestNormalFormIsNotTransported:
             np.testing.assert_array_equal(got, want)
 
     def test_rotated_werner_simplex_is_not_transported(self, monkeypatch):
-        calls = self.pull_back_calls(monkeypatch)
+        calls = self.transport_calls(monkeypatch)
         rho = in_frame(compose_state(werner(3, 1.0)), 3, 3, "rotated",
                        np.random.default_rng(7))
         self.separable(analyze(rho, 3, 3), "family")
         assert calls == []
 
     def test_filtered_werner_is_pulled_back(self, monkeypatch):
-        calls = self.pull_back_calls(monkeypatch)
+        calls = self.transport_calls(monkeypatch)
         rho = in_frame(compose_state(werner(3, 1.0)), 3, 3, "filtered",
                        np.random.default_rng(7))
         verdict = analyze(rho, 3, 3)
@@ -790,13 +788,13 @@ class TestVerify:
             dec = kyfan_bound_decomposition(nf.state.corr_svd, n, m)
             out[f"kyfan-{n}x{m}"] = (dec, nf.state)
             out[f"pulled-back-{n}x{m}"] = (
-                pull_back_filters(dec, nf.filter_a, nf.filter_b, n, m), d)
+                transport(dec, np.linalg.inv(nf.filter_a), np.linalg.inv(nf.filter_b)), d)
         for n, phi in ((3, 0.1), (3, 0.8), (4, 0.5)):
             out[f"werner-{n}-{phi}"] = (werner_decompose(n, phi), werner(n, phi))
         va, vb = random_unitary(3, rng)[:, :2], random_unitary(3, rng)[:, :2]
         iso = np.kron(va, vb)
         big = decompose_state(iso @ compose_state(werner(2, 0.7)) @ iso.conj().T, 3, 3)
-        out["embedded"] = (embed_isometries(werner_decompose(2, 0.7), va, vb), big)
+        out["embedded"] = (transport(werner_decompose(2, 0.7), va, vb), big)
         return out
 
     @staticmethod
@@ -1009,6 +1007,15 @@ class TestAnalyze:
             with pytest.raises(BadParameter, match=f"^{keyword} must be"):
                 analyze(random_density(9, 9, 1), 3, 3, **{keyword: value})
 
+    @pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
+    @pytest.mark.parametrize("check", [ppt_check, two_qubit_decide, criteria.require_psd])
+    def test_bad_tol_is_named_by_every_check(self, check, tol):
+        # unchecked, a NaN or negative tol makes the maximally mixed state
+        # ENTANGLED or NotPSD
+        d = decompose_state(np.eye(4) / 4.0, 2, 2)
+        with pytest.raises(BadParameter, match="^tol must be"):
+            check(d, tol=tol)
+
     def test_tol_above_every_marginal_eigenvalue(self):
         # the marginal eigenvalues are 1/3, so no support is left to project to
         with pytest.raises(NotFullRank, match="marginal A .* tol = 0.5"):
@@ -1219,6 +1226,35 @@ class TestSupportProjection:
             return
         assert sum(c.name.startswith("decomposition[") for c in verdict.criteria) == 1
         assert verify_decomposition(verdict.decomposition, decompose_state(rho, n, m)).valid
+
+
+def projected_filtered(seed):
+    """0.05 R + 0.95 I/6 at 2x3 under the local filters diag(1, 0.25) U x
+    diag(1, 0.5, 0.2) W, placed in 3x3 by a random isometry on A."""
+    rng = np.random.default_rng(seed)
+    rho = _with_noise(random_density(6, 6, rng), 0.95)
+    f = np.kron(np.diag([1.0, 0.25]) @ random_unitary(2, rng),
+                np.diag([1.0, 0.5, 0.2]) @ random_unitary(3, rng))
+    iso = np.kron(random_unitary(3, rng)[:, :2], np.eye(3))
+    rho = iso @ f @ rho @ f.conj().T @ iso.conj().T
+    return rho / np.trace(rho).real
+
+
+class TestComposedLift:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_projected_and_filtered_state_takes_one_transport(self, seed, monkeypatch):
+        # the decomposition of the filtered record reaches the input through
+        # the support isometry times the inverse filter, in one call
+        calls = TestNormalFormIsNotTransported.transport_calls(monkeypatch)
+        rho = projected_filtered(seed)
+        verdict = analyze(rho, 3, 3)
+        assert verdict.status is SEP
+        assert [c.name for c in verdict.criteria] == [
+            "support-projection", "ppt", "kyfan-necessary", "decomposition[kyfan-sufficient]"]
+        assert len(calls) == 1
+        _, map_a, map_b = calls[0]
+        assert map_a.shape == (3, 2) and map_b.shape == (3, 3)
+        assert verify_decomposition(verdict.decomposition, decompose_state(rho, 3, 3)).valid
 
 
 def _embedded(rho, n, m, seed):

@@ -21,10 +21,9 @@ from sephorn.config import TAKAGI_ORTHO
 from sephorn.criteria import Status, analyze, verify_decomposition
 from sephorn.decompose import (
     SeparableDecomposition,
-    embed_isometries,
     kyfan_bound_decomposition,
-    pull_back_filters,
     pure_state_simplex,
+    transport,
     werner_decompose,
     wootters_decomposition,
     wootters_frame,
@@ -547,7 +546,7 @@ class TestTransport:
         filtered = big @ rho @ big.conj().T
         filtered /= np.trace(filtered).real
         # base decomposes rho; push it forward through the filters
-        pushed = pull_back_filters(base, np.linalg.inv(fa), np.linalg.inv(fb), 2, 2)
+        pushed = transport(base, fa, fb)
         report = verify_decomposition(pushed, decompose_state(filtered, 2, 2))
         assert report.valid
 
@@ -559,7 +558,7 @@ class TestTransport:
         va = random_unitary(3, rng)[:, :2]
         vb = random_unitary(4, rng)[:, :2]
         big = np.kron(va, vb) @ compose_state(werner(2, 0.5)) @ np.kron(va, vb).conj().T
-        lifted = embed_isometries(base, va, vb)
+        lifted = transport(base, va, vb)
         report = verify_decomposition(lifted, decompose_state(big, 3, 4))
         assert report.valid
 
@@ -606,7 +605,8 @@ class TestTransport:
         pytest.param(n, m, cond, id=f"{n}-{m}" + ("" if cond is None else f"-cond{cond:.0e}"))
         for n, m in [(2, 2), (2, 3), (3, 3), (4, 5), (7, 7)] for cond in (None, 1e2, 1e4)])
     def test_stacked_transport_matches_component_loop(self, dim_a, dim_b, cond):
-        """Filters near I, or with singular values spread from 1 to 1/cond."""
+        """Inverse filters near I, or with singular values spread from 1 to
+        cond; isometries; and an isometry times an inverse filter."""
         from sephorn.linalg import random_unitary
         rng = np.random.default_rng(dim_a * 10 + dim_b)
         dec = self.random_decomposition(rng, dim_a, dim_b, 2 * dim_a * dim_b)
@@ -617,11 +617,11 @@ class TestTransport:
         else:
             fa, fb = ((random_unitary(n, rng) * np.geomspace(1.0, 1.0 / cond, n))
                       @ random_unitary(n, rng) for n in (dim_a, dim_b))
-        pulled = pull_back_filters(dec, fa, fb, dim_a, dim_b)
-        self.assert_matches_reference(pulled, dec, np.linalg.inv(fa), np.linalg.inv(fb))
+        ia, ib = np.linalg.inv(fa), np.linalg.inv(fb)
         va = random_unitary(dim_a + 2, rng)[:, :dim_a]
         vb = random_unitary(dim_b + 1, rng)[:, :dim_b]
-        self.assert_matches_reference(embed_isometries(dec, va, vb), dec, va, vb)
+        for map_a, map_b in ((ia, ib), (va, vb), (va @ ia, vb @ ib)):
+            self.assert_matches_reference(transport(dec, map_a, map_b), dec, map_a, map_b)
 
     def test_rank_one_factor_lifted(self):
         from sephorn.linalg import random_unitary
@@ -629,7 +629,7 @@ class TestTransport:
         dec = self.random_decomposition(rng, 1, 2, 5)
         va = random_unitary(3, rng)[:, :1]
         vb = random_unitary(4, rng)[:, :2]
-        lifted = embed_isometries(dec, va, vb)
+        lifted = transport(dec, va, vb)
         self.assert_matches_reference(lifted, dec, va, vb)
         # the dim-1 side lifts to the one pure state va va^dag
         np.testing.assert_allclose(from_bloch(lifted.r_vectors),

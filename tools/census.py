@@ -17,15 +17,21 @@ the parent commit, lists each case that differs and exits 1 if any does.
 Floats are compared through their JSON text, so equal means bit-identical.
 The comparison ends with one line per group of differing cases that share
 their status before, their status after and the last criterion logged
-after, with the group's count.
+after, with the group's count.  Cases whose status and criterion names
+are unchanged form groups of their own, whose line also gives the largest
+change of a probability and of a criterion margin, so that drift in the
+floats is measured, not only listed.
 
 The census holds the benchmark's qubit, qudit and families corpora at seeds
 1-3 (``pipebench.corpus``, read only), low-rank states plus white noise,
 mixtures of k random product states plus white noise, noisy full-rank
 states from 2x3 to 4x4, the filtering stall states (1 - eps)|00><00| +
 eps I/d, thirty 3x3 products whose marginals have an eigenvalue just above
-the rank cutoff, forty mixtures of two 2x3 products plus 3e-8 I/6, and ten
-3x3 states that take two support projections (:func:`nested_support`).
+the rank cutoff, forty mixtures of two 2x3 products plus 3e-8 I/6, ten
+3x3 states that take two support projections (:func:`nested_support`) and
+ten filtered 2x3 states embedded in 3x3, whose decomposition is carried
+through a filter and a support projection at once
+(:func:`projected_filtered`).
 """
 
 from __future__ import annotations
@@ -72,6 +78,18 @@ def nested_support(rng, eps: float = 0.6e-9) -> np.ndarray:
     return (1.0 - 2.0 * eps) * block + np.diag(tail)
 
 
+def projected_filtered(rng) -> np.ndarray:
+    """0.05 R + 0.95 I/6 at 2x3, R a random state, under the local filters
+    diag(1, 0.25) U x diag(1, 0.5, 0.2) W, U and W random unitaries, then
+    placed in 3x3 by a random isometry on A."""
+    rho = _noisy(random_density(6, 6, rng), 0.95)
+    f = np.kron(np.diag([1.0, 0.25]) @ random_unitary(2, rng),
+                np.diag([1.0, 0.5, 0.2]) @ random_unitary(3, rng))
+    iso = np.kron(random_unitary(3, rng)[:, :2], np.eye(3))
+    rho = iso @ f @ rho @ f.conj().T @ iso.conj().T
+    return rho / np.trace(rho).real
+
+
 def cases():
     """Yield (case id, rho, dim_a, dim_b) for the whole census, in order."""
     for workload in ("qubit", "qudit", "families"):
@@ -110,6 +128,8 @@ def cases():
         yield f"short-of-normal-form/{seed}", _noisy(mix, 3e-8), 2, 3
     for seed in range(10):
         yield f"nested-support/{seed}", nested_support(np.random.default_rng(seed)), 3, 3
+    for seed in range(10):
+        yield f"projected-filtered/{seed}", projected_filtered(np.random.default_rng(seed)), 3, 3
 
 
 def outcome(rho: np.ndarray, n: int, m: int) -> tuple[dict, float]:
@@ -142,6 +162,25 @@ def _last_criterion(entry: dict | None) -> str:
     return criteria[-1][0]
 
 
+def _largest_change(pairs) -> float:
+    """max |x - y| over the pairs, 0 for none; equal infinities do not change."""
+    return max((abs(x - y) for x, y in pairs if x != y), default=0.0)
+
+
+def _drift(before: dict | None, after: dict | None) -> tuple[float, float] | None:
+    """The largest change of a probability and of a criterion margin between
+    two verdicts with the same status, criterion names and number of
+    probabilities, or None."""
+    if not (before and after and "status" in before and "status" in after):
+        return None
+    probs = before["probs"] or [], after["probs"] or []
+    if (before["status"] != after["status"] or len(probs[0]) != len(probs[1])
+            or [c[0] for c in before["criteria"]] != [c[0] for c in after["criteria"]]):
+        return None
+    margins = [(c[2], d[2]) for c, d in zip(before["criteria"], after["criteria"])]
+    return _largest_change(zip(*probs)), _largest_change(margins)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", type=Path, help="write the census here as JSON")
@@ -164,10 +203,21 @@ def main(argv=None) -> int:
     for cid in differing:
         print(f"differs: {cid}\n  before: {json.dumps(before.get(cid))}\n"
               f"  after:  {json.dumps(census.get(cid))}")
-    groups = Counter((_status(before.get(cid)), _status(census.get(cid)),
-                      _last_criterion(census.get(cid))) for cid in differing)
-    for (was, now, last), count in sorted(groups.items()):
-        print(f"{count:6d}  {was} -> {now}, last criterion {last}")
+    groups, drift = Counter(), {}
+    for cid in differing:
+        change = _drift(before.get(cid), census.get(cid))
+        key = (_status(before.get(cid)), _status(census.get(cid)),
+               _last_criterion(census.get(cid)), change is not None)
+        groups[key] += 1
+        if change is not None:
+            drift[key] = tuple(map(max, drift.get(key, (0.0, 0.0)), change))
+    for key, count in sorted(groups.items()):
+        was, now, last, same_names = key
+        line = f"{count:6d}  {was} -> {now}, last criterion {last}"
+        if same_names:
+            dp, dm = drift[key]
+            line += f", names unchanged: max |dp| {dp:.2e}, max |d margin| {dm:.2e}"
+        print(line)
     print(f"{len(differing)} differing cases")
     return 1 if differing else 0
 
