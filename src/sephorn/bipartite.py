@@ -104,7 +104,7 @@ class NormalFormResult:
 def partial_transpose_matrix(rho: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
     """Matrix-level (1 x T) partial transposition on the second factor."""
     r4 = np.asarray(rho).reshape(dim_a, dim_b, dim_a, dim_b)
-    return np.transpose(r4, (0, 3, 2, 1)).reshape(dim_a * dim_b, dim_a * dim_b)
+    return r4.transpose(0, 3, 2, 1).reshape(dim_a * dim_b, dim_a * dim_b)
 
 
 def decompose_state(rho: np.ndarray, dim_a: int, dim_b: int,
@@ -151,7 +151,7 @@ def _moments(realigned: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
     """The real (N^2, M^2) matrix [[Tr rho, b^T], [a, corr]] of a Hermitian
     rho, whose entry [mu, nu] is Tr[rho (g_mu x h_nu)] with g_0 = I and
     h_0 = I, from the realigned matrix R[(i, j), (a, b)] = rho[ia, jb]."""
-    return np.real(_moment_rows(dim_a) @ realigned @ _moment_rows(dim_b).T)
+    return (_moment_rows(dim_a) @ realigned @ _moment_rows(dim_b).T).real
 
 
 def compose_state(d: BipartiteDecomposed) -> np.ndarray:

@@ -63,7 +63,7 @@ def _validate_stack(rho: np.ndarray, tol: float) -> np.ndarray:
     if herm.size and herm.max() > tol:
         where, dev = _first_failure(rho, herm.max(axis=(-2, -1)), tol)
         raise NotAState(f"{where}Hermiticity deviation {dev:.3e} exceeds {tol:.1e}")
-    tr_dev = np.abs(rho.diagonal(0, -2, -1).sum(-1) - 1.0)
+    tr_dev = np.abs(rho.trace(0, -2, -1) - 1.0)
     if (tr_dev > tol).any():
         where, dev = _first_failure(rho, tr_dev, tol)
         raise NotAState(f"{where}trace deviates from 1 by {dev:.3e}")
@@ -109,7 +109,16 @@ def ball_floor(vecs: np.ndarray, dim: int) -> np.ndarray | float:
     |r|^2 < 2/(N(N-1)).
     """
     vecs = np.asarray(vecs, dtype=float)
-    return 1.0 / dim - np.sqrt((vecs * vecs).sum(-1)) * sqrt((dim - 1.0) / (2.0 * dim))
+    return 1.0 / dim - np.sqrt(np.vecdot(vecs, vecs)) * sqrt((dim - 1.0) / (2.0 * dim))
+
+
+def ball_radius_sq(dim: int, floor: float) -> float:
+    """The largest squared Bloch norm whose :func:`ball_floor` is at least
+    ``floor``, for ``floor`` at most 1/N: (1/N - floor)^2 2N/(N - 1),
+    infinite at N = 1, whose vectors are empty."""
+    if dim == 1:
+        return float("inf")
+    return (1.0 / dim - floor) ** 2 * 2.0 * dim / (dim - 1.0)
 
 
 def from_bloch(r: np.ndarray, dim: int | None = None) -> np.ndarray:

@@ -6,6 +6,9 @@ Exit codes are a stable contract: 0 = separable, 1 = entangled,
 exits with the code of its ``analyze`` verdict.
 The environment variable ``SEP_HORN_TOL`` sets the default ``--tol``; a
 tolerance that is not finite and >= 0, from either source, is bad usage.
+``analyze --report structured`` prints strict JSON: a criterion margin
+that is not finite, such as the infinite residual of a decomposition that
+fails verification as malformed, is written as ``null``.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import concurrent.futures
 import json
 import sys
 import traceback
+from math import isfinite
 from pathlib import Path
 
 import click
@@ -60,6 +64,13 @@ def _check_tol_option(ctx, param, value):
 # analyze
 # ---------------------------------------------------------------------------
 
+def _json_number(value: float) -> float | None:
+    """``value`` as a float, or None, written ``null``, when it is not finite:
+    JSON has no infinity or NaN."""
+    value = float(value)
+    return value if isfinite(value) else None
+
+
 def _verdict_report(path: str, verdict: Verdict, decomposition_file: str | None,
                     structured: bool) -> str:
     if structured:
@@ -69,12 +80,12 @@ def _verdict_report(path: str, verdict: Verdict, decomposition_file: str | None,
             "status": verdict.status.value,
             "criteria": [
                 {"name": c.name, "passed": bool(c.passed),
-                 "margin": float(c.margin), "detail": c.detail}
+                 "margin": _json_number(c.margin), "detail": c.detail}
                 for c in verdict.criteria
             ],
             "decomposition_file": decomposition_file,
         }
-        return json.dumps(doc, indent=1)
+        return json.dumps(doc, indent=1, allow_nan=False)
     lines = [f"{path}: {verdict.status.value.upper()}"]
     for c in verdict.criteria:
         flag = "pass" if c.passed else "FAIL"

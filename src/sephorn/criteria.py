@@ -70,7 +70,7 @@ from .bipartite import (
     project_to_support,
     support_isometries,
 )
-from .bloch import ball_floor, from_bloch
+from .bloch import ball_floor, ball_radius_sq, from_bloch
 from .config import (COMPONENT_PSD, KYFAN_SLACK, MAX_ITER, NORMAL_TOL, POSITIVITY_TOL,
                      PROB_SUM, RESIDUAL, STATE_TOL)
 from .decompose import (
@@ -195,13 +195,18 @@ def verify_decomposition(dec: SeparableDecomposition,
     Malformed input -- mis-shaped vectors, or non-finite entries, which
     reach that difference and are then named by a scan -- is reported as
     invalid before any certificate is computed.
-    Physicality is read first from the Bloch norm: a component whose
-    :func:`~sephorn.bloch.ball_floor` is at least ``-COMPONENT_PSD`` is
-    physical, which settles every qubit component (the floor is exact
-    there) and every component inside the inscribed ball; a side whose
-    lowest floor passes is settled with no scan of its rows, and a NaN
-    floor never passes.  The remaining components of a side, if any, are
-    built and certified as one stack by Cholesky
+    Physicality is read first from each side's largest squared Bloch norm.
+    A component whose :func:`~sephorn.bloch.ball_floor` is at least
+    ``-COMPONENT_PSD`` is physical, and the floor falls as the norm grows,
+    so a side whose largest squared norm is at most
+    :func:`~sephorn.bloch.ball_radius_sq` is settled with one comparison and
+    no per-row floor.  That settles every side of qubit components, the
+    four pure Wootters components included (the floor is exact at N = 2,
+    where the limit is (1 + 2 ``COMPONENT_PSD``)^2), and every side inside
+    the inscribed ball, such as the Ky Fan pairs of a state no filter
+    moved; a NaN norm never passes.  A side it leaves open takes per-row
+    floors, and its components below the floor are built and certified as
+    one stack by Cholesky
     (:func:`~sephorn.linalg.certify_psd`); only a stack that fails it is
     eigensolved, and the first component below ``-COMPONENT_PSD`` is
     named by its index in the decomposition, with its lowest eigenvalue.
@@ -213,8 +218,10 @@ def verify_decomposition(dec: SeparableDecomposition,
     if not malformed:
         # an infinite entry times a zero weight is NaN, named below
         with np.errstate(invalid="ignore", over="ignore"):
-            residual = np.abs(dec.moments - d.moments).ravel()
-        sum_dev, max_residual = float(residual[0]), float(residual[1:].max(initial=0.0))
+            residual = np.abs(dec.moments - d.moments)
+        sum_dev = float(residual[0, 0])
+        residual[0, 0] = 0.0
+        max_residual = float(residual.max())
         # summed, not maximised: max(1.0, nan) is 1.0
         if not isfinite(sum_dev + max_residual):
             malformed = _first_non_finite(probs, dec)
@@ -228,11 +235,10 @@ def verify_decomposition(dec: SeparableDecomposition,
     if max_residual > RESIDUAL:
         problems.append(f"moment residual {max_residual:.3e}")
     for label, vecs, dim in (("A", dec.r_vectors, d.dim_a), ("B", dec.s_vectors, d.dim_b)):
-        # written so that a NaN floor goes on to the certificate
-        floor = ball_floor(vecs, dim)
-        if floor.min() >= -COMPONENT_PSD:
+        # written so that a NaN norm goes on to the floors and the certificate
+        if np.vecdot(vecs, vecs).max() <= ball_radius_sq(dim, -COMPONENT_PSD):
             continue
-        rows = np.flatnonzero(~(floor >= -COMPONENT_PSD))
+        rows = np.flatnonzero(~(ball_floor(vecs, dim) >= -COMPONENT_PSD))
         low = certify_psd(from_bloch(vecs[rows], dim), COMPONENT_PSD)
         if low is None:
             continue
@@ -319,9 +325,9 @@ def _wootters(call: _Call) -> Verdict | None:
     tolerance logs the ``ppt-tolerance-band`` (see :func:`two_qubit_decide`)."""
     frame = wootters_frame(call.d)
     margin = frame.concurrence_margin
-    values = ", ".join(f"{v:.6g}" for v in frame.lam.tolist())
     call.log.append(CriterionResult("concurrence", margin <= KYFAN_SLACK, margin,
-                                    f"Wootters values {values}"))
+                                    "Wootters values %.6g, %.6g, %.6g, %.6g"
+                                    % tuple(frame.lam.tolist())))
     if margin <= KYFAN_SLACK:
         return call.verified(wootters_decomposition(call.d, frame), "wootters")
     # the ppt margin is minus the lowest eigenvalue when that is negative

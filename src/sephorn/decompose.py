@@ -15,6 +15,7 @@ the rows [1, r] of every component at once.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from math import atan2, pi, sqrt
@@ -260,13 +261,17 @@ def werner_decompose(dim: int, phi: float) -> SeparableDecomposition:
 # two-qubit product decomposition (Wootters)
 # ---------------------------------------------------------------------------
 
-_SIGMA_YY = np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0]))
-_HADAMARD = 0.5 * np.kron([[1.0, 1.0], [1.0, -1.0]], [[1.0, 1.0], [1.0, -1.0]])
-# I, sigma x I and I x sigma: for z in C^2 x C^2 reshaped to the 2 x 2 Z,
-# z^dag (sigma x I) z = Tr[sigma Z Z^dag] and z^dag (I x sigma) z =
-# Tr[sigma Z^T Z^*], the Pauli moments of its two Gram matrices
+_SIGMA_YY = np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0])).astype(complex)
+_HADAMARD = 0.5 * np.kron([[1.0, 1.0], [1.0, -1.0]], [[1.0, 1.0], [1.0, -1.0]]).astype(complex)
+# rows vec(I), vec(sigma x I) and vec(I x sigma): for z in C^2 x C^2 reshaped
+# to the 2 x 2 Z, z^dag (sigma x I) z = Tr[sigma Z Z^dag] and z^dag (I x sigma) z
+# = Tr[sigma Z^T Z^*], the Pauli moments of its two Gram matrices
 _GRAM_MOMENTS = np.concatenate([np.eye(4)[None], np.kron(_gen_stack(2), np.eye(2)),
-                                np.kron(np.eye(2), _gen_stack(2))])
+                                np.kron(np.eye(2), _gen_stack(2))]).reshape(7, 16)
+_EPS = float(np.finfo(float).eps)
+# a full-rank frame skips the Takagi check when 64 eps lam_1 <= TAKAGI_ORTHO
+# lam_4 (see wootters_frame)
+_TAKAGI_SKIP = 64.0 * _EPS / TAKAGI_ORTHO
 
 
 @dataclass(frozen=True)
@@ -286,25 +291,36 @@ class WoottersFrame:
 def wootters_frame(d: BipartiteDecomposed) -> WoottersFrame:
     """Wootters' frame of a 2 x 2 state.
 
-    rho = V V^dag over the subnormalised eigenvectors of its positive
-    eigenvalues (from ``d.spectrum``), and tau = V^T (sigma_y x sigma_y) V
-    is complex symmetric.  An eigenvalue counts as positive above 16 eps
-    times the largest: round-off ones near 1e-17 of a rank-deficient rho
-    would enter V and leave spurious lam of order their square root.
-    The real symmetric embedding [[Re tau, Im tau], [Im tau, -Re tau]] has
-    eigenpairs (lam, [Re u; Im u]) and (-lam, [-Im u; Re u]), so its top
-    eigenvectors give the Takagi factorisation tau = U diag(lam) U^T.  For
-    lam > 0, degenerate or not, i u lies in the eigenspace of -lam, so U is
-    unitary as it comes; only a null block of tau, exact or within
-    round-off, can hold pairs u, i u.  A QR orthonormalises U only when
-    U^dag U departs from I by more than ``TAKAGI_ORTHO``.
+    rho = V V^dag over the subnormalised eigenvectors of its r positive
+    eigenvalues, the last r of the ascending ``d.spectrum``, and
+    tau = V^T (sigma_y x sigma_y) V is complex symmetric.  An eigenvalue
+    counts as positive above 16 eps times the largest: round-off ones near
+    1e-17 of a rank-deficient rho would enter V and leave spurious lam of
+    order their square root.  The real symmetric embedding
+    [[Re tau, Im tau], [Im tau, -Re tau]] has eigenpairs (lam, [Re u; Im u])
+    and (-lam, [-Im u; Re u]), so its top eigenvectors give the Takagi
+    factorisation tau = U diag(lam) U^T.  For lam > 0, degenerate or not,
+    i u lies in the eigenspace of -lam, so U is unitary as it comes; only a
+    null block of tau, exact or within round-off, can hold pairs u, i u.
+    A frame of rank r < 4 is zero-padded to four columns and values.
+
+    What triggers the QR: U^dag U is checked for a frame of rank r < 4 and
+    for a full-rank one with lam_4 < 64 eps lam_1 / ``TAKAGI_ORTHO``, about
+    lam_1 / 70, and a QR orthonormalises U when U^dag U departs from I by
+    more than ``TAKAGI_ORTHO``.  A full-rank frame with lam_4 above that
+    skips the check, since it cannot fail: the eigensolver mixes the
+    eigenvectors of +lam_4 and -lam_4, 2 lam_4 apart, by about
+    eps lam_1 / lam_4, which on random states stays below
+    4.3 eps lam_1 / lam_4, 15 times below ``TAKAGI_ORTHO`` at the gate.
     """
     if (d.dim_a, d.dim_b) != (2, 2):
         raise DimensionMismatch(f"Wootters' frame needs 2 x 2, got {d.dim_a} x {d.dim_b}")
     w, vecs = d.spectrum
-    positive = w > 16.0 * np.finfo(float).eps * w[-1]
-    v = vecs[:, positive] * np.sqrt(w[positive])
-    rank = v.shape[1]
+    spectrum = w.tolist()
+    rank = 4 - bisect_right(spectrum, 16.0 * _EPS * spectrum[-1])
+    if rank < 4:
+        w, vecs = w[4 - rank:], vecs[:, 4 - rank:]
+    v = vecs * np.sqrt(w)
     tau = v.T @ _SIGMA_YY @ v
     re, im = tau.real, tau.imag
     embedding = np.empty((2 * rank, 2 * rank))
@@ -312,14 +328,18 @@ def wootters_frame(d: BipartiteDecomposed) -> WoottersFrame:
     embedding[rank:, rank:] = -re
     embedding[:rank, rank:] = embedding[rank:, :rank] = im
     lam, emb = np.linalg.eigh(embedding)
-    top = emb[:, ::-1][:, :rank]
-    takagi = top[:rank] + 1j * top[rank:]
+    # the top r eigenpairs, descending, whose eigenvectors are [Re u; Im u]
+    lam, top = lam[2 * rank - 1:rank - 1:-1], emb[:, 2 * rank - 1:rank - 1:-1]
+    takagi = np.empty((rank, rank), dtype=complex)
+    takagi.real, takagi.imag = top[:rank], top[rank:]
+    if rank == 4 and lam[0] * _TAKAGI_SKIP <= lam[3]:
+        return WoottersFrame(x=v @ takagi.conj(), lam=lam)
     if np.abs(takagi.conj().T @ takagi - np.eye(rank)).max() > TAKAGI_ORTHO:
         takagi = np.linalg.qr(takagi)[0]
     x = np.zeros((4, 4), dtype=complex)
     x[:, :rank] = v @ takagi.conj()
     padded = np.zeros(4)
-    padded[:rank] = np.maximum(lam[::-1][:rank], 0.0)
+    padded[:rank] = np.maximum(lam, 0.0)
     return WoottersFrame(x=x, lam=padded)
 
 
@@ -364,11 +384,13 @@ def wootters_decomposition(d: BipartiteDecomposed,
     at_a1, at_b1 = _triangle_angles(lam[2], lam[3], diag)
     theta = np.array([at_a0, -at_b0, pi + at_a1, pi - at_b1])
     z = (frame.x * np.exp(0.5j * theta)) @ _HADAMARD
-    # row k: z_i^dag M_k z_i for every component i
-    moments = (z.conj() * (_GRAM_MOMENTS @ z)).sum(axis=1).real
+    # row k: z_i^dag M_k z_i = sum_ab (M_k)_ab conj(z_ai) z_bi, one product
+    # for every moment k and component i
+    moments = (_GRAM_MOMENTS @ (z.conj()[:, None] * z).reshape(16, 4)).real
     bloch = moments[1:].T.reshape(4, 2, 3)
-    bloch /= np.sqrt((bloch * bloch).sum(axis=-1, keepdims=True))
-    return SeparableDecomposition(probs=moments[0] / moments[0].sum(),
+    bloch /= np.sqrt(np.vecdot(bloch, bloch))[..., None]
+    weights = moments[0]
+    return SeparableDecomposition(probs=weights / weights.sum(),
                                   r_vectors=bloch[:, 0], s_vectors=bloch[:, 1])
 
 

@@ -2,12 +2,14 @@
 
 from functools import lru_cache
 from itertools import combinations
+from math import atan2, pi, sqrt
 
 import numpy as np
 
 from sephorn.bipartite import NormalFormResult, _filtered, _realigned
-from sephorn.bloch import from_bloch
-from sephorn.config import MAX_ITER, NORMAL_TOL
+from sephorn.bloch import _gen_stack, from_bloch
+from sephorn.config import MAX_ITER, NORMAL_TOL, TAKAGI_ORTHO
+from sephorn.decompose import SeparableDecomposition, WoottersFrame
 from sephorn.horn import subset_table
 from sephorn.linalg import random_unitary
 
@@ -92,6 +94,67 @@ def filter_products(d, max_iter: int = MAX_ITER, tol: float = NORMAL_TOL) -> Nor
     converged = max(np.linalg.norm(state.a), np.linalg.norm(state.b)) < tol
     return NormalFormResult(state=state, filter_a=fa, filter_b=fb,
                             converged=bool(converged), iterations=iterations)
+
+
+SIGMA_YY = np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0]))
+_HADAMARD = 0.5 * np.kron([[1.0, 1.0], [1.0, -1.0]], [[1.0, 1.0], [1.0, -1.0]])
+_GRAM_MOMENTS = np.concatenate([np.eye(4)[None], np.kron(_gen_stack(2), np.eye(2)),
+                                np.kron(np.eye(2), _gen_stack(2))])
+
+
+def reference_wootters_frame(d) -> WoottersFrame:
+    """Reference for ``decompose.wootters_frame``: the positive eigenvalues
+    of rho picked by a boolean mask, the block embedding
+    [[Re tau, Im tau], [Im tau, -Re tau]], the Takagi Gram matrix checked
+    at every rank and the frame zero-padded to 4 at every rank."""
+    w, vecs = d.spectrum
+    positive = w > 16.0 * np.finfo(float).eps * w[-1]
+    v = vecs[:, positive] * np.sqrt(w[positive])
+    rank = v.shape[1]
+    tau = v.T @ SIGMA_YY @ v
+    re, im = tau.real, tau.imag
+    embedding = np.empty((2 * rank, 2 * rank))
+    embedding[:rank, :rank] = re
+    embedding[rank:, rank:] = -re
+    embedding[:rank, rank:] = embedding[rank:, :rank] = im
+    lam, emb = np.linalg.eigh(embedding)
+    top = emb[:, ::-1][:, :rank]
+    takagi = top[:rank] + 1j * top[rank:]
+    if np.abs(takagi.conj().T @ takagi - np.eye(rank)).max() > TAKAGI_ORTHO:
+        takagi = np.linalg.qr(takagi)[0]
+    x = np.zeros((4, 4), dtype=complex)
+    x[:, :rank] = v @ takagi.conj()
+    padded = np.zeros(4)
+    padded[:rank] = np.maximum(lam[::-1][:rank], 0.0)
+    return WoottersFrame(x=x, lam=padded)
+
+
+def _reference_triangle_angles(a: float, b: float, diag: float) -> tuple[float, float]:
+    ex_a = max(0.0, b + diag - a) / 2.0
+    ex_b = max(0.0, a + diag - b) / 2.0
+    ex_d = max(0.0, a + b - diag) / 2.0
+    semi = ex_a + ex_b + ex_d
+    at_a = 2.0 * atan2(sqrt(ex_a * ex_d), sqrt(semi * ex_b))
+    at_b = pi - at_a - 2.0 * atan2(sqrt(ex_a * ex_b), sqrt(semi * ex_d))
+    return at_a, at_b
+
+
+def reference_wootters_decomposition(d) -> SeparableDecomposition:
+    """Reference for ``decompose.wootters_decomposition`` on
+    :func:`reference_wootters_frame`: the seven Gram moments of every
+    component as one batched (7, 4, 4) product."""
+    frame = reference_wootters_frame(d)
+    lam = frame.lam.tolist()
+    diag = max(lam[0] - lam[1], lam[2] - lam[3])
+    at_a0, at_b0 = _reference_triangle_angles(lam[0], lam[1], diag)
+    at_a1, at_b1 = _reference_triangle_angles(lam[2], lam[3], diag)
+    theta = np.array([at_a0, -at_b0, pi + at_a1, pi - at_b1])
+    z = (frame.x * np.exp(0.5j * theta)) @ _HADAMARD
+    moments = (z.conj() * (_GRAM_MOMENTS @ z)).sum(axis=1).real
+    bloch = moments[1:].T.reshape(4, 2, 3)
+    bloch /= np.sqrt((bloch * bloch).sum(axis=-1, keepdims=True))
+    return SeparableDecomposition(probs=moments[0] / moments[0].sum(),
+                                  r_vectors=bloch[:, 0], s_vectors=bloch[:, 1])
 
 
 def is_physical(r, tol: float = 1e-9) -> bool:

@@ -134,6 +134,26 @@ class TestAnalyze:
         assert doc["status"] == "entangled"
         assert doc["criteria"][0]["passed"] is False
 
+    @pytest.mark.parametrize("margin", [np.inf, -np.inf, np.nan])
+    def test_structured_report_is_strict_json(self, tmp_path, capsys, monkeypatch, margin):
+        # a malformed decomposition fails verification with an infinite
+        # residual, its criterion's margin; JSON has no infinity or NaN, so
+        # a non-finite margin is written null
+        def refuse(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        verdict = criteria.Verdict(status=criteria.Status.INCONCLUSIVE, criteria=(
+            criteria.CriterionResult("ppt", True, 0.0),
+            criteria.CriterionResult("decomposition[wootters]", False, margin, "empty")))
+        doc = json.loads(cli._verdict_report("x.state.json", verdict, None, True),
+                         parse_constant=refuse)
+        assert [c["margin"] for c in doc["criteria"]] == [0.0, None]
+        monkeypatch.setattr("sephorn.cli.analyze", lambda *args, **kwargs: verdict)
+        path = write_state(tmp_path / "w.state.json", werner(2, 0.5), (2, 2))
+        code, out, _ = run_cli(["analyze", path, "--report", "structured"], capsys)
+        assert code == 2
+        assert json.loads(out, parse_constant=refuse)["criteria"][1]["margin"] is None
+
     def test_structured_report_family_path(self, tmp_path, capsys):
         # exercises the non-two-qubit battery (norm bound + family match)
         path = write_state(tmp_path / "w3.state.json", werner(3, 1.0), (3, 3))

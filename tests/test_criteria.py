@@ -464,6 +464,51 @@ def noisy_states(draw):
     return in_frame(rho, n, m, draw(st.sampled_from(["rotated", "filtered"])), rng), (n, m)
 
 
+@st.composite
+def ball_states(draw):
+    """States I/d + h with ||h||_F a fraction of the Gurvits-Barnum radius
+    1/sqrt(d(d - 1)), d = NM, the fraction drawn from [0.9, 1] or exactly 1
+    most of the time, at 2x3 to 4x4 under random local unitaries, which
+    keep the norm.  h lies along a random state of random rank less I/d,
+    along a random traceless Hermitian matrix, or along I/d less a pure
+    product state: at the radius that direction reaches
+    (I - |ab><ab|)/(d - 1), on the ball's boundary, whose partial
+    transpose is singular too."""
+    n, m = draw(st.sampled_from([(2, 3), (3, 3), (2, 4), (3, 4), (4, 4)]))
+    size = n * m
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fraction = draw(st.one_of(st.floats(0.0, 1.0), st.floats(0.9, 1.0), st.just(1.0)))
+    direction = draw(st.sampled_from(["state", "hermitian", "product"]))
+    if direction == "state":
+        h = random_density(size, draw(st.integers(1, size)), rng) - np.eye(size) / size
+    elif direction == "product":
+        h = np.eye(size) / size - np.kron(random_density(n, 1, rng), random_density(m, 1, rng))
+    else:
+        g = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+        h = g + g.conj().T
+        h -= np.trace(h).real / size * np.eye(size)
+    rho = np.eye(size) / size + fraction / np.sqrt(size * (size - 1.0)) * h / np.linalg.norm(h)
+    return in_frame(rho, n, m, "rotated", rng), (n, m)
+
+
+class TestSeparableBall:
+    """Every state within 1/sqrt(d(d - 1)) of I/d in Frobenius norm is
+    separable (Gurvits and Barnum, quant-ph/0204159), so no verdict there
+    is ENTANGLED, whichever path reaches it."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(ball_states())
+    def test_never_entangled(self, case):
+        rho, (n, m) = case
+        size = n * m
+        assert np.linalg.norm(rho - np.eye(size) / size) <= (1.0 + 1e-12) / np.sqrt(
+            size * (size - 1.0))
+        verdict = analyze(rho, n, m)
+        assert verdict.status is not Status.ENTANGLED, verdict.criteria
+        if verdict.status is Status.SEPARABLE:
+            assert verify_decomposition(verdict.decomposition, decompose_state(rho, n, m)).valid
+
+
 class TestUnfilteredKyFan:
     """The constructive Ky Fan bound shifted by the unfiltered marginals
     decides only states that the battery without it also finds separable,
@@ -687,25 +732,50 @@ class TestSpectralCounts:
         assert not any(name == "eigh" and a.shape == (2, 2) for name, a in calls)
         assert not any(name == "cholesky" and a.ndim == 3 for name, a in calls)
 
+    @staticmethod
+    def separable_qubits():
+        """Full-rank separable 2 x 2 states: mixtures with I/4, the Werner
+        state at 1/2 and the isotropic one at 1/3, whose Wootters values are
+        degenerate, a state under local filters, and a stall state
+        (1 - eps)|00><00| + eps I/4 in a random local frame, whose smallest
+        Wootters value is below 1/70 of the largest, so its Takagi vectors
+        are checked."""
+        cases = [("mixed-0.7", 0.3 * random_density(4, 4, np.random.default_rng(43))
+                  + 0.7 * np.eye(4) / 4.0)]
+        rng = np.random.default_rng(61)
+        cases += [(f"mixed-0.5-{i}", 0.5 * random_density(4, 4, rng) + 0.5 * np.eye(4) / 4.0)
+                  for i in range(3)]
+        cases += [("werner-0.5", compose_state(werner(2, 0.5))),
+                  ("isotropic-1/3", compose_state(isotropic(2, 1.0 / 3.0)))]
+        f = np.kron(np.diag([1.0, 0.6]) @ random_unitary(2, rng),
+                    np.diag([1.0, 0.7]) @ random_unitary(2, rng))
+        rho = f @ (0.4 * random_density(4, 4, rng) + 0.6 * np.eye(4) / 4.0) @ f.conj().T
+        cases.append(("filtered", 0.5 * (rho + rho.conj().T) / np.trace(rho).real))
+        u = np.kron(random_unitary(2, rng), random_unitary(2, rng))
+        stall = 0.9999 * np.diag([1.0, 0.0, 0.0, 0.0]) + 1e-4 * np.eye(4) / 4.0
+        cases.append(("stall-1e-4", u @ stall @ u.conj().T))
+        return cases
+
     def test_full_rank_ppt_two_qubit_verdict_dispatches(self, monkeypatch):
         # the spectrum of rho, the eigenvalues of its partial transpose, and
         # for Wootters' frame the real 8 x 8 embedding of tau, whose top
         # eigenvectors are complex-orthonormal with no QR, since tau has no
         # null block; the kets are read off Gram matrices with no SVD, and
-        # the Bloch norms certify the components
-        rng = np.random.default_rng(43)
-        rho = 0.3 * random_density(4, 4, rng) + 0.7 * np.eye(4) / 4.0
-        calls = self.record(monkeypatch)
-        verdict = analyze(rho, 2, 2)
-        monkeypatch.undo()
-        assert verdict.status is Status.SEPARABLE
-        assert verdict.criteria[-1].name == "decomposition[wootters]"
-        assert [(name, a.shape, a.dtype.kind) for name, a in calls] == [
-            ("eigh", (4, 4), "c"), ("eigvalsh", (4, 4), "c"),
-            ("eigh", (8, 8), "f")]
-        rho_pt = rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
-        np.testing.assert_allclose(calls[0][1], rho, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(calls[1][1], rho_pt, rtol=0, atol=1e-15)
+        # the Bloch norms certify the components: no QR, SVD, Cholesky
+        # factor or inverse on any full-rank separable 2 x 2 state
+        for case, rho in self.separable_qubits():
+            calls = self.record(monkeypatch)
+            verdict = analyze(rho, 2, 2)
+            monkeypatch.undo()
+            assert verdict.status is Status.SEPARABLE, case
+            assert [c.name for c in verdict.criteria] == [
+                "ppt", "concurrence", "decomposition[wootters]"], case
+            assert [(name, a.shape, a.dtype.kind) for name, a in calls] == [
+                ("eigh", (4, 4), "c"), ("eigvalsh", (4, 4), "c"),
+                ("eigh", (8, 8), "f")], case
+            rho_pt = rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+            np.testing.assert_allclose(calls[0][1], rho, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(calls[1][1], rho_pt, rtol=0, atol=1e-15)
 
     def test_two_qubit_verdict_shares_one_eigh(self, monkeypatch):
         # the PSD check and Wootters' frame read one eigendecomposition of rho

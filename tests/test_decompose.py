@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import sephorn
-from helpers import is_physical
+from helpers import (SIGMA_YY, is_physical, reference_wootters_decomposition,
+                     reference_wootters_frame)
 from sephorn.bipartite import (
     BipartiteDecomposed,
     compose_state,
@@ -35,6 +36,7 @@ from sephorn.errors import (
     SearchFailed,
 )
 from sephorn.horn import product_singulars_feasible
+from sephorn.linalg import random_unitary
 from sephorn.states import isotropic, random_density, werner
 from sephorn.su import generator_basis
 
@@ -520,7 +522,74 @@ class TestWootters:
         assert (frame.lam[support:] < 1e-12).all(), frame.lam
         x = frame.x
         np.testing.assert_allclose(x @ x.conj().T, d.matrix, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(x.T @ decompose._SIGMA_YY @ x, np.diag(frame.lam),
+        np.testing.assert_allclose(x.T @ SIGMA_YY @ x, np.diag(frame.lam),
+                                   rtol=0, atol=1e-12)
+
+    def test_skipped_check_cannot_fail(self, monkeypatch):
+        # a full-rank frame with lam_4 >= 64 eps lam_1 / TAKAGI_ORTHO takes
+        # no Gram check; on states spread over lam_1 / lam_4 up to that gate
+        # the Gram matrix departs from I by at most 8 eps lam_1 / lam_4, so
+        # the check it skips would pass 8 times over
+        eps = np.finfo(float).eps
+        gate = TAKAGI_ORTHO / (64.0 * eps)
+        rng = np.random.default_rng(67)
+        embeddings = []
+        eigh = np.linalg.eigh
+
+        def spy(a, *args, **kwargs):
+            out = eigh(a, *args, **kwargs)
+            if a.shape == (8, 8):
+                embeddings.append(out)
+            return out
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        ratios, worst = [], 0.0
+        for i in range(300):
+            # (1 - e) times a pure product plus e R, under local filters
+            a, b = random_density(2, 1, rng), random_density(2, 1, rng)
+            e = 10.0 ** rng.uniform(-3.5, 0.0)
+            rho = (1.0 - e) * np.kron(a, b) + e * random_density(4, 4, rng)
+            f = np.kron(*(np.eye(2) + 0.5 * (rng.normal(size=(2, 2, 2))
+                                             + 1j * rng.normal(size=(2, 2, 2)))))
+            rho = f @ rho @ f.conj().T
+            frame = wootters_frame(decompose_state(0.5 * (rho + rho.conj().T)
+                                                   / np.trace(rho).real, 2, 2))
+            lam, emb = embeddings[-1]
+            ratio = frame.lam[0] / frame.lam[3]
+            if frame.lam[3] <= 0.0 or ratio > gate:
+                continue
+            top = emb[:, ::-1][:, :4]
+            takagi = top[:4] + 1j * top[4:]
+            worst = max(worst, np.abs(takagi.conj().T @ takagi - np.eye(4)).max() / (eps * ratio))
+            ratios.append(ratio)
+        monkeypatch.undo()
+        assert len(ratios) > 100 and max(ratios) > gate / 2.0
+        assert worst <= 8.0, worst
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_ill_conditioned_full_rank_frame_takes_the_qr(self, seed, monkeypatch):
+        # (1 - e)|00><00| + e I/4 at e = 1e-10 has full rank and
+        # lam_1 / lam_4 = 2e5, far below the gate: the eigensolver mixes the
+        # +-lam_4 eigenvectors by more than TAKAGI_ORTHO, so the Takagi
+        # vectors are checked and orthonormalised
+        u = np.kron(random_unitary(2, seed), random_unitary(2, 100 + seed))
+        rho = u @ ((1.0 - 1e-10) * np.diag([1.0, 0.0, 0.0, 0.0]) + 1e-10 * np.eye(4) / 4.0) \
+            @ u.conj().T
+        d = decompose_state(rho, 2, 2)
+        assert (d.spectrum[0] > 16.0 * np.finfo(float).eps).all()
+        calls = []
+        real_qr = np.linalg.qr
+
+        def spy(a, *args, **kwargs):
+            calls.append(a)
+            return real_qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", spy)
+        frame = wootters_frame(d)
+        monkeypatch.undo()
+        assert len(calls) == 1 and frame.lam[0] / frame.lam[3] > 1e5
+        np.testing.assert_allclose(frame.x @ frame.x.conj().T, rho, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(frame.x.T @ SIGMA_YY @ frame.x, np.diag(frame.lam),
                                    rtol=0, atol=1e-12)
 
     def test_frame_of_entangled_state_has_positive_margin(self):
@@ -532,6 +601,60 @@ class TestWootters:
         d = decompose_state(np.eye(6) / 6.0, 2, 3)
         with pytest.raises(DimensionMismatch):
             wootters_frame(d)
+
+
+def parity_inputs():
+    """Ginibre states of rank 1 to 4, the Werner and isotropic states and
+    I/4, the stall states (1 - eps)|00><00| + eps I/4, products with a pure
+    factor and states under random local filters."""
+    rng = np.random.default_rng(59)
+    cases = [(f"ginibre-rank{rank}-{i}", random_density(4, rank, rng))
+             for rank in (1, 2, 3, 4) for i in range(5)]
+    cases += [(f"werner-{phi}", compose_state(werner(2, phi))) for phi in (0.0, 0.5, 1.0)]
+    cases += [("isotropic-1/3", compose_state(isotropic(2, 1.0 / 3.0))), ("mixed", np.eye(4) / 4.0)]
+    for eps in (1e-4, 3e-5, 1e-5, 3e-6):
+        stall = (1.0 - eps) * np.diag([1.0, 0.0, 0.0, 0.0]) + eps * np.eye(4) / 4.0
+        cases.append((f"stall-{eps:.0e}", stall))
+    for i in range(4):
+        pure, mixed = random_density(2, 1, rng), random_density(2, 2, rng)
+        cases.append((f"pure-factor-{i}", np.kron(*((pure, mixed) if i % 2 else (mixed, pure)))))
+    for i in range(6):
+        f = np.kron(*(rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))))
+        rho = f @ random_density(4, 4 - i % 3, rng) @ f.conj().T
+        cases.append((f"filtered-{i}", 0.5 * (rho + rho.conj().T) / np.trace(rho).real))
+    return cases
+
+
+def assert_same_components(got: SeparableDecomposition, want: SeparableDecomposition,
+                           atol: float) -> None:
+    """The rows (p, r, s) of ``got`` match those of ``want`` within ``atol``
+    in some order: each row of ``got`` takes the nearest unmatched row."""
+    rows = [np.column_stack([dec.probs, dec.r_vectors, dec.s_vectors]) for dec in (got, want)]
+    assert rows[0].shape == rows[1].shape
+    free = list(range(len(rows[1])))
+    for row in rows[0]:
+        dist = [np.abs(row - rows[1][j]).max() for j in free]
+        best = int(np.argmin(dist))
+        assert dist[best] <= atol, (row, rows[1])
+        free.pop(best)
+
+
+class TestWoottersParity:
+    """The frame and the decomposition agree with the reference copies in
+    ``helpers``, which pick the support by a boolean mask, check the Takagi
+    Gram matrix at every rank, pad at every rank and form the seven Gram
+    moments as one batched product."""
+
+    CASES = parity_inputs()
+
+    @pytest.mark.parametrize("rho", [rho for _, rho in CASES], ids=[c for c, _ in CASES])
+    def test_matches_the_reference(self, rho):
+        d = decompose_state(rho, 2, 2)
+        frame, reference = wootters_frame(d), reference_wootters_frame(d)
+        np.testing.assert_allclose(frame.lam, reference.lam, rtol=0, atol=1e-14)
+        assert frame.lam.shape == (4,) and frame.x.shape == (4, 4)
+        assert_same_components(wootters_decomposition(d), reference_wootters_decomposition(d),
+                               atol=1e-12)
 
 
 class TestTransport:

@@ -4,10 +4,13 @@
 Runs ``sephorn.analyze`` with warnings raised as errors over a seeded
 census and writes, per case, the status, each logged criterion as
 (name, passed, margin, detail) and the decomposition's probabilities, or
-the exception a case raised.  It also prints the summed wall time of the
-``analyze`` calls per case group, the first component of the case id
-(``qudit``, ``stall``, ...), to stdout only, so that ``--against`` compares
-verdicts and never timings.  Run from the repository root:
+the exception a case raised.  It also prints, to stdout only, the summed
+wall time of the ``analyze`` calls per case group, the first component of
+the case id (``qudit``, ``stall``, ...), so that ``--against`` compares
+verdicts and never timings, and how many INCONCLUSIVE cases lie inside the
+Gurvits-Barnum ball ||rho - I/d||_F <= 1/sqrt(d(d - 1)), d = NM, where
+every state is separable (quant-ph/0204159): the gap that a sufficient
+criterion could still close, per group.  Run from the repository root:
 
     python3 tools/census.py --out census.json
     python3 tools/census.py --against census.json
@@ -132,6 +135,13 @@ def cases():
         yield f"projected-filtered/{seed}", projected_filtered(np.random.default_rng(seed)), 3, 3
 
 
+def in_ball(rho: np.ndarray) -> bool:
+    """Whether rho lies in the Gurvits-Barnum ball: Tr rho^2 <= 1/(d - 1),
+    that is ||rho - I/d||_F^2 = Tr rho^2 - 1/d <= 1/(d(d - 1))."""
+    rho = np.asarray(rho)
+    return float(np.vdot(rho, rho).real) <= 1.0 / (rho.shape[0] - 1.0)
+
+
 def outcome(rho: np.ndarray, n: int, m: int) -> tuple[dict, float]:
     """A case's census entry and the seconds its ``analyze`` call took."""
     start = time.perf_counter()
@@ -186,15 +196,23 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, help="write the census here as JSON")
     parser.add_argument("--against", type=Path, help="compare with this census")
     args = parser.parse_args(argv)
-    census, seconds = {}, Counter()
+    census, seconds, inconclusive, gap = {}, Counter(), Counter(), Counter()
     for cid, rho, n, m in cases():
         census[cid], elapsed = outcome(rho, n, m)
-        seconds[cid.split("/")[0]] += elapsed
+        group = cid.split("/")[0]
+        seconds[group] += elapsed
+        if census[cid].get("status") == "inconclusive":
+            inconclusive[group] += 1
+            gap[group] += in_ball(rho)
     if args.out:
         args.out.write_text(json.dumps(census, indent=1) + "\n")
     print(f"{len(census)} cases")
     for group, total in seconds.items():
         print(f"{group:>24s}  {total:8.3f} s in analyze")
+    for group, count in inconclusive.items():
+        print(f"{group:>24s}  {gap[group]} of {count} INCONCLUSIVE inside the separable ball")
+    print(f"{sum(gap.values())} of {sum(inconclusive.values())} INCONCLUSIVE cases lie inside "
+          f"the separable ball")
     if args.against is None:
         return 0
     before = json.loads(args.against.read_text())
