@@ -98,6 +98,11 @@ def _augmented(vecs) -> np.ndarray:
     return out
 
 
+def _ball_slope(dim: int) -> float:
+    """sqrt((N-1)/(2N)), the fall of :func:`ball_floor` per unit Bloch norm."""
+    return sqrt((dim - 1.0) / (2.0 * dim))
+
+
 def ball_floor(vecs: np.ndarray, dim: int) -> np.ndarray | float:
     """Lower bound 1/N - |r| sqrt((N-1)/(2N)) on the lowest eigenvalue of
     :func:`from_bloch` of each vector on the last axis.
@@ -109,16 +114,15 @@ def ball_floor(vecs: np.ndarray, dim: int) -> np.ndarray | float:
     |r|^2 < 2/(N(N-1)).
     """
     vecs = np.asarray(vecs, dtype=float)
-    return 1.0 / dim - np.sqrt(np.vecdot(vecs, vecs)) * sqrt((dim - 1.0) / (2.0 * dim))
+    return 1.0 / dim - np.sqrt(np.vecdot(vecs, vecs)) * _ball_slope(dim)
 
 
-def ball_radius_sq(dim: int, floor: float) -> float:
+def _ball_radius_sq(dim: int, floor: float) -> float:
     """The largest squared Bloch norm whose :func:`ball_floor` is at least
-    ``floor``, for ``floor`` at most 1/N: (1/N - floor)^2 2N/(N - 1),
-    infinite at N = 1, whose vectors are empty."""
-    if dim == 1:
-        return float("inf")
-    return (1.0 / dim - floor) ** 2 * 2.0 * dim / (dim - 1.0)
+    ``floor``, for ``floor`` at most 1/N; infinite at N = 1, whose vectors
+    are empty."""
+    slope = _ball_slope(dim)
+    return ((1.0 / dim - floor) / slope) ** 2 if slope else float("inf")
 
 
 def from_bloch(r: np.ndarray, dim: int | None = None) -> np.ndarray:

@@ -70,7 +70,7 @@ from .bipartite import (
     project_to_support,
     support_isometries,
 )
-from .bloch import ball_floor, ball_radius_sq, from_bloch
+from .bloch import _ball_radius_sq, ball_floor, from_bloch
 from .config import (COMPONENT_PSD, KYFAN_SLACK, MAX_ITER, NORMAL_TOL, POSITIVITY_TOL,
                      PROB_SUM, RESIDUAL, STATE_TOL)
 from .decompose import (
@@ -198,11 +198,11 @@ def verify_decomposition(dec: SeparableDecomposition,
     Physicality is read first from each side's largest squared Bloch norm.
     A component whose :func:`~sephorn.bloch.ball_floor` is at least
     ``-COMPONENT_PSD`` is physical, and the floor falls as the norm grows,
-    so a side whose largest squared norm is at most
-    :func:`~sephorn.bloch.ball_radius_sq` is settled with one comparison and
-    no per-row floor.  That settles every side of qubit components, the
-    four pure Wootters components included (the floor is exact at N = 2,
-    where the limit is (1 + 2 ``COMPONENT_PSD``)^2), and every side inside
+    so a side whose largest squared norm is at most the one whose floor is
+    ``-COMPONENT_PSD`` is settled with one comparison and no per-row floor.
+    That settles every side of qubit components, the four pure Wootters
+    components included (the floor is exact at N = 2, where the limit is
+    (1 + 2 ``COMPONENT_PSD``)^2), and every side inside
     the inscribed ball, such as the Ky Fan pairs of a state no filter
     moved; a NaN norm never passes.  A side it leaves open takes per-row
     floors, and its components below the floor are built and certified as
@@ -236,7 +236,7 @@ def verify_decomposition(dec: SeparableDecomposition,
         problems.append(f"moment residual {max_residual:.3e}")
     for label, vecs, dim in (("A", dec.r_vectors, d.dim_a), ("B", dec.s_vectors, d.dim_b)):
         # written so that a NaN norm goes on to the floors and the certificate
-        if np.vecdot(vecs, vecs).max() <= ball_radius_sq(dim, -COMPONENT_PSD):
+        if np.vecdot(vecs, vecs).max() <= _ball_radius_sq(dim, -COMPONENT_PSD):
             continue
         rows = np.flatnonzero(~(ball_floor(vecs, dim) >= -COMPONENT_PSD))
         low = certify_psd(from_bloch(vecs[rows], dim), COMPONENT_PSD)

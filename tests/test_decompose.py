@@ -525,11 +525,13 @@ class TestWootters:
         np.testing.assert_allclose(x.T @ SIGMA_YY @ x, np.diag(frame.lam),
                                    rtol=0, atol=1e-12)
 
-    def test_skipped_check_cannot_fail(self, monkeypatch):
+    def test_skipped_check_passes_on_random_states(self, monkeypatch):
         # a full-rank frame with lam_4 >= 64 eps lam_1 / TAKAGI_ORTHO takes
-        # no Gram check; on states spread over lam_1 / lam_4 up to that gate
-        # the Gram matrix departs from I by at most 8 eps lam_1 / lam_4, so
-        # the check it skips would pass 8 times over
+        # no Gram check.  On states spread over lam_1 / lam_4 up to that gate
+        # its frame is exact, and the Gram matrix it did not check departs
+        # from I by at most 8 eps lam_1 / lam_4: the check would have passed
+        # 8 times over.  The margin is the eigensolver's on these states,
+        # not a bound.
         eps = np.finfo(float).eps
         gate = TAKAGI_ORTHO / (64.0 * eps)
         rng = np.random.default_rng(67)
@@ -552,12 +554,15 @@ class TestWootters:
             f = np.kron(*(np.eye(2) + 0.5 * (rng.normal(size=(2, 2, 2))
                                              + 1j * rng.normal(size=(2, 2, 2)))))
             rho = f @ rho @ f.conj().T
-            frame = wootters_frame(decompose_state(0.5 * (rho + rho.conj().T)
-                                                   / np.trace(rho).real, 2, 2))
+            rho = 0.5 * (rho + rho.conj().T) / np.trace(rho).real
+            frame = wootters_frame(decompose_state(rho, 2, 2))
             lam, emb = embeddings[-1]
             ratio = frame.lam[0] / frame.lam[3]
             if frame.lam[3] <= 0.0 or ratio > gate:
                 continue
+            np.testing.assert_allclose(frame.x @ frame.x.conj().T, rho, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(frame.x.T @ SIGMA_YY @ frame.x, np.diag(frame.lam),
+                                       rtol=0, atol=1e-12)
             top = emb[:, ::-1][:, :4]
             takagi = top[:4] + 1j * top[4:]
             worst = max(worst, np.abs(takagi.conj().T @ takagi - np.eye(4)).max() / (eps * ratio))
