@@ -7,28 +7,29 @@ expectations ``corr[mu, nu] = Tr[rho (g_mu x h_nu)]``.  The record also
 carries the density matrix and computes each spectral quantity the
 pipeline reads once, on first use: the eigendecomposition of each reduced
 matrix, per side, and of the density matrix, the singular value
-decomposition of the correlation matrix and the moment matrix
-[[1, b^T], [a, corr]] that verification subtracts from.  Local rank is
-answered first from the Bloch norm (:func:`~sephorn.bloch.ball_floor`): a
-side whose floor exceeds the rank cutoff has full rank, which decides
-every mixed qubit side exactly and every side inside the inscribed ball.
-A reduced matrix is eigensolved only for a side the floor leaves open
-and for :func:`support_isometries`: :func:`normal_form` inverts reduced
-matrices and factorises nothing but the Cholesky factors of its filters.
-Both :func:`decompose_state` and :func:`normal_form`, for the filtered
-state, read the Bloch data off one product chain on the realigned matrix
-R[(i, j), (a, b)] = rho[ia, jb] (:func:`_moments`), which is ``moments``.
+decomposition of the correlation matrix, the moment matrix
+[[1, b^T], [a, corr]] that verification subtracts from, and the realigned
+matrix R[(i, j), (a, b)] = rho[ia, jb].  Local rank is answered first from
+the Bloch norm (:func:`~sephorn.bloch.ball_floor`): a side whose floor
+exceeds the rank cutoff has full rank, which decides every mixed qubit
+side exactly and every side inside the inscribed ball.  A reduced matrix
+is eigensolved only for a side the floor leaves open and for
+:func:`support_isometries`: :func:`normal_form` inverts reduced matrices
+and factorises nothing but the Cholesky factors of its filters.
+The moments and R are one product apart, by the coordinate pair of
+:mod:`~sephorn.bloch`.  A local map X -> F X F^dag on each side, a support
+projection or a normal-form filter, is one conjugation of R (:func:`_filtered`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from numbers import Integral
 
 import numpy as np
 
-from .bloch import _gen_rows, ball_floor, from_bloch, validate_state
+from .bloch import _moment_columns, _moment_rows, ball_floor, from_bloch, validate_state
 from .config import MAX_ITER, NORMAL_TOL, POSITIVITY_TOL, SCALING_RATE, STATE_TOL
 from .errors import DimensionMismatch, NotAState, NotFullRank
 
@@ -60,6 +61,13 @@ class BipartiteDecomposed:
         """The density matrix: the one :func:`decompose_state` took the
         Bloch data from, or else composed from them."""
         return _read_only((compose_state(self),))[0]
+
+    @cached_property
+    def realigned(self) -> np.ndarray:
+        """The realigned matrix R[(i, j), (a, b)] = rho[ia, jb] that the
+        Bloch data were read off, or else composed from ``moments``."""
+        return _read_only((_moment_columns(self.dim_a) @ self.moments
+                           @ _moment_columns(self.dim_b).T,))[0]
 
     @cached_property
     def moments(self) -> np.ndarray:
@@ -121,22 +129,17 @@ def decompose_state(rho: np.ndarray, dim_a: int, dim_b: int,
         raise DimensionMismatch(
             f"matrix of size {rho.shape[0]} does not factor as {dim_a} x {dim_b}"
         )
-    moments = _moments(_realigned(rho, dim_a, dim_b), dim_a, dim_b)
+    # R[(i, j), (a, b)] = rho[ia, jb]
+    realigned = (rho.reshape(dim_a, dim_b, dim_a, dim_b).transpose(0, 2, 1, 3)
+                 .reshape(dim_a * dim_a, dim_b * dim_b))
+    moments = _moments(realigned, dim_a, dim_b)
     moments[0, 0] = 1.0
     d = BipartiteDecomposed(dim_a=dim_a, dim_b=dim_b, a=moments[1:, 0],
                             b=moments[0, 1:], corr=moments[1:, 1:])
     # seed the memoized matrices with the ones the data came from
-    d.__dict__["matrix"], d.__dict__["moments"] = _read_only((rho.copy(), moments))
+    d.__dict__["matrix"], d.__dict__["moments"], d.__dict__["realigned"] = _read_only(
+        (rho.copy(), moments, realigned))
     return d
-
-
-@lru_cache(maxsize=None)
-def _moment_rows(dim: int) -> np.ndarray:
-    """Conjugate rows of [I; generators], a read-only (N^2, N^2) array: row
-    mu dotted with a flattened Hermitian X gives Tr[X g_mu], with g_0 = I."""
-    rows = np.vstack([np.eye(dim).reshape(1, -1), _gen_rows(dim)]).conj()
-    rows.setflags(write=False)
-    return rows
 
 
 def _conjugation(f: np.ndarray) -> np.ndarray:
@@ -155,14 +158,10 @@ def _moments(realigned: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
 
 
 def compose_state(d: BipartiteDecomposed) -> np.ndarray:
-    """Reconstruct the density matrix from Bloch data (inverse of decompose):
-    rho = rho_A x rho_B + (1/4) sum_uv (corr - a b^T)[u, v] g_u x h_v."""
+    """The density matrix of a record (inverse of :func:`decompose_state`)
+    as a new array: ``d.realigned`` rearranged."""
     n, m = d.dim_a, d.dim_b
-    rho4 = np.multiply.outer(from_bloch(d.a, n), from_bloch(d.b, m))
-    if d.corr.size:
-        joint = _gen_rows(n).T @ (d.corr - np.outer(d.a, d.b)) @ _gen_rows(m)
-        rho4 += 0.25 * joint.reshape(n, n, m, m)
-    return rho4.transpose(0, 2, 1, 3).reshape(n * m, n * m)
+    return np.array(d.realigned.reshape(n, n, m, m).transpose(0, 2, 1, 3)).reshape(n * m, n * m)
 
 
 def local_ranks(d: BipartiteDecomposed, tol: float = POSITIVITY_TOL) -> tuple[int, int]:
@@ -193,20 +192,17 @@ def support_isometries(d: BipartiteDecomposed, tol: float = POSITIVITY_TOL):
 
 
 def project_to_support(d: BipartiteDecomposed, tol: float = POSITIVITY_TOL) -> BipartiteDecomposed:
-    """Conjugate by support isometries, yielding full local ranks.
+    """The record mapped by X -> V^dag X V on each side, V the
+    :func:`support_isometries`, which leaves full local ranks.
 
     Full-local-rank input is returned unchanged.  States with a trivial
     (rank-one) factor come back as 1 x m or n x 1 states with empty Bloch
     data on the trivial side.
     """
-    na, nb = local_ranks(d, tol)
-    if na == d.dim_a and nb == d.dim_b:
+    if local_ranks(d, tol) == (d.dim_a, d.dim_b):
         return d
     va, vb = support_isometries(d, tol)
-    iso = np.kron(va, vb)
-    rho = iso.conj().T @ d.matrix @ iso
-    rho /= np.real(np.trace(rho))
-    return decompose_state(rho, na, nb)
+    return _filtered(d, va.conj().T, vb.conj().T)
 
 
 def normal_form(d: BipartiteDecomposed, max_iter: int = MAX_ITER, tol: float = NORMAL_TOL,
@@ -219,15 +215,13 @@ def normal_form(d: BipartiteDecomposed, max_iter: int = MAX_ITER, tol: float = N
     iterate (F_A x F_B) rho (F_A x F_B)^dag is I/N (I/M), until both
     marginal Bloch norms fall below ``tol`` or ``max_iter`` sweeps have run.
     The sweeps run on the Gram matrices G = F^dag F, in runs of
-    :func:`_gram_scaling` on a realigned matrix R, the first on the
-    realigned ``d.matrix``.  After a run the upper-triangular Cholesky
-    factors U of its Gram matrices, G = U^dag U, multiply the filters, and
-    the record is read off R conjugated once by kron(U, U*) on each side.
-    That matrix over its trace is the next run's R: the next run restarts
-    from G = I on the filtered state and inverts its reduced matrices,
-    closer to I/N and I/M than those the last run started from.  The loop
-    ends when the record is within ``tol``, the budget is spent, a
-    factorisation fails or a run does not lower the record's larger
+    :func:`_gram_scaling` on the current record's ``realigned``.  After a
+    run the upper-triangular Cholesky factors U of its Gram matrices,
+    G = U^dag U, multiply the filters, and :func:`_filtered` by U gives the
+    next record: the next run restarts from G = I on it, inverting reduced
+    matrices closer to I/N and I/M than those the last run started from.
+    The loop ends when the record is within ``tol``, the budget is spent,
+    a factorisation fails or a run does not lower the record's larger
     marginal norm, and returns the lowest record; a state that converges
     faster than ``SCALING_RATE`` per sweep takes one run.  No marginal is
     eigensolved: full local rank at ``rank_tol`` is checked by
@@ -238,24 +232,21 @@ def normal_form(d: BipartiteDecomposed, max_iter: int = MAX_ITER, tol: float = N
     """
     n, m = d.dim_a, d.dim_b
     if local_ranks(d, rank_tol) != (n, m):
-        raise NotFullRank(
-            f"marginal ranks below ({n},{m}); project to support first"
-        )
+        raise NotFullRank(f"marginal ranks below ({n},{m}); project to support first")
     state, fa, fb = d, np.eye(n, dtype=complex), np.eye(m, dtype=complex)
     low = _marginal_norm(d)
-    r = _realigned(d.matrix, n, m)
     swept = 0
     # a run may reach non-finite values; what it returns is tested
     with np.errstate(all="ignore"):
         while low >= tol and swept < max_iter:
-            pair, sweeps = _gram_scaling(r, n, m, max_iter - swept, tol)
+            pair, sweeps = _gram_scaling(state.realigned, n, m, max_iter - swept, tol)
             swept += sweeps
             if pair is None:
                 break
             try:
                 # G = L L^dag, so U = L^dag is upper-triangular with U^dag U = G
                 ua, ub = (np.linalg.cholesky(g).conj().T for g in pair)
-                filtered, r = _filtered(r, ua, ub, n, m)
+                filtered = _filtered(state, ua, ub)
             except (np.linalg.LinAlgError, NotAState):
                 break
             norm = _marginal_norm(filtered)
@@ -270,12 +261,6 @@ def normal_form(d: BipartiteDecomposed, max_iter: int = MAX_ITER, tol: float = N
 def _marginal_norm(d: BipartiteDecomposed) -> float:
     """The larger of the two marginal Bloch norms."""
     return float(max(np.linalg.norm(d.a), np.linalg.norm(d.b)))
-
-
-def _realigned(rho: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
-    """The realigned matrix R[(i, j), (a, b)] = rho[ia, jb]."""
-    return (rho.reshape(dim_a, dim_b, dim_a, dim_b).transpose(0, 2, 1, 3)
-            .reshape(dim_a * dim_a, dim_b * dim_b))
 
 
 def _gram_scaling(r: np.ndarray, n: int, m: int, budget: int,
@@ -318,20 +303,19 @@ def _gram_scaling(r: np.ndarray, n: int, m: int, budget: int,
     return pair, budget
 
 
-def _filtered(r: np.ndarray, fa: np.ndarray, fb: np.ndarray, n: int,
-              m: int) -> tuple[BipartiteDecomposed, np.ndarray]:
-    """The record of the N x M state with realigned matrix ``r`` filtered by
-    ``fa`` and ``fb``, read off ``r`` conjugated once by the filters, and
-    that conjugated matrix over its trace, the filtered state's realigned
-    matrix."""
+def _filtered(d: BipartiteDecomposed, fa: np.ndarray, fb: np.ndarray) -> BipartiteDecomposed:
+    """The record of (F_A x F_B) rho (F_A x F_B)^dag over its trace, for F_A
+    of shape (k, N) and F_B of shape (l, M): ``d.realigned`` conjugated once
+    by kron(F, F*) on each side, over its trace, is the new ``realigned``."""
     # kron(F, F*) R kron(G, G*)^T realigns (F x G) rho (F x G)^dag
-    conj = _conjugation(fa) @ r @ _conjugation(fb).T
-    moments = _moments(conj, n, m)
+    conj = _conjugation(fa) @ d.realigned @ _conjugation(fb).T
+    k, l = fa.shape[0], fb.shape[0]
+    moments = _moments(conj, k, l)
     trace = moments[0, 0]
     moments /= trace
     if not np.isfinite(moments).all():
         raise NotAState("filtered state has non-finite entries")
-    state = BipartiteDecomposed(dim_a=n, dim_b=m, a=moments[1:, 0],
+    state = BipartiteDecomposed(dim_a=k, dim_b=l, a=moments[1:, 0],
                                 b=moments[0, 1:], corr=moments[1:, 1:])
-    state.__dict__["moments"] = _read_only((moments,))[0]
-    return state, conj / trace
+    state.__dict__["moments"], state.__dict__["realigned"] = _read_only((moments, conj / trace))
+    return state

@@ -4,10 +4,14 @@ A state on an N-dimensional Hilbert space is encoded by the real vector of
 generator expectation values ``r_mu = Tr[rho g_mu]`` of length N^2 - 1, and
 reconstructed via ``rho = eye/N + (1/2) sum_mu r_mu g_mu``.  Vectors are
 plain numpy arrays; the local dimension is recovered from the length.
+This module alone fixes the coordinates: every conversion between
+matrices and Bloch data is one product with :func:`_moment_rows` or its
+inverse :func:`_moment_columns`.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import sqrt
 
 import numpy as np
@@ -33,9 +37,23 @@ def _gen_stack(dim: int) -> np.ndarray:
     return generator_basis(dim).matrices
 
 
-def _gen_rows(dim: int) -> np.ndarray:
-    """The generators flattened to the rows of an (N^2 - 1, N^2) array."""
-    return _gen_stack(dim).reshape(dim * dim - 1, dim * dim)
+@lru_cache(maxsize=None)
+def _moment_rows(dim: int) -> np.ndarray:
+    """Conjugate rows of [I; generators], a read-only (N^2, N^2) array: row
+    mu dotted with a flattened Hermitian X gives Tr[X g_mu], with g_0 = I."""
+    rows = np.vstack([np.eye(dim).reshape(1, -1),
+                      _gen_stack(dim).reshape(dim * dim - 1, dim * dim)]).conj()
+    rows.setflags(write=False)
+    return rows
+
+
+@lru_cache(maxsize=None)
+def _moment_columns(dim: int) -> np.ndarray:
+    """The inverse of :func:`_moment_rows`, read-only, with columns vec(I/N)
+    and vec(g_mu/2): it maps [Tr X, Tr[X g_mu]] back to a flattened X."""
+    cols = _moment_rows(dim).conj().T * np.r_[1.0 / dim, np.full(dim * dim - 1, 0.5)]
+    cols.setflags(write=False)
+    return cols
 
 
 def validate_state(rho: np.ndarray, tol: float = STATE_TOL) -> np.ndarray:
@@ -86,8 +104,7 @@ def to_bloch(rho: np.ndarray, tol: float = STATE_TOL) -> np.ndarray:
     """
     rho = _validate_stack(rho, tol)
     n = rho.shape[-1]
-    # Tr[rho g] = sum_ij rho_ij conj(g_ij) for Hermitian g
-    return np.real(rho.reshape(*rho.shape[:-2], n * n) @ _gen_rows(n).conj().T)
+    return np.real(rho.reshape(*rho.shape[:-2], n * n) @ _moment_rows(n)[1:].T)
 
 
 def _augmented(vecs) -> np.ndarray:
@@ -136,5 +153,5 @@ def from_bloch(r: np.ndarray, dim: int | None = None) -> np.ndarray:
     n = dim_of_bloch(r) if dim is None else dim
     if n * n - 1 != r.shape[-1]:
         raise DimensionMismatch(f"vector length {r.shape[-1]} does not match dim {n}")
-    return np.eye(n) / n + 0.5 * (r @ _gen_rows(n)).reshape(*r.shape[:-1], n, n)
+    return (_augmented(r) @ _moment_columns(n).T).reshape(*r.shape[:-1], n, n)
 

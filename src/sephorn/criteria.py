@@ -63,11 +63,11 @@ import numpy as np
 from .bipartite import (
     BipartiteDecomposed,
     _marginal_norm,
+    _filtered,
     decompose_state,
     local_ranks,
     normal_form,
     partial_transpose_matrix,
-    project_to_support,
     support_isometries,
 )
 from .bloch import _ball_radius_sq, ball_floor, from_bloch
@@ -547,5 +547,5 @@ def _analyze_decomposed(d: BipartiteDecomposed, *, tol: float, max_iter: int) ->
             return call.run((_trivial_factor,))
         va, vb = support_isometries(call.d, tol=tol)
         call.lift = (va, vb) if call.lift is None else (call.lift[0] @ va, call.lift[1] @ vb)
-        call.d = project_to_support(call.d, tol=tol)
+        call.d = _filtered(call.d, va.conj().T, vb.conj().T)
     return call.run(_TWO_QUBIT if ranks == (2, 2) else _FULL_RANK)

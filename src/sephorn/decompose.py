@@ -22,8 +22,8 @@ from math import atan2, pi, sqrt
 
 import numpy as np
 
-from .bipartite import BipartiteDecomposed, _conjugation, _moment_rows
-from .bloch import _augmented, _gen_stack, to_bloch
+from .bipartite import BipartiteDecomposed, _conjugation
+from .bloch import _augmented, _gen_stack, _moment_columns, _moment_rows, to_bloch
 from .config import KYFAN_SLACK, TAKAGI_ORTHO
 from .errors import BoundExceeded, DimensionMismatch, OutOfPositivityRange, SearchFailed
 
@@ -403,19 +403,15 @@ def wootters_decomposition(d: BipartiteDecomposed,
 # ---------------------------------------------------------------------------
 
 def _bloch_transport(f: np.ndarray) -> np.ndarray:
-    """T = Re[G_out kron(F, F*) E_in], the real (K^2, k^2) matrix of
+    """T = Re[G_out kron(F, F*) C_in], the real (K^2, k^2) matrix of
     X -> F X F^dag in Bloch coordinates, for F of shape (K, k).
 
-    E_in's columns are vec(I/k) and vec(g_mu/2), so E_in [1, r] is the
-    component matrix of the Bloch vector r, and the rows of G_out read
-    Tr[Y] and Tr[Y g_nu] off vec(Y).  Every entry is the trace of a product
-    of Hermitian matrices, hence real.
+    C_in maps [1, r] to the flattened component matrix of the Bloch vector
+    r, and the rows G_out read Tr[Y] and Tr[Y g_nu] off vec(Y)
+    (:mod:`~sephorn.bloch`).  Every entry is the trace of a product of
+    Hermitian matrices, hence real.
     """
-    dim_in = f.shape[1]
-    scale = np.full(dim_in * dim_in, 0.5)
-    scale[0] = 1.0 / dim_in
-    embed = _moment_rows(dim_in).conj().T * scale
-    return np.real(_moment_rows(f.shape[0]) @ (_conjugation(f) @ embed))
+    return np.real(_moment_rows(f.shape[0]) @ (_conjugation(f) @ _moment_columns(f.shape[1])))
 
 
 def transport(dec: SeparableDecomposition, map_a: np.ndarray,

@@ -6,12 +6,13 @@ from math import atan2, pi, sqrt
 
 import numpy as np
 
-from sephorn.bipartite import NormalFormResult, _filtered, _realigned
+from sephorn.bipartite import NormalFormResult, _filtered
 from sephorn.bloch import _gen_stack, from_bloch
 from sephorn.config import MAX_ITER, NORMAL_TOL, TAKAGI_ORTHO
 from sephorn.decompose import SeparableDecomposition, WoottersFrame
 from sephorn.horn import subset_table
 from sephorn.linalg import random_unitary
+from sephorn.states import random_density
 
 CHUNK = 8192  # sample rows per vectorized block
 
@@ -52,6 +53,39 @@ def ill_conditioned_product(frame: int) -> np.ndarray:
     return np.kron(rho_a, rho_b)
 
 
+def nested_support(seed, eps=0.6e-9):
+    """(1 - 2 eps) times two products on the {0,1} x {0,1} block, plus
+    eps |22><22| and eps |20><20|, at 3x3: it takes two support
+    projections."""
+    rng = np.random.default_rng(seed)
+    block = sum(w * np.kron(np.pad(random_density(2, 1, rng), (0, 1)),
+                            np.pad(random_density(2, 1, rng), (0, 1)))
+                for w in (0.4, 0.6))
+    tail = np.zeros(9)
+    tail[[8, 6]] = eps
+    return (1.0 - 2.0 * eps) * block + np.diag(tail)
+
+
+def projected_filtered(seed):
+    """0.05 R + 0.95 I/6 at 2x3 under the local filters diag(1, 0.25) U x
+    diag(1, 0.5, 0.2) W, placed in 3x3 by a random isometry on A."""
+    rng = np.random.default_rng(seed)
+    rho = (1.0 - 0.95) * random_density(6, 6, rng) + 0.95 * np.eye(6) / 6.0
+    f = np.kron(np.diag([1.0, 0.25]) @ random_unitary(2, rng),
+                np.diag([1.0, 0.5, 0.2]) @ random_unitary(3, rng))
+    iso = np.kron(random_unitary(3, rng)[:, :2], np.eye(3))
+    rho = iso @ f @ rho @ f.conj().T @ iso.conj().T
+    return rho / np.trace(rho).real
+
+
+def reference_projection(rho, va, vb) -> np.ndarray:
+    """Reference for ``bipartite.project_to_support``: the matrix-level
+    V^dag rho V over its trace, V = kron(va, vb)."""
+    iso = np.kron(va, vb)
+    out = iso.conj().T @ rho @ iso
+    return out / np.real(np.trace(out))
+
+
 def filter_products(d, max_iter: int = MAX_ITER, tol: float = NORMAL_TOL) -> NormalFormResult:
     """Reference for ``bipartite.normal_form``: operator scaling on the
     filters themselves, one ``eigh`` per half-step.
@@ -65,7 +99,7 @@ def filter_products(d, max_iter: int = MAX_ITER, tol: float = NORMAL_TOL) -> Nor
     non-positive or non-finite eigenvalue.
     """
     n, m = d.dim_a, d.dim_b
-    r = _realigned(d.matrix, n, m)
+    r = d.realigned
     fa, fb = np.eye(n, dtype=complex), np.eye(m, dtype=complex)
     converged = max(np.linalg.norm(d.a), np.linalg.norm(d.b)) < tol
     w, v = np.linalg.eigh(from_bloch(d.a, n))
@@ -90,7 +124,7 @@ def filter_products(d, max_iter: int = MAX_ITER, tol: float = NORMAL_TOL) -> Nor
     if not iterations:
         return NormalFormResult(state=d, filter_a=fa, filter_b=fb,
                                 converged=bool(converged), iterations=0)
-    state, _ = _filtered(r, fa, fb, n, m)
+    state = _filtered(d, fa, fb)
     converged = max(np.linalg.norm(state.a), np.linalg.norm(state.b)) < tol
     return NormalFormResult(state=state, filter_a=fa, filter_b=fb,
                             converged=bool(converged), iterations=iterations)

@@ -3,7 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import filter_products, ill_conditioned_product
+from helpers import (filter_products, ill_conditioned_product, nested_support, projected_filtered,
+                     reference_projection)
 from sephorn import bipartite
 from sephorn.bipartite import (
     BipartiteDecomposed,
@@ -98,14 +99,16 @@ class TestDecompose:
                 dim_a=n, dim_b=m, a=state.a, b=state.b, corr=state.corr).moments,
                 rtol=0, atol=0)
 
-    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (1, 3), (3, 1), (7, 7)])
     def test_round_trip(self, dims):
+        # composed from the Bloch data alone, not from the seeded matrices
         rng = np.random.default_rng(sum(dims))
         for _ in range(10):
             d = random_bipartite(*dims, rng)
             rho = compose_state(d)
-            np.testing.assert_allclose(
-                compose_state(decompose_state(rho, *dims)), rho, atol=1e-12)
+            d = decompose_state(rho, *dims)
+            built = BipartiteDecomposed(dim_a=d.dim_a, dim_b=d.dim_b, a=d.a, b=d.b, corr=d.corr)
+            np.testing.assert_allclose(compose_state(built), rho, atol=1e-12)
 
 
 class TestContractions:
@@ -212,6 +215,41 @@ class TestSupportProjection:
         iso = np.kron(iso_a, iso_b)
         np.testing.assert_allclose(iso @ compose_state(reduced) @ iso.conj().T,
                                    big, atol=1e-10)
+
+
+class TestProjectionIsALocalMap:
+    """``project_to_support`` against the matrix-level V^dag rho V over its
+    trace, at every projection a pipeline state takes."""
+
+    @staticmethod
+    def assert_matches_reference(d, dims):
+        while local_ranks(d) != (d.dim_a, d.dim_b):
+            want = reference_projection(d.matrix, *support_isometries(d))
+            d = project_to_support(d)
+            np.testing.assert_allclose(d.matrix, want, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(d.moments, decompose_state(want, d.dim_a, d.dim_b).moments,
+                                       rtol=0, atol=1e-13)
+        assert (d.dim_a, d.dim_b) == dims
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_nested_support(self, seed):
+        self.assert_matches_reference(decompose_state(nested_support(seed), 3, 3), (2, 2))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_projected_filtered(self, seed):
+        self.assert_matches_reference(decompose_state(projected_filtered(seed), 3, 3), (2, 3))
+
+    @pytest.mark.parametrize("pure_side", ["A", "B"])
+    def test_trivial_factor(self, pure_side):
+        # a pure marginal comes back as a 1 x M or N x 1 record
+        rng = np.random.default_rng(5)
+        pure, u = random_density(3, 1, rng), random_unitary(4, rng)
+        mixed = u @ np.pad(random_density(3, 3, rng), (0, 1)) @ u.conj().T
+        if pure_side == "A":
+            d, dims = decompose_state(np.kron(pure, mixed), 3, 4), (1, 3)
+        else:
+            d, dims = decompose_state(np.kron(mixed, pure), 4, 3), (3, 1)
+        self.assert_matches_reference(d, dims)
 
 
 class TestNormalForm:

@@ -3,6 +3,8 @@ import pytest
 
 from helpers import is_physical
 from sephorn.bloch import (
+    _moment_columns,
+    _moment_rows,
     ball_floor,
     from_bloch,
     to_bloch,
@@ -38,7 +40,9 @@ def test_random_qutrit_norm_bound():
 
 def test_round_trip():
     rng = np.random.default_rng(0)
-    for dim in (2, 3, 4):
+    for dim in range(1, 8):
+        np.testing.assert_allclose(_moment_columns(dim) @ _moment_rows(dim), np.eye(dim * dim),
+                                   rtol=0, atol=1e-15)
         for _ in range(20):
             rho = random_density(dim, dim, rng)
             r = to_bloch(rho)

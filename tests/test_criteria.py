@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import horodecki_2x4, horodecki_3x3, ill_conditioned_product, tiles_state
+from helpers import (horodecki_2x4, horodecki_3x3, ill_conditioned_product, nested_support,
+                     projected_filtered, tiles_state)
 from sephorn import criteria
 from sephorn.bipartite import (
     BipartiteDecomposed,
@@ -1240,18 +1241,6 @@ def _with_noise(rho, eps):
     return (1.0 - eps) * rho + eps * np.eye(rho.shape[0]) / rho.shape[0]
 
 
-def nested_support(seed, eps=0.6e-9):
-    """(1 - 2 eps) times two products on the {0,1} x {0,1} block, plus
-    eps |22><22| and eps |20><20|, at 3x3."""
-    rng = np.random.default_rng(seed)
-    block = sum(w * np.kron(np.pad(random_density(2, 1, rng), (0, 1)),
-                            np.pad(random_density(2, 1, rng), (0, 1)))
-                for w in (0.4, 0.6))
-    tail = np.zeros(9)
-    tail[[8, 6]] = eps
-    return (1.0 - 2.0 * eps) * block + np.diag(tail)
-
-
 @st.composite
 def rank_deficient_mixtures(draw):
     """Mixtures of up to four pure products, or random states, on a block of
@@ -1296,18 +1285,6 @@ class TestSupportProjection:
             return
         assert sum(c.name.startswith("decomposition[") for c in verdict.criteria) == 1
         assert verify_decomposition(verdict.decomposition, decompose_state(rho, n, m)).valid
-
-
-def projected_filtered(seed):
-    """0.05 R + 0.95 I/6 at 2x3 under the local filters diag(1, 0.25) U x
-    diag(1, 0.5, 0.2) W, placed in 3x3 by a random isometry on A."""
-    rng = np.random.default_rng(seed)
-    rho = _with_noise(random_density(6, 6, rng), 0.95)
-    f = np.kron(np.diag([1.0, 0.25]) @ random_unitary(2, rng),
-                np.diag([1.0, 0.5, 0.2]) @ random_unitary(3, rng))
-    iso = np.kron(random_unitary(3, rng)[:, :2], np.eye(3))
-    rho = iso @ f @ rho @ f.conj().T @ iso.conj().T
-    return rho / np.trace(rho).real
 
 
 class TestComposedLift:
