@@ -30,7 +30,8 @@ from numbers import Integral
 import numpy as np
 
 from .bloch import _moment_columns, _moment_rows, ball_floor, from_bloch, validate_state
-from .config import MAX_ITER, NORMAL_TOL, POSITIVITY_TOL, SCALING_RATE, STATE_TOL
+from .config import (MAX_ITER, NORMAL_TOL, POSITIVITY_TOL, SCALING_RATE, STATE_TOL,
+                     check_max_iter, check_tol)
 from .errors import DimensionMismatch, NotAState, NotFullRank
 
 
@@ -172,8 +173,11 @@ def local_ranks(d: BipartiteDecomposed, tol: float = POSITIVITY_TOL) -> tuple[in
     eigenvalue exceeds ``tol``, since the floor is that eigenvalue at
     N = 2, and every side inside the inscribed ball.  Any other side counts
     the eigenvalues above ``tol`` of its memoized eigendecomposition, which
-    :func:`support_isometries` then reuses.
+    :func:`support_isometries` then reuses.  A ``tol`` that is not finite
+    and >= 0 raises :class:`BadParameter`, here and in every function of
+    this module that takes one.
     """
+    check_tol(tol)
     rank_a = (d.dim_a if ball_floor(d.a, d.dim_a) > tol
               else int(np.sum(d.marginal_eigh_a[0] > tol)))
     rank_b = (d.dim_b if ball_floor(d.b, d.dim_b) > tol
@@ -187,6 +191,7 @@ def support_isometries(d: BipartiteDecomposed, tol: float = POSITIVITY_TOL):
     Returns ``(va, vb)`` with ``va`` of shape (dim_a, rank_a); columns are
     support eigenvectors ordered by descending eigenvalue.
     """
+    check_tol(tol)
     (wa, va), (wb, vb) = d.marginal_eigh_a, d.marginal_eigh_b
     return va[:, wa > tol][:, ::-1], vb[:, wb > tol][:, ::-1]
 
@@ -197,10 +202,14 @@ def project_to_support(d: BipartiteDecomposed, tol: float = POSITIVITY_TOL) -> B
 
     Full-local-rank input is returned unchanged.  States with a trivial
     (rank-one) factor come back as 1 x m or n x 1 states with empty Bloch
-    data on the trivial side.
+    data on the trivial side, and a marginal with no eigenvalue above
+    ``tol`` raises :class:`NotFullRank`.
     """
-    if local_ranks(d, tol) == (d.dim_a, d.dim_b):
+    ranks = local_ranks(d, tol)
+    if ranks == (d.dim_a, d.dim_b):
         return d
+    if 0 in ranks:
+        raise NotFullRank(f"marginal {'AB'[ranks.index(0)]} has no eigenvalue above tol = {tol:g}")
     va, vb = support_isometries(d, tol)
     return _filtered(d, va.conj().T, vb.conj().T)
 
@@ -228,8 +237,13 @@ def normal_form(d: BipartiteDecomposed, max_iter: int = MAX_ITER, tol: float = N
     :func:`local_ranks`, which reads a side inside the inscribed ball off
     its Bloch norm.  ``converged`` is read from the filtered record, and
     ``iterations`` counts the sweeps begun.  A state already in normal
-    form is returned as is.
+    form is returned as is.  ``tol`` and ``rank_tol`` are checked as in
+    :func:`local_ranks`, and a ``max_iter`` that is not an integer >= 0
+    raises :class:`BadParameter`.
     """
+    check_tol(tol)
+    check_tol(rank_tol, "rank_tol")
+    check_max_iter(max_iter)
     n, m = d.dim_a, d.dim_b
     if local_ranks(d, rank_tol) != (n, m):
         raise NotFullRank(f"marginal ranks below ({n},{m}); project to support first")
@@ -244,8 +258,8 @@ def normal_form(d: BipartiteDecomposed, max_iter: int = MAX_ITER, tol: float = N
             if pair is None:
                 break
             try:
-                # G = L L^dag, so U = L^dag is upper-triangular with U^dag U = G
-                ua, ub = (np.linalg.cholesky(g).conj().T for g in pair)
+                # upper-triangular U with U^dag U = G
+                ua, ub = (np.linalg.cholesky(g, upper=True) for g in pair)
                 filtered = _filtered(state, ua, ub)
             except (np.linalg.LinAlgError, NotAState):
                 break

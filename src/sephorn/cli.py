@@ -25,9 +25,10 @@ import numpy as np
 
 from . import fileio
 from .bipartite import decompose_state, normal_form
-from .config import ENV_TOL, MAX_ITER, NORMAL_TOL, POSITIVITY_TOL, default_positivity_tol
+from .config import (ENV_TOL, MAX_ITER, NORMAL_TOL, POSITIVITY_TOL, check_tol,
+                     default_positivity_tol)
 from .criteria import Status, Verdict, analyze, require_psd
-from .errors import FileFormatError, SepHornError
+from .errors import BadParameter, FileFormatError, SepHornError
 from .horn import MAX_N, triple_set
 from .states import werner
 
@@ -50,9 +51,12 @@ def cli():
 
 
 def _checked_tol(value: float, source: str) -> float:
-    """``value`` when it is a finite tolerance >= 0; otherwise a usage error."""
-    if not (np.isfinite(value) and value >= 0.0):
-        raise click.UsageError(f"{source} must be finite and >= 0, got {value}")
+    """``value`` when :func:`~sephorn.config.check_tol` accepts it;
+    otherwise a usage error."""
+    try:
+        check_tol(value, source)
+    except BadParameter as exc:
+        raise click.UsageError(str(exc)) from None
     return value
 
 

@@ -4,8 +4,9 @@ All comparison thresholds used across the package live here.  A caller of
 :func:`~sephorn.criteria.analyze` chooses two numbers: the positivity
 tolerance ``tol`` (default ``POSITIVITY_TOL``), which sets the psd and rank
 thresholds and raises the validation threshold ``STATE_TOL`` when larger,
-and the filtering budget ``max_iter`` (default ``MAX_ITER``).  The other
-thresholds are fixed.  The environment variable ``SEP_HORN_TOL`` overrides
+and the filtering budget ``max_iter`` (default ``MAX_ITER``), each checked
+by :func:`check_tol` and :func:`check_max_iter` wherever it is taken.  The
+other thresholds are fixed.  The environment variable ``SEP_HORN_TOL`` overrides
 the default positivity tolerance (the CLI ``--tol`` flag takes precedence
 over the variable).
 """
@@ -13,6 +14,10 @@ over the variable).
 from __future__ import annotations
 
 import os
+from math import isfinite
+from numbers import Integral
+
+from .errors import BadParameter
 
 ENV_TOL = "SEP_HORN_TOL"
 
@@ -37,3 +42,16 @@ def default_positivity_tol() -> float:
         return float(raw)
     except ValueError:
         raise ValueError(f"{ENV_TOL} must be a float, got {raw!r}") from None
+
+
+def check_tol(value: float, name: str = "tol") -> None:
+    """Raise :class:`BadParameter` naming ``name`` unless ``value`` is a
+    finite tolerance >= 0."""
+    if not (isfinite(value) and value >= 0.0):
+        raise BadParameter(f"{name} must be finite and >= 0, got {value}")
+
+
+def check_max_iter(max_iter: int) -> None:
+    """Raise :class:`BadParameter` unless ``max_iter`` is an integer >= 0."""
+    if not (isinstance(max_iter, Integral) and max_iter >= 0):
+        raise BadParameter(f"max_iter must be an integer >= 0, got {max_iter}")

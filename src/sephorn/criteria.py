@@ -56,7 +56,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from math import isfinite
-from numbers import Integral
 
 import numpy as np
 
@@ -72,7 +71,7 @@ from .bipartite import (
 )
 from .bloch import _ball_radius_sq, ball_floor, from_bloch
 from .config import (COMPONENT_PSD, KYFAN_SLACK, MAX_ITER, NORMAL_TOL, POSITIVITY_TOL,
-                     PROB_SUM, RESIDUAL, STATE_TOL)
+                     PROB_SUM, RESIDUAL, STATE_TOL, check_max_iter, check_tol)
 from .decompose import (
     SeparableDecomposition,
     kyfan_bound_decomposition,
@@ -82,8 +81,7 @@ from .decompose import (
     wootters_decomposition,
     wootters_frame,
 )
-from .errors import (BadParameter, BoundExceeded, DimensionMismatch, NotFullRank, NotPSD,
-                     SepHornError)
+from .errors import BoundExceeded, DimensionMismatch, NotFullRank, NotPSD, SepHornError
 from .linalg import certify_psd
 from .states import werner_parameter
 
@@ -128,12 +126,6 @@ class Verdict:
 # individual criteria
 # ---------------------------------------------------------------------------
 
-def _check_tol(tol: float) -> None:
-    """Raise :class:`BadParameter` unless ``tol`` is finite and >= 0."""
-    if not (isfinite(tol) and tol >= 0.0):
-        raise BadParameter(f"tol must be finite and >= 0, got {tol}")
-
-
 def kyfan_necessary_check(d: BipartiteDecomposed) -> CriterionResult:
     """de Vicente's necessary bound ||corr||_KF <= R_+(N) R_+(M), with
     R_+(N) = sqrt(2(N-1)/N), which every separable state satisfies,
@@ -154,7 +146,7 @@ def ppt_check(d: BipartiteDecomposed, *, tol: float = POSITIVITY_TOL) -> PptChec
     """Positivity of the partially transposed state; failure certifies
     entanglement.  One eigenvalue solve of the matrix-level partial
     transpose of ``d.matrix``.  ``tol`` is checked as in :func:`analyze`."""
-    _check_tol(tol)
+    check_tol(tol)
     rho_pt = partial_transpose_matrix(d.matrix, d.dim_a, d.dim_b)
     low = float(np.linalg.eigvalsh(rho_pt)[0])
     return PptCheck(passed=low >= -tol, min_eigenvalue=low)
@@ -471,7 +463,7 @@ def two_qubit_decide(d: BipartiteDecomposed, *, tol: float = POSITIVITY_TOL) -> 
     criterion, whose margin is minus that eigenvalue.  ``tol`` is checked
     as in :func:`analyze`.
     """
-    _check_tol(tol)
+    check_tol(tol)
     if (d.dim_a, d.dim_b) != (2, 2):
         raise DimensionMismatch(f"two_qubit_decide needs 2 x 2, got {d.dim_a} x {d.dim_b}")
     return _Call(d, tol).run(_TWO_QUBIT)
@@ -509,9 +501,8 @@ def analyze(rho: np.ndarray, dim_a: int, dim_b: int, *, tol: float = POSITIVITY_
     integer >= 0, raises :class:`BadParameter`; a marginal with no
     eigenvalue above ``tol`` raises :class:`NotFullRank`.
     """
-    _check_tol(tol)
-    if not (isinstance(max_iter, Integral) and max_iter >= 0):
-        raise BadParameter(f"max_iter must be an integer >= 0, got {max_iter}")
+    check_tol(tol)
+    check_max_iter(max_iter)
     d = decompose_state(rho, dim_a, dim_b, tol=max(STATE_TOL, tol))
     require_psd(d, tol)
     return _analyze_decomposed(d, tol=tol, max_iter=max_iter)
@@ -524,7 +515,7 @@ def require_psd(d: BipartiteDecomposed, tol: float = POSITIVITY_TOL) -> None:
     :func:`~sephorn.linalg.certify_psd` factorises, and eigensolves only
     when that fails, so that the error reports the exact lowest eigenvalue.
     ``tol`` is checked as in :func:`analyze`."""
-    _check_tol(tol)
+    check_tol(tol)
     if (d.dim_a, d.dim_b) == (2, 2):
         low = float(d.spectrum[0][0])
     else:

@@ -25,7 +25,8 @@ import numpy as np
 from .bipartite import BipartiteDecomposed, _conjugation
 from .bloch import _augmented, _gen_stack, _moment_columns, _moment_rows, to_bloch
 from .config import KYFAN_SLACK, TAKAGI_ORTHO
-from .errors import BoundExceeded, DimensionMismatch, OutOfPositivityRange, SearchFailed
+from .errors import (BoundExceeded, DimensionMismatch, DimensionTooSmall, OutOfPositivityRange,
+                     SearchFailed)
 
 
 @dataclass(frozen=True)
@@ -206,8 +207,11 @@ def pure_state_simplex(dim: int) -> np.ndarray:
     Jacobian.  The starts are drawn from one fixed stream, so the simplex
     of each N is always the same.  Each of ``SIC_ATTEMPTS`` starts is
     accepted when every overlap equation holds within ``SIC_RESIDUAL``;
-    SearchFailed carries the best residual when none does.
+    SearchFailed carries the best residual when none does.  dim < 2 raises
+    DimensionTooSmall.
     """
+    if dim < 2:
+        raise DimensionTooSmall(f"pure-state simplex needs dim >= 2, got {dim}")
     disp = _displacements(dim)
     rng = np.random.default_rng(0)
     best = np.inf
@@ -244,7 +248,8 @@ def werner_decompose(dim: int, phi: float) -> SeparableDecomposition:
     kappa 2/(N(N+1)) I = c I.  The A side is physical exactly for
     -1/(N-1) <= kappa <= 1, which is 0 <= phi <= 1; below phi = 1/N it lies
     in the inscribed ball, which it reaches at phi = 0.  Any other phi, the
-    entangled range [-1, 0) included, raises OutOfPositivityRange.
+    entangled range [-1, 0) included, raises OutOfPositivityRange, and
+    dim < 2 raises DimensionTooSmall, from :func:`pure_state_simplex`.
     """
     if not 0.0 <= phi <= 1.0:
         raise OutOfPositivityRange(

@@ -6,7 +6,7 @@ import numpy as np
 
 from .bipartite import BipartiteDecomposed, decompose_state
 from .config import POSITIVITY_TOL
-from .errors import NotPSD, OutOfPositivityRange
+from .errors import DimensionTooSmall, NotPSD, OutOfPositivityRange
 from .su import generator_basis
 
 
@@ -26,8 +26,11 @@ def werner(dim: int, phi: float) -> BipartiteDecomposed:
 
     Its spectrum is (1 + phi)/(N(N+1)) on the symmetric subspace and
     (1 - phi)/(N(N-1)) on the antisymmetric one, so it is PSD over
-    phi in [-1, 1]; out-of-range parameters raise NotPSD.
+    phi in [-1, 1]; out-of-range parameters raise NotPSD, and dim < 2
+    raises DimensionTooSmall.
     """
+    if dim < 2:
+        raise DimensionTooSmall(f"Werner state needs dim >= 2, got {dim}")
     _check_psd(min((1.0 + phi) / (dim * (dim + 1.0)), (1.0 - phi) / (dim * (dim - 1.0))),
                f"Werner(dim={dim}, phi={phi})")
     k = dim * dim - 1

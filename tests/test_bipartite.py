@@ -18,7 +18,7 @@ from sephorn.bipartite import (
 )
 from sephorn.bloch import _gen_stack, from_bloch, to_bloch
 from sephorn.config import MAX_ITER, NORMAL_TOL
-from sephorn.errors import DimensionMismatch, NotFullRank
+from sephorn.errors import BadParameter, DimensionMismatch, NotFullRank
 from sephorn.linalg import random_unitary
 from sephorn.states import bell, isotropic, p_zero, random_density, werner
 
@@ -250,6 +250,35 @@ class TestProjectionIsALocalMap:
         else:
             d, dims = decompose_state(np.kron(mixed, pure), 4, 3), (3, 1)
         self.assert_matches_reference(d, dims)
+
+    def test_no_support_is_not_full_rank(self):
+        d = random_bipartite(2, 3, np.random.default_rng(21))
+        with pytest.raises(NotFullRank, match="marginal A has no eigenvalue above"):
+            project_to_support(d, tol=1.0)
+
+
+def parameter_cases():
+    """(id, call, bad value, the argument its error names) for every public
+    function here that takes a tolerance or a budget."""
+    calls = [("normal_form", lambda d, v: normal_form(d, tol=v), "tol"),
+             ("normal_form", lambda d, v: normal_form(d, rank_tol=v), "rank_tol"),
+             ("local_ranks", lambda d, v: local_ranks(d, v), "tol"),
+             ("support_isometries", lambda d, v: support_isometries(d, v), "tol"),
+             ("project_to_support", lambda d, v: project_to_support(d, v), "tol")]
+    cases = [(f"{fn}-{arg}={bad}", call, bad, arg)
+             for fn, call, arg in calls for bad in (np.nan, -1.0, np.inf)]
+    return cases + [(f"normal_form-max_iter={bad}", lambda d, v: normal_form(d, max_iter=v),
+                     bad, "max_iter") for bad in (2.5, -1)]
+
+
+@pytest.mark.parametrize("call, bad, name", [case[1:] for case in parameter_cases()],
+                         ids=[case[0] for case in parameter_cases()])
+def test_parameters_are_checked(call, bad, name):
+    d = random_bipartite(2, 3, np.random.default_rng(21))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BadParameter, match=f"^{name} must be"):
+            call(d, bad)
 
 
 class TestNormalForm:

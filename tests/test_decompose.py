@@ -388,22 +388,20 @@ def wootters_inputs():
 
 
 def null_block_inputs():
-    """States below rank four, whose tau can have a null block, with
-    whether Wootters' frame must take the QR.  Round-off eigenvalues of rho
-    stay out of the frame, so only the pure-factor states take it: tau
-    vanishes on their rank-2 support, and the embedding's eigenvectors for
-    its two round-off lam pairs mix u with i u.  00+11 (exact zero
-    eigenvalues, tau nonsingular on its support) and the random rank-1 and
-    rank-2 states have a Takagi basis that is unitary as it comes."""
+    """States below rank four, whose tau can have a null block: 00+11
+    (exact zero eigenvalues, tau nonsingular on its support), the
+    pure-factor states, on whose rank-2 support tau vanishes, and random
+    rank-1 and rank-2 states.  Which of them take Wootters' QR is the
+    eigensolver's choice of basis in a null block."""
     cases = dict(wootters_inputs())
-    out = [("00+11", cases["00+11"], False)]
-    out += [(f"pure-factor-{i}", cases[f"pure-factor-{i}"], True) for i in range(4)]
+    out = [("00+11", cases["00+11"])]
+    out += [(f"pure-factor-{i}", cases[f"pure-factor-{i}"]) for i in range(4)]
     rng = np.random.default_rng(53)
     for i in range(2):
-        out.append((f"rank1-{i}", decompose_state(random_density(4, 1, rng), 2, 2), False))
+        out.append((f"rank1-{i}", decompose_state(random_density(4, 1, rng), 2, 2)))
         product = np.kron(random_density(2, 1, rng), random_density(2, 1, rng))
-        out.append((f"rank1-product-{i}", decompose_state(product, 2, 2), False))
-        out.append((f"rank2-{i}", decompose_state(random_density(4, 2, rng), 2, 2), False))
+        out.append((f"rank1-product-{i}", decompose_state(product, 2, 2)))
+        out.append((f"rank2-{i}", decompose_state(random_density(4, 2, rng), 2, 2)))
     return out
 
 
@@ -488,18 +486,32 @@ class TestWootters:
         np.testing.assert_allclose(frame.lam, lam, rtol=0, atol=1e-12)
         assert frame.concurrence_margin <= 1e-12
 
-    @pytest.mark.parametrize("d, qr", [(d, qr) for _, d, qr in null_block_inputs()],
-                             ids=[c for c, _, _ in null_block_inputs()])
-    def test_null_block_takes_the_qr(self, monkeypatch, d, qr):
+    NULL_BLOCK = [(c, d, False) for c, d in null_block_inputs()]
+    NULL_BLOCK += [(f"{c}-planted", d, True) for c, d, _ in NULL_BLOCK
+                   if c.startswith("pure-factor")]
+
+    @pytest.mark.parametrize("d, plant", [case[1:] for case in NULL_BLOCK],
+                             ids=[case[0] for case in NULL_BLOCK])
+    def test_null_block_takes_the_qr(self, monkeypatch, d, plant):
         # the QR runs exactly when the embedding's top eigenvectors are not
         # complex-orthonormal, and either way rho = x x^dag and
-        # x^T (sigma_y x sigma_y) x = diag(lam)
+        # x^T (sigma_y x sigma_y) x = diag(lam).  Whether the eigensolver
+        # mixes a null block is its own choice, so on the pure-factor
+        # states, where tau vanishes on a rank-2 support and any orthonormal
+        # basis solves the 4 x 4 embedding, the planted cases return the
+        # block's eigenvectors mixed as u = e_0 and i u: they take the QR
+        _ = d.spectrum  # memoized first: the one eigh the frame calls is the embedding's
         calls = []
         eigh, real_qr = np.linalg.eigh, np.linalg.qr
 
         def spy_eigh(a, *args, **kwargs):
-            calls.append(("eigh", eigh(a, *args, **kwargs)))
-            return calls[-1][1]
+            lam, emb = eigh(a, *args, **kwargs)
+            if plant:
+                assert a.shape == (4, 4)
+                # ascending columns; the top two read [u; 0] and [0; u]
+                emb = np.eye(4)[:, [1, 3, 2, 0]]
+            calls.append(("eigh", emb))
+            return lam, emb
 
         def spy_qr(a, *args, **kwargs):
             calls.append(("qr", a))
@@ -509,14 +521,13 @@ class TestWootters:
         monkeypatch.setattr(np.linalg, "qr", spy_qr)
         frame = wootters_frame(d)
         monkeypatch.undo()
-        # the last eigh is the embedding's; rho's may come first, if not memoized
-        _, emb = [out for name, out in calls if name == "eigh"][-1]
+        [emb] = [out for name, out in calls if name == "eigh"]
         rank = emb.shape[0] // 2
         top = emb[:, ::-1][:, :rank]
         takagi = top[:rank] + 1j * top[rank:]
         mixed = bool(np.abs(takagi.conj().T @ takagi - np.eye(rank)).max() > TAKAGI_ORTHO)
         assert [name for name, _ in calls if name == "qr"] == (["qr"] if mixed else [])
-        assert mixed is qr
+        assert mixed or not plant
         # no Wootters value beyond the support of rho
         support = int((np.linalg.eigvalsh(d.matrix) > 1e-12).sum())
         assert (frame.lam[support:] < 1e-12).all(), frame.lam

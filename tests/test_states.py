@@ -2,12 +2,21 @@ import numpy as np
 import pytest
 
 from sephorn.bipartite import compose_state, decompose_state, local_ranks, partial_transpose_matrix
-from sephorn.errors import NotPSD, OutOfPositivityRange
+from sephorn.decompose import pure_state_simplex, werner_decompose
+from sephorn.errors import DimensionTooSmall, NotPSD, OutOfPositivityRange
 from sephorn.states import bell, isotropic, p_zero, random_density, werner
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+@pytest.mark.parametrize("make", [lambda: werner(1, 0.5), lambda: werner_decompose(1, 0.5),
+                                  lambda: pure_state_simplex(0), lambda: isotropic(1, 0.5)],
+                         ids=["werner", "werner_decompose", "pure_state_simplex", "isotropic"])
+def test_dimension_below_two_is_too_small(make):
+    with pytest.raises(DimensionTooSmall, match="dim >= 2"):
+        make()
 
 
 class TestWerner:
