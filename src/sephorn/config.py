@@ -6,9 +6,9 @@ tolerance ``tol`` (default ``POSITIVITY_TOL``), which sets the psd and rank
 thresholds and raises the validation threshold ``STATE_TOL`` when larger,
 and the filtering budget ``max_iter`` (default ``MAX_ITER``), each checked
 by :func:`check_tol` and :func:`check_max_iter` wherever it is taken.  The
-other thresholds are fixed.  The environment variable ``SEP_HORN_TOL`` overrides
-the default positivity tolerance (the CLI ``--tol`` flag takes precedence
-over the variable).
+other thresholds are fixed.  The environment variable ``SEP_HORN_TOL``
+overrides the default positivity tolerance (the CLI ``--tol`` flag takes
+precedence over the variable).
 """
 
 from __future__ import annotations
