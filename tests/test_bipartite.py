@@ -271,8 +271,11 @@ def parameter_cases():
                      bad, "max_iter") for bad in (2.5, -1)]
 
 
-@pytest.mark.parametrize("call, bad, name", [case[1:] for case in parameter_cases()],
-                         ids=[case[0] for case in parameter_cases()])
+PARAMETER_CASES = parameter_cases()
+
+
+@pytest.mark.parametrize("call, bad, name", [case[1:] for case in PARAMETER_CASES],
+                         ids=[case[0] for case in PARAMETER_CASES])
 def test_parameters_are_checked(call, bad, name):
     d = random_bipartite(2, 3, np.random.default_rng(21))
     with warnings.catch_warnings():
