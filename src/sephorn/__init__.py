@@ -15,7 +15,6 @@ from .bipartite import (
     local_ranks,
     normal_form,
     partial_transpose_matrix,
-    project_to_support,
 )
 from .bloch import from_bloch, to_bloch
 from .criteria import (
@@ -24,7 +23,6 @@ from .criteria import (
     analyze,
     kyfan_necessary_check,
     ppt_check,
-    two_qubit_decide,
     verify_decomposition,
 )
 from .decompose import (
@@ -43,8 +41,7 @@ from .horn import (
     product_singulars_feasible,
     triple_set,
 )
-from .linalg import random_orthogonal, random_unitary
-from .states import bell, isotropic, p_zero, random_density, werner
+from .states import bell, isotropic, p_zero, werner
 from .su import generator_basis
 
 __version__ = "0.1.0"
@@ -75,14 +72,9 @@ __all__ = [
     "partition_of",
     "ppt_check",
     "product_singulars_feasible",
-    "project_to_support",
     "pure_state_simplex",
-    "random_density",
-    "random_orthogonal",
-    "random_unitary",
     "to_bloch",
     "triple_set",
-    "two_qubit_decide",
     "verify_decomposition",
     "werner",
     "werner_decompose",

@@ -196,24 +196,6 @@ def support_isometries(d: BipartiteDecomposed, tol: float = POSITIVITY_TOL):
     return va[:, wa > tol][:, ::-1], vb[:, wb > tol][:, ::-1]
 
 
-def project_to_support(d: BipartiteDecomposed, tol: float = POSITIVITY_TOL) -> BipartiteDecomposed:
-    """The record mapped by X -> V^dag X V on each side, V the
-    :func:`support_isometries`, which leaves full local ranks.
-
-    Full-local-rank input is returned unchanged.  States with a trivial
-    (rank-one) factor come back as 1 x m or n x 1 states with empty Bloch
-    data on the trivial side, and a marginal with no eigenvalue above
-    ``tol`` raises :class:`NotFullRank`.
-    """
-    ranks = local_ranks(d, tol)
-    if ranks == (d.dim_a, d.dim_b):
-        return d
-    if 0 in ranks:
-        raise NotFullRank(f"marginal {'AB'[ranks.index(0)]} has no eigenvalue above tol = {tol:g}")
-    va, vb = support_isometries(d, tol)
-    return _filtered(d, va.conj().T, vb.conj().T)
-
-
 def normal_form(d: BipartiteDecomposed, max_iter: int = MAX_ITER, tol: float = NORMAL_TOL,
                 rank_tol: float = POSITIVITY_TOL) -> NormalFormResult:
     """Filter a full-local-rank state toward maximally mixed marginals.
@@ -235,18 +217,22 @@ def normal_form(d: BipartiteDecomposed, max_iter: int = MAX_ITER, tol: float = N
     faster than ``SCALING_RATE`` per sweep takes one run.  No marginal is
     eigensolved: full local rank at ``rank_tol`` is checked by
     :func:`local_ranks`, which reads a side inside the inscribed ball off
-    its Bloch norm.  ``converged`` is read from the filtered record, and
-    ``iterations`` counts the sweeps begun.  A state already in normal
-    form is returned as is.  ``tol`` and ``rank_tol`` are checked as in
-    :func:`local_ranks`, and a ``max_iter`` that is not an integer >= 0
+    its Bloch norm, and a marginal of lower rank raises :class:`NotFullRank`
+    naming it and ``rank_tol``.  ``converged`` is read from the filtered
+    record, and ``iterations`` counts the sweeps begun.  A state already in
+    normal form is returned as is.  ``tol`` and ``rank_tol`` are checked as
+    in :func:`local_ranks`, and a ``max_iter`` that is not an integer >= 0
     raises :class:`BadParameter`.
     """
     check_tol(tol)
     check_tol(rank_tol, "rank_tol")
     check_max_iter(max_iter)
     n, m = d.dim_a, d.dim_b
-    if local_ranks(d, rank_tol) != (n, m):
-        raise NotFullRank(f"marginal ranks below ({n},{m}); project to support first")
+    ranks = local_ranks(d, rank_tol)
+    if ranks != (n, m):
+        side = 0 if ranks[0] < n else 1
+        raise NotFullRank(f"marginal {'AB'[side]} has rank {ranks[side]} < {(n, m)[side]} "
+                          f"at rank_tol = {rank_tol:g}")
     state, fa, fb = d, np.eye(n, dtype=complex), np.eye(m, dtype=complex)
     low = _marginal_norm(d)
     swept = 0

@@ -233,7 +233,7 @@ def cmd_normal_form(path, out, max_iter, tol):
     """Filter a state toward maximally mixed marginals and report convergence.
 
     The input is checked for positivity as ``analyze`` checks it, at the
-    default positivity tolerance.
+    default positivity tolerance; a rank-deficient marginal exits 70.
     """
     rho, dims = fileio.state_from_text(Path(path).read_text())
     d = decompose_state(rho, dims[0], dims[1])

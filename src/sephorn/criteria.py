@@ -81,7 +81,7 @@ from .decompose import (
     wootters_decomposition,
     wootters_frame,
 )
-from .errors import BoundExceeded, DimensionMismatch, NotFullRank, NotPSD, SepHornError
+from .errors import BoundExceeded, NotFullRank, NotPSD, SepHornError
 from .linalg import certify_psd
 from .states import werner_parameter
 
@@ -100,12 +100,6 @@ class CriterionResult:
     passed: bool
     margin: float
     detail: str = ""
-
-
-@dataclass(frozen=True)
-class PptCheck:
-    passed: bool
-    min_eigenvalue: float
 
 
 @dataclass(frozen=True)
@@ -142,14 +136,20 @@ def kyfan_necessary_check(d: BipartiteDecomposed) -> CriterionResult:
                            f"Ky Fan norm bound {bound:.6g}")
 
 
-def ppt_check(d: BipartiteDecomposed, *, tol: float = POSITIVITY_TOL) -> PptCheck:
-    """Positivity of the partially transposed state; failure certifies
-    entanglement.  One eigenvalue solve of the matrix-level partial
-    transpose of ``d.matrix``.  ``tol`` is checked as in :func:`analyze`."""
+def ppt_check(d: BipartiteDecomposed, *, tol: float = POSITIVITY_TOL) -> CriterionResult:
+    """Positivity of the partially transposed state, which every separable
+    state has, from one eigenvalue solve of the matrix-level partial
+    transpose of ``d.matrix``; returns the criterion the verdict logs.
+
+    The ``ppt`` criterion passes when the lowest eigenvalue is at least
+    -``tol``; its margin is minus that eigenvalue when it is negative, else
+    0, and its detail gives the eigenvalue.  ``tol`` is checked as in
+    :func:`analyze`.
+    """
     check_tol(tol)
     rho_pt = partial_transpose_matrix(d.matrix, d.dim_a, d.dim_b)
     low = float(np.linalg.eigvalsh(rho_pt)[0])
-    return PptCheck(passed=low >= -tol, min_eigenvalue=low)
+    return CriterionResult("ppt", low >= -tol, max(0.0, -low), f"min eigenvalue {low:.3e}")
 
 
 def _misshapen(probs: np.ndarray, dec: SeparableDecomposition,
@@ -305,16 +305,15 @@ def _trivial_factor(call: _Call) -> Verdict | None:
 
 
 def _ppt(call: _Call) -> Status | None:
-    ppt = ppt_check(call.d, tol=call.tol)
-    call.log.append(CriterionResult("ppt", ppt.passed, max(0.0, -ppt.min_eigenvalue),
-                                    f"min eigenvalue {ppt.min_eigenvalue:.3e}"))
-    return None if ppt.passed else Status.ENTANGLED
+    check = ppt_check(call.d, tol=call.tol)
+    call.log.append(check)
+    return None if check.passed else Status.ENTANGLED
 
 
 def _wootters(call: _Call) -> Verdict | None:
     """Wootters' concurrence and, at zero, his product decomposition; a
     positive concurrence on a state that passed PPT only within the
-    tolerance logs the ``ppt-tolerance-band`` (see :func:`two_qubit_decide`)."""
+    tolerance logs the ``ppt-tolerance-band`` (see :func:`analyze`)."""
     frame = wootters_frame(call.d)
     margin = frame.concurrence_margin
     call.log.append(CriterionResult("concurrence", margin <= KYFAN_SLACK, margin,
@@ -447,28 +446,6 @@ _FULL_RANK = (_ppt, _kyfan_unfiltered, _filter, _kyfan_necessary, _kyfan_suffici
 # pipeline
 # ---------------------------------------------------------------------------
 
-def two_qubit_decide(d: BipartiteDecomposed, *, tol: float = POSITIVITY_TOL) -> Verdict:
-    """Exact separability decision for 2 x 2 states, without filtering: the
-    stages ``_TWO_QUBIT``.
-
-    PPT is necessary and sufficient here (Horodecki, quant-ph/9605038): an
-    NPT state is ENTANGLED with the failed ``ppt`` criterion.  A PPT state
-    logs ``concurrence`` (margin lam_1 - lam_2 - lam_3 - lam_4, passing up
-    to ``KYFAN_SLACK``) and then ``decomposition[wootters]``, Wootters'
-    four pure product components, verified; if either fails the verdict is
-    INCONCLUSIVE.  A state that passes PPT only within the tolerance, with
-    its lowest partial-transpose eigenvalue in [-``tol``, 0), and fails
-    the concurrence check lies in a band PPT cannot resolve at that
-    tolerance; its verdict also logs the failed ``ppt-tolerance-band``
-    criterion, whose margin is minus that eigenvalue.  ``tol`` is checked
-    as in :func:`analyze`.
-    """
-    check_tol(tol)
-    if (d.dim_a, d.dim_b) != (2, 2):
-        raise DimensionMismatch(f"two_qubit_decide needs 2 x 2, got {d.dim_a} x {d.dim_b}")
-    return _Call(d, tol).run(_TWO_QUBIT)
-
-
 def analyze(rho: np.ndarray, dim_a: int, dim_b: int, *, tol: float = POSITIVITY_TOL,
             max_iter: int = MAX_ITER) -> Verdict:
     """Full separability pipeline for a density matrix, in one pass.
@@ -477,8 +454,21 @@ def analyze(rho: np.ndarray, dim_a: int, dim_b: int, *, tol: float = POSITIVITY_
     ``support-projection`` and is projected onto its local supports; a
     rank-one marginal ends the pass instead with the ``trivial-factor``
     decomposition of the record, whose unprojected marginals keep the
-    weight the support drops.  The full-rank record runs one stage tuple:
-    ``_TWO_QUBIT`` at 2 x 2 (:func:`two_qubit_decide`), else ``_FULL_RANK``:
+    weight the support drops.  The full-rank record runs one stage tuple.
+
+    At 2 x 2 it is ``_TWO_QUBIT``, the exact decision, without filtering.
+    PPT is necessary and sufficient there (Horodecki, quant-ph/9605038): an
+    NPT state is ENTANGLED with the failed ``ppt`` criterion.  A PPT state
+    logs ``concurrence`` (margin lam_1 - lam_2 - lam_3 - lam_4, passing up
+    to ``KYFAN_SLACK``) and then ``decomposition[wootters]``, Wootters'
+    four pure product components, verified; if either fails the verdict is
+    INCONCLUSIVE.  A state that passes PPT only within the tolerance, with
+    its lowest partial-transpose eigenvalue in [-``tol``, 0), and fails
+    the concurrence check lies in a band PPT cannot resolve at that
+    tolerance; its verdict also logs the failed ``ppt-tolerance-band``
+    criterion, whose margin is minus that eigenvalue.
+
+    Any other record runs ``_FULL_RANK``:
     partial transposition; the constructive bound on the unfiltered record
     shifted by its marginals, which logs nothing unless it decides;
     normal-form filtering; the necessary norm bound; the constructive bound

@@ -1,4 +1,4 @@
-"""Factories for the named state families plus seeded random states."""
+"""Factories for the named state families."""
 
 from __future__ import annotations
 
@@ -83,16 +83,6 @@ def p_zero(p: float, sign: int = +1) -> BipartiteDecomposed:
     psi = np.array([0.0, 1.0, sign, 0.0]) / np.sqrt(2.0)
     rho = p * np.outer(psi, psi) + (1.0 - p) * np.diag([1.0, 0.0, 0.0, 0.0])
     return decompose_state(rho.astype(complex), 2, 2)
-
-
-def random_density(dim: int, rank: int, seed) -> np.ndarray:
-    """Random density matrix G G^dag / Tr[G G^dag] with G of width ``rank``."""
-    if not 1 <= rank <= dim:
-        raise OutOfPositivityRange(f"rank must lie in 1..{dim}, got {rank}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
-    rho = g @ g.conj().T
-    return rho / np.real(np.trace(rho))
 
 
 def _check_psd(low: float, label: str) -> None:

@@ -10,11 +10,61 @@ from sephorn.bipartite import NormalFormResult, _filtered
 from sephorn.bloch import _gen_stack, from_bloch
 from sephorn.config import MAX_ITER, NORMAL_TOL, TAKAGI_ORTHO
 from sephorn.decompose import SeparableDecomposition, WoottersFrame
+from sephorn.errors import OutOfPositivityRange
 from sephorn.horn import subset_table
-from sephorn.linalg import random_unitary
-from sephorn.states import random_density
 
 CHUNK = 8192  # sample rows per vectorized block
+
+
+def _as_generator(seed) -> np.random.Generator:
+    if isinstance(seed, np.random.Generator):
+        return seed
+    return np.random.default_rng(seed)
+
+
+def random_orthogonal(dim: int, seed) -> np.ndarray:
+    """Haar-distributed orthogonal matrix (QR with sign-fixed R diagonal).
+
+    Like every sampler here, deterministic: ``seed`` is an integer seed or
+    a caller-owned :class:`numpy.random.Generator`."""
+    rng = _as_generator(seed)
+    g = rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(g)
+    d = np.sign(np.diag(r))
+    d[d == 0] = 1.0
+    return q * d
+
+
+def random_unitary(dim: int, seed) -> np.ndarray:
+    """Haar-distributed unitary matrix (complex Ginibre + QR)."""
+    rng = _as_generator(seed)
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(g)
+    d = np.diag(r)
+    phase = d / np.abs(d)
+    return q * phase
+
+
+def random_density(dim: int, rank: int, seed) -> np.ndarray:
+    """Random density matrix G G^dag / Tr[G G^dag] with G of width ``rank``."""
+    if not 1 <= rank <= dim:
+        raise OutOfPositivityRange(f"rank must lie in 1..{dim}, got {rank}")
+    rng = _as_generator(seed)
+    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    rho = g @ g.conj().T
+    return rho / np.real(np.trace(rho))
+
+
+def noisy(rho: np.ndarray, eps: float) -> np.ndarray:
+    """(1 - eps) rho + eps I/d."""
+    return (1.0 - eps) * rho + eps * np.eye(rho.shape[0]) / rho.shape[0]
+
+
+def products(weights, n: int, m: int, seed) -> np.ndarray:
+    """sum_i w_i |a_i b_i><a_i b_i| over random pure products on n x m."""
+    rng = _as_generator(seed)
+    return sum(w * np.kron(random_density(n, 1, rng), random_density(m, 1, rng))
+               for w in weights)
 
 
 def tiles_state() -> np.ndarray:
@@ -55,9 +105,10 @@ def ill_conditioned_product(frame: int) -> np.ndarray:
 
 def nested_support(seed, eps=0.6e-9):
     """(1 - 2 eps) times two products on the {0,1} x {0,1} block, plus
-    eps |22><22| and eps |20><20|, at 3x3: it takes two support
-    projections."""
-    rng = np.random.default_rng(seed)
+    eps |22><22| and eps |20><20|, at 3x3.  B's weight eps on |2> lies
+    below the rank cutoff and A's 2 eps above it; once B is projected, A
+    keeps eps on |2> and is projected in turn."""
+    rng = _as_generator(seed)
     block = sum(w * np.kron(np.pad(random_density(2, 1, rng), (0, 1)),
                             np.pad(random_density(2, 1, rng), (0, 1)))
                 for w in (0.4, 0.6))
@@ -67,10 +118,11 @@ def nested_support(seed, eps=0.6e-9):
 
 
 def projected_filtered(seed):
-    """0.05 R + 0.95 I/6 at 2x3 under the local filters diag(1, 0.25) U x
-    diag(1, 0.5, 0.2) W, placed in 3x3 by a random isometry on A."""
-    rng = np.random.default_rng(seed)
-    rho = (1.0 - 0.95) * random_density(6, 6, rng) + 0.95 * np.eye(6) / 6.0
+    """0.05 R + 0.95 I/6 at 2x3, R a random state, under the local filters
+    diag(1, 0.25) U x diag(1, 0.5, 0.2) W, U and W random unitaries, then
+    placed in 3x3 by a random isometry on A."""
+    rng = _as_generator(seed)
+    rho = noisy(random_density(6, 6, rng), 0.95)
     f = np.kron(np.diag([1.0, 0.25]) @ random_unitary(2, rng),
                 np.diag([1.0, 0.5, 0.2]) @ random_unitary(3, rng))
     iso = np.kron(random_unitary(3, rng)[:, :2], np.eye(3))
@@ -79,8 +131,8 @@ def projected_filtered(seed):
 
 
 def reference_projection(rho, va, vb) -> np.ndarray:
-    """Reference for ``bipartite.project_to_support``: the matrix-level
-    V^dag rho V over its trace, V = kron(va, vb)."""
+    """Reference for the support projection that ``analyze`` applies: the
+    matrix-level V^dag rho V over its trace, V = kron(va, vb)."""
     iso = np.kron(va, vb)
     out = iso.conj().T @ rho @ iso
     return out / np.real(np.trace(out))

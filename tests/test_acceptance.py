@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import batch_min_margin
+from helpers import batch_min_margin, random_density, random_orthogonal
 from sephorn.bipartite import (
     BipartiteDecomposed,
     compose_state,
@@ -23,13 +23,11 @@ from sephorn.criteria import (
     Status,
     analyze,
     ppt_check,
-    two_qubit_decide,
     verify_decomposition,
 )
 from sephorn.decompose import kyfan_bound_decomposition, werner_decompose
 from sephorn.horn import all_triples, check_product_inequalities, triple_set
-from sephorn.linalg import random_orthogonal
-from sephorn.states import bell, isotropic, p_zero, random_density, werner
+from sephorn.states import bell, isotropic, p_zero, werner
 
 
 def report(index: int, ok: bool, detail: str) -> None:
@@ -65,7 +63,7 @@ def test_2_two_qubit_exactness():
     worst_residual = 0.0
     for _ in range(1000):
         d = decompose_state(random_density(4, 4, rng), 2, 2)
-        verdict = two_qubit_decide(d)
+        verdict = analyze(d.matrix, 2, 2)
         want = Status.SEPARABLE if ppt_check(d).passed else Status.ENTANGLED
         mismatches += verdict.status is not want
         if verdict.status is Status.SEPARABLE:
@@ -184,7 +182,7 @@ def test_6_isotropic_boundary():
         ppt = ppt_check(above)
         ok = ok and entangled and not ppt.passed
         notes.append(f"N={dim} p={threshold + 0.01:.3f}: entangled "
-                     f"(ppt min eig {ppt.min_eigenvalue:.1e})")
+                     f"(ppt {ppt.detail})")
         if dim <= 3:
             below = threshold - 0.01
             state = isotropic(dim, below)

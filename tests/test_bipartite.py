@@ -3,9 +3,9 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import (filter_products, ill_conditioned_product, nested_support, projected_filtered,
-                     reference_projection)
-from sephorn import bipartite
+from helpers import (filter_products, ill_conditioned_product, nested_support, noisy, products,
+                     projected_filtered, random_density, random_unitary, reference_projection)
+from sephorn import bipartite, criteria
 from sephorn.bipartite import (
     BipartiteDecomposed,
     _marginal_norm,
@@ -13,14 +13,13 @@ from sephorn.bipartite import (
     decompose_state,
     local_ranks,
     normal_form,
-    project_to_support,
     support_isometries,
 )
 from sephorn.bloch import _gen_stack, from_bloch, to_bloch
 from sephorn.config import MAX_ITER, NORMAL_TOL
+from sephorn.criteria import analyze
 from sephorn.errors import BadParameter, DimensionMismatch, NotFullRank
-from sephorn.linalg import random_unitary
-from sephorn.states import bell, isotropic, p_zero, random_density, werner
+from sephorn.states import bell, isotropic, p_zero, werner
 
 
 def random_bipartite(dim_a, dim_b, rng, rank=None):
@@ -62,7 +61,7 @@ class TestDecompose:
 
     @pytest.mark.parametrize("dims", [(1, 3), (3, 1), (2, 3), (3, 4)])
     def test_moments_match_explicit_traces(self, dims):
-        # dimension-1 factors are what project_to_support hands back
+        # dimension-1 factors: analyze takes one-sided states as they come
         n, m = dims
         rho = random_density(n * m, n * m, np.random.default_rng(n * 10 + m))
         d = decompose_state(rho, n, m)
@@ -172,39 +171,59 @@ class TestLocalRanks:
         assert "marginal_eigh_a" not in vars(d) and "marginal_eigh_b" not in vars(d)
 
 
+def projections(rho, n, m, monkeypatch):
+    """The verdict of ``analyze(rho, n, m)`` and each support projection it
+    makes, as (record, projected record) pairs, read from its calls of
+    ``criteria._filtered``."""
+    calls = []
+
+    def spy(d, fa, fb):
+        calls.append((d, bipartite._filtered(d, fa, fb)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(criteria, "_filtered", spy)
+    return analyze(rho, n, m), calls
+
+
 class TestSupportProjection:
-    def test_pure_product_reduces_to_trivial(self):
+    def test_pure_product_reduces_to_trivial(self, monkeypatch):
+        # a pure marginal ends the pass with the trivial factor of the
+        # record: no 1 x 1 record is projected
         rho = np.zeros((4, 4), dtype=complex)
         rho[0, 0] = 1.0
-        reduced = project_to_support(decompose_state(rho, 2, 2))
-        assert (reduced.dim_a, reduced.dim_b) == (1, 1)
-        assert reduced.corr.shape == (0, 0)
+        verdict, calls = projections(rho, 2, 2, monkeypatch)
+        assert calls == []
+        assert [c.name for c in verdict.criteria] == [
+            "support-projection", "decomposition[trivial-factor]"]
 
-    def test_full_rank_is_identity(self):
+    def test_full_rank_is_identity(self, monkeypatch):
         d = random_bipartite(2, 2, np.random.default_rng(8))
-        assert project_to_support(d) is d
+        verdict, calls = projections(d.matrix, 2, 2, monkeypatch)
+        assert calls == []
+        assert "support-projection" not in [c.name for c in verdict.criteria]
 
-    def test_canonical_embedding_recovered_exactly(self):
+    def test_canonical_embedding_recovered_exactly(self, monkeypatch):
         # pad a 2x2 Werner state into the first two levels of a 3x3 system;
         # support projection recovers the original matrix
         w = compose_state(werner(2, 0.7))
         pad = np.zeros((3, 2), dtype=complex)
         pad[:2, :2] = np.eye(2)
         big = np.kron(pad, pad) @ w @ np.kron(pad, pad).conj().T
-        reduced = project_to_support(decompose_state(big, 3, 3))
+        _, calls = projections(big, 3, 3, monkeypatch)
+        [(_, reduced)] = calls
         assert (reduced.dim_a, reduced.dim_b) == (2, 2)
         assert np.linalg.norm(compose_state(reduced) - w) < 1e-10
 
-    def test_embedded_werner_recovered(self):
+    def test_embedded_werner_recovered(self, monkeypatch):
         w = werner(2, 0.7)
         rng = np.random.default_rng(9)
-        from sephorn.linalg import random_unitary
         va = random_unitary(3, rng)[:, :2]
         vb = random_unitary(3, rng)[:, :2]
         big = np.kron(va, vb) @ compose_state(w) @ np.kron(va, vb).conj().T
         d = decompose_state(big, 3, 3)
         assert local_ranks(d) == (2, 2)
-        reduced = project_to_support(d)
+        _, calls = projections(big, 3, 3, monkeypatch)
+        [(_, reduced)] = calls
         assert (reduced.dim_a, reduced.dim_b) == (2, 2)
         # support eigenbasis may differ from the embedding by local unitaries,
         # which preserve the correlation singular values
@@ -218,43 +237,40 @@ class TestSupportProjection:
 
 
 class TestProjectionIsALocalMap:
-    """``project_to_support`` against the matrix-level V^dag rho V over its
-    trace, at every projection a pipeline state takes."""
+    """Each support projection ``analyze`` makes against the matrix-level
+    V^dag rho V over its trace, V the support isometries of the record it
+    projects."""
 
     @staticmethod
-    def assert_matches_reference(d, dims):
-        while local_ranks(d) != (d.dim_a, d.dim_b):
+    def assert_matches_reference(rho, dims, count, monkeypatch):
+        _, calls = projections(rho, 3, 3, monkeypatch)
+        assert len(calls) == count
+        # the first projection takes the input, and each later one the record
+        # the one before it made
+        np.testing.assert_array_equal(calls[0][0].matrix, rho)
+        assert all(d is earlier for (d, _), (_, earlier) in zip(calls[1:], calls))
+        for d, projected in calls:
             want = reference_projection(d.matrix, *support_isometries(d))
-            d = project_to_support(d)
-            np.testing.assert_allclose(d.matrix, want, rtol=0, atol=1e-13)
-            np.testing.assert_allclose(d.moments, decompose_state(want, d.dim_a, d.dim_b).moments,
-                                       rtol=0, atol=1e-13)
-        assert (d.dim_a, d.dim_b) == dims
+            np.testing.assert_allclose(projected.matrix, want, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(
+                projected.moments,
+                decompose_state(want, projected.dim_a, projected.dim_b).moments,
+                rtol=0, atol=1e-13)
+        last = calls[-1][1]
+        assert local_ranks(last) == (last.dim_a, last.dim_b) == dims
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_nested_support(self, seed):
-        self.assert_matches_reference(decompose_state(nested_support(seed), 3, 3), (2, 2))
+    def test_nested_support(self, seed, monkeypatch):
+        self.assert_matches_reference(nested_support(seed), (2, 2), 2, monkeypatch)
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_projected_filtered(self, seed):
-        self.assert_matches_reference(decompose_state(projected_filtered(seed), 3, 3), (2, 3))
-
-    @pytest.mark.parametrize("pure_side", ["A", "B"])
-    def test_trivial_factor(self, pure_side):
-        # a pure marginal comes back as a 1 x M or N x 1 record
-        rng = np.random.default_rng(5)
-        pure, u = random_density(3, 1, rng), random_unitary(4, rng)
-        mixed = u @ np.pad(random_density(3, 3, rng), (0, 1)) @ u.conj().T
-        if pure_side == "A":
-            d, dims = decompose_state(np.kron(pure, mixed), 3, 4), (1, 3)
-        else:
-            d, dims = decompose_state(np.kron(mixed, pure), 4, 3), (3, 1)
-        self.assert_matches_reference(d, dims)
+    def test_projected_filtered(self, seed, monkeypatch):
+        self.assert_matches_reference(projected_filtered(seed), (2, 3), 1, monkeypatch)
 
     def test_no_support_is_not_full_rank(self):
         d = random_bipartite(2, 3, np.random.default_rng(21))
         with pytest.raises(NotFullRank, match="marginal A has no eigenvalue above"):
-            project_to_support(d, tol=1.0)
+            analyze(d.matrix, 2, 3, tol=1.0)
 
 
 def parameter_cases():
@@ -263,8 +279,7 @@ def parameter_cases():
     calls = [("normal_form", lambda d, v: normal_form(d, tol=v), "tol"),
              ("normal_form", lambda d, v: normal_form(d, rank_tol=v), "rank_tol"),
              ("local_ranks", lambda d, v: local_ranks(d, v), "tol"),
-             ("support_isometries", lambda d, v: support_isometries(d, v), "tol"),
-             ("project_to_support", lambda d, v: project_to_support(d, v), "tol")]
+             ("support_isometries", lambda d, v: support_isometries(d, v), "tol")]
     cases = [(f"{fn}-{arg}={bad}", call, bad, arg)
              for fn, call, arg in calls for bad in (np.nan, -1.0, np.inf)]
     return cases + [(f"normal_form-max_iter={bad}", lambda d, v: normal_form(d, max_iter=v),
@@ -453,10 +468,7 @@ class TestNormalForm:
         # (1 - 3e-8)(0.4 P_1 + 0.6 P_2) + 3e-8 I/6 over random pure 2 x 3
         # products: the product loop stops short of tol, while a re-based
         # run brings the record within it
-        rng = np.random.default_rng(0)
-        mix = sum(w * np.kron(random_density(2, 1, rng), random_density(3, 1, rng))
-                  for w in (0.4, 0.6))
-        rho = (1.0 - 3e-8) * mix + 3e-8 * np.eye(6) / 6.0
+        rho = noisy(products((0.4, 0.6), 2, 3, 0), 3e-8)
         d = decompose_state(rho, 2, 3)
         loop = filter_products(d)
         assert not loop.converged

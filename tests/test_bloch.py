@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import is_physical
+from helpers import is_physical, random_density, random_orthogonal, random_unitary
 from sephorn.bloch import (
     _moment_columns,
     _moment_rows,
@@ -11,8 +11,6 @@ from sephorn.bloch import (
     validate_state,
 )
 from sephorn.errors import DimensionMismatch, NotAState
-from sephorn.linalg import random_orthogonal, random_unitary
-from sephorn.states import random_density
 
 
 def random_pure_bloch(dim, rng):

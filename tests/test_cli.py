@@ -5,15 +5,14 @@ import json
 import numpy as np
 import pytest
 
-from helpers import tiles_state
+from helpers import random_density, random_unitary, tiles_state
 from sephorn import cli, fileio
 from sephorn.bipartite import compose_state
 from sephorn import criteria, decompose
 from sephorn.cli import main
 from sephorn.criteria import verify_decomposition
 from sephorn.errors import SearchFailed
-from sephorn.linalg import random_unitary
-from sephorn.states import bell, p_zero, random_density, werner
+from sephorn.states import bell, p_zero, werner
 from sephorn.bipartite import decompose_state
 
 
@@ -313,9 +312,18 @@ class TestNormalForm:
             assert "minimum eigenvalue -1.000e-01" in err
         assert not (tmp_path / "neg.state.normal.json").exists()
 
+    def test_rank_deficient_state_exits_70(self, tmp_path, capsys):
+        # marginal A has rank 2 at 3 x 3: normal-form names it and the rank
+        # cutoff, and writes no filtered state
+        rho = np.kron(np.diag([0.5, 0.5, 0.0]), np.eye(3) / 3.0).astype(complex)
+        path = write_matrix(tmp_path / "low.state.json", rho, (3, 3))
+        code, _, err = run_cli(["normal-form", path], capsys)
+        assert code == 70
+        assert "numeric failure: marginal A has rank 2 < 3 at rank_tol = 1e-09" in err
+        assert not (tmp_path / "low.state.normal.json").exists()
+
     def test_random_converges(self, tmp_path, capsys):
         rng = np.random.default_rng(11)
-        from sephorn.states import random_density
         rho = random_density(4, 4, rng)
         path = tmp_path / "r.state.json"
         path.write_text(fileio.state_to_text(rho, (2, 2)))

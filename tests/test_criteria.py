@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (horodecki_2x4, horodecki_3x3, ill_conditioned_product, nested_support,
-                     projected_filtered, tiles_state)
+                     noisy, products, projected_filtered, random_density, random_unitary,
+                     tiles_state)
 from sephorn import criteria
 from sephorn.bipartite import (
     BipartiteDecomposed,
@@ -24,7 +25,6 @@ from sephorn.criteria import (
     analyze,
     kyfan_necessary_check,
     ppt_check,
-    two_qubit_decide,
     verify_decomposition,
 )
 from sephorn.decompose import (
@@ -35,10 +35,9 @@ from sephorn.decompose import (
     werner_decompose,
     wootters_decomposition,
 )
-from sephorn.errors import (BadParameter, BoundExceeded, DimensionMismatch, NotFullRank, NotPSD,
+from sephorn.errors import (BadParameter, BoundExceeded, NotFullRank, NotPSD,
                             SepHornError)
-from sephorn.linalg import random_unitary
-from sephorn.states import bell, isotropic, p_zero, random_density, werner
+from sephorn.states import bell, isotropic, p_zero, werner
 
 
 def random_two_qubit(rng, rank=4):
@@ -127,9 +126,13 @@ class TestSufficient:
 
 class TestPpt:
     def test_bell_fails(self):
+        # the criterion the verdict logs: its margin is minus the lowest
+        # eigenvalue of the partial transpose, -1/2
         check = ppt_check(bell())
-        assert not check.passed
-        assert abs(check.min_eigenvalue + 0.5) < 1e-12
+        assert check.name == "ppt" and not check.passed
+        assert abs(check.margin - 0.5) < 1e-12
+        assert check.detail == "min eigenvalue -5.000e-01"
+        assert analyze(bell().matrix, 2, 2).criteria == (check,)
 
     def test_product_passes(self):
         rng = np.random.default_rng(1)
@@ -143,10 +146,10 @@ class TestPpt:
 
 class TestTwoQubit:
     def test_bell_entangled(self):
-        assert two_qubit_decide(bell()).status is Status.ENTANGLED
+        assert analyze(bell().matrix, 2, 2).status is Status.ENTANGLED
 
     def test_half_werner_separable(self):
-        verdict = two_qubit_decide(werner(2, 0.5))
+        verdict = analyze(werner(2, 0.5).matrix, 2, 2)
         assert verdict.status is Status.SEPARABLE
         assert verify_decomposition(verdict.decomposition, werner(2, 0.5)).valid
 
@@ -154,15 +157,9 @@ class TestTwoQubit:
         rng = np.random.default_rng(21)
         for _ in range(100):
             d = random_two_qubit(rng)
-            verdict = two_qubit_decide(d)
+            verdict = analyze(d.matrix, 2, 2)
             want = Status.SEPARABLE if ppt_check(d).passed else Status.ENTANGLED
             assert verdict.status is want
-
-    def test_rejects_wrong_dims(self):
-        rng = np.random.default_rng(2)
-        d = decompose_state(random_density(6, 6, rng), 2, 3)
-        with pytest.raises(DimensionMismatch):
-            two_qubit_decide(d)
 
     @pytest.mark.parametrize("state", [p_zero(0.5), bell()], ids=["p_zero", "bell"])
     def test_npt_decided_without_filtering(self, state, monkeypatch):
@@ -170,14 +167,14 @@ class TestTwoQubit:
             raise AssertionError("NPT state was filtered")
 
         monkeypatch.setattr(criteria, "normal_form", no_filtering)
-        verdict = two_qubit_decide(state)
+        verdict = analyze(state.matrix, 2, 2)
         assert verdict.status is Status.ENTANGLED
         assert [c.name for c in verdict.criteria] == ["ppt"]
         assert not verdict.criteria[0].passed
         assert verdict.criteria[0].margin > 0.0
 
     def test_separable_logs_ppt_concurrence_decomposition(self):
-        verdict = two_qubit_decide(werner(2, 0.5))
+        verdict = analyze(werner(2, 0.5).matrix, 2, 2)
         assert verdict.status is Status.SEPARABLE
         names = [c.name for c in verdict.criteria]
         assert names == ["ppt", "concurrence", "decomposition[wootters]"]
@@ -188,7 +185,7 @@ class TestTwoQubit:
             raise AssertionError("PPT 2 x 2 state was filtered")
 
         monkeypatch.setattr(criteria, "normal_form", no_filtering)
-        verdict = two_qubit_decide(werner(2, 0.5))
+        verdict = analyze(werner(2, 0.5).matrix, 2, 2)
         assert verdict.status is Status.SEPARABLE
         assert verify_decomposition(verdict.decomposition, werner(2, 0.5)).valid
 
@@ -256,7 +253,7 @@ class TestTwoQubitGate:
             verdict = analyze(rho, 2, 2)
         except SepHornError:
             return
-        low = ppt_check(decompose_state(rho, 2, 2)).min_eigenvalue
+        low = lowest_pt_eigenvalue(rho, 2, 2)
         if abs(low) <= POSITIVITY_TOL:
             # inside the positivity tolerance an entangled state passes PPT
             # with a concurrence that can exceed the slack (p_zero(p) has
@@ -1079,7 +1076,7 @@ class TestAnalyze:
                 analyze(random_density(9, 9, 1), 3, 3, **{keyword: value})
 
     @pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
-    @pytest.mark.parametrize("check", [ppt_check, two_qubit_decide, criteria.require_psd])
+    @pytest.mark.parametrize("check", [ppt_check, criteria.require_psd])
     def test_bad_tol_is_named_by_every_check(self, check, tol):
         # unchecked, a NaN or negative tol makes the maximally mixed state
         # ENTANGLED or NotPSD
@@ -1149,10 +1146,7 @@ class TestAnalyze:
         # a mixture of two product states plus 3e-8 I/6 stops short of the
         # normal-form tolerance, with a record well inside the residual; the
         # record is used, and the log says so
-        rng = np.random.default_rng(3)
-        mix = sum(w * np.kron(random_density(2, 1, rng), random_density(3, 1, rng))
-                  for w in (0.4, 0.6))
-        rho = (1.0 - 3e-8) * mix + 3e-8 * np.eye(6) / 6.0
+        rho = noisy(products((0.4, 0.6), 2, 3, 3), 3e-8)
         nf = normal_form(decompose_state(rho, 2, 3))
         marg = max(np.linalg.norm(nf.state.a), np.linalg.norm(nf.state.b))
         assert not nf.converged and NORMAL_TOL <= marg < RESIDUAL
@@ -1228,17 +1222,6 @@ class TestAnalyze:
                 assert ppt_ok
                 assert verify_decomposition(verdict.decomposition, d).valid
         assert seen[Status.ENTANGLED] > 0
-
-
-def _products(weights, n, m, seed):
-    """sum_i w_i |a_i b_i><a_i b_i| over random pure products."""
-    rng = np.random.default_rng(seed)
-    return sum(w * np.kron(random_density(n, 1, rng), random_density(m, 1, rng))
-               for w in weights)
-
-
-def _with_noise(rho, eps):
-    return (1.0 - eps) * rho + eps * np.eye(rho.shape[0]) / rho.shape[0]
 
 
 @st.composite
@@ -1320,7 +1303,7 @@ def criterion_sequence_cases():
     """One state per sequence of (criterion, passed) that a verdict logs."""
     outside = 0.3 * random_density(9, 9, np.random.default_rng(31)) + 0.7 * np.eye(9) / 9.0
     inside = 0.05 * random_density(9, 9, np.random.default_rng(31)) + 0.95 * np.eye(9) / 9.0
-    stall = _with_noise(np.diag(np.eye(9)[0]), 1e-4)
+    stall = noisy(np.diag(np.eye(9)[0]), 1e-4)
     one_sided = np.diag([0.2, 0.3, 0.5]).astype(complex)
     cases = [
         ("npt", compose_state(isotropic(3, 0.5)), 3, 3, ENT, [("ppt", False)]),
@@ -1338,10 +1321,10 @@ def criterion_sequence_cases():
          [PPT, KYFAN, ("decomposition[kyfan-sufficient]", True)]),
         ("one-sided-3x1", one_sided, 3, 1, SEP,
          [PPT, KYFAN, ("decomposition[kyfan-sufficient]", True)]),
-        ("normal-form-short-separable", _with_noise(_products([1.0], 2, 3, 0), 3e-8), 2, 3,
+        ("normal-form-short-separable", noisy(products([1.0], 2, 3, 0), 3e-8), 2, 3,
          SEP, [PPT, ("normal-form", True), KYFAN, ("decomposition[kyfan-sufficient]", True)]),
         ("normal-form-short-inconclusive",
-         _with_noise(_products([0.4, 0.6], 2, 3, 3), 3e-8), 2, 3,
+         noisy(products([0.4, 0.6], 2, 3, 3), 3e-8), 2, 3,
          INC, [PPT, ("normal-form", True), KYFAN, ("kyfan-sufficient", False)]),
         ("normal-form-fails", stall, 3, 3, INC, [PPT, ("normal-form", False), KYFAN]),
         ("trivial-factor-after-normal-form", ill_conditioned_product(0), 3, 3, SEP,
@@ -1352,11 +1335,11 @@ def criterion_sequence_cases():
         ("horodecki-3x3", horodecki_3x3(0.5), 3, 3, ENT, [PPT, ("kyfan-necessary", False)]),
         ("pure-marginal", np.kron(random_density(2, 1, 5), random_density(3, 3, 6)), 2, 3, SEP,
          [("support-projection", True), ("decomposition[trivial-factor]", True)]),
-        ("embedded-wootters", _products([0.4, 0.6], 2, 3, 0), 2, 3, SEP,
+        ("embedded-wootters", products([0.4, 0.6], 2, 3, 0), 2, 3, SEP,
          [("support-projection", True), *WOOTTERS]),
         ("embedded-npt", _embedded(compose_state(bell()), 3, 3, 7), 3, 3, ENT,
          [("support-projection", True), ("ppt", False)]),
-        ("embedded-kyfan-sufficient-fails", _products([0.2, 0.3, 0.5], 2, 4, 0), 2, 4, INC,
+        ("embedded-kyfan-sufficient-fails", products([0.2, 0.3, 0.5], 2, 4, 0), 2, 4, INC,
          [("support-projection", True), PPT, KYFAN, ("kyfan-sufficient", False)]),
     ]
     for cid, rho, n, m, status, sequence in cases:

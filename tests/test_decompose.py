@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import sephorn
-from helpers import (SIGMA_YY, is_physical, reference_wootters_decomposition,
-                     reference_wootters_frame)
+from helpers import (SIGMA_YY, is_physical, random_density, random_unitary,
+                     reference_wootters_decomposition, reference_wootters_frame)
 from sephorn.bipartite import (
     BipartiteDecomposed,
     compose_state,
@@ -36,8 +36,7 @@ from sephorn.errors import (
     SearchFailed,
 )
 from sephorn.horn import product_singulars_feasible
-from sephorn.linalg import random_unitary
-from sephorn.states import isotropic, random_density, werner
+from sephorn.states import isotropic, werner
 from sephorn.su import generator_basis
 
 
@@ -691,7 +690,6 @@ class TestTransport:
 
     def test_embed_isometries(self):
         from sephorn.bipartite import compose_state, decompose_state
-        from sephorn.linalg import random_unitary
         rng = np.random.default_rng(19)
         base = werner_decompose(2, 0.5)
         va = random_unitary(3, rng)[:, :2]
@@ -746,7 +744,6 @@ class TestTransport:
     def test_stacked_transport_matches_component_loop(self, dim_a, dim_b, cond):
         """Inverse filters near I, or with singular values spread from 1 to
         cond; isometries; and an isometry times an inverse filter."""
-        from sephorn.linalg import random_unitary
         rng = np.random.default_rng(dim_a * 10 + dim_b)
         dec = self.random_decomposition(rng, dim_a, dim_b, 2 * dim_a * dim_b)
         if cond is None:
@@ -763,7 +760,6 @@ class TestTransport:
             self.assert_matches_reference(transport(dec, map_a, map_b), dec, map_a, map_b)
 
     def test_rank_one_factor_lifted(self):
-        from sephorn.linalg import random_unitary
         rng = np.random.default_rng(29)
         dec = self.random_decomposition(rng, 1, 2, 5)
         va = random_unitary(3, rng)[:, :1]

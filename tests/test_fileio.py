@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from helpers import random_density
 from sephorn import fileio
 from sephorn.bipartite import compose_state
 from sephorn.decompose import werner_decompose
 from sephorn.errors import FileFormatError
-from sephorn.states import bell, random_density
+from sephorn.states import bell
 
 
 class TestStateFiles:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import batch_min_margin, loop_triple_set
+from helpers import batch_min_margin, loop_triple_set, random_orthogonal
 from sephorn.errors import BadCardinality, LengthMismatch, NotSorted, TripleCapExceeded
 from sephorn.horn import (
     MAX_N,
@@ -16,7 +16,6 @@ from sephorn.horn import (
     product_singulars_feasible,
     triple_set,
 )
-from sephorn.linalg import random_orthogonal
 
 # hand-enumerated from the base rule i + j = k + 1
 T_1_2 = (((1,), (1,), (1,)), ((1,), (2,), (2,)), ((2,), (1,), (2,)))

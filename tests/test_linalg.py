@@ -3,7 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sephorn.bloch import from_bloch
-from sephorn.linalg import certify_psd, random_orthogonal, random_unitary
+from helpers import random_orthogonal, random_unitary
+from sephorn.linalg import certify_psd
 
 
 class TestRandomFactors:

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from helpers import random_density
 from sephorn.bipartite import compose_state, decompose_state, local_ranks, partial_transpose_matrix
 from sephorn.decompose import pure_state_simplex, werner_decompose
 from sephorn.errors import DimensionTooSmall, NotPSD, OutOfPositivityRange
-from sephorn.states import bell, isotropic, p_zero, random_density, werner
+from sephorn.states import bell, isotropic, p_zero, werner
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)

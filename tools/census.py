@@ -31,10 +31,10 @@ mixtures of k random product states plus white noise, noisy full-rank
 states from 2x3 to 4x4, the filtering stall states (1 - eps)|00><00| +
 eps I/d, thirty 3x3 products whose marginals have an eigenvalue just above
 the rank cutoff, forty mixtures of two 2x3 products plus 3e-8 I/6, ten
-3x3 states that take two support projections (:func:`nested_support`) and
-ten filtered 2x3 states embedded in 3x3, whose decomposition is carried
-through a filter and a support projection at once
-(:func:`projected_filtered`).
+3x3 states that take two support projections and ten filtered 2x3 states
+embedded in 3x3, whose decomposition is carried through a filter and a
+support projection at once.  The states and their samplers are those of
+``tests/helpers.py``, which the test suite checks.
 """
 
 from __future__ import annotations
@@ -50,47 +50,14 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT), str(ROOT / "tests")]
 
+from helpers import (ill_conditioned_product, nested_support, noisy, products,  # noqa: E402
+                     projected_filtered, random_density)
 from pipebench import corpus  # noqa: E402
-from sephorn import analyze, random_density, random_unitary  # noqa: E402
+from sephorn import analyze  # noqa: E402
 
 DIMS = ((2, 3), (3, 3), (2, 4), (3, 4), (4, 4))
-
-
-def _noisy(rho: np.ndarray, eps: float) -> np.ndarray:
-    return (1.0 - eps) * rho + eps * np.eye(rho.shape[0]) / rho.shape[0]
-
-
-def _products(k: int, n: int, m: int, rng) -> np.ndarray:
-    weights = rng.dirichlet(np.ones(k))
-    return sum(w * np.kron(random_density(n, 1, rng), random_density(m, 1, rng))
-               for w in weights)
-
-
-def nested_support(rng, eps: float = 0.6e-9) -> np.ndarray:
-    """(1 - 2 eps) times two products on the {0,1} x {0,1} block, plus
-    eps |22><22| and eps |20><20|, at 3x3.  B's weight eps on |2> lies
-    below the rank cutoff and A's 2 eps above it; once B is projected, A
-    keeps eps on |2> and is projected in turn."""
-    block = sum(w * np.kron(np.pad(random_density(2, 1, rng), (0, 1)),
-                            np.pad(random_density(2, 1, rng), (0, 1)))
-                for w in (0.4, 0.6))
-    tail = np.zeros(9)
-    tail[[8, 6]] = eps
-    return (1.0 - 2.0 * eps) * block + np.diag(tail)
-
-
-def projected_filtered(rng) -> np.ndarray:
-    """0.05 R + 0.95 I/6 at 2x3, R a random state, under the local filters
-    diag(1, 0.25) U x diag(1, 0.5, 0.2) W, U and W random unitaries, then
-    placed in 3x3 by a random isometry on A."""
-    rho = _noisy(random_density(6, 6, rng), 0.95)
-    f = np.kron(np.diag([1.0, 0.25]) @ random_unitary(2, rng),
-                np.diag([1.0, 0.5, 0.2]) @ random_unitary(3, rng))
-    iso = np.kron(random_unitary(3, rng)[:, :2], np.eye(3))
-    rho = iso @ f @ rho @ f.conj().T @ iso.conj().T
-    return rho / np.trace(rho).real
 
 
 def cases():
@@ -103,16 +70,16 @@ def cases():
     for n, m in DIMS:
         for rank in (1, 2, 3):
             for eps in (1e-2, 1e-4, 1e-6, 1e-8):
-                rho = _noisy(random_density(n * m, rank, rng), eps)
+                rho = noisy(random_density(n * m, rank, rng), eps)
                 yield f"low-rank/{n}x{m}/rank{rank}/{eps:.0e}", rho, n, m
         for k in (1, 2, 3, 4):
             for eps in (0.0, 3e-8, 1e-7, 1e-6, 1e-5, 1e-3, 1e-2):
                 for i in range(3):
-                    rho = _noisy(_products(k, n, m, rng), eps)
+                    rho = noisy(products(rng.dirichlet(np.ones(k)), n, m, rng), eps)
                     yield f"products/{n}x{m}/k{k}/{eps:.0e}/{i}", rho, n, m
         for weight in (0.3, 0.5, 0.7, 0.9):
             for i in range(3):
-                rho = _noisy(random_density(n * m, n * m, rng), weight)
+                rho = noisy(random_density(n * m, n * m, rng), weight)
                 yield f"noisy/{n}x{m}/{weight}/{i}", rho, n, m
     for dim in (3, 4):
         for eps in (1e-4, 1e-6):
@@ -120,19 +87,13 @@ def cases():
             rho[0, 0] += 1.0 - eps
             yield f"stall/{dim}x{dim}/{eps:.0e}", rho, dim, dim
     for frame in range(30):
-        u, v = random_unitary(3, 1 + frame), random_unitary(3, 101 + frame)
-        rho_a = (u * [1.2e-9, 0.49, 0.51 - 1.2e-9]) @ u.conj().T
-        rho_b = (v * [1.2e-9, 0.48, 0.52 - 1.2e-9]) @ v.conj().T
-        yield f"ill-conditioned/{frame}", np.kron(rho_a, rho_b), 3, 3
+        yield f"ill-conditioned/{frame}", ill_conditioned_product(frame), 3, 3
     for seed in range(40):
-        rng = np.random.default_rng(seed)
-        mix = sum(w * np.kron(random_density(2, 1, rng), random_density(3, 1, rng))
-                  for w in (0.4, 0.6))
-        yield f"short-of-normal-form/{seed}", _noisy(mix, 3e-8), 2, 3
+        yield f"short-of-normal-form/{seed}", noisy(products((0.4, 0.6), 2, 3, seed), 3e-8), 2, 3
     for seed in range(10):
-        yield f"nested-support/{seed}", nested_support(np.random.default_rng(seed)), 3, 3
+        yield f"nested-support/{seed}", nested_support(seed), 3, 3
     for seed in range(10):
-        yield f"projected-filtered/{seed}", projected_filtered(np.random.default_rng(seed)), 3, 3
+        yield f"projected-filtered/{seed}", projected_filtered(seed), 3, 3
 
 
 def in_ball(rho: np.ndarray) -> bool:
