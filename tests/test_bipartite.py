@@ -17,7 +17,7 @@ from sephorn.bipartite import (
 )
 from sephorn.bloch import _gen_stack, from_bloch, to_bloch
 from sephorn.config import MAX_ITER, NORMAL_TOL
-from sephorn.criteria import analyze
+from sephorn.criteria import Status, analyze, verify_decomposition
 from sephorn.errors import BadParameter, DimensionMismatch, NotFullRank
 from sephorn.states import bell, isotropic, p_zero, werner
 
@@ -266,6 +266,26 @@ class TestProjectionIsALocalMap:
     @pytest.mark.parametrize("seed", range(3))
     def test_projected_filtered(self, seed, monkeypatch):
         self.assert_matches_reference(projected_filtered(seed), (2, 3), 1, monkeypatch)
+
+    @pytest.mark.parametrize("pure_side", ["A", "B"])
+    def test_trivial_factor(self, pure_side, monkeypatch):
+        # a pure marginal beside a rank-deficient one is decided by the
+        # product of the marginals, with no projection to a 1 x M or N x 1
+        # record
+        rng = np.random.default_rng(5)
+        pure, u = random_density(3, 1, rng), random_unitary(4, rng)
+        mixed = u @ np.pad(random_density(3, 3, rng), (0, 1)) @ u.conj().T
+        if pure_side == "A":
+            rho, dims, ranks = np.kron(pure, mixed), (3, 4), "1x3"
+        else:
+            rho, dims, ranks = np.kron(mixed, pure), (4, 3), "3x1"
+        verdict, calls = projections(rho, *dims, monkeypatch)
+        assert calls == []
+        assert verdict.status is Status.SEPARABLE
+        assert [(c.name, c.detail) for c in verdict.criteria][0] == (
+            "support-projection", f"reduced {dims[0]}x{dims[1]} -> {ranks}")
+        assert verdict.criteria[-1].name == "decomposition[trivial-factor]"
+        assert verify_decomposition(verdict.decomposition, decompose_state(rho, *dims)).valid
 
     def test_no_support_is_not_full_rank(self):
         d = random_bipartite(2, 3, np.random.default_rng(21))
@@ -546,3 +566,12 @@ class TestNormalForm:
         rho[0, 0] = 1.0
         with pytest.raises(NotFullRank):
             normal_form(decompose_state(rho, 2, 2))
+
+    @pytest.mark.parametrize("side", ["A", "B"])
+    def test_rank_deficient_marginal_is_named(self, side):
+        # the message names the marginal, its rank and the rank cutoff
+        low, full = np.diag([0.5, 0.5, 0.0]), np.eye(3) / 3.0
+        rho = np.kron(low, full) if side == "A" else np.kron(full, low)
+        message = f"^marginal {side} has rank 2 < 3 at rank_tol = 1e-09$"
+        with pytest.raises(NotFullRank, match=message):
+            normal_form(decompose_state(rho.astype(complex), 3, 3))

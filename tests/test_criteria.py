@@ -35,7 +35,7 @@ from sephorn.decompose import (
     werner_decompose,
     wootters_decomposition,
 )
-from sephorn.errors import (BadParameter, BoundExceeded, NotFullRank, NotPSD,
+from sephorn.errors import (BadParameter, BoundExceeded, DimensionMismatch, NotFullRank, NotPSD,
                             SepHornError)
 from sephorn.states import bell, isotropic, p_zero, werner
 
@@ -134,6 +134,13 @@ class TestPpt:
         assert check.detail == "min eigenvalue -5.000e-01"
         assert analyze(bell().matrix, 2, 2).criteria == (check,)
 
+    def test_separable_logs_the_check(self):
+        # a PPT 2 x 2 state logs the same criterion first, unchanged
+        d = werner(2, 0.5)
+        check = ppt_check(d)
+        assert check.passed and check.margin == 0.0
+        assert analyze(d.matrix, 2, 2).criteria[0] == check
+
     def test_product_passes(self):
         rng = np.random.default_rng(1)
         rho = np.kron(random_density(2, 2, rng), random_density(3, 3, rng))
@@ -142,6 +149,12 @@ class TestPpt:
     def test_isotropic_above_threshold_fails(self):
         assert not ppt_check(isotropic(3, 0.3)).passed
         assert ppt_check(isotropic(3, 0.2)).passed
+
+
+def analyze_2x2(d, tol):
+    """``analyze`` on the 2 x 2 path, where ``tol`` reaches the PPT stage
+    and the tolerance band."""
+    return analyze(d.matrix, 2, 2, tol=tol)
 
 
 class TestTwoQubit:
@@ -160,6 +173,13 @@ class TestTwoQubit:
             verdict = analyze(d.matrix, 2, 2)
             want = Status.SEPARABLE if ppt_check(d).passed else Status.ENTANGLED
             assert verdict.status is want
+
+    def test_rejects_wrong_dims(self):
+        # a 6 x 6 matrix is no 2 x 2 state: analyze names the mismatch before
+        # it chooses the 2 x 2 stages
+        rng = np.random.default_rng(2)
+        with pytest.raises(DimensionMismatch):
+            analyze(random_density(6, 6, rng), 2, 2)
 
     @pytest.mark.parametrize("state", [p_zero(0.5), bell()], ids=["p_zero", "bell"])
     def test_npt_decided_without_filtering(self, state, monkeypatch):
@@ -1076,7 +1096,7 @@ class TestAnalyze:
                 analyze(random_density(9, 9, 1), 3, 3, **{keyword: value})
 
     @pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
-    @pytest.mark.parametrize("check", [ppt_check, criteria.require_psd])
+    @pytest.mark.parametrize("check", [ppt_check, analyze_2x2, criteria.require_psd])
     def test_bad_tol_is_named_by_every_check(self, check, tol):
         # unchecked, a NaN or negative tol makes the maximally mixed state
         # ENTANGLED or NotPSD
