@@ -121,9 +121,11 @@ def decompose_state(rho: np.ndarray, dim_a: int, dim_b: int,
     """Extract (a, b, corr) from a trace-one Hermitian matrix.
 
     The record keeps a read-only copy of the matrix as ``matrix``.
-    Dimensions that are not integers >= 1 raise :class:`DimensionMismatch`.
+    Dimensions that are not integers >= 1, bools included, raise
+    :class:`DimensionMismatch`.
     """
-    if not all(isinstance(dim, Integral) and dim >= 1 for dim in (dim_a, dim_b)):
+    if not all(isinstance(dim, Integral) and not isinstance(dim, bool) and dim >= 1
+               for dim in (dim_a, dim_b)):
         raise DimensionMismatch(f"dimensions must be integers >= 1, got {dim_a!r} x {dim_b!r}")
     rho = validate_state(rho, tol)
     if rho.shape[0] != dim_a * dim_b:

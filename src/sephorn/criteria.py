@@ -6,49 +6,44 @@ the exact two-qubit decision and the closed-form Werner and isotropic
 decompositions, recognised in any local frame, into a single pipeline with
 three honest outcomes: ``SEPARABLE`` (always carrying a verified
 decomposition), ``ENTANGLED`` (always carrying a violated necessary
-criterion) and ``INCONCLUSIVE``.
-A state is projected onto its local supports while a marginal is
+criterion) and ``INCONCLUSIVE``.  Each question is asked of the earliest
+record that answers it.  Partial transposition is tested once, on the
+input, since a support projection only compresses the partial transpose.
+A PPT state is projected onto its local supports while a marginal is
 rank-deficient, and then runs one ordered tuple of stages, ``_TWO_QUBIT``
-(partial transposition and Wootters' decomposition, no filtering) or
-``_FULL_RANK``, in the one loop of ``_Call.run``, which builds every
-verdict that ends a tuple.  Each criterion is logged once.  Each
-decomposition reaches the input through one local map per side, in one
-:func:`~sephorn.decompose.transport`, and is verified once, against it.
+(Wootters' decomposition) or ``_FULL_RANK``, in the one loop of
+``_Call.run``, which builds every verdict that ends a tuple.  Each
+criterion is logged once.  Each decomposition reaches the input through
+one local map per side, in one :func:`~sephorn.decompose.transport`, and
+is verified once, against it.
 
 Above 2 x 2 the battery rests on de Vicente's Ky Fan bounds (QIC 7, 624
-(2007)), and each question is decided once.  The constructive bound is
-tried first on the unfiltered record, shifted by its marginals:
-||corr - a b^T||_KF <= (R_N - |a|)(R_M - |b|), with R_N = sqrt(2/(N(N-1)))
-the radius of the inscribed ball.  It decides a state whose correlation
-fits the inscribed ball about its marginals with one singular value
+(2007)).  A product, whose correlation is a b^T within ``RESIDUAL``
+entrywise, is decided by that one component before any filter.
+Otherwise the constructive bound is tried first on the unfiltered record,
+shifted by its marginals: ||corr - a b^T||_KF <= (R_N - |a|)(R_M - |b|),
+with R_N = sqrt(2/(N(N-1))) the radius of the inscribed ball.  It decides
+a state whose correlation fits that ball with one singular value
 decomposition, and no filtering, pull-back or Gram iteration; a state it
 does not decide logs nothing and is filtered, and the bounds then apply to
 the filtered correlation.  The filtered record counts as normal form when
 both marginal Bloch norms lie below ``RESIDUAL``; one accepted short of
 ``NORMAL_TOL`` logs a passed ``normal-form`` criterion.  The necessary
 bound, :func:`kyfan_necessary_check`, holds for every separable state,
-filtered or not, and returns the criterion the verdict logs.  The
-constructive bound and its slack come from
-:func:`~sephorn.decompose.kyfan_room`, and the Ky Fan norm is compared
-with them in :func:`~sephorn.decompose.kyfan_bound_decomposition` alone,
-on either record: within the slack it builds the decomposition, and
-beyond it its BoundExceeded carries the excess that the failed
-``kyfan-sufficient`` criterion logs on the filtered record.
+filtered or not.  The constructive bound and its slack come from
+:func:`~sephorn.decompose.kyfan_room` and are compared with the Ky Fan
+norm in :func:`~sephorn.decompose.kyfan_bound_decomposition` alone, whose
+BoundExceeded carries the excess that a failed ``kyfan-sufficient`` logs.
 
 The criteria read what a :class:`BipartiteDecomposed` record computes
 once: the eigenvalues of the partial transpose of ``d.matrix``, the one
 singular value decomposition ``d.corr_svd`` that the norm bounds and the
 family recogniser share on the filtered record, and the moment matrix
 ``d.moments`` that verification subtracts from the decomposition's own in
-one step.  Where
-only a positivity threshold is tested, the Bloch norm answers first: the
-floor 1/N - |r| sqrt((N-1)/(2N)) (:func:`~sephorn.bloch.ball_floor`) is
-exact at N = 2 and positive inside the inscribed ball, so it settles every
-mixed qubit marginal and every qubit or in-ball component with no matrix
-built.  The rest, the input above 2 x 2 included, is certified by a
-Cholesky factorisation of the shifted matrix
-(:func:`~sephorn.linalg.certify_psd`); eigenvalues are computed only when
-that fails, so a rejection still reports the exact lowest eigenvalue.
+one step.  Positivity is read from a Bloch norm
+(:func:`~sephorn.bloch.ball_floor`) or certified by a Cholesky
+factorisation (:func:`~sephorn.linalg.certify_psd`) before any eigenvalue
+is computed; see :func:`verify_decomposition` and :func:`require_psd`.
 """
 
 from __future__ import annotations
@@ -298,10 +293,8 @@ class _Call:
 def _trivial_factor(call: _Call) -> Verdict | None:
     """The product of the two marginals, as one component."""
     d = call.d
-    return call.verified(SeparableDecomposition(probs=np.array([1.0]),
-                                                r_vectors=d.a.reshape(1, -1).copy(),
-                                                s_vectors=d.b.reshape(1, -1).copy()),
-                         "trivial-factor")
+    dec = SeparableDecomposition(np.ones(1), d.a.reshape(1, -1).copy(), d.b.reshape(1, -1).copy())
+    return call.verified(dec, "trivial-factor")
 
 
 def _ppt(call: _Call) -> Status | None:
@@ -332,20 +325,21 @@ def _wootters(call: _Call) -> Verdict | None:
     return None
 
 
-def _kyfan_unfiltered(call: _Call) -> Verdict | None:
-    """de Vicente's constructive bound on the unfiltered record, shifted by
-    its marginals: ||C||_KF <= (R_N - |a|)(R_M - |b|) with C = corr - a b^T,
-    within the slack of :func:`~sephorn.decompose.kyfan_room`.  ||C||_F
-    above that rejects before any SVD, since ||C||_F <= ||C||_KF; otherwise
-    one SVD of C decides, and :func:`~sephorn.decompose.kyfan_bound_decomposition`
-    builds the decomposition from it, with no filtering and so no
-    pull-back.  A state it rejects logs nothing and goes on to the filter.
-    One-sided records, whose correlation is empty, are skipped."""
+def _kyfan_unfiltered(call: _Call) -> Verdict | Status | None:
+    """Products, then de Vicente's constructive bound, on the unfiltered
+    record, with C = corr - a b^T.  A C within ``RESIDUAL`` entrywise, as
+    the empty C of every one-sided record is, makes a product, decided by
+    its one component (a, b) or not at all.  Otherwise ||C||_KF <= (R_N -
+    |a|)(R_M - |b|), within the slack of :func:`~sephorn.decompose.kyfan_room`,
+    builds the decomposition by :func:`~sephorn.decompose.kyfan_bound_decomposition`
+    from one SVD of C, with no filtering and so no pull-back; ||C||_F <=
+    ||C||_KF rejects most states before any SVD.  A state it rejects logs
+    nothing and goes on to the filter."""
     d = call.d
-    if min(d.dim_a, d.dim_b) < 2:
-        return None
-    bound, slack, _, _ = kyfan_room(d.dim_a, d.dim_b, d.a, d.b)
     c = d.corr - np.outer(d.a, d.b)
+    if np.abs(c).max(initial=0.0) <= RESIDUAL:
+        return _trivial_factor(call) or Status.INCONCLUSIVE
+    bound, slack, _, _ = kyfan_room(d.dim_a, d.dim_b, d.a, d.b)
     if np.linalg.norm(c) - bound > slack:
         return None
     try:
@@ -356,23 +350,18 @@ def _kyfan_unfiltered(call: _Call) -> Verdict | None:
     return call.verified(built, "kyfan-sufficient")
 
 
-def _filter(call: _Call) -> Verdict | None:
+def _filter(call: _Call) -> Status | None:
     """Filter to normal form, which becomes the record ``d``, keeping the
     forward filters when a sweep ran.  When the record's marginal Bloch
     norms stay at ``RESIDUAL`` or above, normal form is reached only in the
     limit: the necessary norm bound, which holds for every separable state,
-    is applied to the unfiltered correlation, and a product of its
-    marginals, which ill-conditioned marginals can keep from normal form, is
-    offered its one component (a, b); the pass ends there."""
-    d = call.d
-    nf = normal_form(d, max_iter=call.max_iter, tol=NORMAL_TOL, rank_tol=call.tol)
+    is applied to the unfiltered correlation, and the pass ends there."""
+    nf = normal_form(call.d, max_iter=call.max_iter, tol=NORMAL_TOL, rank_tol=call.tol)
     marg = _marginal_norm(nf.state)
     if marg >= RESIDUAL:
         call.log.append(CriterionResult("normal-form", False, marg,
                                         f"not converged in {nf.iterations} sweeps"))
-        product = np.abs(d.corr - np.outer(d.a, d.b)).max(initial=0.0) <= RESIDUAL
-        return (_kyfan_necessary(call) or (_trivial_factor(call) if product else None)
-                or Status.INCONCLUSIVE)
+        return _kyfan_necessary(call) or Status.INCONCLUSIVE
     if not nf.converged:
         call.log.append(CriterionResult("normal-form", True, marg,
                                         f"not converged in {nf.iterations} sweeps; record within "
@@ -438,8 +427,8 @@ def _family(call: _Call) -> Verdict | None:
 
 # The battery, in order, for a 2 x 2 record and any other, each with full
 # local ranks (README, "Pipeline")
-_TWO_QUBIT = (_ppt, _wootters)
-_FULL_RANK = (_ppt, _kyfan_unfiltered, _filter, _kyfan_necessary, _kyfan_sufficient, _family)
+_TWO_QUBIT = (_wootters,)
+_FULL_RANK = (_kyfan_unfiltered, _filter, _kyfan_necessary, _kyfan_sufficient, _family)
 
 
 # ---------------------------------------------------------------------------
@@ -450,38 +439,40 @@ def analyze(rho: np.ndarray, dim_a: int, dim_b: int, *, tol: float = POSITIVITY_
             max_iter: int = MAX_ITER) -> Verdict:
     """Full separability pipeline for a density matrix, in one pass.
 
-    After validation, while a marginal is rank-deficient the record logs
-    ``support-projection`` and is projected onto its local supports; a
-    rank-one marginal ends the pass instead with the ``trivial-factor``
-    decomposition of the record, whose unprojected marginals keep the
-    weight the support drops.  The full-rank record runs one stage tuple.
+    After validation, partial transposition is tested once, on the input:
+    an NPT state is ENTANGLED with the failed ``ppt`` criterion.  While a
+    marginal is rank-deficient, the record logs ``support-projection`` and
+    is projected onto its local supports, which only compresses the partial
+    transpose; a rank-one marginal ends the pass instead with the
+    ``trivial-factor`` decomposition of the record, whose unprojected
+    marginals keep the weight the support drops.  The full-rank record
+    runs one stage tuple.
 
-    At 2 x 2 it is ``_TWO_QUBIT``, the exact decision, without filtering.
-    PPT is necessary and sufficient there (Horodecki, quant-ph/9605038): an
-    NPT state is ENTANGLED with the failed ``ppt`` criterion.  A PPT state
-    logs ``concurrence`` (margin lam_1 - lam_2 - lam_3 - lam_4, passing up
-    to ``KYFAN_SLACK``) and then ``decomposition[wootters]``, Wootters'
-    four pure product components, verified; if either fails the verdict is
-    INCONCLUSIVE.  A state that passes PPT only within the tolerance, with
-    its lowest partial-transpose eigenvalue in [-``tol``, 0), and fails
-    the concurrence check lies in a band PPT cannot resolve at that
-    tolerance; its verdict also logs the failed ``ppt-tolerance-band``
-    criterion, whose margin is minus that eigenvalue.
+    At 2 x 2 it is ``_TWO_QUBIT``, the exact decision, without filtering,
+    since PPT is necessary and sufficient there (Horodecki,
+    quant-ph/9605038).  A PPT state logs ``concurrence`` (margin lam_1 -
+    lam_2 - lam_3 - lam_4, passing up to ``KYFAN_SLACK``) and then
+    ``decomposition[wootters]``, Wootters' four pure product components,
+    verified; if either fails the verdict is INCONCLUSIVE.  A state that
+    passes PPT only within the tolerance, with its lowest partial-transpose
+    eigenvalue in [-``tol``, 0), and fails the concurrence check lies in a
+    band PPT cannot resolve at that tolerance; its verdict also logs the
+    failed ``ppt-tolerance-band`` criterion, whose margin is minus that
+    eigenvalue.
 
-    Any other record runs ``_FULL_RANK``:
-    partial transposition; the constructive bound on the unfiltered record
-    shifted by its marginals, which logs nothing unless it decides;
-    normal-form filtering; the necessary norm bound; the constructive bound
-    on the filtered record, whose failure logs how far the Ky Fan norm
-    exceeds it; and the closed-form Werner and isotropic decompositions in
-    any local frame.  When filtering leaves a marginal Bloch norm at
-    ``RESIDUAL`` or above, the failed ``normal-form`` criterion is logged,
-    the necessary bound is applied to the unfiltered correlation, and a
-    state that passes it with correlation a b^T within ``RESIDUAL`` -- a
-    product with ill-conditioned marginals -- is offered its
-    ``trivial-factor`` decomposition.  Each decomposition is carried by the
-    support isometries times the inverse filters to the input and verified
-    there once, as ``decomposition[<construction>]``.
+    Any other record runs ``_FULL_RANK``: a product of its marginals, with
+    correlation a b^T within ``RESIDUAL`` entrywise, ends with its
+    ``trivial-factor`` decomposition and no filter; then the constructive
+    bound on the unfiltered record shifted by its marginals, which logs
+    nothing unless it decides; normal-form filtering; the necessary norm
+    bound; the constructive bound on the filtered record, whose failure
+    logs how far the Ky Fan norm exceeds it; and the closed-form Werner and
+    isotropic decompositions in any local frame.  When filtering leaves a
+    marginal Bloch norm at ``RESIDUAL`` or above, the failed
+    ``normal-form`` criterion is logged and the pass ends with the
+    necessary bound on the unfiltered correlation.  Each decomposition is
+    carried by the support isometries times the inverse filters to the
+    input and verified there once, as ``decomposition[<construction>]``.
 
     Positivity of rho is checked by :func:`require_psd`.  ``tol`` is the
     psd threshold of rho and of its partial transpose and the local-rank
@@ -516,6 +507,8 @@ def require_psd(d: BipartiteDecomposed, tol: float = POSITIVITY_TOL) -> None:
 
 def _analyze_decomposed(d: BipartiteDecomposed, *, tol: float, max_iter: int) -> Verdict:
     call = _Call(d, tol, max_iter)
+    if _ppt(call):
+        return Verdict(status=Status.ENTANGLED, criteria=tuple(call.log))
     while (ranks := local_ranks(call.d, tol=tol)) != (call.d.dim_a, call.d.dim_b):
         if 0 in ranks:
             raise NotFullRank(f"marginal {'AB'[ranks.index(0)]} has no eigenvalue "

@@ -67,7 +67,10 @@ def kyfan_room(dim_a: int, dim_b: int, a: np.ndarray, b: np.ndarray
     times shrink_a shrink_b.  A Ky Fan norm fits when it exceeds bound by at
     most slack = ``KYFAN_SLACK`` shrink_a shrink_b: the slack shrinks with
     the bound, so the relative excess K - 1 that it admits is the same about
-    every pair of marginals.  Both shrinks are exactly 1 without marginals."""
+    every pair of marginals.  Both shrinks are exactly 1 without marginals.
+    A side of dimension 1, which has no ball, raises DimensionTooSmall."""
+    if min(dim_a, dim_b) < 2:
+        raise DimensionTooSmall(f"the inscribed ball needs dims >= 2, got {dim_a} x {dim_b}")
     shrink_a = max(0.0, 1.0 - sqrt(a @ a) / sqrt(2.0 / (dim_a * (dim_a - 1.0))))
     shrink_b = max(0.0, 1.0 - sqrt(b @ b) / sqrt(2.0 / (dim_b * (dim_b - 1.0))))
     scale = shrink_a * shrink_b

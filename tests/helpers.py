@@ -130,6 +130,47 @@ def projected_filtered(seed):
     return rho / np.trace(rho).real
 
 
+def weakly_entangled(delta: float, embedded: bool = False) -> np.ndarray:
+    """sqrt(1 - delta)|00> + sqrt(delta)|11> at 2 x 2, or, ``embedded``,
+    half of it plus half |22><22| at 3 x 3.  Its partial transpose has the
+    eigenvalue -sqrt(delta(1 - delta)) (halved when embedded), while a
+    marginal eigenvalue delta (delta/2) at or below the rank cutoff drops
+    the coherence that carries it from the support."""
+    psi = np.zeros(9 if embedded else 4)
+    psi[0], psi[4 if embedded else 3] = sqrt(1.0 - delta), sqrt(delta)
+    rho = np.outer(psi, psi).astype(complex)
+    if embedded:
+        rho[8, 8] = 1.0
+        rho /= 2.0
+    return rho
+
+
+def in_frame(rho, n, m, frame, rng):
+    """rho under random local unitaries ("rotated") or random local filters
+    ("filtered"), renormalised; "plain" leaves the frame as it is."""
+    if frame != "plain":
+        parts = [rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)) for k in (n, m)]
+        if frame == "rotated":
+            parts = [np.linalg.qr(p)[0] for p in parts]
+        f = np.kron(*parts)
+        rho = f @ rho @ f.conj().T
+    return 0.5 * (rho + rho.conj().T) / np.trace(rho).real
+
+
+def off_ball_product(n: int, m: int, seed) -> np.ndarray:
+    """rho_A x rho_B in a random local frame, each factor of full rank with
+    its largest eigenvalue above 0.6, which puts it outside the inscribed
+    ball Tr rho^2 < 1/(N - 1) at N >= 3 (every full-rank qubit lies inside)."""
+    rng = _as_generator(seed)
+    factors = []
+    for k in (n, m):
+        w = 0.2 * rng.dirichlet(np.ones(k)) + 0.2 / k
+        w[0] += 0.6
+        u = random_unitary(k, rng)
+        factors.append((u * w) @ u.conj().T)
+    return np.kron(*factors)
+
+
 def reference_projection(rho, va, vb) -> np.ndarray:
     """Reference for the support projection that ``analyze`` applies: the
     matrix-level V^dag rho V over its trace, V = kron(va, vb)."""

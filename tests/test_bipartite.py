@@ -54,7 +54,8 @@ class TestDecompose:
         with pytest.raises(DimensionMismatch):
             decompose_state(np.eye(4) / 4, 2, 3)
 
-    @pytest.mark.parametrize("dims", [(-3, -3), (3.0, 3.0), (0, 9), (3, None)])
+    # True is an Integral, and True x 9 matches the size of the matrix
+    @pytest.mark.parametrize("dims", [(-3, -3), (3.0, 3.0), (0, 9), (3, None), (True, 9)])
     def test_dimensions_must_be_integers_at_least_one(self, dims):
         with pytest.raises(DimensionMismatch, match="integers >= 1"):
             decompose_state(np.eye(9) / 9, *dims)
@@ -187,14 +188,14 @@ def projections(rho, n, m, monkeypatch):
 
 class TestSupportProjection:
     def test_pure_product_reduces_to_trivial(self, monkeypatch):
-        # a pure marginal ends the pass with the trivial factor of the
-        # record: no 1 x 1 record is projected
+        # a pure marginal ends the pass, after PPT on the input, with the
+        # trivial factor of the record: no 1 x 1 record is projected
         rho = np.zeros((4, 4), dtype=complex)
         rho[0, 0] = 1.0
         verdict, calls = projections(rho, 2, 2, monkeypatch)
         assert calls == []
         assert [c.name for c in verdict.criteria] == [
-            "support-projection", "decomposition[trivial-factor]"]
+            "ppt", "support-projection", "decomposition[trivial-factor]"]
 
     def test_full_rank_is_identity(self, monkeypatch):
         d = random_bipartite(2, 2, np.random.default_rng(8))
@@ -282,9 +283,9 @@ class TestProjectionIsALocalMap:
         verdict, calls = projections(rho, *dims, monkeypatch)
         assert calls == []
         assert verdict.status is Status.SEPARABLE
-        assert [(c.name, c.detail) for c in verdict.criteria][0] == (
-            "support-projection", f"reduced {dims[0]}x{dims[1]} -> {ranks}")
-        assert verdict.criteria[-1].name == "decomposition[trivial-factor]"
+        assert [c.name for c in verdict.criteria] == [
+            "ppt", "support-projection", "decomposition[trivial-factor]"]
+        assert verdict.criteria[1].detail == f"reduced {dims[0]}x{dims[1]} -> {ranks}"
         assert verify_decomposition(verdict.decomposition, decompose_state(rho, *dims)).valid
 
     def test_no_support_is_not_full_rank(self):
@@ -303,7 +304,7 @@ def parameter_cases():
     cases = [(f"{fn}-{arg}={bad}", call, bad, arg)
              for fn, call, arg in calls for bad in (np.nan, -1.0, np.inf)]
     return cases + [(f"normal_form-max_iter={bad}", lambda d, v: normal_form(d, max_iter=v),
-                     bad, "max_iter") for bad in (2.5, -1)]
+                     bad, "max_iter") for bad in (2.5, -1, True)]
 
 
 PARAMETER_CASES = parameter_cases()

@@ -466,9 +466,9 @@ class TestToleranceThreading:
                                capsys)
         assert code == 0
         criteria = json.loads(out)["criteria"]
-        assert criteria[0]["name"] == "support-projection"
+        assert criterion_names(out) == [
+            "ppt", "support-projection", "decomposition[trivial-factor]"]
         # the product of the unprojected marginals keeps the 1e-7 weight
-        assert criteria[-1]["name"] == "decomposition[trivial-factor]"
         assert criteria[-1]["passed"]
 
     def test_validation_floor_holds_below_1e_9(self, tmp_path, capsys):

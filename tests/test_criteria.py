@@ -6,14 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (horodecki_2x4, horodecki_3x3, ill_conditioned_product, nested_support,
-                     noisy, products, projected_filtered, random_density, random_unitary,
-                     tiles_state)
+from helpers import (horodecki_2x4, horodecki_3x3, ill_conditioned_product, in_frame,
+                     nested_support, noisy, off_ball_product, products, projected_filtered,
+                     random_density, random_unitary, tiles_state, weakly_entangled)
 from sephorn import criteria
 from sephorn.bipartite import (
     BipartiteDecomposed,
     compose_state,
     decompose_state,
+    local_ranks,
     normal_form,
     partial_transpose_matrix,
 )
@@ -35,8 +36,8 @@ from sephorn.decompose import (
     werner_decompose,
     wootters_decomposition,
 )
-from sephorn.errors import (BadParameter, BoundExceeded, DimensionMismatch, NotFullRank, NotPSD,
-                            SepHornError)
+from sephorn.errors import (BadParameter, BoundExceeded, DimensionMismatch, DimensionTooSmall,
+                            NotFullRank, NotPSD, SepHornError)
 from sephorn.states import bell, isotropic, p_zero, werner
 
 
@@ -122,6 +123,12 @@ class TestSufficient:
             kyfan_bound_decomposition(svd, 3, 3, (a, b))
         dec = kyfan_bound_decomposition((svd[0], 0.0 * svd[1], svd[2]), 3, 3, (a, b))
         assert len(dec) == 1 and np.array_equal(dec.r_vectors[0], a)
+
+    @pytest.mark.parametrize("dims", [(1, 3), (3, 1)])
+    def test_a_side_of_dimension_one_has_no_room(self, dims):
+        # a one-sided state has no inscribed ball on its trivial side
+        with pytest.raises(DimensionTooSmall, match=r"dims >= 2, got \d x \d"):
+            kyfan_room(*dims, np.zeros(dims[0] ** 2 - 1), np.zeros(dims[1] ** 2 - 1))
 
 
 class TestPpt:
@@ -331,18 +338,6 @@ def qudit_states(draw):
     return in_frame(rho, n, m, frame, rng), (n, m)
 
 
-def in_frame(rho, n, m, frame, rng):
-    """rho under random local unitaries ("rotated") or random local filters
-    ("filtered"), renormalised; "plain" leaves the frame as it is."""
-    if frame != "plain":
-        parts = [rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)) for k in (n, m)]
-        if frame == "rotated":
-            parts = [np.linalg.qr(p)[0] for p in parts]
-        f = np.kron(*parts)
-        rho = f @ rho @ f.conj().T
-    return 0.5 * (rho + rho.conj().T) / np.trace(rho).real
-
-
 def family_cases():
     """Werner parameters and isotropic weights across the separable range
     of each family, for N = 3..5."""
@@ -530,7 +525,8 @@ class TestSeparableBall:
 class TestUnfilteredKyFan:
     """The constructive Ky Fan bound shifted by the unfiltered marginals
     decides only states that the battery without it also finds separable,
-    and it decides them with components inside the inscribed ball."""
+    and it decides them with components inside the inscribed ball; a
+    product of its marginals it decides first, by that one component."""
 
     WITHOUT = tuple(s for s in criteria._FULL_RANK if s is not criteria._kyfan_unfiltered)
 
@@ -550,6 +546,15 @@ class TestUnfilteredKyFan:
             return
         report = verify_decomposition(verdict.decomposition, d)
         assert report.valid and report.max_residual <= 1e-14, report
+        [decided] = verdict.criteria
+        if decided.name == "decomposition[trivial-factor]":
+            # I/d in a filtered frame is a product, in the ball or not
+            dec = verdict.decomposition
+            assert len(dec) == 1
+            np.testing.assert_array_equal(dec.r_vectors[0], d.a)
+            np.testing.assert_array_equal(dec.s_vectors[0], d.b)
+            return
+        assert decided.name == "decomposition[kyfan-sufficient]"
         for vecs, dim in ((verdict.decomposition.r_vectors, n),
                           (verdict.decomposition.s_vectors, m)):
             assert (ball_floor(vecs, dim) >= 0.0).all()
@@ -993,16 +998,15 @@ class TestIllConditionedFilters:
         assert np.isfinite(nf.filter_a).all() and np.isfinite(nf.filter_b).all()
 
     def test_unfiltered_products_are_separable(self):
-        # filtering fails on every frame, and the product of the marginals
-        # verifies as the one-component decomposition
+        # filtering would fail on every frame; the product of the marginals
+        # is tried first and verifies as the one-component decomposition
         for frame in range(30):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 verdict = analyze(ill_conditioned_product(frame), 3, 3)
             assert verdict.status is Status.SEPARABLE, frame
             assert [(c.name, c.passed) for c in verdict.criteria] == [
-                ("ppt", True), ("normal-form", False), ("kyfan-necessary", True),
-                ("decomposition[trivial-factor]", True)], frame
+                ("ppt", True), ("decomposition[trivial-factor]", True)], frame
             assert len(verdict.decomposition) == 1
 
     @pytest.mark.parametrize("dims", [(1, 3), (3, 1)])
@@ -1088,7 +1092,7 @@ class TestAnalyze:
         assert verify_decomposition(verdict.decomposition, d).valid
 
     @pytest.mark.parametrize("keyword, value", [
-        ("tol", np.nan), ("tol", -1.0), ("tol", np.inf), ("max_iter", -1)])
+        ("tol", np.nan), ("tol", -1.0), ("tol", np.inf), ("max_iter", -1), ("max_iter", True)])
     def test_bad_parameters_are_named(self, keyword, value):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -1283,7 +1287,11 @@ class TestSupportProjection:
     def test_separable_verdicts_verify_once_against_the_input(self, case):
         rho, (n, m) = case
         verdict = analyze(rho, n, m)
-        assert verdict.criteria[0].name == "support-projection"
+        # PPT is asked of the input, before any projection
+        if not verdict.criteria[0].passed:
+            assert verdict.status is ENT and len(verdict.criteria) == 1
+            return
+        assert [c.name for c in verdict.criteria[:2]] == ["ppt", "support-projection"]
         if verdict.status is not SEP:
             return
         assert sum(c.name.startswith("decomposition[") for c in verdict.criteria) == 1
@@ -1300,11 +1308,73 @@ class TestComposedLift:
         verdict = analyze(rho, 3, 3)
         assert verdict.status is SEP
         assert [c.name for c in verdict.criteria] == [
-            "support-projection", "ppt", "kyfan-necessary", "decomposition[kyfan-sufficient]"]
+            "ppt", "support-projection", "kyfan-necessary", "decomposition[kyfan-sufficient]"]
         assert len(calls) == 1
         _, map_a, map_b = calls[0]
         assert map_a.shape == (3, 2) and map_b.shape == (3, 3)
         assert verify_decomposition(verdict.decomposition, decompose_state(rho, 3, 3)).valid
+
+
+class TestPptOnTheInput:
+    """PPT is asked of the input, once: a support projection drops the
+    coherences, of order sqrt(tol), that carry a negative eigenvalue of the
+    partial transpose far below -tol."""
+
+    @pytest.mark.parametrize("frame", ["plain", "rotated"])
+    @pytest.mark.parametrize("delta, embedded, margin", [
+        (5e-10, False, 2.236e-5), (1e-12, False, 1.0e-6), (1e-9, True, 1.581e-5)],
+        ids=["2x2-5e-10", "2x2-1e-12", "3x3-1e-9"])
+    def test_weak_entanglement_is_entangled(self, delta, embedded, margin, frame):
+        n = 3 if embedded else 2
+        rho = in_frame(weakly_entangled(delta, embedded), n, n, frame, np.random.default_rng(8))
+        # a marginal weight at or below the cutoff: a projection would drop it
+        assert local_ranks(decompose_state(rho, n, n)) != (n, n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            verdict = analyze(rho, n, n)
+        assert verdict.status is ENT
+        [check] = verdict.criteria
+        assert (check.name, check.passed) == ("ppt", False)
+        assert check.margin == pytest.approx(margin, rel=1e-3)
+
+
+def product_cases():
+    """(id, [(rho, n, m), ...]) for products of their marginals."""
+    yield "ill-conditioned", [(ill_conditioned_product(frame), 3, 3) for frame in range(30)]
+    for n, m in ((2, 3), (3, 3), (2, 4), (3, 4), (4, 4)):
+        yield f"off-ball-{n}x{m}", [(off_ball_product(n, m, seed), n, m) for seed in range(5)]
+    for n, m in ((1, 3), (3, 1)):
+        yield f"one-sided-{n}x{m}", [(random_density(3, 3, seed), n, m) for seed in range(5)]
+
+
+class TestProductsBeforeTheFilter:
+    """A product of its marginals is decided by its one component (a, b)
+    and never filtered: ill-conditioned marginals stall operator scaling,
+    and marginals outside the inscribed ball leave the shifted Ky Fan
+    bound no room."""
+
+    @pytest.mark.parametrize("states", [case[1] for case in product_cases()],
+                             ids=[case[0] for case in product_cases()])
+    def test_products_are_never_filtered(self, states, monkeypatch):
+        filtered = []
+        monkeypatch.setattr(criteria, "normal_form",
+                            lambda d, **kwargs: filtered.append(d) or normal_form(d, **kwargs))
+        for rho, n, m in states:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                verdict = analyze(rho, n, m)
+            assert [(c.name, c.passed) for c in verdict.criteria] == [
+                PPT, ("decomposition[trivial-factor]", True)]
+            assert verdict.status is SEP
+            d = decompose_state(rho, n, m)
+            if min(n, m) > 1:
+                # a side outside the inscribed ball leaves the shifted bound no room
+                assert kyfan_room(n, m, d.a, d.b)[0] == 0.0
+            dec = verdict.decomposition
+            assert len(dec) == 1
+            np.testing.assert_array_equal(dec.r_vectors[0], d.a)
+            np.testing.assert_array_equal(dec.s_vectors[0], d.b)
+        assert filtered == []
 
 
 def _embedded(rho, n, m, seed):
@@ -1336,31 +1406,30 @@ def criterion_sequence_cases():
          3, 3, SEP, [PPT, KYFAN, ("decomposition[kyfan-sufficient]", True)]),
         ("kyfan-sufficient-unfiltered", inside, 3, 3, SEP,
          [PPT, ("decomposition[kyfan-sufficient]", True)]),
-        # one-sided records skip the unfiltered bound, whose ball has no radius
-        ("one-sided-1x3", one_sided, 1, 3, SEP,
-         [PPT, KYFAN, ("decomposition[kyfan-sufficient]", True)]),
-        ("one-sided-3x1", one_sided, 3, 1, SEP,
-         [PPT, KYFAN, ("decomposition[kyfan-sufficient]", True)]),
+        # a one-sided record's correlation is empty: it is a product
+        ("one-sided-1x3", one_sided, 1, 3, SEP, [PPT, ("decomposition[trivial-factor]", True)]),
+        ("one-sided-3x1", one_sided, 3, 1, SEP, [PPT, ("decomposition[trivial-factor]", True)]),
         ("normal-form-short-separable", noisy(products([1.0], 2, 3, 0), 3e-8), 2, 3,
          SEP, [PPT, ("normal-form", True), KYFAN, ("decomposition[kyfan-sufficient]", True)]),
         ("normal-form-short-inconclusive",
          noisy(products([0.4, 0.6], 2, 3, 3), 3e-8), 2, 3,
          INC, [PPT, ("normal-form", True), KYFAN, ("kyfan-sufficient", False)]),
         ("normal-form-fails", stall, 3, 3, INC, [PPT, ("normal-form", False), KYFAN]),
+        # a product whose filtering would fail is decided before the filter
         ("trivial-factor-after-normal-form", ill_conditioned_product(0), 3, 3, SEP,
-         [PPT, ("normal-form", False), KYFAN, ("decomposition[trivial-factor]", True)]),
+         [PPT, ("decomposition[trivial-factor]", True)]),
         ("family", compose_state(werner(3, 1.0)), 3, 3, SEP,
          [PPT, KYFAN, ("kyfan-sufficient", False), ("decomposition[family]", True)]),
         ("tiles", tiles_state(), 3, 3, ENT, [PPT, ("kyfan-necessary", False)]),
         ("horodecki-3x3", horodecki_3x3(0.5), 3, 3, ENT, [PPT, ("kyfan-necessary", False)]),
+        # PPT is asked of the input, before any support projection
         ("pure-marginal", np.kron(random_density(2, 1, 5), random_density(3, 3, 6)), 2, 3, SEP,
-         [("support-projection", True), ("decomposition[trivial-factor]", True)]),
+         [PPT, ("support-projection", True), ("decomposition[trivial-factor]", True)]),
         ("embedded-wootters", products([0.4, 0.6], 2, 3, 0), 2, 3, SEP,
-         [("support-projection", True), *WOOTTERS]),
-        ("embedded-npt", _embedded(compose_state(bell()), 3, 3, 7), 3, 3, ENT,
-         [("support-projection", True), ("ppt", False)]),
+         [PPT, ("support-projection", True), *WOOTTERS[1:]]),
+        ("embedded-npt", _embedded(compose_state(bell()), 3, 3, 7), 3, 3, ENT, [("ppt", False)]),
         ("embedded-kyfan-sufficient-fails", products([0.2, 0.3, 0.5], 2, 4, 0), 2, 4, INC,
-         [("support-projection", True), PPT, KYFAN, ("kyfan-sufficient", False)]),
+         [PPT, ("support-projection", True), KYFAN, ("kyfan-sufficient", False)]),
     ]
     for cid, rho, n, m, status, sequence in cases:
         yield pytest.param(rho, n, m, status, sequence, id=cid)

@@ -33,8 +33,15 @@ eps I/d, thirty 3x3 products whose marginals have an eigenvalue just above
 the rank cutoff, forty mixtures of two 2x3 products plus 3e-8 I/6, ten
 3x3 states that take two support projections and ten filtered 2x3 states
 embedded in 3x3, whose decomposition is carried through a filter and a
-support projection at once.  The states and their samplers are those of
-``tests/helpers.py``, which the test suite checks.
+support projection at once.  Two groups, each in random local frames,
+cover the questions asked before any projection or filter: weakly
+entangled states sqrt(1 - delta)|00> + sqrt(delta)|11> at 2x2, and half
+of one plus half |22><22| at 3x3, whose marginal weight delta lies at or
+below the rank cutoff (``weak-entanglement``), and products: one pure
+product plus eps I/d, exact products whose marginals lie outside the
+inscribed ball, and mixed 1x3 and 3x1 states (``near-products``).  The
+states and their samplers are those of ``tests/helpers.py``, which the
+test suite checks.
 """
 
 from __future__ import annotations
@@ -52,8 +59,9 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT), str(ROOT / "tests")]
 
-from helpers import (ill_conditioned_product, nested_support, noisy, products,  # noqa: E402
-                     projected_filtered, random_density)
+from helpers import (ill_conditioned_product, in_frame, nested_support, noisy,  # noqa: E402
+                     off_ball_product, products, projected_filtered, random_density,
+                     weakly_entangled)
 from pipebench import corpus  # noqa: E402
 from sephorn import analyze  # noqa: E402
 
@@ -94,6 +102,22 @@ def cases():
         yield f"nested-support/{seed}", nested_support(seed), 3, 3
     for seed in range(10):
         yield f"projected-filtered/{seed}", projected_filtered(seed), 3, 3
+    for delta in (1e-9, 1e-10, 1e-12):
+        for n, embedded in ((2, False), (3, True)):
+            for seed in range(3):
+                rho = in_frame(weakly_entangled(delta, embedded), n, n, "rotated",
+                               np.random.default_rng(seed))
+                yield f"weak-entanglement/{n}x{n}/{delta:.0e}/{seed}", rho, n, n
+    for n, m in DIMS:
+        for eps in (0.0, 3e-9, 1e-8, 2e-8):
+            for seed in range(3):
+                rho = noisy(products([1.0], n, m, seed), eps)
+                yield f"near-products/{n}x{m}/{eps:.0e}/{seed}", rho, n, m
+        for seed in range(3):
+            yield f"near-products/{n}x{m}/off-ball/{seed}", off_ball_product(n, m, seed), n, m
+    for dims in ((1, 3), (3, 1)):
+        for seed in range(3):
+            yield f"near-products/{dims[0]}x{dims[1]}/{seed}", random_density(3, 3, seed), *dims
 
 
 def in_ball(rho: np.ndarray) -> bool:
