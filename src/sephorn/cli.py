@@ -2,10 +2,10 @@
 
 Exit codes are a stable contract: 0 = separable, 1 = entangled,
 2 = inconclusive, 64 = unreadable input or bad usage, 70 = numeric failure
-(any unexpected exception included).  ``werner`` writes a Werner state and
-exits with the code of its ``analyze`` verdict.
-The environment variable ``SEP_HORN_TOL`` sets the default ``--tol``; a
-tolerance that is not finite and >= 0, from either source, is bad usage.
+(any unexpected exception included).  ``werner`` is ``analyze`` on the
+Werner state file it writes.  ``analyze``, ``werner`` and ``normal-form``
+take the positivity tolerance ``analyze --tol``, else ``SEP_HORN_TOL``, else
+``POSITIVITY_TOL``; a tolerance that is not finite and >= 0 is bad usage.
 ``analyze --report structured`` prints strict JSON: a criterion margin
 that is not finite, such as the infinite residual of a decomposition that
 fails verification as malformed, is written as ``null``.
@@ -25,8 +25,8 @@ import numpy as np
 
 from . import fileio
 from .bipartite import decompose_state, normal_form
-from .config import (ENV_TOL, MAX_ITER, NORMAL_TOL, POSITIVITY_TOL, check_tol,
-                     default_positivity_tol)
+from .config import (ENV_TOL, MAX_ITER, NORMAL_TOL, POSITIVITY_TOL, STATE_TOL,
+                     check_tol, default_positivity_tol)
 from .criteria import Status, Verdict, analyze, require_psd
 from .errors import BadParameter, FileFormatError, SepHornError
 from .horn import MAX_N, triple_set
@@ -64,6 +64,17 @@ def _check_tol_option(ctx, param, value):
     return value if value is None else _checked_tol(value, "--tol")
 
 
+def _positivity_tol(tol: float | None = None) -> float:
+    """The positivity tolerance: ``tol`` (a checked ``--tol``) when given,
+    else ``SEP_HORN_TOL``, else ``POSITIVITY_TOL``."""
+    if tol is not None:
+        return tol
+    try:
+        return _checked_tol(default_positivity_tol(), ENV_TOL)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
+
+
 # ---------------------------------------------------------------------------
 # analyze
 # ---------------------------------------------------------------------------
@@ -96,7 +107,8 @@ def _verdict_report(path: str, verdict: Verdict, decomposition_file: str | None,
         lines.append(f"  [{flag}] {c.name}: margin={c.margin:.6g}"
                      + (f" ({c.detail})" if c.detail else ""))
     if decomposition_file:
-        lines.append(f"  decomposition written to {decomposition_file}")
+        lines.append(f"  decomposition written to {decomposition_file} "
+                     f"({len(verdict.decomposition)} components)")
     return "\n".join(lines)
 
 
@@ -128,11 +140,7 @@ def cmd_analyze(paths, tol, max_iter, report, jobs):
 
     With several PATHS the exit code is the worst (maximum) per-file code.
     """
-    if tol is None:
-        try:
-            tol = _checked_tol(default_positivity_tol(), ENV_TOL)
-        except ValueError as exc:
-            raise click.UsageError(str(exc)) from exc
+    tol = _positivity_tol(tol)
     results = {}
     if jobs > 1 and len(paths) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(paths))) as pool:
@@ -186,35 +194,20 @@ def cmd_horn_triples(n, r, out):
 @cli.command("werner")
 @click.argument("dim", type=int)
 @click.argument("phi", type=float)
-@click.option("--decompose", "want_decomposition", is_flag=True,
-              help="Also write the verified decomposition of a separable state.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="State file path (default: werner_<dim>_phi<phi>.state.json).")
-def cmd_werner(dim, phi, want_decomposition, out):
-    """Emit a Werner state file and report its ``analyze`` verdict.
-
-    The exit code is the verdict's; a separable verdict reports the number of
-    components of its verified decomposition.
-    """
-    if dim < 2:
-        raise click.UsageError(f"dim must be >= 2, got {dim}")
+def cmd_werner(dim, phi, out):
+    """Write a Werner state file, then report, write and exit as ``analyze`` on it."""
+    tol = _positivity_tol()
     try:
         state = werner(dim, phi)
     except SepHornError as exc:
         raise click.UsageError(str(exc)) from exc
-    path = Path(out) if out else Path(f"werner_{dim}_phi{phi}.state.json")
-    path.write_text(fileio.state_to_text(state.matrix, (dim, dim)))
+    path = out or f"werner_{dim}_phi{phi}.state.json"
+    Path(path).write_text(fileio.state_to_text(state.matrix, (dim, dim)))
     click.echo(f"state written to {path}")
-
-    verdict = analyze(state.matrix, dim, dim)
-    dec = verdict.decomposition
-    click.echo(f"status: {verdict.status.value.upper()}"
-               + (f" ({len(dec)} components)" if dec is not None else ""))
-    if want_decomposition and dec is not None:
-        dec_path = path.with_suffix("").with_suffix("")  # strip .state.json
-        dec_file = Path(str(dec_path) + ".decomposition.json")
-        dec_file.write_text(fileio.decomposition_to_text(dec, (dim, dim)))
-        click.echo(f"decomposition written to {dec_file}")
+    verdict, dec_file = _analyze_one(path, tol, MAX_ITER)
+    click.echo(_verdict_report(path, verdict, dec_file, False))
     return _STATUS_EXIT[verdict.status]
 
 
@@ -232,13 +225,15 @@ def cmd_werner(dim, phi, want_decomposition, out):
 def cmd_normal_form(path, out, max_iter, tol):
     """Filter a state toward maximally mixed marginals and report convergence.
 
-    The input is checked for positivity as ``analyze`` checks it, at the
-    default positivity tolerance; a rank-deficient marginal exits 70.
+    The input is validated and checked for positivity as ``analyze`` does,
+    at ``SEP_HORN_TOL`` or ``POSITIVITY_TOL``, also the rank cutoff; a
+    rank-deficient marginal exits 70.  ``--tol`` is the filtering target.
     """
+    ptol = _positivity_tol()
     rho, dims = fileio.state_from_text(Path(path).read_text())
-    d = decompose_state(rho, dims[0], dims[1])
-    require_psd(d)
-    result = normal_form(d, max_iter=max_iter, tol=tol)
+    d = decompose_state(rho, dims[0], dims[1], tol=max(STATE_TOL, ptol))
+    require_psd(d, ptol)
+    result = normal_form(d, max_iter=max_iter, tol=tol, rank_tol=ptol)
     filtered = result.state.matrix
     out_path = Path(out) if out else Path(str(Path(path).with_suffix("")) + ".normal.json")
     out_path.write_text(fileio.state_to_text(filtered, dims))

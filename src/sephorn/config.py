@@ -27,6 +27,7 @@ MAX_ITER = 500         # normal-form filtering budget, in sweeps
 NORMAL_TOL = 1e-10     # marginal Bloch-norm convergence target of filtering
 SCALING_RATE = 0.8     # per-sweep deviation ratio a filtering run must beat, else it re-bases
 KYFAN_SLACK = 1e-9     # slack on the norm-bound criteria
+HORN_SLACK = 1e-9      # relative slack of the Horn product inequalities and equality
 RESIDUAL = 1e-8        # decomposition residual; normal-form acceptance
 PROB_SUM = 1e-10       # probability normalization of a decomposition
 COMPONENT_PSD = 1e-8   # physicality of decomposition components

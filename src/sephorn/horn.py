@@ -27,6 +27,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .config import HORN_SLACK
 from .errors import BadCardinality, LengthMismatch, NotSorted, TripleCapExceeded
 
 # the largest n whose cold all_triples(n) runs within a minute: n = 12 gives
@@ -217,7 +218,7 @@ def _first_row(mask: np.ndarray) -> str:
     return _NAMES[int(np.argmax(mask.any(axis=1)))]
 
 
-def check_product_inequalities(tau, alpha, beta, *, slack: float = 1e-9) -> HornReport:
+def check_product_inequalities(tau, alpha, beta, *, slack: float = HORN_SLACK) -> HornReport:
     """Evaluate every multiplicative inequality for the given singular values.
 
     All three sequences must be finite, descending, non-negative and of one
@@ -265,7 +266,7 @@ def _product_equality(logs, zero, *, slack: float) -> bool | None:
     return bool(abs(lhs - rhs) <= slack * max(1.0, abs(lhs), abs(rhs)))
 
 
-def product_singulars_feasible(tau, alpha, beta, *, slack: float = 1e-9) -> bool:
+def product_singulars_feasible(tau, alpha, beta, *, slack: float = HORN_SLACK) -> bool:
     """Whether tau can be the singular values of D_alpha Q D_beta.
 
     True when every multiplicative inequality holds and, for strictly

@@ -35,12 +35,10 @@ def test_package_imports_neither_scipy_nor_numba():
 
 
 def test_no_bare_float_keyword_defaults():
-    # every threshold is a config constant: a default in bloch, bipartite
-    # or criteria names one instead of spelling its value
+    # every threshold is a config constant: a default in any module of the
+    # package names one instead of spelling its value
     found = []
-    root = Path(sephorn.__file__).resolve().parent
-    for name in ("bloch", "bipartite", "criteria"):
-        path = root / f"{name}.py"
+    for path in sorted(Path(sephorn.__file__).resolve().parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 continue

@@ -181,13 +181,17 @@ class TestAnalyze:
         assert (tmp_path / "w3.state.decomposition.json").read_bytes() == first
 
     def test_seed_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
-        # the SIC starts are fixed, so no option picks them; a stale flag is
-        # bad usage, never a verdict
+        # the SIC starts are fixed, so no option picks them, and a separable
+        # verdict's decomposition is always written; a stale flag is bad
+        # usage, never a verdict, and writes no file
         monkeypatch.chdir(tmp_path)
         path = write_state(tmp_path / "w3.state.json", werner(3, 1.0), (3, 3))
-        for args in (["analyze", path, "--seed", "5"], ["werner", "3", "1.0", "--seed", "5"]):
+        for flag, args in (("--seed", ["analyze", path, "--seed", "5"]),
+                           ("--seed", ["werner", "3", "1.0", "--seed", "5"]),
+                           ("--decompose", ["werner", "3", "1.0", "--decompose"])):
             code, out, err = run_cli(args, capsys)
-            assert code == 64 and out == "" and "--seed" in err, args
+            assert code == 64 and out == "" and flag in err, args
+        assert [p.name for p in tmp_path.iterdir()] == ["w3.state.json"]
 
 
 def test_options_are_pinned():
@@ -195,7 +199,7 @@ def test_options_are_pinned():
     assert [p.name for p in cli.cmd_analyze.params] == [
         "paths", "tol", "max_iter", "report", "jobs"]
     assert [p.name for p in cli.cmd_werner.params] == [
-        "dim", "phi", "want_decomposition", "out"]
+        "dim", "phi", "out"]
 
 
 class TestHornTriples:
@@ -230,14 +234,13 @@ class TestHornTriples:
 class TestWerner:
     def test_separable_with_decomposition(self, tmp_path, capsys):
         out_path = tmp_path / "w.state.json"
-        code, out, _ = run_cli(["werner", "3", "1.0", "--decompose",
-                                "--out", str(out_path)], capsys)
+        code, out, _ = run_cli(["werner", "3", "1.0", "--out", str(out_path)], capsys)
         assert code == 0
-        assert "SEPARABLE (9 components)" in out
+        dec_file = tmp_path / "w.state.decomposition.json"
+        assert out.splitlines()[:2] == [f"state written to {out_path}", f"{out_path}: SEPARABLE"]
+        assert out.splitlines()[-1] == f"  decomposition written to {dec_file} (9 components)"
         rho, dims = fileio.state_from_text(out_path.read_text())
         assert dims == (3, 3)
-        dec_file = tmp_path / "w.decomposition.json"
-        assert dec_file.exists()
         dec, _ = fileio.decomposition_from_text(dec_file.read_text())
         assert verify_decomposition(dec, decompose_state(rho, 3, 3)).valid
 
@@ -245,13 +248,12 @@ class TestWerner:
         # phi = 1/2 at N = 3 sits on the Ky Fan bound: the verdict's 16-component
         # decomposition is written, not the 9-component Werner simplex
         out_path = tmp_path / "w.state.json"
-        code, out, _ = run_cli(["werner", "3", "0.5", "--decompose",
-                                "--out", str(out_path)], capsys)
+        code, out, _ = run_cli(["werner", "3", "0.5", "--out", str(out_path)], capsys)
         assert code == 0
-        assert "SEPARABLE (16 components)" in out
+        dec_file = tmp_path / "w.state.decomposition.json"
+        assert out.splitlines()[-1] == f"  decomposition written to {dec_file} (16 components)"
         rho, _ = fileio.state_from_text(out_path.read_text())
-        dec, _ = fileio.decomposition_from_text(
-            (tmp_path / "w.decomposition.json").read_text())
+        dec, _ = fileio.decomposition_from_text(dec_file.read_text())
         assert verify_decomposition(dec, decompose_state(rho, 3, 3)).valid
 
     def test_failed_construction_is_inconclusive(self, tmp_path, capsys, monkeypatch):
@@ -259,24 +261,55 @@ class TestWerner:
             raise SearchFailed("no SIC fiducial", residual=1e-2)
 
         monkeypatch.setattr(criteria, "werner_decompose", failed)
-        code, out, _ = run_cli(["werner", "3", "1.0", "--decompose",
-                                "--out", str(tmp_path / "w.state.json")], capsys)
+        out_path = tmp_path / "w.state.json"
+        code, out, _ = run_cli(["werner", "3", "1.0", "--out", str(out_path)], capsys)
         assert code == 2
-        assert "status: INCONCLUSIVE" in out
-        assert not (tmp_path / "w.decomposition.json").exists()
+        assert out.splitlines()[1] == f"{out_path}: INCONCLUSIVE"
+        assert "decomposition written" not in out
+        assert not (tmp_path / "w.state.decomposition.json").exists()
 
     def test_negative_phi_entangled(self, tmp_path, capsys):
-        code, out, _ = run_cli(["werner", "3", "--out",
-                                str(tmp_path / "w.state.json"), "--", "-0.1"],
+        out_path = tmp_path / "w.state.json"
+        code, out, _ = run_cli(["werner", "3", "--out", str(out_path), "--", "-0.1"],
                                capsys)
         assert code == 1
-        assert "ENTANGLED" in out
+        assert out.splitlines()[1] == f"{out_path}: ENTANGLED"
 
     def test_half_phi_separable(self, tmp_path, capsys):
         out_path = tmp_path / "w2.state.json"
         code, out, _ = run_cli(["werner", "2", "0.5", "--out", str(out_path)], capsys)
         assert code == 0
-        assert "SEPARABLE" in out
+        assert out.splitlines()[1] == f"{out_path}: SEPARABLE"
+
+    @pytest.mark.parametrize("env_tol", [None, "1e-6"], ids=["default-tol", "env-tol"])
+    @pytest.mark.parametrize("dim, phi, codes", [("3", "1.0", (0, 0)), ("3", "0.5", (0, 0)),
+                                                 ("2", "-1e-7", (1, 2))],
+                             ids=["3-1.0", "3-0.5", "2--1e-7"])
+    def test_is_analyze_on_the_file_it_writes(self, tmp_path, capsys, monkeypatch,
+                                              dim, phi, codes, env_tol):
+        # the same report, decomposition file and exit code, at the same
+        # tolerance: -1e-7 at 2 x 2 lies inside the PPT band of 1e-6
+        if env_tol is None:
+            monkeypatch.delenv("SEP_HORN_TOL", raising=False)
+        else:
+            monkeypatch.setenv("SEP_HORN_TOL", env_tol)
+        path = str(tmp_path / "w.state.json")
+        code, out, err = run_cli(["werner", dim, "--out", path, "--", phi], capsys)
+        written = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        for name in written.keys() - {"w.state.json"}:
+            (tmp_path / name).unlink()
+        expected_code, expected_out, expected_err = run_cli(["analyze", path], capsys)
+        assert code == expected_code == codes[env_tol is not None]
+        assert (out, err) == (f"state written to {path}\n" + expected_out, expected_err)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == written
+
+    def test_decomposition_file_is_named_as_analyze_names_it(self, tmp_path, capsys,
+                                                             monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run_cli(["werner", "3", "1.0", "--out", "run.v2.json"], capsys)
+        assert code == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "run.v2.decomposition.json", "run.v2.json"]
 
     def test_out_of_range_is_usage_error(self, capsys):
         code, _, err = run_cli(["werner", "2", "1.5"], capsys)
@@ -311,6 +344,22 @@ class TestNormalForm:
             assert code == 70
             assert "minimum eigenvalue -1.000e-01" in err
         assert not (tmp_path / "neg.state.normal.json").exists()
+
+    def test_positivity_follows_env_tol(self, tmp_path, capsys, monkeypatch):
+        # an eigenvalue of -5e-7 is refused at the default tolerance and
+        # passes under SEP_HORN_TOL = 1e-6, as under analyze, which also
+        # validates the trace to that tolerance; the filtering target --tol
+        # moves neither
+        rho = np.diag([0.4, 0.3, 0.3 + 5e-7, -5e-7]).astype(complex)
+        path = write_matrix(tmp_path / "neg.state.json", rho, (2, 2))
+        code, _, err = run_cli(["normal-form", path], capsys)
+        assert code == 70 and "minimum eigenvalue -5.000e-07" in err
+        monkeypatch.setenv("SEP_HORN_TOL", "1e-6")
+        for scale in (1.0, 1.0 + 5e-9):
+            path = write_matrix(tmp_path / "neg.state.json", rho * scale, (2, 2))
+            code, out, _ = run_cli(["normal-form", path, "--tol", "1e-10"], capsys)
+            assert code == 0 and "filtered state written" in out, scale
+            assert run_cli(["analyze", path], capsys)[0] == 2
 
     def test_rank_deficient_state_exits_70(self, tmp_path, capsys):
         # marginal A has rank 2 at 3 x 3: normal-form names it and the rank
@@ -412,6 +461,21 @@ class TestEnvTolerance:
                                capsys)
         assert code == 64
         assert "--tol must be finite and >= 0" in err
+
+    @pytest.mark.parametrize("tol", ["-1", "tight"])
+    @pytest.mark.parametrize("command", ["werner", "normal-form"])
+    def test_bad_env_tol_is_usage_error_everywhere(self, tmp_path, capsys, monkeypatch,
+                                                   command, tol):
+        # werner and normal-form read the tolerance as analyze does, and
+        # write no file
+        state = identity_state(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("SEP_HORN_TOL", tol)
+        args = ["werner", "3", "1.0"] if command == "werner" else ["normal-form", state]
+        code, out, err = run_cli(args, capsys)
+        assert code == 64 and out == ""
+        assert "SEP_HORN_TOL must be" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["mixed.state.json"]
 
     def test_env_overrides_default(self, monkeypatch):
         from sephorn.config import default_positivity_tol

@@ -1416,7 +1416,7 @@ def criterion_sequence_cases():
          INC, [PPT, ("normal-form", True), KYFAN, ("kyfan-sufficient", False)]),
         ("normal-form-fails", stall, 3, 3, INC, [PPT, ("normal-form", False), KYFAN]),
         # a product whose filtering would fail is decided before the filter
-        ("trivial-factor-after-normal-form", ill_conditioned_product(0), 3, 3, SEP,
+        ("trivial-factor-before-filter", ill_conditioned_product(0), 3, 3, SEP,
          [PPT, ("decomposition[trivial-factor]", True)]),
         ("family", compose_state(werner(3, 1.0)), 3, 3, SEP,
          [PPT, KYFAN, ("kyfan-sufficient", False), ("decomposition[family]", True)]),
