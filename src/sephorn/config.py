@@ -32,6 +32,8 @@ RESIDUAL = 1e-8        # decomposition residual; normal-form acceptance
 PROB_SUM = 1e-10       # probability normalization of a decomposition
 COMPONENT_PSD = 1e-8   # physicality of decomposition components
 TAKAGI_ORTHO = 1e-12   # Gram deviation of Wootters' Takagi vectors that takes a QR
+KYFAN_RANK = 1e-12     # singular value, relative to the largest, that the Ky Fan construction keeps
+DESCENDING_TOL = 1e-12 # rise between neighbours that a descending Horn sequence may show
 
 
 def default_positivity_tol() -> float:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .bipartite import BipartiteDecomposed, _conjugation
 from .bloch import _augmented, _gen_stack, _moment_columns, _moment_rows, to_bloch
-from .config import KYFAN_SLACK, TAKAGI_ORTHO
+from .config import KYFAN_RANK, KYFAN_SLACK, TAKAGI_ORTHO
 from .errors import (BoundExceeded, DimensionMismatch, DimensionTooSmall, OutOfPositivityRange,
                      SearchFailed)
 
@@ -123,7 +123,7 @@ def kyfan_bound_decomposition(corr_svd: tuple[np.ndarray, np.ndarray, np.ndarray
     if excess > slack:
         raise BoundExceeded(f"Ky Fan norm exceeds the constructive bound {bound:.6g} "
                             f"by {excess:.3e}", excess=excess)
-    rank = np.count_nonzero(taus > 1e-12 * taus[0])
+    rank = np.count_nonzero(taus > KYFAN_RANK * taus[0])
     taus, u, v = taus[:rank], u[:, :rank].T, vh[:rank]
     budget = float(taus.sum()) / bound
     r = shrink_a * np.sqrt(2.0 * budget / (dim_a * (dim_a - 1.0))) * u
@@ -139,6 +139,7 @@ def kyfan_bound_decomposition(corr_svd: tuple[np.ndarray, np.ndarray, np.ndarray
 SIC_ATTEMPTS = 20
 SIC_ITERATIONS = 100
 SIC_RESIDUAL = 1e-12
+SIC_DAMPING_CAP = 1e6
 
 
 def _displacements(dim: int) -> np.ndarray:
@@ -176,9 +177,9 @@ def _levenberg_marquardt(v: np.ndarray, disp: np.ndarray):
     The damping falls tenfold after a step that lowers the squared residual
     and rises tenfold after one that does not.  A failed step ends the solve
     once every residual is within ``SIC_RESIDUAL`` (it is then at round-off)
-    or once the damping passes 1e6 (it is then at a stationary point).  The
-    floor on the damping keeps the system regular along the global phase,
-    which no residual sees.
+    or once the damping passes ``SIC_DAMPING_CAP`` (it is then at a
+    stationary point).  The floor on the damping keeps the system regular
+    along the global phase, which no residual sees.
     """
     residuals, jac = _overlap_residuals(v, disp)
     damping = 1e-3
@@ -189,7 +190,7 @@ def _levenberg_marquardt(v: np.ndarray, disp: np.ndarray):
         if trial @ trial < residuals @ residuals:
             v, residuals, jac = v + step, trial, trial_jac
             damping = max(damping / 10.0, 1e-12)
-        elif np.abs(residuals).max() <= SIC_RESIDUAL or damping > 1e6:
+        elif np.abs(residuals).max() <= SIC_RESIDUAL or damping > SIC_DAMPING_CAP:
             break
         else:
             damping *= 10.0

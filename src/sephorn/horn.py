@@ -13,6 +13,12 @@ arithmetic runs in the log domain with log 0 = -inf, so zero singular
 values are handled one-sidedly; for strictly positive alpha and beta the
 product equality prod tau = prod alpha_i beta_i is additionally required.
 
+Each set is searched only where 2r <= n, and there only for J >= I: it is
+closed under swapping I and J, and the sets of cardinality r and n - r are
+images of each other under S -> S* = {n + 1 - x : x not in S}.  It is
+cached once as an array of subset indices, which the public tuples, the
+lower inequalities of the next search and the battery's table all read.
+
 Each side of an inequality is a subset sum of logs, and there are only 2^L
 subsets against T triples (T = 8 752 at L = 8), so the battery takes every
 subset's log-sum with one matrix product and reads each inequality from
@@ -24,23 +30,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
-from .config import HORN_SLACK
+from .config import DESCENDING_TOL, HORN_SLACK
 from .errors import BadCardinality, LengthMismatch, NotSorted, TripleCapExceeded
 
-# the largest n whose cold all_triples(n) runs within a minute: n = 12 gives
-# 5.2 million triples, and n = 13 about 28 million
+# the largest n whose cold all_triples(n) stays near half a gigabyte: n = 12
+# gives 5.2 million triples, and n = 13 about 28 million, each held as a
+# Python tuple
 MAX_N = 12
 
-# candidates per block tested at once in ``triple_set``: enough for 2^16
-# int16 entries, and never fewer than _MIN_BLOCK, so a block of T lower
-# inequalities holds at most max(2^16, 64 T) entries.  At n <= MAX_N one
-# block also holds no more than one I's candidates; the largest block is at
-# n = 12, r = 10 (64 x 191 353 entries, 24 MB per int16 temporary)
+# candidates per block tested at once in ``_search``: at most 2^16 int16
+# entries per temporary.  Only 2r <= n is searched, so at n <= MAX_N the
+# widest table of lower inequalities is r = 6's (T = 522): 125 candidates a
+# block, 128 KB per temporary
 _BLOCK_ENTRIES = 1 << 16
-_MIN_BLOCK = 64
 
 Triple = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
@@ -69,79 +75,132 @@ class TripleSet:
 def triple_set(n: int, r: int) -> TripleSet:
     """Admissible triples of cardinality r in 1..n, lexicographically ordered.
 
-    Base case r = 1 accepts ({i},{j},{k}) exactly when i + j = k + 1.  For
-    r >= 2 a candidate must satisfy the total-sum identity
+    A triple (I, J, K) must satisfy the total-sum identity
     sum(I) + sum(J) = sum(K) + r(r+1)/2 and, for every p < r and every
     admissible (F, G, H) of cardinality p in 1..r, the position-selected
     inequality sum_{f in F} i_f + sum_{g in G} j_g <= sum_{h in H} k_h
-    + p(p+1)/2.  Candidates are tested in blocks of bounded size: first
-    against the inequalities of p <= 2, which reject most failing
-    candidates, then the block's survivors against all of them.  The
-    number of triples, and with it time and memory, grows about fivefold
-    per step of n, so n is capped at ``MAX_N``.
+    + p(p+1)/2.  At r = 1 there is no lower inequality, and the identity
+    alone gives i + j = k + 1.  The set is built once, as an index array
+    (``_index_triples``), from its two symmetries: it is closed under
+    swapping I and J, and it is the image of the set of cardinality n - r
+    under S -> S* = {n + 1 - x : x not in S} on each side (Fulton,
+    math/9908012).  So only 2r <= n is searched, and only for J >= I.  The
+    triples share their index-set tuples.  The number of triples, and with
+    it time and memory, grows about fivefold per step of n, so n is capped
+    at ``MAX_N``.
     """
     if n > MAX_N:
         raise TripleCapExceeded(f"triple enumeration capped at n <= {MAX_N}, got {n}")
     if not 1 <= r < n:
         raise BadCardinality(f"need 1 <= r < n, got r={r}, n={n}")
-    if r == 1:
-        base = [((i,), (j,), (i + j - 1,))
-                for i in range(1, n + 1)
-                for j in range(1, n + 1)
-                if i + j - 1 <= n]
-        return TripleSet(n=n, r=r, triples=tuple(sorted(base)))
+    sides = _subsets(n, r)[0][_index_triples(n, r).T]
+    return TripleSet(n=n, r=r, triples=tuple(zip(*sides.tolist())))
 
-    subsets = list(combinations(range(1, n + 1), r))
-    rows = np.array(subsets, dtype=np.int16)
+
+@lru_cache(maxsize=None)
+def _subsets(n: int, r: int):
+    """The r-subsets of 1..n in lexicographic order, as an object array of
+    tuples and as the rows of a (C, r) int16 array; a subset's index is its
+    place in both."""
+    count = comb(n, r)
+    subsets = np.fromiter(combinations(range(1, n + 1), r), dtype=object, count=count)
+    rows = np.array(subsets.tolist(), dtype=np.int16).reshape(count, r)
+    subsets.flags.writeable = rows.flags.writeable = False
+    return subsets, rows
+
+
+def _masks(rows: np.ndarray) -> np.ndarray:
+    """The bitmask of each row of subsets, index i as bit i - 1."""
+    return (1 << (rows.astype(np.intp) - 1)).sum(axis=1)
+
+
+@lru_cache(maxsize=None)
+def _index_triples(n: int, r: int) -> np.ndarray:
+    """Admissible triples of cardinality r in 1..n as a read-only (T, 3)
+    int16 array, each row the indices of I, J and K in ``_subsets(n, r)``,
+    rows in lexicographic order.
+
+    For 2r > n this is the image of the set of cardinality n - r under
+    S -> S*.  Otherwise ``_search`` gives the triples with J >= I and the
+    rest are their mirrors."""
+    if 2 * r > n:
+        index = _duals(n, n - r)[_index_triples(n, n - r)]
+    else:
+        index = _search(n, r)
+        mirror = index[index[:, 0] != index[:, 1]][:, [1, 0, 2]]
+        index = np.concatenate([index, mirror])
+    index = index[np.lexsort(index.T[::-1])]
+    index.flags.writeable = False
+    return index
+
+
+def _duals(n: int, p: int) -> np.ndarray:
+    """For each p-subset S of 1..n, the index of S* = {n + 1 - x : x not in S}
+    among the (n - p)-subsets: x in S clears bit n - x of the full mask."""
+    rows = _subsets(n, p)[1]
+    place = np.empty(1 << n, dtype=np.int16)
+    place[_masks(_subsets(n, n - p)[1])] = np.arange(comb(n, p))
+    return place[((1 << n) - 1) ^ (1 << (n - rows.astype(np.intp))).sum(axis=1)]
+
+
+def _search(n: int, r: int) -> np.ndarray:
+    """The admissible triples of cardinality r in 1..n with J >= I, as
+    (T, 3) int16 subset indices.
+
+    The candidates are every pair I <= J with each K of the sum the identity
+    asks, numbered pair by pair; they are tested in blocks of consecutive
+    numbers, each block first against the inequalities of p <= 2, which
+    reject most failing candidates, and its survivors then against all of
+    them.
+    """
+    rows = _subsets(n, r)[1]
     sel_i, sel_j, sel_k, bound = _selectors(r)
     # partial sums of every lower inequality, per subset; entries are at most
-    # r * MAX_N, so int16 holds them and their differences
+    # r * MAX_N, so int16 holds them, their sums and their differences
     part_i, part_j, part_k = rows @ sel_i, rows @ sel_j, rows @ sel_k
-    sums = rows.sum(axis=1, dtype=np.int64)
-    # K candidates by sum; the stable sort keeps equal sums in lexicographic order
+    head = np.searchsorted(bound, 3, side="right")                # columns of p <= 2
+    sums = rows.sum(axis=1, dtype=np.intp)
+    # K by sum; the stable sort keeps equal sums in lexicographic order
     by_sum = np.argsort(sums, kind="stable")
     sorted_sums = sums[by_sum]
-    shift = r * (r + 1) // 2
-    block = max(_MIN_BLOCK, _BLOCK_ENTRIES // len(bound))
-    head = sum(len(triple_set(r, p)) for p in range(1, min(r, 3)))   # columns of p <= 2
-    out = []
-    for a in range(len(subsets)):
-        target = sums[a] + sums - shift
-        lo = np.searchsorted(sorted_sums, target, side="left")
-        count = np.searchsorted(sorted_sums, target, side="right") - lo
-        b_all = np.repeat(np.arange(len(subsets)), count)
-        # position of each candidate within its (a, b) run of equal-sum K
-        offset = np.arange(len(b_all)) - np.repeat(np.cumsum(count) - count, count)
-        c_all = by_sum[np.repeat(lo, count) + offset]
-        slack = bound - part_i[a]
-        for lo_c in range(0, len(b_all), block):
-            b, c = b_all[lo_c:lo_c + block], c_all[lo_c:lo_c + block]
-            ok = (part_j[b, :head] - part_k[c, :head] <= slack[:head]).all(axis=1)
-            b, c = b[ok], c[ok]
-            ok = (part_j[b] - part_k[c] <= slack).all(axis=1)
-            out.extend((subsets[a], subsets[j], subsets[k])
-                       for j, k in zip(b[ok].tolist(), c[ok].tolist()))
-    # a ascending, then b ascending, then K lexicographic within one sum
-    return TripleSet(n=n, r=r, triples=tuple(out))
+    pair_i, pair_j = np.triu_indices(len(rows))
+    target = sums[pair_i] + sums[pair_j] - r * (r + 1) // 2
+    lo = np.searchsorted(sorted_sums, target, side="left")
+    ends = np.cumsum(np.searchsorted(sorted_sums, target, side="right") - lo)
+    # candidate t of pair q is K = by_sum[t + offset[q]], for ends[q - 1] <= t < ends[q]
+    offset = lo - np.concatenate([[0], ends[:-1]])
+    total = int(ends[-1])
+    block = _BLOCK_ENTRIES // max(len(bound), 1)
+    found = []
+    for start in range(0, total, block):
+        t = np.arange(start, min(start + block, total))
+        q = np.searchsorted(ends, t, side="right")
+        i, j, k = pair_i[q], pair_j[q], by_sum[t + offset[q]]
+        ok = (part_i[i, :head] + part_j[j, :head] - part_k[k, :head] <= bound[:head]).all(axis=1)
+        i, j, k = i[ok], j[ok], k[ok]
+        ok = (part_i[i] + part_j[j] - part_k[k] <= bound).all(axis=1)
+        found.append(np.stack([i[ok], j[ok], k[ok]], axis=1).astype(np.int16))
+    return np.concatenate(found)
 
 
 @lru_cache(maxsize=None)
 def _selectors(r: int):
     """The admissible (F, G, H) of every cardinality p < r in 1..r as 0/1
     position selectors ``sel_i``, ``sel_j``, ``sel_k`` of shape (r, T), one
-    column per triple, and the bound p(p+1)/2 of each column."""
-    sets = [triple_set(r, p).triples for p in range(1, r)]
-    total = sum(len(ts) for ts in sets)
+    column per triple, and the bound p(p+1)/2 of each column, which rises
+    with p."""
+    sets = [_index_triples(r, p) for p in range(1, r)]
+    total = sum(len(index) for index in sets)
     sel = np.zeros((3, r, total), dtype=np.int16)
     bound = np.empty(total, dtype=np.int16)
     col = 0
-    for p, ts in enumerate(sets, start=1):
-        idx = np.asarray(ts, dtype=np.intp) - 1       # (T_p, 3, p)
-        cols = np.arange(col, col + len(ts))[:, None]
+    for p, index in enumerate(sets, start=1):
+        rows = _subsets(r, p)[1].astype(np.intp) - 1
+        cols = np.arange(col, col + len(index))[:, None]
         for side in range(3):
-            sel[side, idx[:, side, :], cols] = 1
-        bound[col:col + len(ts)] = p * (p + 1) // 2
-        col += len(ts)
+            sel[side, rows[index[:, side]], cols] = 1
+        bound[col:col + len(index)] = p * (p + 1) // 2
+        col += len(index)
     return sel[0], sel[1], sel[2], bound
 
 
@@ -165,9 +224,11 @@ def subset_table(n: int):
     the flat tuple of ``all_triples(n)`` in order.
     """
     sets = all_triples(n)
-    masks = np.concatenate([(1 << (np.asarray(ts.triples, dtype=np.intp) - 1)).sum(axis=-1)
-                            for ts in sets])                    # (T, 3)
-    positions = masks.T + (np.arange(3)[:, None] << n)
+    masks = np.concatenate([_masks(_subsets(n, r)[1])[_index_triples(n, r)]
+                            for r in range(1, n)])                 # (T, 3)
+    # C-ordered, as ``take`` wants its indices: it copies any other order on
+    # every call
+    positions = np.ascontiguousarray(masks.T) + (np.arange(3)[:, None] << n)
     members = ((np.arange(1 << n) >> np.arange(n)[:, None]) & 1).astype(float)
     triples = tuple(t for ts in sets for t in ts.triples)
     return members, positions, triples
@@ -208,7 +269,7 @@ def _validated(tau, alpha, beta) -> np.ndarray:
         raise NotSorted(f"{_first_row(~np.isfinite(x))} contains non-finite entries")
     if (x < 0).any():
         raise NotSorted(f"{_first_row(x < 0)} contains negative entries")
-    rising = x[:, 1:] - x[:, :-1] > 1e-12
+    rising = x[:, 1:] - x[:, :-1] > DESCENDING_TOL
     if rising.any():
         raise NotSorted(f"{_first_row(rising)} is not descending")
     return x

@@ -49,6 +49,24 @@ def test_no_bare_float_keyword_defaults():
     assert found == []
 
 
+def test_no_bare_float_thresholds_in_comparisons():
+    # a float compared against is a config constant too, outside config
+    # itself; whole numbers below 10 (0.0, 1.0, 2.0) bound a range or scale
+    # a term, and are not tolerances
+    found = []
+    for path in sorted(Path(sephorn.__file__).resolve().parent.glob("*.py")):
+        if path.name == "config.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Compare):
+                continue
+            for sub in ast.walk(node):
+                if (isinstance(sub, ast.Constant) and isinstance(sub.value, float)
+                        and not (sub.value.is_integer() and abs(sub.value) < 10)):
+                    found.append(f"{path.name}:{sub.lineno} {sub.value!r}")
+    assert found == []
+
+
 def test_analyze_keywords_are_pinned():
     # adding a keyword to analyze takes an edit here
     params = inspect.signature(sephorn.analyze).parameters.values()

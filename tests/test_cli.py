@@ -17,7 +17,8 @@ from sephorn.bipartite import decompose_state
 
 
 # SHA-256 of `horn-triples n r` output for n <= 9, recorded from the
-# per-candidate enumeration that the batched one replaced
+# per-candidate enumeration that the batched one replaced; for n = 10, from
+# the batched enumeration that searched every cardinality and every pair
 HORN_TRIPLES_SHA256 = {
     (2, 1): "647adadc89de5a78178aff1a7d75c9f037848910c656987b2e702048a66e26ea",
     (3, 1): "bbd7b6229bd4845d16fc92cd0745416789c208cedd61b70da6de1442adfbfde4",
@@ -55,6 +56,15 @@ HORN_TRIPLES_SHA256 = {
     (9, 6): "3b7a8c9eae832014c9a7ac07ace5350fb85c28f2faa82fb28f3a6fa975949ab0",
     (9, 7): "a7aa955f7c3ca448ee491191a70f0f16e206da050e7975e706b60269b37c2b69",
     (9, 8): "51e75f6bf6d88838753414516b226ec4f867de5fdf300a3b9134305a9f3b5c6e",
+    (10, 1): "2b651c2ddf91ea4d37aec07f0fbe62b533f96a46a6b192ef449647a29801d715",
+    (10, 2): "f8563f2c11e8504dd2de086c6a47b6171f45a9ed257d2471d66cb3532af938c3",
+    (10, 3): "3716bd08633646f65cfb1c221cc885cd2fdab071480c46a6ea6746692ddc7738",
+    (10, 4): "615391ca693a0119e4ef8888da6ef65a88b97ef00050268f55a4fa4dd52a6d55",
+    (10, 5): "48e0d304fb8f71cc4b61b44250d8764e75e33842166a3f6c79904f3cf3331ac2",
+    (10, 6): "5215ef6f795d3de80198b116651824cb7d0020bbcd3d3c30b222e440da74047d",
+    (10, 7): "d6b01e125002d33ff011776099a42f85e07d205c29ddd824709fca49caf7d78e",
+    (10, 8): "7041f0c92ac40b58697080698474c1261a3d5b2d40d8530192d6ce9b4983200b",
+    (10, 9): "390b738987236cb869aca5e6dfdd5ee66f7d6c70367d0543296bf881085be0d6",
 }
 
 

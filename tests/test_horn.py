@@ -100,6 +100,22 @@ class TestTripleSets:
         for r in range(1, n):
             assert triple_set(n, r).triples == loop_triple_set(n, r)
 
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_loop_reference_is_closed_under_swapping_i_and_j(self, n):
+        for r in range(1, n):
+            triples = loop_triple_set(n, r)
+            assert {(J, I, K) for I, J, K in triples} == set(triples)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_loop_reference_of_n_minus_r_is_the_dual_image(self, n):
+        # S* = {n + 1 - x : x not in S}, on each of I, J and K
+        def dual(s):
+            return tuple(n + 1 - x for x in range(n, 0, -1) if x not in s)
+
+        for r in range(1, n):
+            image = sorted(tuple(map(dual, t)) for t in loop_triple_set(n, r))
+            assert tuple(image) == loop_triple_set(n, n - r)
+
     def test_additive_oracle_sample(self):
         # eigenvalues of (A, B, A+B) never violate the emitted inequalities
         rng = np.random.default_rng(2024)
