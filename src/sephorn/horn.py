@@ -23,6 +23,8 @@ Each side of an inequality is a subset sum of logs, and there are only 2^L
 subsets against T triples (T = 8 752 at L = 8), so the battery takes every
 subset's log-sum with one matrix product and reads each inequality from
 that table by the bitmasks of I, J and K, cached per L in ``subset_table``.
+A call validates its three sequences once, as one (3, L) stack, and only an
+input holding a zero takes the masking that sets such subsets to -inf.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, log1p
 
 import numpy as np
 
@@ -42,10 +44,10 @@ from .errors import BadCardinality, LengthMismatch, NotSorted, TripleCapExceeded
 # Python tuple
 MAX_N = 12
 
-# candidates per block tested at once in ``_search``: at most 2^16 int16
-# entries per temporary.  Only 2r <= n is searched, so at n <= MAX_N the
-# widest table of lower inequalities is r = 6's (T = 522): 125 candidates a
-# block, 128 KB per temporary
+# int16 entries per temporary in ``_search``: a stage testing c columns takes
+# 2^16 // c candidates a block.  At n <= MAX_N the widest table of lower
+# inequalities is r = 6's (T = 522, 147 of p <= 2): 445 candidates a
+# first-stage block, 174 a second-stage one, 128 KB per temporary
 _BLOCK_ENTRIES = 1 << 16
 
 Triple = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
@@ -148,10 +150,10 @@ def _search(n: int, r: int) -> np.ndarray:
     (T, 3) int16 subset indices.
 
     The candidates are every pair I <= J with each K of the sum the identity
-    asks, numbered pair by pair; they are tested in blocks of consecutive
-    numbers, each block first against the inequalities of p <= 2, which
-    reject most failing candidates, and its survivors then against all of
-    them.
+    asks, numbered pair by pair.  The first stage tests them in blocks of
+    consecutive numbers against the inequalities of p <= 2, which reject
+    most failing candidates, and the second the pooled survivors against
+    the rest, each in blocks sized by the columns it tests.
     """
     rows = _subsets(n, r)[1]
     sel_i, sel_j, sel_k, bound = _selectors(r)
@@ -170,17 +172,26 @@ def _search(n: int, r: int) -> np.ndarray:
     # candidate t of pair q is K = by_sum[t + offset[q]], for ends[q - 1] <= t < ends[q]
     offset = lo - np.concatenate([[0], ends[:-1]])
     total = int(ends[-1])
-    block = _BLOCK_ENTRIES // max(len(bound), 1)
-    found = []
-    for start in range(0, total, block):
-        t = np.arange(start, min(start + block, total))
+
+    def candidates(t):
         q = np.searchsorted(ends, t, side="right")
-        i, j, k = pair_i[q], pair_j[q], by_sum[t + offset[q]]
-        ok = (part_i[i, :head] + part_j[j, :head] - part_k[k, :head] <= bound[:head]).all(axis=1)
-        i, j, k = i[ok], j[ok], k[ok]
-        ok = (part_i[i] + part_j[j] - part_k[k] <= bound).all(axis=1)
-        found.append(np.stack([i[ok], j[ok], k[ok]], axis=1).astype(np.int16))
-    return np.concatenate(found)
+        return pair_i[q], pair_j[q], by_sum[t + offset[q]]
+    # a flag per candidate, so that the survivors pool in one array; their
+    # numbers fit int32 (total is 3.7 million at n = 12, r = 6)
+    first = np.empty(total, dtype=bool)
+    block = _BLOCK_ENTRIES // max(head, 1)
+    for start in range(0, total, block):
+        i, j, k = candidates(np.arange(start, min(start + block, total)))
+        first[start:start + block] = (part_i[i, :head] + part_j[j, :head] - part_k[k, :head]
+                                      <= bound[:head]).all(axis=1)
+    survivors = np.flatnonzero(first).astype(np.int32)
+    rest = np.empty(len(survivors), dtype=bool)
+    block = _BLOCK_ENTRIES // max(len(bound) - head, 1)
+    for start in range(0, len(survivors), block):
+        i, j, k = candidates(survivors[start:start + block])
+        rest[start:start + block] = (part_i[i, head:] + part_j[j, head:] - part_k[k, head:]
+                                     <= bound[head:]).all(axis=1)
+    return np.stack(candidates(survivors[rest]), axis=1).astype(np.int16)
 
 
 @lru_cache(maxsize=None)
@@ -255,24 +266,32 @@ class HornReport:
 _NAMES = ("alpha", "beta", "tau")
 
 
-def _validated(tau, alpha, beta) -> np.ndarray:
-    """alpha, beta and tau as the rows of one (3, L) array, each check run
-    once on the stack; an error names the first row that fails it."""
-    rows = [np.asarray(v, dtype=float) for v in (alpha, beta, tau)]
-    for name, row in zip(_NAMES, rows):
-        if row.ndim != 1:
-            raise LengthMismatch(f"{name} must be one-dimensional")
-        if len(row) != len(rows[0]):
-            raise LengthMismatch(f"{name} has length {len(row)}, alpha has {len(rows[0])}")
-    x = np.array(rows)
+def _validated(tau, alpha, beta) -> tuple[np.ndarray, bool]:
+    """alpha, beta and tau as the rows of one (3, L) array, and whether a value
+    is zero.  One test passes every valid stack; a failing input is diagnosed
+    by shape, then by fault, naming the first row with it."""
+    try:
+        x = np.array((alpha, beta, tau), dtype=float)
+    except (TypeError, ValueError):                      # ragged, or not numbers
+        x = None
+    if x is None or x.ndim != 2:
+        rows = [np.asarray(v, dtype=float) for v in (alpha, beta, tau)]
+        for name, row in zip(_NAMES, rows):
+            if row.ndim != 1:
+                raise LengthMismatch(f"{name} must be one-dimensional")
+            if len(row) != len(rows[0]):
+                raise LengthMismatch(f"{name} has length {len(row)}, alpha has {len(rows[0])}")
+        x = np.array(rows)
+    # min and max are nan if any entry is, and initial= lets L <= 1 through
+    low = x.min(initial=np.inf)
+    if (low >= 0.0 and x.max(initial=0.0) < np.inf
+            and (x[:, 1:] - x[:, :-1]).max(initial=-np.inf) <= DESCENDING_TOL):
+        return x, low == 0.0
     if not np.isfinite(x).all():
         raise NotSorted(f"{_first_row(~np.isfinite(x))} contains non-finite entries")
     if (x < 0).any():
         raise NotSorted(f"{_first_row(x < 0)} contains negative entries")
-    rising = x[:, 1:] - x[:, :-1] > DESCENDING_TOL
-    if rising.any():
-        raise NotSorted(f"{_first_row(rising)} is not descending")
-    return x
+    raise NotSorted(f"{_first_row(x[:, 1:] - x[:, :-1] > DESCENDING_TOL)} is not descending")
 
 
 def _first_row(mask: np.ndarray) -> str:
@@ -283,48 +302,52 @@ def check_product_inequalities(tau, alpha, beta, *, slack: float = HORN_SLACK) -
     """Evaluate every multiplicative inequality for the given singular values.
 
     All three sequences must be finite, descending, non-negative and of one
-    common length L.  Inequalities are compared in the log domain with a
-    relative slack; equalities count as satisfied.  One product with the cached
+    common length L, which one test on their (3, L) stack checks.
+    Inequalities are compared in the log domain with a relative slack;
+    equalities count as satisfied.  One product with the cached
     ``subset_table(L)`` gives the log-sum of every subset of alpha, beta and
-    tau, with -inf for a subset that holds a zero, and one gather by
-    position reads both sides of all T inequalities, so a call costs
-    O(L 2^L + T) and holds no Python loop over the triples.  ``violated``
-    lists the failing triples in the order of ``all_triples(L)``.
+    tau, -inf for one holding a zero (masked only when a value is zero), and
+    one gather by position reads both sides of all T inequalities, so a call
+    costs O(L 2^L + T) and holds no Python loop over the triples.
+    ``violated`` lists the failing triples in the order of ``all_triples(L)``.
     """
-    values = _validated(tau, alpha, beta)
+    values, has_zero = _validated(tau, alpha, beta)
     length = values.shape[1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.log(values)                                 # log 0 = -inf
-        zero = np.isneginf(logs)
-        eq = _product_equality(logs, zero, slack=slack)
-        if length <= 1:
-            return HornReport(feasible=True, worst_margin=np.inf, violated=(),
-                              product_equality=eq)
+    zero = values == 0.0 if has_zero else None             # -0.0 too
+    logs = np.log(np.where(zero, 1.0, values) if has_zero else values)  # log 1 = 0, then masked
+    eq = _product_equality(logs, has_zero, slack=slack)
+    if length <= 1:
+        return HornReport(feasible=True, worst_margin=np.inf, violated=(), product_equality=eq)
 
-        members, positions, triples = subset_table(length)
-        # every subset's log-sum, -inf for a subset holding a zero value
-        sums = np.where(zero, 0.0, logs) @ members
-        sums[zero @ members > 0] = -np.inf
-        alpha_i, beta_j, tau_k = sums.ravel().take(positions)
-        margins = alpha_i + beta_j - tau_k
-    # nan is -inf - -inf: the left side vanishes, so the inequality holds
-    margins[np.isnan(margins)] = np.inf
-    bad = np.flatnonzero(margins < -np.log1p(slack))
+    members, positions, triples = subset_table(length)
+    sums = logs @ members
+    if has_zero:
+        sums[zero @ members > 0] = -np.inf                 # a subset holding a zero
+    margins, beta_j, tau_k = sums.ravel().take(positions)  # alpha_i, beta_j, tau_k
+    margins += beta_j
+    if has_zero:
+        with np.errstate(invalid="ignore"):
+            margins -= tau_k
+        # nan is -inf - -inf: the left side vanishes, so the inequality holds
+        margins[np.isnan(margins)] = np.inf
+    else:
+        margins -= tau_k
+    bad = (margins < -log1p(slack)).nonzero()[0]
     violated = tuple(map(triples.__getitem__, bad.tolist()))
     return HornReport(feasible=not violated, worst_margin=float(margins.min()),
                       violated=violated, product_equality=eq)
 
 
-def _product_equality(logs, zero, *, slack: float) -> bool | None:
+def _product_equality(logs, has_zero: bool, *, slack: float) -> bool | None:
     """The determinant identity on the (3, L) logs of alpha, beta and tau,
-    None when ``zero`` flags a vanishing value."""
+    None when a value vanishes."""
     if logs.shape[1] == 0:
         return True
-    if zero.any():
+    if has_zero:
         return None
-    rhs = logs[0].sum() + logs[1].sum()
-    lhs = logs[2].sum()
-    return bool(abs(lhs - rhs) <= slack * max(1.0, abs(lhs), abs(rhs)))
+    log_alpha, log_beta, lhs = logs.sum(axis=1).tolist()
+    rhs = log_alpha + log_beta
+    return abs(lhs - rhs) <= slack * max(1.0, abs(lhs), abs(rhs))
 
 
 def product_singulars_feasible(tau, alpha, beta, *, slack: float = HORN_SLACK) -> bool:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import batch_min_margin, loop_triple_set, random_orthogonal
-from sephorn.errors import BadCardinality, LengthMismatch, NotSorted, TripleCapExceeded
+from sephorn.errors import (BadCardinality, LengthMismatch, NotSorted, SepHornError,
+                            TripleCapExceeded)
 from sephorn.horn import (
     MAX_N,
     HornReport,
@@ -15,6 +17,7 @@ from sephorn.horn import (
     partition_of,
     product_singulars_feasible,
     triple_set,
+    _index_triples,
 )
 
 # hand-enumerated from the base rule i + j = k + 1
@@ -30,6 +33,12 @@ T_2_3 = (
     ((1, 3), (1, 3), (2, 3)),
     ((2, 3), (1, 2), (2, 3)),
 )
+
+
+# SHA-256 of the index arrays of ``_index_triples(11, r)`` for r = 1..10, in
+# order, recorded from the search that sized every block by all lower
+# inequalities
+INDEX_11_SHA256 = "52db331c30aade69782e342cfce3e3cf7ad815cbd72e37987ac0cd0db6ee550d"
 
 
 class TestPartition:
@@ -99,6 +108,13 @@ class TestTripleSets:
     def test_matches_loop_reference(self, n):
         for r in range(1, n):
             assert triple_set(n, r).triples == loop_triple_set(n, r)
+
+    def test_n11_matches_recorded_digest(self):
+        # one step past the CLI digests' n <= 10
+        digest = hashlib.sha256()
+        for r in range(1, 11):
+            digest.update(_index_triples(11, r).tobytes())
+        assert digest.hexdigest() == INDEX_11_SHA256
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_loop_reference_is_closed_under_swapping_i_and_j(self, n):
@@ -182,6 +198,68 @@ def battery_inputs(rng, length):
     return [(tau, alpha, beta), (lifted, alpha, beta),
             (tau_low, alpha_low, beta), (tau_low, alpha, beta),
             (tau, alpha, beta_low)]
+
+
+def digest_inputs():
+    """The inputs of the battery digest: L = 0..8 with product, r = 1-perturbed,
+    zero-padded and all-equal inputs, a zero in tau only and -0.0 values."""
+    cases = [([], [], []), ([0.5], [1.0], [0.5]), ([2.0], [1.0], [1.0]),
+             ([0.0], [1.0], [0.5]), ([-0.0], [1.0], [0.5]), ([0.5], [0.0], [1.0])]
+    rng = np.random.default_rng(3737)
+    for length in range(2, 9):
+        for _ in range(2):
+            product, *others = battery_inputs(rng, length)
+            tau, alpha, beta = product
+            tau_zero, tau_minus, alpha_minus = tau.copy(), tau.copy(), alpha.copy()
+            tau_zero[-1] = 0.0
+            tau_minus[-1] = alpha_minus[-1] = -0.0
+            cases += [product, *others, (tau_zero, alpha, beta), (tau_minus, alpha, beta),
+                      (tau_zero, alpha_minus, beta)]
+        ones = np.ones(length)
+        cases += [(ones, ones, ones), (0.49 * ones, 0.7 * ones, 0.7 * ones),
+                  (0.5 * ones, 0.7 * ones, 0.7 * ones)]
+    return cases
+
+
+# SHA-256 of the reports over ``digest_inputs``, recorded from the battery
+# that masked zeros on every input
+BATTERY_SHA256 = "78fa87f884c5e4ca83a5fbd463de659ea24861ea5b834bfd2c92617d55d46400"
+
+NAN, INF = float("nan"), float("inf")
+# (tau, alpha, beta), the error and its message, recorded from the validation
+# that checked each row apart
+VALIDATION_FAILURES = [
+    (([1.0], [1.0, 0.5], [1.0, 0.5]), LengthMismatch, "tau has length 1, alpha has 2"),
+    (([1.0, 0.5], [1.0, 0.5], [1.0]), LengthMismatch, "beta has length 1, alpha has 2"),
+    (([1.0, 0.5], [[1.0, 0.5]], [1.0, 0.5]), LengthMismatch, "alpha must be one-dimensional"),
+    (([1.0, 0.5], [1.0, 0.5], [[1.0, 0.5]]), LengthMismatch, "beta must be one-dimensional"),
+    (([[1.0, 0.5]], [[1.0, 0.5]], [[1.0, 0.5]]), LengthMismatch,
+     "alpha must be one-dimensional"),
+    ((1.0, 1.0, 1.0), LengthMismatch, "alpha must be one-dimensional"),
+    ((1.0, [1.0], [1.0]), LengthMismatch, "tau must be one-dimensional"),
+    (([1.0, NAN], [1.0, 0.5], [1.0, 0.5]), NotSorted, "tau contains non-finite entries"),
+    (([1.0, 0.5], [1.0, 0.5], [INF, 0.5]), NotSorted, "beta contains non-finite entries"),
+    (([1.0, 0.5], [1.0, -INF], [1.0, 0.5]), NotSorted, "alpha contains non-finite entries"),
+    (([1.0, 0.5], [1.0, -0.5], [1.0, 0.5]), NotSorted, "alpha contains negative entries"),
+    (([0.5, 1.0], [1.0, 0.5], [1.0, 0.5]), NotSorted, "tau is not descending"),
+    (([1.0, 0.5], [1.0, 1.0 + 1e-12], [1.0, 0.5]), NotSorted, "alpha is not descending"),
+    # two faults: the kind decides before the row does
+    (([1.0, NAN], [1.0, -0.5], [1.0, 0.5]), NotSorted, "tau contains non-finite entries"),
+    (([1.0, 0.5], [-0.5, INF], [1.0, 0.5]), NotSorted, "alpha contains non-finite entries"),
+    (([-0.5, -1.0], [0.5, 1.0], [1.0, 0.5]), NotSorted, "tau contains negative entries"),
+    (([0.5, 1.0], [1.0, 0.5], [1.0, -0.5]), NotSorted, "beta contains negative entries"),
+    (([INF, 0.5], [0.5, 1.0], [1.0, 0.5]), NotSorted, "tau contains non-finite entries"),
+    # two faults of one kind: alpha before beta before tau
+    (([1.0, NAN], [1.0, 0.5], [NAN, 0.5]), NotSorted, "beta contains non-finite entries"),
+    (([1.0, NAN], [1.0, 0.5], [1.0, INF]), NotSorted, "beta contains non-finite entries"),
+    (([1.0, -0.5], [1.0, -0.5], [1.0, 0.5]), NotSorted, "alpha contains negative entries"),
+    (([-1.0, -0.5], [1.0, 0.5], [1.0, -0.5]), NotSorted, "beta contains negative entries"),
+    (([0.5, 1.0], [1.0, 0.5], [0.5, 1.0]), NotSorted, "beta is not descending"),
+    (([0.5, 1.0], [0.5, 1.0], [0.5, 1.0]), NotSorted, "alpha is not descending"),
+    # shape before values
+    (([NAN], [1.0, 0.5], [1.0, 0.5]), LengthMismatch, "tau has length 1, alpha has 2"),
+    (([1.0, 0.5], [[0.5, 1.0]], [-1.0, 0.5]), LengthMismatch, "alpha must be one-dimensional"),
+]
 
 
 def loop_report(tau, alpha, beta, slack=1e-9):
@@ -296,6 +374,38 @@ class TestProductInequalities:
         # a non-finite value has no subset sum to read the inequalities from
         with pytest.raises(NotSorted):
             check_product_inequalities([1.0, 0.5], [bad, 0.5], [1.0, 0.5])
+
+    @pytest.mark.parametrize("args, error, message", VALIDATION_FAILURES,
+                             ids=[f"{i}" for i in range(len(VALIDATION_FAILURES))])
+    def test_validation_messages(self, args, error, message):
+        # shape faults come first, row by row; then non-finite, negative and
+        # rising values, in that order, each naming the first row with it
+        with pytest.raises(SepHornError) as caught:
+            check_product_inequalities(*args)
+        assert type(caught.value) is error
+        assert str(caught.value) == message
+
+    def test_rise_within_tolerance_passes(self):
+        for length in (2, 5):
+            alpha = np.linspace(1.0, 0.5, length)
+            alpha[1] = alpha[0] + 3e-13
+            report = check_product_inequalities(alpha * alpha, alpha, alpha)
+            assert report.feasible and report.product_equality is True
+
+    def test_float_conversion_errors_pass_through(self):
+        for bad in ("ab", ["ab", 0.5]):
+            with pytest.raises(ValueError, match="could not convert string to float"):
+                check_product_inequalities([1.0, 0.5], bad, [1.0, 0.5])
+
+    def test_reports_match_recorded_digest(self):
+        # every report bit for bit, worst margin included, so that a changed
+        # summation order shows
+        digest = hashlib.sha256()
+        for tau, alpha, beta in digest_inputs():
+            report = check_product_inequalities(tau, alpha, beta)
+            digest.update(repr((report.feasible, report.worst_margin.hex(), report.violated,
+                                report.product_equality)).encode())
+        assert digest.hexdigest() == BATTERY_SHA256
 
 
 class TestFeasibility:
