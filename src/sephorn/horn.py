@@ -313,8 +313,10 @@ def check_product_inequalities(tau, alpha, beta, *, slack: float = HORN_SLACK) -
     """
     values, has_zero = _validated(tau, alpha, beta)
     length = values.shape[1]
-    zero = values == 0.0 if has_zero else None             # -0.0 too
-    logs = np.log(np.where(zero, 1.0, values) if has_zero else values)  # log 1 = 0, then masked
+    if has_zero:
+        zero = values == 0.0                               # -0.0 too
+        values = np.where(zero, 1.0, values)               # log 1 = 0, then masked
+    logs = np.log(values)
     eq = _product_equality(logs, has_zero, slack=slack)
     if length <= 1:
         return HornReport(feasible=True, worst_margin=np.inf, violated=(), product_equality=eq)
@@ -325,11 +327,11 @@ def check_product_inequalities(tau, alpha, beta, *, slack: float = HORN_SLACK) -
         sums[zero @ members > 0] = -np.inf                 # a subset holding a zero
     margins, beta_j, tau_k = sums.ravel().take(positions)  # alpha_i, beta_j, tau_k
     margins += beta_j
+    # an errstate on every call would add 1.3-2.2 us, 8-13% of a plain call at L = 4
     if has_zero:
         with np.errstate(invalid="ignore"):
-            margins -= tau_k
-        # nan is -inf - -inf: the left side vanishes, so the inequality holds
-        margins[np.isnan(margins)] = np.inf
+            margins -= tau_k                               # nan is -inf - -inf: the left
+        margins[np.isnan(margins)] = np.inf                # side vanishes, so it holds
     else:
         margins -= tau_k
     bad = (margins < -log1p(slack)).nonzero()[0]
@@ -347,7 +349,7 @@ def _product_equality(logs, has_zero: bool, *, slack: float) -> bool | None:
         return None
     log_alpha, log_beta, lhs = logs.sum(axis=1).tolist()
     rhs = log_alpha + log_beta
-    return abs(lhs - rhs) <= slack * max(1.0, abs(lhs), abs(rhs))
+    return bool(abs(lhs - rhs) <= slack * max(1.0, abs(lhs), abs(rhs)))
 
 
 def product_singulars_feasible(tau, alpha, beta, *, slack: float = HORN_SLACK) -> bool:

@@ -297,6 +297,12 @@ class TestProductInequalities:
         report = check_product_inequalities([1.0] * 3, [1.0] * 3, [1.0] * 3)
         assert report.feasible and report.product_equality is True
 
+    def test_numpy_slack_gives_plain_bools(self):
+        slack = np.float64(1e-9)
+        report = check_product_inequalities([1.0, 0.5], [1.0, 0.5], [1.0, 1.0], slack=slack)
+        assert report.product_equality is True
+        assert product_singulars_feasible([1.0, 0.5], [1.0, 0.5], [1.0, 1.0], slack=slack) is True
+
     def test_top_singular_violation(self):
         report = check_product_inequalities([2.0, 0.5], [1.0, 1.0], [1.0, 1.0])
         assert not report.feasible

@@ -2,7 +2,8 @@
 """Alternated benchmark pairs of two checkouts, judged by the claim rule.
 
 Runs ``pipebench/run.py --trace 0`` in checkout PARENT and in checkout
-CHANGE, one run each per pair, alternating which side runs first, and
+CHANGE, one run each per pair and each as long as the ``run_seconds`` of
+``BENCHMARK.json``, alternating which side runs first, and
 prints each run's end-to-end metrics as it ends.  Then, for each end-to-end
 metric that ``BENCHMARK.json`` declares, it prints each side's median and
 quartiles, how many pairs the change won (ties count for neither side) and
@@ -21,11 +22,11 @@ It also prints each side's failed share of the timed calls, and whether
 every run's ``correct`` held.  Run from the repository root, with two
 checkouts made by ``git clone`` or ``git archive``:
 
-    python3 tools/pairs.py ../parent . --workload horn --pairs 10 --seed 23 --seconds 8
+    python3 tools/pairs.py ../parent . --workload horn --pairs 10 --seed 23
 
-The bounds and directions come from the ``BENCHMARK.json`` of the CHANGE
-checkout; nothing under ``pipebench/`` is written by this script, though
-each run leaves its ``.pipebench_out/`` in its checkout.
+The run length, bounds and directions come from the ``BENCHMARK.json`` of
+the CHANGE checkout; nothing under ``pipebench/`` is written by this
+script, though each run leaves its ``.pipebench_out/`` in its checkout.
 """
 
 from __future__ import annotations
@@ -85,22 +86,22 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=8.0)
     args = parser.parse_args(argv)
 
-    spec = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
+    benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
+    spec, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
     runs = {"parent": [], "change": []}
     for pair in range(args.pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for side in order:
-            result = run(getattr(args, side), args.workload, args.seed, args.seconds)
+            result = run(getattr(args, side), args.workload, args.seed, seconds)
             runs[side].append(result)
             values = " ".join(f"{m['name']}={result['metrics'][m['name']]['value']:.6g}"
                               for m in spec)
             print(f"pair {pair} {side:6s} correct={result['correct']} "
                   f"failed={result['failed']}/{result['attempted']} {values}", flush=True)
 
-    print(f"\n{args.workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s")
+    print(f"\n{args.workload}, seed {args.seed}, {args.pairs} pairs of {seconds:g} s")
     print(f"{'metric':16s} {'parent median [q1, q3]':>34s} {'change median [q1, q3]':>34s}"
           f" {'change':>8s} {'wins':>6s} claim bound")
     for metric in spec:
