@@ -37,7 +37,6 @@ from .horn import (
     TripleSet,
     all_triples,
     check_product_inequalities,
-    partition_of,
     product_singulars_feasible,
     triple_set,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "normal_form",
     "p_zero",
     "partial_transpose_matrix",
-    "partition_of",
     "ppt_check",
     "product_singulars_feasible",
     "pure_state_simplex",

@@ -96,13 +96,13 @@ def _first_failure(rho: np.ndarray, per_matrix: np.ndarray, tol: float) -> tuple
     return (f"matrix {i}: " if rho.ndim == 3 else ""), float(per_matrix[i])
 
 
-def to_bloch(rho: np.ndarray, tol: float = STATE_TOL) -> np.ndarray:
+def to_bloch(rho: np.ndarray) -> np.ndarray:
     """Expectation values Tr[rho g_mu] of a trace-one Hermitian matrix.
 
     A stack of L matrices on the leading axis gives an (L, N^2 - 1) array.
-    The matrices are validated as by :func:`validate_state` with ``tol``.
+    The matrices are validated as by :func:`validate_state` at ``STATE_TOL``.
     """
-    rho = _validate_stack(rho, tol)
+    rho = _validate_stack(rho, STATE_TOL)
     n = rho.shape[-1]
     return np.real(rho.reshape(*rho.shape[:-2], n * n) @ _moment_rows(n)[1:].T)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import json
+import os
 import sys
 import traceback
 from math import isfinite
@@ -25,8 +26,7 @@ import numpy as np
 
 from . import fileio
 from .bipartite import decompose_state, normal_form
-from .config import (ENV_TOL, MAX_ITER, NORMAL_TOL, POSITIVITY_TOL, STATE_TOL,
-                     check_tol, default_positivity_tol)
+from .config import MAX_ITER, NORMAL_TOL, POSITIVITY_TOL, STATE_TOL, check_tol
 from .criteria import Status, Verdict, analyze, require_psd
 from .errors import BadParameter, FileFormatError, SepHornError
 from .horn import MAX_N, triple_set
@@ -37,6 +37,8 @@ EXIT_ENTANGLED = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_BAD_INPUT = 64
 EXIT_NUMERIC = 70
+
+ENV_TOL = "SEP_HORN_TOL"
 
 _STATUS_EXIT = {
     Status.SEPARABLE: EXIT_SEPARABLE,
@@ -69,10 +71,14 @@ def _positivity_tol(tol: float | None = None) -> float:
     else ``SEP_HORN_TOL``, else ``POSITIVITY_TOL``."""
     if tol is not None:
         return tol
+    raw = os.environ.get(ENV_TOL)
+    if raw is None:
+        return POSITIVITY_TOL
     try:
-        return _checked_tol(default_positivity_tol(), ENV_TOL)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+        value = float(raw)
+    except ValueError:
+        raise click.UsageError(f"{ENV_TOL} must be a float, got {raw!r}") from None
+    return _checked_tol(value, ENV_TOL)
 
 
 # ---------------------------------------------------------------------------

@@ -6,20 +6,15 @@ tolerance ``tol`` (default ``POSITIVITY_TOL``), which sets the psd and rank
 thresholds and raises the validation threshold ``STATE_TOL`` when larger,
 and the filtering budget ``max_iter`` (default ``MAX_ITER``), each checked
 by :func:`check_tol` and :func:`check_max_iter` wherever it is taken.  The
-other thresholds are fixed.  The environment variable ``SEP_HORN_TOL``
-overrides the default positivity tolerance (the CLI ``--tol`` flag takes
-precedence over the variable).
+other thresholds are fixed.
 """
 
 from __future__ import annotations
 
-import os
 from math import isfinite
 from numbers import Integral
 
 from .errors import BadParameter
-
-ENV_TOL = "SEP_HORN_TOL"
 
 POSITIVITY_TOL = 1e-9  # minimum-eigenvalue threshold for physicality; rank cutoff
 STATE_TOL = 1e-9       # trace-one / Hermiticity for density matrices (floor)
@@ -34,17 +29,6 @@ COMPONENT_PSD = 1e-8   # physicality of decomposition components
 TAKAGI_ORTHO = 1e-12   # Gram deviation of Wootters' Takagi vectors that takes a QR
 KYFAN_RANK = 1e-12     # singular value, relative to the largest, that the Ky Fan construction keeps
 DESCENDING_TOL = 1e-12 # rise between neighbours that a descending Horn sequence may show
-
-
-def default_positivity_tol() -> float:
-    """Default positivity tolerance, honoring ``SEP_HORN_TOL`` when set."""
-    raw = os.environ.get(ENV_TOL)
-    if raw is None:
-        return POSITIVITY_TOL
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValueError(f"{ENV_TOL} must be a float, got {raw!r}") from None
 
 
 def check_tol(value: float, name: str = "tol") -> None:

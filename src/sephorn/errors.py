@@ -11,7 +11,7 @@ class SepHornError(Exception):
 
 
 class BadParameter(SepHornError):
-    """A caller-chosen number (``tol``, ``max_iter``) lies outside its range."""
+    """A caller-chosen number (``tol``, ``max_iter``, ``sign``) lies outside its range."""
 
 
 # --- linear algebra ---------------------------------------------------------

@@ -16,8 +16,10 @@ product equality prod tau = prod alpha_i beta_i is additionally required.
 Each set is searched only where 2r <= n, and there only for J >= I: it is
 closed under swapping I and J, and the sets of cardinality r and n - r are
 images of each other under S -> S* = {n + 1 - x : x not in S}.  It is
-cached once as an array of subset indices, which the public tuples, the
-lower inequalities of the next search and the battery's table all read.
+cached once as an array of subset indices, which the public tuples and the
+battery's table read.  The search of cardinality r takes its lower
+inequalities, those of every cardinality p < r in 1..r, from the battery's
+table at length r, so ``subset_table`` is the one place that lays them out.
 
 Each side of an inequality is a subset sum of logs, and there are only 2^L
 subsets against T triples (T = 8 752 at L = 8), so the battery takes every
@@ -51,13 +53,6 @@ MAX_N = 12
 _BLOCK_ENTRIES = 1 << 16
 
 Triple = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
-
-
-def partition_of(indices) -> tuple[int, ...]:
-    """Weakly decreasing partition (i_r - r, ..., i_1 - 1) of an index set."""
-    seq = tuple(indices)
-    r = len(seq)
-    return tuple(seq[r - 1 - q] - (r - q) for q in range(r))
 
 
 @dataclass(frozen=True)
@@ -150,17 +145,14 @@ def _search(n: int, r: int) -> np.ndarray:
     (T, 3) int16 subset indices.
 
     The candidates are every pair I <= J with each K of the sum the identity
-    asks, numbered pair by pair.  The first stage tests them in blocks of
-    consecutive numbers against the inequalities of p <= 2, which reject
-    most failing candidates, and the second the pooled survivors against
-    the rest, each in blocks sized by the columns it tests.
+    asks, numbered pair by pair.  The lower inequalities are the columns of
+    the battery's ``subset_table(r)``, in its order: cardinality p ascending.
+    The first stage tests the candidates in blocks of consecutive numbers
+    against the columns of p <= 2, which reject most failing candidates, and
+    the second the pooled survivors against the rest, each in blocks sized
+    by the columns it tests.
     """
     rows = _subsets(n, r)[1]
-    sel_i, sel_j, sel_k, bound = _selectors(r)
-    # partial sums of every lower inequality, per subset; entries are at most
-    # r * MAX_N, so int16 holds them, their sums and their differences
-    part_i, part_j, part_k = rows @ sel_i, rows @ sel_j, rows @ sel_k
-    head = np.searchsorted(bound, 3, side="right")                # columns of p <= 2
     sums = rows.sum(axis=1, dtype=np.intp)
     # K by sum; the stable sort keeps equal sums in lexicographic order
     by_sum = np.argsort(sums, kind="stable")
@@ -176,10 +168,24 @@ def _search(n: int, r: int) -> np.ndarray:
     def candidates(t):
         q = np.searchsorted(ends, t, side="right")
         return pair_i[q], pair_j[q], by_sum[t + offset[q]]
+    if r == 1:                                                    # no lower inequality
+        return np.stack(candidates(np.arange(total)), axis=1).astype(np.int16)
+
+    members, positions, _ = subset_table(r)
+    masks = positions & ((1 << r) - 1)                            # (3, T) bitmasks of F, G, H
+    # partial sums of every lower inequality, per subset; entries are at most
+    # r * MAX_N, so int16 holds them, their sums and their differences
+    table = rows @ members.astype(np.int16)
+    # take keeps the rows C-ordered, where table[:, side] would not, which
+    # made the row gathers below half as fast
+    part_i, part_j, part_k = (table.take(side, axis=1) for side in masks)
+    p = members.sum(axis=0, dtype=np.int16)[masks[0]]             # each column's cardinality p
+    bound = p * (p + 1) // 2
+    head = np.searchsorted(bound, 3, side="right")                # columns of p <= 2
     # a flag per candidate, so that the survivors pool in one array; their
     # numbers fit int32 (total is 3.7 million at n = 12, r = 6)
     first = np.empty(total, dtype=bool)
-    block = _BLOCK_ENTRIES // max(head, 1)
+    block = _BLOCK_ENTRIES // head
     for start in range(0, total, block):
         i, j, k = candidates(np.arange(start, min(start + block, total)))
         first[start:start + block] = (part_i[i, :head] + part_j[j, :head] - part_k[k, :head]
@@ -192,27 +198,6 @@ def _search(n: int, r: int) -> np.ndarray:
         rest[start:start + block] = (part_i[i, head:] + part_j[j, head:] - part_k[k, head:]
                                      <= bound[head:]).all(axis=1)
     return np.stack(candidates(survivors[rest]), axis=1).astype(np.int16)
-
-
-@lru_cache(maxsize=None)
-def _selectors(r: int):
-    """The admissible (F, G, H) of every cardinality p < r in 1..r as 0/1
-    position selectors ``sel_i``, ``sel_j``, ``sel_k`` of shape (r, T), one
-    column per triple, and the bound p(p+1)/2 of each column, which rises
-    with p."""
-    sets = [_index_triples(r, p) for p in range(1, r)]
-    total = sum(len(index) for index in sets)
-    sel = np.zeros((3, r, total), dtype=np.int16)
-    bound = np.empty(total, dtype=np.int16)
-    col = 0
-    for p, index in enumerate(sets, start=1):
-        rows = _subsets(r, p)[1].astype(np.intp) - 1
-        cols = np.arange(col, col + len(index))[:, None]
-        for side in range(3):
-            sel[side, rows[index[:, side]], cols] = 1
-        bound[col:col + len(index)] = p * (p + 1) // 2
-        col += len(index)
-    return sel[0], sel[1], sel[2], bound
 
 
 def all_triples(n: int) -> tuple[TripleSet, ...]:
@@ -232,7 +217,9 @@ def subset_table(n: int):
     holds every subset sum of each row.  ``positions`` is the (3, T) array
     of s * 2^n + (bitmask of side s of triple t): the places of I, J and K
     of ``triples[t]`` in that (3, 2^n) table, flattened.  ``triples`` is
-    the flat tuple of ``all_triples(n)`` in order.
+    the flat tuple of ``all_triples(n)`` in order.  The columns run by
+    cardinality, then lexicographically; ``_search`` of cardinality n reads
+    them as its lower inequalities.
     """
     sets = all_triples(n)
     masks = np.concatenate([_masks(_subsets(n, r)[1])[_index_triples(n, r)]
@@ -264,6 +251,9 @@ class HornReport:
 
 
 _NAMES = ("alpha", "beta", "tau")
+
+# the smallest log-domain margin that passes: the relative slack HORN_SLACK
+_MARGIN_FLOOR = -log1p(HORN_SLACK)
 
 
 def _validated(tau, alpha, beta) -> tuple[np.ndarray, bool]:
@@ -298,13 +288,13 @@ def _first_row(mask: np.ndarray) -> str:
     return _NAMES[int(np.argmax(mask.any(axis=1)))]
 
 
-def check_product_inequalities(tau, alpha, beta, *, slack: float = HORN_SLACK) -> HornReport:
+def check_product_inequalities(tau, alpha, beta) -> HornReport:
     """Evaluate every multiplicative inequality for the given singular values.
 
     All three sequences must be finite, descending, non-negative and of one
     common length L, which one test on their (3, L) stack checks.
-    Inequalities are compared in the log domain with a relative slack;
-    equalities count as satisfied.  One product with the cached
+    Inequalities are compared in the log domain with the relative slack
+    ``HORN_SLACK``; equalities count as satisfied.  One product with the cached
     ``subset_table(L)`` gives the log-sum of every subset of alpha, beta and
     tau, -inf for one holding a zero (masked only when a value is zero), and
     one gather by position reads both sides of all T inequalities, so a call
@@ -317,7 +307,7 @@ def check_product_inequalities(tau, alpha, beta, *, slack: float = HORN_SLACK) -
         zero = values == 0.0                               # -0.0 too
         values = np.where(zero, 1.0, values)               # log 1 = 0, then masked
     logs = np.log(values)
-    eq = _product_equality(logs, has_zero, slack=slack)
+    eq = _product_equality(logs, has_zero)
     if length <= 1:
         return HornReport(feasible=True, worst_margin=np.inf, violated=(), product_equality=eq)
 
@@ -334,13 +324,13 @@ def check_product_inequalities(tau, alpha, beta, *, slack: float = HORN_SLACK) -
         margins[np.isnan(margins)] = np.inf                # side vanishes, so it holds
     else:
         margins -= tau_k
-    bad = (margins < -log1p(slack)).nonzero()[0]
+    bad = (margins < _MARGIN_FLOOR).nonzero()[0]
     violated = tuple(map(triples.__getitem__, bad.tolist()))
     return HornReport(feasible=not violated, worst_margin=float(margins.min()),
                       violated=violated, product_equality=eq)
 
 
-def _product_equality(logs, has_zero: bool, *, slack: float) -> bool | None:
+def _product_equality(logs, has_zero: bool) -> bool | None:
     """The determinant identity on the (3, L) logs of alpha, beta and tau,
     None when a value vanishes."""
     if logs.shape[1] == 0:
@@ -349,10 +339,10 @@ def _product_equality(logs, has_zero: bool, *, slack: float) -> bool | None:
         return None
     log_alpha, log_beta, lhs = logs.sum(axis=1).tolist()
     rhs = log_alpha + log_beta
-    return bool(abs(lhs - rhs) <= slack * max(1.0, abs(lhs), abs(rhs)))
+    return abs(lhs - rhs) <= HORN_SLACK * max(1.0, abs(lhs), abs(rhs))
 
 
-def product_singulars_feasible(tau, alpha, beta, *, slack: float = HORN_SLACK) -> bool:
+def product_singulars_feasible(tau, alpha, beta) -> bool:
     """Whether tau can be the singular values of D_alpha Q D_beta.
 
     True when every multiplicative inequality holds and, for strictly
@@ -361,7 +351,7 @@ def product_singulars_feasible(tau, alpha, beta, *, slack: float = HORN_SLACK) -
     rules the triple out).  Zeros in alpha or beta fall back to the
     one-sided inequality bounds.
     """
-    report = check_product_inequalities(tau, alpha, beta, slack=slack)
+    report = check_product_inequalities(tau, alpha, beta)
     if not report.feasible:
         return False
     if report.product_equality is not None:

@@ -6,7 +6,7 @@ import numpy as np
 
 from .bipartite import BipartiteDecomposed, decompose_state
 from .config import POSITIVITY_TOL
-from .errors import DimensionTooSmall, NotPSD, OutOfPositivityRange
+from .errors import BadParameter, DimensionTooSmall, NotPSD, OutOfPositivityRange
 from .su import generator_basis
 
 
@@ -79,7 +79,7 @@ def p_zero(p: float, sign: int = +1) -> BipartiteDecomposed:
     if not 0.0 <= p <= 1.0:
         raise OutOfPositivityRange(f"p must lie in [0, 1], got {p}")
     if sign not in (+1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
+        raise BadParameter(f"sign must be +1 or -1, got {sign}")
     psi = np.array([0.0, 1.0, sign, 0.0]) / np.sqrt(2.0)
     rho = p * np.outer(psi, psi) + (1.0 - p) * np.diag([1.0, 0.0, 0.0, 0.0])
     return decompose_state(rho.astype(complex), 2, 2)

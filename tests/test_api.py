@@ -73,3 +73,12 @@ def test_analyze_keywords_are_pinned():
     assert [p.name for p in params if p.kind is p.KEYWORD_ONLY] == ["tol", "max_iter"]
     assert [p.name for p in params if p.kind is not p.KEYWORD_ONLY] == [
         "rho", "dim_a", "dim_b"]
+
+
+def test_trimmed_signatures_are_pinned():
+    # the Horn slack is config.HORN_SLACK and to_bloch validates at
+    # config.STATE_TOL; neither takes a keyword
+    for func, names in [(sephorn.check_product_inequalities, ["tau", "alpha", "beta"]),
+                        (sephorn.product_singulars_feasible, ["tau", "alpha", "beta"]),
+                        (sephorn.to_bloch, ["rho"])]:
+        assert list(inspect.signature(func).parameters) == names, func.__name__

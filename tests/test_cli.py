@@ -487,19 +487,6 @@ class TestEnvTolerance:
         assert "SEP_HORN_TOL must be" in err
         assert [p.name for p in tmp_path.iterdir()] == ["mixed.state.json"]
 
-    def test_env_overrides_default(self, monkeypatch):
-        from sephorn.config import default_positivity_tol
-        monkeypatch.setenv("SEP_HORN_TOL", "1e-6")
-        assert default_positivity_tol() == 1e-6
-        monkeypatch.delenv("SEP_HORN_TOL")
-        assert default_positivity_tol() == 1e-9
-
-    def test_env_must_be_float(self, monkeypatch):
-        from sephorn.config import default_positivity_tol
-        monkeypatch.setenv("SEP_HORN_TOL", "tight")
-        with pytest.raises(ValueError):
-            default_positivity_tol()
-
 
 def criterion_names(out):
     return [c["name"] for c in json.loads(out)["criteria"]]

@@ -4,7 +4,7 @@ import pytest
 from helpers import random_density
 from sephorn.bipartite import compose_state, decompose_state, local_ranks, partial_transpose_matrix
 from sephorn.decompose import pure_state_simplex, werner_decompose
-from sephorn.errors import DimensionTooSmall, NotPSD, OutOfPositivityRange
+from sephorn.errors import BadParameter, DimensionTooSmall, NotPSD, OutOfPositivityRange
 from sephorn.states import bell, isotropic, p_zero, werner
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -120,7 +120,7 @@ class TestPZero:
     def test_range_check(self):
         with pytest.raises(OutOfPositivityRange):
             p_zero(1.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(BadParameter):
             p_zero(0.5, sign=2)
 
 
