@@ -10,6 +10,7 @@ from sephorn.bloch import (
     to_bloch,
     validate_state,
 )
+from sephorn.config import STATE_TOL
 from sephorn.errors import DimensionMismatch, NotAState
 
 
@@ -53,6 +54,13 @@ def test_to_bloch_rejects_non_states():
         to_bloch(np.eye(2))  # trace 2
     with pytest.raises(NotAState):
         to_bloch(np.array([[0.5, 0.5], [0.0, 0.5]]))  # not Hermitian
+
+
+def test_to_bloch_validates_at_state_tol():
+    rho = np.diag([0.5, 0.5]).astype(complex)
+    to_bloch(rho + 0.5 * STATE_TOL * np.diag([1.0, 0.0]))
+    with pytest.raises(NotAState, match="trace deviates"):
+        to_bloch(rho + 2.0 * STATE_TOL * np.diag([1.0, 0.0]))
 
 
 def test_stacks_match_single_matrices():

@@ -2,6 +2,7 @@ import concurrent.futures
 import hashlib
 import json
 
+import click
 import numpy as np
 import pytest
 
@@ -486,6 +487,18 @@ class TestEnvTolerance:
         assert code == 64 and out == ""
         assert "SEP_HORN_TOL must be" in err
         assert [p.name for p in tmp_path.iterdir()] == ["mixed.state.json"]
+
+    def test_env_overrides_default(self, monkeypatch):
+        monkeypatch.setenv("SEP_HORN_TOL", "1e-6")
+        assert cli._positivity_tol() == 1e-6
+        assert cli._positivity_tol(1e-3) == 1e-3               # --tol takes precedence
+        monkeypatch.delenv("SEP_HORN_TOL")
+        assert cli._positivity_tol() == 1e-9
+
+    def test_env_must_be_float(self, monkeypatch):
+        monkeypatch.setenv("SEP_HORN_TOL", "tight")
+        with pytest.raises(click.UsageError, match="SEP_HORN_TOL must be a float, got 'tight'"):
+            cli._positivity_tol()
 
 
 def criterion_names(out):

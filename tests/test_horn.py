@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import batch_min_margin, loop_triple_set, random_orthogonal
+from sephorn.config import HORN_SLACK
 from sephorn.errors import (BadCardinality, LengthMismatch, NotSorted, SepHornError,
                             TripleCapExceeded)
 from sephorn.horn import (
@@ -276,6 +277,22 @@ class TestProductInequalities:
     def test_bell_like_all_ones(self):
         report = check_product_inequalities([1.0] * 3, [1.0] * 3, [1.0] * 3)
         assert report.feasible and report.product_equality is True
+
+    def test_numpy_inputs_give_plain_bools(self):
+        seq = np.array([1.0, 0.5], dtype=np.float64)
+        report = check_product_inequalities(seq, seq, np.ones(2))
+        assert report.product_equality is True and report.feasible is True
+        assert product_singulars_feasible(seq, seq, np.ones(2)) is True
+
+    def test_slack_is_horn_slack(self):
+        # tau_1 <= alpha_1 beta_1 and the determinant identity both hold up
+        # to a relative HORN_SLACK, and fail beyond it
+        for excess, holds in [(0.5, True), (2.0, False)]:
+            tau = [1.0 + excess * HORN_SLACK, 1.0]
+            report = check_product_inequalities(tau, [1.0, 1.0], [1.0, 1.0])
+            assert report.feasible is holds and report.product_equality is holds
+            assert ((((1,), (1,), (1,)) in report.violated) is not holds)
+            assert product_singulars_feasible(tau, [1.0, 1.0], [1.0, 1.0]) is holds
 
     def test_top_singular_violation(self):
         report = check_product_inequalities([2.0, 0.5], [1.0, 1.0], [1.0, 1.0])
