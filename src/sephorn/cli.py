@@ -8,12 +8,13 @@ take the positivity tolerance ``analyze --tol``, else ``SEP_HORN_TOL``, else
 ``POSITIVITY_TOL``; a tolerance that is not finite and >= 0 is bad usage.
 ``analyze --report structured`` prints strict JSON: a criterion margin
 that is not finite, such as the infinite residual of a decomposition that
-fails verification as malformed, is written as ``null``.
+fails verification as malformed, is written as ``null``.  ``analyze``
+reads its files in argument order, one after another in one process, and
+prints no report when any of them fails.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import os
 import sys
@@ -139,27 +140,18 @@ def _analyze_one(path: str, tol: float, max_iter: int):
               show_default=True, help="Normal-form filtering budget.")
 @click.option("--report", type=click.Choice(["text", "structured"]),
               default="text", show_default=True)
-@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
-              help="Parallel workers for multi-file analysis.")
-def cmd_analyze(paths, tol, max_iter, report, jobs):
+def cmd_analyze(paths, tol, max_iter, report):
     """Analyze state files; writes a decomposition next to separable inputs.
 
-    With several PATHS the exit code is the worst (maximum) per-file code.
+    The files are analyzed in argument order in this one process, and the
+    reports are printed only once every file has been analyzed, so a file
+    that fails leaves no report printed.  With several PATHS the exit code
+    is the worst (maximum) per-file code.
     """
     tol = _positivity_tol(tol)
-    results = {}
-    if jobs > 1 and len(paths) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(paths))) as pool:
-            futures = {pool.submit(_analyze_one, p, tol, max_iter): p
-                       for p in paths}
-            for fut in concurrent.futures.as_completed(futures):
-                results[futures[fut]] = fut.result()
-    else:
-        for p in paths:
-            results[p] = _analyze_one(p, tol, max_iter)
+    results = [_analyze_one(p, tol, max_iter) for p in paths]
     code = 0
-    for p in paths:
-        verdict, dec_file = results[p]
+    for p, (verdict, dec_file) in zip(paths, results):
         click.echo(_verdict_report(p, verdict, dec_file, report == "structured"))
         code = max(code, _STATUS_EXIT[verdict.status])
     return code
@@ -240,25 +232,14 @@ def cmd_normal_form(path, out, max_iter, tol):
     d = decompose_state(rho, dims[0], dims[1], tol=max(STATE_TOL, ptol))
     require_psd(d, ptol)
     result = normal_form(d, max_iter=max_iter, tol=tol, rank_tol=ptol)
-    filtered = result.state.matrix
     out_path = Path(out) if out else Path(str(Path(path).with_suffix("")) + ".normal.json")
-    out_path.write_text(fileio.state_to_text(filtered, dims))
+    out_path.write_text(fileio.state_to_text(result.state.matrix, dims))
     click.echo(f"filtered state written to {out_path}")
     click.echo(f"converged: {result.converged}")
     click.echo(f"iterations: {result.iterations}")
     click.echo(f"marginal norms: |a|={np.linalg.norm(result.state.a):.3e} "
                f"|b|={np.linalg.norm(result.state.b):.3e}")
-    if dims == (2, 2) and not result.converged:
-        click.echo(f"best Bell fidelity of filtered state: "
-                   f"{_best_bell_fidelity(filtered):.6f}")
     return 0
-
-
-def _best_bell_fidelity(rho: np.ndarray) -> float:
-    isq = 1.0 / np.sqrt(2.0)
-    kets = [np.array([isq, 0, 0, isq]), np.array([isq, 0, 0, -isq]),
-            np.array([0, isq, isq, 0]), np.array([0, isq, -isq, 0])]
-    return max(float(np.real(k.conj() @ rho @ k)) for k in kets)
 
 
 # ---------------------------------------------------------------------------
