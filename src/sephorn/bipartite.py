@@ -24,12 +24,13 @@ projection or a normal-form filter, is one conjugation of R (:func:`_filtered`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from math import hypot
 from numbers import Integral
 
 import numpy as np
 
-from .bloch import _moment_columns, _moment_rows, ball_floor, from_bloch, validate_state
+from .bloch import _ball_slope, _moment_columns, _moment_rows, from_bloch, validate_state
 from .config import (MAX_ITER, NORMAL_TOL, POSITIVITY_TOL, SCALING_RATE, STATE_TOL,
                      check_max_iter, check_tol)
 from .errors import DimensionMismatch, NotAState, NotFullRank
@@ -112,8 +113,20 @@ class NormalFormResult:
 
 def partial_transpose_matrix(rho: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
     """Matrix-level (1 x T) partial transposition on the second factor."""
-    r4 = np.asarray(rho).reshape(dim_a, dim_b, dim_a, dim_b)
-    return r4.transpose(0, 3, 2, 1).reshape(dim_a * dim_b, dim_a * dim_b)
+    size = dim_a * dim_b
+    return np.asarray(rho).reshape(size, size).take(
+        _rearranged((dim_a, dim_b, dim_a, dim_b), (0, 3, 2, 1)))
+
+
+@lru_cache(maxsize=None)
+def _rearranged(shape: tuple[int, ...], axes: tuple[int, ...]) -> np.ndarray:
+    """Read-only flat indices that rearrange a matrix in one ``take``:
+    ``x.take`` of them is ``x.reshape(shape)`` with its axes permuted by
+    ``axes``, as a matrix of the first two axes by the last two."""
+    index = np.arange(np.prod(shape)).reshape(shape).transpose(axes)
+    out = index.reshape(index.shape[0] * index.shape[1], -1)
+    out.setflags(write=False)
+    return out
 
 
 def decompose_state(rho: np.ndarray, dim_a: int, dim_b: int,
@@ -122,9 +135,18 @@ def decompose_state(rho: np.ndarray, dim_a: int, dim_b: int,
 
     The record keeps a read-only copy of the matrix as ``matrix``.
     Dimensions that are not integers >= 1, bools included, raise
-    :class:`DimensionMismatch`.
+    :class:`DimensionMismatch`.  It is :func:`_validated` then
+    :func:`_record`, the two steps :func:`~sephorn.criteria.analyze` takes
+    on either side of its matrix questions.
     """
-    if not all(isinstance(dim, Integral) and not isinstance(dim, bool) and dim >= 1
+    return _record(_validated(rho, dim_a, dim_b, tol), dim_a, dim_b)
+
+
+def _validated(rho: np.ndarray, dim_a: int, dim_b: int, tol: float) -> np.ndarray:
+    """``rho`` as a complex matrix, checked by :func:`~sephorn.bloch.validate_state`
+    at ``tol`` after its dimensions and before its size."""
+    # int first: the Integral check alone goes through the ABC machinery
+    if not all(isinstance(dim, (int, Integral)) and not isinstance(dim, bool) and dim >= 1
                for dim in (dim_a, dim_b)):
         raise DimensionMismatch(f"dimensions must be integers >= 1, got {dim_a!r} x {dim_b!r}")
     rho = validate_state(rho, tol)
@@ -132,9 +154,16 @@ def decompose_state(rho: np.ndarray, dim_a: int, dim_b: int,
         raise DimensionMismatch(
             f"matrix of size {rho.shape[0]} does not factor as {dim_a} x {dim_b}"
         )
+    return rho
+
+
+def _record(rho: np.ndarray, dim_a: int, dim_b: int,
+            spectrum: tuple[np.ndarray, np.ndarray] | None = None) -> BipartiteDecomposed:
+    """The record of a validated matrix, seeded with a read-only copy of it,
+    the moments and the realigned matrix they were read off, and, when
+    given, its eigendecomposition ``spectrum``, made read-only."""
     # R[(i, j), (a, b)] = rho[ia, jb]
-    realigned = (rho.reshape(dim_a, dim_b, dim_a, dim_b).transpose(0, 2, 1, 3)
-                 .reshape(dim_a * dim_a, dim_b * dim_b))
+    realigned = rho.take(_rearranged((dim_a, dim_b, dim_a, dim_b), (0, 2, 1, 3)))
     moments = _moments(realigned, dim_a, dim_b)
     moments[0, 0] = 1.0
     d = BipartiteDecomposed(dim_a=dim_a, dim_b=dim_b, a=moments[1:, 0],
@@ -142,6 +171,8 @@ def decompose_state(rho: np.ndarray, dim_a: int, dim_b: int,
     # seed the memoized matrices with the ones the data came from
     d.__dict__["matrix"], d.__dict__["moments"], d.__dict__["realigned"] = _read_only(
         (rho.copy(), moments, realigned))
+    if spectrum is not None:
+        d.__dict__["spectrum"] = _read_only(spectrum)
     return d
 
 
@@ -164,27 +195,34 @@ def compose_state(d: BipartiteDecomposed) -> np.ndarray:
     """The density matrix of a record (inverse of :func:`decompose_state`)
     as a new array: ``d.realigned`` rearranged."""
     n, m = d.dim_a, d.dim_b
-    return np.array(d.realigned.reshape(n, n, m, m).transpose(0, 2, 1, 3)).reshape(n * m, n * m)
+    return d.realigned.take(_rearranged((n, n, m, m), (0, 2, 1, 3)))
 
 
 def local_ranks(d: BipartiteDecomposed, tol: float = POSITIVITY_TOL) -> tuple[int, int]:
     """Ranks of the two reduced matrices (eigenvalue threshold ``tol``).
 
-    A side whose :func:`~sephorn.bloch.ball_floor` exceeds ``tol`` has full
-    rank, with no eigensolve.  That decides every qubit side whose lowest
-    eigenvalue exceeds ``tol``, since the floor is that eigenvalue at
-    N = 2, and every side inside the inscribed ball.  Any other side counts
+    A side whose :func:`~sephorn.bloch.ball_floor`, read in Python floats,
+    exceeds ``tol`` has full rank, with no eigensolve.  That decides every
+    qubit side whose lowest eigenvalue exceeds ``tol``, since the floor is
+    that eigenvalue at N = 2, and every side inside the inscribed ball.  The
+    Python floor can differ from the numpy one in the last bit, which no
+    decision reads.  Any other side counts
     the eigenvalues above ``tol`` of its memoized eigendecomposition, which
     :func:`support_isometries` then reuses.  A ``tol`` that is not finite
     and >= 0 raises :class:`BadParameter`, here and in every function of
     this module that takes one.
     """
     check_tol(tol)
-    rank_a = (d.dim_a if ball_floor(d.a, d.dim_a) > tol
+    rank_a = (d.dim_a if _floor(d.a, d.dim_a) > tol
               else int(np.sum(d.marginal_eigh_a[0] > tol)))
-    rank_b = (d.dim_b if ball_floor(d.b, d.dim_b) > tol
+    rank_b = (d.dim_b if _floor(d.b, d.dim_b) > tol
               else int(np.sum(d.marginal_eigh_b[0] > tol)))
     return rank_a, rank_b
+
+
+def _floor(vec: np.ndarray, dim: int) -> float:
+    """:func:`~sephorn.bloch.ball_floor` of one Bloch vector, in Python floats."""
+    return 1.0 / dim - hypot(*vec.tolist()) * _ball_slope(dim)
 
 
 def support_isometries(d: BipartiteDecomposed, tol: float = POSITIVITY_TOL):

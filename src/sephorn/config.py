@@ -41,6 +41,7 @@ def check_tol(value: float, name: str = "tol") -> None:
 def check_max_iter(max_iter: int) -> None:
     """Raise :class:`BadParameter` unless ``max_iter`` is an integer >= 0,
     not a bool."""
-    if not (isinstance(max_iter, Integral) and not isinstance(max_iter, bool)
+    # int first: the Integral check alone goes through the ABC machinery
+    if not (isinstance(max_iter, (int, Integral)) and not isinstance(max_iter, bool)
             and max_iter >= 0):
         raise BadParameter(f"max_iter must be an integer >= 0, got {max_iter}")

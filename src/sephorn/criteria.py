@@ -7,8 +7,11 @@ decompositions, recognised in any local frame, into a single pipeline with
 three honest outcomes: ``SEPARABLE`` (always carrying a verified
 decomposition), ``ENTANGLED`` (always carrying a violated necessary
 criterion) and ``INCONCLUSIVE``.  Each question is asked of the earliest
-record that answers it.  Partial transposition is tested once, on the
+record that answers it, and the matrix questions of the validated matrix
+itself: positivity, then partial transposition, tested once, on the
 input, since a support projection only compresses the partial transpose.
+Only a PPT state gets a Bloch record, so an NPT verdict pays for no
+moments, realigned matrix or marginal.
 A PPT state is projected onto its local supports while a marginal is
 rank-deficient, and then runs one ordered tuple of stages, ``_TWO_QUBIT``
 (Wootters' decomposition) or ``_FULL_RANK``, in the one loop of
@@ -35,12 +38,14 @@ filtered or not.  The constructive bound and its slack come from
 norm in :func:`~sephorn.decompose.kyfan_bound_decomposition` alone, whose
 BoundExceeded carries the excess that a failed ``kyfan-sufficient`` logs.
 
-The criteria read what a :class:`BipartiteDecomposed` record computes
-once: the eigenvalues of the partial transpose of ``d.matrix``, the one
-singular value decomposition ``d.corr_svd`` that the norm bounds and the
-family recogniser share on the filtered record, and the moment matrix
-``d.moments`` that verification subtracts from the decomposition's own in
-one step.  Positivity is read from a Bloch norm
+The stages read what a :class:`BipartiteDecomposed` record computes
+once: the one singular value decomposition ``d.corr_svd`` that the norm
+bounds and the family recogniser share on the filtered record, and the
+moment matrix ``d.moments`` that verification subtracts from the
+decomposition's own in one step.  :func:`ppt_check` and
+:func:`require_psd` ask their questions of a record's ``d.matrix``
+through the code :func:`analyze` runs on the validated matrix.
+Positivity is read from a Bloch norm
 (:func:`~sephorn.bloch.ball_floor`) or certified by a Cholesky
 factorisation (:func:`~sephorn.linalg.certify_psd`) before any eigenvalue
 is computed; see :func:`verify_decomposition` and :func:`require_psd`.
@@ -56,9 +61,10 @@ import numpy as np
 
 from .bipartite import (
     BipartiteDecomposed,
-    _marginal_norm,
     _filtered,
-    decompose_state,
+    _marginal_norm,
+    _record,
+    _validated,
     local_ranks,
     normal_form,
     partial_transpose_matrix,
@@ -139,11 +145,16 @@ def ppt_check(d: BipartiteDecomposed, *, tol: float = POSITIVITY_TOL) -> Criteri
     The ``ppt`` criterion passes when the lowest eigenvalue is at least
     -``tol``; its margin is minus that eigenvalue when it is negative, else
     0, and its detail gives the eigenvalue.  ``tol`` is checked as in
-    :func:`analyze`.
+    :func:`analyze`, which asks the same question of the validated matrix
+    before any record exists.
     """
     check_tol(tol)
-    rho_pt = partial_transpose_matrix(d.matrix, d.dim_a, d.dim_b)
-    low = float(np.linalg.eigvalsh(rho_pt)[0])
+    return _ppt(d.matrix, d.dim_a, d.dim_b, tol)
+
+
+def _ppt(rho: np.ndarray, dim_a: int, dim_b: int, tol: float) -> CriterionResult:
+    """:func:`ppt_check` of a validated matrix."""
+    low = float(np.linalg.eigvalsh(partial_transpose_matrix(rho, dim_a, dim_b))[0])
     return CriterionResult("ppt", low >= -tol, max(0.0, -low), f"min eigenvalue {low:.3e}")
 
 
@@ -295,12 +306,6 @@ def _trivial_factor(call: _Call) -> Verdict | None:
     d = call.d
     dec = SeparableDecomposition(np.ones(1), d.a.reshape(1, -1).copy(), d.b.reshape(1, -1).copy())
     return call.verified(dec, "trivial-factor")
-
-
-def _ppt(call: _Call) -> Status | None:
-    check = ppt_check(call.d, tol=call.tol)
-    call.log.append(check)
-    return None if check.passed else Status.ENTANGLED
 
 
 def _wootters(call: _Call) -> Verdict | None:
@@ -474,41 +479,29 @@ def analyze(rho: np.ndarray, dim_a: int, dim_b: int, *, tol: float = POSITIVITY_
     carried by the support isometries times the inverse filters to the
     input and verified there once, as ``decomposition[<construction>]``.
 
-    Positivity of rho is checked by :func:`require_psd`.  ``tol`` is the
-    psd threshold of rho and of its partial transpose and the local-rank
-    cutoff; Hermiticity and unit trace are validated to
-    ``max(STATE_TOL, tol)``.  ``max_iter`` bounds the filtering sweeps.  A
-    ``tol`` that is not finite and >= 0, or a ``max_iter`` that is not an
-    integer >= 0, raises :class:`BadParameter`; a marginal with no
-    eigenvalue above ``tol`` raises :class:`NotFullRank`.
+    The matrix questions come first, asked of the validated matrix before
+    any Bloch record is built: positivity, as :func:`require_psd` asks it
+    (at 2 x 2 from the eigendecomposition that Wootters' frame reuses), then
+    the ``ppt`` criterion, as :func:`ppt_check` asks it.  An NPT state is
+    ENTANGLED there, with no record.  Only a PPT state gets its record,
+    moments and realigned matrix, seeded with the matrix and, at 2 x 2,
+    with that eigendecomposition.  ``tol`` is the psd threshold of rho and
+    of its partial transpose and the local-rank cutoff; Hermiticity and
+    unit trace are validated to ``max(STATE_TOL, tol)``.  ``max_iter``
+    bounds the filtering sweeps.  A ``tol`` that is not finite and >= 0,
+    or a ``max_iter`` that is not an integer >= 0, raises
+    :class:`BadParameter`; a marginal with no eigenvalue above ``tol``
+    raises :class:`NotFullRank`.
     """
     check_tol(tol)
     check_max_iter(max_iter)
-    d = decompose_state(rho, dim_a, dim_b, tol=max(STATE_TOL, tol))
-    require_psd(d, tol)
-    return _analyze_decomposed(d, tol=tol, max_iter=max_iter)
-
-
-def require_psd(d: BipartiteDecomposed, tol: float = POSITIVITY_TOL) -> None:
-    """Raise :class:`NotPSD` unless every eigenvalue of ``d.matrix`` is at
-    least -``tol``.  At 2 x 2 the lowest eigenvalue is read from the
-    memoized spectrum, which Wootters' frame reuses; above 2 x 2
-    :func:`~sephorn.linalg.certify_psd` factorises, and eigensolves only
-    when that fails, so that the error reports the exact lowest eigenvalue.
-    ``tol`` is checked as in :func:`analyze`."""
-    check_tol(tol)
-    if (d.dim_a, d.dim_b) == (2, 2):
-        low = float(d.spectrum[0][0])
-    else:
-        low = certify_psd(d.matrix, tol)
-    if low is not None and not low >= -tol:
-        raise NotPSD(f"input has minimum eigenvalue {low:.3e}")
-
-
-def _analyze_decomposed(d: BipartiteDecomposed, *, tol: float, max_iter: int) -> Verdict:
-    call = _Call(d, tol, max_iter)
-    if _ppt(call):
-        return Verdict(status=Status.ENTANGLED, criteria=tuple(call.log))
+    rho = _validated(rho, dim_a, dim_b, max(STATE_TOL, tol))
+    spectrum = np.linalg.eigh(rho) if (dim_a, dim_b) == (2, 2) else None
+    _require_psd(rho, tol, spectrum)
+    ppt = _ppt(rho, dim_a, dim_b, tol)
+    if not ppt.passed:
+        return Verdict(status=Status.ENTANGLED, criteria=(ppt,))
+    call = _Call(_record(rho, dim_a, dim_b, spectrum), tol, max_iter, [ppt])
     while (ranks := local_ranks(call.d, tol=tol)) != (call.d.dim_a, call.d.dim_b):
         if 0 in ranks:
             raise NotFullRank(f"marginal {'AB'[ranks.index(0)]} has no eigenvalue "
@@ -523,3 +516,24 @@ def _analyze_decomposed(d: BipartiteDecomposed, *, tol: float, max_iter: int) ->
         call.lift = (va, vb) if call.lift is None else (call.lift[0] @ va, call.lift[1] @ vb)
         call.d = _filtered(call.d, va.conj().T, vb.conj().T)
     return call.run(_TWO_QUBIT if ranks == (2, 2) else _FULL_RANK)
+
+
+def require_psd(d: BipartiteDecomposed, tol: float = POSITIVITY_TOL) -> None:
+    """Raise :class:`NotPSD` unless every eigenvalue of ``d.matrix`` is at
+    least -``tol``.  At 2 x 2 the lowest eigenvalue is read from the
+    memoized spectrum, which Wootters' frame reuses; above 2 x 2
+    :func:`~sephorn.linalg.certify_psd` factorises, and eigensolves only
+    when that fails, so that the error reports the exact lowest eigenvalue.
+    ``tol`` is checked as in :func:`analyze`, which asks the same question
+    of the validated matrix before any record exists."""
+    check_tol(tol)
+    _require_psd(d.matrix, tol, d.spectrum if (d.dim_a, d.dim_b) == (2, 2) else None)
+
+
+def _require_psd(rho: np.ndarray, tol: float,
+                 spectrum: tuple[np.ndarray, np.ndarray] | None) -> None:
+    """:func:`require_psd` of a validated matrix, whose eigendecomposition
+    ``spectrum`` is given at 2 x 2 and None above."""
+    low = certify_psd(rho, tol) if spectrum is None else float(spectrum[0][0])
+    if low is not None and not low >= -tol:
+        raise NotPSD(f"input has minimum eigenvalue {low:.3e}")

@@ -15,6 +15,7 @@ the rows [1, r] of every component at once.
 
 from __future__ import annotations
 
+import cmath
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
@@ -22,7 +23,7 @@ from math import atan2, pi, sqrt
 
 import numpy as np
 
-from .bipartite import BipartiteDecomposed, _conjugation
+from .bipartite import BipartiteDecomposed, _conjugation, _read_only
 from .bloch import _augmented, _gen_stack, _moment_columns, _moment_rows, to_bloch
 from .config import KYFAN_RANK, KYFAN_SLACK, TAKAGI_ORTHO
 from .errors import (BoundExceeded, DimensionMismatch, DimensionTooSmall, OutOfPositivityRange,
@@ -270,7 +271,9 @@ def werner_decompose(dim: int, phi: float) -> SeparableDecomposition:
 # two-qubit product decomposition (Wootters)
 # ---------------------------------------------------------------------------
 
-_SIGMA_YY = np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0])).astype(complex)
+# sigma_y x sigma_y is the anti-diagonal fliplr(diag(-1, 1, 1, -1)), so
+# (sigma_y x sigma_y) v = _YY_SIGNS * v[::-1], exactly
+_YY_SIGNS = np.array([[-1.0], [1.0], [1.0], [-1.0]])
 _HADAMARD = 0.5 * np.kron([[1.0, 1.0], [1.0, -1.0]], [[1.0, 1.0], [1.0, -1.0]]).astype(complex)
 # rows vec(I), vec(sigma x I) and vec(I x sigma): for z in C^2 x C^2 reshaped
 # to the 2 x 2 Z, z^dag (sigma x I) z = Tr[sigma Z Z^dag] and z^dag (I x sigma) z
@@ -281,6 +284,31 @@ _EPS = float(np.finfo(float).eps)
 # a full-rank frame skips the Takagi check when 64 eps lam_1 <= TAKAGI_ORTHO
 # lam_4 (see wootters_frame)
 _TAKAGI_SKIP = 64.0 * _EPS / TAKAGI_ORTHO
+
+
+@lru_cache(maxsize=None)
+def _takagi_gathers(rank: int) -> tuple[tuple[np.ndarray, np.ndarray],
+                                        tuple[np.ndarray, np.ndarray]]:
+    """Two (index, sign) pairs for Wootters' frame of rank r, read-only.
+
+    The first copies the r x r complex tau, viewed as r x 2r reals, into
+    its 2r x 2r real embedding [[Re tau, Im tau], [Im tau, -Re tau]].  The
+    second copies the top r eigenvectors of the embedding, descending, into
+    conj(U), viewed as r x 2r reals: conj(U)[i, j] = E[i, 2r-1-j] - i
+    E[r+i, 2r-1-j].  Each is one ``take`` and one product by signs +-1,
+    which copy and negate exactly.
+    """
+    i, j = np.indices((rank, rank))
+    re = 2 * (i * rank + j)
+    signs = np.ones((2 * rank, 2 * rank))
+    signs[rank:, rank:] = -1.0
+    column = 2 * rank - 1 - j
+    top = np.stack([i * 2 * rank + column, (rank + i) * 2 * rank + column], axis=-1)
+    gathers = ((np.block([[re, re + 1], [re + 1, re]]), signs),
+               (top.reshape(rank, 2 * rank), np.tile([1.0, -1.0], (rank, rank))))
+    for pair in gathers:
+        _read_only(pair)
+    return gathers
 
 
 @dataclass(frozen=True)
@@ -333,23 +361,19 @@ def wootters_frame(d: BipartiteDecomposed) -> WoottersFrame:
     if rank < 4:
         w, vecs = w[4 - rank:], vecs[:, 4 - rank:]
     v = vecs * np.sqrt(w)
-    tau = v.T @ _SIGMA_YY @ v
-    re, im = tau.real, tau.imag
-    embedding = np.empty((2 * rank, 2 * rank))
-    embedding[:rank, :rank] = re
-    embedding[rank:, rank:] = -re
-    embedding[:rank, rank:] = embedding[rank:, :rank] = im
-    lam, emb = np.linalg.eigh(embedding)
+    tau = (_YY_SIGNS * v[::-1]).T @ v
+    embedding, top = _takagi_gathers(rank)
+    lam, emb = np.linalg.eigh(tau.view(float).take(embedding[0]) * embedding[1])
     # the top r eigenpairs, descending, whose eigenvectors are [Re u; Im u]
-    lam, top = lam[2 * rank - 1:rank - 1:-1], emb[:, 2 * rank - 1:rank - 1:-1]
-    takagi = np.empty((rank, rank), dtype=complex)
-    takagi.real, takagi.imag = top[:rank], top[rank:]
+    lam = lam[2 * rank - 1:rank - 1:-1]
+    conj_takagi = (emb.take(top[0]) * top[1]).view(complex)
     # written so that a NaN lam takes the check
     if rank < 4 or not lam[0] * _TAKAGI_SKIP <= lam[3]:
-        if np.abs(takagi.conj().T @ takagi - np.eye(rank)).max() > TAKAGI_ORTHO:
-            takagi = np.linalg.qr(takagi)[0]
+        takagi = conj_takagi.conj()
+        if np.abs(conj_takagi.T @ takagi - np.eye(rank)).max() > TAKAGI_ORTHO:
+            conj_takagi = np.linalg.qr(takagi)[0].conj()
         lam = np.maximum(lam, 0.0)
-    x = v @ takagi.conj()
+    x = v @ conj_takagi
     if rank < 4:
         x = np.concatenate((x, np.zeros((4, 4 - rank))), axis=1)
         lam = np.concatenate((lam, np.zeros(4 - rank)))
@@ -395,8 +419,10 @@ def wootters_decomposition(d: BipartiteDecomposed,
     diag = max(lam[0] - lam[1], lam[2] - lam[3])
     at_a0, at_b0 = _triangle_angles(lam[0], lam[1], diag)
     at_a1, at_b1 = _triangle_angles(lam[2], lam[3], diag)
-    theta = np.array([at_a0, -at_b0, pi + at_a1, pi - at_b1])
-    z = (frame.x * np.exp(0.5j * theta)) @ _HADAMARD
+    # cmath.exp and numpy's complex exp both take exp(re) times the C
+    # library's cos and sin of im, so the phases are the same bits
+    phases = np.array([cmath.exp(0.5j * t) for t in (at_a0, -at_b0, pi + at_a1, pi - at_b1)])
+    z = (frame.x * phases) @ _HADAMARD
     # row k: z_i^dag M_k z_i = sum_ab (M_k)_ab conj(z_ai) z_bi, one product
     # for every moment k and component i
     moments = (_GRAM_MOMENTS @ (z.conj()[:, None] * z).reshape(16, 4)).real

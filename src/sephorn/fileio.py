@@ -96,20 +96,26 @@ def decomposition_from_text(text: str):
 
 
 def _numbers(values, what: str) -> list[float]:
-    """``values`` as floats when it is a list of finite numbers, not bools."""
+    """``values`` as floats when it is a list of finite numbers, not bools.
+    An integer beyond the float range counts as not finite."""
     if not isinstance(values, list) or not all(
             isinstance(x, (int, float)) and not isinstance(x, bool) for x in values):
         raise FileFormatError(f"{what} must be a list of numbers, got {values!r}")
-    if not all(math.isfinite(x) for x in values):
+    try:
+        floats = [float(x) for x in values]
+    except OverflowError:  # an integer beyond the float range
+        floats = None
+    if floats is None or not all(math.isfinite(x) for x in floats):
         raise FileFormatError(f"{what} is not finite: {values!r}")
-    return [float(x) for x in values]
+    return floats
 
 
 def _load(text: str, fmt: str) -> tuple[dict, tuple[int, int]]:
     """The document of a ``fmt`` file and its ``dims`` field, two integers >= 1."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, or an integer literal past the digit limit of int()
         raise FileFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FileFormatError("top-level document must be an object")

@@ -126,6 +126,16 @@ class TestAnalyze:
         assert code == 64
         assert "not finite" in err
 
+    @pytest.mark.parametrize("digits", [400, 5000])
+    def test_out_of_range_integer_exits_64(self, tmp_path, capsys, digits):
+        # one line on stderr, no traceback
+        bad = tmp_path / "huge.state.json"
+        bad.write_text('{"format": "sep-horn-state/1", "dims": [1, 2], "matrix": '
+                       f'[[[0.5, 0], [0, 0]], [[0, 0], [1{"0" * digits}, 0]]]}}')
+        code, out, err = run_cli(["analyze", str(bad)], capsys)
+        assert code == 64 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
     def test_unexpected_exception_exits_70(self, tmp_path, capsys, monkeypatch):
         def broken(*args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")

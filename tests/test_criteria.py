@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from helpers import (horodecki_2x4, horodecki_3x3, ill_conditioned_product, in_frame,
                      nested_support, noisy, off_ball_product, products, projected_filtered,
                      random_density, random_unitary, tiles_state, weakly_entangled)
-from sephorn import criteria
+from sephorn import bipartite, criteria
 from sephorn.bipartite import (
     BipartiteDecomposed,
     compose_state,
@@ -813,6 +813,30 @@ class TestSpectralCounts:
         full = [(name, a) for name, a in calls if a.shape == (4, 4)]
         assert [name for name, _ in full] == ["eigh", "eigvalsh"]
         assert np.allclose(full[0][1], rho) and np.allclose(full[1][1], rho_pt)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_npt_verdict_builds_no_record(self, monkeypatch, n):
+        # positivity and PPT are asked of the validated matrix: the PSD
+        # question (the 2 x 2 eigendecomposition, or a Cholesky factor of
+        # rho + tol I above) and one eigensolve of the partial transpose,
+        # and no moments, realigned matrix or marginal are ever computed
+        rho = 0.8 * compose_state(isotropic(n, 1.0)) + 0.2 * np.eye(n * n) / n ** 2
+        rho = in_frame(rho, n, n, "rotated", np.random.default_rng(n))
+        records, moments = [], bipartite._moments
+        monkeypatch.setattr(bipartite, "_moments",
+                            lambda *args: records.append(args) or moments(*args))
+        calls = self.record(monkeypatch)
+        verdict = analyze(rho, n, n)
+        monkeypatch.undo()
+        assert verdict.status is Status.ENTANGLED
+        assert [c.name for c in verdict.criteria] == ["ppt"]
+        assert records == []
+        assert [name for name, _ in calls] == (["eigh", "eigvalsh"] if n == 2
+                                               else ["cholesky", "eigvalsh"])
+        rho_pt = partial_transpose_matrix(rho, n, n)
+        shift = POSITIVITY_TOL * np.eye(n * n) if n > 2 else 0.0
+        np.testing.assert_allclose(calls[0][1] - shift, rho, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(calls[1][1], rho_pt)
 
 
 class TestVerify:

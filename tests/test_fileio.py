@@ -102,3 +102,32 @@ class TestDecompositionFiles:
     def test_rejects_malformed(self, text):
         with pytest.raises(FileFormatError):
             fileio.decomposition_from_text(text)
+
+
+# an integer literal beyond the float range, and one past int()'s digit limit
+HUGE = "1" + "0" * 400
+ENDLESS = "1" + "0" * 5000
+
+
+class TestOutOfRangeIntegers:
+    @pytest.mark.parametrize("literal, match", [(HUGE, "not finite"), (ENDLESS, "not valid JSON")])
+    def test_state_file(self, literal, match):
+        text = ('{"format": "sep-horn-state/1", "dims": [1, 2], "matrix": '
+                f'[[[0.5, 0], [0, 0]], [[0, 0], [{literal}, 0]]]}}')
+        with pytest.raises(FileFormatError, match=match):
+            fileio.state_from_text(text)
+
+    @pytest.mark.parametrize("field", ["p", "r", "s"])
+    @pytest.mark.parametrize("literal, match", [(HUGE, "not finite"), (ENDLESS, "not valid JSON")])
+    def test_decomposition_file(self, field, literal, match):
+        entry = {"p": "1", "r": "[0, 0, 0]", "s": "[0, 0, 0]"}
+        entry[field] = literal if field == "p" else f"[0, {literal}, 0]"
+        text = ('{"format": "sep-horn-decomposition/1", "dims": [2, 2], "entries": '
+                f'[{{"p": {entry["p"]}, "r": {entry["r"]}, "s": {entry["s"]}}}]}}')
+        with pytest.raises(FileFormatError, match=match):
+            fileio.decomposition_from_text(text)
+
+    def test_integers_in_range_are_read_as_floats(self):
+        text = ('{"format": "sep-horn-state/1", "dims": [1, 1], "matrix": [[[1, 0]]]}')
+        rho, _ = fileio.state_from_text(text)
+        assert rho.dtype == complex and rho[0, 0] == 1.0

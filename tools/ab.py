@@ -1,0 +1,192 @@
+#!/usr/bin/env python3
+"""Per-case CPU time of two checkouts in one process, call by call.
+
+Loads ``src/sephorn`` of checkout PARENT and of checkout CHANGE under
+module names of their own (``sephorn_parent``, ``sephorn_change``), from
+the files as they are, and builds one workload's corpus with
+``pipebench.corpus``, read only, as ``tools/census.py`` does.  A warm-up
+pass calls every case once on each side, under the benchmark's per-call
+budget, and records its outcome: for ``analyze``, the status, every
+criterion (name, passed, margin, detail) and the decomposition's
+probabilities and vectors, compared through their JSON text, so that equal
+means bit-identical, or the exception it raised.  Then ``--rounds`` timed
+rounds call every timed case of the corpus that ran within the budget on
+both sides, parent and change in turn, the side that goes
+first alternating by round, each call timed by the CPU time of the one
+thread that runs it (BLAS is pinned to one thread).
+
+It prints each case's minimum on each side in microseconds, the sums of the
+minima per group (a case id without its last component) and over the
+whole pass, the minimum of ``qubit/mixed/05`` (a separable two-qubit
+verdict, on the qubit workload), and every case whose outcome differs.  Whole
+benchmark runs drift with the machine's speed; two sides timed call by call
+in one process see the same drift, and a minimum over rounds drops the
+preemptions.  Run from the repository root, with two checkouts made by
+``git clone`` or ``git archive``:
+
+    python3 tools/ab.py ../parent . --workload qubit --rounds 200
+
+Exits 1 when an outcome differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import os
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+GATE = "qubit/mixed/05"
+BUDGET_S = 4.0  # CPU seconds per warm-up call, as in the benchmark
+
+
+def load(checkout: Path, name: str):
+    """The package ``checkout/src/sephorn``, imported as ``name``."""
+    package = Path(checkout) / "src" / "sephorn"
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py", submodule_search_locations=[str(package)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def caller(lib, case):
+    """The call that the benchmark makes for ``case``, on ``lib``."""
+    if case.op == "analyze":
+        return lambda: lib.analyze(case.rho, *case.dims)
+    if case.op == "battery":
+        return lambda: lib.horn.check_product_inequalities(*case.singulars)
+    return lambda: lib.horn.all_triples(case.n)
+
+
+def fingerprint(case, result) -> str:
+    """A case's outcome as JSON text, floats as their shortest repr."""
+    if case.op == "analyze":
+        dec = result.decomposition
+        out = {"status": result.status.value,
+               "criteria": [[c.name, bool(c.passed), float(c.margin), c.detail]
+                            for c in result.criteria],
+               "decomposition": None if dec is None else
+               [dec.probs.tolist(), dec.r_vectors.tolist(), dec.s_vectors.tolist()]}
+    elif case.op == "battery":
+        out = repr(result)
+    else:
+        out = [[s.n, s.r, len(s)] for s in result]
+    return json.dumps(out)
+
+
+def group_of(case_id: str) -> str:
+    """The case id without its last component."""
+    return case_id.rsplit("/", 1)[0]
+
+
+def minima(samples: dict[str, list[float]]) -> dict[str, float]:
+    """Each case's smallest sample."""
+    return {cid: min(values) for cid, values in samples.items()}
+
+
+def summarize(parent: dict[str, list[float]], change: dict[str, list[float]]) -> dict:
+    """Per-case minima of both sides and their sums by group and over the
+    pass, in case order, each as (parent, change)."""
+    p_min, c_min = minima(parent), minima(change)
+    cases = {cid: (p_min[cid], c_min[cid]) for cid in parent}
+    groups: dict[str, tuple[float, float]] = {}
+    for cid, (p, c) in cases.items():
+        gp, gc = groups.get(group_of(cid), (0.0, 0.0))
+        groups[group_of(cid)] = (gp + p, gc + c)
+    total = (sum(p for p, _ in cases.values()), sum(c for _, c in cases.values()))
+    return {"cases": cases, "groups": groups, "pass": total}
+
+
+def differing(parent: dict[str, str], change: dict[str, str]) -> list[str]:
+    """The cases, in parent order then the change's own, whose outcomes differ."""
+    ids = list(parent) + [cid for cid in change if cid not in parent]
+    return [cid for cid in ids if parent.get(cid) != change.get(cid)]
+
+
+def _row(label: str, pair: tuple[float, float]) -> str:
+    p, c = pair
+    rel = (c - p) / p if p else 0.0
+    return f"{label:40s} {p * 1e6:12.1f} {c * 1e6:12.1f} {rel:+8.1%}"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path, help="checkout of the parent commit")
+    parser.add_argument("change", type=Path, help="checkout of the change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--rounds", type=int, default=100)
+    args = parser.parse_args(argv)
+
+    # BLAS on one thread, as in the benchmark, before numpy loads
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
+    sys.path.insert(0, str(ROOT))
+    from pipebench import corpus
+    from pipebench.sandbox import CallTimeout, budget
+
+    sides = {"parent": load(args.parent, "sephorn_parent"),
+             "change": load(args.change, "sephorn_change")}
+    cases = corpus.build(args.workload, args.seed)
+    outcomes = {side: {} for side in sides}
+    completed = []
+    for case in cases:
+        ok = True
+        for side, lib in sides.items():
+            try:
+                with budget(BUDGET_S):
+                    outcomes[side][case.id] = fingerprint(case, caller(lib, case)())
+            except CallTimeout:
+                outcomes[side][case.id], ok = "timeout", False
+            except Exception as exc:  # a raised case is an outcome like any other
+                outcomes[side][case.id] = f"error: {type(exc).__name__}: {exc}"
+        if ok and case.timed:
+            completed.append(case)
+
+    samples = {side: {case.id: [] for case in completed} for side in sides}
+    calls = {side: [(case.id, caller(lib, case)) for case in completed]
+             for side, lib in sides.items()}
+    # the thread's CPU clock: after the warm-up's CPU-time budget, the
+    # process clock can read in scheduler ticks for a while
+    clock = time.thread_time
+    for rnd in range(args.rounds):
+        order = ("parent", "change") if rnd % 2 == 0 else ("change", "parent")
+        for i in range(len(completed)):
+            for side in order:
+                cid, call = calls[side][i]
+                start = clock()
+                try:
+                    call()
+                except Exception:  # its outcome is recorded; only its time counts here
+                    pass
+                samples[side][cid].append(clock() - start)
+
+    summary = summarize(samples["parent"], samples["change"])
+    print(f"{args.workload}, seed {args.seed}, {len(completed)} of {len(cases)} cases timed, "
+          f"{args.rounds} rounds; minimum CPU time per call")
+    print(f"{'case':40s} {'parent µs':>12s} {'change µs':>12s} {'change':>8s}")
+    for cid, pair in summary["cases"].items():
+        print(_row(cid, pair))
+    print("\ngroup sums of the minima")
+    for group, pair in summary["groups"].items():
+        print(_row(group, pair))
+    print(_row("pass", summary["pass"]))
+    if GATE in summary["cases"]:
+        p, c = summary["cases"][GATE]
+        print(f"\n{GATE} minimum: parent {p * 1e6:.1f} µs, change {c * 1e6:.1f} µs")
+    diff = differing(outcomes["parent"], outcomes["change"])
+    for cid in diff:
+        print(f"differs: {cid}\n  parent: {outcomes['parent'].get(cid)}\n"
+              f"  change: {outcomes['change'].get(cid)}")
+    print(f"{len(diff)} differing cases")
+    return 1 if diff else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
