@@ -56,17 +56,40 @@ def _moment_columns(dim: int) -> np.ndarray:
     return cols
 
 
+_COMPLEX = np.dtype(complex)
+
+
+def _as_complex(rho) -> np.ndarray:
+    """``rho`` as a complex array, converted once; :class:`NotAState`
+    naming its type when numpy cannot convert it or its dtype is not
+    numeric (kind b, i, u, f or c), so that no string is parsed as a number.
+    A complex ndarray is returned as it is, with no numpy call."""
+    if type(rho) is np.ndarray and rho.dtype is _COMPLEX:
+        return rho
+    try:
+        arr = np.asarray(rho)
+        if arr.dtype.kind in "biufc":
+            return arr.astype(complex, copy=False)
+    except (ValueError, TypeError) as exc:
+        # numpy's message names the shape of a ragged nesting
+        raise NotAState(f"expected a numeric matrix, got {type(rho).__name__} "
+                        f"that numpy cannot convert: {exc}") from None
+    raise NotAState(f"expected a numeric matrix, got {type(rho).__name__} of dtype {arr.dtype}")
+
+
 def validate_state(rho: np.ndarray, tol: float = STATE_TOL) -> np.ndarray:
     """Check finiteness, Hermiticity and unit trace, returning the matrix as complex.
 
-    An infinite ``tol`` checks finiteness only.  A square matrix is passed
-    by the checks of :func:`_validate_stack` in fewer calls: a finite
+    The input is converted once, by :func:`_as_complex`, which rejects a
+    value that is no numeric array.  An infinite ``tol`` checks finiteness
+    only.  A square matrix is passed by the checks of
+    :func:`_validate_stack` in fewer calls: a finite
     vdot(rho, rho), the sum of |rho_ij|^2, rules out every infinite and NaN
     entry, with no warning, before rho - rho^dag is taken, and the
     Hermiticity and trace deviations are then those of :func:`_validate_stack`,
     with the same arithmetic.  Any matrix that fails is diagnosed there.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = _as_complex(rho)
     if rho.ndim != 2:
         raise NotAState(f"expected a square matrix, got shape {rho.shape}")
     n = rho.shape[1]
@@ -81,7 +104,7 @@ def _validate_stack(rho: np.ndarray, tol: float) -> np.ndarray:
     """:func:`validate_state` for one matrix or a stack of them on the
     leading axis; every matrix must pass, and an error names the first of a
     stack that fails."""
-    rho = np.asarray(rho, dtype=complex)
+    rho = _as_complex(rho)
     if rho.ndim not in (2, 3) or rho.shape[-2] != rho.shape[-1]:
         raise NotAState(f"expected a square matrix or a stack of them, got shape {rho.shape}")
     if not np.isfinite(rho).all():

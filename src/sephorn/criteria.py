@@ -10,6 +10,8 @@ criterion) and ``INCONCLUSIVE``.  Each question is asked of the earliest
 record that answers it, and the matrix questions of the validated matrix
 itself: positivity, then partial transposition, tested once, on the
 input, since a support projection only compresses the partial transpose.
+Above 2 x 2 each is answered by one Cholesky factor of the matrix plus
+``tol`` I, and an eigenvalue is computed only when that factor fails.
 Only a PPT state gets a Bloch record, so an NPT verdict pays for no
 moments, realigned matrix or marginal.
 A PPT state is projected onto its local supports while a marginal is
@@ -29,7 +31,10 @@ with R_N = sqrt(2/(N(N-1))) the radius of the inscribed ball.  It decides
 a state whose correlation fits that ball with one singular value
 decomposition, and no filtering, pull-back or Gram iteration; a state it
 does not decide logs nothing and is filtered, and the bounds then apply to
-the filtered correlation.  The filtered record counts as normal form when
+the filtered correlation: the necessary bound, then the family question,
+then the constructive bound, so that a Werner or isotropic state in any
+local frame is built from its N^2 family components, not from 2(N^2 - 1)
+Ky Fan pairs.  The filtered record counts as normal form when
 both marginal Bloch norms lie below ``RESIDUAL``; one accepted short of
 ``NORMAL_TOL`` logs a passed ``normal-form`` criterion.  The necessary
 bound, :func:`kyfan_necessary_check`, holds for every separable state,
@@ -48,7 +53,9 @@ through the code :func:`analyze` runs on the validated matrix.
 Positivity is read from a Bloch norm
 (:func:`~sephorn.bloch.ball_floor`) or certified by a Cholesky
 factorisation (:func:`~sephorn.linalg.certify_psd`) before any eigenvalue
-is computed; see :func:`verify_decomposition` and :func:`require_psd`.
+is computed; see :func:`verify_decomposition`, :func:`require_psd` and,
+for the partial transpose, :func:`ppt_check`, whose certified pass logs
+margin 0.
 """
 
 from __future__ import annotations
@@ -139,22 +146,35 @@ def kyfan_necessary_check(d: BipartiteDecomposed) -> CriterionResult:
 
 def ppt_check(d: BipartiteDecomposed, *, tol: float = POSITIVITY_TOL) -> CriterionResult:
     """Positivity of the partially transposed state, which every separable
-    state has, from one eigenvalue solve of the matrix-level partial
-    transpose of ``d.matrix``; returns the criterion the verdict logs.
+    state has, asked of the matrix-level partial transpose of ``d.matrix``;
+    returns the criterion the verdict logs.
 
-    The ``ppt`` criterion passes when the lowest eigenvalue is at least
-    -``tol``; its margin is minus that eigenvalue when it is negative, else
-    0, and its detail gives the eigenvalue.  ``tol`` is checked as in
-    :func:`analyze`, which asks the same question of the validated matrix
-    before any record exists.
+    Above 2 x 2 the question is asked as :func:`require_psd` asks it, by
+    :func:`~sephorn.linalg.certify_psd`: when the partial transpose plus
+    ``tol`` I has a Cholesky factor, every eigenvalue exceeds -``tol``, and
+    the ``ppt`` criterion passes with margin 0 and a detail that names
+    that certificate.  At 2 x 2, or when the factorisation fails, one
+    eigenvalue solve gives the lowest eigenvalue: the criterion passes when
+    it is at least -``tol``, its margin is minus that eigenvalue when it is
+    negative, else 0, and its detail gives the eigenvalue.  ``tol`` is
+    checked as in :func:`analyze`, which asks the same question of the
+    validated matrix before any record exists.
     """
     check_tol(tol)
     return _ppt(d.matrix, d.dim_a, d.dim_b, tol)
 
 
+# the detail of a ppt criterion passed by a Cholesky factor
+_PPT_CERTIFIED = "Cholesky factor of the partial transpose"
+
+
 def _ppt(rho: np.ndarray, dim_a: int, dim_b: int, tol: float) -> CriterionResult:
     """:func:`ppt_check` of a validated matrix."""
-    low = float(np.linalg.eigvalsh(partial_transpose_matrix(rho, dim_a, dim_b))[0])
+    pt = partial_transpose_matrix(rho, dim_a, dim_b)
+    low = np.linalg.eigvalsh(pt)[0] if (dim_a, dim_b) == (2, 2) else certify_psd(pt, tol)
+    if low is None:
+        return CriterionResult("ppt", True, 0.0, f"{_PPT_CERTIFIED} + {tol:.1e} I")
+    low = float(low)
     return CriterionResult("ppt", low >= -tol, max(0.0, -low), f"min eigenvalue {low:.3e}")
 
 
@@ -319,8 +339,14 @@ def _wootters(call: _Call) -> Verdict | None:
                                     % tuple(frame.lam.tolist())))
     if margin <= KYFAN_SLACK:
         return call.verified(wootters_decomposition(call.d, frame), "wootters")
-    # the ppt margin is minus the lowest eigenvalue when that is negative
-    band = next(c.margin for c in call.log if c.name == "ppt")
+    # the ppt margin is minus the lowest eigenvalue when that is negative;
+    # a certified ppt, on an input above 2 x 2, logged 0 and no eigenvalue
+    ppt = next(c for c in call.log if c.name == "ppt")
+    band = ppt.margin
+    if ppt.detail.startswith(_PPT_CERTIFIED):
+        d = call.input_record
+        low = np.linalg.eigvalsh(partial_transpose_matrix(d.matrix, d.dim_a, d.dim_b))[0]
+        band = max(0.0, -float(low))
     if band > 0.0:
         call.log.append(CriterionResult(
             "ppt-tolerance-band", False, band,
@@ -433,7 +459,7 @@ def _family(call: _Call) -> Verdict | None:
 # The battery, in order, for a 2 x 2 record and any other, each with full
 # local ranks (README, "Pipeline")
 _TWO_QUBIT = (_wootters,)
-_FULL_RANK = (_kyfan_unfiltered, _filter, _kyfan_necessary, _kyfan_sufficient, _family)
+_FULL_RANK = (_kyfan_unfiltered, _filter, _kyfan_necessary, _family, _kyfan_sufficient)
 
 
 # ---------------------------------------------------------------------------
@@ -463,16 +489,19 @@ def analyze(rho: np.ndarray, dim_a: int, dim_b: int, *, tol: float = POSITIVITY_
     eigenvalue in [-``tol``, 0), and fails the concurrence check lies in a
     band PPT cannot resolve at that tolerance; its verdict also logs the
     failed ``ppt-tolerance-band`` criterion, whose margin is minus that
-    eigenvalue.
+    eigenvalue, read on this failing branch from the input's partial
+    transpose when the input is larger and its ``ppt`` was certified.
 
     Any other record runs ``_FULL_RANK``: a product of its marginals, with
     correlation a b^T within ``RESIDUAL`` entrywise, ends with its
     ``trivial-factor`` decomposition and no filter; then the constructive
     bound on the unfiltered record shifted by its marginals, which logs
     nothing unless it decides; normal-form filtering; the necessary norm
-    bound; the constructive bound on the filtered record, whose failure
-    logs how far the Ky Fan norm exceeds it; and the closed-form Werner and
-    isotropic decompositions in any local frame.  When filtering leaves a
+    bound; the closed-form Werner and isotropic decompositions in any
+    local frame, asked before any Ky Fan pair is built and logging nothing
+    when the filtered singular values spread; and the constructive bound
+    on the filtered record, whose failure logs how far the Ky Fan norm
+    exceeds it.  When filtering leaves a
     marginal Bloch norm at ``RESIDUAL`` or above, the failed
     ``normal-form`` criterion is logged and the pass ends with the
     necessary bound on the unfiltered correlation.  Each decomposition is
@@ -482,8 +511,11 @@ def analyze(rho: np.ndarray, dim_a: int, dim_b: int, *, tol: float = POSITIVITY_
     The matrix questions come first, asked of the validated matrix before
     any Bloch record is built: positivity, as :func:`require_psd` asks it
     (at 2 x 2 from the eigendecomposition that Wootters' frame reuses), then
-    the ``ppt`` criterion, as :func:`ppt_check` asks it.  An NPT state is
-    ENTANGLED there, with no record.  Only a PPT state gets its record,
+    the ``ppt`` criterion, as :func:`ppt_check` asks it: above 2 x 2 a
+    Cholesky factor of the partial transpose plus ``tol`` I passes it with
+    margin 0, and only a failed factor takes the eigenvalues, so every NPT
+    verdict logs the lowest one.  An NPT state is ENTANGLED there, with no
+    record.  Only a PPT state gets its record,
     moments and realigned matrix, seeded with the matrix and, at 2 x 2,
     with that eigendecomposition.  ``tol`` is the psd threshold of rho and
     of its partial transpose and the local-rank cutoff; Hermiticity and

@@ -199,6 +199,27 @@ def _levenberg_marquardt(v: np.ndarray, disp: np.ndarray):
 
 
 @lru_cache(maxsize=None)
+def _sic_fiducial(dim: int, attempts: int, residual: float) -> tuple[np.ndarray | None, float]:
+    """The unit fiducial of the first of ``attempts`` Levenberg-Marquardt
+    solves, from one fixed stream of starts, whose overlap equations hold
+    within ``residual``, or None, and the best residual.  The starts are
+    fixed, so a search that fails would fail again: memoized, a dimension
+    whose search fails (N = 20 and 22 among them) pays for it once."""
+    disp = _displacements(dim)
+    rng = np.random.default_rng(0)
+    best = np.inf
+    for _ in range(attempts):
+        v, residuals = _levenberg_marquardt(rng.normal(size=2 * dim), disp)
+        best = min(best, float(np.abs(residuals).max()))
+        if best <= residual:
+            psi = v[:dim] + 1j * v[dim:]
+            psi /= np.linalg.norm(psi)
+            psi.setflags(write=False)
+            return psi, best
+    return None, best
+
+
+@lru_cache(maxsize=None)
 def pure_state_simplex(dim: int) -> np.ndarray:
     """N^2 pure-state Bloch vectors forming a regular simplex.
 
@@ -217,22 +238,14 @@ def pure_state_simplex(dim: int) -> np.ndarray:
     """
     if dim < 2:
         raise DimensionTooSmall(f"pure-state simplex needs dim >= 2, got {dim}")
-    disp = _displacements(dim)
-    rng = np.random.default_rng(0)
-    best = np.inf
-    for _ in range(SIC_ATTEMPTS):
-        v, residuals = _levenberg_marquardt(rng.normal(size=2 * dim), disp)
-        best = min(best, float(np.abs(residuals).max()))
-        if best <= SIC_RESIDUAL:
-            break
-    else:
+    psi, best = _sic_fiducial(dim, SIC_ATTEMPTS, SIC_RESIDUAL)
+    if psi is None:
         raise SearchFailed(
             f"no SIC fiducial for dim {dim} in {SIC_ATTEMPTS} attempts; "
             f"best overlap residual {best:.3e}",
             residual=best,
         )
-    psi = v[:dim] + 1j * v[dim:]
-    kets = disp @ (psi / np.linalg.norm(psi))
+    kets = _displacements(dim) @ psi
     out = to_bloch(np.einsum("ki,kj->kij", kets, kets.conj()))
     out.setflags(write=False)
     return out

@@ -117,6 +117,8 @@ def _load(text: str, fmt: str) -> tuple[dict, tuple[int, int]]:
     except ValueError as exc:
         # JSONDecodeError, or an integer literal past the digit limit of int()
         raise FileFormatError(f"not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise FileFormatError("not valid JSON: nested too deeply to parse") from None
     if not isinstance(doc, dict):
         raise FileFormatError("top-level document must be an object")
     if doc.get("format") != fmt:

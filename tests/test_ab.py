@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -67,3 +68,48 @@ def test_row_gives_microseconds_and_the_relative_change():
 @pytest.mark.parametrize("pair", [(0.0, 0.0), (0.0, 1e-6)])
 def test_row_of_a_zero_parent(pair):
     assert ab._row("x", pair).split()[-1] == "+0.0%"
+
+
+def _outcome(status, criteria, probs=None):
+    dec = None if probs is None else [probs, [[0.0]] * len(probs), [[0.0]] * len(probs)]
+    return json.dumps({"status": status, "criteria": criteria, "decomposition": dec})
+
+
+def test_compact_diff_of_verdicts_with_other_criteria():
+    parent = _outcome("separable", [["ppt", True, 0.0, "a"], ["kyfan-sufficient", False, 0.5, "b"],
+                                    ["decomposition[family]", True, 1e-16, "c"]], [0.5, 0.5])
+    change = _outcome("separable", [["ppt", True, 0.0, "a"],
+                                    ["decomposition[family]", True, 2e-16, "c"]], [1.0])
+    assert ab.compact_diff(parent, change) == [
+        "  parent: separable (2 components); ppt pass; kyfan-sufficient FAIL; "
+        "decomposition[family] pass",
+        "  change: separable (1 components); ppt pass; decomposition[family] pass"]
+
+
+def test_compact_diff_of_verdicts_with_the_same_criteria():
+    parent = _outcome("inconclusive", [["ppt", True, 3e-10, "min eigenvalue -3.000e-10"],
+                                       ["kyfan-sufficient", False, float("inf"), "x"]])
+    change = _outcome("inconclusive", [["ppt", True, 0.0, "certified"],
+                                       ["kyfan-sufficient", False, float("inf"), "x"]])
+    assert ab.compact_diff(parent, change)[2] == (
+        "  names unchanged: max |d margin| 3.00e-10, max |dp| 0.00e+00, 1 of 2 details differ")
+    parent = _outcome("separable", [["ppt", True, 0.0, "a"]], [0.25, 0.75])
+    change = _outcome("separable", [["ppt", True, 0.0, "a"]], [0.25 + 1e-12, 0.75])
+    assert ab.compact_diff(parent, change)[2] == (
+        "  names unchanged: max |d margin| 0.00e+00, max |dp| 1.00e-12, 0 of 1 details differ")
+    # another number of components: no probability is compared
+    change = _outcome("separable", [["ppt", True, 0.0, "a"]], [1.0])
+    assert ab.compact_diff(parent, change)[2] == (
+        "  names unchanged: max |d margin| 0.00e+00, 0 of 1 details differ")
+
+
+def test_compact_diff_of_other_outcomes():
+    verdict = _outcome("entangled", [["ppt", False, 0.5, "min eigenvalue -5.000e-01"]])
+    assert ab.compact_diff("timeout", verdict) == [
+        "  parent: timeout", "  change: entangled; ppt FAIL"]
+    long_error = "error: NotAState: " + "x" * 300
+    lines = ab.compact_diff(long_error, None)
+    assert lines == [f"  parent: {long_error[:157]}...", "  change: None"]
+    # a battery's repr and a triple set's list are shown as they are
+    assert ab.compact_diff('"Report(ok)"', "[[3, 1, 4]]") == [
+        '  parent: "Report(ok)"', "  change: [[3, 1, 4]]"]

@@ -210,3 +210,15 @@ class TestBallFloor:
         r[0] = np.sqrt(2.0 / 6.0)
         assert abs(ball_floor(r, 3)) < 1e-15
         assert ball_floor(np.zeros(0), 1) == 1.0
+
+
+def test_complex_matrix_is_not_converted(monkeypatch):
+    # the complex ndarray that analyze takes from a caller is validated as
+    # it is, with no conversion call
+    rho = np.eye(4, dtype=complex) / 4.0
+
+    def never(*args, **kwargs):
+        raise AssertionError("converted")
+
+    monkeypatch.setattr(np, "asarray", never)
+    assert validate_state(rho) is rho

@@ -136,6 +136,14 @@ class TestAnalyze:
         assert code == 64 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
+    def test_deeply_nested_file_exits_64(self, tmp_path, capsys):
+        # json.loads raises RecursionError on nesting this deep
+        bad = tmp_path / "deep.state.json"
+        bad.write_text("[" * 200_000 + "]" * 200_000)
+        code, out, err = run_cli(["analyze", str(bad)], capsys)
+        assert code == 64 and out == ""
+        assert err == "error: not valid JSON: nested too deeply to parse\n"
+
     def test_unexpected_exception_exits_70(self, tmp_path, capsys, monkeypatch):
         def broken(*args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")

@@ -241,6 +241,25 @@ class TestTwoQubit:
         assert band.margin == ppt.margin and 0.0 < band.margin <= POSITIVITY_TOL
         assert "PPT tolerance band" in band.detail
 
+    def test_tolerance_band_of_an_embedded_two_qubit_state(self):
+        # p_zero(1e-5), and the same state on two-dimensional supports of a
+        # 3 x 3 input, whose ppt is certified by a Cholesky factor with
+        # margin 0: either band is minus the lowest eigenvalue of the
+        # input's partial transpose, about -2.5e-11
+        rho = compose_state(p_zero(1e-5))
+        for n, state in ((2, rho), (3, _embedded(rho, 3, 3, 7))):
+            verdict = analyze(state, n, n)
+            assert verdict.status is Status.INCONCLUSIVE
+            band = -lowest_pt_eigenvalue(state, n, n)
+            assert abs(band - 2.5e-11) < 1e-15
+            want = [("ppt", True, band if n == 2 else 0.0)]
+            if n == 3:
+                want.append(("support-projection", True, 0.0))
+            want += [("concurrence", False, verdict.criteria[-2].margin),
+                     ("ppt-tolerance-band", False, band)]
+            assert [(c.name, c.passed, c.margin) for c in verdict.criteria] == want
+            assert abs(verdict.criteria[-2].margin - 1e-5) < 1e-15
+
     def test_rank_three_ppt_with_full_local_rank_is_separable(self):
         rho = np.diag([0.4, 0.3, 0.3, 0.0])
         verdict = analyze(rho, 2, 2)
@@ -622,6 +641,56 @@ class TestQuditGate:
             assert verify_decomposition(verdict.decomposition, d).valid
 
 
+# |lambda_min + tol| below which the Cholesky certificate and eigvalsh may
+# round apart: both err by about N M eps times the largest eigenvalue
+CERTIFICATE_ROUNDING = 1e-13
+
+
+@st.composite
+def ppt_boundary_states(draw):
+    """A random pure state on 2x3 to 4x4 or 5x5, mixed with white noise at
+    the weight where the lowest eigenvalue of its partial transpose is
+    -``POSITIVITY_TOL``, moved from there by +-1e-12 to +-1e-6 in noise
+    weight, in a random local frame.  White noise adds weight/(NM) to every
+    eigenvalue of the partial transpose, so that weight is the root of a
+    linear function and needs no bisection."""
+    n, m = draw(st.sampled_from([(2, 3), (2, 4), (3, 3), (3, 4), (4, 4), (5, 5)]))
+    size = n * m
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pure = random_density(size, 1, rng)
+    low = lowest_pt_eigenvalue(pure, n, m)
+    weight = (-POSITIVITY_TOL - low) / (1.0 / size - low)
+    weight += draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-12.0, -6.0))
+    rho = (1.0 - weight) * pure + weight * np.eye(size) / size
+    u = np.kron(random_unitary(n, rng), random_unitary(m, rng))
+    return u @ rho @ u.conj().T, n, m
+
+
+class TestPptCertificate:
+    @settings(max_examples=200, deadline=None)
+    @given(ppt_boundary_states())
+    def test_certificate_is_the_eigenvalue_threshold(self, case):
+        # ppt passes exactly when the lowest eigenvalue of the partial
+        # transpose is at least -tol, outside the rounding band around -tol;
+        # a pass is certified with margin 0 or, where the factorisation
+        # fails inside that band, read from eigvalsh, and every failure
+        # carries minus that eigenvalue and names it
+        rho, n, m = case
+        low = float(np.linalg.eigvalsh(partial_transpose_matrix(rho, n, m))[0])
+        ppt = ppt_check(decompose_state(rho, n, m))
+        if abs(low + POSITIVITY_TOL) > CERTIFICATE_ROUNDING:
+            assert ppt.passed is (low >= -POSITIVITY_TOL), (low, ppt)
+        eigenvalue = (max(0.0, -low), f"min eigenvalue {low:.3e}")
+        if not ppt.passed:
+            assert (ppt.margin, ppt.detail) == eigenvalue
+        elif ppt.detail.startswith("Cholesky"):
+            assert (ppt.margin, ppt.detail) == (
+                0.0, f"Cholesky factor of the partial transpose + {POSITIVITY_TOL:.1e} I")
+        else:
+            assert (ppt.margin, ppt.detail) == eigenvalue
+            assert abs(low + POSITIVITY_TOL) <= CERTIFICATE_ROUNDING
+
+
 class TestSpectralCounts:
     """Each spectral quantity is computed once per verdict."""
 
@@ -657,13 +726,14 @@ class TestSpectralCounts:
 
     @staticmethod
     def check_full_matrices(calls, rho):
-        # rho's positivity is certified by one Cholesky factorisation of
-        # rho + psd I; the one 9 x 9 eigensolve is of its partial transpose
+        # the positivity of rho and of its partial transpose are each
+        # certified by one Cholesky factorisation of the matrix + psd I, and
+        # no 9 x 9 matrix is eigensolved
         rho_pt = rho.reshape(3, 3, 3, 3).transpose(0, 3, 2, 1).reshape(9, 9)
         full = [(name, a) for name, a in calls if a.shape == (9, 9)]
-        assert [name for name, _ in full] == ["cholesky", "eigvalsh"]
-        np.testing.assert_allclose(full[0][1] - rho, POSITIVITY_TOL * np.eye(9), rtol=0, atol=1e-15)
-        assert np.allclose(full[1][1], rho_pt)
+        assert [name for name, _ in full] == ["cholesky", "cholesky"]
+        for (_, a), matrix in zip(full, (rho, rho_pt)):
+            np.testing.assert_allclose(a - matrix, POSITIVITY_TOL * np.eye(9), rtol=0, atol=1e-15)
 
     def test_separable_qutrit_verdict(self, monkeypatch):
         rho = self.qutrit_state("rotated")
@@ -818,8 +888,9 @@ class TestSpectralCounts:
     def test_npt_verdict_builds_no_record(self, monkeypatch, n):
         # positivity and PPT are asked of the validated matrix: the PSD
         # question (the 2 x 2 eigendecomposition, or a Cholesky factor of
-        # rho + tol I above) and one eigensolve of the partial transpose,
-        # and no moments, realigned matrix or marginal are ever computed
+        # rho + tol I above), then one eigensolve of the partial transpose,
+        # above 2 x 2 after its factorisation + tol I fails, and no moments,
+        # realigned matrix or marginal are ever computed
         rho = 0.8 * compose_state(isotropic(n, 1.0)) + 0.2 * np.eye(n * n) / n ** 2
         rho = in_frame(rho, n, n, "rotated", np.random.default_rng(n))
         records, moments = [], bipartite._moments
@@ -832,11 +903,13 @@ class TestSpectralCounts:
         assert [c.name for c in verdict.criteria] == ["ppt"]
         assert records == []
         assert [name for name, _ in calls] == (["eigh", "eigvalsh"] if n == 2
-                                               else ["cholesky", "eigvalsh"])
+                                               else ["cholesky", "cholesky", "eigvalsh"])
         rho_pt = partial_transpose_matrix(rho, n, n)
         shift = POSITIVITY_TOL * np.eye(n * n) if n > 2 else 0.0
         np.testing.assert_allclose(calls[0][1] - shift, rho, rtol=0, atol=1e-15)
-        np.testing.assert_array_equal(calls[1][1], rho_pt)
+        if n > 2:
+            np.testing.assert_allclose(calls[1][1] - shift, rho_pt, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(calls[-1][1], rho_pt)
 
 
 class TestVerify:
@@ -1443,7 +1516,7 @@ def criterion_sequence_cases():
         ("trivial-factor-before-filter", ill_conditioned_product(0), 3, 3, SEP,
          [PPT, ("decomposition[trivial-factor]", True)]),
         ("family", compose_state(werner(3, 1.0)), 3, 3, SEP,
-         [PPT, KYFAN, ("kyfan-sufficient", False), ("decomposition[family]", True)]),
+         [PPT, KYFAN, ("decomposition[family]", True)]),
         ("tiles", tiles_state(), 3, 3, ENT, [PPT, ("kyfan-necessary", False)]),
         ("horodecki-3x3", horodecki_3x3(0.5), 3, 3, ENT, [PPT, ("kyfan-necessary", False)]),
         # PPT is asked of the input, before any support projection

@@ -234,6 +234,26 @@ class TestPureSimplex:
             pure_state_simplex.cache_clear()
         assert 0.0 <= exc.value.residual < 1e-12
 
+    def test_failed_search_runs_once(self, monkeypatch):
+        # the starts are fixed, so a failed search is remembered, not rerun
+        monkeypatch.setattr(decompose, "SIC_ATTEMPTS", 2)
+        monkeypatch.setattr(decompose, "SIC_RESIDUAL", -1.0)
+        solves, solve = [], decompose._levenberg_marquardt
+        monkeypatch.setattr(decompose, "_levenberg_marquardt",
+                            lambda *args: solves.append(args) or solve(*args))
+        pure_state_simplex.cache_clear()
+        decompose._sic_fiducial.cache_clear()
+        try:
+            residuals = []
+            for _ in range(2):
+                with pytest.raises(SearchFailed) as exc:
+                    pure_state_simplex(3)
+                residuals.append(exc.value.residual)
+        finally:
+            pure_state_simplex.cache_clear()
+            decompose._sic_fiducial.cache_clear()
+        assert len(solves) == 2 and residuals[0] == residuals[1]
+
 
 class TestWernerDecompose:
     def test_qubit_saturated(self):

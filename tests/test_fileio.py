@@ -131,3 +131,14 @@ class TestOutOfRangeIntegers:
         text = ('{"format": "sep-horn-state/1", "dims": [1, 1], "matrix": [[[1, 0]]]}')
         rho, _ = fileio.state_from_text(text)
         assert rho.dtype == complex and rho[0, 0] == 1.0
+
+
+@pytest.mark.parametrize("parse", [fileio.state_from_text, fileio.decomposition_from_text])
+@pytest.mark.parametrize("brackets", ["[]", "{}"])
+def test_deep_nesting_is_a_format_error(parse, brackets):
+    # json.loads raises RecursionError on nesting this deep
+    depth = 200_000
+    inner = '"a":' if brackets == "{}" else ""
+    text = (brackets[0] + inner) * depth + "1" + brackets[1] * depth
+    with pytest.raises(FileFormatError, match="nested too deeply"):
+        parse(text)

@@ -94,13 +94,40 @@ def test_stack_shapes(shape):
                    f"expected a square matrix or a stack of them, got shape {shape}")
 
 
-def test_ragged_input_raises_numpys_conversion_error():
+def test_ragged_input_is_not_a_state():
     ragged = [[0.5, 0.0], [0.0]]
     with pytest.raises(ValueError) as info:
-        np.asarray(ragged, dtype=complex)
+        np.asarray(ragged)
+    message = f"expected a numeric matrix, got list that numpy cannot convert: {info.value}"
+    assert "inhomogeneous" in message
     for call in (lambda: analyze(ragged, 2, 1), lambda: decompose_state(ragged, 2, 1),
                  lambda: validate_state(ragged)):
-        _assert_raises(call, ValueError, str(info.value))
+        _assert_raises(call, NotAState, message)
+
+
+# a value that is no numeric array, named by its type and dtype; numeric
+# strings are not parsed
+NON_NUMERIC_CASES = {
+    "str": ("abc", "expected a numeric matrix, got str of dtype <U3"),
+    "dict": ({"a": 1}, "expected a numeric matrix, got dict of dtype object"),
+    "none": (None, "expected a numeric matrix, got NoneType of dtype object"),
+    "numeric-strings": ([["1", "0"], ["0", "0"]],
+                        "expected a numeric matrix, got list of dtype <U1"),
+    "string-array": (np.array([["1", "0"], ["0", "0"]]),
+                     "expected a numeric matrix, got ndarray of dtype <U1"),
+    "object-array": (np.array([[1.0, 0.0], [0.0, 0.0]], dtype=object),
+                     "expected a numeric matrix, got ndarray of dtype object"),
+    "bytes-array": (np.array([[b"1", b"0"], [b"0", b"0"]]),
+                    "expected a numeric matrix, got ndarray of dtype |S1"),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_NUMERIC_CASES))
+def test_non_numeric_input_is_not_a_state(case):
+    value, message = NON_NUMERIC_CASES[case]
+    for call in (lambda: analyze(value, 2, 1), lambda: decompose_state(value, 2, 1),
+                 lambda: validate_state(value), lambda: to_bloch(value)):
+        _assert_raises(call, NotAState, message)
 
 
 def test_tolerance_raises_the_validation_threshold():

@@ -18,7 +18,10 @@ thread that runs it (BLAS is pinned to one thread).
 It prints each case's minimum on each side in microseconds, the sums of the
 minima per group (a case id without its last component) and over the
 whole pass, the minimum of ``qubit/mixed/05`` (a separable two-qubit
-verdict, on the qubit workload), and every case whose outcome differs.  Whole
+verdict, on the qubit workload), and every case whose outcome differs, in
+a few lines: each side's status, number of components and criteria (name,
+passed) and, where both verdicts log the same criterion names, the largest
+change of a margin and of a probability and how many details differ.  Whole
 benchmark runs drift with the machine's speed; two sides timed call by call
 in one process see the same drift, and a minimum over rounds drops the
 preemptions.  Run from the repository root, with two checkouts made by
@@ -109,6 +112,54 @@ def differing(parent: dict[str, str], change: dict[str, str]) -> list[str]:
     return [cid for cid in ids if parent.get(cid) != change.get(cid)]
 
 
+def _verdict(outcome: str | None) -> dict | None:
+    """The analyze verdict a fingerprint holds, or None for an error, a
+    timeout, a missing case or another op's outcome."""
+    try:
+        out = json.loads(outcome)
+    except (TypeError, ValueError):
+        return None
+    return out if isinstance(out, dict) and "status" in out else None
+
+
+def _brief(outcome: str | None) -> str:
+    """An outcome in one line: a verdict's status, its number of
+    components and its criteria as name and pass or FAIL; any other outcome
+    cut to 160 characters."""
+    verdict = _verdict(outcome)
+    if verdict is None:
+        text = str(outcome)
+        return text if len(text) <= 160 else text[:157] + "..."
+    dec = verdict["decomposition"]
+    parts = [verdict["status"] + ("" if dec is None else f" ({len(dec[0])} components)")]
+    parts += [f"{name} {'pass' if passed else 'FAIL'}" for name, passed, *_ in verdict["criteria"]]
+    return "; ".join(parts)
+
+
+def _largest_change(pairs) -> float:
+    """max |x - y| over the pairs, 0 for none; equal infinities do not change."""
+    return max((abs(x - y) for x, y in pairs if x != y), default=0.0)
+
+
+def compact_diff(parent: str | None, change: str | None) -> list[str]:
+    """The lines that show how two outcomes of a case differ: each side in
+    brief and, when both are verdicts with the same criterion names, the
+    largest change of a margin and, for the same number of components, of
+    a probability, and the number of details that differ."""
+    lines = [f"  parent: {_brief(parent)}", f"  change: {_brief(change)}"]
+    before, after = _verdict(parent), _verdict(change)
+    if before is None or after is None or (
+            [c[0] for c in before["criteria"]] != [c[0] for c in after["criteria"]]):
+        return lines
+    pairs = list(zip(before["criteria"], after["criteria"]))
+    line = f"  names unchanged: max |d margin| {_largest_change((b[2], a[2]) for b, a in pairs):.2e}"
+    probs = [[] if v["decomposition"] is None else v["decomposition"][0] for v in (before, after)]
+    if len(probs[0]) == len(probs[1]):
+        line += f", max |dp| {_largest_change(zip(*probs)):.2e}"
+    details = sum(b[3] != a[3] for b, a in pairs)
+    return lines + [line + f", {details} of {len(pairs)} details differ"]
+
+
 def _row(label: str, pair: tuple[float, float]) -> str:
     p, c = pair
     rel = (c - p) / p if p else 0.0
@@ -182,8 +233,8 @@ def main(argv=None) -> int:
         print(f"\n{GATE} minimum: parent {p * 1e6:.1f} µs, change {c * 1e6:.1f} µs")
     diff = differing(outcomes["parent"], outcomes["change"])
     for cid in diff:
-        print(f"differs: {cid}\n  parent: {outcomes['parent'].get(cid)}\n"
-              f"  change: {outcomes['change'].get(cid)}")
+        print(f"differs: {cid}", *compact_diff(outcomes["parent"].get(cid),
+                                               outcomes["change"].get(cid)), sep="\n")
     print(f"{len(diff)} differing cases")
     return 1 if diff else 0
 
