@@ -110,12 +110,14 @@ def _validate_stack(rho: np.ndarray, tol: float) -> np.ndarray:
     if not np.isfinite(rho).all():
         where, _ = _first_failure(rho, (~np.isfinite(rho)).sum(axis=(-2, -1)), 0)
         raise NotAState(f"{where}matrix has non-finite entries")
-    herm = np.abs(rho - rho.conj().swapaxes(-1, -2))
-    if herm.size and herm.max() > tol:
+    # an overflow reads as an infinite deviation and a trace of inf - inf as NaN: both fail
+    with np.errstate(over="ignore", invalid="ignore"):
+        herm = np.abs(rho - rho.conj().swapaxes(-1, -2))
+        tr_dev = np.abs(rho.trace(0, -2, -1) - 1.0)
+    if herm.size and not herm.max() <= tol:
         where, dev = _first_failure(rho, herm.max(axis=(-2, -1)), tol)
         raise NotAState(f"{where}Hermiticity deviation {dev:.3e} exceeds {tol:.1e}")
-    tr_dev = np.abs(rho.trace(0, -2, -1) - 1.0)
-    if (tr_dev > tol).any():
+    if not (tr_dev <= tol).all():
         where, dev = _first_failure(rho, tr_dev, tol)
         raise NotAState(f"{where}trace deviates from 1 by {dev:.3e}")
     return rho
@@ -123,9 +125,9 @@ def _validate_stack(rho: np.ndarray, tol: float) -> np.ndarray:
 
 def _first_failure(rho: np.ndarray, per_matrix: np.ndarray, tol: float) -> tuple[str, float]:
     """Message prefix naming the first matrix whose value exceeds ``tol``
-    (empty for a single matrix), and that value."""
+    or is NaN (empty for a single matrix), and that value."""
     per_matrix = np.reshape(per_matrix, -1)
-    i = int(np.argmax(per_matrix > tol))
+    i = int(np.argmax(~(per_matrix <= tol)))
     return (f"matrix {i}: " if rho.ndim == 3 else ""), float(per_matrix[i])
 
 

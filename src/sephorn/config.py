@@ -2,8 +2,8 @@
 
 All comparison thresholds used across the package live here.  A caller of
 :func:`~sephorn.criteria.analyze` chooses two numbers: the positivity
-tolerance ``tol`` (default ``POSITIVITY_TOL``), which sets the psd and rank
-thresholds and raises the validation threshold ``STATE_TOL`` when larger,
+tolerance ``tol`` (default ``POSITIVITY_TOL``), which sets the psd, rank
+and, above 2 x 2, PPT thresholds and raises ``STATE_TOL`` when larger,
 and the filtering budget ``max_iter`` (default ``MAX_ITER``), each checked
 by :func:`check_tol` and :func:`check_max_iter` wherever it is taken.  The
 other thresholds are fixed.
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from math import isfinite
 from numbers import Integral
+from sys import float_info
 
 from .errors import BadParameter
 
@@ -21,7 +22,8 @@ STATE_TOL = 1e-9       # trace-one / Hermiticity for density matrices (floor)
 MAX_ITER = 500         # normal-form filtering budget, in sweeps
 NORMAL_TOL = 1e-10     # marginal Bloch-norm convergence target of filtering
 SCALING_RATE = 0.8     # per-sweep deviation ratio a filtering run must beat, else it re-bases
-KYFAN_SLACK = 1e-9     # slack on the norm-bound criteria
+KYFAN_SLACK = 1e-9     # slack on the norm-bound criteria and the 2 x 2 concurrence
+PPT_ROUNDING = 64 * float_info.epsilon  # PPT threshold at 2 x 2, about 1.4e-14
 HORN_SLACK = 1e-9      # relative slack of the Horn product inequalities and equality
 RESIDUAL = 1e-8        # decomposition residual; normal-form acceptance
 PROB_SUM = 1e-10       # probability normalization of a decomposition

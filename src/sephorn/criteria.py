@@ -11,7 +11,8 @@ record that answers it, and the matrix questions of the validated matrix
 itself: positivity, then partial transposition, tested once, on the
 input, since a support projection only compresses the partial transpose.
 Above 2 x 2 each is answered by one Cholesky factor of the matrix plus
-``tol`` I, and an eigenvalue is computed only when that factor fails.
+``tol`` I, and an eigenvalue is computed only when that factor fails; at
+2 x 2 PPT is decided at rounding (:func:`ppt_check`).
 Only a PPT state gets a Bloch record, so an NPT verdict pays for no
 moments, realigned matrix or marginal.
 A PPT state is projected onto its local supports while a marginal is
@@ -79,7 +80,7 @@ from .bipartite import (
 )
 from .bloch import _ball_radius_sq, ball_floor, from_bloch
 from .config import (COMPONENT_PSD, KYFAN_SLACK, MAX_ITER, NORMAL_TOL, POSITIVITY_TOL,
-                     PROB_SUM, RESIDUAL, STATE_TOL, check_max_iter, check_tol)
+                     PPT_ROUNDING, PROB_SUM, RESIDUAL, STATE_TOL, check_max_iter, check_tol)
 from .decompose import (
     SeparableDecomposition,
     kyfan_bound_decomposition,
@@ -154,28 +155,36 @@ def ppt_check(d: BipartiteDecomposed, *, tol: float = POSITIVITY_TOL) -> Criteri
     ``tol`` I has a Cholesky factor, every eigenvalue exceeds -``tol``, and
     the ``ppt`` criterion passes with margin 0 and a detail that names
     that certificate.  At 2 x 2, or when the factorisation fails, one
-    eigenvalue solve gives the lowest eigenvalue: the criterion passes when
-    it is at least -``tol``, its margin is minus that eigenvalue when it is
-    negative, else 0, and its detail gives the eigenvalue.  ``tol`` is
-    checked as in :func:`analyze`, which asks the same question of the
-    validated matrix before any record exists.
+    eigenvalue solve gives the lowest eigenvalue: its margin is minus that
+    eigenvalue when it is negative, else 0, and its detail gives it.  It
+    fails below -``tol`` above 2 x 2.  At 2 x 2, where PPT is necessary and
+    sufficient, it fails below -(``PPT_ROUNDING`` + ||N||_tr), N the
+    negative part of ``d.spectrum``: ||N^Gamma||_op <= ||N||_tr, so rho's
+    positive part is then NPT.  ``tol`` is checked as in :func:`analyze`,
+    which asks the same question of the validated matrix first.
     """
     check_tol(tol)
-    return _ppt(d.matrix, d.dim_a, d.dim_b, tol)
+    two_qubit = (d.dim_a, d.dim_b) == (2, 2)
+    return _ppt(d.matrix, d.dim_a, d.dim_b, tol, d.spectrum if two_qubit else None)
 
 
-# the detail of a ppt criterion passed by a Cholesky factor
-_PPT_CERTIFIED = "Cholesky factor of the partial transpose"
-
-
-def _ppt(rho: np.ndarray, dim_a: int, dim_b: int, tol: float) -> CriterionResult:
-    """:func:`ppt_check` of a validated matrix."""
+def _ppt(rho: np.ndarray, dim_a: int, dim_b: int, tol: float,
+         spectrum: tuple[np.ndarray, np.ndarray] | None) -> CriterionResult:
+    """:func:`ppt_check` of a validated matrix, whose eigendecomposition
+    ``spectrum`` is given at 2 x 2 and None above."""
     pt = partial_transpose_matrix(rho, dim_a, dim_b)
-    low = np.linalg.eigvalsh(pt)[0] if (dim_a, dim_b) == (2, 2) else certify_psd(pt, tol)
-    if low is None:
-        return CriterionResult("ppt", True, 0.0, f"{_PPT_CERTIFIED} + {tol:.1e} I")
+    if spectrum is None:
+        low, floor = certify_psd(pt, tol), tol
+        if low is None:
+            return CriterionResult("ppt", True, 0.0,
+                                   f"Cholesky factor of the partial transpose + {tol:.1e} I")
+    else:
+        # rho's negative eigenvalues, ascending, widen the floor by their sum
+        w = spectrum[0]
+        low = np.linalg.eigvalsh(pt)[0]
+        floor = PPT_ROUNDING - (0.0 if w[0] >= 0.0 else sum(x for x in w.tolist() if x < 0.0))
     low = float(low)
-    return CriterionResult("ppt", low >= -tol, max(0.0, -low), f"min eigenvalue {low:.3e}")
+    return CriterionResult("ppt", low >= -floor, max(0.0, -low), f"min eigenvalue {low:.3e}")
 
 
 def _misshapen(probs: np.ndarray, dec: SeparableDecomposition,
@@ -329,9 +338,8 @@ def _trivial_factor(call: _Call) -> Verdict | None:
 
 
 def _wootters(call: _Call) -> Verdict | None:
-    """Wootters' concurrence and, at zero, his product decomposition; a
-    positive concurrence on a state that passed PPT only within the
-    tolerance logs the ``ppt-tolerance-band`` (see :func:`analyze`)."""
+    """Wootters' concurrence and, at zero within ``KYFAN_SLACK``, his
+    product decomposition."""
     frame = wootters_frame(call.d)
     margin = frame.concurrence_margin
     call.log.append(CriterionResult("concurrence", margin <= KYFAN_SLACK, margin,
@@ -339,20 +347,6 @@ def _wootters(call: _Call) -> Verdict | None:
                                     % tuple(frame.lam.tolist())))
     if margin <= KYFAN_SLACK:
         return call.verified(wootters_decomposition(call.d, frame), "wootters")
-    # the ppt margin is minus the lowest eigenvalue when that is negative;
-    # a certified ppt, on an input above 2 x 2, logged 0 and no eigenvalue
-    ppt = next(c for c in call.log if c.name == "ppt")
-    band = ppt.margin
-    if ppt.detail.startswith(_PPT_CERTIFIED):
-        d = call.input_record
-        low = np.linalg.eigvalsh(partial_transpose_matrix(d.matrix, d.dim_a, d.dim_b))[0]
-        band = max(0.0, -float(low))
-    if band > 0.0:
-        call.log.append(CriterionResult(
-            "ppt-tolerance-band", False, band,
-            f"lowest partial-transpose eigenvalue {-band:.3e} lies inside "
-            f"the PPT tolerance band [-{call.tol:.1e}, 0), where PPT cannot "
-            f"resolve the positive concurrence {margin:.3e}"))
     return None
 
 
@@ -477,20 +471,18 @@ def analyze(rho: np.ndarray, dim_a: int, dim_b: int, *, tol: float = POSITIVITY_
     transpose; a rank-one marginal ends the pass instead with the
     ``trivial-factor`` decomposition of the record, whose unprojected
     marginals keep the weight the support drops.  The full-rank record
-    runs one stage tuple.
+    runs one stage tuple, and so does, unprojected, a 2 x 2 record whose
+    trivial factor fails verification.
 
     At 2 x 2 it is ``_TWO_QUBIT``, the exact decision, without filtering,
     since PPT is necessary and sufficient there (Horodecki,
     quant-ph/9605038).  A PPT state logs ``concurrence`` (margin lam_1 -
     lam_2 - lam_3 - lam_4, passing up to ``KYFAN_SLACK``) and then
     ``decomposition[wootters]``, Wootters' four pure product components,
-    verified; if either fails the verdict is INCONCLUSIVE.  A state that
-    passes PPT only within the tolerance, with its lowest partial-transpose
-    eigenvalue in [-``tol``, 0), and fails the concurrence check lies in a
-    band PPT cannot resolve at that tolerance; its verdict also logs the
-    failed ``ppt-tolerance-band`` criterion, whose margin is minus that
-    eigenvalue, read on this failing branch from the input's partial
-    transpose when the input is larger and its ``ppt`` was certified.
+    verified; if either fails the verdict is INCONCLUSIVE.  At a 2 x 2
+    input PPT is decided at rounding, so a failed concurrence is left only
+    to states within rounding of the PPT boundary and to 2 x 2 supports of
+    larger inputs, whose PPT is certified at ``tol``.
 
     Any other record runs ``_FULL_RANK``: a product of its marginals, with
     correlation a b^T within ``RESIDUAL`` entrywise, ends with its
@@ -515,11 +507,11 @@ def analyze(rho: np.ndarray, dim_a: int, dim_b: int, *, tol: float = POSITIVITY_
     Cholesky factor of the partial transpose plus ``tol`` I passes it with
     margin 0, and only a failed factor takes the eigenvalues, so every NPT
     verdict logs the lowest one.  An NPT state is ENTANGLED there, with no
-    record.  Only a PPT state gets its record,
-    moments and realigned matrix, seeded with the matrix and, at 2 x 2,
-    with that eigendecomposition.  ``tol`` is the psd threshold of rho and
-    of its partial transpose and the local-rank cutoff; Hermiticity and
-    unit trace are validated to ``max(STATE_TOL, tol)``.  ``max_iter``
+    record.  Only a PPT state gets its record, moments and realigned
+    matrix, seeded with the matrix and, at 2 x 2, with that
+    eigendecomposition.  ``tol`` is the psd threshold of rho and, above
+    2 x 2, of its partial transpose, and the local-rank cutoff; Hermiticity
+    and unit trace are validated to ``max(STATE_TOL, tol)``.  ``max_iter``
     bounds the filtering sweeps.  A ``tol`` that is not finite and >= 0,
     or a ``max_iter`` that is not an integer >= 0, raises
     :class:`BadParameter`; a marginal with no eigenvalue above ``tol``
@@ -530,7 +522,7 @@ def analyze(rho: np.ndarray, dim_a: int, dim_b: int, *, tol: float = POSITIVITY_
     rho = _validated(rho, dim_a, dim_b, max(STATE_TOL, tol))
     spectrum = np.linalg.eigh(rho) if (dim_a, dim_b) == (2, 2) else None
     _require_psd(rho, tol, spectrum)
-    ppt = _ppt(rho, dim_a, dim_b, tol)
+    ppt = _ppt(rho, dim_a, dim_b, tol, spectrum)
     if not ppt.passed:
         return Verdict(status=Status.ENTANGLED, criteria=(ppt,))
     call = _Call(_record(rho, dim_a, dim_b, spectrum), tol, max_iter, [ppt])
@@ -542,8 +534,10 @@ def analyze(rho: np.ndarray, dim_a: int, dim_b: int, *, tol: float = POSITIVITY_
                                         f"reduced {call.d.dim_a}x{call.d.dim_b} -> "
                                         f"{ranks[0]}x{ranks[1]}"))
         if 1 in ranks:
-            # the unprojected marginals keep a weight below tol that the support drops
-            return call.run((_trivial_factor,))
+            # the unprojected marginals keep a weight below tol that the
+            # support drops; a 2 x 2 record they miss goes on to Wootters
+            two_qubit = (call.d.dim_a, call.d.dim_b) == (2, 2)
+            return call.run((_trivial_factor, *_TWO_QUBIT) if two_qubit else (_trivial_factor,))
         va, vb = support_isometries(call.d, tol=tol)
         call.lift = (va, vb) if call.lift is None else (call.lift[0] @ va, call.lift[1] @ vb)
         call.d = _filtered(call.d, va.conj().T, vb.conj().T)

@@ -157,6 +157,76 @@ def in_frame(rho, n, m, frame, rng):
     return 0.5 * (rho + rho.conj().T) / np.trace(rho).real
 
 
+def lowest_pt_eigenvalue(rho: np.ndarray, n: int, m: int) -> float:
+    """Lowest eigenvalue of the partial transpose on the second factor."""
+    rho_pt = rho.reshape(n, m, n, m).transpose(0, 3, 2, 1).reshape(n * m, n * m)
+    return float(np.linalg.eigvalsh(rho_pt)[0])
+
+
+# noise-weight shifts off the PPT boundary: the negative ones are entangled
+BOUNDARY_SHIFTS = (-1e-9, -1e-10, 0.0, 1e-10, 1e-9, 1e-6)
+
+
+def ppt_boundary(rank: int, seed, steps: int = 80) -> tuple[np.ndarray, float]:
+    """A Ginibre 2 x 2 state of ``rank``, redrawn until it is NPT, and the
+    noise weight t at which (1 - t) rho + t I/4 reaches the PPT boundary:
+    the PPT end of the bracket after ``steps`` bisection steps, so that its
+    lowest partial-transpose eigenvalue lies within rounding above 0."""
+    rng = _as_generator(seed)
+    rho = random_density(4, rank, rng)
+    while lowest_pt_eigenvalue(rho, 2, 2) >= 0.0:
+        rho = random_density(4, rank, rng)
+    npt, ppt = 0.0, 1.0
+    for _ in range(steps):
+        mid = 0.5 * (npt + ppt)
+        if lowest_pt_eigenvalue(noisy(rho, mid), 2, 2) < 0.0:
+            npt = mid
+        else:
+            ppt = mid
+    return rho, ppt
+
+
+def rank_one_rung_state(eps: float) -> np.ndarray:
+    """Half |a,0><a,0| plus half |a',1><a',1| at 2 x 2, with a = (1, eps)
+    and a' = (1, -eps) normalised: a separable state whose A marginal has
+    the eigenvalue eps^2 / (1 + eps^2), and which the product of its
+    marginals misses by about 2 eps."""
+    a, a_prime = np.array([[1.0, eps], [1.0, -eps]]) / np.hypot(1.0, eps)
+    kets = np.kron(a, [1.0, 0.0]), np.kron(a_prime, [0.0, 1.0])
+    return 0.5 * sum(np.outer(k, k) for k in kets).astype(complex)
+
+
+def local_filter(condition: float, rng) -> np.ndarray:
+    """A random 2 x 2 filter U diag(1, s) W, U and W Haar unitaries, whose
+    condition number 1/s is drawn log-uniformly from [1, ``condition``]."""
+    s = 10.0 ** -rng.uniform(0.0, np.log10(condition))
+    return (random_unitary(2, rng) * [1.0, s]) @ random_unitary(2, rng)
+
+
+def filtered_product_mixture(condition: float, seed) -> np.ndarray:
+    """A separable 2 x 2 state: 2-4 random pure products, the first weight
+    drawn log-uniformly down to 1e-14, half the time mixed with white noise
+    at a weight down to 1e-12, all under random local filters of condition
+    up to ``condition`` (:func:`local_filter`).  Each filtered product is
+    formed as one product vector and normalised, so every term is an exact
+    product up to the rounding of its entries."""
+    rng = _as_generator(seed)
+    fa, fb = local_filter(condition, rng), local_filter(condition, rng)
+    k = int(rng.integers(2, 5))
+    weights = rng.dirichlet(np.ones(k))
+    weights[0] = 10.0 ** rng.uniform(-14.0, 0.0)
+    rho = np.zeros((4, 4), dtype=complex)
+    for w in weights:
+        psi = np.kron(fa @ random_unitary(2, rng)[:, 0], fb @ random_unitary(2, rng)[:, 0])
+        rho += w / np.vdot(psi, psi).real * np.outer(psi, psi.conj())
+    rho /= np.trace(rho).real
+    if rng.random() < 0.5:
+        eps = 10.0 ** rng.uniform(-12.0, -1.0)
+        noise = np.kron(fa @ fa.conj().T, fb @ fb.conj().T)
+        rho = (1.0 - eps) * rho + eps * noise / np.trace(noise).real
+    return rho
+
+
 def off_ball_product(n: int, m: int, seed) -> np.ndarray:
     """rho_A x rho_B in a random local frame, each factor of full rank with
     its largest eigenvalue above 0.6, which puts it outside the inscribed

@@ -331,12 +331,12 @@ class TestWerner:
 
     @pytest.mark.parametrize("env_tol", [None, "1e-6"], ids=["default-tol", "env-tol"])
     @pytest.mark.parametrize("dim, phi, codes", [("3", "1.0", (0, 0)), ("3", "0.5", (0, 0)),
-                                                 ("2", "-1e-7", (1, 2))],
-                             ids=["3-1.0", "3-0.5", "2--1e-7"])
+                                                 ("3", "-1e-7", (1, 2))],
+                             ids=["3-1.0", "3-0.5", "3--1e-7"])
     def test_is_analyze_on_the_file_it_writes(self, tmp_path, capsys, monkeypatch,
                                               dim, phi, codes, env_tol):
         # the same report, decomposition file and exit code, at the same
-        # tolerance: -1e-7 at 2 x 2 lies inside the PPT band of 1e-6
+        # tolerance: -1e-7 at 3 x 3 passes PPT at a tolerance of 1e-6
         if env_tol is None:
             monkeypatch.delenv("SEP_HORN_TOL", raising=False)
         else:

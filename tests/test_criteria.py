@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (horodecki_2x4, horodecki_3x3, ill_conditioned_product, in_frame,
-                     nested_support, noisy, off_ball_product, products, projected_filtered,
-                     random_density, random_unitary, tiles_state, weakly_entangled)
+from helpers import (BOUNDARY_SHIFTS, filtered_product_mixture, horodecki_2x4, horodecki_3x3,
+                     ill_conditioned_product, in_frame, lowest_pt_eigenvalue, nested_support,
+                     noisy, off_ball_product, ppt_boundary, products, projected_filtered,
+                     random_density, random_unitary, rank_one_rung_state, tiles_state,
+                     weakly_entangled)
 from sephorn import bipartite, criteria
 from sephorn.bipartite import (
     BipartiteDecomposed,
@@ -19,8 +21,8 @@ from sephorn.bipartite import (
     partial_transpose_matrix,
 )
 from sephorn.bloch import ball_floor, from_bloch
-from sephorn.config import (COMPONENT_PSD, KYFAN_SLACK, NORMAL_TOL, POSITIVITY_TOL, PROB_SUM,
-                            RESIDUAL)
+from sephorn.config import (COMPONENT_PSD, KYFAN_SLACK, NORMAL_TOL, POSITIVITY_TOL, PPT_ROUNDING,
+                            PROB_SUM, RESIDUAL)
 from sephorn.criteria import (
     Status,
     analyze,
@@ -159,8 +161,8 @@ class TestPpt:
 
 
 def analyze_2x2(d, tol):
-    """``analyze`` on the 2 x 2 path, where ``tol`` reaches the PPT stage
-    and the tolerance band."""
+    """``analyze`` on the 2 x 2 path, where ``tol`` is the psd threshold
+    and the local-rank cutoff."""
     return analyze(d.matrix, 2, 2, tol=tol)
 
 
@@ -226,39 +228,35 @@ class TestTwoQubit:
         report = verify_decomposition(verdict.decomposition, decompose_state(rho, 2, 2))
         assert report.valid and report.max_residual <= 1e-12
 
-    def test_entangled_inside_ppt_tolerance_is_inconclusive(self):
-        # p_zero(1e-5) has concurrence 1e-5, but its partial transpose has
-        # lowest eigenvalue about -2.5e-11, inside the positivity tolerance
+    def test_entangled_inside_ppt_tolerance_fails_ppt(self):
+        # p_zero(1e-5) has concurrence 1e-5 and a partial transpose whose
+        # lowest eigenvalue, about -2.5e-11, lies inside the positivity
+        # tolerance; at 2 x 2 PPT is decided at rounding, so it fails
         verdict = analyze(compose_state(p_zero(1e-5)), 2, 2)
-        assert verdict.status is Status.INCONCLUSIVE
-        names = [c.name for c in verdict.criteria]
-        assert names == ["ppt", "concurrence", "ppt-tolerance-band"]
-        ppt, concurrence, band = verdict.criteria
-        assert ppt.passed and not concurrence.passed
-        assert abs(concurrence.margin - 1e-5) < 1e-9
-        # the verdict names the band the lowest eigenvalue lies in
-        assert not band.passed
-        assert band.margin == ppt.margin and 0.0 < band.margin <= POSITIVITY_TOL
-        assert "PPT tolerance band" in band.detail
+        assert verdict.status is Status.ENTANGLED
+        (ppt,) = verdict.criteria
+        assert ppt.name == "ppt" and not ppt.passed
+        assert abs(ppt.margin - 2.5e-11) < 1e-15 and ppt.margin < POSITIVITY_TOL
 
-    def test_tolerance_band_of_an_embedded_two_qubit_state(self):
-        # p_zero(1e-5), and the same state on two-dimensional supports of a
-        # 3 x 3 input, whose ppt is certified by a Cholesky factor with
-        # margin 0: either band is minus the lowest eigenvalue of the
-        # input's partial transpose, about -2.5e-11
+    def test_p_zero_at_2x2_and_on_embedded_supports(self):
+        # p_zero(1e-5) fails ppt at 2 x 2; on two-dimensional supports of a
+        # 3 x 3 input, whose ppt is certified at tol by a Cholesky factor
+        # with margin 0, it fails the concurrence instead
         rho = compose_state(p_zero(1e-5))
-        for n, state in ((2, rho), (3, _embedded(rho, 3, 3, 7))):
-            verdict = analyze(state, n, n)
-            assert verdict.status is Status.INCONCLUSIVE
-            band = -lowest_pt_eigenvalue(state, n, n)
-            assert abs(band - 2.5e-11) < 1e-15
-            want = [("ppt", True, band if n == 2 else 0.0)]
-            if n == 3:
-                want.append(("support-projection", True, 0.0))
-            want += [("concurrence", False, verdict.criteria[-2].margin),
-                     ("ppt-tolerance-band", False, band)]
-            assert [(c.name, c.passed, c.margin) for c in verdict.criteria] == want
-            assert abs(verdict.criteria[-2].margin - 1e-5) < 1e-15
+        low = lowest_pt_eigenvalue(rho, 2, 2)
+        assert abs(low + 2.5e-11) < 1e-15
+        verdict = analyze(rho, 2, 2)
+        assert verdict.status is Status.ENTANGLED
+        assert [(c.name, c.passed, c.margin) for c in verdict.criteria] == [("ppt", False, -low)]
+        embedded = _embedded(rho, 3, 3, 7)
+        assert abs(lowest_pt_eigenvalue(embedded, 3, 3) - low) < 1e-15
+        verdict = analyze(embedded, 3, 3)
+        assert verdict.status is Status.INCONCLUSIVE
+        assert [(c.name, c.passed, c.margin) for c in verdict.criteria[:2]] == [
+            ("ppt", True, 0.0), ("support-projection", True, 0.0)]
+        (concurrence,) = verdict.criteria[2:]
+        assert concurrence.name == "concurrence" and not concurrence.passed
+        assert abs(concurrence.margin - 1e-5) < 1e-15
 
     def test_rank_three_ppt_with_full_local_rank_is_separable(self):
         rho = np.diag([0.4, 0.3, 0.3, 0.0])
@@ -300,9 +298,11 @@ class TestTwoQubitGate:
         except SepHornError:
             return
         low = lowest_pt_eigenvalue(rho, 2, 2)
-        if abs(low) <= POSITIVITY_TOL:
-            # inside the positivity tolerance an entangled state passes PPT
-            # with a concurrence that can exceed the slack (p_zero(p) has
+        w = np.linalg.eigh(rho)[0]
+        floor = PPT_ROUNDING - w[w < 0.0].sum()
+        if abs(low) <= floor:
+            # within rounding of the PPT boundary an entangled state passes
+            # PPT with a concurrence that can exceed the slack (p_zero(p) has
             # concurrence p and lowest eigenvalue about -p^2/4), so only
             # ENTANGLED is ruled out there
             assert verdict.status is not Status.ENTANGLED, verdict.criteria
@@ -312,10 +312,47 @@ class TestTwoQubitGate:
         assert verdict.status is want, verdict.criteria
 
 
-def lowest_pt_eigenvalue(rho, n, m):
-    """Lowest eigenvalue of the partial transpose on the second factor."""
-    rho_pt = rho.reshape(n, m, n, m).transpose(0, 3, 2, 1).reshape(n * m, n * m)
-    return float(np.linalg.eigvalsh(rho_pt)[0])
+class TestTwoQubitBoundary:
+    """At 2 x 2 PPT is decided at rounding, so a state off the PPT boundary
+    by 1e-10 in noise weight is decided on the right side of it, and no
+    state built separable is ENTANGLED."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.sampled_from(BOUNDARY_SHIFTS),
+           st.sampled_from(["plain", "rotated"]))
+    def test_boundary_states_are_decided(self, seed, rank, shift, frame):
+        rng = np.random.default_rng(seed)
+        rho, weight = ppt_boundary(rank, rng)
+        rho = in_frame(noisy(rho, weight + shift), 2, 2, frame, rng)
+        verdict = analyze(rho, 2, 2)
+        if shift < 0.0:
+            assert verdict.status is Status.ENTANGLED
+            assert [(c.name, c.passed) for c in verdict.criteria] == [("ppt", False)]
+        else:
+            assert verdict.status is Status.SEPARABLE, verdict.criteria
+            assert verify_decomposition(verdict.decomposition, decompose_state(rho, 2, 2)).valid
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1e3, 1e6]))
+    def test_filtered_product_mixtures_are_not_entangled(self, seed, condition):
+        verdict = analyze(filtered_product_mixture(condition, seed), 2, 2)
+        assert verdict.status is not Status.ENTANGLED, verdict.criteria
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["plain", "rotated"]))
+    def test_perturbed_separable_boundary_state_is_not_entangled(self, seed, frame):
+        # two pure products, on the PPT boundary, plus 5e-10 (|u><u| - |v><v|)
+        # with u a product vector and v a null vector of the sum: rho keeps
+        # its trace and gets the eigenvalue -5e-10, while its positive part
+        # stays separable
+        rng = np.random.default_rng(seed)
+        u = np.kron(random_unitary(2, rng)[:, 0], random_unitary(2, rng)[:, 0])
+        plus = products(rng.dirichlet([1.0, 1.0]), 2, 2, rng) + 5e-10 * np.outer(u, u.conj())
+        v = np.linalg.eigh(plus)[1][:, 0]
+        rho = in_frame(plus - 5e-10 * np.outer(v, v.conj()), 2, 2, frame, rng)
+        assert abs(np.linalg.eigvalsh(rho)[0] + 5e-10) < 1e-15
+        verdict = analyze(rho, 2, 2)
+        assert verdict.status is not Status.ENTANGLED, verdict.criteria
 
 
 # wall-clock budget of one analyze call: a warm call takes about 2 ms at
@@ -1497,8 +1534,17 @@ def criterion_sequence_cases():
         ("kyfan-sufficient-fails", outside, 3, 3, INC,
          [PPT, KYFAN, ("kyfan-sufficient", False)]),
         ("wootters", compose_state(werner(2, 0.5)), 2, 2, SEP, WOOTTERS),
-        ("ppt-tolerance-band", compose_state(p_zero(1e-5)), 2, 2, INC,
-         [PPT, ("concurrence", False), ("ppt-tolerance-band", False)]),
+        # PPT is decided at rounding at 2 x 2: p_zero(1e-5)'s lowest
+        # partial-transpose eigenvalue is about -2.5e-11, p_zero(1e-7)'s
+        # about -2.5e-15, within rounding, and its concurrence is 1e-7
+        ("p-zero-npt", compose_state(p_zero(1e-5)), 2, 2, ENT, [("ppt", False)]),
+        ("concurrence-fails", compose_state(p_zero(1e-7)), 2, 2, INC,
+         [PPT, ("concurrence", False)]),
+        # the product of the marginals misses a 2 x 2 record with a rank-one
+        # marginal, and Wootters' decomposition of it decides
+        ("rank-one-rung-wootters", rank_one_rung_state(1e-5), 2, 2, SEP,
+         [PPT, ("support-projection", True), ("decomposition[trivial-factor]", False),
+          *WOOTTERS[1:]]),
         ("kyfan-sufficient", in_frame(inside, 3, 3, "filtered", np.random.default_rng(31)),
          3, 3, SEP, [PPT, KYFAN, ("decomposition[kyfan-sufficient]", True)]),
         ("kyfan-sufficient-unfiltered", inside, 3, 3, SEP,

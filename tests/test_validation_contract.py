@@ -49,6 +49,13 @@ MATRIX_CASES = {
     "imaginary-diagonal": (_spoiled(e0_0=0.25 + 1e-6j),
                            "Hermiticity deviation 2.000e-06 exceeds 1.0e-09"),
     "integer-trace": (np.eye(4, dtype=int), "trace deviates from 1 by 3.000e+00"),
+    # finite entries whose deviations overflow read as an infinite deviation
+    "overflow-trace": (np.full((4, 4), 1e308), "trace deviates from 1 by inf"),
+    "overflow-hermiticity": (np.full((4, 4), 1e308 + 1e308j),
+                             "Hermiticity deviation inf exceeds 1.0e-09"),
+    # a trace summed to inf - inf is NaN, which fails too
+    "overflow-trace-nan": (np.diag([1e308, 1e308, -1e308, -1e308]),
+                           "trace deviates from 1 by nan"),
 }
 
 SHAPE_CASES = {

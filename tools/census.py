@@ -40,7 +40,11 @@ of one plus half |22><22| at 3x3, whose marginal weight delta lies at or
 below the rank cutoff (``weak-entanglement``), and products: one pure
 product plus eps I/d, exact products whose marginals lie outside the
 inscribed ball, and mixed 1x3 and 3x1 states (``near-products``).  The
-states and their samplers are those of ``tests/helpers.py``, which the
+last group, ``qubit-boundary``, holds twenty NPT Ginibre 2x2 states mixed
+with white noise to the PPT boundary and moved off it by each of
+``BOUNDARY_SHIFTS`` in noise weight, and thirty separable mixtures of
+pure products under local filters of condition up to 1e3, 1e6 and 1e9.
+The states and their samplers are those of ``tests/helpers.py``, which the
 test suite checks.
 """
 
@@ -59,8 +63,9 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT), str(ROOT / "tests")]
 
-from helpers import (ill_conditioned_product, in_frame, nested_support, noisy,  # noqa: E402
-                     off_ball_product, products, projected_filtered, random_density,
+from helpers import (BOUNDARY_SHIFTS, filtered_product_mixture,  # noqa: E402
+                     ill_conditioned_product, in_frame, nested_support, noisy, off_ball_product,
+                     ppt_boundary, products, projected_filtered, random_density,
                      weakly_entangled)
 from pipebench import corpus  # noqa: E402
 from sephorn import analyze  # noqa: E402
@@ -118,6 +123,15 @@ def cases():
     for dims in ((1, 3), (3, 1)):
         for seed in range(3):
             yield f"near-products/{dims[0]}x{dims[1]}/{seed}", random_density(3, 3, seed), *dims
+    rng = np.random.default_rng(11)
+    for i in range(20):
+        rho, weight = ppt_boundary(1 + i % 4, rng)
+        for shift in BOUNDARY_SHIFTS:
+            yield f"qubit-boundary/{i}/{shift:+.0e}", noisy(rho, weight + shift), 2, 2
+    for condition in (1e3, 1e6, 1e9):
+        for seed in range(10):
+            rho = filtered_product_mixture(condition, seed)
+            yield f"qubit-boundary/filtered-products/{condition:.0e}/{seed}", rho, 2, 2
 
 
 def in_ball(rho: np.ndarray) -> bool:
