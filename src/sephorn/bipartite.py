@@ -133,18 +133,19 @@ def decompose_state(rho: np.ndarray, dim_a: int, dim_b: int,
                     tol: float = STATE_TOL) -> BipartiteDecomposed:
     """Extract (a, b, corr) from a trace-one Hermitian matrix.
 
-    The record keeps a read-only copy of the matrix as ``matrix``.
-    Dimensions that are not integers >= 1, bools included, raise
-    :class:`DimensionMismatch`.  It is :func:`_validated` then
-    :func:`_record`, the two steps :func:`~sephorn.criteria.analyze` takes
-    on either side of its matrix questions.
+    The record keeps a read-only copy of the matrix, at 2 x 2 of its Hermitian
+    part, as ``matrix``.  Dimensions that are not integers >= 1, bools included,
+    raise :class:`DimensionMismatch`.  It is :func:`_validated` then
+    :func:`_record`, the two steps :func:`~sephorn.criteria.analyze` takes on
+    either side of its matrix questions.
     """
     return _record(_validated(rho, dim_a, dim_b, tol), dim_a, dim_b)
 
 
 def _validated(rho: np.ndarray, dim_a: int, dim_b: int, tol: float) -> np.ndarray:
     """``rho`` as a complex matrix, checked by :func:`~sephorn.bloch.validate_state`
-    at ``tol`` after its dimensions and before its size."""
+    at ``tol`` after its dimensions and before its size; at 2 x 2, where PPT is decided at
+    rounding, its Hermitian part, so that the eigensolves of rho and rho^Gamma see one matrix."""
     # int first: the Integral check alone goes through the ABC machinery
     if not all(isinstance(dim, (int, Integral)) and not isinstance(dim, bool) and dim >= 1
                for dim in (dim_a, dim_b)):
@@ -154,7 +155,7 @@ def _validated(rho: np.ndarray, dim_a: int, dim_b: int, tol: float) -> np.ndarra
         raise DimensionMismatch(
             f"matrix of size {rho.shape[0]} does not factor as {dim_a} x {dim_b}"
         )
-    return rho
+    return (rho + rho.conj().T) * 0.5 if (dim_a, dim_b) == (2, 2) else rho
 
 
 def _record(rho: np.ndarray, dim_a: int, dim_b: int,

@@ -160,8 +160,8 @@ def ppt_check(d: BipartiteDecomposed, *, tol: float = POSITIVITY_TOL) -> Criteri
     fails below -``tol`` above 2 x 2.  At 2 x 2, where PPT is necessary and
     sufficient, it fails below -(``PPT_ROUNDING`` + ||N||_tr), N the
     negative part of ``d.spectrum``: ||N^Gamma||_op <= ||N||_tr, so rho's
-    positive part is then NPT.  ``tol`` is checked as in :func:`analyze`,
-    which asks the same question of the validated matrix first.
+    positive part is then NPT (for a Hermitian ``d.matrix``, as the
+    validation makes it).  ``tol`` is checked as in :func:`analyze`.
     """
     check_tol(tol)
     two_qubit = (d.dim_a, d.dim_b) == (2, 2)
@@ -179,10 +179,10 @@ def _ppt(rho: np.ndarray, dim_a: int, dim_b: int, tol: float,
             return CriterionResult("ppt", True, 0.0,
                                    f"Cholesky factor of the partial transpose + {tol:.1e} I")
     else:
-        # rho's negative eigenvalues, ascending, widen the floor by their sum
+        # rho's negative eigenvalues widen the floor by their sum
         w = spectrum[0]
         low = np.linalg.eigvalsh(pt)[0]
-        floor = PPT_ROUNDING - (0.0 if w[0] >= 0.0 else sum(x for x in w.tolist() if x < 0.0))
+        floor = PPT_ROUNDING - float(w[w < 0.0].sum())
     low = float(low)
     return CriterionResult("ppt", low >= -floor, max(0.0, -low), f"min eigenvalue {low:.3e}")
 
@@ -511,11 +511,11 @@ def analyze(rho: np.ndarray, dim_a: int, dim_b: int, *, tol: float = POSITIVITY_
     matrix, seeded with the matrix and, at 2 x 2, with that
     eigendecomposition.  ``tol`` is the psd threshold of rho and, above
     2 x 2, of its partial transpose, and the local-rank cutoff; Hermiticity
-    and unit trace are validated to ``max(STATE_TOL, tol)``.  ``max_iter``
-    bounds the filtering sweeps.  A ``tol`` that is not finite and >= 0,
-    or a ``max_iter`` that is not an integer >= 0, raises
-    :class:`BadParameter`; a marginal with no eigenvalue above ``tol``
-    raises :class:`NotFullRank`.
+    and unit trace are validated to ``max(STATE_TOL, tol)``, and a 2 x 2 rho
+    is replaced by its Hermitian part.  ``max_iter`` bounds the filtering
+    sweeps.  A ``tol`` that is not finite and >= 0, or a ``max_iter`` that
+    is not an integer >= 0, raises :class:`BadParameter`; a marginal with
+    no eigenvalue above ``tol`` raises :class:`NotFullRank`.
     """
     check_tol(tol)
     check_max_iter(max_iter)

@@ -354,6 +354,18 @@ class TestTwoQubitBoundary:
         verdict = analyze(rho, 2, 2)
         assert verdict.status is not Status.ENTANGLED, verdict.criteria
 
+    @pytest.mark.parametrize("tol", [POSITIVITY_TOL, 1e-6])
+    def test_product_state_off_hermitian_in_one_triangle_is_not_entangled(self, tol):
+        # |1><1| (x) I/2 with rho[0, 1] = 5e-10 alone: eigh of rho reads its
+        # lower triangle, diag(0, 0, .5, .5), while the partial transpose
+        # carries rho[0, 1] into its lower triangle; validation accepts the
+        # deviation and takes the Hermitian part, which both eigensolves see
+        rho = np.diag([0.0, 0.0, 0.5, 0.5]).astype(complex)
+        rho[0, 1] = 5e-10
+        verdict = analyze(rho, 2, 2, tol=tol)
+        assert verdict.status is Status.SEPARABLE, verdict.criteria
+        assert ppt_check(decompose_state(rho, 2, 2, tol=tol), tol=tol).passed
+
 
 # wall-clock budget of one analyze call: a warm call takes about 2 ms at
 # every size here, and the first simplex build of a square dimension adds
