@@ -6,8 +6,8 @@ plus the (N^2-1) x (M^2-1) correlation matrix of joint generator
 expectations ``corr[mu, nu] = Tr[rho (g_mu x h_nu)]``.  The record also
 carries the density matrix and computes each spectral quantity the
 pipeline reads once, on first use: the eigendecomposition of each reduced
-matrix, per side, and of the density matrix, the singular value
-decomposition of the correlation matrix, the moment matrix
+matrix, per side, and of the density matrix, the singular values of the
+correlation matrix and, apart, its singular vectors, the moment matrix
 [[1, b^T], [a, corr]] that verification subtracts from, and the realigned
 matrix R[(i, j), (a, b)] = rho[ia, jb].  Local rank is answered first from
 the Bloch norm (:func:`~sephorn.bloch.ball_floor`): a side whose floor
@@ -49,7 +49,11 @@ class BipartiteDecomposed:
 
     The memoized attributes are read-only arrays, computed from the Bloch
     data and the density matrix on first use; treat ``a``, ``b`` and
-    ``corr`` as immutable once a record exists.
+    ``corr`` as immutable once a record exists.  The correlation's singular
+    values, ``corr_singular_values``, come from an SVD without vectors,
+    which is what the Ky Fan questions read; ``corr_svd`` takes the vectors
+    too, for a construction that uses them, and once taken it supplies
+    the values.
     """
 
     dim_a: int
@@ -101,6 +105,16 @@ class BipartiteDecomposed:
         return _read_only(np.linalg.svd(np.asarray(self.corr, dtype=float),
                                         full_matrices=False))
 
+    @cached_property
+    def corr_singular_values(self) -> np.ndarray:
+        """The singular values ``tau`` of ``corr``, descending: those of
+        ``corr_svd`` when it has been taken, else from one SVD without
+        singular vectors, which the Ky Fan questions that read only tau share."""
+        if "corr_svd" in self.__dict__:
+            return self.corr_svd[1]
+        return _read_only((np.linalg.svd(np.asarray(self.corr, dtype=float),
+                                         compute_uv=False),))[0]
+
 
 @dataclass(frozen=True)
 class NormalFormResult:
@@ -145,7 +159,8 @@ def decompose_state(rho: np.ndarray, dim_a: int, dim_b: int,
 def _validated(rho: np.ndarray, dim_a: int, dim_b: int, tol: float) -> np.ndarray:
     """``rho`` as a complex matrix, checked by :func:`~sephorn.bloch.validate_state`
     at ``tol`` after its dimensions and before its size; at 2 x 2, where PPT is decided at
-    rounding, its Hermitian part, so that the eigensolves of rho and rho^Gamma see one matrix."""
+    rounding, its Hermitian part rho/2 + rho^dag/2, so that the eigensolves of rho and
+    rho^Gamma see one matrix."""
     # int first: the Integral check alone goes through the ABC machinery
     if not all(isinstance(dim, (int, Integral)) and not isinstance(dim, bool) and dim >= 1
                for dim in (dim_a, dim_b)):
@@ -155,7 +170,11 @@ def _validated(rho: np.ndarray, dim_a: int, dim_b: int, tol: float) -> np.ndarra
         raise DimensionMismatch(
             f"matrix of size {rho.shape[0]} does not factor as {dim_a} x {dim_b}"
         )
-    return (rho + rho.conj().T) * 0.5 if (dim_a, dim_b) == (2, 2) else rho
+    if (dim_a, dim_b) != (2, 2):
+        return rho
+    # halved before the sum, which then cannot overflow
+    half = rho * 0.5
+    return half + half.conj().T
 
 
 def _record(rho: np.ndarray, dim_a: int, dim_b: int,

@@ -23,6 +23,7 @@ MAX_ITER = 500         # normal-form filtering budget, in sweeps
 NORMAL_TOL = 1e-10     # marginal Bloch-norm convergence target of filtering
 SCALING_RATE = 0.8     # per-sweep deviation ratio a filtering run must beat, else it re-bases
 KYFAN_SLACK = 1e-9     # slack on the norm-bound criteria and the 2 x 2 concurrence
+HOLDER_ROUNDING = 2 ** 22 * float_info.epsilon  # relative rounding of Holder's Ky Fan floor
 PPT_ROUNDING = 64 * float_info.epsilon  # PPT threshold at 2 x 2, about 1.4e-14
 HORN_SLACK = 1e-9      # relative slack of the Horn product inequalities and equality
 RESIDUAL = 1e-8        # decomposition residual; normal-form acceptance

@@ -30,7 +30,8 @@ Otherwise the constructive bound is tried first on the unfiltered record,
 shifted by its marginals: ||corr - a b^T||_KF <= (R_N - |a|)(R_M - |b|),
 with R_N = sqrt(2/(N(N-1))) the radius of the inscribed ball.  It decides
 a state whose correlation fits that ball with one singular value
-decomposition, and no filtering, pull-back or Gram iteration; a state it
+decomposition, and no filtering, pull-back or Gram iteration, and refuses
+most others from two norms with no decomposition at all; a state it
 does not decide logs nothing and is filtered, and the bounds then apply to
 the filtered correlation: the necessary bound, then the family question,
 then the constructive bound, so that a Werner or isotropic state in any
@@ -45,13 +46,15 @@ norm in :func:`~sephorn.decompose.kyfan_bound_decomposition` alone, whose
 BoundExceeded carries the excess that a failed ``kyfan-sufficient`` logs.
 
 The stages read what a :class:`BipartiteDecomposed` record computes
-once: the one singular value decomposition ``d.corr_svd`` that the norm
-bounds and the family recogniser share on the filtered record, and the
-moment matrix ``d.moments`` that verification subtracts from the
-decomposition's own in one step.  :func:`ppt_check` and
-:func:`require_psd` ask their questions of a record's ``d.matrix``
-through the code :func:`analyze` runs on the validated matrix.
-Positivity is read from a Bloch norm
+once: the singular values ``d.corr_singular_values``, from one singular
+value decomposition without vectors, that the necessary bound, the family
+recogniser and the constructive bound's refusal share on the filtered
+record; the singular vectors ``d.corr_svd``, taken only once the
+constructive bound fits; and the moment matrix ``d.moments`` that
+verification subtracts from the decomposition's own in one step.
+:func:`ppt_check` and :func:`require_psd` ask their questions of a
+record's ``d.matrix`` through the code :func:`analyze` runs on the
+validated matrix.  Positivity is read from a Bloch norm
 (:func:`~sephorn.bloch.ball_floor`) or certified by a Cholesky
 factorisation (:func:`~sephorn.linalg.certify_psd`) before any eigenvalue
 is computed; see :func:`verify_decomposition`, :func:`require_psd` and,
@@ -63,7 +66,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from math import isfinite
+from math import isfinite, sqrt
 
 import numpy as np
 
@@ -79,11 +82,15 @@ from .bipartite import (
     support_isometries,
 )
 from .bloch import _ball_radius_sq, ball_floor, from_bloch
-from .config import (COMPONENT_PSD, KYFAN_SLACK, MAX_ITER, NORMAL_TOL, POSITIVITY_TOL,
-                     PPT_ROUNDING, PROB_SUM, RESIDUAL, STATE_TOL, check_max_iter, check_tol)
+from .config import (COMPONENT_PSD, HOLDER_ROUNDING, KYFAN_SLACK, MAX_ITER, NORMAL_TOL,
+                     POSITIVITY_TOL, PPT_ROUNDING, PROB_SUM, RESIDUAL, STATE_TOL, check_max_iter,
+                     check_tol)
 from .decompose import (
+    _EPS,
     SeparableDecomposition,
     kyfan_bound_decomposition,
+    kyfan_fit,
+    kyfan_floor,
     kyfan_room,
     transport,
     werner_decompose,
@@ -134,13 +141,14 @@ def kyfan_necessary_check(d: BipartiteDecomposed) -> CriterionResult:
     R_+(N) = sqrt(2(N-1)/N), which every separable state satisfies,
     filtered or not.
 
-    The ``kyfan-necessary`` criterion's margin is the Ky Fan norm, read
-    from ``d.corr_svd``, minus the bound, so a positive margin beyond
-    ``KYFAN_SLACK`` certifies entanglement.
+    The ``kyfan-necessary`` criterion's margin is the Ky Fan norm, the sum
+    of ``d.corr_singular_values``, which takes no singular vectors, minus
+    the bound, so a positive margin beyond ``KYFAN_SLACK`` certifies
+    entanglement.
     """
     n, m = d.dim_a, d.dim_b
     bound = np.sqrt(2.0 * (n - 1.0) / n) * np.sqrt(2.0 * (m - 1.0) / m)
-    margin = float(d.corr_svd[1].sum() - bound)
+    margin = float(d.corr_singular_values.sum() - bound)
     return CriterionResult("kyfan-necessary", margin <= KYFAN_SLACK, margin,
                            f"Ky Fan norm bound {bound:.6g}")
 
@@ -357,15 +365,24 @@ def _kyfan_unfiltered(call: _Call) -> Verdict | Status | None:
     its one component (a, b) or not at all.  Otherwise ||C||_KF <= (R_N -
     |a|)(R_M - |b|), within the slack of :func:`~sephorn.decompose.kyfan_room`,
     builds the decomposition by :func:`~sephorn.decompose.kyfan_bound_decomposition`
-    from one SVD of C, with no filtering and so no pull-back; ||C||_F <=
-    ||C||_KF rejects most states before any SVD.  A state it rejects logs
-    nothing and goes on to the filter."""
+    from one SVD of C, with no filtering and so no pull-back.  The norms
+    ask first, from ||C||_F <= L <= ||C||_KF <= sqrt(k) ||C||_F, k =
+    min(C.shape), L Holder's bound (:func:`~sephorn.decompose.kyfan_floor`):
+    ||C||_F beyond the room rejects most states, and L beyond it by more
+    than its rounding, ``HOLDER_ROUNDING``, most of the rest, with no SVD;
+    L is skipped when sqrt(k) ||C||_F fits, which leaves a state that fits
+    no numpy work beyond ||C||_F.  A state it rejects logs nothing and goes
+    on to the filter."""
     d = call.d
     c = d.corr - np.outer(d.a, d.b)
     if np.abs(c).max(initial=0.0) <= RESIDUAL:
         return _trivial_factor(call) or Status.INCONCLUSIVE
     bound, slack, _, _ = kyfan_room(d.dim_a, d.dim_b, d.a, d.b)
-    if np.linalg.norm(c) - bound > slack:
+    fro = sqrt(np.vdot(c, c))
+    if fro - bound > slack:
+        return None
+    if (sqrt(min(c.shape)) * fro - bound > slack
+            and kyfan_floor(c, fro) * (1.0 - HOLDER_ROUNDING) - bound > slack):
         return None
     try:
         built = kyfan_bound_decomposition(np.linalg.svd(c, full_matrices=False),
@@ -406,33 +423,44 @@ def _kyfan_necessary(call: _Call) -> Status | None:
 
 
 def _kyfan_sufficient(call: _Call) -> Verdict | None:
+    """The constructive bound on the filtered record ``d``, whose marginals
+    are zero.  Its refusal is read off the singular values alone, by the
+    test :func:`~sephorn.decompose.kyfan_bound_decomposition` applies;
+    only a correlation that fits takes the singular vectors, and the pairs
+    are built from them with those same values."""
+    d = call.d
+    taus = d.corr_singular_values
     try:
-        built = kyfan_bound_decomposition(call.d.corr_svd, call.d.dim_a, call.d.dim_b)
+        kyfan_fit(taus, d.dim_a, d.dim_b, np.zeros(d.a.size), np.zeros(d.b.size))
     except BoundExceeded as exc:
         call.log.append(CriterionResult("kyfan-sufficient", False, exc.excess, str(exc)))
         return None
-    return call.verified(built, "kyfan-sufficient")
+    u, _, vh = d.corr_svd
+    return call.verified(kyfan_bound_decomposition((u, taus, vh), d.dim_a, d.dim_b),
+                         "kyfan-sufficient")
 
 
 def _family(call: _Call) -> Verdict | None:
-    """Werner and isotropic states in any local frame, from the stored SVD
-    of the filtered record ``d``.
+    """Werner and isotropic states in any local frame, from the singular
+    values of the filtered record ``d`` and no singular vectors.
 
     Filtering takes every local-filter image of a Werner or isotropic state
     to a local-unitary image, whose correlation is c O with O orthogonal:
     Ad(W) for Werner, Ad(W) Flip for isotropic.  So all singular values of
-    the filtered correlation U diag(tau) V^T are equal; when they spread
-    by more than ``RESIDUAL`` no rotated family reproduces it within
-    the verification residual, and the stage passes with nothing logged.
-    Otherwise O = U V^T, and the canonical Werner decomposition of c = +-tau_1
-    has its A side rotated by +-O.  c = -tau_1 is taken while its Werner
+    the filtered correlation C are equal; when they spread by more than
+    ``RESIDUAL`` no rotated family reproduces it within the verification
+    residual, and the stage passes with nothing logged.  Otherwise C =
+    tau_1 O + E with E within the spread, and the canonical Werner
+    decomposition of c = +-tau_1 has its A side rotated by +-O, O the polar
+    factor of C (:func:`_polar`).  c = -tau_1 is taken while its Werner
     parameter is separable: that A side lies in the inscribed ball, where
     every rotation stays physical.  The result reaches the input and is
-    verified like every other decomposition.
+    verified like every other decomposition, which has the last word.
     """
-    u, taus, vh = call.d.corr_svd
-    n = call.d.dim_a
-    if n != call.d.dim_b or taus[0] - taus[-1] > RESIDUAL:
+    d = call.d
+    taus = d.corr_singular_values
+    n = d.dim_a
+    if n != d.dim_b or taus[0] - taus[-1] > RESIDUAL:
         return None
     # round-off puts a recovered phi just outside [0, 1] at either end (phi =
     # 1 + 5e-12 on a filtered 3x3 Werner state, -1e-16 on a rotated phi = 0
@@ -445,9 +473,35 @@ def _family(call: _Call) -> Verdict | None:
     except SepHornError as exc:
         call.log.append(CriterionResult("family", False, 0.0, str(exc)))
         return None
+    rotation = sign * _polar(d.corr, taus)
     return call.verified(SeparableDecomposition(probs=built.probs,
-                                                r_vectors=built.r_vectors @ (sign * u @ vh).T,
+                                                r_vectors=built.r_vectors @ rotation.T,
                                                 s_vectors=built.s_vectors), "family")
+
+
+def _polar(c: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """The polar factor O of a square C with singular values ``taus``,
+    descending, by at most two Newton-Schulz steps O <- O (3I - O^T O)/2
+    from C/tau_1; I for a zero C.
+
+    A step takes each singular value s of O to s (3 - s^2)/2, which maps
+    [0, 1] into itself, increasing, so no step can overflow, and takes the
+    gap 1 - s of the smallest one to g^2 (3 - g)/2.  That gap, 1 -
+    tau_k/tau_1 at the start, is followed exactly, and a step is taken only
+    while it exceeds eps: none for a flat spectrum, and one for a spread of
+    1e-9 relative.  A gap still open after two steps leaves O short of
+    orthogonal, which verification reads."""
+    top = float(taus[0])
+    if not top > 0.0:
+        return np.eye(c.shape[0])
+    o = c / top
+    gap = 1.0 - float(taus[-1]) / top
+    for _ in range(2):
+        if gap <= _EPS:
+            break
+        o = 1.5 * o - 0.5 * (o @ (o.T @ o))
+        gap = gap * gap * (1.5 - 0.5 * gap)
+    return o
 
 
 # The battery, in order, for a 2 x 2 record and any other, each with full

@@ -79,6 +79,43 @@ def kyfan_room(dim_a: int, dim_b: int, a: np.ndarray, b: np.ndarray
     return bound, KYFAN_SLACK * scale, shrink_a, shrink_b
 
 
+def kyfan_floor(c: np.ndarray, fro: float) -> float:
+    """Holder's lower bound L = ||C||_F^3 / ||C^T C||_F on the Ky Fan norm
+    of C, given fro = ||C||_F; 0 for a zero C.
+
+    With tau the singular values of C, ||C^T C||_F^2 = sum tau^4, and
+    Holder's inequality on tau^2 = tau^(2/3) tau^(4/3), with exponents 3/2
+    and 3, gives (sum tau^2)^(3/2) <= sum tau (sum tau^4)^(1/2).  So, with
+    k = min(C.shape), ||C||_F <= L <= ||C||_KF <= sqrt(k) ||C||_F, and
+    L = ||C||_KF exactly when the nonzero singular values are equal.  The
+    Gram matrix is the smaller of C^T C and C C^T, one product and no
+    factorisation.  In floating point each sum of n products errs by at
+    most n eps relatively (a Gram entry by m eps times the product of its
+    two column norms, for columns of length m), so L errs by at most about
+    (3n + 3) eps relatively for C of n entries: below ``HOLDER_ROUNDING``
+    for every C of up to a million entries (N = M = 31).
+    """
+    gram = c.T @ c if c.shape[1] <= c.shape[0] else c @ c.T
+    norm = sqrt(np.vdot(gram, gram))
+    # divided first, so that no power of a large ||C||_F overflows
+    return fro / norm * fro * fro if norm > 0.0 else 0.0
+
+
+def kyfan_fit(taus: np.ndarray, dim_a: int, dim_b: int, a: np.ndarray,
+              b: np.ndarray) -> tuple[float, float, float]:
+    """(bound, shrink_a, shrink_b) of :func:`kyfan_room` about the marginals
+    a, b when the Ky Fan norm sum ``taus`` fits the bound within its slack;
+    otherwise BoundExceeded, which carries the excess, norm minus bound.
+    The one test :func:`kyfan_bound_decomposition` applies, so that a
+    refusal read off the singular values alone is the one it would raise."""
+    bound, slack, shrink_a, shrink_b = kyfan_room(dim_a, dim_b, a, b)
+    excess = float(taus.sum() - bound)
+    if excess > slack:
+        raise BoundExceeded(f"Ky Fan norm exceeds the constructive bound {bound:.6g} "
+                            f"by {excess:.3e}", excess=excess)
+    return bound, shrink_a, shrink_b
+
+
 def _pairs(centre: np.ndarray, step: np.ndarray) -> np.ndarray:
     """The rows centre + step_i and centre - step_i, interleaved."""
     out = np.empty((2 * step.shape[0], step.shape[1]))
@@ -102,7 +139,8 @@ def kyfan_bound_decomposition(corr_svd: tuple[np.ndarray, np.ndarray, np.ndarray
     the radius of the inscribed ball, by at most the slack of
     :func:`kyfan_room`, ``KYFAN_SLACK`` scaled as the bound is; otherwise,
     or when a marginal lies on or outside its ball, BoundExceeded carries
-    the excess, norm minus bound.  With K = ||C||_KF / bound, every
+    the excess, norm minus bound (:func:`kyfan_fit`, which reads only
+    tau).  With K = ||C||_KF / bound, every
     tau_i > 0 contributes the pair (a +- s u_i, b +- t v_i), each of weight
     tau_i / (2 sum tau), where s = (R_N - |a|) sqrt(K) and
     t = (R_M - |b|) sqrt(K), so s t = ||C||_KF.  The pairs reproduce the
@@ -119,11 +157,7 @@ def kyfan_bound_decomposition(corr_svd: tuple[np.ndarray, np.ndarray, np.ndarray
     if taus.size == 0 or taus[0] <= 0.0:
         return SeparableDecomposition(probs=np.array([1.0]), r_vectors=np.array([a], dtype=float),
                                       s_vectors=np.array([b], dtype=float))
-    bound, slack, shrink_a, shrink_b = kyfan_room(dim_a, dim_b, a, b)
-    excess = float(taus.sum() - bound)
-    if excess > slack:
-        raise BoundExceeded(f"Ky Fan norm exceeds the constructive bound {bound:.6g} "
-                            f"by {excess:.3e}", excess=excess)
+    bound, shrink_a, shrink_b = kyfan_fit(taus, dim_a, dim_b, a, b)
     rank = np.count_nonzero(taus > KYFAN_RANK * taus[0])
     taus, u, v = taus[:rank], u[:, :rank].T, vh[:rank]
     budget = float(taus.sum()) / bound

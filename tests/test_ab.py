@@ -113,3 +113,42 @@ def test_compact_diff_of_other_outcomes():
     # a battery's repr and a triple set's list are shown as they are
     assert ab.compact_diff('"Report(ok)"', "[[3, 1, 4]]") == [
         '  parent: "Report(ok)"', "  change: [[3, 1, 4]]"]
+
+
+def _tail(values, beyond=2):
+    """The benchmark's tail rule with ``beyond`` samples above the tail."""
+    ordered = sorted(values)
+    if len(ordered) <= beyond:
+        return ordered[-1], 100.0
+    return ordered[len(ordered) - beyond - 1], 100.0 * (len(ordered) - beyond) / len(ordered)
+
+
+def test_latency_reads_median_and_tail_of_the_minima():
+    parent = {f"q/a/{i}": [float(i), float(i) + 5.0] for i in range(1, 6)}
+    change = {f"q/a/{i}": [float(i) / 2.0] for i in range(1, 6)}
+    spread = ab.latency(ab.summarize(parent, change), _tail)
+    # minima 1..5: median 3, and with two cases beyond the tail, 3 at p60
+    assert spread["parent"] == (3.0, 3.0, 60.0)
+    assert spread["change"] == (1.5, 1.5, 60.0)
+
+
+def test_latency_uses_the_benchmarks_tail_rule(monkeypatch):
+    monkeypatch.syspath_prepend(str(ab.ROOT))
+    from pipebench.run import TAIL_BEYOND, tail
+    parent = {f"c/{i}": [float(i)] for i in range(TAIL_BEYOND + 10)}
+    spread = ab.latency(ab.summarize(parent, parent), tail)
+    assert spread["parent"][1] == 9.0 and spread["parent"] == spread["change"]
+
+
+class _Id:
+    def __init__(self, cid):
+        self.id = cid
+
+
+def test_select_keeps_the_cases_under_a_prefix():
+    cases = [_Id(cid) for cid in ("qudit/3x3/mixed_inc/0", "qudit/3x3/mixed_sep/0",
+                                  "qudit/3x4/mixed_inc/0")]
+    assert [c.id for c in ab.select(cases, "qudit/3x3/mixed_inc")] == ["qudit/3x3/mixed_inc/0"]
+    assert [c.id for c in ab.select(cases, "qudit/3x4")] == ["qudit/3x4/mixed_inc/0"]
+    assert ab.select(cases, None) == cases
+    assert ab.select(cases, "families") == []

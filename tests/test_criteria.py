@@ -33,6 +33,7 @@ from sephorn.criteria import (
 from sephorn.decompose import (
     SeparableDecomposition,
     kyfan_bound_decomposition,
+    kyfan_floor,
     kyfan_room,
     transport,
     werner_decompose,
@@ -431,6 +432,103 @@ class TestFamiliesInAnyFrame:
                                     decompose_state(rho, dim, dim)).valid
 
 
+@st.composite
+def family_states(draw):
+    """A Werner or isotropic state at N = 2..7, separable and outside the
+    constructive Ky Fan interval by a tenth of the gap to its end (at
+    N = 2 anywhere in the separable range), in a random frame."""
+    dim = draw(st.integers(2, 7))
+    kind = draw(st.sampled_from(["werner", "isotropic"]))
+    share = draw(st.floats(0.0, 1.0))
+    above = draw(st.booleans())
+    if kind == "werner":
+        low, high = (dim - 2.0) / (dim * (dim - 1.0)), 1.0 / (dim - 1.0)
+        ends = (0.0, 1.0) if dim == 2 else (high + 0.1 * (1.0 - high), 1.0) if above else (
+            0.0, 0.9 * low)
+        state = werner(dim, ends[0] + share * (ends[1] - ends[0]))
+    else:
+        edge = 1.0 / ((dim - 1.0) * (dim * dim - 1.0))
+        lowest, highest = -1.0 / (dim * dim - 1.0), 1.0 / (dim + 1.0)
+        ends = (lowest, highest) if dim == 2 else (1.1 * edge, highest) if above else (
+            lowest, -1.1 * edge)
+        state = isotropic(dim, ends[0] + share * (ends[1] - ends[0]))
+    frame = draw(st.sampled_from(["rotated", "filtered"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return dim, in_frame(compose_state(state), dim, dim, frame, rng)
+
+
+class TestFamilyWithoutSingularVectors:
+    """The family stage reads the singular values alone and rotates by the
+    polar factor of the filtered correlation, by Newton-Schulz steps."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(family_states())
+    def test_families_stay_separable_by_the_family_stage(self, case):
+        dim, rho = case
+        verdict = analyze(rho, dim, dim)
+        assert verdict.status is Status.SEPARABLE, verdict.criteria
+        # a 2 x 2 state takes the exact two-qubit decision instead
+        expected = "decomposition[wootters]" if dim == 2 else "decomposition[family]"
+        assert verdict.criteria[-1].name == expected, verdict.criteria
+        assert verify_decomposition(verdict.decomposition, decompose_state(rho, dim, dim)).valid
+
+    @staticmethod
+    def family(d):
+        return criteria._Call(d, POSITIVITY_TOL).run((criteria._family,))
+
+    @pytest.mark.parametrize("dim", [3, 5])
+    def test_zero_correlation(self, dim):
+        # tau_1 = 0: the rotation is I, and I/d is the Werner state at 1/N
+        k = dim * dim - 1
+        d = BipartiteDecomposed(dim_a=dim, dim_b=dim, a=np.zeros(k), b=np.zeros(k),
+                                corr=np.zeros((k, k)))
+        assert d.corr_singular_values[0] == 0.0
+        np.testing.assert_array_equal(criteria._polar(d.corr, d.corr_singular_values),
+                                      np.eye(k))
+        verdict = self.family(d)
+        assert verdict.status is Status.SEPARABLE
+        assert [c.name for c in verdict.criteria] == ["decomposition[family]"]
+
+    @pytest.mark.parametrize("frame", ["rotated", "filtered"])
+    def test_near_maximally_mixed(self, frame):
+        # Werner correlation about 1e-7 in a random frame, filtered to normal
+        # form: the spread of its singular values is a large share of them
+        dim = 3
+        phi = 1.0 / dim + 1e-7 * dim * (dim * dim - 1.0) / (2.0 * dim)
+        rho = in_frame(compose_state(werner(dim, phi)), dim, dim, frame,
+                       np.random.default_rng(17))
+        nf = normal_form(decompose_state(rho, dim, dim))
+        taus = nf.state.corr_singular_values
+        assert 0.5e-7 < taus.mean() < 2e-7
+        verdict = self.family(nf.state)
+        assert verdict.status is Status.SEPARABLE, verdict.criteria
+
+    def test_rank_deficient_within_the_spread(self):
+        # tau_1 = 5e-9 and every other singular value 0 pass the spread
+        # test; the steps stay finite, with no warning, and verification
+        # decides
+        corr = np.zeros((8, 8))
+        corr[0, 0] = 5e-9
+        d = BipartiteDecomposed(dim_a=3, dim_b=3, a=np.zeros(8), b=np.zeros(8), corr=corr)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            verdict = self.family(d)
+        assert verdict.criteria[-1].name == "decomposition[family]"
+        rotation = criteria._polar(corr, d.corr_singular_values)
+        assert np.isfinite(rotation).all()
+
+    @pytest.mark.parametrize("spread", [0.0, 1e-12, 1e-9, 1e-3])
+    def test_polar_factor(self, spread):
+        # C = U diag(tau) V^T: the steps reach U V^T, at once for a flat
+        # spectrum, within the gap's fourth power after two steps
+        rng = np.random.default_rng(5)
+        u, v = (np.linalg.qr(rng.normal(size=(8, 8)))[0] for _ in range(2))
+        taus = 0.2 * (1.0 - spread * np.linspace(0.0, 1.0, 8))
+        rotation = criteria._polar(u @ np.diag(taus) @ v.T, taus)
+        error = np.abs(rotation - u @ v.T).max()
+        assert error <= 1e-14 + 4.0 * spread ** 4
+
+
 def kyfan_family_cases():
     """Werner and isotropic states inside the constructive Ky Fan interval,
     for N = 3..7."""
@@ -629,6 +727,33 @@ class TestUnfilteredKyFan:
         without = criteria._Call(d, POSITIVITY_TOL).run(self.WITHOUT)
         assert without.status is Status.SEPARABLE, without.criteria
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 4), st.integers(2, 4), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from(["gaussian", "rank-one", "flat"]), st.floats(0.0, 0.9),
+           st.floats(0.0, 0.9))
+    def test_never_refuses_a_correlation_that_fits(self, n, m, seed, kind, reach_a, reach_b):
+        # C scaled to ||C||_KF = bound + slack (1 - 1e-3), just inside the
+        # room, about marginals reaching a share of the inscribed radius:
+        # neither norm test refuses it, and the stage builds and verifies
+        rng = np.random.default_rng(seed)
+        ka, kb = n * n - 1, m * m - 1
+        a, b = rng.normal(size=ka), rng.normal(size=kb)
+        a *= reach_a * np.sqrt(2.0 / (n * (n - 1))) / np.linalg.norm(a)
+        b *= reach_b * np.sqrt(2.0 / (m * (m - 1))) / np.linalg.norm(b)
+        if kind == "rank-one":
+            c = np.outer(rng.normal(size=ka), rng.normal(size=kb))
+        elif kind == "flat":
+            q = np.linalg.qr(rng.normal(size=(max(ka, kb), min(ka, kb))))[0]
+            c = q if ka >= kb else q.T
+        else:
+            c = rng.normal(size=(ka, kb))
+        bound, slack, _, _ = kyfan_room(n, m, a, b)
+        c *= (bound + slack * (1.0 - 1e-3)) / np.linalg.svd(c, compute_uv=False).sum()
+        d = BipartiteDecomposed(dim_a=n, dim_b=m, a=a, b=b, corr=np.outer(a, b) + c)
+        verdict = self.stage(d)
+        assert verdict.status is Status.SEPARABLE, verdict.criteria
+        assert [c.name for c in verdict.criteria] == ["decomposition[kyfan-sufficient]"]
+
     def test_marginal_on_the_inscribed_sphere(self):
         # diag(2/3, 1/6, 1/6) lies on the inscribed sphere, where round-off
         # leaves a room of a few ulps; the slack shrinks with it, so 1e-11
@@ -745,12 +870,15 @@ class TestSpectralCounts:
 
     @staticmethod
     def record(monkeypatch):
+        """Spy on numpy's factorisations; an SVD without singular vectors
+        is recorded as "svdvals"."""
         calls = []
         for name in ("svd", "eigh", "eigvalsh", "cholesky", "qr", "inv"):
             real = getattr(np.linalg, name)
 
             def spy(a, *args, _name=name, _real=real, **kwargs):
-                calls.append((_name, np.array(a)))
+                values_only = _name == "svd" and kwargs.get("compute_uv", True) is False
+                calls.append(("svdvals" if values_only else _name, np.array(a)))
                 return _real(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, spy)
@@ -821,11 +949,14 @@ class TestSpectralCounts:
         d = decompose_state(rho, 3, 3)
         nf = normal_form(d)
         tilde = nf.state
-        # one SVD, of the filtered correlation: the unfiltered record is
-        # refused by the Frobenius norm alone
-        svds = [a for name, a in calls if name == "svd"]
-        assert len(svds) == 1
-        np.testing.assert_allclose(svds[0], tilde.corr, atol=1e-12)
+        # two SVDs, both of the filtered correlation: the unfiltered record
+        # is refused by the Frobenius norm alone, the necessary bound and the
+        # family spread read the singular values alone, and only the
+        # constructive bound, once it fits, takes the singular vectors
+        svds = [(name, a) for name, a in calls if name.startswith("svd")]
+        assert [name for name, _ in svds] == ["svdvals", "svd"]
+        for _, a in svds:
+            np.testing.assert_allclose(a, tilde.corr, atol=1e-12)
         self.check_full_matrices(calls, rho)
         # some pulled-back components leave the inscribed ball; their stacks
         # are certified by Cholesky, and none is eigensolved
@@ -860,6 +991,32 @@ class TestSpectralCounts:
         assert d.corr_svd is d.corr_svd and tilde.marginal_eigh_a is tilde.marginal_eigh_a
         with pytest.raises(ValueError):
             tilde.corr_svd[1][0] = 0.0
+
+    def test_inconclusive_qutrit_takes_one_svd_without_vectors(self, monkeypatch):
+        # shaped like the benchmark's mixed_inc cases: 0.3 of a random
+        # qutrit state plus 0.7 I/9 in a random local frame, PPT but beyond
+        # the constructive bound both unfiltered and filtered
+        rng = np.random.default_rng(41)
+        u = np.kron(random_unitary(3, rng), random_unitary(3, rng))
+        rho = u @ noisy(random_density(9, 9, rng), 0.7) @ u.conj().T
+        d = decompose_state(rho, 3, 3)
+        c = d.corr - np.outer(d.a, d.b)
+        bound, slack, _, _ = kyfan_room(3, 3, d.a, d.b)
+        # ||C||_F fits the unfiltered room, Holder's floor does not
+        fro = np.linalg.norm(c)
+        assert fro <= bound + slack < kyfan_floor(c, fro)
+        calls = self.record(monkeypatch)
+        verdict = analyze(rho, 3, 3)
+        monkeypatch.undo()
+        assert verdict.status is Status.INCONCLUSIVE
+        assert [c.name for c in verdict.criteria] == ["ppt", "kyfan-necessary", "kyfan-sufficient"]
+        # no SVD of the unfiltered C, and one without singular vectors of
+        # the filtered correlation, which the necessary bound, the family
+        # spread and the constructive refusal share
+        svds = [(name, a) for name, a in calls if name.startswith("svd")]
+        assert [name for name, _ in svds] == ["svdvals"]
+        np.testing.assert_allclose(svds[0][1], normal_form(d).state.corr, atol=1e-12)
+        self.check_full_matrices(calls, rho)
 
     def test_full_rank_two_qubit_verdict_factorises_no_marginal(self, monkeypatch):
         # the Bloch norms decide the local ranks and certify the pure

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sephorn
 from helpers import (SIGMA_YY, is_physical, random_density, random_unitary,
@@ -18,11 +20,13 @@ from sephorn.bipartite import (
 )
 from sephorn import decompose
 from sephorn.bloch import from_bloch, to_bloch
-from sephorn.config import TAKAGI_ORTHO
+from sephorn.config import HOLDER_ROUNDING, TAKAGI_ORTHO
 from sephorn.criteria import Status, analyze, verify_decomposition
 from sephorn.decompose import (
     SeparableDecomposition,
     kyfan_bound_decomposition,
+    kyfan_fit,
+    kyfan_floor,
     pure_state_simplex,
     transport,
     werner_decompose,
@@ -131,6 +135,76 @@ class TestKyfanBoundDecomposition:
         assert product_singulars_feasible(padded_singulars(corr, length),
                                           padded_singulars(m_rp, length),
                                           padded_singulars(m_sp, length))
+
+
+@st.composite
+def correlation_like(draw):
+    """A real matrix of 1..12 by 1..12: Gaussian, of lower rank, a flat
+    spectrum tau O (O with orthonormal rows or columns), or zero, scaled
+    over twelve decades."""
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["gaussian", "low-rank", "flat", "zero"]))
+    if kind == "zero":
+        return np.zeros((rows, cols))
+    if kind == "gaussian":
+        c = rng.normal(size=(rows, cols))
+    elif kind == "low-rank":
+        rank = draw(st.integers(1, max(1, min(rows, cols) - 1)))
+        c = rng.normal(size=(rows, rank)) @ rng.normal(size=(rank, cols))
+    else:
+        q = np.linalg.qr(rng.normal(size=(max(rows, cols), min(rows, cols))))[0]
+        c = q if rows >= cols else q.T
+    return c * 10.0 ** draw(st.floats(-8.0, 4.0))
+
+
+class TestKyFanFloor:
+    """Holder's floor L = ||C||_F^3 / ||C^T C||_F sits in the sandwich
+    ||C||_F <= L <= ||C||_KF <= sqrt(k) ||C||_F, k = min(C.shape), within
+    HOLDER_ROUNDING, and meets the Ky Fan norm on a flat spectrum."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(correlation_like())
+    def test_sandwich(self, c):
+        fro = float(np.linalg.norm(c))
+        floor = kyfan_floor(c, fro)
+        kyfan = float(np.linalg.svd(c, compute_uv=False).sum())
+        up = 1.0 + HOLDER_ROUNDING
+        assert fro <= floor * up
+        assert floor <= kyfan * up
+        assert kyfan <= np.sqrt(min(c.shape)) * fro * up
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 8), (8, 8), (15, 8), (48, 48)])
+    def test_flat_spectrum_meets_the_ky_fan_norm(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        q = np.linalg.qr(rng.normal(size=(max(shape), min(shape))))[0]
+        c = 0.3 * (q if shape[0] >= shape[1] else q.T)
+        floor = kyfan_floor(c, float(np.linalg.norm(c)))
+        assert abs(floor - 0.3 * min(shape)) <= HOLDER_ROUNDING * floor
+
+    def test_zero_matrix(self):
+        assert kyfan_floor(np.zeros((8, 15)), 0.0) == 0.0
+
+
+class TestKyFanFit:
+    def test_refusal_matches_the_construction(self):
+        # the refusal read off the singular values alone is the one the
+        # construction raises, text and excess
+        svd = np.linalg.svd(np.diag([0.5, 0.5, 0.5]))
+        zeros = np.zeros(3)
+        with pytest.raises(BoundExceeded) as alone:
+            kyfan_fit(svd[1], 2, 2, zeros, zeros)
+        with pytest.raises(BoundExceeded) as built:
+            kyfan_bound_decomposition(svd, 2, 2)
+        assert str(alone.value) == str(built.value) == (
+            "Ky Fan norm exceeds the constructive bound 1 by 5.000e-01")
+        assert alone.value.excess == built.value.excess == 0.5
+
+    def test_fit_returns_bound_and_shrinks(self):
+        a = np.zeros(8)
+        a[0] = 0.5 * np.sqrt(2.0 / 6.0)
+        assert kyfan_fit(np.array([0.1, 0.0]), 3, 3, a, np.zeros(8)) == (
+            pytest.approx(1.0 / 6.0), 0.5, 1.0)
 
 
 class TestPureSimplex:

@@ -17,8 +17,12 @@ thread that runs it (BLAS is pinned to one thread).
 
 It prints each case's minimum on each side in microseconds, the sums of the
 minima per group (a case id without its last component) and over the
-whole pass, the minimum of ``qubit/mixed/05`` (a separable two-qubit
-verdict, on the qubit workload), and every case whose outcome differs, in
+whole pass, each side's median and tail over the per-case minima, by the
+benchmark's own rule (``pipebench.run.tail``: the highest percentile with
+``TAIL_BEYOND`` cases beyond it), so that a claim on ``latency_p50_ms`` or
+``latency_tail_ms`` can be previewed call by call, the minimum of
+``qubit/mixed/05`` (a separable two-qubit verdict, on the qubit
+workload), and every case whose outcome differs, in
 a few lines: each side's status, number of components and criteria (name,
 passed) and, where both verdicts log the same criterion names, the largest
 change of a margin and of a probability and how many details differ.  Whole
@@ -29,7 +33,10 @@ preemptions.  Run from the repository root, with two checkouts made by
 
     python3 tools/ab.py ../parent . --workload qubit --rounds 200
 
-Exits 1 when an outcome differs.
+``--only PREFIX`` keeps only the cases whose id starts with PREFIX, for
+example ``qudit/3x3/mixed_inc``, so that one group is timed for longer in
+the same time; the median and tail are then over those cases alone.
+Exits 1 when an outcome differs, and 2 when no case id has the prefix.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ import argparse
 import importlib.util
 import json
 import os
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -104,6 +112,22 @@ def summarize(parent: dict[str, list[float]], change: dict[str, list[float]]) ->
         groups[group_of(cid)] = (gp + p, gc + c)
     total = (sum(p for p, _ in cases.values()), sum(c for _, c in cases.values()))
     return {"cases": cases, "groups": groups, "pass": total}
+
+
+def latency(summary: dict, tail) -> dict[str, tuple[float, float, float]]:
+    """Each side's (median, tail, tail percentile) over the per-case minima
+    of a :func:`summarize` result, the tail by ``tail``, the benchmark's
+    rule."""
+    out = {}
+    for i, side in enumerate(("parent", "change")):
+        values = [pair[i] for pair in summary["cases"].values()]
+        out[side] = (statistics.median(values), *tail(values))
+    return out
+
+
+def select(cases, prefix: str | None) -> list:
+    """The cases whose id starts with ``prefix``; all of them for None."""
+    return list(cases) if prefix is None else [c for c in cases if c.id.startswith(prefix)]
 
 
 def differing(parent: dict[str, str], change: dict[str, str]) -> list[str]:
@@ -173,6 +197,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--rounds", type=int, default=100)
+    parser.add_argument("--only", metavar="PREFIX",
+                        help="time only the cases whose id starts with PREFIX")
     args = parser.parse_args(argv)
 
     # BLAS on one thread, as in the benchmark, before numpy loads
@@ -180,11 +206,15 @@ def main(argv=None) -> int:
         os.environ.setdefault(var, "1")
     sys.path.insert(0, str(ROOT))
     from pipebench import corpus
+    from pipebench.run import tail
     from pipebench.sandbox import CallTimeout, budget
 
     sides = {"parent": load(args.parent, "sephorn_parent"),
              "change": load(args.change, "sephorn_change")}
-    cases = corpus.build(args.workload, args.seed)
+    cases = select(corpus.build(args.workload, args.seed), args.only)
+    if not cases:
+        print(f"no {args.workload} case id starts with {args.only!r}")
+        return 2
     outcomes = {side: {} for side in sides}
     completed = []
     for case in cases:
@@ -228,6 +258,12 @@ def main(argv=None) -> int:
     for group, pair in summary["groups"].items():
         print(_row(group, pair))
     print(_row("pass", summary["pass"]))
+    if summary["cases"]:
+        spread = latency(summary, tail)
+        print("\nover the per-case minima, by the benchmark's rule")
+        print(_row("p50", (spread["parent"][0], spread["change"][0])))
+        print(_row(f"tail (p{spread['parent'][2]:.4g})",
+                   (spread["parent"][1], spread["change"][1])))
     if GATE in summary["cases"]:
         p, c = summary["cases"][GATE]
         print(f"\n{GATE} minimum: parent {p * 1e6:.1f} µs, change {c * 1e6:.1f} µs")

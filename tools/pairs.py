@@ -19,8 +19,11 @@ two verdicts:
   parent; otherwise ``within``.
 
 It also prints each side's failed share of the timed calls, and whether
-every run's ``correct`` held.  Run from the repository root, with two
-checkouts made by ``git clone`` or ``git archive``:
+every run's ``correct`` held.  A run that exits non-zero, or whose last
+line is not a result object, ends the loop: its stderr tail is printed,
+the pairs completed before it are summarized, and the script exits 1.
+Run from the repository root, with two checkouts made by ``git clone`` or
+``git archive``:
 
     python3 tools/pairs.py ../parent . --workload horn --pairs 10 --seed 23
 
@@ -70,38 +73,44 @@ def summarize(parent: list[float], change: list[float], better: str, bound: floa
             "claim": claim, "bound": verdict}
 
 
+class RunFailed(Exception):
+    """A benchmark run that gave no result object; the message holds its
+    exit code and stderr tail."""
+
+
+STDERR_TAIL = 2000  # characters of a failed run's stderr that are printed
+
+
 def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced benchmark run in ``checkout``; its result object."""
+    """One untraced benchmark run in ``checkout``; its result object, or
+    RunFailed."""
     proc = subprocess.run(
         [sys.executable, "pipebench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+        cwd=checkout, capture_output=True, text=True)
+    return result_of(proc.returncode, proc.stdout, proc.stderr)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("parent", type=Path, help="checkout of the parent commit")
-    parser.add_argument("change", type=Path, help="checkout of the change")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seed", type=int, required=True)
-    args = parser.parse_args(argv)
+def result_of(returncode: int, stdout: str, stderr: str) -> dict:
+    """The result object on the last line of a run's ``stdout``; RunFailed
+    with the exit code and the tail of ``stderr`` when the run exited
+    non-zero or that line is not a JSON object."""
+    lines = stdout.strip().splitlines()
+    if returncode == 0 and lines:
+        try:
+            result = json.loads(lines[-1])
+        except ValueError:
+            result = None
+        if isinstance(result, dict):
+            return result
+    raise RunFailed(f"exit code {returncode}; stderr tail:\n{stderr[-STDERR_TAIL:]}")
 
-    benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
-    spec, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
-    runs = {"parent": [], "change": []}
-    for pair in range(args.pairs):
-        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-        for side in order:
-            result = run(getattr(args, side), args.workload, args.seed, seconds)
-            runs[side].append(result)
-            values = " ".join(f"{m['name']}={result['metrics'][m['name']]['value']:.6g}"
-                              for m in spec)
-            print(f"pair {pair} {side:6s} correct={result['correct']} "
-                  f"failed={result['failed']}/{result['attempted']} {values}", flush=True)
 
-    print(f"\n{args.workload}, seed {args.seed}, {args.pairs} pairs of {seconds:g} s")
+def report(workload: str, seed: int, seconds: float, spec: list[dict], runs: dict) -> None:
+    """Print the per-metric summary and the failure counts of the
+    completed pairs in ``runs``."""
+    pairs = len(runs["parent"])
+    print(f"\n{workload}, seed {seed}, {pairs} pairs of {seconds:g} s")
     print(f"{'metric':16s} {'parent median [q1, q3]':>34s} {'change median [q1, q3]':>34s}"
           f" {'change':>8s} {'wins':>6s} claim bound")
     for metric in spec:
@@ -119,7 +128,47 @@ def main(argv=None) -> int:
         failed = sum(r["failed"] for r in results)
         print(f"{side}: failed {failed}/{attempted} timed calls, "
               f"every run correct: {all(r['correct'] for r in results)}")
-    return 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path, help="checkout of the parent commit")
+    parser.add_argument("change", type=Path, help="checkout of the change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    args = parser.parse_args(argv)
+
+    benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
+    spec, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
+    runs = {"parent": [], "change": []}
+    failure = None
+    for pair in range(args.pairs):
+        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+        done = {}
+        for side in order:
+            try:
+                result = run(getattr(args, side), args.workload, args.seed, seconds)
+            except RunFailed as exc:
+                failure = f"pair {pair} {side} failed: {exc}"
+                break
+            done[side] = result
+            values = " ".join(f"{m['name']}={result['metrics'][m['name']]['value']:.6g}"
+                              for m in spec)
+            print(f"pair {pair} {side:6s} correct={result['correct']} "
+                  f"failed={result['failed']}/{result['attempted']} {values}", flush=True)
+        if failure is not None:
+            break
+        for side, result in done.items():
+            runs[side].append(result)
+
+    if failure is not None:
+        print(failure, file=sys.stderr)
+    if runs["parent"]:
+        report(args.workload, args.seed, seconds, spec, runs)
+    else:
+        print("no pair completed")
+    return 1 if failure is not None else 0
 
 
 if __name__ == "__main__":
