@@ -15,7 +15,10 @@ exceeds the rank cutoff has full rank, which decides every mixed qubit
 side exactly and every side inside the inscribed ball.  A reduced matrix
 is eigensolved only for a side the floor leaves open and for
 :func:`support_isometries`: :func:`normal_form` inverts reduced matrices
-and factorises nothing but the Cholesky factors of its filters.
+and factorises nothing but the Cholesky factors of its filters.  Each of
+its scaling runs (:func:`_gram_scaling`) reads R through two permuted,
+rescaled copies, built once per run, so that a half-step is one product
+with a view of a Gram matrix and one exact inverse.
 The moments and R are one product apart, by the coordinate pair of
 :mod:`~sephorn.bloch`.  A local map X -> F X F^dag on each side, a support
 projection or a normal-form filter, is one conjugation of R (:func:`_filtered`).
@@ -273,14 +276,15 @@ def normal_form(d: BipartiteDecomposed, max_iter: int = MAX_ITER, tol: float = N
     matrices closer to I/N and I/M than those the last run started from.
     The loop ends when the record is within ``tol``, the budget is spent,
     a factorisation fails or a run does not lower the record's larger
-    marginal norm, and returns the lowest record; a state that converges
-    faster than ``SCALING_RATE`` per sweep takes one run.  No marginal is
-    eigensolved: full local rank at ``rank_tol`` is checked by
-    :func:`local_ranks`, which reads a side inside the inscribed ball off
-    its Bloch norm, and a marginal of lower rank raises :class:`NotFullRank`
-    naming it and ``rank_tol``.  ``converged`` is read from the filtered
-    record, and ``iterations`` counts the sweeps begun.  A state already in
-    normal form is returned as is.  ``tol`` and ``rank_tol`` are checked as
+    marginal norm (:func:`_marginal_norm`), and returns the lowest record;
+    a state that converges faster than ``SCALING_RATE`` per sweep takes
+    one run.  No marginal is eigensolved: full local rank at ``rank_tol``
+    is checked by :func:`local_ranks`, which reads a side inside the
+    inscribed ball off its Bloch norm, and a marginal of lower rank raises
+    :class:`NotFullRank` naming it and ``rank_tol``.  ``converged`` is read
+    from the filtered record, and ``iterations`` counts the sweeps begun.
+    A state already in normal form, or one that no run lowers, is returned
+    as is, with identity filters.  ``tol`` and ``rank_tol`` are checked as
     in :func:`local_ranks`, and a ``max_iter`` that is not an integer >= 0
     raises :class:`BadParameter`.
     """
@@ -293,7 +297,7 @@ def normal_form(d: BipartiteDecomposed, max_iter: int = MAX_ITER, tol: float = N
         side = 0 if ranks[0] < n else 1
         raise NotFullRank(f"marginal {'AB'[side]} has rank {ranks[side]} < {(n, m)[side]} "
                           f"at rank_tol = {rank_tol:g}")
-    state, fa, fb = d, np.eye(n, dtype=complex), np.eye(m, dtype=complex)
+    state, fa, fb = d, None, None
     low = _marginal_norm(d)
     swept = 0
     # a run may reach non-finite values; what it returns is tested
@@ -312,15 +316,17 @@ def normal_form(d: BipartiteDecomposed, max_iter: int = MAX_ITER, tol: float = N
             norm = _marginal_norm(filtered)
             if not norm < low:
                 break
-            fa, fb = (ua, ub) if state is d else (ua @ fa, ub @ fb)
+            fa, fb = (ua, ub) if fa is None else (ua @ fa, ub @ fb)
             state, low = filtered, norm
+    if fa is None:
+        fa, fb = np.eye(n, dtype=complex), np.eye(m, dtype=complex)
     return NormalFormResult(state=state, filter_a=fa, filter_b=fb,
                             converged=bool(low < tol), iterations=swept)
 
 
 def _marginal_norm(d: BipartiteDecomposed) -> float:
-    """The larger of the two marginal Bloch norms."""
-    return float(max(np.linalg.norm(d.a), np.linalg.norm(d.b)))
+    """The larger of the two marginal Bloch norms, in Python floats."""
+    return max(hypot(*d.a.tolist()), hypot(*d.b.tolist()))
 
 
 def _gram_scaling(r: np.ndarray, n: int, m: int, budget: int,
@@ -328,31 +334,43 @@ def _gram_scaling(r: np.ndarray, n: int, m: int, budget: int,
     """One run of operator scaling on the Gram matrices G = F^dag F, from
     G = I on the realigned matrix ``r`` of an N x M state.
 
-    The A-side half-step forms X_A = R vec(G_B^T), reshaped to N x N, and
-    sets G_A = (N X_A)^{-1}; the B side likewise sets G_B = (M X_B)^{-1}
-    with X_B = vec(G_A^T)^T R.  A sweep is one half-step per side followed
-    by the test on |a| = sqrt(2) ||N rho_A - I||_F / N, whose square is
-    read as Tr[(N G_A X_A - I)^2] with no matrix root.  The run stops when
-    |a| < ``tol``, at the first sweep whose deviation is not below
-    ``SCALING_RATE`` times the last one, at a singular or non-finite sweep,
-    or after ``budget`` sweeps.  Returns the last finite pair
-    (G_A, G_B), None if no sweep gave one, and the number of sweeps begun.
+    The run first builds two permuted copies of R: ``ra``, N R with its
+    columns (a, b) read as (b, a), and ``rb``, M R with its rows (i, j)
+    read as (j, i).  The A-side half-step then forms N X_A = ra vec(G_B),
+    with X_A = R vec(G_B^T) reshaped to N x N, and sets G_A = (N X_A)^{-1};
+    the B side sets G_B = (M X_B)^{-1} with M X_B = vec(G_A)^T rb.  vec(G)
+    is a view of G, so a half-step is one product and one exact inverse,
+    and the first X_A, from G_B = I, is the strided diagonal sum of ``ra``.
+    The products are ``np.dot``, which at these sizes costs less than the
+    matmul ufunc.  A sweep is one half-step per side followed by the test
+    on |a| = sqrt(2) ||N rho_A - I||_F / N, whose square is read as
+    Tr[(N G_A X_A - I)^2] with no matrix root, I subtracted before the
+    sum.  The run stops when |a| < ``tol``, at the first sweep whose
+    deviation is not below ``SCALING_RATE`` times the last one, at a
+    singular or non-finite sweep, or after ``budget`` sweeps.  Returns the
+    last finite pair (G_A, G_B), None if no sweep gave one, and the number
+    of sweeps begun.
     """
+    # ra[(i, j), (a, b)] = N R[(i, j), (b, a)], rb[(i, j), (a, b)] = M R[(j, i), (a, b)]
+    ra = r.take(_rearranged((n, n, m, m), (0, 1, 3, 2)))
+    ra *= n
+    rb = r.take(_rearranged((n, n, m * m, 1), (1, 0, 2, 3)))
+    rb *= m
     eye_a = np.eye(n)
-    xa = (r @ np.eye(m).reshape(-1)).reshape(n, n)
+    # N X_A from G_B = I: the columns (a, a) of ra summed
+    xa = ra[:, ::m + 1].sum(axis=1).reshape(n, n)
     last, pair = np.inf, None
     for sweep in range(1, budget + 1):
         try:
-            ga = np.linalg.inv(n * xa)
-            gb = np.linalg.inv(m * (ga.T.reshape(-1) @ r).reshape(m, m))
+            ga = np.linalg.inv(xa)
+            gb = np.linalg.inv(np.dot(ga.reshape(-1), rb).reshape(m, m))
         except np.linalg.LinAlgError:
             return pair, sweep
-        xa = (r @ gb.T.reshape(-1)).reshape(n, n)
+        xa = np.dot(ra, gb.reshape(-1)).reshape(n, n)
         # ||N rho_A - I||_F^2 of the iterate F_A X_A F_A^dag, by cyclicity
-        y = ga @ xa
-        y *= n
+        y = np.dot(ga, xa)
         y -= eye_a
-        dev = float((y.T.ravel() @ y.ravel()).real)
+        dev = float(np.dot(y.T.ravel(), y.ravel()).real)
         if not dev < np.inf:
             return pair, sweep
         pair = ga, gb

@@ -147,7 +147,7 @@ def kyfan_necessary_check(d: BipartiteDecomposed) -> CriterionResult:
     entanglement.
     """
     n, m = d.dim_a, d.dim_b
-    bound = np.sqrt(2.0 * (n - 1.0) / n) * np.sqrt(2.0 * (m - 1.0) / m)
+    bound = sqrt(2.0 * (n - 1.0) / n) * sqrt(2.0 * (m - 1.0) / m)
     margin = float(d.corr_singular_values.sum() - bound)
     return CriterionResult("kyfan-necessary", margin <= KYFAN_SLACK, margin,
                            f"Ky Fan norm bound {bound:.6g}")

@@ -75,7 +75,7 @@ def kyfan_room(dim_a: int, dim_b: int, a: np.ndarray, b: np.ndarray
     shrink_a = max(0.0, 1.0 - sqrt(a @ a) / sqrt(2.0 / (dim_a * (dim_a - 1.0))))
     shrink_b = max(0.0, 1.0 - sqrt(b @ b) / sqrt(2.0 / (dim_b * (dim_b - 1.0))))
     scale = shrink_a * shrink_b
-    bound = 2.0 / np.sqrt(dim_a * dim_b * (dim_a - 1.0) * (dim_b - 1.0)) * scale
+    bound = 2.0 / sqrt(dim_a * dim_b * (dim_a - 1.0) * (dim_b - 1.0)) * scale
     return bound, KYFAN_SLACK * scale, shrink_a, shrink_b
 
 

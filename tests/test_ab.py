@@ -152,3 +152,40 @@ def test_select_keeps_the_cases_under_a_prefix():
     assert [c.id for c in ab.select(cases, "qudit/3x4")] == ["qudit/3x4/mixed_inc/0"]
     assert ab.select(cases, None) == cases
     assert ab.select(cases, "families") == []
+
+
+def test_grouped_counts_status_names_and_float_changes():
+    ppt = ["ppt", True, 0.0, "a"]
+    parent = {
+        "inc": _outcome("inconclusive", [ppt, ["kyfan-sufficient", False, 0.5, "b"]]),
+        "inc2": _outcome("inconclusive", [ppt, ["kyfan-sufficient", False, 0.5, "b"]]),
+        "note": _outcome("inconclusive", [ppt, ["kyfan-sufficient", False, 0.5, "b"]]),
+        "sep": _outcome("separable", [ppt], [0.25, 0.75]),
+        "sep2": _outcome("separable", [["ppt", True, 1e-9, "a"]], [0.5, 0.5]),
+        "parts": _outcome("separable", [ppt], [0.5, 0.5]),
+        "err": "error: NotAState: x",
+        "timed": _outcome("separable", [ppt], [1.0]),
+        "battery": '"Report(ok)"',
+    }
+    change = {
+        "inc": _outcome("separable", [ppt], [1.0]),
+        "inc2": _outcome("separable", [ppt], [1.0]),
+        "note": _outcome("inconclusive", [ppt, ["normal-form", True, 1e-10, "c"],
+                                          ["kyfan-sufficient", False, 0.5, "b"]]),
+        "sep": _outcome("separable", [ppt], [0.25 + 1e-12, 0.75]),
+        "sep2": _outcome("separable", [["ppt", True, 4e-9, "a"]], [0.5, 0.5]),
+        "parts": _outcome("separable", [ppt], [1.0]),
+        "err": "error: NotAState: y",
+        "timed": "timeout",
+        "battery": '"Report(no)"',
+    }
+    assert ab.grouped(parent, change, list(parent)) == [
+        "     2  status changed: inconclusive -> separable",
+        "     1  status changed: separable -> timeout",
+        "     1  outcome changed, still error",
+        "     1  outcome changed, still outcome",
+        "     2  criterion names or number of components changed",
+        "     2  floats only: max |d margin| 3.00e-09, max |dp| 1.00e-12"]
+    # a missing case changes status, and no case makes no line
+    assert ab.grouped(parent, {}, ["sep"]) == ["     1  status changed: separable -> absent"]
+    assert ab.grouped(parent, change, []) == []

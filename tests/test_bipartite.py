@@ -542,6 +542,10 @@ class TestNormalForm:
                 big = np.kron(*filters)
                 rho = big @ rho @ big.conj().T
                 families.append((rho / np.trace(rho).real, n, n))
+        # and N > M, where the rows and columns of the permuted copies of R
+        # that a run builds could be mixed up unseen at N <= M
+        states += [(random_density(n * m, n * m, rng), n, m)
+                   for n, m in ((3, 2), (4, 3), (5, 3)) for _ in range(20)]
         for rho, n, m in states + families:
             d = decompose_state(rho, n, m)
             loop = filter_products(d)

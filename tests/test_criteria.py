@@ -1473,7 +1473,7 @@ class TestAnalyze:
         # a mixture of two product states plus 3e-8 I/6 stops short of the
         # normal-form tolerance, with a record well inside the residual; the
         # record is used, and the log says so
-        rho = noisy(products((0.4, 0.6), 2, 3, 3), 3e-8)
+        rho = noisy(products((0.4, 0.6), 2, 3, 6), 3e-8)
         nf = normal_form(decompose_state(rho, 2, 3))
         marg = max(np.linalg.norm(nf.state.a), np.linalg.norm(nf.state.b))
         assert not nf.converged and NORMAL_TOL <= marg < RESIDUAL
@@ -1724,7 +1724,7 @@ def criterion_sequence_cases():
         ("normal-form-short-separable", noisy(products([1.0], 2, 3, 0), 3e-8), 2, 3,
          SEP, [PPT, ("normal-form", True), KYFAN, ("decomposition[kyfan-sufficient]", True)]),
         ("normal-form-short-inconclusive",
-         noisy(products([0.4, 0.6], 2, 3, 3), 3e-8), 2, 3,
+         noisy(products([0.4, 0.6], 2, 3, 6), 3e-8), 2, 3,
          INC, [PPT, ("normal-form", True), KYFAN, ("kyfan-sufficient", False)]),
         ("normal-form-fails", stall, 3, 3, INC, [PPT, ("normal-form", False), KYFAN]),
         # a product whose filtering would fail is decided before the filter

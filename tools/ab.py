@@ -25,7 +25,12 @@ benchmark's own rule (``pipebench.run.tail``: the highest percentile with
 workload), and every case whose outcome differs, in
 a few lines: each side's status, number of components and criteria (name,
 passed) and, where both verdicts log the same criterion names, the largest
-change of a margin and of a probability and how many details differ.  Whole
+change of a margin and of a probability and how many details differ.  It
+ends, as ``tools/census.py --against`` does, with one line per group of
+differing cases and its count: each change of status, the verdicts whose
+criterion names or number of components changed, and those that differ
+in their floats only, with the largest change of a margin and of a
+probability over them.  Whole
 benchmark runs drift with the machine's speed; two sides timed call by call
 in one process see the same drift, and a minimum over rounds drops the
 preemptions.  Run from the repository root, with two checkouts made by
@@ -165,6 +170,60 @@ def _largest_change(pairs) -> float:
     return max((abs(x - y) for x, y in pairs if x != y), default=0.0)
 
 
+def _kind(outcome: str | None) -> str:
+    """An outcome's kind: a verdict's status, "timeout", "error", "absent"
+    for a missing case, or "outcome" for another op's result."""
+    verdict = _verdict(outcome)
+    if verdict is not None:
+        return verdict["status"]
+    if outcome is None:
+        return "absent"
+    if outcome == "timeout" or outcome.startswith("error:"):
+        return outcome.split(":")[0]
+    return "outcome"
+
+
+def _probabilities(verdict: dict) -> list[float]:
+    """A verdict's component probabilities, none without a decomposition."""
+    return [] if verdict["decomposition"] is None else verdict["decomposition"][0]
+
+
+def grouped(parent: dict[str, str], change: dict[str, str], ids: list[str]) -> list[str]:
+    """One line per group of the differing cases ``ids``, with its count, in
+    this order: each change of status (of kind, for an outcome that is no
+    verdict), other outcomes that differ with their kind unchanged,
+    verdicts whose criterion names or number of components changed, and
+    verdicts that differ in their floats only, with the largest change of a
+    margin and of a probability over that group."""
+    groups: dict[tuple[int, str], int] = {}
+    floats, margin, prob = 0, 0.0, 0.0
+    for cid in ids:
+        before, after = parent.get(cid), change.get(cid)
+        was, now = _kind(before), _kind(after)
+        if was != now:
+            key = 0, f"status changed: {was} -> {now}"
+        elif _verdict(before) is None:
+            key = 1, f"outcome changed, still {was}"
+        else:
+            before, after = _verdict(before), _verdict(after)
+            probs = _probabilities(before), _probabilities(after)
+            if ([c[0] for c in before["criteria"]] != [c[0] for c in after["criteria"]]
+                    or len(probs[0]) != len(probs[1])):
+                key = 2, "criterion names or number of components changed"
+            else:
+                floats += 1
+                margin = max(margin, _largest_change(
+                    (b[2], a[2]) for b, a in zip(before["criteria"], after["criteria"])))
+                prob = max(prob, _largest_change(zip(*probs)))
+                continue
+        groups[key] = groups.get(key, 0) + 1
+    lines = [f"{count:6d}  {label}" for (_, label), count in sorted(groups.items())]
+    if floats:
+        lines.append(f"{floats:6d}  floats only: max |d margin| {margin:.2e}, "
+                     f"max |dp| {prob:.2e}")
+    return lines
+
+
 def compact_diff(parent: str | None, change: str | None) -> list[str]:
     """The lines that show how two outcomes of a case differ: each side in
     brief and, when both are verdicts with the same criterion names, the
@@ -177,7 +236,7 @@ def compact_diff(parent: str | None, change: str | None) -> list[str]:
         return lines
     pairs = list(zip(before["criteria"], after["criteria"]))
     line = f"  names unchanged: max |d margin| {_largest_change((b[2], a[2]) for b, a in pairs):.2e}"
-    probs = [[] if v["decomposition"] is None else v["decomposition"][0] for v in (before, after)]
+    probs = _probabilities(before), _probabilities(after)
     if len(probs[0]) == len(probs[1]):
         line += f", max |dp| {_largest_change(zip(*probs)):.2e}"
     details = sum(b[3] != a[3] for b, a in pairs)
@@ -271,6 +330,9 @@ def main(argv=None) -> int:
     for cid in diff:
         print(f"differs: {cid}", *compact_diff(outcomes["parent"].get(cid),
                                                outcomes["change"].get(cid)), sep="\n")
+    if diff:
+        print("\ndiffering cases by group")
+        print(*grouped(outcomes["parent"], outcomes["change"], diff), sep="\n")
     print(f"{len(diff)} differing cases")
     return 1 if diff else 0
 
