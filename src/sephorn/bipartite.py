@@ -33,6 +33,7 @@ from numbers import Integral
 
 import numpy as np
 
+from . import linalg
 from .bloch import _ball_slope, _moment_columns, _moment_rows, from_bloch, validate_state
 from .config import (MAX_ITER, NORMAL_TOL, POSITIVITY_TOL, SCALING_RATE, STATE_TOL,
                      check_max_iter, check_tol)
@@ -89,24 +90,23 @@ class BipartiteDecomposed:
     @cached_property
     def marginal_eigh_a(self) -> tuple[np.ndarray, np.ndarray]:
         """Ascending eigenpairs ``(w, v)`` of the reduced matrix of A."""
-        return _read_only(np.linalg.eigh(from_bloch(self.a, self.dim_a)))
+        return _read_only(linalg.eigh(from_bloch(self.a, self.dim_a)))
 
     @cached_property
     def marginal_eigh_b(self) -> tuple[np.ndarray, np.ndarray]:
         """Ascending eigenpairs ``(w, v)`` of the reduced matrix of B."""
-        return _read_only(np.linalg.eigh(from_bloch(self.b, self.dim_b)))
+        return _read_only(linalg.eigh(from_bloch(self.b, self.dim_b)))
 
     @cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         """Ascending eigenpairs ``(w, v)`` of the density matrix."""
-        return _read_only(np.linalg.eigh(self.matrix))
+        return _read_only(linalg.eigh(self.matrix))
 
     @cached_property
     def corr_svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Thin singular value decomposition ``(u, tau, vh)`` of ``corr``,
         ``tau`` descending."""
-        return _read_only(np.linalg.svd(np.asarray(self.corr, dtype=float),
-                                        full_matrices=False))
+        return _read_only(linalg.svd(np.asarray(self.corr, dtype=float)))
 
     @cached_property
     def corr_singular_values(self) -> np.ndarray:
@@ -115,8 +115,7 @@ class BipartiteDecomposed:
         singular vectors, which the Ky Fan questions that read only tau share."""
         if "corr_svd" in self.__dict__:
             return self.corr_svd[1]
-        return _read_only((np.linalg.svd(np.asarray(self.corr, dtype=float),
-                                         compute_uv=False),))[0]
+        return _read_only((linalg.svdvals(np.asarray(self.corr, dtype=float)),))[0]
 
 
 @dataclass(frozen=True)
@@ -300,18 +299,20 @@ def normal_form(d: BipartiteDecomposed, max_iter: int = MAX_ITER, tol: float = N
     state, fa, fb = d, None, None
     low = _marginal_norm(d)
     swept = 0
-    # a run may reach non-finite values; what it returns is tested
+    # a run may reach non-finite values, and a failed factorisation is NaN;
+    # what it returns is tested, and the kernels it calls set no error state
     with np.errstate(all="ignore"):
         while low >= tol and swept < max_iter:
             pair, sweeps = _gram_scaling(state.realigned, n, m, max_iter - swept, tol)
             swept += sweeps
             if pair is None:
                 break
+            # upper-triangular U with U^dag U = G, NaN if G is not positive
+            # definite, which _filtered refuses
+            ua, ub = (linalg.bare_cholesky_upper(g) for g in pair)
             try:
-                # upper-triangular U with U^dag U = G
-                ua, ub = (np.linalg.cholesky(g, upper=True) for g in pair)
                 filtered = _filtered(state, ua, ub)
-            except (np.linalg.LinAlgError, NotAState):
+            except NotAState:
                 break
             norm = _marginal_norm(filtered)
             if not norm < low:
@@ -349,7 +350,8 @@ def _gram_scaling(r: np.ndarray, n: int, m: int, budget: int,
     deviation is not below ``SCALING_RATE`` times the last one, at a
     singular or non-finite sweep, or after ``budget`` sweeps.  Returns the
     last finite pair (G_A, G_B), None if no sweep gave one, and the number
-    of sweeps begun.
+    of sweeps begun.  It runs under its caller's ``np.errstate(all="ignore")``,
+    as its inverses set none of their own.
     """
     # ra[(i, j), (a, b)] = N R[(i, j), (b, a)], rb[(i, j), (a, b)] = M R[(j, i), (a, b)]
     ra = r.take(_rearranged((n, n, m, m), (0, 1, 3, 2)))
@@ -361,11 +363,9 @@ def _gram_scaling(r: np.ndarray, n: int, m: int, budget: int,
     xa = ra[:, ::m + 1].sum(axis=1).reshape(n, n)
     last, pair = np.inf, None
     for sweep in range(1, budget + 1):
-        try:
-            ga = np.linalg.inv(xa)
-            gb = np.linalg.inv(np.dot(ga.reshape(-1), rb).reshape(m, m))
-        except np.linalg.LinAlgError:
-            return pair, sweep
+        # NaN where singular, which the test on dev ends the run on
+        ga = linalg.bare_inv(xa)
+        gb = linalg.bare_inv(np.dot(ga.reshape(-1), rb).reshape(m, m))
         xa = np.dot(ra, gb.reshape(-1)).reshape(n, n)
         # ||N rho_A - I||_F^2 of the iterate F_A X_A F_A^dag, by cyclicity
         y = np.dot(ga, xa)

@@ -70,6 +70,7 @@ from math import isfinite, sqrt
 
 import numpy as np
 
+from . import linalg
 from .bipartite import (
     BipartiteDecomposed,
     _filtered,
@@ -189,7 +190,7 @@ def _ppt(rho: np.ndarray, dim_a: int, dim_b: int, tol: float,
     else:
         # rho's negative eigenvalues widen the floor by their sum
         w = spectrum[0]
-        low = np.linalg.eigvalsh(pt)[0]
+        low = linalg.eigvalsh(pt)[0]
         floor = PPT_ROUNDING - float(w[w < 0.0].sum())
     low = float(low)
     return CriterionResult("ppt", low >= -floor, max(0.0, -low), f"min eigenvalue {low:.3e}")
@@ -326,7 +327,7 @@ class _Call:
         filters are inverted here, since most filtered passes verify nothing."""
         maps = self.lift
         if self.filters is not None:
-            pull = [np.linalg.inv(f) for f in self.filters]
+            pull = [linalg.inv(f) for f in self.filters]
             maps = pull if maps is None else [lift @ inv for lift, inv in zip(maps, pull)]
         if maps is not None:
             dec = transport(dec, *maps)
@@ -385,8 +386,7 @@ def _kyfan_unfiltered(call: _Call) -> Verdict | Status | None:
             and kyfan_floor(c, fro) * (1.0 - HOLDER_ROUNDING) - bound > slack):
         return None
     try:
-        built = kyfan_bound_decomposition(np.linalg.svd(c, full_matrices=False),
-                                          d.dim_a, d.dim_b, (d.a, d.b))
+        built = kyfan_bound_decomposition(linalg.svd(c), d.dim_a, d.dim_b, (d.a, d.b))
     except BoundExceeded:
         return None
     return call.verified(built, "kyfan-sufficient")
@@ -574,7 +574,7 @@ def analyze(rho: np.ndarray, dim_a: int, dim_b: int, *, tol: float = POSITIVITY_
     check_tol(tol)
     check_max_iter(max_iter)
     rho = _validated(rho, dim_a, dim_b, max(STATE_TOL, tol))
-    spectrum = np.linalg.eigh(rho) if (dim_a, dim_b) == (2, 2) else None
+    spectrum = linalg.eigh(rho) if (dim_a, dim_b) == (2, 2) else None
     _require_psd(rho, tol, spectrum)
     ppt = _ppt(rho, dim_a, dim_b, tol, spectrum)
     if not ppt.passed:

@@ -23,6 +23,7 @@ from math import atan2, pi, sqrt
 
 import numpy as np
 
+from . import linalg
 from .bipartite import BipartiteDecomposed, _conjugation, _read_only
 from .bloch import _augmented, _gen_stack, _moment_columns, _moment_rows, to_bloch
 from .config import KYFAN_RANK, KYFAN_SLACK, TAKAGI_ORTHO
@@ -220,7 +221,7 @@ def _levenberg_marquardt(v: np.ndarray, disp: np.ndarray):
     damping = 1e-3
     eye = np.eye(v.size)
     for _ in range(SIC_ITERATIONS):
-        step = np.linalg.solve(jac.T @ jac + damping * eye, -(jac.T @ residuals))
+        step = linalg.solve(jac.T @ jac + damping * eye, -(jac.T @ residuals))
         trial, trial_jac = _overlap_residuals(v + step, disp)
         if trial @ trial < residuals @ residuals:
             v, residuals, jac = v + step, trial, trial_jac
@@ -410,7 +411,7 @@ def wootters_frame(d: BipartiteDecomposed) -> WoottersFrame:
     v = vecs * np.sqrt(w)
     tau = (_YY_SIGNS * v[::-1]).T @ v
     embedding, top = _takagi_gathers(rank)
-    lam, emb = np.linalg.eigh(tau.view(float).take(embedding[0]) * embedding[1])
+    lam, emb = linalg.eigh(tau.view(float).take(embedding[0]) * embedding[1])
     # the top r eigenpairs, descending, whose eigenvectors are [Re u; Im u]
     lam = lam[2 * rank - 1:rank - 1:-1]
     conj_takagi = (emb.take(top[0]) * top[1]).view(complex)
@@ -418,7 +419,7 @@ def wootters_frame(d: BipartiteDecomposed) -> WoottersFrame:
     if rank < 4 or not lam[0] * _TAKAGI_SKIP <= lam[3]:
         takagi = conj_takagi.conj()
         if np.abs(conj_takagi.T @ takagi - np.eye(rank)).max() > TAKAGI_ORTHO:
-            conj_takagi = np.linalg.qr(takagi)[0].conj()
+            conj_takagi = linalg.qr_q(takagi).conj()
         lam = np.maximum(lam, 0.0)
     x = v @ conj_takagi
     if rank < 4:

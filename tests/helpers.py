@@ -6,6 +6,7 @@ from math import atan2, pi, sqrt
 
 import numpy as np
 
+from sephorn import linalg
 from sephorn.bipartite import NormalFormResult, _filtered
 from sephorn.bloch import _gen_stack, from_bloch
 from sephorn.config import MAX_ITER, NORMAL_TOL, TAKAGI_ORTHO
@@ -14,6 +15,14 @@ from sephorn.errors import OutOfPositivityRange
 from sephorn.horn import subset_table
 
 CHUNK = 8192  # sample rows per vectorized block
+
+
+def lapack_kernels() -> set[str]:
+    """The names of the LAPACK kernels of :mod:`sephorn.linalg`: its public
+    functions but ``certify_psd``, which calls them."""
+    return {name for name, value in vars(linalg).items()
+            if callable(value) and getattr(value, "__module__", None) == linalg.__name__
+            and not name.startswith("_")} - {"certify_psd"}
 
 
 def _as_generator(seed) -> np.random.Generator:

@@ -455,6 +455,15 @@ class TestNormalForm:
                           (result.state.a, alone.state.a), (result.state.corr, alone.state.corr)):
             np.testing.assert_array_equal(got, want)
 
+    def test_a_singular_sweep_ends_the_run(self):
+        # a singular reduced matrix inverts to NaN, which ends the run at
+        # that sweep with the last finite pair, none at the first sweep, and
+        # quietly under the error state normal_form runs it in
+        rho = np.kron(np.diag([1.0, 0.0]), np.eye(3) / 3.0).astype(complex)
+        d = decompose_state(rho, 2, 3)
+        with np.errstate(all="ignore"):
+            assert bipartite._gram_scaling(d.realigned, 2, 3, 10, NORMAL_TOL) == (None, 1)
+
     def test_re_based_filters_compose(self, monkeypatch):
         # a record outside tol is re-based: the next run starts from G = I
         # on the filtered state, and its Cholesky factors multiply the

@@ -7,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (BOUNDARY_SHIFTS, filtered_product_mixture, horodecki_2x4, horodecki_3x3,
-                     ill_conditioned_product, in_frame, lowest_pt_eigenvalue, nested_support,
-                     noisy, off_ball_product, ppt_boundary, products, projected_filtered,
-                     random_density, random_unitary, rank_one_rung_state, tiles_state,
-                     weakly_entangled)
-from sephorn import bipartite, criteria
+                     ill_conditioned_product, in_frame, lapack_kernels, lowest_pt_eigenvalue,
+                     nested_support, noisy, off_ball_product, ppt_boundary, products,
+                     projected_filtered, random_density, random_unitary, rank_one_rung_state,
+                     tiles_state, weakly_entangled)
+from sephorn import bipartite, criteria, linalg
 from sephorn.bipartite import (
     BipartiteDecomposed,
+    _marginal_norm,
     compose_state,
     decompose_state,
     local_ranks,
@@ -868,21 +869,28 @@ class TestPptCertificate:
 class TestSpectralCounts:
     """Each spectral quantity is computed once per verdict."""
 
-    @staticmethod
-    def record(monkeypatch):
-        """Spy on numpy's factorisations; an SVD without singular vectors
-        is recorded as "svdvals"."""
+    # each LAPACK kernel of sephorn.linalg, by the name its call is recorded under
+    KERNELS = {"svd": "svd", "svdvals": "svdvals", "eigh": "eigh", "eigvalsh": "eigvalsh",
+               "cholesky": "cholesky", "bare_cholesky_upper": "cholesky", "qr_q": "qr",
+               "inv": "inv", "bare_inv": "inv", "solve": "solve"}
+
+    @classmethod
+    def record(cls, monkeypatch):
+        """Spy on every factorisation, through the kernels of
+        :mod:`sephorn.linalg`, each call recorded under its ``KERNELS`` name."""
         calls = []
-        for name in ("svd", "eigh", "eigvalsh", "cholesky", "qr", "inv"):
-            real = getattr(np.linalg, name)
+        for kernel, name in cls.KERNELS.items():
+            real = getattr(linalg, kernel)
 
-            def spy(a, *args, _name=name, _real=real, **kwargs):
-                values_only = _name == "svd" and kwargs.get("compute_uv", True) is False
-                calls.append(("svdvals" if values_only else _name, np.array(a)))
-                return _real(a, *args, **kwargs)
+            def spy(a, *args, _name=name, _real=real):
+                calls.append((_name, np.array(a)))
+                return _real(a, *args)
 
-            monkeypatch.setattr(np.linalg, name, spy)
+            monkeypatch.setattr(linalg, kernel, spy)
         return calls
+
+    def test_spy_sees_every_kernel(self):
+        assert lapack_kernels() == set(self.KERNELS)
 
     @staticmethod
     def qutrit_state(frame):
@@ -1475,7 +1483,8 @@ class TestAnalyze:
         # record is used, and the log says so
         rho = noisy(products((0.4, 0.6), 2, 3, 6), 3e-8)
         nf = normal_form(decompose_state(rho, 2, 3))
-        marg = max(np.linalg.norm(nf.state.a), np.linalg.norm(nf.state.b))
+        # the larger marginal norm as the library reads it, in Python floats
+        marg = _marginal_norm(nf.state)
         assert not nf.converged and NORMAL_TOL <= marg < RESIDUAL
         verdict = analyze(rho, 2, 3)
         names = [c.name for c in verdict.criteria]
