@@ -56,8 +56,8 @@ class BipartiteDecomposed:
     ``corr`` as immutable once a record exists.  The correlation's singular
     values, ``corr_singular_values``, come from an SVD without vectors,
     which is what the Ky Fan questions read; ``corr_svd`` takes the vectors
-    too, for a construction that uses them, and once taken it supplies
-    the values.
+    too, for the Ky Fan construction when the columns or rows of ``corr``
+    do not fit it, and once taken it supplies the values.
     """
 
     dim_a: int
@@ -105,7 +105,9 @@ class BipartiteDecomposed:
     @cached_property
     def corr_svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Thin singular value decomposition ``(u, tau, vh)`` of ``corr``,
-        ``tau`` descending."""
+        ``tau`` descending: the fallback split of the Ky Fan construction,
+        taken only when the columns or rows of ``corr``
+        (:func:`~sephorn.decompose.line_split`) miss its bound."""
         return _read_only(linalg.svd(np.asarray(self.corr, dtype=float)))
 
     @cached_property

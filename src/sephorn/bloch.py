@@ -6,7 +6,8 @@ reconstructed via ``rho = eye/N + (1/2) sum_mu r_mu g_mu``.  Vectors are
 plain numpy arrays; the local dimension is recovered from the length.
 This module alone fixes the coordinates: every conversion between
 matrices and Bloch data is one product with :func:`_moment_rows` or its
-inverse :func:`_moment_columns`.
+inverse :func:`_moment_columns`, which :func:`_matrices` applies to real
+rows as one real product.
 """
 
 from __future__ import annotations
@@ -54,6 +55,23 @@ def _moment_columns(dim: int) -> np.ndarray:
     cols = _moment_rows(dim).conj().T * np.r_[1.0 / dim, np.full(dim * dim - 1, 0.5)]
     cols.setflags(write=False)
     return cols
+
+
+@lru_cache(maxsize=None)
+def _moment_columns_real(dim: int) -> np.ndarray:
+    """``_moment_columns(dim).T`` as a read-only real (N^2, 2 N^2) array,
+    each complex entry laid out as its real and imaginary parts, so that a
+    real row times it is the complex row of a matrix in one real product."""
+    cols = np.ascontiguousarray(_moment_columns(dim).T).view(float)
+    cols.setflags(write=False)
+    return cols
+
+
+def _matrices(rows: np.ndarray, dim: int) -> np.ndarray:
+    """The (L, N, N) matrices t I/N + (1/2) sum_mu r_mu g_mu of the real
+    rows [t, r] of an (L, N^2) array, by one real product with
+    :func:`_moment_columns_real`."""
+    return (rows @ _moment_columns_real(dim)).view(complex).reshape(*rows.shape[:-1], dim, dim)
 
 
 _COMPLEX = np.dtype(complex)
@@ -189,5 +207,5 @@ def from_bloch(r: np.ndarray, dim: int | None = None) -> np.ndarray:
     n = dim_of_bloch(r) if dim is None else dim
     if n * n - 1 != r.shape[-1]:
         raise DimensionMismatch(f"vector length {r.shape[-1]} does not match dim {n}")
-    return (_augmented(r) @ _moment_columns(n).T).reshape(*r.shape[:-1], n, n)
+    return _matrices(_augmented(r), n)
 

@@ -29,9 +29,11 @@ entrywise, is decided by that one component before any filter.
 Otherwise the constructive bound is tried first on the unfiltered record,
 shifted by its marginals: ||corr - a b^T||_KF <= (R_N - |a|)(R_M - |b|),
 with R_N = sqrt(2/(N(N-1))) the radius of the inscribed ball.  It decides
-a state whose correlation fits that ball with one singular value
-decomposition, and no filtering, pull-back or Gram iteration, and refuses
-most others from two norms with no decomposition at all; a state it
+a state whose correlation fits that ball with no filtering, pull-back or
+Gram iteration, from the columns or rows of C
+(:func:`~sephorn.decompose.line_split`) when their norms fit, and from
+one singular value decomposition only when they miss, and refuses most
+others from two norms with no decomposition at all; a state it
 does not decide logs nothing and is filtered, and the bounds then apply to
 the filtered correlation: the necessary bound, then the family question,
 then the constructive bound, so that a Werner or isotropic state in any
@@ -50,7 +52,8 @@ once: the singular values ``d.corr_singular_values``, from one singular
 value decomposition without vectors, that the necessary bound, the family
 recogniser and the constructive bound's refusal share on the filtered
 record; the singular vectors ``d.corr_svd``, taken only once the
-constructive bound fits; and the moment matrix ``d.moments`` that
+constructive bound fits and the line split of the filtered correlation
+misses it; and the moment matrix ``d.moments`` that
 verification subtracts from the decomposition's own in one step.
 :func:`ppt_check` and :func:`require_psd` ask their questions of a
 record's ``d.matrix`` through the code :func:`analyze` runs on the
@@ -82,7 +85,7 @@ from .bipartite import (
     partial_transpose_matrix,
     support_isometries,
 )
-from .bloch import _ball_radius_sq, ball_floor, from_bloch
+from .bloch import _augmented, _ball_radius_sq, _matrices, ball_floor, from_bloch
 from .config import (COMPONENT_PSD, HOLDER_ROUNDING, KYFAN_SLACK, MAX_ITER, NORMAL_TOL,
                      POSITIVITY_TOL, PPT_ROUNDING, PROB_SUM, RESIDUAL, STATE_TOL, check_max_iter,
                      check_tol)
@@ -93,6 +96,7 @@ from .decompose import (
     kyfan_fit,
     kyfan_floor,
     kyfan_room,
+    line_split,
     transport,
     werner_decompose,
     wootters_decomposition,
@@ -220,6 +224,13 @@ def _first_non_finite(probs: np.ndarray, dec: SeparableDecomposition) -> str:
     return ""
 
 
+@np.errstate(invalid="ignore", over="ignore")
+def _moment_residual(dec: SeparableDecomposition, d: BipartiteDecomposed) -> np.ndarray:
+    """|dec.moments - d.moments|, entrywise; an infinite entry times a zero
+    weight is NaN, which the caller names."""
+    return np.abs(dec.moments - d.moments)
+
+
 def verify_decomposition(dec: SeparableDecomposition,
                          d: BipartiteDecomposed) -> VerificationReport:
     """Check a decomposition against a state: probability simplex, the
@@ -241,20 +252,21 @@ def verify_decomposition(dec: SeparableDecomposition,
     (1 + 2 ``COMPONENT_PSD``)^2), and every side inside
     the inscribed ball, such as the Ky Fan pairs of a state no filter
     moved; a NaN norm never passes.  A side it leaves open takes per-row
-    floors, and its components below the floor are built and certified as
-    one stack by Cholesky
-    (:func:`~sephorn.linalg.certify_psd`); only a stack that fails it is
-    eigensolved, and the first component below ``-COMPONENT_PSD`` is
-    named by its index in the decomposition, with its lowest eigenvalue.
+    floors, and its components below the floor are certified as one stack
+    by Cholesky, as :func:`~sephorn.linalg.certify_psd` certifies: each
+    matrix plus ``COMPONENT_PSD`` I is built straight from the Bloch row
+    [1 + N ``COMPONENT_PSD``, r], the shift folded into the identity's
+    coefficient, in one real product (:func:`~sephorn.bloch._matrices`).
+    Only a stack that fails is eigensolved, unshifted, and the first
+    component below ``-COMPONENT_PSD`` is named by its index in the
+    decomposition, with its lowest eigenvalue.
     """
     probs = np.asarray(dec.probs, dtype=float)
     if probs.size == 0:
         return VerificationReport(valid=False, max_residual=np.inf, detail="empty")
     malformed = _misshapen(probs, dec, d)
     if not malformed:
-        # an infinite entry times a zero weight is NaN, named below
-        with np.errstate(invalid="ignore", over="ignore"):
-            residual = np.abs(dec.moments - d.moments)
+        residual = _moment_residual(dec, d)
         sum_dev = float(residual[0, 0])
         residual[0, 0] = 0.0
         max_residual = float(residual.max())
@@ -275,9 +287,12 @@ def verify_decomposition(dec: SeparableDecomposition,
         if np.vecdot(vecs, vecs).max() <= _ball_radius_sq(dim, -COMPONENT_PSD):
             continue
         rows = np.flatnonzero(~(ball_floor(vecs, dim) >= -COMPONENT_PSD))
-        low = certify_psd(from_bloch(vecs[rows], dim), COMPONENT_PSD)
-        if low is None:
+        # the rows [1 + N tol, r] give from_bloch(r) + tol I
+        shifted = _augmented(vecs[rows])
+        shifted[:, 0] = 1.0 + dim * COMPONENT_PSD
+        if np.isfinite(linalg.cholesky(_matrices(shifted, dim))).all():
             continue
+        low = linalg.eigvalsh(from_bloch(vecs[rows], dim))[:, 0]
         bad = np.flatnonzero(~(low >= -COMPONENT_PSD))
         if bad.size:
             problems.append(f"component {rows[bad[0]]} on side {label} unphysical "
@@ -365,15 +380,18 @@ def _kyfan_unfiltered(call: _Call) -> Verdict | Status | None:
     the empty C of every one-sided record is, makes a product, decided by
     its one component (a, b) or not at all.  Otherwise ||C||_KF <= (R_N -
     |a|)(R_M - |b|), within the slack of :func:`~sephorn.decompose.kyfan_room`,
-    builds the decomposition by :func:`~sephorn.decompose.kyfan_bound_decomposition`
-    from one SVD of C, with no filtering and so no pull-back.  The norms
-    ask first, from ||C||_F <= L <= ||C||_KF <= sqrt(k) ||C||_F, k =
-    min(C.shape), L Holder's bound (:func:`~sephorn.decompose.kyfan_floor`):
-    ||C||_F beyond the room rejects most states, and L beyond it by more
-    than its rounding, ``HOLDER_ROUNDING``, most of the rest, with no SVD;
-    L is skipped when sqrt(k) ||C||_F fits, which leaves a state that fits
-    no numpy work beyond ||C||_F.  A state it rejects logs nothing and goes
-    on to the filter."""
+    builds the decomposition by :func:`~sephorn.decompose.kyfan_bound_decomposition`,
+    with no filtering and so no pull-back, from the first split of C whose
+    weights fit: its columns or rows (:func:`~sephorn.decompose.line_split`),
+    then its SVD.  The norms ask first, from ||C||_F <= L <= ||C||_KF <= W
+    <= sqrt(k) ||C||_F, k = min(C.shape), L Holder's bound
+    (:func:`~sephorn.decompose.kyfan_floor`) and W the line split's weight
+    sum: ||C||_F beyond the room rejects most states, and L beyond it by
+    more than its rounding, ``HOLDER_ROUNDING``, most of the rest, with no
+    split and no SVD; L is skipped when sqrt(k) ||C||_F fits.  A state
+    left open is built from its line split when W fits, with no
+    factorisation, and takes the SVD only when W misses.  A state it
+    rejects logs nothing and goes on to the filter."""
     d = call.d
     c = d.corr - np.outer(d.a, d.b)
     if np.abs(c).max(initial=0.0) <= RESIDUAL:
@@ -385,8 +403,11 @@ def _kyfan_unfiltered(call: _Call) -> Verdict | Status | None:
     if (sqrt(min(c.shape)) * fro - bound > slack
             and kyfan_floor(c, fro) * (1.0 - HOLDER_ROUNDING) - bound > slack):
         return None
+    split = line_split(c)
+    if split[1].sum() - bound > slack:
+        split = linalg.svd(c)
     try:
-        built = kyfan_bound_decomposition(linalg.svd(c), d.dim_a, d.dim_b, (d.a, d.b))
+        built = kyfan_bound_decomposition(split, d.dim_a, d.dim_b, (d.a, d.b))
     except BoundExceeded:
         return None
     return call.verified(built, "kyfan-sufficient")
@@ -425,9 +446,11 @@ def _kyfan_necessary(call: _Call) -> Status | None:
 def _kyfan_sufficient(call: _Call) -> Verdict | None:
     """The constructive bound on the filtered record ``d``, whose marginals
     are zero.  Its refusal is read off the singular values alone, by the
-    test :func:`~sephorn.decompose.kyfan_bound_decomposition` applies;
-    only a correlation that fits takes the singular vectors, and the pairs
-    are built from them with those same values."""
+    test :func:`~sephorn.decompose.kyfan_bound_decomposition` applies.  A
+    correlation that fits is split along its columns or rows
+    (:func:`~sephorn.decompose.line_split`), and only one whose split
+    misses the bound takes the singular vectors, ``d.corr_svd``, whose
+    values fit."""
     d = call.d
     taus = d.corr_singular_values
     try:
@@ -435,9 +458,12 @@ def _kyfan_sufficient(call: _Call) -> Verdict | None:
     except BoundExceeded as exc:
         call.log.append(CriterionResult("kyfan-sufficient", False, exc.excess, str(exc)))
         return None
-    u, _, vh = d.corr_svd
-    return call.verified(kyfan_bound_decomposition((u, taus, vh), d.dim_a, d.dim_b),
-                         "kyfan-sufficient")
+    try:
+        built = kyfan_bound_decomposition(line_split(d.corr), d.dim_a, d.dim_b)
+    except BoundExceeded:
+        u, _, vh = d.corr_svd
+        built = kyfan_bound_decomposition((u, taus, vh), d.dim_a, d.dim_b)
+    return call.verified(built, "kyfan-sufficient")
 
 
 def _family(call: _Call) -> Verdict | None:

@@ -2,7 +2,9 @@
 
 Builds explicit convex decompositions ``rho = sum_i p_i rho_i^A x rho_i^B``
 in Bloch form: the closed-form +- pair construction that succeeds whenever
-the Ky Fan norm fits the inscribed-ball budget, the pure-state simplex built
+the Ky Fan norm fits the inscribed-ball budget, built from any rank-one
+split of the correlation -- its columns or rows when their norms fit, its
+singular value decomposition as the fallback -- the pure-state simplex built
 from a Weyl-Heisenberg SIC, the closed-form decomposition of a separable
 Werner state (which ``criteria.analyze`` rotates and pulls back to decompose
 every Werner and isotropic state it recognises) and Wootters'
@@ -124,7 +126,38 @@ def _pairs(centre: np.ndarray, step: np.ndarray) -> np.ndarray:
     return out
 
 
-def kyfan_bound_decomposition(corr_svd: tuple[np.ndarray, np.ndarray, np.ndarray],
+@lru_cache(maxsize=None)
+def _identity(dim: int) -> np.ndarray:
+    """The read-only identity of size ``dim``."""
+    out = np.eye(dim)
+    out.setflags(write=False)
+    return out
+
+
+_TINY = np.finfo(float).tiny
+
+
+def line_split(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A split (u, w, vh) of C = sum_i w_i u_i vh_i read off its columns or
+    its rows, whichever have the smaller norm sum, with no factorisation.
+
+    The columns give C = sum_j |c_j| (c_j/|c_j|) e_j^T: u holds the unit
+    columns, w their norms and vh the identity; the rows give C = sum_i
+    |r_i| e_i (r_i/|r_i|)^T (resp.).  A zero line keeps weight 0 and a zero
+    vector.  The weight sum is at least ||C||_KF, which is the least weight
+    sum over all splits into unit vectors, and at most sqrt(k) ||C||_F for
+    k = min(C.shape); it equals ||C||_KF when the lines of that side are
+    orthogonal, as they are for C = c O, O orthogonal.  The lines are not
+    sorted."""
+    rows = np.sqrt(np.vecdot(c, c))
+    cols = np.sqrt(np.vecdot(c.T, c.T))
+    # the sides are compared as Python sums, which cost less than numpy's
+    if sum(rows.tolist()) < sum(cols.tolist()):
+        return _identity(c.shape[0]), rows, c / np.maximum(rows, _TINY)[:, None]
+    return c / np.maximum(cols, _TINY), cols, _identity(c.shape[1])
+
+
+def kyfan_bound_decomposition(split: tuple[np.ndarray, np.ndarray, np.ndarray],
                               dim_a: int, dim_b: int,
                               marginals: tuple[np.ndarray, np.ndarray] | None = None
                               ) -> SeparableDecomposition:
@@ -132,39 +165,45 @@ def kyfan_bound_decomposition(corr_svd: tuple[np.ndarray, np.ndarray, np.ndarray
     of its marginals, fits the inscribed ball (de Vicente's constructive Ky
     Fan bound).
 
-    ``corr_svd`` is the thin singular value decomposition (u, tau, vh) of
-    C = corr - a b^T, tau descending, as ``BipartiteDecomposed.corr_svd``
-    stores it for a normal-form state, whose marginals ``marginals`` = (a,
-    b) are zero and may be omitted.  The Ky Fan norm sum tau fits when it
-    exceeds the bound (R_N - |a|)(R_M - |b|), with R_N = sqrt(2/(N(N-1)))
-    the radius of the inscribed ball, by at most the slack of
-    :func:`kyfan_room`, ``KYFAN_SLACK`` scaled as the bound is; otherwise,
-    or when a marginal lies on or outside its ball, BoundExceeded carries
-    the excess, norm minus bound (:func:`kyfan_fit`, which reads only
-    tau).  With K = ||C||_KF / bound, every
-    tau_i > 0 contributes the pair (a +- s u_i, b +- t v_i), each of weight
-    tau_i / (2 sum tau), where s = (R_N - |a|) sqrt(K) and
-    t = (R_M - |b|) sqrt(K), so s t = ||C||_KF.  The pairs reproduce the
-    marginals, and sum to a b^T + C = corr in the correlation; every A
-    vector has norm at most |a| + s, within R_N for K <= 1 (resp. B), hence
-    physical.  Within the slack K - 1 is at most ``KYFAN_SLACK`` over the
-    unshifted bound 2/sqrt(NM(N-1)(M-1)), and a component's lowest
-    eigenvalue is at worst about -(K - 1)/(2N), inside the verification
-    tolerance.  A rank-r C gives 2r components, a zero one the single
+    ``split`` is any split (u, w, vh) of C = corr - a b^T = sum_i w_i u_i
+    vh_i into unit columns u_i, weights w_i >= 0 and unit rows vh_i, in any
+    order: the columns or rows of C (:func:`line_split`), or its thin
+    singular value decomposition, tau descending, as
+    ``BipartiteDecomposed.corr_svd`` stores it for a normal-form state,
+    whose marginals ``marginals`` = (a, b) are zero and may be omitted.
+    The weight sum fits when it exceeds the bound (R_N - |a|)(R_M - |b|),
+    with R_N = sqrt(2/(N(N-1))) the radius of the inscribed ball, by at
+    most the slack of :func:`kyfan_room`, ``KYFAN_SLACK`` scaled as the
+    bound is; otherwise, or when a marginal lies on or outside its ball,
+    BoundExceeded carries the excess, sum minus bound (:func:`kyfan_fit`,
+    which reads only the weights).  The singular values give the least
+    weight sum, ||C||_KF, so a split that misses may leave the SVD room.
+    With K = sum w / bound, every w_i above ``KYFAN_RANK`` times the
+    largest contributes the pair (a +- s u_i, b +- t vh_i), each of weight
+    w_i / (2 sum w), where s = (R_N - |a|) sqrt(K) and t = (R_M - |b|)
+    sqrt(K), so s t = sum w.  The pairs reproduce the marginals, and sum to
+    a b^T + C = corr in the correlation; every A vector has norm at most
+    |a| + s, within R_N for K <= 1 (resp. B), hence physical.  Within the
+    slack K - 1 is at most ``KYFAN_SLACK`` over the unshifted bound
+    2/sqrt(NM(N-1)(M-1)), and a component's lowest eigenvalue is at worst
+    about -(K - 1)/(2N), inside the verification tolerance.  A split of r
+    weights above the cutoff gives 2r components, a zero C the single
     product (a, b).
     """
-    u, taus, vh = corr_svd
+    u, w, vh = split
     a, b = (np.zeros(u.shape[0]), np.zeros(vh.shape[1])) if marginals is None else marginals
-    if taus.size == 0 or taus[0] <= 0.0:
+    top = w.max(initial=0.0)
+    if top <= 0.0:
         return SeparableDecomposition(probs=np.array([1.0]), r_vectors=np.array([a], dtype=float),
                                       s_vectors=np.array([b], dtype=float))
-    bound, shrink_a, shrink_b = kyfan_fit(taus, dim_a, dim_b, a, b)
-    rank = np.count_nonzero(taus > KYFAN_RANK * taus[0])
-    taus, u, v = taus[:rank], u[:, :rank].T, vh[:rank]
-    budget = float(taus.sum()) / bound
+    bound, shrink_a, shrink_b = kyfan_fit(w, dim_a, dim_b, a, b)
+    keep = w > KYFAN_RANK * top
+    w, u, v = w[keep], u.T[keep], vh[keep]
+    total = float(w.sum())
+    budget = total / bound
     r = shrink_a * np.sqrt(2.0 * budget / (dim_a * (dim_a - 1.0))) * u
     s = shrink_b * np.sqrt(2.0 * budget / (dim_b * (dim_b - 1.0))) * v
-    return SeparableDecomposition(probs=np.repeat(taus / (2.0 * taus.sum()), 2),
+    return SeparableDecomposition(probs=np.repeat(w / (2.0 * total), 2),
                                   r_vectors=_pairs(a, r), s_vectors=_pairs(b, s))
 
 

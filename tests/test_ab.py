@@ -140,6 +140,23 @@ def test_latency_uses_the_benchmarks_tail_rule(monkeypatch):
     assert spread["parent"][1] == 9.0 and spread["parent"] == spread["change"]
 
 
+def test_tail_cases_name_each_sides_slowest_cases():
+    parent = {f"q/a/{i}": [float(i)] for i in range(1, 6)}
+    change = {f"q/a/{i}": [float(6 - i)] for i in range(1, 6)}
+    named = ab.tail_cases(ab.summarize(parent, change), _tail)
+    # with two cases beyond the tail, the tail is the third slowest
+    assert named["parent"] == [("q/a/5", 5.0), ("q/a/4", 4.0), ("q/a/3", 3.0)]
+    assert named["change"] == [("q/a/1", 5.0), ("q/a/2", 4.0), ("q/a/3", 3.0)]
+    # a tie at the tail keeps every case that reaches it
+    tied = {"x/0": [1.0], "x/1": [2.0], "x/2": [2.0], "x/3": [3.0], "x/4": [4.0]}
+    named = ab.tail_cases(ab.summarize(tied, tied), _tail)
+    assert [cid for cid, _ in named["parent"]] == ["x/4", "x/3", "x/1", "x/2"]
+    # no more cases than the rule puts beyond the tail: the tail is the
+    # slowest case, alone
+    few = {"y/0": [1.0], "y/1": [2.0]}
+    assert ab.tail_cases(ab.summarize(few, few), _tail)["change"] == [("y/1", 2.0)]
+
+
 class _Id:
     def __init__(self, cid):
         self.id = cid

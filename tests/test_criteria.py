@@ -36,6 +36,7 @@ from sephorn.decompose import (
     kyfan_bound_decomposition,
     kyfan_floor,
     kyfan_room,
+    line_split,
     transport,
     werner_decompose,
     wootters_decomposition,
@@ -566,16 +567,19 @@ class TestNormalFormIsNotTransported:
     @pytest.mark.parametrize("dim, state", kyfan_family_cases())
     def test_kyfan_decomposition_returned_as_built(self, dim, state, monkeypatch):
         calls = self.transport_calls(monkeypatch)
+        kernels = TestSpectralCounts.record(monkeypatch)
         rho = in_frame(compose_state(state), dim, dim, "rotated", np.random.default_rng(7))
         verdict = analyze(rho, dim, dim)
+        monkeypatch.undo()
         self.separable(verdict, "kyfan-sufficient")
         assert calls == []
-        # decided before filtering, from the correlation less the product
-        # of the marginals
+        # decided before filtering, from the columns or rows of the
+        # correlation less the product of the marginals, which are
+        # orthogonal for a family state in any frame: no SVD is taken
+        assert [name for name, _ in kernels if name.startswith("svd")] == []
         d = decompose_state(rho, dim, dim)
-        built = kyfan_bound_decomposition(
-            np.linalg.svd(d.corr - np.outer(d.a, d.b), full_matrices=False), dim, dim,
-            (d.a, d.b))
+        built = kyfan_bound_decomposition(line_split(d.corr - np.outer(d.a, d.b)), dim, dim,
+                                          (d.a, d.b))
         for got, want in ((verdict.decomposition.probs, built.probs),
                           (verdict.decomposition.r_vectors, built.r_vectors),
                           (verdict.decomposition.s_vectors, built.s_vectors)):
@@ -596,6 +600,88 @@ class TestNormalFormIsNotTransported:
         self.separable(verdict, "family")
         assert len(calls) == 1
         assert verify_decomposition(verdict.decomposition, decompose_state(rho, 3, 3)).valid
+
+
+def line_split_state(n, m, seed):
+    """Bloch data (a, b, C) at n x m: marginals at up to half the radius of
+    the inscribed ball, and a Gaussian C with a zero column and a zero
+    row, scaled so that its column or row weights take 0.3 to 0.95 of the
+    Ky Fan room about the marginals."""
+    rng = np.random.default_rng(seed)
+    a, b = [v * rng.uniform(0.0, 0.5) * np.sqrt(2.0 / (k * (k - 1.0))) / np.linalg.norm(v)
+            for v, k in ((rng.normal(size=n * n - 1), n), (rng.normal(size=m * m - 1), m))]
+    c = rng.normal(size=(n * n - 1, m * m - 1))
+    c[:, rng.integers(m * m - 1)] = 0.0
+    c[rng.integers(n * n - 1)] = 0.0
+    weights = min(np.linalg.norm(c, axis=0).sum(), np.linalg.norm(c, axis=1).sum())
+    c *= rng.uniform(0.3, 0.95) * kyfan_room(n, m, a, b)[0] / weights
+    return a, b, c
+
+
+def rank_one_state(n, m, frame, seed):
+    """0.95 of the Ky Fan room about marginals at 0.3 of the inscribed
+    radius ("plain"), or about none and then under random local filters
+    ("filtered"), taken by a rank-one C = tau u v^T of vectors of equal
+    entries up to sign: ||C||_KF = tau fits, while every column or row
+    split weighs tau times the 1-norm of u or v, which misses."""
+    rng = np.random.default_rng(seed)
+    ka, kb = n * n - 1, m * m - 1
+    u, v = rng.choice([-1.0, 1.0], ka) / np.sqrt(ka), rng.choice([-1.0, 1.0], kb) / np.sqrt(kb)
+    share = 0.3 if frame == "plain" else 0.0
+    a, b = [share * np.sqrt(2.0 / (k * (k - 1.0))) * x / np.linalg.norm(x)
+            for x, k in ((rng.normal(size=ka), n), (rng.normal(size=kb), m))]
+    c = 0.95 * kyfan_room(n, m, a, b)[0] * np.outer(u, v)
+    assert line_split(c)[1].sum() > kyfan_room(n, m, a, b)[0]
+    rho = compose_state(BipartiteDecomposed(n, m, a, b, c + np.outer(a, b)))
+    return rho if frame == "plain" else in_frame(rho, n, m, "filtered", rng)
+
+
+class TestLineSplit:
+    """The Ky Fan pairs are built from the columns or rows of C whenever
+    their weights fit the room, with no factorisation at all; the SVD is
+    taken only when they miss while ||C||_KF fits."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n, m", [(2, 3), (3, 2), (3, 4), (4, 3), (5, 5)])
+    def test_split_builds_verified_pairs_inside_the_ball(self, n, m, seed, monkeypatch):
+        a, b, c = line_split_state(n, m, seed)
+        d = BipartiteDecomposed(n, m, a, b, c + np.outer(a, b))
+        calls = TestSpectralCounts.record(monkeypatch)
+        dec = kyfan_bound_decomposition(line_split(c), n, m, (a, b))
+        report = verify_decomposition(dec, d)
+        assert report.valid and report.max_residual <= RESIDUAL, report
+        # every component lies inside the inscribed ball, so verification
+        # factorises nothing
+        assert (ball_floor(dec.r_vectors, n) > 0.0).all()
+        assert (ball_floor(dec.s_vectors, m) > 0.0).all()
+        assert calls == []
+        # one pair per nonzero line of the side of smaller weight: the zero
+        # line makes none
+        cols, rows = np.linalg.norm(c, axis=0), np.linalg.norm(c, axis=1)
+        lines = cols if cols.sum() <= rows.sum() else rows
+        assert len(dec) == 2 * np.count_nonzero(lines)
+        assert np.count_nonzero(lines) < lines.size
+        # analyze decides the state before filtering, with no SVD
+        verdict = analyze(compose_state(d), n, m)
+        monkeypatch.undo()
+        assert verdict.status is Status.SEPARABLE
+        assert [x.name for x in verdict.criteria] == ["ppt", "decomposition[kyfan-sufficient]"]
+        assert [name for name, _ in calls if name.startswith("svd")] == []
+
+    @pytest.mark.parametrize("frame, stages, svds", [
+        ("plain", ["ppt"], ["svd"]),
+        ("filtered", ["ppt", "kyfan-necessary"], ["svdvals", "svd"])])
+    @pytest.mark.parametrize("n, m", [(2, 3), (3, 3), (3, 4)])
+    def test_a_split_that_misses_takes_the_svd(self, n, m, frame, stages, svds, monkeypatch):
+        rho = rank_one_state(n, m, frame, 5)
+        calls = TestSpectralCounts.record(monkeypatch)
+        verdict = analyze(rho, n, m)
+        monkeypatch.undo()
+        assert verdict.status is Status.SEPARABLE
+        assert [x.name for x in verdict.criteria] == [*stages, "decomposition[kyfan-sufficient]"]
+        assert [name for name, _ in calls if name.startswith("svd")] == svds
+        # rank one: one pair
+        assert len(verdict.decomposition) == 2
 
 
 def bound_entangled_cases():
@@ -928,11 +1014,12 @@ class TestSpectralCounts:
         assert verdict.status is Status.SEPARABLE
         assert [c.name for c in verdict.criteria] == ["ppt", "decomposition[kyfan-sufficient]"]
         d = decompose_state(rho, 3, 3)
-        # decided before filtering: one SVD, of the correlation less the
-        # product of the marginals, and no filter inverted
-        svds = [a for name, a in calls if name == "svd"]
-        assert len(svds) == 1
-        np.testing.assert_allclose(svds[0], d.corr - np.outer(d.a, d.b), rtol=0, atol=1e-15)
+        # decided before filtering, from the columns or rows of the
+        # correlation less the product of the marginals, whose weights fit
+        # the bound: no SVD, and no filter inverted
+        c = d.corr - np.outer(d.a, d.b)
+        assert line_split(c)[1].sum() <= kyfan_room(3, 3, d.a, d.b)[0]
+        assert [name for name, _ in calls if name.startswith("svd")] == []
         assert [name for name, _ in calls if name == "inv"] == []
         self.check_full_matrices(calls, rho)
         # the components of the decomposition lie inside the inscribed ball,
@@ -957,14 +1044,15 @@ class TestSpectralCounts:
         d = decompose_state(rho, 3, 3)
         nf = normal_form(d)
         tilde = nf.state
-        # two SVDs, both of the filtered correlation: the unfiltered record
-        # is refused by the Frobenius norm alone, the necessary bound and the
-        # family spread read the singular values alone, and only the
-        # constructive bound, once it fits, takes the singular vectors
+        # one SVD without vectors, of the filtered correlation: the
+        # unfiltered record is refused by the Frobenius norm alone, the
+        # necessary bound, the family spread and the constructive bound's
+        # test read the singular values alone, and the pairs are built from
+        # the columns or rows of the filtered correlation, whose weights fit
         svds = [(name, a) for name, a in calls if name.startswith("svd")]
-        assert [name for name, _ in svds] == ["svdvals", "svd"]
-        for _, a in svds:
-            np.testing.assert_allclose(a, tilde.corr, atol=1e-12)
+        assert [name for name, _ in svds] == ["svdvals"]
+        np.testing.assert_allclose(svds[0][1], tilde.corr, atol=1e-12)
+        assert line_split(tilde.corr)[1].sum() <= kyfan_room(3, 3, np.zeros(8), np.zeros(8))[0]
         self.check_full_matrices(calls, rho)
         # some pulled-back components leave the inscribed ball; their stacks
         # are certified by Cholesky, and none is eigensolved
@@ -1168,7 +1256,8 @@ class TestVerify:
         d = decompose_state(np.eye(9) / 9.0, 3, 3)
         assert verify_decomposition(SeparableDecomposition(
             np.array([1.0]), np.zeros((1, 8)), np.zeros((1, 8))), d).valid
-        monkeypatch.setattr(criteria, "certify_psd", never)
+        for kernel in ("cholesky", "eigvalsh"):
+            monkeypatch.setattr(linalg, kernel, never)
         bad = SeparableDecomposition(np.array(probs), r_vectors, s_vectors)
         report = verify_decomposition(bad, d)
         assert not report.valid
@@ -1284,6 +1373,21 @@ class TestVerify:
             assert abs(report.max_residual - max_residual) <= 1e-15, label
             invalid += not valid
         assert invalid == 2 * len(self.decompositions())
+
+    def test_pure_components_take_one_shifted_cholesky_stack_per_side(self, monkeypatch):
+        # the SIC components of the phi = 1 Werner state are pure on both
+        # sides, so every matrix is singular: each side is certified by one
+        # Cholesky factor of its stack plus COMPONENT_PSD I, built from the
+        # Bloch rows, and nothing is eigensolved
+        dec = werner_decompose(3, 1.0)
+        calls = TestSpectralCounts.record(monkeypatch)
+        report = verify_decomposition(dec, werner(3, 1.0))
+        monkeypatch.undo()
+        assert report.valid, report
+        assert [name for name, _ in calls] == ["cholesky", "cholesky"]
+        for (_, stack), vecs in zip(calls, (dec.r_vectors, dec.s_vectors)):
+            shift = np.broadcast_to(COMPONENT_PSD * np.eye(3), stack.shape)
+            np.testing.assert_allclose(stack - from_bloch(vecs, 3), shift, rtol=0, atol=1e-15)
 
     def test_bad_probabilities_invalid(self):
         dec = werner_decompose(2, 1.0)

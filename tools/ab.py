@@ -20,7 +20,9 @@ minima per group (a case id without its last component) and over the
 whole pass, each side's median and tail over the per-case minima, by the
 benchmark's own rule (``pipebench.run.tail``: the highest percentile with
 ``TAIL_BEYOND`` cases beyond it), so that a claim on ``latency_p50_ms`` or
-``latency_tail_ms`` can be previewed call by call, the minimum of
+``latency_tail_ms`` can be previewed call by call, then, per side, the
+ids and minima of the cases at and beyond that tail, so that a tail claim
+names the cases it moved, the minimum of
 ``qubit/mixed/05`` (a separable two-qubit verdict, on the qubit
 workload), and every case whose outcome differs, in
 a few lines: each side's status, number of components and criteria (name,
@@ -127,6 +129,19 @@ def latency(summary: dict, tail) -> dict[str, tuple[float, float, float]]:
     for i, side in enumerate(("parent", "change")):
         values = [pair[i] for pair in summary["cases"].values()]
         out[side] = (statistics.median(values), *tail(values))
+    return out
+
+
+def tail_cases(summary: dict, tail) -> dict[str, list[tuple[str, float]]]:
+    """Each side's cases at and beyond its tail by ``tail``, the benchmark's
+    rule, over the per-case minima of a :func:`summarize` result, as (case
+    id, minimum), slowest first: the cases that set that side's tail."""
+    out = {}
+    for i, side in enumerate(("parent", "change")):
+        values = {cid: pair[i] for cid, pair in summary["cases"].items()}
+        edge = tail(list(values.values()))[0]
+        out[side] = sorted(((cid, v) for cid, v in values.items() if v >= edge),
+                           key=lambda item: -item[1])
     return out
 
 
@@ -323,6 +338,10 @@ def main(argv=None) -> int:
         print(_row("p50", (spread["parent"][0], spread["change"][0])))
         print(_row(f"tail (p{spread['parent'][2]:.4g})",
                    (spread["parent"][1], spread["change"][1])))
+        for side, named in tail_cases(summary, tail).items():
+            print(f"\n{side}: cases at and beyond its tail, slowest first")
+            for cid, value in named:
+                print(f"  {cid:38s} {value * 1e6:12.1f}")
     if GATE in summary["cases"]:
         p, c = summary["cases"][GATE]
         print(f"\n{GATE} minimum: parent {p * 1e6:.1f} µs, change {c * 1e6:.1f} µs")
