@@ -21,8 +21,6 @@ from .criteria import (
     Status,
     Verdict,
     analyze,
-    kyfan_necessary_check,
-    ppt_check,
     verify_decomposition,
 )
 from .decompose import (
@@ -63,12 +61,10 @@ __all__ = [
     "generator_basis",
     "isotropic",
     "kyfan_bound_decomposition",
-    "kyfan_necessary_check",
     "local_ranks",
     "normal_form",
     "p_zero",
     "partial_transpose_matrix",
-    "ppt_check",
     "product_singulars_feasible",
     "pure_state_simplex",
     "to_bloch",

@@ -26,9 +26,9 @@ import click
 import numpy as np
 
 from . import fileio
-from .bipartite import decompose_state, normal_form
-from .config import MAX_ITER, NORMAL_TOL, POSITIVITY_TOL, STATE_TOL, check_tol
-from .criteria import Status, Verdict, analyze, require_psd
+from .bipartite import _record, normal_form
+from .config import MAX_ITER, NORMAL_TOL, POSITIVITY_TOL, check_tol
+from .criteria import Status, Verdict, _positive, analyze
 from .errors import BadParameter, FileFormatError, SepHornError
 from .horn import MAX_N, triple_set
 from .states import werner
@@ -223,15 +223,16 @@ def cmd_werner(dim, phi, out):
 def cmd_normal_form(path, out, max_iter, tol):
     """Filter a state toward maximally mixed marginals and report convergence.
 
-    The input is validated and checked for positivity as ``analyze`` does,
-    at ``SEP_HORN_TOL`` or ``POSITIVITY_TOL``, also the rank cutoff; a
-    rank-deficient marginal exits 70.  ``--tol`` is the filtering target.
+    The input is validated and checked for positivity by the step
+    ``analyze`` takes, at ``SEP_HORN_TOL`` or ``POSITIVITY_TOL``, also the
+    rank cutoff; a rank-deficient marginal exits 70.  ``--tol`` is the
+    filtering target.
     """
     ptol = _positivity_tol()
     rho, dims = fileio.state_from_text(Path(path).read_text())
-    d = decompose_state(rho, dims[0], dims[1], tol=max(STATE_TOL, ptol))
-    require_psd(d, ptol)
-    result = normal_form(d, max_iter=max_iter, tol=tol, rank_tol=ptol)
+    rho, spectrum = _positive(rho, dims[0], dims[1], ptol)
+    result = normal_form(_record(rho, dims[0], dims[1], spectrum), max_iter=max_iter, tol=tol,
+                         rank_tol=ptol)
     out_path = Path(out) if out else Path(str(Path(path).with_suffix("")) + ".normal.json")
     out_path.write_text(fileio.state_to_text(result.state.matrix, dims))
     click.echo(f"filtered state written to {out_path}")

@@ -2,11 +2,12 @@
 
 All comparison thresholds used across the package live here.  A caller of
 :func:`~sephorn.criteria.analyze` chooses two numbers: the positivity
-tolerance ``tol`` (default ``POSITIVITY_TOL``), which sets the psd, rank
-and, above 2 x 2, PPT thresholds and raises ``STATE_TOL`` when larger,
-and the filtering budget ``max_iter`` (default ``MAX_ITER``), each checked
-by :func:`check_tol` and :func:`check_max_iter` wherever it is taken.  The
-other thresholds are fixed.
+tolerance ``tol`` (default ``POSITIVITY_TOL``), which sets the psd and
+rank thresholds and raises ``STATE_TOL`` when larger, and the filtering
+budget ``max_iter`` (default ``MAX_ITER``), each checked by
+:func:`check_tol` and :func:`check_max_iter` wherever it is taken.  The
+other thresholds are fixed; PPT is decided at ``PPT_ROUNDING`` at every
+size, whatever ``tol``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ NORMAL_TOL = 1e-10     # marginal Bloch-norm convergence target of filtering
 SCALING_RATE = 0.8     # per-sweep deviation ratio a filtering run must beat, else it re-bases
 KYFAN_SLACK = 1e-9     # slack on the norm-bound criteria and the 2 x 2 concurrence
 HOLDER_ROUNDING = 2 ** 22 * float_info.epsilon  # relative rounding of Holder's Ky Fan floor
-PPT_ROUNDING = 64 * float_info.epsilon  # PPT threshold at 2 x 2, about 1.4e-14
+PPT_ROUNDING = 64 * float_info.epsilon  # PPT threshold at every size, about 1.4e-14
 HORN_SLACK = 1e-9      # relative slack of the Horn product inequalities and equality
 RESIDUAL = 1e-8        # decomposition residual; normal-form acceptance
 PROB_SUM = 1e-10       # probability normalization of a decomposition

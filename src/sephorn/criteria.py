@@ -10,9 +10,10 @@ criterion) and ``INCONCLUSIVE``.  Each question is asked of the earliest
 record that answers it, and the matrix questions of the validated matrix
 itself: positivity, then partial transposition, tested once, on the
 input, since a support projection only compresses the partial transpose.
-Above 2 x 2 each is answered by one Cholesky factor of the matrix plus
-``tol`` I, and an eigenvalue is computed only when that factor fails; at
-2 x 2 PPT is decided at rounding (:func:`ppt_check`).
+Above 2 x 2 each is answered by one Cholesky factor of the matrix plus a
+shift, ``tol`` I for positivity and ``PPT_ROUNDING`` I for PPT, and an
+eigenvalue is computed only when that factor fails.  PPT is decided at
+rounding at every size (:func:`_ppt`); ``tol`` has no part in it.
 Only a PPT state gets a Bloch record, so an NPT verdict pays for no
 moments, realigned matrix or marginal.
 A PPT state is projected onto its local supports while a marginal is
@@ -41,7 +42,7 @@ local frame is built from its N^2 family components, not from 2(N^2 - 1)
 Ky Fan pairs.  The filtered record counts as normal form when
 both marginal Bloch norms lie below ``RESIDUAL``; one accepted short of
 ``NORMAL_TOL`` logs a passed ``normal-form`` criterion.  The necessary
-bound, :func:`kyfan_necessary_check`, holds for every separable state,
+bound, asked by ``_kyfan_necessary``, holds for every separable state,
 filtered or not.  The constructive bound and its slack come from
 :func:`~sephorn.decompose.kyfan_room` and are compared with the Ky Fan
 norm in :func:`~sephorn.decompose.kyfan_bound_decomposition` alone, whose
@@ -55,14 +56,11 @@ record; the singular vectors ``d.corr_svd``, taken only once the
 constructive bound fits and the line split of the filtered correlation
 misses it; and the moment matrix ``d.moments`` that
 verification subtracts from the decomposition's own in one step.
-:func:`ppt_check` and :func:`require_psd` ask their questions of a
-record's ``d.matrix`` through the code :func:`analyze` runs on the
-validated matrix.  Positivity is read from a Bloch norm
-(:func:`~sephorn.bloch.ball_floor`) or certified by a Cholesky
-factorisation (:func:`~sephorn.linalg.certify_psd`) before any eigenvalue
-is computed; see :func:`verify_decomposition`, :func:`require_psd` and,
-for the partial transpose, :func:`ppt_check`, whose certified pass logs
-margin 0.
+Positivity is read from a Bloch norm (:func:`~sephorn.bloch.ball_floor`)
+or certified by a Cholesky factorisation
+(:func:`~sephorn.linalg.certify_psd`) before any eigenvalue is computed;
+see :func:`verify_decomposition`, :func:`_positive` and, for the partial
+transpose, :func:`_ppt`, whose certified pass logs margin 0.
 """
 
 from __future__ import annotations
@@ -141,62 +139,41 @@ class Verdict:
 # individual criteria
 # ---------------------------------------------------------------------------
 
-def kyfan_necessary_check(d: BipartiteDecomposed) -> CriterionResult:
-    """de Vicente's necessary bound ||corr||_KF <= R_+(N) R_+(M), with
-    R_+(N) = sqrt(2(N-1)/N), which every separable state satisfies,
-    filtered or not.
+def _ppt(rho: np.ndarray, dim_a: int, dim_b: int,
+         spectrum: tuple[np.ndarray, np.ndarray] | None, negativity: float) -> CriterionResult:
+    """The ``ppt`` criterion of a validated matrix: positivity of its
+    matrix-level partial transpose, which every separable state has, decided
+    at rounding at every size.
 
-    The ``kyfan-necessary`` criterion's margin is the Ky Fan norm, the sum
-    of ``d.corr_singular_values``, which takes no singular vectors, minus
-    the bound, so a positive margin beyond ``KYFAN_SLACK`` certifies
-    entanglement.
+    It fails exactly when the lowest eigenvalue of rho^Gamma lies below
+    -(``PPT_ROUNDING`` + ||N||_tr), N the negative part of rho:
+    ||N^Gamma||_op <= ||N||_tr, so rho's positive part is then NPT.  At
+    2 x 2 the eigenvalues of rho come from its eigendecomposition
+    ``spectrum``, and those of rho^Gamma from one eigensolve.  Above 2 x 2
+    (``spectrum`` None) a Cholesky factor of rho^Gamma + ``PPT_ROUNDING`` I
+    (:func:`~sephorn.linalg.certify_psd`) passes it with margin 0 and a
+    detail that names that certificate; only a failed factor takes the
+    eigenvalues of rho^Gamma, and only a lowest one in the band from
+    -``PPT_ROUNDING`` down to -(``PPT_ROUNDING`` + ``negativity``) those of
+    rho.  ``negativity`` bounds ||N||_tr from above, d times the threshold
+    of the positivity check rho passed, so the verdict does not depend on
+    it.
+    Otherwise the margin is minus the lowest eigenvalue when it is
+    negative, else 0, and the detail gives that eigenvalue.
     """
-    n, m = d.dim_a, d.dim_b
-    bound = sqrt(2.0 * (n - 1.0) / n) * sqrt(2.0 * (m - 1.0) / m)
-    margin = float(d.corr_singular_values.sum() - bound)
-    return CriterionResult("kyfan-necessary", margin <= KYFAN_SLACK, margin,
-                           f"Ky Fan norm bound {bound:.6g}")
-
-
-def ppt_check(d: BipartiteDecomposed, *, tol: float = POSITIVITY_TOL) -> CriterionResult:
-    """Positivity of the partially transposed state, which every separable
-    state has, asked of the matrix-level partial transpose of ``d.matrix``;
-    returns the criterion the verdict logs.
-
-    Above 2 x 2 the question is asked as :func:`require_psd` asks it, by
-    :func:`~sephorn.linalg.certify_psd`: when the partial transpose plus
-    ``tol`` I has a Cholesky factor, every eigenvalue exceeds -``tol``, and
-    the ``ppt`` criterion passes with margin 0 and a detail that names
-    that certificate.  At 2 x 2, or when the factorisation fails, one
-    eigenvalue solve gives the lowest eigenvalue: its margin is minus that
-    eigenvalue when it is negative, else 0, and its detail gives it.  It
-    fails below -``tol`` above 2 x 2.  At 2 x 2, where PPT is necessary and
-    sufficient, it fails below -(``PPT_ROUNDING`` + ||N||_tr), N the
-    negative part of ``d.spectrum``: ||N^Gamma||_op <= ||N||_tr, so rho's
-    positive part is then NPT (for a Hermitian ``d.matrix``, as the
-    validation makes it).  ``tol`` is checked as in :func:`analyze`.
-    """
-    check_tol(tol)
-    two_qubit = (d.dim_a, d.dim_b) == (2, 2)
-    return _ppt(d.matrix, d.dim_a, d.dim_b, tol, d.spectrum if two_qubit else None)
-
-
-def _ppt(rho: np.ndarray, dim_a: int, dim_b: int, tol: float,
-         spectrum: tuple[np.ndarray, np.ndarray] | None) -> CriterionResult:
-    """:func:`ppt_check` of a validated matrix, whose eigendecomposition
-    ``spectrum`` is given at 2 x 2 and None above."""
     pt = partial_transpose_matrix(rho, dim_a, dim_b)
-    if spectrum is None:
-        low, floor = certify_psd(pt, tol), tol
-        if low is None:
-            return CriterionResult("ppt", True, 0.0,
-                                   f"Cholesky factor of the partial transpose + {tol:.1e} I")
+    if spectrum is not None:
+        low, w = linalg.eigvalsh(pt)[0], spectrum[0]
     else:
-        # rho's negative eigenvalues widen the floor by their sum
-        w = spectrum[0]
-        low = linalg.eigvalsh(pt)[0]
-        floor = PPT_ROUNDING - float(w[w < 0.0].sum())
+        low = certify_psd(pt, PPT_ROUNDING)
+        if low is None:
+            detail = f"Cholesky factor of the partial transpose + {PPT_ROUNDING:.1e} I"
+            return CriterionResult("ppt", True, 0.0, detail)
+        # outside the band rho's negative part cannot change the verdict
+        in_band = -(PPT_ROUNDING + negativity) <= low < -PPT_ROUNDING
+        w = linalg.eigvalsh(rho) if in_band else np.zeros(0)
     low = float(low)
+    floor = PPT_ROUNDING - float(w[w < 0.0].sum())
     return CriterionResult("ppt", low >= -floor, max(0.0, -low), f"min eigenvalue {low:.3e}")
 
 
@@ -436,11 +413,21 @@ def _filter(call: _Call) -> Status | None:
 
 
 def _kyfan_necessary(call: _Call) -> Status | None:
-    """The necessary norm bound on ``d``: the normal form once filtering
-    has reached it, the unfiltered record when filtering failed."""
-    check = kyfan_necessary_check(call.d)
-    call.log.append(check)
-    return None if check.passed else Status.ENTANGLED
+    """de Vicente's necessary bound ||corr||_KF <= R_+(N) R_+(M), with
+    R_+(N) = sqrt(2(N-1)/N), on ``d``: the normal form once filtering has
+    reached it, the unfiltered record when filtering failed.  Every
+    separable state satisfies it, filtered or not.  The ``kyfan-necessary``
+    criterion's margin is the Ky Fan norm, the sum of
+    ``d.corr_singular_values``, which takes no singular vectors, minus the
+    bound, so a margin beyond ``KYFAN_SLACK`` makes the state ENTANGLED."""
+    d = call.d
+    n, m = d.dim_a, d.dim_b
+    bound = sqrt(2.0 * (n - 1.0) / n) * sqrt(2.0 * (m - 1.0) / m)
+    margin = float(d.corr_singular_values.sum() - bound)
+    passed = margin <= KYFAN_SLACK
+    call.log.append(CriterionResult("kyfan-necessary", passed, margin,
+                                    f"Ky Fan norm bound {bound:.6g}"))
+    return None if passed else Status.ENTANGLED
 
 
 def _kyfan_sufficient(call: _Call) -> Verdict | None:
@@ -559,10 +546,9 @@ def analyze(rho: np.ndarray, dim_a: int, dim_b: int, *, tol: float = POSITIVITY_
     quant-ph/9605038).  A PPT state logs ``concurrence`` (margin lam_1 -
     lam_2 - lam_3 - lam_4, passing up to ``KYFAN_SLACK``) and then
     ``decomposition[wootters]``, Wootters' four pure product components,
-    verified; if either fails the verdict is INCONCLUSIVE.  At a 2 x 2
-    input PPT is decided at rounding, so a failed concurrence is left only
-    to states within rounding of the PPT boundary and to 2 x 2 supports of
-    larger inputs, whose PPT is certified at ``tol``.
+    verified; if either fails the verdict is INCONCLUSIVE.  PPT is decided
+    at rounding, on the input, so a failed concurrence is left only to
+    states within rounding of the PPT boundary.
 
     Any other record runs ``_FULL_RANK``: a product of its marginals, with
     correlation a b^T within ``RESIDUAL`` entrywise, ends with its
@@ -581,28 +567,27 @@ def analyze(rho: np.ndarray, dim_a: int, dim_b: int, *, tol: float = POSITIVITY_
     input and verified there once, as ``decomposition[<construction>]``.
 
     The matrix questions come first, asked of the validated matrix before
-    any Bloch record is built: positivity, as :func:`require_psd` asks it
-    (at 2 x 2 from the eigendecomposition that Wootters' frame reuses), then
-    the ``ppt`` criterion, as :func:`ppt_check` asks it: above 2 x 2 a
-    Cholesky factor of the partial transpose plus ``tol`` I passes it with
-    margin 0, and only a failed factor takes the eigenvalues, so every NPT
-    verdict logs the lowest one.  An NPT state is ENTANGLED there, with no
-    record.  Only a PPT state gets its record, moments and realigned
-    matrix, seeded with the matrix and, at 2 x 2, with that
-    eigendecomposition.  ``tol`` is the psd threshold of rho and, above
-    2 x 2, of its partial transpose, and the local-rank cutoff; Hermiticity
-    and unit trace are validated to ``max(STATE_TOL, tol)``, and a 2 x 2 rho
-    is replaced by its Hermitian part.  ``max_iter`` bounds the filtering
-    sweeps.  A ``tol`` that is not finite and >= 0, or a ``max_iter`` that
-    is not an integer >= 0, raises :class:`BadParameter`; a marginal with
-    no eigenvalue above ``tol`` raises :class:`NotFullRank`.
+    any Bloch record is built, by the step ``sephorn normal-form`` shares
+    (:func:`_positive`): positivity, at 2 x 2 from the eigendecomposition
+    that Wootters' frame reuses; then the ``ppt`` criterion, decided at
+    rounding at every size (:func:`_ppt`): above 2 x 2 a Cholesky factor of
+    the partial transpose plus ``PPT_ROUNDING`` I passes it with margin 0,
+    and only a failed factor takes the eigenvalues, so every NPT verdict
+    logs the lowest one.  An NPT state is ENTANGLED there, with no record.
+    Only a PPT state gets its record, moments and realigned matrix, seeded
+    with the matrix and, at 2 x 2, with that eigendecomposition.  ``tol``
+    is the psd threshold of rho and the local-rank cutoff, and has no part
+    in PPT; Hermiticity and unit trace are validated to ``max(STATE_TOL,
+    tol)``, and a 2 x 2 rho is replaced by its Hermitian part.
+    ``max_iter`` bounds the filtering sweeps.  A ``tol`` that is not finite
+    and >= 0, or a ``max_iter`` that is not an integer >= 0, raises
+    :class:`BadParameter`; a marginal with no eigenvalue above ``tol``
+    raises :class:`NotFullRank`.
     """
     check_tol(tol)
     check_max_iter(max_iter)
-    rho = _validated(rho, dim_a, dim_b, max(STATE_TOL, tol))
-    spectrum = linalg.eigh(rho) if (dim_a, dim_b) == (2, 2) else None
-    _require_psd(rho, tol, spectrum)
-    ppt = _ppt(rho, dim_a, dim_b, tol, spectrum)
+    rho, spectrum = _positive(rho, dim_a, dim_b, tol)
+    ppt = _ppt(rho, dim_a, dim_b, spectrum, rho.shape[0] * tol)
     if not ppt.passed:
         return Verdict(status=Status.ENTANGLED, criteria=(ppt,))
     call = _Call(_record(rho, dim_a, dim_b, spectrum), tol, max_iter, [ppt])
@@ -624,22 +609,17 @@ def analyze(rho: np.ndarray, dim_a: int, dim_b: int, *, tol: float = POSITIVITY_
     return call.run(_TWO_QUBIT if ranks == (2, 2) else _FULL_RANK)
 
 
-def require_psd(d: BipartiteDecomposed, tol: float = POSITIVITY_TOL) -> None:
-    """Raise :class:`NotPSD` unless every eigenvalue of ``d.matrix`` is at
-    least -``tol``.  At 2 x 2 the lowest eigenvalue is read from the
-    memoized spectrum, which Wootters' frame reuses; above 2 x 2
+def _positive(rho: np.ndarray, dim_a: int, dim_b: int,
+              tol: float) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
+    """``rho`` validated at ``max(STATE_TOL, tol)`` (:func:`~sephorn.bipartite._validated`)
+    and its eigendecomposition at 2 x 2, None above; :class:`NotPSD` unless
+    every eigenvalue of rho is at least -``tol``.  At 2 x 2 the lowest
+    eigenvalue is read from that eigendecomposition; above 2 x 2
     :func:`~sephorn.linalg.certify_psd` factorises, and eigensolves only
-    when that fails, so that the error reports the exact lowest eigenvalue.
-    ``tol`` is checked as in :func:`analyze`, which asks the same question
-    of the validated matrix before any record exists."""
-    check_tol(tol)
-    _require_psd(d.matrix, tol, d.spectrum if (d.dim_a, d.dim_b) == (2, 2) else None)
-
-
-def _require_psd(rho: np.ndarray, tol: float,
-                 spectrum: tuple[np.ndarray, np.ndarray] | None) -> None:
-    """:func:`require_psd` of a validated matrix, whose eigendecomposition
-    ``spectrum`` is given at 2 x 2 and None above."""
+    when that fails, so that the error reports the exact lowest eigenvalue."""
+    rho = _validated(rho, dim_a, dim_b, max(STATE_TOL, tol))
+    spectrum = linalg.eigh(rho) if (dim_a, dim_b) == (2, 2) else None
     low = certify_psd(rho, tol) if spectrum is None else float(spectrum[0][0])
     if low is not None and not low >= -tol:
         raise NotPSD(f"input has minimum eigenvalue {low:.3e}")
+    return rho, spectrum

@@ -101,28 +101,25 @@ def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _umath_linalg.solve1(a, b, signature="dd->d")
 
 
-def certify_psd(mats: np.ndarray, tol: float) -> np.ndarray | float | None:
-    """Certify lambda_min > -tol for a Hermitian matrix or a stack of them.
+def certify_psd(mat: np.ndarray, tol: float) -> float | None:
+    """Certify lambda_min > -tol for a Hermitian matrix.
 
     A Cholesky factor of the Hermitian M + tol I exists exactly when every
     eigenvalue of M exceeds -tol, so when the factorisation of the shifted
-    matrix (or of every matrix of the stack) succeeds with a finite factor,
-    None is returned and no eigenvalue is computed.  Otherwise the lowest
-    eigenvalue of each matrix is returned, from :func:`eigvalsh`: an array
-    of shape ``mats.shape[:-2]``, a numpy float for a single matrix, NaN
-    for a matrix that has a non-finite entry.  The caller applies its own
-    threshold to the result, written ``not low >= -tol`` so that NaN fails;
-    within rounding of -tol the factorisation may fail where the threshold
-    passes.  Like :func:`eigvalsh`, the factorisation reads only the lower
-    triangle.
+    matrix succeeds with a finite factor, None is returned and no
+    eigenvalue is computed.  Otherwise the lowest eigenvalue of M is
+    returned, a numpy float from :func:`eigvalsh`, NaN for a matrix that
+    has a non-finite entry.  The caller applies its own threshold to the
+    result, written ``not low >= -tol`` so that NaN fails; within rounding
+    of -tol the factorisation may fail where the threshold passes.  Like
+    :func:`eigvalsh`, the factorisation reads only the lower triangle.
     """
-    mats = np.asarray(mats)
-    n = mats.shape[-1]
-    # a copy, promoted as mats + tol I would be
-    shifted = mats.astype(np.result_type(mats.dtype, float))
-    # the diagonal of each matrix, as a strided view of the flat copy
-    shifted.reshape(*mats.shape[:-2], n * n)[..., ::n + 1] += tol
+    n = mat.shape[-1]
+    # a copy, promoted as mat + tol I would be
+    shifted = mat.astype(np.result_type(mat.dtype, float))
+    # the diagonal, as a strided view of the flat copy
+    shifted.reshape(n * n)[::n + 1] += tol
     # a failed factor is NaN, and a NaN entry gives a NaN factor
     if np.isfinite(cholesky(shifted)).all():
         return None
-    return eigvalsh(mats)[..., 0][()]
+    return eigvalsh(mat)[0]

@@ -172,23 +172,26 @@ def lowest_pt_eigenvalue(rho: np.ndarray, n: int, m: int) -> float:
     return float(np.linalg.eigvalsh(rho_pt)[0])
 
 
-# noise-weight shifts off the PPT boundary: the negative ones are entangled
+# noise-weight shifts off the PPT boundary: the negative ones are entangled;
+# the first set at 2 x 2, the second, closer to it, above
 BOUNDARY_SHIFTS = (-1e-9, -1e-10, 0.0, 1e-10, 1e-9, 1e-6)
+QUDIT_BOUNDARY_SHIFTS = (-1e-10, -1e-12, 0.0, 1e-12, 1e-10)
 
 
-def ppt_boundary(rank: int, seed, steps: int = 80) -> tuple[np.ndarray, float]:
-    """A Ginibre 2 x 2 state of ``rank``, redrawn until it is NPT, and the
-    noise weight t at which (1 - t) rho + t I/4 reaches the PPT boundary:
+def ppt_boundary(rank: int, seed, steps: int = 80, n: int = 2,
+                 m: int = 2) -> tuple[np.ndarray, float]:
+    """A Ginibre n x m state of ``rank``, redrawn until it is NPT, and the
+    noise weight t at which (1 - t) rho + t I/(nm) reaches the PPT boundary:
     the PPT end of the bracket after ``steps`` bisection steps, so that its
     lowest partial-transpose eigenvalue lies within rounding above 0."""
     rng = _as_generator(seed)
-    rho = random_density(4, rank, rng)
-    while lowest_pt_eigenvalue(rho, 2, 2) >= 0.0:
-        rho = random_density(4, rank, rng)
+    rho = random_density(n * m, rank, rng)
+    while lowest_pt_eigenvalue(rho, n, m) >= 0.0:
+        rho = random_density(n * m, rank, rng)
     npt, ppt = 0.0, 1.0
     for _ in range(steps):
         mid = 0.5 * (npt + ppt)
-        if lowest_pt_eigenvalue(noisy(rho, mid), 2, 2) < 0.0:
+        if lowest_pt_eigenvalue(noisy(rho, mid), n, m) < 0.0:
             npt = mid
         else:
             ppt = mid
@@ -205,28 +208,29 @@ def rank_one_rung_state(eps: float) -> np.ndarray:
     return 0.5 * sum(np.outer(k, k) for k in kets).astype(complex)
 
 
-def local_filter(condition: float, rng) -> np.ndarray:
-    """A random 2 x 2 filter U diag(1, s) W, U and W Haar unitaries, whose
-    condition number 1/s is drawn log-uniformly from [1, ``condition``]."""
+def local_filter(condition: float, rng, dim: int = 2) -> np.ndarray:
+    """A random dim x dim filter U diag(1, s^(1/(dim-1)), ..., s) W, U and W
+    Haar unitaries, whose condition number 1/s is drawn log-uniformly from
+    [1, ``condition``]."""
     s = 10.0 ** -rng.uniform(0.0, np.log10(condition))
-    return (random_unitary(2, rng) * [1.0, s]) @ random_unitary(2, rng)
+    return (random_unitary(dim, rng) * s ** np.linspace(0.0, 1.0, dim)) @ random_unitary(dim, rng)
 
 
-def filtered_product_mixture(condition: float, seed) -> np.ndarray:
-    """A separable 2 x 2 state: 2-4 random pure products, the first weight
+def filtered_product_mixture(condition: float, seed, n: int = 2, m: int = 2) -> np.ndarray:
+    """A separable n x m state: 2-4 random pure products, the first weight
     drawn log-uniformly down to 1e-14, half the time mixed with white noise
     at a weight down to 1e-12, all under random local filters of condition
     up to ``condition`` (:func:`local_filter`).  Each filtered product is
     formed as one product vector and normalised, so every term is an exact
     product up to the rounding of its entries."""
     rng = _as_generator(seed)
-    fa, fb = local_filter(condition, rng), local_filter(condition, rng)
+    fa, fb = local_filter(condition, rng, n), local_filter(condition, rng, m)
     k = int(rng.integers(2, 5))
     weights = rng.dirichlet(np.ones(k))
     weights[0] = 10.0 ** rng.uniform(-14.0, 0.0)
-    rho = np.zeros((4, 4), dtype=complex)
+    rho = np.zeros((n * m, n * m), dtype=complex)
     for w in weights:
-        psi = np.kron(fa @ random_unitary(2, rng)[:, 0], fb @ random_unitary(2, rng)[:, 0])
+        psi = np.kron(fa @ random_unitary(n, rng)[:, 0], fb @ random_unitary(m, rng)[:, 0])
         rho += w / np.vdot(psi, psi).real * np.outer(psi, psi.conj())
     rho /= np.trace(rho).real
     if rng.random() < 0.5:

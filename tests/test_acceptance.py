@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import batch_min_margin, random_density, random_orthogonal
+from helpers import batch_min_margin, lowest_pt_eigenvalue, random_density, random_orthogonal
 from sephorn.bipartite import (
     BipartiteDecomposed,
     compose_state,
@@ -19,12 +19,7 @@ from sephorn.bipartite import (
     normal_form,
 )
 from sephorn.bloch import from_bloch
-from sephorn.criteria import (
-    Status,
-    analyze,
-    ppt_check,
-    verify_decomposition,
-)
+from sephorn.criteria import Status, analyze, verify_decomposition
 from sephorn.decompose import kyfan_bound_decomposition, werner_decompose
 from sephorn.horn import all_triples, check_product_inequalities, triple_set
 from sephorn.states import bell, isotropic, p_zero, werner
@@ -64,7 +59,8 @@ def test_2_two_qubit_exactness():
     for _ in range(1000):
         d = decompose_state(random_density(4, 4, rng), 2, 2)
         verdict = analyze(d.matrix, 2, 2)
-        want = Status.SEPARABLE if ppt_check(d).passed else Status.ENTANGLED
+        want = Status.SEPARABLE if lowest_pt_eigenvalue(d.matrix, 2, 2) >= 0.0 else (
+            Status.ENTANGLED)
         mismatches += verdict.status is not want
         if verdict.status is Status.SEPARABLE:
             separable += 1
@@ -179,8 +175,8 @@ def test_6_isotropic_boundary():
         above = isotropic(dim, threshold + 0.01)
         verdict = analyze(compose_state(above), dim, dim)
         entangled = verdict.status is Status.ENTANGLED
-        ppt = ppt_check(above)
-        ok = ok and entangled and not ppt.passed
+        ppt = verdict.criteria[0]
+        ok = ok and entangled and ppt.name == "ppt" and not ppt.passed
         notes.append(f"N={dim} p={threshold + 0.01:.3f}: entangled "
                      f"(ppt {ppt.detail})")
         if dim <= 3:

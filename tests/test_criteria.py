@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (BOUNDARY_SHIFTS, filtered_product_mixture, horodecki_2x4, horodecki_3x3,
-                     ill_conditioned_product, in_frame, lapack_kernels, lowest_pt_eigenvalue,
-                     nested_support, noisy, off_ball_product, ppt_boundary, products,
-                     projected_filtered, random_density, random_unitary, rank_one_rung_state,
-                     tiles_state, weakly_entangled)
+from helpers import (BOUNDARY_SHIFTS, QUDIT_BOUNDARY_SHIFTS, filtered_product_mixture,
+                     horodecki_2x4, horodecki_3x3, ill_conditioned_product, in_frame,
+                     lapack_kernels, lowest_pt_eigenvalue, nested_support, noisy,
+                     off_ball_product, ppt_boundary, products, projected_filtered, random_density,
+                     random_unitary, rank_one_rung_state, tiles_state, weakly_entangled)
 from sephorn import bipartite, criteria, linalg
 from sephorn.bipartite import (
     BipartiteDecomposed,
@@ -24,13 +24,7 @@ from sephorn.bipartite import (
 from sephorn.bloch import ball_floor, from_bloch
 from sephorn.config import (COMPONENT_PSD, KYFAN_SLACK, NORMAL_TOL, POSITIVITY_TOL, PPT_ROUNDING,
                             PROB_SUM, RESIDUAL)
-from sephorn.criteria import (
-    Status,
-    analyze,
-    kyfan_necessary_check,
-    ppt_check,
-    verify_decomposition,
-)
+from sephorn.criteria import Status, analyze, verify_decomposition
 from sephorn.decompose import (
     SeparableDecomposition,
     kyfan_bound_decomposition,
@@ -51,29 +45,44 @@ def random_two_qubit(rng, rank=4):
     return decompose_state(rho, 2, 2)
 
 
+def ppt_of(rho, n, m):
+    """The ``ppt`` criterion that ``analyze`` logs first, asked of ``rho``
+    alone, through the steps ``analyze`` takes."""
+    rho, spectrum = criteria._positive(rho, n, m, POSITIVITY_TOL)
+    return criteria._ppt(rho, n, m, spectrum, rho.shape[0] * POSITIVITY_TOL)
+
+
 class TestNecessary:
+    @staticmethod
+    def necessary(d):
+        """The verdict of the ``_kyfan_necessary`` stage alone on ``d``, and
+        the one criterion it logs."""
+        verdict = criteria._Call(d, POSITIVITY_TOL).run((criteria._kyfan_necessary,))
+        (check,) = verdict.criteria
+        assert verdict.status is (Status.INCONCLUSIVE if check.passed else Status.ENTANGLED)
+        return check
+
     def test_bell_fails_with_margin_two(self):
-        check = kyfan_necessary_check(bell())
+        check = self.necessary(bell())
         assert not check.passed
         assert abs(check.margin - 2.0) < 1e-12
 
     def test_maximally_mixed_passes(self):
         d = decompose_state(np.eye(4) / 4, 2, 2)
-        assert kyfan_necessary_check(d).passed
+        assert self.necessary(d).passed
 
     def test_qutrit_werner_boundary(self):
-        check = kyfan_necessary_check(werner(3, 1.0))
+        check = self.necessary(werner(3, 1.0))
         assert check.passed
         assert abs(check.margin) < 1e-12
 
     def test_holds_off_normal_form(self):
         # the bound holds for every separable state, so it applies to a
-        # product state with nonzero marginals, and the criterion it returns
-        # is the one the verdict logs
+        # product state with nonzero marginals
         rng = np.random.default_rng(7)
         d = decompose_state(np.kron(random_density(2, 2, rng), random_density(3, 3, rng)), 2, 3)
         assert min(np.linalg.norm(d.a), np.linalg.norm(d.b)) > 0.1
-        check = kyfan_necessary_check(d)
+        check = self.necessary(d)
         assert check.name == "kyfan-necessary"
         assert check.passed and check.margin < 0.0
         bound = np.sqrt(2.0 / 2.0) * np.sqrt(4.0 / 3.0)
@@ -138,35 +147,33 @@ class TestSufficient:
 
 class TestPpt:
     def test_bell_fails(self):
-        # the criterion the verdict logs: its margin is minus the lowest
+        # the one criterion the verdict logs: its margin is minus the lowest
         # eigenvalue of the partial transpose, -1/2
-        check = ppt_check(bell())
+        verdict = analyze(bell().matrix, 2, 2)
+        assert verdict.status is Status.ENTANGLED
+        (check,) = verdict.criteria
         assert check.name == "ppt" and not check.passed
         assert abs(check.margin - 0.5) < 1e-12
         assert check.detail == "min eigenvalue -5.000e-01"
-        assert analyze(bell().matrix, 2, 2).criteria == (check,)
 
     def test_separable_logs_the_check(self):
-        # a PPT 2 x 2 state logs the same criterion first, unchanged
-        d = werner(2, 0.5)
-        check = ppt_check(d)
-        assert check.passed and check.margin == 0.0
-        assert analyze(d.matrix, 2, 2).criteria[0] == check
+        # a PPT 2 x 2 state logs the criterion first, with margin 0
+        check = analyze(werner(2, 0.5).matrix, 2, 2).criteria[0]
+        assert check.name == "ppt" and check.passed and check.margin == 0.0
 
     def test_product_passes(self):
+        # above 2 x 2 a Cholesky factor certifies the pass, at rounding
         rng = np.random.default_rng(1)
         rho = np.kron(random_density(2, 2, rng), random_density(3, 3, rng))
-        assert ppt_check(decompose_state(rho, 2, 3)).passed
+        check = analyze(rho, 2, 3).criteria[0]
+        assert (check.name, check.passed, check.margin, check.detail) == (
+            "ppt", True, 0.0, f"Cholesky factor of the partial transpose + {PPT_ROUNDING:.1e} I")
 
     def test_isotropic_above_threshold_fails(self):
-        assert not ppt_check(isotropic(3, 0.3)).passed
-        assert ppt_check(isotropic(3, 0.2)).passed
-
-
-def analyze_2x2(d, tol):
-    """``analyze`` on the 2 x 2 path, where ``tol`` is the psd threshold
-    and the local-rank cutoff."""
-    return analyze(d.matrix, 2, 2, tol=tol)
+        verdict = analyze(compose_state(isotropic(3, 0.3)), 3, 3)
+        assert verdict.status is Status.ENTANGLED
+        assert [(c.name, c.passed) for c in verdict.criteria] == [("ppt", False)]
+        assert analyze(compose_state(isotropic(3, 0.2)), 3, 3).criteria[0].passed
 
 
 class TestTwoQubit:
@@ -183,7 +190,7 @@ class TestTwoQubit:
         for _ in range(100):
             d = random_two_qubit(rng)
             verdict = analyze(d.matrix, 2, 2)
-            want = Status.SEPARABLE if ppt_check(d).passed else Status.ENTANGLED
+            want = Status.SEPARABLE if ppt_of(d.matrix, 2, 2).passed else Status.ENTANGLED
             assert verdict.status is want
 
     def test_rejects_wrong_dims(self):
@@ -242,9 +249,9 @@ class TestTwoQubit:
         assert abs(ppt.margin - 2.5e-11) < 1e-15 and ppt.margin < POSITIVITY_TOL
 
     def test_p_zero_at_2x2_and_on_embedded_supports(self):
-        # p_zero(1e-5) fails ppt at 2 x 2; on two-dimensional supports of a
-        # 3 x 3 input, whose ppt is certified at tol by a Cholesky factor
-        # with margin 0, it fails the concurrence instead
+        # p_zero(1e-5) fails ppt at 2 x 2, and on two-dimensional supports
+        # of a 3 x 3 input too: PPT is decided at rounding at every size,
+        # on the input, before any projection
         rho = compose_state(p_zero(1e-5))
         low = lowest_pt_eigenvalue(rho, 2, 2)
         assert abs(low + 2.5e-11) < 1e-15
@@ -254,12 +261,10 @@ class TestTwoQubit:
         embedded = _embedded(rho, 3, 3, 7)
         assert abs(lowest_pt_eigenvalue(embedded, 3, 3) - low) < 1e-15
         verdict = analyze(embedded, 3, 3)
-        assert verdict.status is Status.INCONCLUSIVE
-        assert [(c.name, c.passed, c.margin) for c in verdict.criteria[:2]] == [
-            ("ppt", True, 0.0), ("support-projection", True, 0.0)]
-        (concurrence,) = verdict.criteria[2:]
-        assert concurrence.name == "concurrence" and not concurrence.passed
-        assert abs(concurrence.margin - 1e-5) < 1e-15
+        assert verdict.status is Status.ENTANGLED
+        (ppt,) = verdict.criteria
+        assert (ppt.name, ppt.passed) == ("ppt", False)
+        assert abs(ppt.margin + low) < 1e-15
 
     def test_rank_three_ppt_with_full_local_rank_is_separable(self):
         rho = np.diag([0.4, 0.3, 0.3, 0.0])
@@ -367,7 +372,85 @@ class TestTwoQubitBoundary:
         rho[0, 1] = 5e-10
         verdict = analyze(rho, 2, 2, tol=tol)
         assert verdict.status is Status.SEPARABLE, verdict.criteria
-        assert ppt_check(decompose_state(rho, 2, 2, tol=tol), tol=tol).passed
+        assert (verdict.criteria[0].name, verdict.criteria[0].passed) == ("ppt", True)
+
+
+def family_boundary_rows():
+    """Werner states at phi = -1e-13 to -5e-10 and isotropic states at
+    p = 1/(N + 1) + 1e-13 to + 5e-10, N = 3..5: PSD and NPT, with the
+    lowest partial-transpose eigenvalue -2e-14 to -2.2e-10."""
+    for dim in (3, 4, 5):
+        for shift in (1e-13, 1e-10, 5e-10):
+            yield pytest.param(dim, werner(dim, -shift), id=f"{dim}-werner-{-shift:.0e}")
+            yield pytest.param(dim, isotropic(dim, 1.0 / (dim + 1.0) + shift),
+                               id=f"{dim}-isotropic-{shift:+.0e}")
+
+
+QUDIT_BOUNDARY_DIMS = [(2, 3), (2, 4), (3, 3), (3, 4), (4, 4), (4, 5), (5, 5)]
+
+
+class TestQuditBoundary:
+    """Above 2 x 2 PPT is decided at rounding too, so a state off the PPT
+    boundary by 1e-12 in noise weight is decided on the right side of it,
+    whatever ``tol``."""
+
+    @pytest.mark.parametrize("dim, state", family_boundary_rows())
+    def test_family_rows_are_entangled_by_ppt(self, dim, state):
+        rho = compose_state(state)
+        verdict = analyze(rho, dim, dim)
+        assert verdict.status is Status.ENTANGLED
+        (ppt,) = verdict.criteria
+        assert (ppt.name, ppt.passed) == ("ppt", False)
+        low = lowest_pt_eigenvalue(rho, dim, dim)
+        assert -2.3e-10 < low < -PPT_ROUNDING
+        assert abs(ppt.margin + low) < 1e-15
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(QUDIT_BOUNDARY_DIMS), st.integers(1, 4),
+           st.sampled_from(QUDIT_BOUNDARY_SHIFTS), st.sampled_from(["plain", "rotated"]))
+    def test_boundary_states_are_decided(self, seed, dims, rank, shift, frame):
+        n, m = dims
+        rng = np.random.default_rng(seed)
+        rho, weight = ppt_boundary(rank, rng, n=n, m=m)
+        rho = in_frame(noisy(rho, weight + shift), n, m, frame, rng)
+        verdict = analyze(rho, n, m)
+        if shift < 0.0:
+            assert verdict.status is Status.ENTANGLED
+            assert [(c.name, c.passed) for c in verdict.criteria] == [("ppt", False)]
+        else:
+            assert verdict.status is not Status.ENTANGLED, verdict.criteria
+        if verdict.status is Status.SEPARABLE:
+            assert verify_decomposition(verdict.decomposition, decompose_state(rho, n, m)).valid
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(QUDIT_BOUNDARY_DIMS),
+           st.sampled_from(["plain", "rotated"]))
+    def test_perturbed_separable_boundary_state_is_not_entangled(self, seed, dims, frame):
+        # as at 2 x 2: two pure products plus 5e-10 (|u><u| - |v><v|), u a
+        # product vector and v a null vector of the sum, so rho has the
+        # eigenvalue -5e-10 and a separable positive part; its partial
+        # transpose dips below -PPT_ROUNDING, within rho's negative part
+        n, m = dims
+        rng = np.random.default_rng(seed)
+        u = np.kron(random_unitary(n, rng)[:, 0], random_unitary(m, rng)[:, 0])
+        plus = products(rng.dirichlet([1.0, 1.0]), n, m, rng) + 5e-10 * np.outer(u, u.conj())
+        v = np.linalg.eigh(plus)[1][:, 0]
+        rho = in_frame(plus - 5e-10 * np.outer(v, v.conj()), n, m, frame, rng)
+        assert abs(np.linalg.eigvalsh(rho)[0] + 5e-10) < 1e-15
+        verdict = analyze(rho, n, m)
+        assert verdict.status is not Status.ENTANGLED, verdict.criteria
+        assert verdict.criteria[0].passed
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(QUDIT_BOUNDARY_DIMS),
+           st.sampled_from([1e3, 1e6, 1e9]))
+    def test_filtered_product_mixtures_pass_ppt(self, seed, dims, condition):
+        # separable states whose rounding-level negative part local filters
+        # of condition up to 1e9 magnify; the ppt criterion, asked first,
+        # passes on every one
+        n, m = dims
+        verdict = analyze(filtered_product_mixture(condition, seed, n, m), n, m)
+        assert (verdict.criteria[0].name, verdict.criteria[0].passed) == ("ppt", True)
 
 
 # wall-clock budget of one analyze call: a warm call takes about 2 ms at
@@ -902,8 +985,9 @@ class TestQuditGate:
             assert verify_decomposition(verdict.decomposition, d).valid
 
 
-# |lambda_min + tol| below which the Cholesky certificate and eigvalsh may
-# round apart: both err by about N M eps times the largest eigenvalue
+# |lambda_min + PPT_ROUNDING| below which the Cholesky certificate and
+# eigvalsh may round apart: both err by about N M eps times the largest
+# eigenvalue
 CERTIFICATE_ROUNDING = 1e-13
 
 
@@ -911,16 +995,17 @@ CERTIFICATE_ROUNDING = 1e-13
 def ppt_boundary_states(draw):
     """A random pure state on 2x3 to 4x4 or 5x5, mixed with white noise at
     the weight where the lowest eigenvalue of its partial transpose is
-    -``POSITIVITY_TOL``, moved from there by +-1e-12 to +-1e-6 in noise
+    -``PPT_ROUNDING``, moved from there by +-1e-12 to +-1e-6 in noise
     weight, in a random local frame.  White noise adds weight/(NM) to every
     eigenvalue of the partial transpose, so that weight is the root of a
-    linear function and needs no bisection."""
+    linear function and needs no bisection.  The state is positive
+    definite, so its negative part is zero."""
     n, m = draw(st.sampled_from([(2, 3), (2, 4), (3, 3), (3, 4), (4, 4), (5, 5)]))
     size = n * m
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     pure = random_density(size, 1, rng)
     low = lowest_pt_eigenvalue(pure, n, m)
-    weight = (-POSITIVITY_TOL - low) / (1.0 / size - low)
+    weight = (-PPT_ROUNDING - low) / (1.0 / size - low)
     weight += draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-12.0, -6.0))
     rho = (1.0 - weight) * pure + weight * np.eye(size) / size
     u = np.kron(random_unitary(n, rng), random_unitary(m, rng))
@@ -932,24 +1017,25 @@ class TestPptCertificate:
     @given(ppt_boundary_states())
     def test_certificate_is_the_eigenvalue_threshold(self, case):
         # ppt passes exactly when the lowest eigenvalue of the partial
-        # transpose is at least -tol, outside the rounding band around -tol;
-        # a pass is certified with margin 0 or, where the factorisation
-        # fails inside that band, read from eigvalsh, and every failure
-        # carries minus that eigenvalue and names it
+        # transpose is at least -PPT_ROUNDING, outside the rounding band
+        # around it, whatever tol; a pass is certified with margin 0 or,
+        # where the factorisation fails inside that band, read from
+        # eigvalsh, and every failure carries minus that eigenvalue and
+        # names it
         rho, n, m = case
         low = float(np.linalg.eigvalsh(partial_transpose_matrix(rho, n, m))[0])
-        ppt = ppt_check(decompose_state(rho, n, m))
-        if abs(low + POSITIVITY_TOL) > CERTIFICATE_ROUNDING:
-            assert ppt.passed is (low >= -POSITIVITY_TOL), (low, ppt)
+        ppt = ppt_of(rho, n, m)
+        if abs(low + PPT_ROUNDING) > CERTIFICATE_ROUNDING:
+            assert ppt.passed is (low >= -PPT_ROUNDING), (low, ppt)
         eigenvalue = (max(0.0, -low), f"min eigenvalue {low:.3e}")
         if not ppt.passed:
             assert (ppt.margin, ppt.detail) == eigenvalue
         elif ppt.detail.startswith("Cholesky"):
             assert (ppt.margin, ppt.detail) == (
-                0.0, f"Cholesky factor of the partial transpose + {POSITIVITY_TOL:.1e} I")
+                0.0, f"Cholesky factor of the partial transpose + {PPT_ROUNDING:.1e} I")
         else:
             assert (ppt.margin, ppt.detail) == eigenvalue
-            assert abs(low + POSITIVITY_TOL) <= CERTIFICATE_ROUNDING
+            assert abs(low + PPT_ROUNDING) <= CERTIFICATE_ROUNDING
 
 
 class TestSpectralCounts:
@@ -998,13 +1084,13 @@ class TestSpectralCounts:
     @staticmethod
     def check_full_matrices(calls, rho):
         # the positivity of rho and of its partial transpose are each
-        # certified by one Cholesky factorisation of the matrix + psd I, and
-        # no 9 x 9 matrix is eigensolved
+        # certified by one Cholesky factorisation of the matrix plus its
+        # shift, tol I and PPT_ROUNDING I, and no 9 x 9 matrix is eigensolved
         rho_pt = rho.reshape(3, 3, 3, 3).transpose(0, 3, 2, 1).reshape(9, 9)
         full = [(name, a) for name, a in calls if a.shape == (9, 9)]
         assert [name for name, _ in full] == ["cholesky", "cholesky"]
-        for (_, a), matrix in zip(full, (rho, rho_pt)):
-            np.testing.assert_allclose(a - matrix, POSITIVITY_TOL * np.eye(9), rtol=0, atol=1e-15)
+        for (_, a), matrix, shift in zip(full, (rho, rho_pt), (POSITIVITY_TOL, PPT_ROUNDING)):
+            np.testing.assert_allclose(a - matrix, shift * np.eye(9), rtol=0, atol=1e-15)
 
     def test_separable_qutrit_verdict(self, monkeypatch):
         rho = self.qutrit_state("rotated")
@@ -1191,8 +1277,8 @@ class TestSpectralCounts:
         # positivity and PPT are asked of the validated matrix: the PSD
         # question (the 2 x 2 eigendecomposition, or a Cholesky factor of
         # rho + tol I above), then one eigensolve of the partial transpose,
-        # above 2 x 2 after its factorisation + tol I fails, and no moments,
-        # realigned matrix or marginal are ever computed
+        # above 2 x 2 after its factorisation + PPT_ROUNDING I fails, and no
+        # moments, realigned matrix or marginal are ever computed
         rho = 0.8 * compose_state(isotropic(n, 1.0)) + 0.2 * np.eye(n * n) / n ** 2
         rho = in_frame(rho, n, n, "rotated", np.random.default_rng(n))
         records, moments = [], bipartite._moments
@@ -1210,7 +1296,8 @@ class TestSpectralCounts:
         shift = POSITIVITY_TOL * np.eye(n * n) if n > 2 else 0.0
         np.testing.assert_allclose(calls[0][1] - shift, rho, rtol=0, atol=1e-15)
         if n > 2:
-            np.testing.assert_allclose(calls[1][1] - shift, rho_pt, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(calls[1][1] - PPT_ROUNDING * np.eye(n * n), rho_pt,
+                                       rtol=0, atol=1e-15)
         np.testing.assert_array_equal(calls[-1][1], rho_pt)
 
 
@@ -1515,13 +1602,11 @@ class TestAnalyze:
                 analyze(random_density(9, 9, 1), 3, 3, **{keyword: value})
 
     @pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
-    @pytest.mark.parametrize("check", [ppt_check, analyze_2x2, criteria.require_psd])
-    def test_bad_tol_is_named_by_every_check(self, check, tol):
+    def test_bad_tol_is_named_on_the_2x2_path(self, tol):
         # unchecked, a NaN or negative tol makes the maximally mixed state
-        # ENTANGLED or NotPSD
-        d = decompose_state(np.eye(4) / 4.0, 2, 2)
+        # NotPSD
         with pytest.raises(BadParameter, match="^tol must be"):
-            check(d, tol=tol)
+            analyze(np.eye(4) / 4.0, 2, 2, tol=tol)
 
     def test_tol_above_every_marginal_eigenvalue(self):
         # the marginal eigenvalues are 1/3, so no support is left to project to
@@ -1644,7 +1729,7 @@ class TestAnalyze:
         corpus = [werner(2, 0.7), werner(3, 0.9), isotropic(3, 0.1)]
         for d in corpus:
             flipped = partial_transpose_matrix(d.matrix, d.dim_a, d.dim_b)
-            assert ppt_check(decompose_state(flipped, d.dim_a, d.dim_b)).passed
+            assert ppt_of(flipped, d.dim_a, d.dim_b).passed
 
     def test_soundness_on_2x3_states(self):
         # verdicts never contradict the partial-transposition criterion,
@@ -1655,7 +1740,7 @@ class TestAnalyze:
             d = decompose_state(random_density(6, 6, rng), 2, 3)
             verdict = analyze(compose_state(d), 2, 3)
             seen[verdict.status] += 1
-            ppt_ok = ppt_check(d).passed
+            ppt_ok = ppt_of(d.matrix, 2, 3).passed
             if verdict.status is Status.ENTANGLED:
                 assert not ppt_ok
             if verdict.status is Status.SEPARABLE:

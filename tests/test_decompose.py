@@ -18,9 +18,9 @@ from sephorn.bipartite import (
     decompose_state,
     partial_transpose_matrix,
 )
-from sephorn import decompose, linalg
+from sephorn import criteria, decompose, linalg
 from sephorn.bloch import from_bloch, to_bloch
-from sephorn.config import HOLDER_ROUNDING, TAKAGI_ORTHO
+from sephorn.config import HOLDER_ROUNDING, POSITIVITY_TOL, TAKAGI_ORTHO
 from sephorn.criteria import Status, analyze, verify_decomposition
 from sephorn.decompose import (
     SeparableDecomposition,
@@ -427,12 +427,20 @@ class TestIsotropicDecompose:
         assert verdict.status is Status.ENTANGLED
 
     def test_round_off_above_threshold_decomposes(self):
-        # the threshold state is decomposed, and so is one 5e-13 above it,
-        # as round-off in a recovered parameter can give
+        # the threshold state is decomposed; one 5e-13 above it fails ppt,
+        # which is decided at rounding, and the family stage alone, asked
+        # of it as round-off in a recovered parameter can give, still
+        # decomposes it
         for dim in (3, 5):
             threshold = 1.0 / (dim + 1.0)
             assert self.separable_residual(dim, threshold) < 1e-10
-            assert self.separable_residual(dim, threshold + 5e-13, threshold) < 1e-10
+            above = isotropic(dim, threshold + 5e-13)
+            verdict = analyze(above.matrix, dim, dim)
+            assert [(c.name, c.passed) for c in verdict.criteria] == [("ppt", False)]
+            verdict = criteria._Call(above, POSITIVITY_TOL).run((criteria._family,))
+            assert verdict.status is Status.SEPARABLE, verdict.criteria
+            report = verify_decomposition(verdict.decomposition, isotropic(dim, threshold))
+            assert report.valid and report.max_residual < 1e-10
 
     def test_lower_positivity_edge(self):
         for dim in (3, 5):

@@ -40,10 +40,16 @@ of one plus half |22><22| at 3x3, whose marginal weight delta lies at or
 below the rank cutoff (``weak-entanglement``), and products: one pure
 product plus eps I/d, exact products whose marginals lie outside the
 inscribed ball, and mixed 1x3 and 3x1 states (``near-products``).  The
-last group, ``qubit-boundary``, holds twenty NPT Ginibre 2x2 states mixed
-with white noise to the PPT boundary and moved off it by each of
+group ``qubit-boundary`` holds twenty NPT Ginibre 2x2 states mixed with
+white noise to the PPT boundary and moved off it by each of
 ``BOUNDARY_SHIFTS`` in noise weight, and thirty separable mixtures of
 pure products under local filters of condition up to 1e3, 1e6 and 1e9.
+The last group, ``ppt-boundary``, asks the same above 2 x 2: Werner
+states at phi and isotropic states at p = 1/(N + 1) + shift, N = 3..5,
+each shift from -5e-10 to 5e-10 (phi < 0 and shift > 0 are NPT), and
+three NPT Ginibre states per dimension from 2x3 to 5x5 mixed with white
+noise to the PPT boundary and moved off it by each of
+``QUDIT_BOUNDARY_SHIFTS``.
 The states and their samplers are those of ``tests/helpers.py``, which the
 test suite checks.
 """
@@ -63,12 +69,12 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT), str(ROOT / "tests")]
 
-from helpers import (BOUNDARY_SHIFTS, filtered_product_mixture,  # noqa: E402
-                     ill_conditioned_product, in_frame, nested_support, noisy, off_ball_product,
-                     ppt_boundary, products, projected_filtered, random_density,
-                     weakly_entangled)
+from helpers import (BOUNDARY_SHIFTS, QUDIT_BOUNDARY_SHIFTS,  # noqa: E402
+                     filtered_product_mixture, ill_conditioned_product, in_frame, nested_support,
+                     noisy, off_ball_product, ppt_boundary, products, projected_filtered,
+                     random_density, weakly_entangled)
 from pipebench import corpus  # noqa: E402
-from sephorn import analyze  # noqa: E402
+from sephorn import analyze, compose_state, isotropic, werner  # noqa: E402
 
 DIMS = ((2, 3), (3, 3), (2, 4), (3, 4), (4, 4))
 
@@ -132,6 +138,18 @@ def cases():
         for seed in range(10):
             rho = filtered_product_mixture(condition, seed)
             yield f"qubit-boundary/filtered-products/{condition:.0e}/{seed}", rho, 2, 2
+    for dim in (3, 4, 5):
+        for shift in (-5e-10, -1e-10, -1e-13, 0.0, 1e-13, 1e-10, 5e-10):
+            yield (f"ppt-boundary/{dim}x{dim}/werner/{shift:+.0e}",
+                   compose_state(werner(dim, shift)), dim, dim)
+            yield (f"ppt-boundary/{dim}x{dim}/isotropic/{shift:+.0e}",
+                   compose_state(isotropic(dim, 1.0 / (dim + 1.0) + shift)), dim, dim)
+    rng = np.random.default_rng(12)
+    for n, m in (*DIMS, (4, 5), (5, 5)):
+        for i in range(3):
+            rho, weight = ppt_boundary(1 + i, rng, n=n, m=m)
+            for shift in QUDIT_BOUNDARY_SHIFTS:
+                yield f"ppt-boundary/{n}x{m}/{i}/{shift:+.0e}", noisy(rho, weight + shift), n, m
 
 
 def in_ball(rho: np.ndarray) -> bool:
